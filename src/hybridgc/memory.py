@@ -8,7 +8,6 @@ disabled. Reads reach memory as line fills. Every counter is keyed by
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .address_space import MemoryKind
@@ -19,6 +18,10 @@ SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
 
 # Finite stand-in for "no wear-out in any meaningful horizon".
 UNBOUNDED_YEARS = 1.0e9
+
+_PCM = MemoryKind.PCM
+_DRAM = MemoryKind.DRAM
+_ABSENT = object()  # sentinel for a set lookup that misses
 
 
 class TrafficCounters:
@@ -40,7 +43,8 @@ class TrafficCounters:
         self.fills = 0
         self.writebacks = 0
 
-    # -- accumulation helpers (hot path uses the dicts directly) --
+    # -- accumulation helpers (the cache model batches an access's lines
+    # and updates the dicts once per run of lines, not once per line) --
 
     def add_write(self, inst: int, kind: MemoryKind, space: str, n: int) -> None:
         key = (inst, kind, space)
@@ -115,6 +119,13 @@ class CacheModel:
     addresses from different instances occupy distinct lines while still
     competing for the same sets. ``capacity`` 0 degenerates to a
     pass-through that forwards every access byte-for-byte.
+
+    Traffic is accounted per access, not per line: an access splits its
+    line range at ``split_line`` into at most one PCM run and one DRAM
+    run, counts demand, absorbed and filled lines and dirty victims in
+    locals while it walks a run, and then adds them to the counters once.
+    A drain batches its writebacks the same way. All counters are integer
+    sums, so the totals equal those of per-line accounting.
     """
 
     def __init__(
@@ -137,8 +148,11 @@ class CacheModel:
         self.line_size = line_size
         self.split_line = split // line_size
         self.n_sets = capacity // (assoc * line_size) if capacity else 0
-        # Each set maps (instance, line index) -> [dirty, space]; LRU by order.
-        self.sets: list[OrderedDict] = [OrderedDict() for _ in range(self.n_sets)]
+        # Each set maps (instance, line index) -> the space that last wrote
+        # the line while it is dirty, or None while it is clean; a clean
+        # line's space is never read. LRU order is insertion order: a hit
+        # re-inserts its key, and the victim is the first key.
+        self.sets: list[dict[tuple[int, int], str | None]] = [{} for _ in range(self.n_sets)]
         self.record_events = record_events
         self.events: list[tuple[str, int, int]] = []
 
@@ -150,71 +164,111 @@ class CacheModel:
             return
         line_size = self.line_size
         first = addr // line_size
-        last = (addr + length - 1) // line_size
+        end = (addr + length - 1) // line_size + 1
         split_line = self.split_line
-        for ln in range(first, last + 1):
-            kind = MemoryKind.PCM if ln < split_line else MemoryKind.DRAM
-            cset = self.sets[ln % self.n_sets]
-            key = (inst, ln)
-            entry = cset.get(key)
+        if end <= split_line:
+            runs = ((first, end, _PCM),)
+        elif first >= split_line:
+            runs = ((first, end, _DRAM),)
+        else:
+            runs = ((first, split_line, _PCM), (split_line, end, _DRAM))
+        sets = self.sets
+        n_sets = self.n_sets
+        assoc = self.assoc
+        events = self.events if self.record_events else None
+        for lo, hi, kind in runs:
+            absorbed = 0
+            fills = 0
+            victims: dict[tuple[int, bool, str], int] = {}
+            for ln in range(lo, hi):
+                cset = sets[ln % n_sets]
+                key = (inst, ln)
+                old = cset.pop(key, _ABSENT)
+                if old is not _ABSENT:
+                    if write:
+                        if old is not None:
+                            absorbed += 1
+                        cset[key] = space
+                    else:
+                        cset[key] = old
+                    continue
+                # miss: allocate on both reads and writes
+                fills += 1
+                if events is not None:
+                    events.append(("fill", inst, ln))
+                if len(cset) >= assoc:
+                    vkey = next(iter(cset))
+                    vspace = cset.pop(vkey)
+                    if vspace is not None:
+                        vinst, vln = vkey
+                        wkey = (vinst, vln < split_line, vspace)
+                        victims[wkey] = victims.get(wkey, 0) + 1
+                        if events is not None:
+                            events.append(("wb", vinst, vln))
+                cset[key] = space if write else None
             if write:
                 dkey = (inst, kind)
-                counters.demand_write_bytes[dkey] = counters.demand_write_bytes.get(dkey, 0) + line_size
-            if entry is not None:
-                cset.move_to_end(key)
-                if write:
-                    if entry[0]:
-                        akey = (inst, kind)
-                        counters.absorbed_write_bytes[akey] = counters.absorbed_write_bytes.get(akey, 0) + line_size
-                    else:
-                        entry[0] = True
-                    entry[1] = space
-                continue
-            # miss: allocate on both reads and writes
-            counters.fills += 1
-            counters.add_read(inst, kind, space, line_size)
-            if self.record_events:
-                self.events.append(("fill", inst, ln))
-            if len(cset) >= self.assoc:
-                (vinst, vln), (vdirty, vspace) = cset.popitem(last=False)
-                if vdirty:
-                    self._writeback(counters, vinst, vln, vspace)
-            cset[key] = [write, space]
+                demand = counters.demand_write_bytes
+                demand[dkey] = demand.get(dkey, 0) + (hi - lo) * line_size
+                if absorbed:
+                    absorbed_bytes = counters.absorbed_write_bytes
+                    absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
+            if fills:
+                counters.fills += fills
+                counters.add_read(inst, kind, space, fills * line_size)
+            if victims:
+                self._writeback(counters, victims)
 
-    def _writeback(self, counters: TrafficCounters, inst: int, ln: int, space: str) -> None:
-        kind = MemoryKind.PCM if ln < self.split_line else MemoryKind.DRAM
+    def _writeback(self, counters: TrafficCounters, victims: dict[tuple[int, bool, str], int]) -> int:
+        """Write back dirty lines counted as ``(instance, is_pcm, space) -> lines``; returns the total."""
         line_size = self.line_size
-        counters.writebacks += 1
-        wkey = (inst, kind)
-        counters.writeback_bytes[wkey] = counters.writeback_bytes.get(wkey, 0) + line_size
-        counters.add_write(inst, kind, space, line_size)
-        if self.record_events:
-            self.events.append(("wb", inst, ln))
+        writeback_bytes = counters.writeback_bytes
+        total = 0
+        for (inst, is_pcm, space), n in victims.items():
+            kind = _PCM if is_pcm else _DRAM
+            nbytes = n * line_size
+            wkey = (inst, kind)
+            writeback_bytes[wkey] = writeback_bytes.get(wkey, 0) + nbytes
+            counters.add_write(inst, kind, space, nbytes)
+            total += n
+        counters.writebacks += total
+        return total
 
     def _passthrough(self, counters: TrafficCounters, inst: int, addr: int, length: int, write: bool, space: str) -> None:
-        kind = MemoryKind.PCM if addr // self.line_size < self.split_line else MemoryKind.DRAM
-        if write:
-            key = (inst, kind)
-            counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + length
-            counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + length
-            counters.add_write(inst, kind, space, length)
-        else:
-            counters.add_read(inst, kind, space, length)
+        # The PCM/DRAM boundary is the one the cached path uses: the first
+        # byte of line ``split_line``.
+        boundary = self.split_line * self.line_size
+        pcm = min(max(boundary - addr, 0), length)
+        for kind, n in ((_PCM, pcm), (_DRAM, length - pcm)):
+            if not n:
+                continue
+            if write:
+                key = (inst, kind)
+                counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + n
+                counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + n
+                counters.add_write(inst, kind, space, n)
+            else:
+                counters.add_read(inst, kind, space, n)
 
     def drain(self, counters: TrafficCounters) -> int:
         """Flush every dirty line; returns the number written back.
 
         Lines stay resident but clean, so draining twice is a no-op the
-        second time.
+        second time. Lines are flushed set by set, least recent first.
         """
-        flushed = 0
+        split_line = self.split_line
+        events = self.events if self.record_events else None
+        victims: dict[tuple[int, bool, str], int] = {}
         for cset in self.sets:
-            for (inst, ln), entry in cset.items():
-                if entry[0]:
-                    entry[0] = False
-                    self._writeback(counters, inst, ln, entry[1])
-                    flushed += 1
-        return flushed
+            for key, space in cset.items():
+                if space is not None:
+                    cset[key] = None
+                    inst, ln = key
+                    wkey = (inst, ln < split_line, space)
+                    victims[wkey] = victims.get(wkey, 0) + 1
+                    if events is not None:
+                        events.append(("wb", inst, ln))
+        return self._writeback(counters, victims)
 
     def resident_lines(self) -> int:
         return sum(len(cset) for cset in self.sets)

@@ -13,18 +13,42 @@ LINE = 64
 SMALL_GEOMETRIES = [(1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (6, 3)]
 
 
-def run_pair(geometry, seed, n_accesses, n_instances=2, addr_lines=32, split_lines=16):
+SHORT_LENGTHS = (1, 4, 8, 32, 64, 96, 200)
+# 16 to 64 lines each, so one access wraps the sets of every geometry
+LONG_LENGTHS = (15 * LINE + 2, 16 * LINE, 23 * LINE - 1, 31 * LINE + 7, 40 * LINE, 63 * LINE - 3)
+
+
+def run_pair(
+    geometry,
+    seed,
+    n_accesses,
+    n_instances=2,
+    addr_lines=32,
+    split_lines=16,
+    *,
+    lengths=SHORT_LENGTHS,
+    straddle=False,
+    record_events=True,
+):
+    """Drive model and reference with one random access stream; compare.
+
+    ``straddle`` makes every access cross the PCM/DRAM split.
+    """
     lines, assoc = geometry
     split = split_lines * LINE
-    model = CacheModel(lines * LINE, assoc, LINE, split, record_events=True)
+    model = CacheModel(lines * LINE, assoc, LINE, split, record_events=record_events)
     ref = RefCache(lines * LINE, assoc, LINE, split)
     mc, rc = TrafficCounters(), TrafficCounters()
     rng = random.Random(seed)
     top = addr_lines * LINE
     for _ in range(n_accesses):
         inst = rng.randrange(n_instances)
-        addr = rng.randrange(top)
-        length = rng.choice((1, 4, 8, 32, 64, 96, 200))
+        if straddle:
+            addr = split - rng.randrange(1, 4 * LINE + 1)
+            length = split - addr + rng.randrange(1, 4 * LINE + 1)
+        else:
+            addr = rng.randrange(top)
+            length = rng.choice(lengths)
         length = min(length, top - addr)
         if length == 0:
             continue
@@ -33,7 +57,7 @@ def run_pair(geometry, seed, n_accesses, n_instances=2, addr_lines=32, split_lin
         model.access(mc, inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
     assert model.drain(mc) == ref.drain(rc)
-    assert model.events == ref.events
+    assert model.events == (ref.events if record_events else [])
     assert mc.write_bytes == rc.write_bytes
     assert mc.read_bytes == rc.read_bytes
     assert mc.demand_write_bytes == rc.demand_write_bytes
@@ -42,7 +66,7 @@ def run_pair(geometry, seed, n_accesses, n_instances=2, addr_lines=32, split_lin
     assert mc.fills == rc.fills and mc.writebacks == rc.writebacks
     assert model.resident_lines() == ref.resident_lines()
     mc.check_write_conservation()
-    return len(model.events)
+    return len(ref.events)
 
 
 @pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
@@ -74,3 +98,24 @@ def test_full_oracle_load():
         geometry = SMALL_GEOMETRIES[seed % len(SMALL_GEOMETRIES)]
         total += run_pair(geometry, seed, 10_500)
     assert total >= 100_000
+
+
+@pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
+def test_long_accesses_wrap_the_sets(geometry):
+    for seed in (3, 4):
+        run_pair(geometry, seed, 400, addr_lines=160, split_lines=80, lengths=LONG_LENGTHS)
+
+
+@pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
+def test_accesses_straddling_the_split(geometry):
+    for seed in (5, 6):
+        run_pair(geometry, seed, 1_500, straddle=True)
+
+
+def test_counters_match_reference_without_event_recording():
+    """The production configuration records no events; its counters must still match."""
+    geometry = (6, 3)
+    for seed in (7, 8):
+        run_pair(geometry, seed, 3_000, record_events=False)
+        run_pair(geometry, seed, 300, addr_lines=160, split_lines=80, lengths=LONG_LENGTHS, record_events=False)
+        run_pair(geometry, seed, 1_000, straddle=True, record_events=False)

@@ -203,3 +203,51 @@ class TestComparisons:
         assert all(not report.failed for _, report in points)
         caches = {json.loads(r.to_json())["config"]["cache_capacity"] for _, r in points}
         assert caches == {0, 256 * KIB}
+
+
+class TestPinnedResults:
+    """Simulated results of small pairs, recorded before the cache model's
+    per-access batching and pinned so any change to them is deliberate."""
+
+    CASES = {
+        "large-object-graph": dict(
+            op_count=3_000,
+            instances=2,
+            quantum=500,
+            nursery_size=1 * MIB,
+            heap_budget=4 * MIB,
+            chunk_size=256 * KIB,
+            cache_capacity=1 * MIB,
+        ),
+        "mature-mutation": dict(
+            op_count=30_000,
+            nursery_size=128 * KIB,
+            heap_budget=4 * MIB,
+            chunk_size=256 * KIB,
+            cache_capacity=128 * KIB,
+        ),
+    }
+    # side -> (llc_fills, llc_writebacks, pcm_write_bytes, dram_write_bytes)
+    EXPECTED = {
+        "large-object-graph": {
+            "PCM-Only": (186_056, 199_660, 12_778_240, 0),
+            "KG-W": (503_305, 383_292, 12_152_704, 12_377_984),
+        },
+        "mature-mutation": {
+            "PCM-Only": (61_506, 42_406, 2_713_984, 0),
+            "KG-W": (102_420, 62_865, 1_382_208, 2_641_152),
+        },
+    }
+
+    @pytest.mark.parametrize("archetype", sorted(CASES))
+    def test_pair_traffic_is_unchanged(self, archetype):
+        pair = run_baseline_pair(config_for_archetype(archetype, "KG-W", 7, **self.CASES[archetype]))
+        for report in (pair.baseline, pair.variant):
+            assert not report.failed
+            got = (
+                report.llc_fills,
+                report.llc_writebacks,
+                report.aggregate.pcm_write_bytes,
+                report.aggregate.dram_write_bytes,
+            )
+            assert got == self.EXPECTED[archetype][report.collector]

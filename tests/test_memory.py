@@ -171,6 +171,41 @@ class TestCacheModel:
         assert cache.drain(counters) == 0
         counters.check_write_conservation()
 
+    def test_access_straddling_the_split_classifies_each_line(self):
+        cache = CacheModel(8 * 64, 8, 64, split=4 * 64)
+        counters = TrafficCounters()
+        cache.access(counters, 0, 2 * 64 + 10, 3 * 64, True, "s")  # lines 2, 3 | 4, 5
+        assert counters.demand_write_bytes == {(0, MemoryKind.PCM): 128, (0, MemoryKind.DRAM): 128}
+        assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
+        assert counters.fills == 4
+        assert cache.drain(counters) == 4
+        assert counters.total_write_bytes(MemoryKind.PCM) == 128
+        assert counters.total_write_bytes(MemoryKind.DRAM) == 128
+        counters.check_write_conservation()
+
+    def test_passthrough_splits_a_straddling_range(self):
+        cache = CacheModel(0, 16, 64, split=1024)
+        counters = TrafficCounters()
+        cache.access(counters, 0, 1000, 100, True, "s")  # 24 bytes PCM, 76 DRAM
+        cache.access(counters, 0, 1020, 10, False, "s")  # 4 bytes PCM, 6 DRAM
+        assert counters.write_bytes == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
+        assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 4, (0, MemoryKind.DRAM, "s"): 6}
+        assert counters.demand_write_bytes == {(0, MemoryKind.PCM): 24, (0, MemoryKind.DRAM): 76}
+        counters.check_write_conservation()
+
+    def test_passthrough_boundary_is_the_cached_paths_line_boundary(self):
+        # split 1000 is not line-aligned: line 15 (bytes 960..1023) is the
+        # first DRAM line, so the cached and uncached paths agree at 960.
+        cached = CacheModel(16 * 64, 16, 64, split=1000)
+        bypass = CacheModel(0, 16, 64, split=1000)
+        cc, bc = TrafficCounters(), TrafficCounters()
+        cached.access(cc, 0, 900, 128, True, "s")
+        bypass.access(bc, 0, 900, 128, True, "s")
+        cached.drain(cc)
+        assert cc.total_write_bytes(MemoryKind.PCM) == 64  # line 14
+        assert bc.total_write_bytes(MemoryKind.PCM) == 60  # bytes 900..959
+        assert bc.total_write_bytes(MemoryKind.DRAM) == 68
+
     def test_zero_length_access_is_a_noop(self):
         cache = one_set_cache()
         counters = TrafficCounters()
@@ -217,4 +252,14 @@ class TestMemorySystem:
         assert system.counters.total_write_bytes(MemoryKind.PCM) == 8  # cached
         system.drain()
         assert system.counters.total_write_bytes(MemoryKind.PCM) == 8 + 64
+        system.counters.check_write_conservation()
+
+    def test_collector_bypass_splits_a_straddling_range(self):
+        cache = CacheModel(16 * 64, 16, 64, split=4096)
+        system = MemorySystem(cache, TrafficCounters(), SimClock(), gc_traffic_through_cache=False)
+        system.access(0, 4096 - 40, 100, True, "gc", collector=True)
+        system.access(0, 4096 - 8, 16, False, "gc", collector=True)
+        assert system.counters.write_bytes == {(0, MemoryKind.PCM, "gc"): 40, (0, MemoryKind.DRAM, "gc"): 60}
+        assert system.counters.read_bytes == {(0, MemoryKind.PCM, "gc"): 8, (0, MemoryKind.DRAM, "gc"): 8}
+        assert cache.resident_lines() == 0
         system.counters.check_write_conservation()
