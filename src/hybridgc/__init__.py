@@ -1,6 +1,6 @@
 """Trace-driven simulator for generational GC on hybrid DRAM/PCM memory."""
 
-from .address_space import HeapLayout, MemoryKind, init_layout, region_of
+from .address_space import HeapLayout, MemoryKind, init_layout
 from .collectors import CollectionStats, GcEngine, build_instance
 from .config import Collector, CollectorConfig
 from .errors import (
@@ -88,7 +88,6 @@ __all__ = [
     "make_space_map",
     "parse_trace",
     "pcm_write_rate",
-    "region_of",
     "run_baseline_pair",
     "run_experiment",
     "serialize_trace",

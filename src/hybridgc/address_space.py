@@ -199,8 +199,3 @@ def init_layout(heap_size: int, chunk_size: int, *, heap_base: int = 0) -> HeapL
     pcm.bind_log = layout.bind_log
     dram.bind_log = layout.bind_log
     return layout
-
-
-def region_of(layout: HeapLayout, addr: int) -> MemoryKind:
-    """Module-level spelling of :meth:`HeapLayout.region_of`."""
-    return layout.region_of(addr)

@@ -271,8 +271,10 @@ class GcEngine:
 
     def _copy(self, rec: ObjectRecord, new_addr: int, dest: str, stats: CollectionStats) -> None:
         heap = self.heap
-        heap.emit(rec.addr, rec.size, False, rec.space, collector=True, tally="copy_read")
-        heap.emit(new_addr, rec.size, True, dest, collector=True, tally="copy_write")
+        heap.emitted["copy_read"] += rec.size
+        heap.system.access(heap.instance_id, rec.addr, rec.size, False, rec.space, collector=True)
+        heap.emitted["copy_write"] += rec.size
+        heap.system.access(heap.instance_id, new_addr, rec.size, True, dest, collector=True)
         heap.system.clock.advance(1, 2 * rec.size, collector=True)
         rec.addr = new_addr
         rec.space = dest
@@ -381,7 +383,8 @@ class GcEngine:
             target, space = rec.addr, rec.space
         line = heap.system.cache.line_size
         line_base = (target // line) * line
-        heap.emit(line_base, line, True, space, collector=True, tally="mark")
+        heap.emitted["mark"] += line
+        heap.system.access(heap.instance_id, line_base, line, True, space, collector=True)
         heap.system.clock.advance(1, line, collector=True)
         stats.mark_writes += 1
         if line_base < heap.layout.split:

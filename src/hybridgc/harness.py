@@ -20,6 +20,7 @@ from .collectors import build_instance
 from .config import Collector, CollectorConfig
 from .errors import ConfigError, SimulatorError
 from .memory import (
+    MAX_INSTANCES,
     CacheModel,
     LifetimeModel,
     MemorySystem,
@@ -85,6 +86,9 @@ class ExperimentConfig:
             raise ConfigError("a seed is required; runs must be reproducible")
         if self.instances < 1:
             raise ConfigError("need at least one instance")
+        if self.instances > MAX_INSTANCES:
+            # the cache tags each line with the instance id in 16 bits
+            raise ConfigError(f"at most {MAX_INSTANCES} instances share one cache, not {self.instances}")
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("exactly one of workload or trace_path must be given")
         if self.quantum <= 0:
@@ -370,6 +374,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         for i in range(config.instances)
     ]
     aggregate = make_row("all", None, streams[0][0], sum(ops_done))
+    # Break each heap/engine reference cycle so a finished run's heap is
+    # freed now, not by a later cyclic collection; ``heap.gc`` stays readable.
+    for heap in heaps:
+        heap.gc.heap = None
     return Report(
         config=config.to_dict(),
         collector=config.collector,

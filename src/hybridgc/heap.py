@@ -3,8 +3,11 @@
 Each instance owns a full split address range. Fixed spaces (boot,
 nursery, observer) claim specific chunks at startup; mature, large and
 metadata spaces pull chunks from the free lists on demand. The write
-barrier and all traffic emission live here; the collection algorithms
-that consume this state live in :mod:`hybridgc.collectors`.
+barrier and the mutator's traffic live here; the collection algorithms
+that consume this state, and issue the collector's traffic, live in
+:mod:`hybridgc.collectors`. Every access goes straight to
+``MemorySystem.access``, and each call site adds its bytes to the
+heap's ``emitted`` tally.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import TYPE_CHECKING
 from .address_space import HeapLayout, MemoryKind, init_layout
 from .config import Collector, CollectorConfig
 from .errors import ConfigError, HeapExhausted, OutOfChunks, TraceError
-from .memory import MemorySystem
+from .memory import MAX_INSTANCES, MemorySystem
 from .units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -244,6 +247,9 @@ class HeapInstance:
         zeroing: bool = True,
         strict_checks: bool = True,
     ) -> None:
+        if not 0 <= instance_id < MAX_INSTANCES:
+            # the cache tags each line with the instance id in 16 bits
+            raise ConfigError(f"instance id {instance_id} is outside [0, {MAX_INSTANCES})")
         self.instance_id = instance_id
         self.config = config
         self.system = system
@@ -352,10 +358,6 @@ class HeapInstance:
     def is_young_addr(self, addr: int) -> bool:
         return self.young_lo <= addr < self.young_hi
 
-    def emit(self, addr: int, length: int, write: bool, space: str, *, collector: bool, tally: str) -> None:
-        self.emitted[tally] += length
-        self.system.access(self.instance_id, addr, length, write, space, collector=collector)
-
     # -- mutator operations (one per trace op kind) --
 
     def alloc_object(self, oid: int, size: int, n_refs: int, large_hint: bool = False) -> ObjectRecord:
@@ -378,7 +380,8 @@ class HeapInstance:
         self.objects[oid] = rec
         self.ever_ids.add(oid)
         if self.zeroing:
-            self.emit(addr, extent, True, space, collector=False, tally="zero")
+            self.emitted["zero"] += extent
+            self.system.access(self.instance_id, addr, extent, True, space)
         return rec
 
     def _alloc_small(self, extent: int) -> tuple[int, str]:
@@ -407,13 +410,15 @@ class HeapInstance:
         self._check_bounds(rec, offset, length)
         self.system.clock.advance(1, length)
         rec.write_count += 1
-        self.emit(rec.addr + offset, length, True, rec.space, collector=False, tally="mutator_write")
+        self.emitted["mutator_write"] += length
+        self.system.access(self.instance_id, rec.addr + offset, length, True, rec.space)
 
     def read_data(self, oid: int, offset: int, length: int) -> None:
         rec = self._lookup(oid)
         self._check_bounds(rec, offset, length)
         self.system.clock.advance(1, length)
-        self.emit(rec.addr + offset, length, False, rec.space, collector=False, tally="mutator_read")
+        self.emitted["mutator_read"] += length
+        self.system.access(self.instance_id, rec.addr + offset, length, False, rec.space)
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
         parent = self._lookup(parent_id)
@@ -426,7 +431,8 @@ class HeapInstance:
         line = self.system.cache.line_size
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
-        self.emit(line_base, line, True, parent.space, collector=False, tally="barrier")
+        self.emitted["barrier"] += line
+        self.system.access(self.instance_id, line_base, line, True, parent.space)
         if child is not None and not self.is_young_addr(parent.addr) and self.is_young_addr(child.addr):
             self.remset.add((parent_id, slot))
 

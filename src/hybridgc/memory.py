@@ -1,5 +1,9 @@
 """Shared last-level cache, traffic accounting, simulated time, lifetime.
 
+``MemorySystem`` owns the cache walk: every access and the final drain
+run in its methods. ``CacheModel`` is only the cache's geometry and
+state (its sets and the optional event log).
+
 Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or a drain, or immediately when the cache is
 disabled. Reads reach memory as line fills. Every counter is keyed by
@@ -23,6 +27,13 @@ _PCM = MemoryKind.PCM
 _DRAM = MemoryKind.DRAM
 _ABSENT = object()  # sentinel for a set lookup that misses
 
+# A cached line's key is ``(line index << INST_BITS) | instance``. Configs
+# and heaps reject instance ids of MAX_INSTANCES and up, so keys never
+# collide and ``key < split_line << INST_BITS`` exactly when a line is PCM.
+INST_BITS = 16
+MAX_INSTANCES = 1 << INST_BITS
+INST_MASK = MAX_INSTANCES - 1
+
 
 class TrafficCounters:
     """Byte counters for traffic that reached memory, plus filter internals.
@@ -43,7 +54,7 @@ class TrafficCounters:
         self.fills = 0
         self.writebacks = 0
 
-    # -- accumulation helpers (the cache model batches an access's lines
+    # -- accumulation helpers (the cache walk batches an access's lines
     # and updates the dicts once per run of lines, not once per line) --
 
     def add_write(self, inst: int, kind: MemoryKind, space: str, n: int) -> None:
@@ -113,19 +124,13 @@ class TrafficCounters:
 
 
 class CacheModel:
-    """Set-associative write-back write-allocate LRU cache.
+    """Geometry and state of a set-associative write-back write-allocate LRU cache.
 
-    Lines are tagged with the owning instance, so identical virtual
-    addresses from different instances occupy distinct lines while still
-    competing for the same sets. ``capacity`` 0 degenerates to a
-    pass-through that forwards every access byte-for-byte.
-
-    Traffic is accounted per access, not per line: an access splits its
-    line range at ``split_line`` into at most one PCM run and one DRAM
-    run, counts demand, absorbed and filled lines and dirty victims in
-    locals while it walks a run, and then adds them to the counters once.
-    A drain batches its writebacks the same way. All counters are integer
-    sums, so the totals equal those of per-line accounting.
+    The cache walk itself is :meth:`MemorySystem.access`, which reads and
+    updates this state. Lines are tagged with the owning instance, so
+    identical virtual addresses from different instances occupy distinct
+    lines while still competing for the same sets. ``capacity`` 0 means
+    no cache: every access passes through byte-for-byte.
     """
 
     def __init__(
@@ -148,127 +153,14 @@ class CacheModel:
         self.line_size = line_size
         self.split_line = split // line_size
         self.n_sets = capacity // (assoc * line_size) if capacity else 0
-        # Each set maps (instance, line index) -> the space that last wrote
-        # the line while it is dirty, or None while it is clean; a clean
-        # line's space is never read. LRU order is insertion order: a hit
-        # re-inserts its key, and the victim is the first key.
-        self.sets: list[dict[tuple[int, int], str | None]] = [{} for _ in range(self.n_sets)]
+        # Each set maps a line key ``(line index << INST_BITS) | instance``
+        # to the space that last wrote the line while it is dirty, or None
+        # while it is clean; a clean line's space is never read. LRU order
+        # is insertion order: a hit re-inserts its key, and the victim is
+        # the first key.
+        self.sets: list[dict[int, str | None]] = [{} for _ in range(self.n_sets)]
         self.record_events = record_events
         self.events: list[tuple[str, int, int]] = []
-
-    def access(self, counters: TrafficCounters, inst: int, addr: int, length: int, write: bool, space: str) -> None:
-        if length <= 0:
-            return
-        if self.capacity == 0:
-            self._passthrough(counters, inst, addr, length, write, space)
-            return
-        line_size = self.line_size
-        first = addr // line_size
-        end = (addr + length - 1) // line_size + 1
-        split_line = self.split_line
-        if end <= split_line:
-            runs = ((first, end, _PCM),)
-        elif first >= split_line:
-            runs = ((first, end, _DRAM),)
-        else:
-            runs = ((first, split_line, _PCM), (split_line, end, _DRAM))
-        sets = self.sets
-        n_sets = self.n_sets
-        assoc = self.assoc
-        events = self.events if self.record_events else None
-        for lo, hi, kind in runs:
-            absorbed = 0
-            fills = 0
-            victims: dict[tuple[int, bool, str], int] = {}
-            for ln in range(lo, hi):
-                cset = sets[ln % n_sets]
-                key = (inst, ln)
-                old = cset.pop(key, _ABSENT)
-                if old is not _ABSENT:
-                    if write:
-                        if old is not None:
-                            absorbed += 1
-                        cset[key] = space
-                    else:
-                        cset[key] = old
-                    continue
-                # miss: allocate on both reads and writes
-                fills += 1
-                if events is not None:
-                    events.append(("fill", inst, ln))
-                if len(cset) >= assoc:
-                    vkey = next(iter(cset))
-                    vspace = cset.pop(vkey)
-                    if vspace is not None:
-                        vinst, vln = vkey
-                        wkey = (vinst, vln < split_line, vspace)
-                        victims[wkey] = victims.get(wkey, 0) + 1
-                        if events is not None:
-                            events.append(("wb", vinst, vln))
-                cset[key] = space if write else None
-            if write:
-                dkey = (inst, kind)
-                demand = counters.demand_write_bytes
-                demand[dkey] = demand.get(dkey, 0) + (hi - lo) * line_size
-                if absorbed:
-                    absorbed_bytes = counters.absorbed_write_bytes
-                    absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
-            if fills:
-                counters.fills += fills
-                counters.add_read(inst, kind, space, fills * line_size)
-            if victims:
-                self._writeback(counters, victims)
-
-    def _writeback(self, counters: TrafficCounters, victims: dict[tuple[int, bool, str], int]) -> int:
-        """Write back dirty lines counted as ``(instance, is_pcm, space) -> lines``; returns the total."""
-        line_size = self.line_size
-        writeback_bytes = counters.writeback_bytes
-        total = 0
-        for (inst, is_pcm, space), n in victims.items():
-            kind = _PCM if is_pcm else _DRAM
-            nbytes = n * line_size
-            wkey = (inst, kind)
-            writeback_bytes[wkey] = writeback_bytes.get(wkey, 0) + nbytes
-            counters.add_write(inst, kind, space, nbytes)
-            total += n
-        counters.writebacks += total
-        return total
-
-    def _passthrough(self, counters: TrafficCounters, inst: int, addr: int, length: int, write: bool, space: str) -> None:
-        # The PCM/DRAM boundary is the one the cached path uses: the first
-        # byte of line ``split_line``.
-        boundary = self.split_line * self.line_size
-        pcm = min(max(boundary - addr, 0), length)
-        for kind, n in ((_PCM, pcm), (_DRAM, length - pcm)):
-            if not n:
-                continue
-            if write:
-                key = (inst, kind)
-                counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + n
-                counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + n
-                counters.add_write(inst, kind, space, n)
-            else:
-                counters.add_read(inst, kind, space, n)
-
-    def drain(self, counters: TrafficCounters) -> int:
-        """Flush every dirty line; returns the number written back.
-
-        Lines stay resident but clean, so draining twice is a no-op the
-        second time. Lines are flushed set by set, least recent first.
-        """
-        split_line = self.split_line
-        events = self.events if self.record_events else None
-        victims: dict[tuple[int, bool, str], int] = {}
-        for cset in self.sets:
-            for key, space in cset.items():
-                if space is not None:
-                    cset[key] = None
-                    inst, ln = key
-                    wkey = (inst, ln < split_line, space)
-                    victims[wkey] = victims.get(wkey, 0) + 1
-                    if events is not None:
-                        events.append(("wb", inst, ln))
-        return self._writeback(counters, victims)
 
     def resident_lines(self) -> int:
         return sum(len(cset) for cset in self.sets)
@@ -300,7 +192,16 @@ class SimClock:
 
 @dataclass
 class MemorySystem:
-    """One shared cache, counter set and clock, as seen by every instance."""
+    """One shared cache, counter set and clock, as seen by every instance.
+
+    ``access`` walks the cache in one frame. Traffic is accounted per
+    access, not per line: an access splits its line range at
+    ``split_line`` into at most one PCM run and one DRAM run, counts
+    demand, absorbed and filled lines and dirty victims in locals while
+    it walks a run, and then adds them to the counters once. A drain
+    batches its writebacks the same way. All counters are integer sums,
+    so the totals equal those of per-line accounting.
+    """
 
     cache: CacheModel
     counters: TrafficCounters
@@ -308,13 +209,127 @@ class MemorySystem:
     gc_traffic_through_cache: bool = True
 
     def access(self, inst: int, addr: int, length: int, write: bool, space: str, *, collector: bool = False) -> None:
-        if collector and not self.gc_traffic_through_cache:
-            self.cache._passthrough(self.counters, inst, addr, length, write, space)
+        if length <= 0:
             return
-        self.cache.access(self.counters, inst, addr, length, write, space)
+        cache = self.cache
+        n_sets = cache.n_sets
+        if not n_sets or (collector and not self.gc_traffic_through_cache):
+            self._passthrough(inst, addr, length, write, space)
+            return
+        counters = self.counters
+        line_size = cache.line_size
+        first = addr // line_size
+        end = (addr + length - 1) // line_size + 1
+        split_line = cache.split_line
+        if end <= split_line:
+            runs = ((first, end, _PCM),)
+        elif first >= split_line:
+            runs = ((first, end, _DRAM),)
+        else:
+            runs = ((first, split_line, _PCM), (split_line, end, _DRAM))
+        sets = cache.sets
+        assoc = cache.assoc
+        shift = INST_BITS
+        split_key = split_line << shift
+        events = cache.events if cache.record_events else None
+        for lo, hi, kind in runs:
+            absorbed = 0
+            fills = 0
+            victims: dict[tuple[int, bool, str], int] = {}
+            for ln in range(lo, hi):
+                cset = sets[ln % n_sets]
+                key = ln << shift | inst
+                old = cset.pop(key, _ABSENT)
+                if old is not _ABSENT:
+                    if write:
+                        if old is not None:
+                            absorbed += 1
+                        cset[key] = space
+                    else:
+                        cset[key] = old
+                    continue
+                # miss: allocate on both reads and writes
+                fills += 1
+                if events is not None:
+                    events.append(("fill", inst, ln))
+                if len(cset) >= assoc:
+                    vkey = next(iter(cset))
+                    vspace = cset.pop(vkey)
+                    if vspace is not None:
+                        vinst = vkey & INST_MASK
+                        wkey = (vinst, vkey < split_key, vspace)
+                        victims[wkey] = victims.get(wkey, 0) + 1
+                        if events is not None:
+                            events.append(("wb", vinst, vkey >> shift))
+                cset[key] = space if write else None
+            if write:
+                dkey = (inst, kind)
+                demand = counters.demand_write_bytes
+                demand[dkey] = demand.get(dkey, 0) + (hi - lo) * line_size
+                if absorbed:
+                    absorbed_bytes = counters.absorbed_write_bytes
+                    absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
+            if fills:
+                counters.fills += fills
+                counters.add_read(inst, kind, space, fills * line_size)
+            if victims:
+                self._writeback(victims)
+
+    def _writeback(self, victims: dict[tuple[int, bool, str], int]) -> int:
+        """Write back dirty lines counted as ``(instance, is_pcm, space) -> lines``; returns the total."""
+        line_size = self.cache.line_size
+        counters = self.counters
+        writeback_bytes = counters.writeback_bytes
+        total = 0
+        for (inst, is_pcm, space), n in victims.items():
+            kind = _PCM if is_pcm else _DRAM
+            nbytes = n * line_size
+            wkey = (inst, kind)
+            writeback_bytes[wkey] = writeback_bytes.get(wkey, 0) + nbytes
+            counters.add_write(inst, kind, space, nbytes)
+            total += n
+        counters.writebacks += total
+        return total
+
+    def _passthrough(self, inst: int, addr: int, length: int, write: bool, space: str) -> None:
+        """Forward an access byte-for-byte: no cache, or collector traffic that bypasses it."""
+        # The PCM/DRAM boundary is the one the cached path uses: the first
+        # byte of line ``split_line``.
+        counters = self.counters
+        boundary = self.cache.split_line * self.cache.line_size
+        pcm = min(max(boundary - addr, 0), length)
+        for kind, n in ((_PCM, pcm), (_DRAM, length - pcm)):
+            if not n:
+                continue
+            if write:
+                key = (inst, kind)
+                counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + n
+                counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + n
+                counters.add_write(inst, kind, space, n)
+            else:
+                counters.add_read(inst, kind, space, n)
 
     def drain(self) -> int:
-        return self.cache.drain(self.counters)
+        """Flush every dirty line; returns the number written back.
+
+        Lines stay resident but clean, so draining twice is a no-op the
+        second time. Lines are flushed set by set, least recent first.
+        """
+        cache = self.cache
+        shift = INST_BITS
+        split_key = cache.split_line << shift
+        events = cache.events if cache.record_events else None
+        victims: dict[tuple[int, bool, str], int] = {}
+        for cset in cache.sets:
+            for key, space in cset.items():
+                if space is not None:
+                    cset[key] = None
+                    inst = key & INST_MASK
+                    wkey = (inst, key < split_key, space)
+                    victims[wkey] = victims.get(wkey, 0) + 1
+                    if events is not None:
+                        events.append(("wb", inst, key >> shift))
+        return self._writeback(victims)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, asdict
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ConfigError, TraceError
@@ -268,7 +269,9 @@ def _gen_nursery_churn(spec: WorkloadSpec) -> Iterator[TraceOp]:
 
     def alloc_one() -> None:
         nonlocal next_id, allocs
-        n_refs = rng.choices((0, 1, 2, 3), (4, 3, 2, 1))[0]
+        # weights 4:3:2:1, passed cumulated: given plain weights, choices
+        # would build this same list on every call (the stream is the same)
+        n_refs = rng.choices((0, 1, 2, 3), cum_weights=(4, 7, 9, 10))[0]
         size = _small_size(rng, spec, n_refs)
         oid = next_id
         next_id += 1
@@ -329,7 +332,7 @@ def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
 
     def alloc(into_resident: bool) -> None:
         nonlocal next_id, allocs, resident_total
-        n_refs = rng.choices((0, 1, 2), (5, 3, 2))[0]
+        n_refs = rng.choices((0, 1, 2), cum_weights=(5, 8, 10))[0]  # weights 5:3:2, cumulated
         size = _small_size(rng, spec, n_refs)
         oid = next_id
         next_id += 1
@@ -397,7 +400,7 @@ def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
     def alloc_one() -> None:
         nonlocal next_id, allocs
         large = rng.random() < spec.large_fraction
-        n_refs = rng.choices((0, 1, 2, 4), (3, 3, 2, 2))[0]
+        n_refs = rng.choices((0, 1, 2, 4), cum_weights=(3, 6, 8, 10))[0]  # weights 3:3:2:2, cumulated
         size = _large_size(rng, spec, n_refs) if large else _small_size(rng, spec, n_refs)
         oid = next_id
         next_id += 1
@@ -472,35 +475,37 @@ def drive(heap: HeapInstance, ops: Iterator[TraceOp], limit: int | None = None) 
     ``exhausted`` is True when the stream ended. The heap's running op
     index is used to annotate trace errors with their position.
     """
-    executed = 0
-    sentinel = object()
-    while limit is None or executed < limit:
-        op = next(ops, sentinel)
-        if op is sentinel:
-            return executed, True
-        try:
-            _apply(heap, op)
-        except TraceError as exc:
-            exc.op_index = heap.op_index
-            raise
-        heap.op_index += 1
-        executed += 1
-    return executed, False
-
-
-def _apply(heap: HeapInstance, op: TraceOp) -> None:
-    match op:
-        case Alloc(oid, size, n_refs, large):
-            heap.alloc_object(oid, size, n_refs, large)
-        case WriteOp(oid, offset, length):
-            heap.write_data(oid, offset, length)
-        case ReadOp(oid, offset, length):
-            heap.read_data(oid, offset, length)
-        case RefOp(parent, slot, child):
-            heap.write_ref(parent, slot, child)
-        case RootOp(oid):
-            heap.set_root(oid, True)
-        case UnrootOp(oid):
-            heap.set_root(oid, False)
-        case _:
-            raise TraceError(f"cannot apply {op!r}")
+    # One identity test chain per op, most frequent kinds first; the heap
+    # methods are bound once per call, after any patching of the class.
+    alloc_object = heap.alloc_object
+    write_data = heap.write_data
+    set_root = heap.set_root
+    read_data = heap.read_data
+    write_ref = heap.write_ref
+    start = index = heap.op_index
+    try:
+        for op in islice(ops, limit):
+            cls = op.__class__
+            try:
+                if cls is Alloc:
+                    alloc_object(op.oid, op.size, op.n_refs, op.large)
+                elif cls is WriteOp:
+                    write_data(op.oid, op.offset, op.length)
+                elif cls is RootOp:
+                    set_root(op.oid, True)
+                elif cls is UnrootOp:
+                    set_root(op.oid, False)
+                elif cls is ReadOp:
+                    read_data(op.oid, op.offset, op.length)
+                elif cls is RefOp:
+                    write_ref(op.parent, op.slot, op.child)
+                else:
+                    raise TraceError(f"cannot apply {op!r}")
+            except TraceError as exc:
+                exc.op_index = index
+                raise
+            index += 1
+    finally:
+        heap.op_index = index
+    executed = index - start
+    return executed, limit is None or executed < limit

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridgc.address_space import MemoryKind, init_layout, region_of
+from hybridgc.address_space import MemoryKind, init_layout
 from hybridgc.errors import AddressRangeError, ConfigError, DoubleFree, OutOfChunks
 
 
@@ -22,7 +22,7 @@ def test_region_of_boundaries():
     # the split address itself belongs to the DRAM half
     assert layout.region_of(256) is MemoryKind.DRAM
     assert layout.region_of(511) is MemoryKind.DRAM
-    assert region_of(layout, 300) is MemoryKind.DRAM
+    assert layout.region_of(300) is MemoryKind.DRAM
     for bad in (-1, 512, 10_000):
         with pytest.raises(AddressRangeError):
             layout.region_of(bad)

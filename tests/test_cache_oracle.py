@@ -1,11 +1,14 @@
-"""Event-stream equivalence between CacheModel and the brute-force reference."""
+"""Event-stream equivalence between the cache walk and the brute-force reference.
+
+The model side is ``MemorySystem.access``/``drain`` over a ``CacheModel``.
+"""
 
 import random
 
 import pytest
 
 from cache_reference import RefCache
-from hybridgc.memory import CacheModel, TrafficCounters
+from hybridgc.memory import MAX_INSTANCES, CacheModel, MemorySystem, SimClock, TrafficCounters
 
 LINE = 64
 
@@ -18,11 +21,16 @@ SHORT_LENGTHS = (1, 4, 8, 32, 64, 96, 200)
 LONG_LENGTHS = (15 * LINE + 2, 16 * LINE, 23 * LINE - 1, 31 * LINE + 7, 40 * LINE, 63 * LINE - 3)
 
 
+def cached_system(lines, assoc, split, record_events=True):
+    cache = CacheModel(lines * LINE, assoc, LINE, split, record_events=record_events)
+    return MemorySystem(cache, TrafficCounters(), SimClock())
+
+
 def run_pair(
     geometry,
     seed,
     n_accesses,
-    n_instances=2,
+    instance_ids=(0, 1),
     addr_lines=32,
     split_lines=16,
     *,
@@ -36,13 +44,13 @@ def run_pair(
     """
     lines, assoc = geometry
     split = split_lines * LINE
-    model = CacheModel(lines * LINE, assoc, LINE, split, record_events=record_events)
+    model = cached_system(lines, assoc, split, record_events)
     ref = RefCache(lines * LINE, assoc, LINE, split)
-    mc, rc = TrafficCounters(), TrafficCounters()
+    mc, rc = model.counters, TrafficCounters()
     rng = random.Random(seed)
     top = addr_lines * LINE
     for _ in range(n_accesses):
-        inst = rng.randrange(n_instances)
+        inst = instance_ids[rng.randrange(len(instance_ids))]
         if straddle:
             addr = split - rng.randrange(1, 4 * LINE + 1)
             length = split - addr + rng.randrange(1, 4 * LINE + 1)
@@ -54,17 +62,17 @@ def run_pair(
             continue
         write = rng.random() < 0.5
         space = rng.choice(("a", "b"))
-        model.access(mc, inst, addr, length, write, space)
+        model.access(inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
-    assert model.drain(mc) == ref.drain(rc)
-    assert model.events == (ref.events if record_events else [])
+    assert model.drain() == ref.drain(rc)
+    assert model.cache.events == (ref.events if record_events else [])
     assert mc.write_bytes == rc.write_bytes
     assert mc.read_bytes == rc.read_bytes
     assert mc.demand_write_bytes == rc.demand_write_bytes
     assert mc.absorbed_write_bytes == rc.absorbed_write_bytes
     assert mc.writeback_bytes == rc.writeback_bytes
     assert mc.fills == rc.fills and mc.writebacks == rc.writebacks
-    assert model.resident_lines() == ref.resident_lines()
+    assert model.cache.resident_lines() == ref.resident_lines()
     mc.check_write_conservation()
     return len(ref.events)
 
@@ -77,16 +85,16 @@ def test_model_matches_reference(geometry):
 
 def test_cyclic_writes_through_two_line_direct_mapped():
     """Three lines cycled through 2 direct-mapped lines thrash predictably."""
-    model = CacheModel(2 * LINE, 1, LINE, split=1 << 30, record_events=True)
+    model = cached_system(2, 1, split=1 << 30)
     ref = RefCache(2 * LINE, 1, LINE, split=1 << 30)
-    mc, rc = TrafficCounters(), TrafficCounters()
+    rc = TrafficCounters()
     for _ in range(4):
         for line in (0, 1, 2):
-            model.access(mc, 0, line * LINE, 8, True, "s")
+            model.access(0, line * LINE, 8, True, "s")
             ref.access(rc, 0, line * LINE, 8, True, "s")
-    assert model.events == ref.events
+    assert model.cache.events == ref.events
     # lines 0 and 2 share set 0 and evict each other every round
-    wbs = [e for e in model.events if e[0] == "wb"]
+    wbs = [e for e in model.cache.events if e[0] == "wb"]
     assert len(wbs) == 7
     assert {ln for (_k, _i, ln) in wbs} == {0, 2}
 
@@ -119,3 +127,12 @@ def test_counters_match_reference_without_event_recording():
         run_pair(geometry, seed, 3_000, record_events=False)
         run_pair(geometry, seed, 300, addr_lines=160, split_lines=80, lengths=LONG_LENGTHS, record_events=False)
         run_pair(geometry, seed, 1_000, straddle=True, record_events=False)
+
+
+@pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
+def test_extreme_instance_ids_stay_apart(geometry):
+    """Line keys pack the instance into 16 bits; the highest id must not alias."""
+    ids = (0, 1, MAX_INSTANCES - 1, MAX_INSTANCES // 2)
+    for seed in (9, 10):
+        run_pair(geometry, seed, 1_500, instance_ids=ids)
+        run_pair(geometry, seed, 1_000, instance_ids=ids, straddle=True)

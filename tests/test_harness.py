@@ -1,11 +1,14 @@
 """End-to-end runs: scheduling, measurement windows, reports, sweeps."""
 
 import csv
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
+from hybridgc import harness
 from hybridgc.errors import ConfigError
 from hybridgc.harness import (
     CSV_COLUMNS,
@@ -17,7 +20,7 @@ from hybridgc.harness import (
     run_experiment,
     sweep,
 )
-from hybridgc.memory import lifetime_years
+from hybridgc.memory import MAX_INSTANCES, lifetime_years
 from hybridgc.workloads import default_spec
 
 from support import KIB, MIB
@@ -51,6 +54,12 @@ class TestConfig:
                 workload=default_spec("nursery-churn", op_count=10),
                 **{field: value},
             )
+
+    def test_instance_count_fits_the_cache_tag(self):
+        spec = default_spec("nursery-churn", op_count=10)
+        ExperimentConfig(collector="KG-W", seed=1, workload=spec, instances=MAX_INSTANCES)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(collector="KG-W", seed=1, workload=spec, instances=MAX_INSTANCES + 1)
 
     def test_unknown_collector_rejected_early(self):
         with pytest.raises(ConfigError):
@@ -112,6 +121,33 @@ class TestSingleRun:
         }
         assert "TraceError" in report.error["message"]
         json.loads(report.to_json())  # still serializable
+
+
+class TestRunLifetime:
+    def test_finished_runs_free_their_heaps_without_cyclic_gc(self, monkeypatch):
+        """A pair's first side must not hold its heap while the second runs."""
+        refs = []
+        build = harness.build_instance
+
+        def tracked_build(*args, **kwargs):
+            heap = build(*args, **kwargs)
+            refs.append(weakref.ref(heap))
+            return heap
+
+        monkeypatch.setattr(harness, "build_instance", tracked_build)
+        config = config_for_archetype(
+            "mature-mutation", "KG-W", 7, op_count=6_000, instances=2, nursery_size=128 * KIB
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pair = run_baseline_pair(config)
+            assert len(refs) == 4
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert pair.baseline.aggregate.minor_collections > 0
 
 
 class TestMultiprogram:

@@ -16,7 +16,9 @@ from hybridgc.heap import (
     align8,
     make_space_map,
 )
-from support import KIB, MIB, small_heap
+from hybridgc.collectors import build_instance
+from hybridgc.memory import MAX_INSTANCES
+from support import KIB, MIB, make_system, small_heap
 
 
 def test_align8():
@@ -274,3 +276,13 @@ def test_mature_occupancy_ignores_metadata():
         if name not in (META_DRAM, META_PCM)
     )
     assert heap.mature_occupancy() == payload == 9 * KIB
+
+
+def test_instance_id_must_fit_the_cache_tag():
+    config = CollectorConfig(variant=Collector.KG_W, nursery_size=64 * KIB, heap_budget=512 * KIB)
+    system = make_system(8 * MIB)
+    sizes = dict(heap_size=8 * MIB, chunk_size=64 * KIB, boot_size=16 * KIB)
+    assert build_instance(config, system, instance_id=MAX_INSTANCES - 1, **sizes).instance_id == MAX_INSTANCES - 1
+    for bad in (-1, MAX_INSTANCES):
+        with pytest.raises(ConfigError):
+            build_instance(config, system, instance_id=bad, **sizes)

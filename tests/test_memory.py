@@ -3,6 +3,8 @@ import pytest
 from hybridgc.address_space import MemoryKind
 from hybridgc.errors import ConfigError, RateUndefined
 from hybridgc.memory import (
+    INST_BITS,
+    MAX_INSTANCES,
     UNBOUNDED_YEARS,
     CacheModel,
     LifetimeModel,
@@ -76,9 +78,15 @@ class TestRate:
         assert clock.now_ns == pytest.approx(10 * 5.0 + 100 * 0.25)
 
 
+def system_over(capacity, assoc=16, split=1 << 40, gc_through=True):
+    """A memory system over a fresh cache of the given geometry (line 64 B)."""
+    cache = CacheModel(capacity, assoc, 64, split)
+    return MemorySystem(cache, TrafficCounters(), SimClock(), gc_traffic_through_cache=gc_through)
+
+
 def one_set_cache(ways=2, split=1 << 40):
     """One set, all PCM below an enormous split unless told otherwise."""
-    return CacheModel(ways * 64, ways, 64, split)
+    return system_over(ways * 64, ways, split)
 
 
 class TestCacheModel:
@@ -90,12 +98,12 @@ class TestCacheModel:
         CacheModel(0, 2, 64, 0)  # disabled cache is fine
 
     def test_write_coalescing(self):
-        cache = one_set_cache()
-        counters = TrafficCounters()
+        system = one_set_cache()
+        counters = system.counters
         for _ in range(100):
-            cache.access(counters, 0, 0, 8, True, "s")
+            system.access(0, 0, 8, True, "s")
         assert counters.total_write_bytes() == 0  # nothing reached memory yet
-        assert cache.drain(counters) == 1
+        assert system.drain() == 1
         assert counters.total_write_bytes(MemoryKind.PCM) == 64
         key = (0, MemoryKind.PCM)
         assert counters.demand_write_bytes[key] == 100 * 64
@@ -104,90 +112,107 @@ class TestCacheModel:
         counters.check_write_conservation()
 
     def test_straddling_write_touches_two_lines(self):
-        cache = one_set_cache()
-        counters = TrafficCounters()
-        cache.access(counters, 0, 60, 8, True, "s")
-        assert counters.demand_write_bytes[(0, MemoryKind.PCM)] == 128
-        assert counters.fills == 2
+        system = one_set_cache()
+        system.access(0, 60, 8, True, "s")
+        assert system.counters.demand_write_bytes[(0, MemoryKind.PCM)] == 128
+        assert system.counters.fills == 2
 
     def test_lru_eviction_order(self):
-        cache = one_set_cache(ways=2)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 0 * 64, 8, True, "s")  # line 0
-        cache.access(counters, 0, 1 * 64, 8, True, "s")  # line 1
-        cache.access(counters, 0, 0 * 64, 8, False, "s")  # touch 0: LRU is now 1
-        cache.access(counters, 0, 2 * 64, 8, True, "s")  # evicts line 1
-        assert counters.writebacks == 1
-        held = {ln for (_inst, ln) in cache.sets[0].keys()}
+        system = one_set_cache(ways=2)
+        system.access(0, 0 * 64, 8, True, "s")  # line 0
+        system.access(0, 1 * 64, 8, True, "s")  # line 1
+        system.access(0, 0 * 64, 8, False, "s")  # touch 0: LRU is now 1
+        system.access(0, 2 * 64, 8, True, "s")  # evicts line 1
+        assert system.counters.writebacks == 1
+        held = {key >> INST_BITS for key in system.cache.sets[0]}
         assert held == {0, 2}
 
     def test_reads_fill_without_writeback(self):
-        cache = one_set_cache(ways=1)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 0, 64, False, "s")
-        cache.access(counters, 0, 64, 64, False, "s")  # evicts clean line 0
+        system = one_set_cache(ways=1)
+        counters = system.counters
+        system.access(0, 0, 64, False, "s")
+        system.access(0, 64, 64, False, "s")  # evicts clean line 0
         assert counters.total_read_bytes(MemoryKind.PCM) == 128
         assert counters.total_write_bytes() == 0
         assert counters.writebacks == 0
 
     def test_split_classifies_lines(self):
-        cache = CacheModel(4 * 64, 4, 64, split=128)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 0, 8, True, "lo")
-        cache.access(counters, 0, 128, 8, True, "hi")
-        cache.drain(counters)
-        assert counters.total_write_bytes(MemoryKind.PCM) == 64
-        assert counters.total_write_bytes(MemoryKind.DRAM) == 64
+        system = system_over(4 * 64, 4, split=128)
+        system.access(0, 0, 8, True, "lo")
+        system.access(0, 128, 8, True, "hi")
+        system.drain()
+        assert system.counters.total_write_bytes(MemoryKind.PCM) == 64
+        assert system.counters.total_write_bytes(MemoryKind.DRAM) == 64
 
     def test_instances_do_not_alias(self):
-        cache = one_set_cache(ways=2)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 0, 8, True, "s")
-        cache.access(counters, 1, 0, 8, True, "s")  # same address, other program
-        assert cache.resident_lines() == 2
-        cache.drain(counters)
-        assert counters.total_write_bytes(inst=0) == 64
-        assert counters.total_write_bytes(inst=1) == 64
+        system = one_set_cache(ways=2)
+        system.access(0, 0, 8, True, "s")
+        system.access(1, 0, 8, True, "s")  # same address, other program
+        assert system.cache.resident_lines() == 2
+        system.drain()
+        assert system.counters.total_write_bytes(inst=0) == 64
+        assert system.counters.total_write_bytes(inst=1) == 64
 
-    def test_drain_is_idempotent_and_keeps_lines(self):
-        cache = one_set_cache()
-        counters = TrafficCounters()
-        cache.access(counters, 0, 0, 8, True, "s")
-        assert cache.drain(counters) == 1
-        assert cache.resident_lines() == 1
-        assert cache.drain(counters) == 0
-        # drained lines are clean; rewriting dirties them again
-        cache.access(counters, 0, 0, 8, True, "s")
-        assert cache.drain(counters) == 1
+    def test_highest_instance_does_not_alias_the_next_line(self):
+        # keys are (line << INST_BITS) | instance: instance 65535 on line 0
+        # and instance 0 on line 1 are neighbouring keys, not the same one
+        system = system_over(4 * 64, 4, split=64)
+        top = MAX_INSTANCES - 1
+        system.access(top, 0, 8, True, "a")
+        system.access(0, 64, 8, True, "b")
+        assert system.cache.resident_lines() == 2
+        assert system.drain() == 2
+        counters = system.counters
+        assert counters.write_bytes == {(top, MemoryKind.PCM, "a"): 64, (0, MemoryKind.DRAM, "b"): 64}
         counters.check_write_conservation()
 
+    def test_drain_is_idempotent_and_keeps_lines(self):
+        system = one_set_cache()
+        system.access(0, 0, 8, True, "s")
+        assert system.drain() == 1
+        assert system.cache.resident_lines() == 1
+        assert system.drain() == 0
+        # drained lines are clean; rewriting dirties them again
+        system.access(0, 0, 8, True, "s")
+        assert system.drain() == 1
+        system.counters.check_write_conservation()
+
+    def test_drain_decodes_instance_and_kind_of_each_line(self):
+        system = system_over(8 * 64, 8, split=2 * 64)
+        system.cache.record_events = True
+        system.access(7, 64, 64, True, "p")  # line 1, PCM
+        system.access(300, 2 * 64, 64, True, "d")  # line 2, DRAM
+        assert system.drain() == 2
+        assert system.cache.events == [("fill", 7, 1), ("fill", 300, 2), ("wb", 7, 1), ("wb", 300, 2)]
+        assert system.counters.write_bytes == {(7, MemoryKind.PCM, "p"): 64, (300, MemoryKind.DRAM, "d"): 64}
+
     def test_passthrough_is_byte_exact(self):
-        cache = CacheModel(0, 16, 64, split=1 << 40)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 3, 5, True, "s")
-        cache.access(counters, 0, 1000, 7, False, "s")
+        system = system_over(0)
+        counters = system.counters
+        system.access(0, 3, 5, True, "s")
+        system.access(0, 1000, 7, False, "s")
         assert counters.total_write_bytes(MemoryKind.PCM) == 5
         assert counters.total_read_bytes(MemoryKind.PCM) == 7
-        assert cache.drain(counters) == 0
+        assert system.drain() == 0
         counters.check_write_conservation()
 
     def test_access_straddling_the_split_classifies_each_line(self):
-        cache = CacheModel(8 * 64, 8, 64, split=4 * 64)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 2 * 64 + 10, 3 * 64, True, "s")  # lines 2, 3 | 4, 5
+        system = system_over(8 * 64, 8, split=4 * 64)
+        counters = system.counters
+        system.access(0, 2 * 64 + 10, 3 * 64, True, "s")  # lines 2, 3 | 4, 5
         assert counters.demand_write_bytes == {(0, MemoryKind.PCM): 128, (0, MemoryKind.DRAM): 128}
         assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
         assert counters.fills == 4
-        assert cache.drain(counters) == 4
+        assert system.drain() == 4
         assert counters.total_write_bytes(MemoryKind.PCM) == 128
         assert counters.total_write_bytes(MemoryKind.DRAM) == 128
         counters.check_write_conservation()
 
     def test_passthrough_splits_a_straddling_range(self):
-        cache = CacheModel(0, 16, 64, split=1024)
-        counters = TrafficCounters()
-        cache.access(counters, 0, 1000, 100, True, "s")  # 24 bytes PCM, 76 DRAM
-        cache.access(counters, 0, 1020, 10, False, "s")  # 4 bytes PCM, 6 DRAM
+        system = system_over(0, split=1024)
+        counters = system.counters
+        system.access(0, 1000, 100, True, "s")  # 24 bytes PCM, 76 DRAM
+        system.access(0, 1020, 10, False, "s")  # 4 bytes PCM, 6 DRAM
         assert counters.write_bytes == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
         assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 4, (0, MemoryKind.DRAM, "s"): 6}
         assert counters.demand_write_bytes == {(0, MemoryKind.PCM): 24, (0, MemoryKind.DRAM): 76}
@@ -196,22 +221,30 @@ class TestCacheModel:
     def test_passthrough_boundary_is_the_cached_paths_line_boundary(self):
         # split 1000 is not line-aligned: line 15 (bytes 960..1023) is the
         # first DRAM line, so the cached and uncached paths agree at 960.
-        cached = CacheModel(16 * 64, 16, 64, split=1000)
-        bypass = CacheModel(0, 16, 64, split=1000)
-        cc, bc = TrafficCounters(), TrafficCounters()
-        cached.access(cc, 0, 900, 128, True, "s")
-        bypass.access(bc, 0, 900, 128, True, "s")
-        cached.drain(cc)
-        assert cc.total_write_bytes(MemoryKind.PCM) == 64  # line 14
-        assert bc.total_write_bytes(MemoryKind.PCM) == 60  # bytes 900..959
-        assert bc.total_write_bytes(MemoryKind.DRAM) == 68
+        cached = system_over(16 * 64, 16, split=1000)
+        bypass = system_over(0, split=1000)
+        cached.access(0, 900, 128, True, "s")
+        bypass.access(0, 900, 128, True, "s")
+        cached.drain()
+        assert cached.counters.total_write_bytes(MemoryKind.PCM) == 64  # line 14
+        assert bypass.counters.total_write_bytes(MemoryKind.PCM) == 60  # bytes 900..959
+        assert bypass.counters.total_write_bytes(MemoryKind.DRAM) == 68
 
     def test_zero_length_access_is_a_noop(self):
-        cache = one_set_cache()
-        counters = TrafficCounters()
-        cache.access(counters, 0, 0, 0, True, "s")
-        assert counters.demand_write_bytes == {}
-        assert cache.resident_lines() == 0
+        system = one_set_cache()
+        system.access(0, 0, 0, True, "s")
+        assert system.counters.demand_write_bytes == {}
+        assert system.cache.resident_lines() == 0
+
+    def test_zero_length_access_is_a_noop_on_every_path(self):
+        for system, collector in (
+            (system_over(0), False),
+            (system_over(16 * 64, gc_through=False), True),
+        ):
+            system.access(0, 0, 0, True, "s", collector=collector)
+            system.access(0, 64, -8, False, "s", collector=collector)
+            assert system.counters.write_bytes == {} and system.counters.read_bytes == {}
+            assert system.counters.demand_write_bytes == {}
 
 
 class TestCounters:
@@ -243,8 +276,7 @@ class TestCounters:
 
 class TestMemorySystem:
     def test_collector_bypass(self):
-        cache = CacheModel(16 * 64, 16, 64, split=1 << 40)
-        system = MemorySystem(cache, TrafficCounters(), SimClock(), gc_traffic_through_cache=False)
+        system = system_over(16 * 64, gc_through=False)
         system.access(0, 0, 8, True, "s", collector=True)
         # bypassed traffic reaches memory immediately, byte-exact
         assert system.counters.total_write_bytes(MemoryKind.PCM) == 8
@@ -255,11 +287,10 @@ class TestMemorySystem:
         system.counters.check_write_conservation()
 
     def test_collector_bypass_splits_a_straddling_range(self):
-        cache = CacheModel(16 * 64, 16, 64, split=4096)
-        system = MemorySystem(cache, TrafficCounters(), SimClock(), gc_traffic_through_cache=False)
+        system = system_over(16 * 64, split=4096, gc_through=False)
         system.access(0, 4096 - 40, 100, True, "gc", collector=True)
         system.access(0, 4096 - 8, 16, False, "gc", collector=True)
         assert system.counters.write_bytes == {(0, MemoryKind.PCM, "gc"): 40, (0, MemoryKind.DRAM, "gc"): 60}
         assert system.counters.read_bytes == {(0, MemoryKind.PCM, "gc"): 8, (0, MemoryKind.DRAM, "gc"): 8}
-        assert cache.resident_lines() == 0
+        assert system.cache.resident_lines() == 0
         system.counters.check_write_conservation()

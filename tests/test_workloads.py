@@ -1,5 +1,6 @@
 """Trace grammar, synthetic op streams, and the driver."""
 
+import hashlib
 import io
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hybridgc.errors import ConfigError, TraceError
 from hybridgc.workloads import (
+    ARCHETYPES,
     Alloc,
     ReadOp,
     RefOp,
@@ -215,6 +217,21 @@ class TestGenerators:
         assert any(isinstance(op, RefOp) for op in ops)
 
 
+# SHA-256 of each archetype's serialized stream at seed 7, 5,000 ops,
+# recorded before the generators passed cum_weights to rng.choices.
+STREAM_SHA256 = {
+    "nursery-churn": "a00f4d16293e3b39857948fc5795ed96ed759af31b75455ebba6076646950928",
+    "mature-mutation": "148c7975bf817bd1aff82e3ce0912107a7e23500fcef661311095aa274689737",
+    "large-object-graph": "3ab271cb03cb480ef672719da4dfcde76b166869d6638b927a778c2212afe7ca",
+}
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_generated_streams_are_pinned(archetype):
+    text = "\n".join(serialize_op(op) for op in generate(default_spec(archetype, op_count=5_000, seed=7)))
+    assert hashlib.sha256(text.encode()).hexdigest() == STREAM_SHA256[archetype]
+
+
 class TestDriver:
     def test_limit_slices_the_stream(self):
         heap, _ = small_heap("KG-N", zeroing=False)
@@ -238,6 +255,13 @@ class TestDriver:
         assert drive(heap, iter(ops)) == (6, True)
         assert [s.kind for s in heap.gc.collections] == ["minor"]
         assert heap.objects[3].space == "nursery"
+
+    def test_unknown_op_is_rejected_at_its_position(self):
+        heap, _ = small_heap("KG-N", zeroing=False)
+        with pytest.raises(TraceError, match="cannot apply") as err:
+            drive(heap, iter([Alloc(1, 64, 0, False), "W 1 0 8"]))
+        assert err.value.op_index == 1
+        assert heap.op_index == 1
 
     def test_errors_carry_the_op_position(self):
         heap, _ = small_heap("KG-N", zeroing=False)
