@@ -10,7 +10,6 @@ from .errors import (
     GcLogicError,
     HeapExhausted,
     OutOfChunks,
-    RateUndefined,
     SimulatorError,
     TraceError,
 )
@@ -32,7 +31,6 @@ from .memory import (
     SimClock,
     TrafficCounters,
     lifetime_years,
-    pcm_write_rate,
 )
 from .workloads import (
     ARCHETYPES,
@@ -68,7 +66,6 @@ __all__ = [
     "ObjectRecord",
     "OutOfChunks",
     "PairResult",
-    "RateUndefined",
     "Report",
     "SimClock",
     "SimulatorError",
@@ -87,7 +84,6 @@ __all__ = [
     "load_trace",
     "make_space_map",
     "parse_trace",
-    "pcm_write_rate",
     "run_baseline_pair",
     "run_experiment",
     "serialize_trace",

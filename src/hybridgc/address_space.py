@@ -4,7 +4,9 @@ The managed heap is one contiguous range starting at address 0. The low
 half is backed by PCM, the high half by DRAM, and each half is carved
 into fixed-size chunks handed out through a per-half free list. Chunks
 are recycled without unmapping: the ``mapped`` flag goes up on first
-reservation and never comes back down.
+reservation and never comes back down. On-demand spaces take the lowest
+free chunk (``FreeList.reserve``); the heap claims its fixed spaces'
+chunks one index at a time (``FreeList.reserve_index``).
 """
 
 from __future__ import annotations
@@ -57,16 +59,8 @@ class FreeList:
         self.free_indices = sorted(self._by_index)  # ascending
 
     @property
-    def total(self) -> int:
-        return len(self.chunks)
-
-    @property
     def free_count(self) -> int:
         return len(self.free_indices)
-
-    @property
-    def in_use_count(self) -> int:
-        return self.total - self.free_count
 
     def reserve(self, owner: str) -> ChunkDescriptor:
         if not self.free_indices:
@@ -91,7 +85,6 @@ class FreeList:
         chunk.mapped = True
         if first_bind:
             self.bind_log.append(BindEvent(index, self.kind, owner))
-        self._check_conservation()
         return chunk
 
     def release(self, chunk: ChunkDescriptor) -> None:
@@ -103,20 +96,15 @@ class FreeList:
         chunk.owner = None
         # mapped stays True: the backing store is kept for recycling
         bisect.insort(self.free_indices, chunk.index)
-        self._check_conservation()
 
     # One bind log shared per layout; assigned by init_layout.
     bind_log: list[BindEvent]
-
-    def _check_conservation(self) -> None:
-        assert self.free_count + self.in_use_count == self.total
 
 
 @dataclass
 class HeapLayout:
     """Geometry of the managed range plus its two chunk free lists."""
 
-    heap_base: int
     heap_size: int
     chunk_size: int
     split: int  # lowest DRAM address; everything below is PCM
@@ -125,41 +113,21 @@ class HeapLayout:
     pcm: FreeList
     bind_log: list[BindEvent] = field(default_factory=list)
 
-    @property
-    def heap_top(self) -> int:
-        return self.heap_base + self.heap_size
-
     def region_of(self, addr: int) -> MemoryKind:
-        if not self.heap_base <= addr < self.heap_top:
-            raise AddressRangeError(f"address {addr:#x} outside heap [{self.heap_base:#x}, {self.heap_top:#x})")
+        if not 0 <= addr < self.heap_size:
+            raise AddressRangeError(f"address {addr:#x} outside heap [0, {self.heap_size:#x})")
         return MemoryKind.PCM if addr < self.split else MemoryKind.DRAM
 
     def free_list_for(self, kind: MemoryKind) -> FreeList:
         return self.dram if kind is MemoryKind.DRAM else self.pcm
 
-    def chunk_at(self, addr: int) -> ChunkDescriptor:
-        self.region_of(addr)  # range check
-        return self.chunks[(addr - self.heap_base) // self.chunk_size]
-
-    def reserve_range(self, lo: int, hi: int, owner: str) -> list[ChunkDescriptor]:
-        """Reserve the specific chunks covering [lo, hi); for fixed spaces."""
-        if not (self.heap_base <= lo < hi <= self.heap_top):
-            raise AddressRangeError(f"range [{lo:#x}, {hi:#x}) outside heap")
-        first = (lo - self.heap_base) // self.chunk_size
-        last = (hi - 1 - self.heap_base) // self.chunk_size
-        out = []
-        for index in range(first, last + 1):
-            kind = self.chunks[index].kind
-            out.append(self.free_list_for(kind).reserve_index(index, owner))
-        return out
-
     def release_chunk(self, chunk: ChunkDescriptor) -> None:
         self.free_list_for(chunk.kind).release(chunk)
 
     def check_invariants(self) -> None:
-        half = len(self.chunks) // 2
-        assert self.pcm.free_count + self.pcm.in_use_count == half
-        assert self.dram.free_count + self.dram.in_use_count == half
+        for free_list in (self.pcm, self.dram):
+            free = [c.index for c in free_list.chunks if not c.in_use]
+            assert free_list.free_indices == free, f"{free_list.kind.value} free list disagrees with in_use"
         bound = {e.chunk_index for e in self.bind_log}
         assert len(bound) == len(self.bind_log), "chunk bound twice"
         for c in self.chunks:
@@ -167,7 +135,7 @@ class HeapLayout:
                 assert c.mapped and c.owner is not None
 
 
-def init_layout(heap_size: int, chunk_size: int, *, heap_base: int = 0) -> HeapLayout:
+def init_layout(heap_size: int, chunk_size: int) -> HeapLayout:
     """Build the split address range with both halves fully free.
 
     ``heap_size`` must divide evenly into two halves of whole chunks.
@@ -179,16 +147,15 @@ def init_layout(heap_size: int, chunk_size: int, *, heap_base: int = 0) -> HeapL
             f"heap size {heap_size} is not divisible by twice the chunk size {chunk_size}"
         )
     n = heap_size // chunk_size
-    split = heap_base + heap_size // 2
+    split = heap_size // 2
     chunks = []
     for i in range(n):
-        base = heap_base + i * chunk_size
+        base = i * chunk_size
         kind = MemoryKind.PCM if base < split else MemoryKind.DRAM
         chunks.append(ChunkDescriptor(index=i, base=base, size=chunk_size, kind=kind))
     pcm = FreeList(MemoryKind.PCM, chunks[: n // 2])
     dram = FreeList(MemoryKind.DRAM, chunks[n // 2 :])
     layout = HeapLayout(
-        heap_base=heap_base,
         heap_size=heap_size,
         chunk_size=chunk_size,
         split=split,

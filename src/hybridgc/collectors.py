@@ -5,7 +5,9 @@ fills, spill the observation space into mature DRAM or PCM according to
 observed write counts, and run a full mark-sweep when mature occupancy
 crosses the budget. Policy decisions (where a survivor goes, whether a
 large object may use the nursery) are small pure functions so tests can
-pin them directly.
+pin them directly. A young collection decides each survivor's
+destination once; the chunk pre-flight and the copy loop both read that
+plan.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 from .address_space import MemoryKind
 from .config import Collector, CollectorConfig
-from .errors import GcLogicError, HeapExhausted, OutOfChunks
+from .errors import GcLogicError, HeapExhausted
 from .heap import (
     LOS_DRAM,
     LOS_PCM,
@@ -62,6 +64,14 @@ def loo_admit(config: CollectorConfig, size: int, nursery_free: int) -> bool:
 
 
 @dataclass
+class SurvivorPlan:
+    """One young collection's copies: (record, destination space) pairs by address."""
+
+    nursery_moves: list[tuple[ObjectRecord, str]]
+    observer_moves: list[tuple[ObjectRecord, str]] | None  # None: the observer stays
+
+
+@dataclass
 class CollectionStats:
     kind: str  # "minor" | "observer" | "major"
     objects_scanned: int = 0
@@ -100,18 +110,30 @@ class GcEngine:
     def on_nursery_full(self) -> None:
         for attempt in (0, 1):
             live = self._young_closure()
-            needs = self._cycle_chunk_needs(live)
-            if self._chunks_available(needs):
+            plan = self._plan_survivors(live)
+            if self._chunks_available(plan):
                 break
             if attempt == 0:
                 self.collect_major()  # cascade once, then give up
             else:
                 raise HeapExhausted("no chunks left for minor-collection survivors")
-        self._run_young_cycle(live)
+        self._run_young_cycle(live, plan)
         if self.heap.mature_occupancy() >= self.config.heap_budget:
             self.collect_major()
 
     # -- closures --
+
+    def _remembered_child(self, pid: int, slot: int) -> int:
+        """The young object a remembered slot points at, or 0 if the entry is stale."""
+        objects = self.heap.objects
+        parent = objects.get(pid)
+        if parent is None or slot >= len(parent.refs):
+            return 0
+        cid = parent.refs[slot]
+        if not cid:
+            return 0
+        child = objects.get(cid)
+        return cid if child is not None and self.heap.is_young_addr(child.addr) else 0
 
     def _young_closure(self) -> set[int]:
         """Ids of young objects reachable from roots and remembered slots."""
@@ -119,19 +141,13 @@ class GcEngine:
         objects = heap.objects
         is_young = heap.is_young_addr
         seeds = []
-        for oid in sorted(heap.roots):
+        for oid in heap.roots:
             rec = objects.get(oid)
             if rec is not None and is_young(rec.addr):
                 seeds.append(oid)
-        for pid, slot in sorted(heap.remset):
-            parent = objects.get(pid)
-            if parent is None or slot >= len(parent.refs):
-                continue
-            cid = parent.refs[slot]
-            if not cid:
-                continue
-            child = objects.get(cid)
-            if child is not None and is_young(child.addr):
+        for pid, slot in heap.remset:
+            cid = self._remembered_child(pid, slot)
+            if cid:
                 seeds.append(cid)
         live: set[int] = set()
         stack = seeds
@@ -152,7 +168,7 @@ class GcEngine:
         heap = self.heap
         objects = heap.objects
         live: set[int] = set()
-        stack = sorted(heap.roots) + list(heap.boot_ids)
+        stack = [*heap.roots, *heap.boot_ids]
         while stack:
             oid = stack.pop()
             if oid in live or oid not in objects:
@@ -163,32 +179,44 @@ class GcEngine:
                     stack.append(cid)
         return live
 
-    # -- chunk pre-flight, so copies never fail halfway --
+    # -- the survivor plan and its chunk pre-flight, so copies never fail halfway --
 
-    def _cycle_chunk_needs(self, live: set[int]) -> dict[str, int]:
+    def _plan_survivors(self, live: set[int]) -> SurvivorPlan:
+        """Where each live young object goes, in address order.
+
+        Nursery survivors go to the large-object space if large, else
+        where ``route_survivor`` sends them. The observer is evacuated
+        only when the survivors bound for it overflow its free space;
+        otherwise ``observer_moves`` is None.
+        """
         heap = self.heap
-        needs: dict[str, int] = {}
+        config = self.config
+        nursery_moves = []
+        observer_live = []
         to_observer = 0
-        observer_live: list[ObjectRecord] = []
         for oid in live:
             rec = heap.objects[oid]
             if rec.space == NURSERY:
-                dest = LOS_PCM if rec.large else route_survivor(self.config, rec, Phase.MINOR)
+                dest = LOS_PCM if rec.large else route_survivor(config, rec, Phase.MINOR)
                 if dest == OBSERVER:
                     to_observer += rec.size
-                else:
-                    needs[dest] = needs.get(dest, 0) + rec.size
+                nursery_moves.append((rec, dest))
             elif rec.space == OBSERVER:
                 observer_live.append(rec)
+        nursery_moves.sort(key=lambda move: move[0].addr)
+        observer_moves = None
         if heap.observer is not None and heap.observer.free < to_observer:
-            for rec in observer_live:
-                dest = route_survivor(self.config, rec, Phase.OBSERVER)
-                needs[dest] = needs.get(dest, 0) + rec.size
-        return needs
+            observer_live.sort(key=lambda r: r.addr)
+            observer_moves = [(rec, route_survivor(config, rec, Phase.OBSERVER)) for rec in observer_live]
+        return SurvivorPlan(nursery_moves, observer_moves)
 
-    def _chunks_available(self, needs: dict[str, int]) -> bool:
+    def _chunks_available(self, plan: SurvivorPlan) -> bool:
         heap = self.heap
         layout = heap.layout
+        needs: dict[str, int] = {}
+        for rec, dest in (*plan.nursery_moves, *(plan.observer_moves or ())):
+            if dest != OBSERVER:
+                needs[dest] = needs.get(dest, 0) + rec.size
         fresh = {MemoryKind.DRAM: 0, MemoryKind.PCM: 0}
         for name, nbytes in needs.items():
             space = heap.free_list_spaces[name]
@@ -206,35 +234,25 @@ class GcEngine:
 
     # -- the nursery/observer cycle --
 
-    def _run_young_cycle(self, live: set[int]) -> None:
+    def _run_young_cycle(self, live: set[int], plan: SurvivorPlan) -> None:
         heap = self.heap
         if self.inspect_hook is not None:
             self.inspect_hook("minor", frozenset(live))
 
-        nursery_live = sorted(
-            (heap.objects[oid] for oid in live if heap.objects[oid].space == NURSERY),
-            key=lambda r: r.addr,
-        )
-        to_observer = sum(r.size for r in nursery_live if not r.large) if heap.observer else 0
         moved_out: list[ObjectRecord] = []
-
-        if heap.observer is not None and heap.observer.free < to_observer:
-            moved_out.extend(self._evacuate_observer(live))
+        if plan.observer_moves is not None:
+            moved_out.extend(self._evacuate_observer(plan.observer_moves))
 
         stats = CollectionStats("minor")
         stats.objects_scanned = len(live)
         stats.space_used_before = heap.nursery.used
-        for rec in nursery_live:
-            if rec.large:
-                dest = LOS_PCM
-            else:
-                dest = route_survivor(self.config, rec, Phase.MINOR)
+        for rec, dest in plan.nursery_moves:
             if dest == OBSERVER:
                 assert heap.observer is not None
                 new_addr = heap.observer.alloc(rec.size)
                 assert new_addr is not None, "observer evacuation left too little room"
             else:
-                new_addr = self._mature_alloc(dest, rec.size)
+                new_addr = heap.free_list_spaces[dest].alloc(rec.size)
                 moved_out.append(rec)
             self._copy(rec, new_addr, dest, stats)
         heap.nursery.reset()
@@ -246,28 +264,16 @@ class GcEngine:
         if heap.strict_checks:
             heap.check_placement()
 
-    def _evacuate_observer(self, live: set[int]) -> list[ObjectRecord]:
+    def _evacuate_observer(self, moves: list[tuple[ObjectRecord, str]]) -> list[ObjectRecord]:
         heap = self.heap
         stats = CollectionStats("observer")
-        observer_live = sorted(
-            (heap.objects[oid] for oid in live if heap.objects[oid].space == OBSERVER),
-            key=lambda r: r.addr,
-        )
-        stats.objects_scanned = len(observer_live)
+        stats.objects_scanned = len(moves)
         stats.space_used_before = heap.observer.used
-        for rec in observer_live:
-            dest = route_survivor(self.config, rec, Phase.OBSERVER)
-            new_addr = self._mature_alloc(dest, rec.size)
-            self._copy(rec, new_addr, dest, stats)
+        for rec, dest in moves:
+            self._copy(rec, heap.free_list_spaces[dest].alloc(rec.size), dest, stats)
         heap.observer.reset()
         self.collections.append(stats)
-        return observer_live
-
-    def _mature_alloc(self, space_name: str, size: int) -> int:
-        try:
-            return self.heap.free_list_spaces[space_name].alloc(size)
-        except OutOfChunks as exc:
-            raise HeapExhausted(str(exc)) from exc
+        return [rec for rec, _dest in moves]
 
     def _copy(self, rec: ObjectRecord, new_addr: int, dest: str, stats: CollectionStats) -> None:
         heap = self.heap
@@ -306,19 +312,13 @@ class GcEngine:
                     heap.remset.add((rec.id, slot))
 
     def _prune_remset(self) -> None:
+        """Keep the entries whose parent is outside the young region and still points into it."""
         heap = self.heap
-        keep = set()
-        for pid, slot in heap.remset:
-            parent = heap.objects.get(pid)
-            if parent is None or heap.is_young_addr(parent.addr) or slot >= len(parent.refs):
-                continue
-            cid = parent.refs[slot]
-            if not cid:
-                continue
-            child = heap.objects.get(cid)
-            if child is not None and heap.is_young_addr(child.addr):
-                keep.add((pid, slot))
-        heap.remset = keep
+        heap.remset = {
+            (pid, slot)
+            for pid, slot in heap.remset
+            if self._remembered_child(pid, slot) and not heap.is_young_addr(heap.objects[pid].addr)
+        }
 
     # -- full collection --
 
@@ -391,21 +391,10 @@ class GcEngine:
             stats.mark_writes_pcm += 1
 
     def _relocate_large(self, rec: ObjectRecord, stats: CollectionStats) -> None:
-        try:
-            new_addr = self.heap.free_list_spaces[LOS_DRAM].alloc(rec.size)
-        except OutOfChunks as exc:
-            raise HeapExhausted(str(exc)) from exc
+        new_addr = self.heap.free_list_spaces[LOS_DRAM].alloc(rec.size)
         self._copy(rec, new_addr, LOS_DRAM, stats)
         rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
         stats.large_relocated += 1
-
-    # -- aggregate queries for reports --
-
-    def collection_counts(self) -> dict[str, int]:
-        out = {"minor": 0, "observer": 0, "major": 0}
-        for st in self.collections:
-            out[st.kind] += 1
-        return out
 
 
 def build_instance(

@@ -47,7 +47,3 @@ class TraceError(SimulatorError):
 
 class GcLogicError(SimulatorError):
     """A collection phase was requested that the configured collector lacks."""
-
-
-class RateUndefined(SimulatorError):
-    """A rate was requested over a zero-length interval."""

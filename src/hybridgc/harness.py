@@ -27,6 +27,7 @@ from .memory import (
     SimClock,
     TrafficCounters,
     lifetime_years,
+    total_bytes,
 )
 from .units import KIB, MIB
 from .workloads import WorkloadSpec, default_spec, drive, generate, load_trace
@@ -332,10 +333,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     model = config.lifetime_model()
 
     def make_row(label: str, inst: int | None, desc: str, ops: int) -> InstanceReport:
-        pcm_w = window.total_write_bytes(MemoryKind.PCM, inst)
-        dram_w = window.total_write_bytes(MemoryKind.DRAM, inst)
-        pcm_r = window.total_read_bytes(MemoryKind.PCM, inst)
-        dram_r = window.total_read_bytes(MemoryKind.DRAM, inst)
+        pcm_w = total_bytes(window.write_bytes, MemoryKind.PCM, inst)
+        dram_w = total_bytes(window.write_bytes, MemoryKind.DRAM, inst)
+        pcm_r = total_bytes(window.read_bytes, MemoryKind.PCM, inst)
+        dram_r = total_bytes(window.read_bytes, MemoryKind.DRAM, inst)
         rate = pcm_w / elapsed if elapsed > 0 else None
         years = lifetime_years(rate, model) if rate is not None else None
         engines = [heaps[inst].gc] if inst is not None else [h.gc for h in heaps]

@@ -1,13 +1,15 @@
 """Per-instance heap: spaces, object records, mutator operations.
 
-Each instance owns a full split address range. Fixed spaces (boot,
-nursery, observer) claim specific chunks at startup; mature, large and
-metadata spaces pull chunks from the free lists on demand. The write
-barrier and the mutator's traffic live here; the collection algorithms
-that consume this state, and issue the collector's traffic, live in
-:mod:`hybridgc.collectors`. Every access goes straight to
-``MemorySystem.access``, and each call site adds its bytes to the
-heap's ``emitted`` tally.
+Each instance owns a full split address range starting at 0. Fixed
+spaces (boot, nursery, observer) claim the chunks under their ranges at
+startup, once each even where two adjacent spaces share a boundary
+chunk; mature, large and metadata spaces pull chunks from the free lists
+on demand, and an allocation that finds its half out of chunks raises
+``HeapExhausted``. The write barrier and the mutator's traffic live
+here; the collection algorithms that consume this state, and issue the
+collector's traffic, live in :mod:`hybridgc.collectors`. Every access
+goes straight to ``MemorySystem.access``, and each call site adds its
+bytes to the heap's ``emitted`` tally.
 """
 
 from __future__ import annotations
@@ -50,18 +52,17 @@ def align8(n: int) -> int:
 class SpaceDescriptor:
     name: str
     memory: MemoryKind
-    policy: str  # "bump" | "free-list"
-    boot_reserved: bool  # fixed contiguous range vs on-demand chunks
+    policy: str  # "bump" (fixed contiguous range) | "free-list" (on-demand chunks)
 
 
 def make_space_map(config: CollectorConfig) -> dict[str, SpaceDescriptor]:
     """Spaces for a collector variant, each pinned to one memory kind."""
 
     def bump(name: str, kind: MemoryKind) -> SpaceDescriptor:
-        return SpaceDescriptor(name, kind, "bump", True)
+        return SpaceDescriptor(name, kind, "bump")
 
     def demand(name: str, kind: MemoryKind) -> SpaceDescriptor:
-        return SpaceDescriptor(name, kind, "free-list", False)
+        return SpaceDescriptor(name, kind, "free-list")
 
     variant = config.variant
     spaces: list[SpaceDescriptor] = []
@@ -132,9 +133,6 @@ class BumpSpace:
     def reset(self) -> None:
         self.cursor = self.lo
 
-    def contains(self, addr: int) -> bool:
-        return self.lo <= addr < self.hi
-
 
 class FreeListSpace:
     """Mark-sweep space over on-demand chunks with first-fit extents."""
@@ -155,7 +153,10 @@ class FreeListSpace:
             )
         addr = self._first_fit(n)
         if addr is None:
-            chunk = self.layout.free_list_for(self.memory).reserve(self.name)
+            try:
+                chunk = self.layout.free_list_for(self.memory).reserve(self.name)
+            except OutOfChunks as exc:
+                raise HeapExhausted(str(exc)) from exc
             self.chunks.append(chunk)
             self._insert_extent(chunk.base, chunk.size)
             addr = self._first_fit(n)
@@ -281,7 +282,6 @@ class HeapInstance:
         for desc in self.space_map.values():
             if desc.policy == "free-list":
                 self.free_list_spaces[desc.name] = FreeListSpace(desc, self.layout)
-        self.spaces: dict[str, BumpSpace | FreeListSpace] = {**self._bump_spaces, **self.free_list_spaces}
         self._seed_boot_objects(boot_object_size)
 
     # -- construction helpers --
@@ -292,10 +292,9 @@ class HeapInstance:
 
         def half_bounds(kind: MemoryKind) -> tuple[int, int]:
             if kind is MemoryKind.PCM:
-                return layout.heap_base, layout.split
-            return layout.split, layout.heap_top
+                return 0, layout.split
+            return layout.split, layout.heap_size
 
-        self._bump_spaces: dict[str, BumpSpace] = {}
         young_kind = self.space_map[NURSERY].memory
         half_lo, half_hi = half_bounds(young_kind)
         nursery_hi = half_hi
@@ -317,23 +316,22 @@ class HeapInstance:
         if boot_kind is young_kind and boot_hi > young_lo:
             raise ConfigError("boot space overlaps the young region")
 
+        bump_spaces: dict[str, BumpSpace] = {}
         reserved: set[int] = set()
         for name, lo, hi in ranges:
             desc = self.space_map[name]
-            first = (lo - layout.heap_base) // layout.chunk_size
-            last = (hi - 1 - layout.heap_base) // layout.chunk_size
-            for index in range(first, last + 1):
+            for index in range(lo // layout.chunk_size, (hi - 1) // layout.chunk_size + 1):
                 if index in reserved:
                     continue  # adjacent fixed spaces may share a boundary chunk
                 layout.free_list_for(layout.chunks[index].kind).reserve_index(index, name)
                 reserved.add(index)
-            self._bump_spaces[name] = BumpSpace(desc, lo, hi)
+            bump_spaces[name] = BumpSpace(desc, lo, hi)
 
         self.young_lo = young_lo
         self.young_hi = nursery_hi
-        self.nursery = self._bump_spaces[NURSERY]
-        self.observer = self._bump_spaces.get(OBSERVER)
-        self.boot_space = self._bump_spaces[BOOT]
+        self.nursery = bump_spaces[NURSERY]
+        self.observer = bump_spaces.get(OBSERVER)
+        self.boot_space = bump_spaces[BOOT]
 
     def _seed_boot_objects(self, boot_object_size: int) -> None:
         """Pre-populate the immortal space; ids are negative and fixed.
@@ -400,10 +398,7 @@ class HeapInstance:
             addr = self.nursery.alloc(extent)
             assert addr is not None  # admission checked the free space
             return addr, NURSERY
-        try:
-            return self.free_list_spaces[LOS_PCM].alloc(extent), LOS_PCM
-        except OutOfChunks as exc:
-            raise HeapExhausted(str(exc)) from exc
+        return self.free_list_spaces[LOS_PCM].alloc(extent), LOS_PCM
 
     def write_data(self, oid: int, offset: int, length: int) -> None:
         rec = self._lookup(oid)

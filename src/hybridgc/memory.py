@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .address_space import MemoryKind
-from .errors import ConfigError, RateUndefined
+from .errors import ConfigError
 
 LINE_SIZE_DEFAULT = 64
 SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
@@ -33,6 +33,19 @@ _ABSENT = object()  # sentinel for a set lookup that misses
 INST_BITS = 16
 MAX_INSTANCES = 1 << INST_BITS
 INST_MASK = MAX_INSTANCES - 1
+
+
+def total_bytes(
+    counts: dict[tuple[int, MemoryKind, str], int],
+    kind: MemoryKind | None = None,
+    inst: int | None = None,
+) -> int:
+    """Sum of ``TrafficCounters.write_bytes`` or ``read_bytes``, optionally for one kind and instance."""
+    return sum(
+        n
+        for (i, k, _s), n in counts.items()
+        if (kind is None or k is kind) and (inst is None or i == inst)
+    )
 
 
 class TrafficCounters:
@@ -54,46 +67,13 @@ class TrafficCounters:
         self.fills = 0
         self.writebacks = 0
 
-    # -- accumulation helpers (the cache walk batches an access's lines
-    # and updates the dicts once per run of lines, not once per line) --
-
-    def add_write(self, inst: int, kind: MemoryKind, space: str, n: int) -> None:
-        key = (inst, kind, space)
-        self.write_bytes[key] = self.write_bytes.get(key, 0) + n
-
-    def add_read(self, inst: int, kind: MemoryKind, space: str, n: int) -> None:
-        key = (inst, kind, space)
-        self.read_bytes[key] = self.read_bytes.get(key, 0) + n
-
-    # -- queries --
-
-    def total_write_bytes(self, kind: MemoryKind | None = None, inst: int | None = None) -> int:
-        return sum(
-            n
-            for (i, k, _s), n in self.write_bytes.items()
-            if (kind is None or k is kind) and (inst is None or i == inst)
-        )
-
-    def total_read_bytes(self, kind: MemoryKind | None = None, inst: int | None = None) -> int:
-        return sum(
-            n
-            for (i, k, _s), n in self.read_bytes.items()
-            if (kind is None or k is kind) and (inst is None or i == inst)
-        )
-
     def by_space(self, inst: int, kind: MemoryKind) -> dict[str, int]:
         return {s: n for (i, k, s), n in sorted(self.write_bytes.items(), key=lambda kv: kv[0][2]) if i == inst and k is kind}
 
     def snapshot(self) -> "TrafficCounters":
-        out = TrafficCounters()
-        out.write_bytes = dict(self.write_bytes)
-        out.read_bytes = dict(self.read_bytes)
-        out.demand_write_bytes = dict(self.demand_write_bytes)
-        out.absorbed_write_bytes = dict(self.absorbed_write_bytes)
-        out.writeback_bytes = dict(self.writeback_bytes)
-        out.fills = self.fills
-        out.writebacks = self.writebacks
-        return out
+        # every counter only grows by positive amounts, so no entry is 0
+        # and the diff against empty counters is a full copy
+        return self.diff(TrafficCounters())
 
     def diff(self, base: "TrafficCounters") -> "TrafficCounters":
         """Counters accumulated since ``base`` was snapshotted."""
@@ -185,10 +165,6 @@ class SimClock:
             return
         self.now_ns += ops * self.op_cost_ns + nbytes * self.byte_cost_ns
 
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.now_ns * 1e-9
-
 
 @dataclass
 class MemorySystem:
@@ -227,6 +203,7 @@ class MemorySystem:
             runs = ((first, end, _DRAM),)
         else:
             runs = ((first, split_line, _PCM), (split_line, end, _DRAM))
+        read_bytes = counters.read_bytes
         sets = cache.sets
         assoc = cache.assoc
         shift = INST_BITS
@@ -271,7 +248,8 @@ class MemorySystem:
                     absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
             if fills:
                 counters.fills += fills
-                counters.add_read(inst, kind, space, fills * line_size)
+                rkey = (inst, kind, space)
+                read_bytes[rkey] = read_bytes.get(rkey, 0) + fills * line_size
             if victims:
                 self._writeback(victims)
 
@@ -280,13 +258,15 @@ class MemorySystem:
         line_size = self.cache.line_size
         counters = self.counters
         writeback_bytes = counters.writeback_bytes
+        write_bytes = counters.write_bytes
         total = 0
         for (inst, is_pcm, space), n in victims.items():
             kind = _PCM if is_pcm else _DRAM
             nbytes = n * line_size
             wkey = (inst, kind)
             writeback_bytes[wkey] = writeback_bytes.get(wkey, 0) + nbytes
-            counters.add_write(inst, kind, space, nbytes)
+            skey = (inst, kind, space)
+            write_bytes[skey] = write_bytes.get(skey, 0) + nbytes
             total += n
         counters.writebacks += total
         return total
@@ -301,13 +281,14 @@ class MemorySystem:
         for kind, n in ((_PCM, pcm), (_DRAM, length - pcm)):
             if not n:
                 continue
+            skey = (inst, kind, space)
             if write:
                 key = (inst, kind)
                 counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + n
                 counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + n
-                counters.add_write(inst, kind, space, n)
+                counters.write_bytes[skey] = counters.write_bytes.get(skey, 0) + n
             else:
-                counters.add_read(inst, kind, space, n)
+                counters.read_bytes[skey] = counters.read_bytes.get(skey, 0) + n
 
     def drain(self) -> int:
         """Flush every dirty line; returns the number written back.
@@ -361,9 +342,3 @@ def lifetime_years(write_rate_bytes_per_s: float, model: LifetimeModel = Lifetim
     years = total / (write_rate_bytes_per_s * SECONDS_PER_YEAR)
     return min(years, UNBOUNDED_YEARS)
 
-
-def pcm_write_rate(counters: TrafficCounters, clock: SimClock) -> float:
-    """Bytes per simulated second written to PCM, over the clock's window."""
-    if clock.now_ns <= 0:
-        raise RateUndefined("no simulated time has elapsed")
-    return counters.total_write_bytes(MemoryKind.PCM) / clock.elapsed_seconds

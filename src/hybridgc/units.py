@@ -1,4 +1,4 @@
-"""Byte-size constants and parsing helpers."""
+"""Byte-size constants and the size parser behind the CLI's size options."""
 
 import re
 
@@ -46,11 +46,3 @@ def parse_size(text: str | int) -> int:
     if result != int(result):
         raise ConfigError(f"size {text!r} is not a whole number of bytes")
     return int(result)
-
-
-def format_bytes(n: int) -> str:
-    """Human-readable binary rendering, used in log output only."""
-    for unit, factor in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if n >= factor and n % factor == 0:
-            return f"{n // factor}{unit}"
-    return f"{n}B"

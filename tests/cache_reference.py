@@ -61,7 +61,8 @@ class RefCache:
                     entry[3] = space
                 continue
             counters.fills += 1
-            counters.add_read(inst, kind, space, self.line_size)
+            rkey = (inst, kind, space)
+            counters.read_bytes[rkey] = counters.read_bytes.get(rkey, 0) + self.line_size
             self.events.append(("fill", inst, line))
             members = self._set_members(line % self.n_sets)
             if len(members) >= self.assoc:
@@ -77,7 +78,8 @@ class RefCache:
         counters.writebacks += 1
         key = (inst, kind)
         counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + self.line_size
-        counters.add_write(inst, kind, space, self.line_size)
+        wkey = (inst, kind, space)
+        counters.write_bytes[wkey] = counters.write_bytes.get(wkey, 0) + self.line_size
         self.events.append(("wb", inst, line))
 
     def drain(self, counters) -> int:

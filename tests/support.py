@@ -54,3 +54,10 @@ def small_heap(
         zeroing=zeroing,
     )
     return heap, system
+
+
+def reserve_every_free_chunk(layout) -> None:
+    """Leave both halves of ``layout`` without a free chunk."""
+    for free_list in (layout.pcm, layout.dram):
+        while free_list.free_indices:
+            free_list.reserve("filler")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from hybridgc.address_space import MemoryKind, init_layout
 from hybridgc.errors import AddressRangeError, ConfigError, DoubleFree, OutOfChunks
+from support import small_heap
 
 
 def test_two_chunk_layout():
@@ -12,7 +13,8 @@ def test_two_chunk_layout():
     assert len(layout.chunks) == 2
     assert layout.chunks[0].kind is MemoryKind.PCM
     assert layout.chunks[1].kind is MemoryKind.DRAM
-    assert layout.pcm.total == 1 and layout.dram.total == 1
+    assert layout.pcm.chunks == layout.chunks[:1] and layout.dram.chunks == layout.chunks[1:]
+    assert layout.pcm.free_indices == [0] and layout.dram.free_indices == [1]
 
 
 def test_region_of_boundaries():
@@ -69,20 +71,29 @@ def test_reserve_index_and_range():
     assert c.index == 2
     with pytest.raises(OutOfChunks):
         layout.pcm.reserve_index(2, "boot")
-    spanning = layout.reserve_range(1024 + 10, 1024 + 600, "nursery")
+    # a range is reserved one index at a time, each from its own half
+    spanning = [layout.dram.reserve_index(i, "nursery") for i in (4, 5, 6)]
     assert [c.index for c in spanning] == [4, 5, 6]
-    assert all(c.kind is MemoryKind.DRAM for c in spanning)
-    with pytest.raises(AddressRangeError):
-        layout.reserve_range(0, 4096 + 1, "over")
+    assert all(c.kind is MemoryKind.DRAM and c.owner == "nursery" for c in spanning)
+    assert layout.dram.free_indices == [7]
+    with pytest.raises(OutOfChunks):
+        layout.pcm.reserve_index(4, "wrong-half")  # a DRAM index
+    with pytest.raises(OutOfChunks):
+        layout.dram.reserve_index(8, "over")  # past the top of the heap
+    layout.check_invariants()
 
 
 def test_chunk_at():
+    """Chunk ``addr // chunk_size`` covers ``addr``; a heap reserves the ones under its fixed spaces."""
     layout = init_layout(4 * 256, 256)
-    assert layout.chunk_at(0).index == 0
-    assert layout.chunk_at(255).index == 0
-    assert layout.chunk_at(256).index == 1
-    with pytest.raises(AddressRangeError):
-        layout.chunk_at(1024)
+    for addr, index in ((0, 0), (255, 0), (256, 1), (1023, 3)):
+        chunk = layout.chunks[addr // layout.chunk_size]
+        assert chunk.index == index and chunk.base <= addr < chunk.base + chunk.size
+    heap, _ = small_heap("KG-N")  # 64 KiB chunks, young and boot in DRAM
+    chunks = heap.layout.chunks
+    for space in (heap.boot_space, heap.nursery):
+        covering = chunks[space.lo // heap.layout.chunk_size : (space.hi - 1) // heap.layout.chunk_size + 1]
+        assert covering and all(c.in_use and c.owner == space.name for c in covering)
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,12 +108,11 @@ def test_reserve_release_conserves_chunks(script):
                 held.append(layout.pcm.reserve("t"))
         else:
             layout.pcm.release(held.pop(step % len(held)))
-        assert layout.pcm.free_count + layout.pcm.in_use_count == layout.pcm.total
         layout.check_invariants()
     # a full drain always succeeds
     for c in held:
         layout.pcm.release(c)
-    assert layout.pcm.free_count == layout.pcm.total
+    assert layout.pcm.free_count == len(layout.pcm.chunks)
 
 
 def test_exhaustion_is_deterministic():
@@ -113,3 +123,16 @@ def test_exhaustion_is_deterministic():
         layout.dram.reserve("s")
     with pytest.raises(OutOfChunks):
         layout.dram.reserve("s")
+
+
+@pytest.mark.parametrize("corrupt", ["in_use_cleared", "in_use_index_freed"])
+def test_invariants_reject_a_free_list_out_of_step_with_its_chunks(corrupt):
+    layout = init_layout(8 * 256, 256)
+    held = [layout.pcm.reserve("t"), layout.dram.reserve_index(6, "t")]
+    layout.check_invariants()
+    if corrupt == "in_use_cleared":
+        held[0].in_use = False  # the free list still holds it out
+    else:
+        layout.dram.free_indices.insert(2, 6)  # handed out again while in use
+    with pytest.raises(AssertionError):
+        layout.check_invariants()

@@ -14,9 +14,9 @@ from hybridgc.heap import (
     OBSERVER,
     ObjectRecord,
 )
-from hybridgc.memory import MemoryKind
+from hybridgc.memory import MemoryKind, total_bytes
 
-from support import KIB, MIB, small_heap
+from support import KIB, MIB, reserve_every_free_chunk, small_heap
 
 
 def rec_with_writes(n: int) -> ObjectRecord:
@@ -108,7 +108,7 @@ class TestMinorCollection:
         assert heap.emitted["copy_read"] == 6 * KIB
         assert heap.emitted["copy_write"] == 6 * KIB
         # the copies land in phase-change memory and nowhere else
-        assert system.counters.total_write_bytes(MemoryKind.PCM) == 6 * KIB
+        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 6 * KIB
 
     def test_reference_cycle_is_copied_once(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
@@ -174,6 +174,18 @@ class TestObservationPipeline:
         evac = heap.gc.collections[1]
         assert evac.copied_bytes == {MATURE_DRAM: 4 * KIB, MATURE_PCM: 4 * KIB}
         assert evac.space_used_before == 8 * KIB
+
+    def test_evacuation_is_checked_for_chunks_before_any_copy(self):
+        heap, _ = self.build()
+        ids = ids_from()
+        fill_rooted(heap, ids, 2)
+        fill_rooted(heap, ids, 1)  # 1 and 2 now under observation
+        reserve_every_free_chunk(heap.layout)
+        with pytest.raises(HeapExhausted, match="minor-collection survivors"):
+            fill_rooted(heap, ids, 2)  # full again; evacuating 1 and 2 needs a mature chunk
+        # the pre-flight refused before anything moved, after one cascaded major
+        assert [s.kind for s in heap.gc.collections] == ["minor", "major"]
+        assert heap.objects[1].space == heap.objects[2].space == OBSERVER
 
     def test_promotion_remembers_edges_left_behind(self):
         heap, _ = self.build()

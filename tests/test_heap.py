@@ -11,14 +11,15 @@ from hybridgc.heap import (
     MATURE_PCM,
     META_DRAM,
     META_PCM,
+    META_SLOT_SIZE,
     NURSERY,
     OBSERVER,
     align8,
     make_space_map,
 )
 from hybridgc.collectors import build_instance
-from hybridgc.memory import MAX_INSTANCES
-from support import KIB, MIB, make_system, small_heap
+from hybridgc.memory import MAX_INSTANCES, total_bytes
+from support import KIB, MIB, make_system, reserve_every_free_chunk, small_heap
 
 
 def test_align8():
@@ -84,7 +85,7 @@ class TestSpaceMaps:
 class TestPlacement:
     def test_young_region_sits_at_the_top_of_its_half(self):
         heap, _ = small_heap("KG-N", nursery=64 * KIB, heap_size=8 * MIB)
-        assert heap.nursery.hi == heap.layout.heap_top
+        assert heap.nursery.hi == heap.layout.heap_size
         assert heap.nursery.capacity == 64 * KIB
         assert heap.layout.region_of(heap.nursery.lo) is MemoryKind.DRAM
         assert heap.observer is None
@@ -111,6 +112,27 @@ class TestPlacement:
         pcm = small_heap("PCM-Only", boot_size=16 * KIB)[0]
         assert pcm.boot_space.lo == 0
 
+    def test_fixed_spaces_sharing_a_boundary_chunk_reserve_it_once(self):
+        # 1 MiB nursery and 2 MiB observer inside one 4 MiB chunk
+        heap, _ = small_heap(
+            "KG-W", nursery=1 * MIB, observer_multiplier=2.0, heap_size=64 * MIB,
+            chunk_size=4 * MIB, budget=16 * MIB,
+        )
+        layout = heap.layout
+        size = layout.chunk_size
+        shared = layout.chunks[heap.nursery.lo // size]
+        assert shared is layout.chunks[(heap.observer.hi - 1) // size]
+        assert shared.in_use and shared.owner == NURSERY
+        assert [e.chunk_index for e in layout.bind_log].count(shared.index) == 1
+        # nothing outside the young and boot ranges is reserved at build time
+        fixed = [(heap.young_lo, heap.young_hi), (heap.boot_space.lo, heap.boot_space.hi)]
+        under_fixed = {
+            c.index for c in layout.chunks if any(c.base < hi and lo < c.base + c.size for lo, hi in fixed)
+        }
+        assert {c.index for c in layout.chunks if c.in_use} == under_fixed
+        assert sorted(e.chunk_index for e in layout.bind_log) == sorted(under_fixed)
+        layout.check_invariants()
+
     def test_young_region_must_fit(self):
         with pytest.raises(ConfigError):
             small_heap("KG-W", nursery=2 * MIB, observer_multiplier=2.0, heap_size=8 * MIB,
@@ -123,7 +145,7 @@ class TestPlacement:
         rec = heap.objects[-1]
         assert rec.space == BOOT and len(rec.refs) == 4
         # the boot image predates the trace: no traffic, no simulated time
-        assert system.counters.total_write_bytes() == 0
+        assert total_bytes(system.counters.write_bytes) == 0
         assert system.clock.now_ns == 0.0
 
 
@@ -142,7 +164,7 @@ class TestAlloc:
         heap, system = small_heap("KG-N", zeroing=False)
         heap.alloc_object(1, 64, 0)
         assert heap.emitted["zero"] == 0
-        assert system.counters.total_write_bytes() == 0
+        assert total_bytes(system.counters.write_bytes) == 0
 
     def test_large_goes_to_los(self):
         heap, _ = small_heap("KG-N")  # loo off
@@ -276,6 +298,25 @@ def test_mature_occupancy_ignores_metadata():
         if name not in (META_DRAM, META_PCM)
     )
     assert heap.mature_occupancy() == payload == 9 * KIB
+
+
+@pytest.mark.parametrize("variant", ["KG-W", "KG-N", "PCM-Only"])
+def test_free_list_space_out_of_chunks_is_heap_exhausted(variant):
+    heap, _ = small_heap(variant)
+    reserve_every_free_chunk(heap.layout)
+    assert variant != "KG-W" or META_DRAM in heap.free_list_spaces
+    for space in heap.free_list_spaces.values():
+        with pytest.raises(HeapExhausted):
+            space.alloc(META_SLOT_SIZE)
+
+
+def test_mark_slot_out_of_chunks_is_heap_exhausted():
+    heap, _ = small_heap("KG-W", nursery=64 * KIB, budget=512 * KIB)
+    heap.alloc_object(1, 9 * KIB, 0)  # over the admission cap: lands in los-pcm
+    heap.set_root(1, True)
+    reserve_every_free_chunk(heap.layout)
+    with pytest.raises(HeapExhausted):
+        heap.gc.collect_major()  # the PCM resident's DRAM mark slot has no chunk
 
 
 def test_instance_id_must_fit_the_cache_tag():

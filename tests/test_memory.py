@@ -1,7 +1,8 @@
 import pytest
 
 from hybridgc.address_space import MemoryKind
-from hybridgc.errors import ConfigError, RateUndefined
+from hybridgc.errors import ConfigError
+from hybridgc.harness import config_for_archetype, run_experiment
 from hybridgc.memory import (
     INST_BITS,
     MAX_INSTANCES,
@@ -12,10 +13,8 @@ from hybridgc.memory import (
     SimClock,
     TrafficCounters,
     lifetime_years,
-    pcm_write_rate,
+    total_bytes,
 )
-
-GIB = 1024**3
 
 # Frozen oracle values, computed as capacity * endurance * efficiency
 # divided by rate * seconds-per-year with independent arithmetic:
@@ -58,17 +57,31 @@ class TestLifetime:
 
 
 class TestRate:
+    """The write rate a report gives is its window's PCM bytes over its simulated seconds."""
+
     def test_one_gib_over_ten_seconds(self):
-        counters = TrafficCounters()
-        counters.add_write(0, MemoryKind.PCM, "nursery", GIB)
         clock = SimClock(op_cost_ns=5.0)
         clock.advance(2_000_000_000, 0)  # exactly 10 simulated seconds
-        assert clock.elapsed_seconds == pytest.approx(10.0)
-        assert pcm_write_rate(counters, clock) == pytest.approx(107_374_182.4)
+        assert clock.now_ns == 1e10
+        config = config_for_archetype("mature-mutation", "PCM-Only", 3, op_count=5_000, instances=2, quantum=500)
+        report = run_experiment(config)
+        assert report.sim_seconds > 0
+        for row in (*report.rows, report.aggregate):
+            assert row.pcm_write_bytes > 0
+            assert row.pcm_write_rate_bps == row.pcm_write_bytes / report.sim_seconds
+            assert row.lifetime_years == lifetime_years(row.pcm_write_rate_bps, config.lifetime_model())
 
     def test_rate_undefined_without_time(self):
-        with pytest.raises(RateUndefined):
-            pcm_write_rate(TrafficCounters(), SimClock())
+        # one quantum runs the whole trace, so the window opens after the
+        # last op and holds no simulated time; the drain still writes PCM
+        config = config_for_archetype(
+            "mature-mutation", "PCM-Only", 3, op_count=2_000, quantum=10_000, warmup_fraction=0.5
+        )
+        report = run_experiment(config)
+        assert not report.failed and report.sim_seconds == 0
+        assert report.aggregate.pcm_write_bytes > 0
+        for row in (*report.rows, report.aggregate):
+            assert row.pcm_write_rate_bps is None and row.lifetime_years is None
 
     def test_collector_time_toggle(self):
         clock = SimClock(include_collector_time=False)
@@ -102,9 +115,9 @@ class TestCacheModel:
         counters = system.counters
         for _ in range(100):
             system.access(0, 0, 8, True, "s")
-        assert counters.total_write_bytes() == 0  # nothing reached memory yet
+        assert total_bytes(counters.write_bytes) == 0  # nothing reached memory yet
         assert system.drain() == 1
-        assert counters.total_write_bytes(MemoryKind.PCM) == 64
+        assert total_bytes(counters.write_bytes, MemoryKind.PCM) == 64
         key = (0, MemoryKind.PCM)
         assert counters.demand_write_bytes[key] == 100 * 64
         assert counters.absorbed_write_bytes[key] == 99 * 64
@@ -132,8 +145,8 @@ class TestCacheModel:
         counters = system.counters
         system.access(0, 0, 64, False, "s")
         system.access(0, 64, 64, False, "s")  # evicts clean line 0
-        assert counters.total_read_bytes(MemoryKind.PCM) == 128
-        assert counters.total_write_bytes() == 0
+        assert total_bytes(counters.read_bytes, MemoryKind.PCM) == 128
+        assert total_bytes(counters.write_bytes) == 0
         assert counters.writebacks == 0
 
     def test_split_classifies_lines(self):
@@ -141,8 +154,8 @@ class TestCacheModel:
         system.access(0, 0, 8, True, "lo")
         system.access(0, 128, 8, True, "hi")
         system.drain()
-        assert system.counters.total_write_bytes(MemoryKind.PCM) == 64
-        assert system.counters.total_write_bytes(MemoryKind.DRAM) == 64
+        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 64
+        assert total_bytes(system.counters.write_bytes, MemoryKind.DRAM) == 64
 
     def test_instances_do_not_alias(self):
         system = one_set_cache(ways=2)
@@ -150,8 +163,8 @@ class TestCacheModel:
         system.access(1, 0, 8, True, "s")  # same address, other program
         assert system.cache.resident_lines() == 2
         system.drain()
-        assert system.counters.total_write_bytes(inst=0) == 64
-        assert system.counters.total_write_bytes(inst=1) == 64
+        assert total_bytes(system.counters.write_bytes, inst=0) == 64
+        assert total_bytes(system.counters.write_bytes, inst=1) == 64
 
     def test_highest_instance_does_not_alias_the_next_line(self):
         # keys are (line << INST_BITS) | instance: instance 65535 on line 0
@@ -191,8 +204,8 @@ class TestCacheModel:
         counters = system.counters
         system.access(0, 3, 5, True, "s")
         system.access(0, 1000, 7, False, "s")
-        assert counters.total_write_bytes(MemoryKind.PCM) == 5
-        assert counters.total_read_bytes(MemoryKind.PCM) == 7
+        assert total_bytes(counters.write_bytes, MemoryKind.PCM) == 5
+        assert total_bytes(counters.read_bytes, MemoryKind.PCM) == 7
         assert system.drain() == 0
         counters.check_write_conservation()
 
@@ -204,8 +217,8 @@ class TestCacheModel:
         assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
         assert counters.fills == 4
         assert system.drain() == 4
-        assert counters.total_write_bytes(MemoryKind.PCM) == 128
-        assert counters.total_write_bytes(MemoryKind.DRAM) == 128
+        assert total_bytes(counters.write_bytes, MemoryKind.PCM) == 128
+        assert total_bytes(counters.write_bytes, MemoryKind.DRAM) == 128
         counters.check_write_conservation()
 
     def test_passthrough_splits_a_straddling_range(self):
@@ -226,9 +239,9 @@ class TestCacheModel:
         cached.access(0, 900, 128, True, "s")
         bypass.access(0, 900, 128, True, "s")
         cached.drain()
-        assert cached.counters.total_write_bytes(MemoryKind.PCM) == 64  # line 14
-        assert bypass.counters.total_write_bytes(MemoryKind.PCM) == 60  # bytes 900..959
-        assert bypass.counters.total_write_bytes(MemoryKind.DRAM) == 68
+        assert total_bytes(cached.counters.write_bytes, MemoryKind.PCM) == 64  # line 14
+        assert total_bytes(bypass.counters.write_bytes, MemoryKind.PCM) == 60  # bytes 900..959
+        assert total_bytes(bypass.counters.write_bytes, MemoryKind.DRAM) == 68
 
     def test_zero_length_access_is_a_noop(self):
         system = one_set_cache()
@@ -250,20 +263,24 @@ class TestCacheModel:
 class TestCounters:
     def test_snapshot_diff(self):
         counters = TrafficCounters()
-        counters.add_write(0, MemoryKind.PCM, "a", 10)
+        counters.write_bytes[(0, MemoryKind.PCM, "a")] = 10
+        counters.fills = 2
         base = counters.snapshot()
-        counters.add_write(0, MemoryKind.PCM, "a", 7)
-        counters.add_read(1, MemoryKind.DRAM, "b", 3)
+        assert base.write_bytes == counters.write_bytes and base.fills == 2
+        counters.write_bytes[(0, MemoryKind.PCM, "a")] += 7
+        counters.read_bytes[(1, MemoryKind.DRAM, "b")] = 3
+        counters.fills += 1
         window = counters.diff(base)
-        assert window.total_write_bytes() == 7
-        assert window.total_read_bytes() == 3
-        assert base.total_write_bytes() == 10  # snapshot is unaffected
+        assert window.fills == 1
+        assert total_bytes(window.write_bytes) == 7
+        assert total_bytes(window.read_bytes) == 3
+        assert total_bytes(base.write_bytes) == 10  # snapshot is unaffected
 
     def test_by_space(self):
         counters = TrafficCounters()
-        counters.add_write(0, MemoryKind.PCM, "nursery", 5)
-        counters.add_write(0, MemoryKind.PCM, "los-pcm", 9)
-        counters.add_write(0, MemoryKind.DRAM, "nursery", 100)
+        counters.write_bytes[(0, MemoryKind.PCM, "nursery")] = 5
+        counters.write_bytes[(0, MemoryKind.PCM, "los-pcm")] = 9
+        counters.write_bytes[(0, MemoryKind.DRAM, "nursery")] = 100
         assert counters.by_space(0, MemoryKind.PCM) == {"los-pcm": 9, "nursery": 5}
 
     def test_conservation_violation_detected(self):
@@ -279,11 +296,11 @@ class TestMemorySystem:
         system = system_over(16 * 64, gc_through=False)
         system.access(0, 0, 8, True, "s", collector=True)
         # bypassed traffic reaches memory immediately, byte-exact
-        assert system.counters.total_write_bytes(MemoryKind.PCM) == 8
+        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 8
         system.access(0, 0, 8, True, "s", collector=False)
-        assert system.counters.total_write_bytes(MemoryKind.PCM) == 8  # cached
+        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 8  # cached
         system.drain()
-        assert system.counters.total_write_bytes(MemoryKind.PCM) == 8 + 64
+        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 8 + 64
         system.counters.check_write_conservation()
 
     def test_collector_bypass_splits_a_straddling_range(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from hybridgc.errors import ConfigError
-from hybridgc.units import GIB, KIB, MIB, format_bytes, parse_size
+from hybridgc.units import GIB, MIB, parse_size
 
 
 @pytest.mark.parametrize(
@@ -31,8 +31,3 @@ def test_parse_size_rejects_fractional_bytes():
     with pytest.raises(ConfigError):
         parse_size("1.0001KiB")
 
-
-def test_format_bytes():
-    assert format_bytes(4 * MIB) == "4MiB"
-    assert format_bytes(3 * KIB) == "3KiB"
-    assert format_bytes(100) == "100B"
