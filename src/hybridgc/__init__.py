@@ -9,6 +9,7 @@ from .errors import (
     DoubleFree,
     GcLogicError,
     HeapExhausted,
+    InvariantError,
     OutOfChunks,
     SimulatorError,
     TraceError,
@@ -60,6 +61,7 @@ __all__ = [
     "HeapExhausted",
     "HeapInstance",
     "HeapLayout",
+    "InvariantError",
     "LifetimeModel",
     "MemoryKind",
     "MemorySystem",

@@ -15,7 +15,7 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import AddressRangeError, ConfigError, DoubleFree, OutOfChunks
+from .errors import AddressRangeError, ConfigError, DoubleFree, InvariantError, OutOfChunks
 
 
 class MemoryKind(Enum):
@@ -78,7 +78,8 @@ class FreeList:
 
     def _hand_out(self, index: int, owner: str) -> ChunkDescriptor:
         chunk = self._by_index[index]
-        assert not chunk.in_use
+        if chunk.in_use:
+            raise InvariantError(f"{self.kind.value} chunk {index} is on the free list while in use")
         chunk.in_use = True
         chunk.owner = owner
         first_bind = not chunk.mapped
@@ -118,6 +119,12 @@ class HeapLayout:
             raise AddressRangeError(f"address {addr:#x} outside heap [0, {self.heap_size:#x})")
         return MemoryKind.PCM if addr < self.split else MemoryKind.DRAM
 
+    def half_bounds(self, kind: MemoryKind) -> tuple[int, int]:
+        """[lo, hi) of the half backed by ``kind``."""
+        if kind is MemoryKind.PCM:
+            return 0, self.split
+        return self.split, self.heap_size
+
     def free_list_for(self, kind: MemoryKind) -> FreeList:
         return self.dram if kind is MemoryKind.DRAM else self.pcm
 
@@ -127,12 +134,14 @@ class HeapLayout:
     def check_invariants(self) -> None:
         for free_list in (self.pcm, self.dram):
             free = [c.index for c in free_list.chunks if not c.in_use]
-            assert free_list.free_indices == free, f"{free_list.kind.value} free list disagrees with in_use"
+            if free_list.free_indices != free:
+                raise InvariantError(f"{free_list.kind.value} free list disagrees with in_use")
         bound = {e.chunk_index for e in self.bind_log}
-        assert len(bound) == len(self.bind_log), "chunk bound twice"
+        if len(bound) != len(self.bind_log):
+            raise InvariantError("chunk bound twice")
         for c in self.chunks:
-            if c.in_use:
-                assert c.mapped and c.owner is not None
+            if c.in_use and (not c.mapped or c.owner is None):
+                raise InvariantError(f"chunk {c.index} is in use but unmapped or unowned")
 
 
 def init_layout(heap_size: int, chunk_size: int) -> HeapLayout:

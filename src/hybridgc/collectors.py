@@ -8,6 +8,12 @@ large object may use the nursery) are small pure functions so tests can
 pin them directly. A young collection decides each survivor's
 destination once; the chunk pre-flight and the copy loop both read that
 plan.
+
+A minor collection costs O(young), not O(heap): it seeds its closure
+from the heap's address-ordered ``young`` list and the remembered set,
+plans its copies by walking that list, reclaims the young dead from it,
+and leaves it holding the observer's residents. Only ``check_placement``
+still visits every object, in one tight loop.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable
 
 from .address_space import MemoryKind
 from .config import Collector, CollectorConfig
-from .errors import GcLogicError, HeapExhausted
+from .errors import GcLogicError, HeapExhausted, InvariantError
 from .heap import (
     LOS_DRAM,
     LOS_PCM,
@@ -27,6 +33,7 @@ from .heap import (
     OBSERVER,
     HeapInstance,
     ObjectRecord,
+    loo_admit,  # noqa: F401 -- the admission policy sits with route_survivor here
 )
 
 
@@ -35,8 +42,12 @@ class Phase(Enum):
     OBSERVER = "observer"
 
 
-def route_survivor(config: CollectorConfig, obj: ObjectRecord, phase: Phase) -> str:
-    """Destination space for a (non-large) survivor of the given phase."""
+def route_survivor(config: CollectorConfig, obj: ObjectRecord | None, phase: Phase) -> str:
+    """Destination space for a (non-large) survivor of the given phase.
+
+    Only the observer phase reads ``obj``; a minor survivor's route
+    depends on the variant alone.
+    """
     if phase is Phase.MINOR:
         if config.variant.is_write_sampling:
             return OBSERVER
@@ -48,19 +59,6 @@ def route_survivor(config: CollectorConfig, obj: ObjectRecord, phase: Phase) -> 
         # anything written goes to DRAM.
         return "mature-pcm" if obj.write_count == 0 else "mature-dram"
     raise GcLogicError(f"unknown phase {phase!r}")
-
-
-def loo_admit(config: CollectorConfig, size: int, nursery_free: int) -> bool:
-    """May a large object of ``size`` bytes be allocated in the nursery?
-
-    Only when the optimization is on, the object is small relative to the
-    nursery, and there is room right now; otherwise it goes to the LOS
-    without forcing a collection.
-    """
-    if not config.loo:
-        return False
-    cap = config.loo_nursery_fraction * config.effective_nursery_size
-    return size <= cap and size <= nursery_free
 
 
 @dataclass
@@ -102,10 +100,7 @@ class GcEngine:
         self.inspect_hook: Callable[[str, frozenset], None] | None = None
         heap.gc = self
 
-    # -- hooks used by the heap's allocator --
-
-    def admit_large(self, size: int) -> bool:
-        return loo_admit(self.config, size, self.heap.nursery.free)
+    # -- the hook used by the heap's allocator --
 
     def on_nursery_full(self) -> None:
         for attempt in (0, 1):
@@ -138,29 +133,22 @@ class GcEngine:
     def _young_closure(self) -> set[int]:
         """Ids of young objects reachable from roots and remembered slots."""
         heap = self.heap
-        objects = heap.objects
-        is_young = heap.is_young_addr
-        seeds = []
-        for oid in heap.roots:
-            rec = objects.get(oid)
-            if rec is not None and is_young(rec.addr):
-                seeds.append(oid)
+        roots = heap.roots
+        young = {rec.id: rec for rec in heap.young}
+        stack = [oid for oid in young if oid in roots]
         for pid, slot in heap.remset:
             cid = self._remembered_child(pid, slot)
             if cid:
-                seeds.append(cid)
+                stack.append(cid)
         live: set[int] = set()
-        stack = seeds
         while stack:
             oid = stack.pop()
             if oid in live:
                 continue
             live.add(oid)
-            for cid in objects[oid].refs:
-                if cid and cid not in live:
-                    child = objects.get(cid)
-                    if child is not None and is_young(child.addr):
-                        stack.append(cid)
+            for cid in young[oid].refs:
+                if cid in young and cid not in live:
+                    stack.append(cid)
         return live
 
     def _full_closure(self) -> set[int]:
@@ -187,26 +175,27 @@ class GcEngine:
         Nursery survivors go to the large-object space if large, else
         where ``route_survivor`` sends them. The observer is evacuated
         only when the survivors bound for it overflow its free space;
-        otherwise ``observer_moves`` is None.
+        otherwise ``observer_moves`` is None. Walking ``heap.young``
+        yields both lists already in address order.
         """
         heap = self.heap
         config = self.config
+        minor_dest = route_survivor(config, None, Phase.MINOR)
         nursery_moves = []
         observer_live = []
         to_observer = 0
-        for oid in live:
-            rec = heap.objects[oid]
+        for rec in heap.young:
+            if rec.id not in live:
+                continue
             if rec.space == NURSERY:
-                dest = LOS_PCM if rec.large else route_survivor(config, rec, Phase.MINOR)
+                dest = LOS_PCM if rec.large else minor_dest
                 if dest == OBSERVER:
                     to_observer += rec.size
                 nursery_moves.append((rec, dest))
-            elif rec.space == OBSERVER:
+            else:
                 observer_live.append(rec)
-        nursery_moves.sort(key=lambda move: move[0].addr)
         observer_moves = None
         if heap.observer is not None and heap.observer.free < to_observer:
-            observer_live.sort(key=lambda r: r.addr)
             observer_moves = [(rec, route_survivor(config, rec, Phase.OBSERVER)) for rec in observer_live]
         return SurvivorPlan(nursery_moves, observer_moves)
 
@@ -248,9 +237,9 @@ class GcEngine:
         stats.space_used_before = heap.nursery.used
         for rec, dest in plan.nursery_moves:
             if dest == OBSERVER:
-                assert heap.observer is not None
                 new_addr = heap.observer.alloc(rec.size)
-                assert new_addr is not None, "observer evacuation left too little room"
+                if new_addr is None:
+                    raise InvariantError("observer evacuation left too little room")
             else:
                 new_addr = heap.free_list_spaces[dest].alloc(rec.size)
                 moved_out.append(rec)
@@ -290,15 +279,19 @@ class GcEngine:
         stats.evacuated_bytes += rec.size
 
     def _reclaim_dead_young(self, live: set[int]) -> int:
+        """Drop the young dead; ``young`` keeps the observer's residents, in order."""
         heap = self.heap
-        dead = [
-            oid
-            for oid, rec in heap.objects.items()
-            if oid not in live and heap.is_young_addr(rec.addr)
-        ]
-        for oid in dead:
-            del heap.objects[oid]
-        return len(dead)
+        objects = heap.objects
+        kept = []
+        dead = 0
+        for rec in heap.young:
+            if rec.id not in live:
+                del objects[rec.id]
+                dead += 1
+            elif rec.space == OBSERVER:  # stayed, or was just copied in
+                kept.append(rec)
+        heap.young = kept
+        return dead
 
     def _remember_edges_from(self, moved_out: list[ObjectRecord]) -> None:
         """Objects that just left the young region may still point into it."""
@@ -356,6 +349,8 @@ class GcEngine:
         for oid in dead:
             del heap.objects[oid]
         stats.reclaimed_objects = len(dead)
+        # a major cascaded from on_nursery_full reclaims young objects too
+        heap.young = [rec for rec in heap.young if rec.id in live]
 
         # the relocation window restarts at each full collection
         for rec in live_recs:

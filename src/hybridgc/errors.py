@@ -47,3 +47,16 @@ class TraceError(SimulatorError):
 
 class GcLogicError(SimulatorError):
     """A collection phase was requested that the configured collector lacks."""
+
+
+class InvariantError(SimulatorError):
+    """A model invariant does not hold; the simulator's state is inconsistent.
+
+    Raised, never asserted, so ``python -O`` cannot remove the check and a
+    run reports it as a failure. ``instance`` names the heap instance
+    when the check knows it.
+    """
+
+    def __init__(self, message: str, *, instance: int | None = None):
+        super().__init__(message)
+        self.instance = instance

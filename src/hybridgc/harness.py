@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from .address_space import MemoryKind
 from .collectors import build_instance
 from .config import Collector, CollectorConfig
-from .errors import ConfigError, SimulatorError
+from .errors import ConfigError, InvariantError, SimulatorError
 from .memory import (
     MAX_INSTANCES,
     CacheModel,
@@ -267,11 +267,15 @@ def _instance_streams(config: ExperimentConfig):
         for _ in range(config.instances):
             out.append((config.trace_path, iter(ops), len(ops)))
     else:
-        assert config.workload is not None
         for i in range(config.instances):
             spec = config.workload.with_seed(derive_seed(config.seed, i))
             out.append((spec.archetype, generate(spec), spec.op_count))
     return out
+
+
+def _failure(exc: SimulatorError, instance: int, heap) -> dict:
+    """A failed report's ``error``: the instance, its op index and the exception."""
+    return {"instance": instance, "op_index": heap.op_index, "message": f"{type(exc).__name__}: {exc}"}
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -309,11 +313,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             try:
                 executed, exhausted = drive(heaps[i], streams[i][1], config.quantum)
             except SimulatorError as exc:
-                failure = {
-                    "instance": i,
-                    "op_index": heaps[i].op_index,
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
+                failure = _failure(exc, i, heaps[i])
                 break
             ops_done[i] += executed
             if exhausted:
@@ -326,7 +326,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     system.drain()
     if config.strict_checks:
-        system.counters.check_write_conservation()
+        try:
+            system.counters.check_write_conservation()
+        except InvariantError as exc:
+            if failure is None:  # a failed slice already explains the run
+                failure = _failure(exc, exc.instance, heaps[exc.instance])
 
     window = system.counters.diff(base_counters)
     elapsed = (system.clock.now_ns - base_ns) * 1e-9

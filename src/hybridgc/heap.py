@@ -10,6 +10,12 @@ here; the collection algorithms that consume this state, and issue the
 collector's traffic, live in :mod:`hybridgc.collectors`. Every access
 goes straight to ``MemorySystem.access``, and each call site adds its
 bytes to the heap's ``emitted`` tally.
+
+Besides ``objects`` (every live record), the heap keeps ``young``: the
+records in the observer or the nursery, in address order. Allocation
+appends to it and the collector rebuilds it, so a minor collection
+touches only young records. ``check_placement`` still covers every
+object, comparing each address with its space's precomputed half.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .address_space import HeapLayout, MemoryKind, init_layout
 from .config import Collector, CollectorConfig
-from .errors import ConfigError, HeapExhausted, OutOfChunks, TraceError
+from .errors import ConfigError, HeapExhausted, InvariantError, OutOfChunks, TraceError
 from .memory import MAX_INSTANCES, MemorySystem
 from .units import MIB
 
@@ -46,6 +52,19 @@ META_PCM = "meta-pcm"
 
 def align8(n: int) -> int:
     return (n + 7) & ~7
+
+
+def loo_admit(config: CollectorConfig, size: int, nursery_free: int) -> bool:
+    """May a large object of ``size`` bytes be allocated in the nursery?
+
+    Only when the optimization is on, the object is small relative to the
+    nursery, and there is room right now; otherwise it goes to the LOS
+    without forcing a collection.
+    """
+    if not config.loo:
+        return False
+    cap = config.loo_nursery_fraction * config.effective_nursery_size
+    return size <= cap and size <= nursery_free
 
 
 @dataclass(frozen=True)
@@ -160,7 +179,8 @@ class FreeListSpace:
             self.chunks.append(chunk)
             self._insert_extent(chunk.base, chunk.size)
             addr = self._first_fit(n)
-            assert addr is not None
+            if addr is None:
+                raise InvariantError(f"a fresh {chunk.size}-byte chunk of {self.name} cannot hold {n} bytes")
         self.allocated_bytes += n
         return addr
 
@@ -201,7 +221,8 @@ class FreeListSpace:
             any_live = False
             while idx < n_live and live_intervals[idx][0] < hi:
                 a, sz = live_intervals[idx]
-                assert a >= lo and a + sz <= hi, "live object outside its chunk"
+                if a < lo or a + sz > hi:
+                    raise InvariantError(f"live object at {a:#x} is outside its {self.name} chunk")
                 any_live = True
                 live_bytes += sz
                 if a > cursor:
@@ -214,7 +235,8 @@ class FreeListSpace:
             if cursor < hi:
                 extents.append([cursor, hi - cursor])
             kept.append(chunk)
-        assert idx == n_live, "live object not inside any owned chunk"
+        if idx != n_live:
+            raise InvariantError(f"live object at {live_intervals[idx][0]:#x} is not inside any {self.name} chunk")
         self.chunks = kept
         self.extents = extents
         self.allocated_bytes = live_bytes
@@ -258,9 +280,17 @@ class HeapInstance:
         self.strict_checks = strict_checks
         self.layout = init_layout(heap_size, chunk_size)
         self.space_map = make_space_map(config)
+        # [lo, hi) of the memory half each space must sit in
+        self.space_bounds = {
+            name: self.layout.half_bounds(desc.memory) for name, desc in self.space_map.items()
+        }
         self.gc: "GcEngine | None" = None  # attached by the engine
 
         self.objects: dict[int, ObjectRecord] = {}
+        # The observer and nursery records in address order: both spaces
+        # are bump-allocated and the observer sits directly below the
+        # nursery, so allocation and copying only ever append.
+        self.young: list[ObjectRecord] = []
         self.roots: set[int] = set()
         self.remset: set[tuple[int, int]] = set()
         self.ever_ids: set[int] = set()
@@ -289,14 +319,8 @@ class HeapInstance:
     def _place_fixed_spaces(self, boot_size: int) -> None:
         layout = self.layout
         cfg = self.config
-
-        def half_bounds(kind: MemoryKind) -> tuple[int, int]:
-            if kind is MemoryKind.PCM:
-                return 0, layout.split
-            return layout.split, layout.heap_size
-
         young_kind = self.space_map[NURSERY].memory
-        half_lo, half_hi = half_bounds(young_kind)
+        half_lo, half_hi = layout.half_bounds(young_kind)
         nursery_hi = half_hi
         nursery_lo = nursery_hi - cfg.effective_nursery_size
         ranges: list[tuple[str, int, int]] = [(NURSERY, nursery_lo, nursery_hi)]
@@ -307,7 +331,7 @@ class HeapInstance:
             ranges.append((OBSERVER, observer_lo, observer_hi))
             young_lo = observer_lo
         boot_kind = self.space_map[BOOT].memory
-        boot_lo = half_bounds(boot_kind)[0]
+        boot_lo = layout.half_bounds(boot_kind)[0]
         boot_hi = boot_lo + boot_size
         ranges.append((BOOT, boot_lo, boot_hi))
 
@@ -343,8 +367,7 @@ class HeapInstance:
         count = self.boot_space.capacity // extent
         self.boot_ids: list[int] = []
         for k in range(count):
-            addr = self.boot_space.alloc(extent)
-            assert addr is not None
+            addr = self.boot_space.alloc(extent)  # count fits by construction
             oid = -(k + 1)
             self.objects[oid] = ObjectRecord(
                 id=oid, addr=addr, size=extent, space=BOOT, refs=[0] * BOOT_OBJECT_REFS
@@ -376,6 +399,8 @@ class HeapInstance:
 
         rec = ObjectRecord(id=oid, addr=addr, size=extent, space=space, refs=[0] * n_refs, large=large)
         self.objects[oid] = rec
+        if space == NURSERY:
+            self.young.append(rec)
         self.ever_ids.add(oid)
         if self.zeroing:
             self.emitted["zero"] += extent
@@ -385,7 +410,6 @@ class HeapInstance:
     def _alloc_small(self, extent: int) -> tuple[int, str]:
         addr = self.nursery.alloc(extent)
         if addr is None:
-            assert self.gc is not None
             self.gc.on_nursery_full()
             addr = self.nursery.alloc(extent)
             if addr is None:
@@ -393,11 +417,8 @@ class HeapInstance:
         return addr, NURSERY
 
     def _alloc_large(self, extent: int) -> tuple[int, str]:
-        assert self.gc is not None
-        if self.config.loo and self.gc.admit_large(extent):
-            addr = self.nursery.alloc(extent)
-            assert addr is not None  # admission checked the free space
-            return addr, NURSERY
+        if loo_admit(self.config, extent, self.nursery.free):
+            return self.nursery.alloc(extent), NURSERY  # admission checked the free space
         return self.free_list_spaces[LOS_PCM].alloc(extent), LOS_PCM
 
     def write_data(self, oid: int, offset: int, length: int) -> None:
@@ -464,9 +485,12 @@ class HeapInstance:
         )
 
     def check_placement(self) -> None:
-        """Every live object must sit on its space's memory kind."""
+        """Every live object must sit in the memory half of its space's kind."""
+        bounds = self.space_bounds
         for rec in self.objects.values():
-            want = self.space_map[rec.space].memory
-            got = self.layout.region_of(rec.addr)
-            assert got is want, f"object {rec.id} in {rec.space} landed on {got.value}"
+            lo, hi = bounds[rec.space]
+            if not lo <= rec.addr < hi:
+                raise InvariantError(
+                    f"object {rec.id} in {rec.space} landed at {rec.addr:#x}, outside [{lo:#x}, {hi:#x})"
+                )
         self.layout.check_invariants()

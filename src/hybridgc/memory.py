@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .address_space import MemoryKind
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 
 LINE_SIZE_DEFAULT = 64
 SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
@@ -93,14 +93,17 @@ class TrafficCounters:
     def check_write_conservation(self) -> None:
         """Valid only when no dirty line is outstanding (post-drain)."""
         keys = set(self.demand_write_bytes) | set(self.absorbed_write_bytes) | set(self.writeback_bytes)
-        for key in keys:
+        # sorted, so a run that breaks conservation twice always names the same key
+        for key in sorted(keys, key=lambda k: (k[0], k[1].value)):
             demand = self.demand_write_bytes.get(key, 0)
             absorbed = self.absorbed_write_bytes.get(key, 0)
             written = self.writeback_bytes.get(key, 0)
-            assert demand == absorbed + written, (
-                f"write bytes not conserved for {key}: {demand} demanded, "
-                f"{absorbed} absorbed, {written} written back"
-            )
+            if demand != absorbed + written:
+                raise InvariantError(
+                    f"write bytes not conserved for {key}: {demand} demanded, "
+                    f"{absorbed} absorbed, {written} written back",
+                    instance=key[0],
+                )
 
 
 class CacheModel:
@@ -141,9 +144,6 @@ class CacheModel:
         self.sets: list[dict[int, str | None]] = [{} for _ in range(self.n_sets)]
         self.record_events = record_events
         self.events: list[tuple[str, int, int]] = []
-
-    def resident_lines(self) -> int:
-        return sum(len(cset) for cset in self.sets)
 
 
 class SimClock:

@@ -7,6 +7,7 @@ expected live sets can be computed without trusting the collector.
 
 import random
 
+from hybridgc.config import Collector
 from hybridgc.errors import HeapExhausted
 from hybridgc.heap import BOOT_OBJECT_REFS
 from hybridgc.workloads import Alloc, ReadOp, RefOp, RootOp, UnrootOp, WriteOp
@@ -81,7 +82,7 @@ def random_ops(rng: random.Random, n_objects: int) -> list:
     for oid in range(1, n_objects + 1):
         if rng.random() < 0.06:
             n_slots = rng.randrange(0, 3)
-            size = rng.randrange(8 * KIB, 20 * KIB)
+            size = rng.randrange(4 * KIB, 20 * KIB)  # a quarter fit the 8 KiB LOO nursery cap
             large = True
         else:
             n_slots = rng.randrange(0, 4)
@@ -139,15 +140,29 @@ def apply_op(heap, op) -> None:
             heap.set_root(oid, False)
 
 
+def check_young_list(heap) -> None:
+    """``heap.young`` is exactly the records in the young region, in address order."""
+    lo, hi = heap.young_lo, heap.young_hi
+    expected = sorted((rec for rec in heap.objects.values() if lo <= rec.addr < hi), key=lambda r: r.addr)
+    assert list(map(id, heap.young)) == list(map(id, expected)), (
+        [r.id for r in heap.young],
+        [r.id for r in expected],
+    )
+
+
 def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[str, int]:
     """Run one random trace, asserting every live set against the shadow.
+
+    After every op the heap's young list must also match its objects.
 
     Returns how many collections of each kind were checked.
     """
     ops = random_ops(random.Random(seed), n_objects)
+    # the B variants triple their nursery; keep every effective nursery near 64 KiB
+    multiplier = Collector.from_name(variant).nursery_multiplier
     heap, system = small_heap(
         variant,
-        nursery=64 * KIB,
+        nursery=(64 * KIB // multiplier) & ~7,
         observer_multiplier=1.0,
         budget=1 * MIB,
         heap_size=16 * MIB,
@@ -169,9 +184,11 @@ def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[st
         for op in ops:
             apply_op(heap, op)
             shadow.apply(op)
+            check_young_list(heap)
         heap.gc.collect_major()
     except HeapExhausted:
         pass
+    check_young_list(heap)
     heap.check_placement()
     system.counters.check_write_conservation()
     return checks

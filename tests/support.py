@@ -56,6 +56,11 @@ def small_heap(
     return heap, system
 
 
+def resident_lines(cache) -> int:
+    """Lines currently held in ``cache``'s sets, clean or dirty."""
+    return sum(len(cset) for cset in cache.sets)
+
+
 def reserve_every_free_chunk(layout) -> None:
     """Leave both halves of ``layout`` without a free chunk."""
     for free_list in (layout.pcm, layout.dram):

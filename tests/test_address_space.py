@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridgc.address_space import MemoryKind, init_layout
-from hybridgc.errors import AddressRangeError, ConfigError, DoubleFree, OutOfChunks
+from hybridgc.errors import AddressRangeError, ConfigError, DoubleFree, InvariantError, OutOfChunks
 from support import small_heap
 
 
@@ -134,5 +134,5 @@ def test_invariants_reject_a_free_list_out_of_step_with_its_chunks(corrupt):
         held[0].in_use = False  # the free list still holds it out
     else:
         layout.dram.free_indices.insert(2, 6)  # handed out again while in use
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError, match="free list disagrees with in_use"):
         layout.check_invariants()

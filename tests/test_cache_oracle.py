@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cache_reference import RefCache
+from support import resident_lines
 from hybridgc.memory import MAX_INSTANCES, CacheModel, MemorySystem, SimClock, TrafficCounters
 
 LINE = 64
@@ -72,7 +73,7 @@ def run_pair(
     assert mc.absorbed_write_bytes == rc.absorbed_write_bytes
     assert mc.writeback_bytes == rc.writeback_bytes
     assert mc.fills == rc.fills and mc.writebacks == rc.writebacks
-    assert model.cache.resident_lines() == ref.resident_lines()
+    assert resident_lines(model.cache) == ref.resident_lines()
     mc.check_write_conservation()
     return len(ref.events)
 

@@ -215,6 +215,84 @@ class TestObservationPipeline:
         assert 100 not in heap.objects
 
 
+def young_ids(heap):
+    return [rec.id for rec in heap.young]
+
+
+class TestYoungList:
+    """``heap.young`` holds exactly the nursery and observer records, by address."""
+
+    def test_cascaded_major_leaves_no_reclaimed_record(self):
+        # one chunk per half, as in test_destination_exhaustion_cascades_once_then_fails
+        heap, _ = small_heap(
+            "KG-N",
+            nursery=32 * KIB,
+            budget=256 * KIB,
+            heap_size=128 * KIB,
+            chunk_size=64 * KIB,
+            zeroing=False,
+        )
+        ids = ids_from()
+        first = fill_rooted(heap, ids, 9)  # 1-8 promoted; 9 young
+        second = fill_rooted(heap, ids, 8)  # 9-16 promoted: the PCM chunk is full
+        for oid in first[:8] + second[:7]:
+            heap.set_root(oid, False)  # mature garbage that only a major reclaims
+        fill_rooted(heap, ids, 6)  # 18-23
+        heap.alloc_object(100, 4 * KIB, 0)  # young garbage; the nursery is full
+        assert young_ids(heap) == [17, 18, 19, 20, 21, 22, 23, 100]
+
+        fill_rooted(heap, ids, 1)  # 24: 28 KiB of survivors overflow the chunk's tail
+
+        # the pre-flight cascaded into a major, which swept the chunk and reclaimed 100
+        assert [s.kind for s in heap.gc.collections] == ["minor", "minor", "major", "minor"]
+        assert 100 not in heap.objects
+        assert heap.gc.collections[-1].reclaimed_objects == 0
+        assert heap.gc.collections[-1].copied_objects == 7
+        assert young_ids(heap) == [24]
+
+    def test_dead_observer_resident_is_reclaimed_without_an_evacuation(self):
+        heap, _ = small_heap("KG-W", nursery=8 * KIB, observer_multiplier=2.0, budget=1 * MIB, zeroing=False)
+        ids = ids_from()
+        fill_rooted(heap, ids, 3)  # 1 and 2 move into the observer; 3 is young
+        assert young_ids(heap) == [1, 2, 3]
+        heap.set_root(1, False)
+        fill_rooted(heap, ids, 2)  # 5: the second minor copies 3 and 4 into the free half
+
+        assert [s.kind for s in heap.gc.collections] == ["minor", "minor"]
+        assert 1 not in heap.objects
+        assert heap.gc.collections[-1].reclaimed_objects == 1
+        assert young_ids(heap) == [2, 3, 4, 5]
+        assert [heap.objects[oid].space for oid in (2, 3, 4)] == [OBSERVER] * 3
+        assert heap.observer.used == 16 * KIB  # a bump space frees only on evacuation
+
+    def test_surviving_admitted_large_object_leaves_for_the_los(self):
+        heap, _ = small_heap("KG-W", zeroing=False)  # 64 KiB nursery, 8 KiB cap
+        heap.alloc_object(1, 8 * KIB, 0)
+        heap.set_root(1, True)
+        assert young_ids(heap) == [1]
+        ids = ids_from(2)
+        fill_rooted(heap, ids, 14)
+        fill_rooted(heap, ids, 1)  # 16: the first minor
+
+        assert heap.objects[1].space == LOS_PCM
+        assert young_ids(heap) == list(range(2, 17))
+
+    def test_rooted_mature_objects_are_not_scanned(self):
+        heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
+        ids = ids_from()
+        fill_rooted(heap, ids, 3)  # 1 and 2 promoted
+        heap.set_root(1, False)
+        heap.set_root(1, True)  # re-rooted while mature
+        heap.alloc_object(10, 4 * KIB, 0)  # young garbage
+        fill_rooted(heap, ids, 1)  # 4: the second minor, with 3 the only young root
+
+        stats = heap.gc.collections[-1]
+        assert stats.kind == "minor"
+        assert stats.objects_scanned == 1
+        assert stats.copied_objects == 1
+        assert young_ids(heap) == [4]
+
+
 class TestMajorCollection:
     def test_reclaims_unreachable_mature_and_recycles_chunks(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)

@@ -2,14 +2,21 @@
 
 import pytest
 
+from hybridgc.config import Collector
+
 from gc_reference import check_collections
 
-VARIANTS = ("KG-W", "KG-N", "PCM-Only", "KG-N+LOO", "KG-W-MDO")
+# Seed k runs VARIANTS[k]; every collector variant is covered.
+VARIANTS = ("KG-W", "KG-N", "PCM-Only", "KG-N+LOO", "KG-W-MDO", "KG-B", "KG-B+LOO", "KG-W-LOO")
 
 
-@pytest.mark.parametrize("seed", range(5))
+def test_every_collector_variant_is_listed():
+    assert sorted(VARIANTS) == sorted(c.value for c in Collector)
+
+
+@pytest.mark.parametrize("seed", range(len(VARIANTS)))
 def test_live_sets_match_shadow_reachability(seed):
-    variant = VARIANTS[seed % len(VARIANTS)]
+    variant = VARIANTS[seed]
     checks = check_collections(seed, variant)
     assert checks["minor"] >= 3
     assert checks["major"] >= 1

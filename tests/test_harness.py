@@ -4,10 +4,14 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
+import hybridgc
 from hybridgc import harness
 from hybridgc.errors import ConfigError
 from hybridgc.harness import (
@@ -121,6 +125,61 @@ class TestSingleRun:
         }
         assert "TraceError" in report.error["message"]
         json.loads(report.to_json())  # still serializable
+
+
+# Runs a two-instance KG-W experiment with instance 1 corrupted, under
+# ``python -O``, and prints its ``error`` plus whether asserts were on.
+CORRUPTED_RUN = """
+import json, sys
+from hybridgc import harness
+from hybridgc.address_space import MemoryKind
+from hybridgc.harness import config_for_archetype, run_experiment
+
+corrupt = sys.argv[1]
+build_instance = harness.build_instance
+
+def corrupted_instance(*args, **kwargs):
+    heap = build_instance(*args, **kwargs)
+    if heap.instance_id == 1:
+        if corrupt == "placement":
+            heap.objects[heap.boot_ids[-1]].addr = 0  # a DRAM boot object moved into PCM
+        else:
+            heap.system.counters.demand_write_bytes[(1, MemoryKind.DRAM)] = 64  # never written
+    return heap
+
+harness.build_instance = corrupted_instance
+config = config_for_archetype(
+    "mature-mutation", "KG-W", 7, op_count=6_000, instances=2, nursery_size=128 * 1024
+)
+report = run_experiment(config)
+print(json.dumps({"debug": __debug__, "failed": report.failed, "error": report.error}))
+"""
+
+
+class TestInvariantFailures:
+    @pytest.mark.parametrize(
+        "corrupt, check, op_index",
+        [("placement", "landed at", None), ("conservation", "not conserved", 6_000)],
+    )
+    def test_a_broken_invariant_fails_the_report_under_optimize(self, corrupt, check, op_index):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hybridgc.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPTED_RUN, corrupt],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )  # fmt: skip
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["debug"] is False  # asserts are compiled away
+        assert result["failed"] is True
+        error = result["error"]
+        assert error["instance"] == 1
+        assert error["message"].startswith("InvariantError: ") and check in error["message"]
+        if op_index is None:
+            # the first minor collection's placement check, part way through the trace
+            assert 0 < error["op_index"] < 6_000
+        else:
+            # after the drain: the instance's whole trace has run
+            assert error["op_index"] == op_index
 
 
 class TestRunLifetime:

@@ -1,7 +1,7 @@
 import pytest
 
 from hybridgc.address_space import MemoryKind
-from hybridgc.errors import ConfigError
+from hybridgc.errors import ConfigError, InvariantError
 from hybridgc.harness import config_for_archetype, run_experiment
 from hybridgc.memory import (
     INST_BITS,
@@ -15,6 +15,8 @@ from hybridgc.memory import (
     lifetime_years,
     total_bytes,
 )
+
+from support import resident_lines
 
 # Frozen oracle values, computed as capacity * endurance * efficiency
 # divided by rate * seconds-per-year with independent arithmetic:
@@ -161,7 +163,7 @@ class TestCacheModel:
         system = one_set_cache(ways=2)
         system.access(0, 0, 8, True, "s")
         system.access(1, 0, 8, True, "s")  # same address, other program
-        assert system.cache.resident_lines() == 2
+        assert resident_lines(system.cache) == 2
         system.drain()
         assert total_bytes(system.counters.write_bytes, inst=0) == 64
         assert total_bytes(system.counters.write_bytes, inst=1) == 64
@@ -173,7 +175,7 @@ class TestCacheModel:
         top = MAX_INSTANCES - 1
         system.access(top, 0, 8, True, "a")
         system.access(0, 64, 8, True, "b")
-        assert system.cache.resident_lines() == 2
+        assert resident_lines(system.cache) == 2
         assert system.drain() == 2
         counters = system.counters
         assert counters.write_bytes == {(top, MemoryKind.PCM, "a"): 64, (0, MemoryKind.DRAM, "b"): 64}
@@ -183,7 +185,7 @@ class TestCacheModel:
         system = one_set_cache()
         system.access(0, 0, 8, True, "s")
         assert system.drain() == 1
-        assert system.cache.resident_lines() == 1
+        assert resident_lines(system.cache) == 1
         assert system.drain() == 0
         # drained lines are clean; rewriting dirties them again
         system.access(0, 0, 8, True, "s")
@@ -247,7 +249,7 @@ class TestCacheModel:
         system = one_set_cache()
         system.access(0, 0, 0, True, "s")
         assert system.counters.demand_write_bytes == {}
-        assert system.cache.resident_lines() == 0
+        assert resident_lines(system.cache) == 0
 
     def test_zero_length_access_is_a_noop_on_every_path(self):
         for system, collector in (
@@ -287,8 +289,9 @@ class TestCounters:
         counters = TrafficCounters()
         counters.demand_write_bytes[(0, MemoryKind.PCM)] = 128
         counters.absorbed_write_bytes[(0, MemoryKind.PCM)] = 64
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError, match="not conserved") as failure:
             counters.check_write_conservation()
+        assert failure.value.instance == 0
 
 
 class TestMemorySystem:
@@ -309,5 +312,5 @@ class TestMemorySystem:
         system.access(0, 4096 - 8, 16, False, "gc", collector=True)
         assert system.counters.write_bytes == {(0, MemoryKind.PCM, "gc"): 40, (0, MemoryKind.DRAM, "gc"): 60}
         assert system.counters.read_bytes == {(0, MemoryKind.PCM, "gc"): 8, (0, MemoryKind.DRAM, "gc"): 8}
-        assert system.cache.resident_lines() == 0
+        assert resident_lines(system.cache) == 0
         system.counters.check_write_conservation()

@@ -63,6 +63,9 @@ def test_tracer_reconciles_with_the_report(traced_pair, side):
     heap_calls = sum(metrics[f"heap.{op}.calls"] for op in ("alloc", "write", "read", "ref", "root"))
     assert heap_calls == report.aggregate.ops_executed == 2 * 12_000
     assert metrics["collectors.young.calls"] == report.aggregate.minor_collections > 0
+    # strict checks place every object once per minor and once per major
+    placement_calls = tracer.totals[(side, "heap.check_placement")][0]
+    assert placement_calls == report.aggregate.minor_collections + report.aggregate.major_collections
     calls, lines = PINNED_ACCESS[side]
     assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == (calls, lines)
     assert calls > 0 and lines > 0
