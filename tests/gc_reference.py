@@ -73,12 +73,25 @@ class ShadowGraph:
         return live
 
 
-def random_ops(rng: random.Random, n_objects: int) -> list:
-    """A structured-random trace that only ever touches live ids."""
+def boot_id(rng: random.Random, boot_count: int) -> int:
+    """A boot object id: the image's first or last, or any in between."""
+    r = rng.random()
+    if r < 0.25:
+        return -1
+    if r < 0.5:
+        return -boot_count
+    return -rng.randrange(1, boot_count + 1)
+
+
+def random_ops(rng: random.Random, n_objects: int, boot_count: int) -> list:
+    """A structured-random trace that only ever touches live ids.
+
+    Boot parents and boot children are drawn from the whole image of
+    ``boot_count`` objects, its first and last ids included.
+    """
     ops = []
     rooted: list[int] = []
     meta: dict[int, tuple[int, int]] = {}  # id -> (size, n_slots)
-    boot_parents = (-1, -2, -3, -4)
     for oid in range(1, n_objects + 1):
         if rng.random() < 0.06:
             n_slots = rng.randrange(0, 3)
@@ -105,15 +118,21 @@ def random_ops(rng: random.Random, n_objects: int) -> list:
                 ops.append(ReadOp(tid, rng.randrange(0, tsize - length + 1), length))
             elif r < 0.80:
                 if rng.random() < 0.15:
-                    pid, pslots = rng.choice(boot_parents), BOOT_OBJECT_REFS
+                    pid, pslots = boot_id(rng, boot_count), BOOT_OBJECT_REFS
                 else:
                     pid = rooted[rng.randrange(len(rooted))]
                     pslots = meta[pid][1]
                 if pslots == 0:
                     continue
-                child = 0 if rng.random() < 0.15 else rooted[rng.randrange(len(rooted))]
+                c = rng.random()
+                if c < 0.15:
+                    child = 0
+                elif c < 0.25:
+                    child = boot_id(rng, boot_count)
+                else:
+                    child = rooted[rng.randrange(len(rooted))]
                 ops.append(RefOp(pid, rng.randrange(pslots), child))
-                if child and child != pid and len(rooted) > 4 and rng.random() < 0.4:
+                if child > 0 and child != pid and len(rooted) > 4 and rng.random() < 0.4:
                     # now held only through that edge, or garbage once
                     # the slot is overwritten; either way never targeted again
                     ops.append(UnrootOp(child))
@@ -157,7 +176,6 @@ def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[st
 
     Returns how many collections of each kind were checked.
     """
-    ops = random_ops(random.Random(seed), n_objects)
     # the B variants triple their nursery; keep every effective nursery near 64 KiB
     multiplier = Collector.from_name(variant).nursery_multiplier
     heap, system = small_heap(
@@ -169,6 +187,7 @@ def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[st
         chunk_size=64 * KIB,
         zeroing=False,
     )
+    ops = random_ops(random.Random(seed), n_objects, len(heap.boot_ids))
     shadow = ShadowGraph(heap.boot_ids)
     checks = {"minor": 0, "major": 0}
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridgc.address_space import MemoryKind
 from hybridgc.errors import ConfigError, TraceError
+from hybridgc.heap import BOOT
 from hybridgc.workloads import (
     ARCHETYPES,
     Alloc,
@@ -269,3 +271,24 @@ class TestDriver:
         with pytest.raises(TraceError) as err:
             drive(heap, ops)
         assert err.value.op_index == 1
+
+    def test_the_last_boot_id_resolves_to_the_end_of_the_image(self):
+        heap, system = small_heap("KG-N", boot_size=16 * KIB, boot_object_size=256, cache_capacity=0)
+        count = heap.boot_space.capacity // 256
+        assert len(heap.boot_ids) == count == 64
+        ops = [Alloc(1, 64, 0, False), RefOp(-count, 3, 1), WriteOp(-count, 0, 8), RootOp(-count)]
+        assert drive(heap, iter(ops)) == (4, True)
+        rec = heap.objects[-count]
+        assert rec.addr == heap.boot_space.lo + (count - 1) * 256
+        assert rec.space == BOOT and rec.refs == [0, 0, 0, 1]
+        # one barrier line and the data write, both in the boot space
+        assert system.counters.write_bytes[(0, MemoryKind.DRAM, BOOT)] == 64 + 8
+
+    def test_an_id_past_the_boot_image_is_rejected_at_its_position(self):
+        count = 64  # a 16 KiB image of 256-byte boot objects
+        for op in (WriteOp(-(count + 1), 0, 8), RefOp(1, 0, -(count + 1)), RootOp(-(count + 1))):
+            heap, _ = small_heap("KG-N", boot_size=16 * KIB, boot_object_size=256, zeroing=False)
+            with pytest.raises(TraceError, match=str(-(count + 1))) as err:
+                drive(heap, iter([Alloc(1, 64, 1, False), op]))
+            assert err.value.op_index == 1
+            assert -(count + 1) not in heap.objects
