@@ -4,7 +4,6 @@ from .address_space import HeapLayout, MemoryKind, init_layout
 from .collectors import CollectionStats, GcEngine, build_instance
 from .config import Collector, CollectorConfig
 from .errors import (
-    AddressRangeError,
     ConfigError,
     DoubleFree,
     GcLogicError,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARCHETYPES",
-    "AddressRangeError",
     "CacheModel",
     "CollectionStats",
     "Collector",

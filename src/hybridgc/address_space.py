@@ -15,7 +15,7 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import AddressRangeError, ConfigError, DoubleFree, InvariantError, OutOfChunks
+from .errors import ConfigError, DoubleFree, InvariantError, OutOfChunks
 
 
 class MemoryKind(Enum):
@@ -113,11 +113,6 @@ class HeapLayout:
     dram: FreeList
     pcm: FreeList
     bind_log: list[BindEvent] = field(default_factory=list)
-
-    def region_of(self, addr: int) -> MemoryKind:
-        if not 0 <= addr < self.heap_size:
-            raise AddressRangeError(f"address {addr:#x} outside heap [0, {self.heap_size:#x})")
-        return MemoryKind.PCM if addr < self.split else MemoryKind.DRAM
 
     def half_bounds(self, kind: MemoryKind) -> tuple[int, int]:
         """[lo, hi) of the half backed by ``kind``."""

@@ -13,19 +13,28 @@ A minor collection costs O(young), not O(heap): it seeds its closure
 from the heap's address-ordered ``young`` list and the remembered set,
 plans its copies by walking that list, reclaims the young dead from it,
 and leaves it holding the observer's residents. Only ``check_placement``
-still visits every object, in one tight loop.
+still visits every record, in one tight loop.
+
+A major collection treats the boot image as roots without a record per
+boot object: its closure seeds from the roots and the boot records a
+trace has named (the rest have only null slots), and it marks the whole
+boot range in one address-ordered loop, at the boot range's place in
+the address order of the marks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable
 
 from .address_space import MemoryKind
 from .config import Collector, CollectorConfig
 from .errors import GcLogicError, HeapExhausted, InvariantError
 from .heap import (
+    BOOT,
     LOS_DRAM,
     LOS_PCM,
     META_SLOT_SIZE,
@@ -152,11 +161,15 @@ class GcEngine:
         return live
 
     def _full_closure(self) -> set[int]:
-        """Everything reachable from roots; the boot image counts as roots."""
+        """Ids of the records reachable from roots and the named boot records.
+
+        The boot image counts as roots, but a boot object no trace has
+        named has only null slots, so it adds nothing to the closure.
+        """
         heap = self.heap
         objects = heap.objects
         live: set[int] = set()
-        stack = [*heap.roots, *heap.boot_ids]
+        stack = [*heap.roots, *heap.named_boot_ids]
         while stack:
             oid = stack.pop()
             if oid in live or oid not in objects:
@@ -320,13 +333,24 @@ class GcEngine:
         config = self.config
         live = self._full_closure()
         if self.inspect_hook is not None:
-            self.inspect_hook("major", frozenset(live))
+            self.inspect_hook("major", frozenset(live.union(heap.boot_ids)))
 
         stats = CollectionStats("major")
-        stats.objects_scanned = len(live)
-        live_recs = sorted((heap.objects[oid] for oid in live), key=lambda r: r.addr)
-        for rec in live_recs:
-            self._mark(rec, stats)
+        # every boot object is live, named or not
+        stats.objects_scanned = len(live) + len(heap.boot_ids) - len(heap.named_boot_ids)
+        # Marks go in address order. The boot range takes its place in that
+        # order in one loop, which also covers the boot records; boot ids are
+        # the only negative ones.
+        by_addr = attrgetter("addr")
+        live_recs = sorted((heap.objects[oid] for oid in live if oid > 0), key=by_addr)
+        boot = heap.boot_space
+        below_boot = bisect_left(live_recs, boot.lo, key=by_addr)
+        for rec in live_recs[:below_boot]:
+            self._mark_record(rec, stats)
+        for addr in range(boot.lo, boot.cursor, heap.boot_extent):
+            self._mark(addr, BOOT, stats)  # the boot space is DRAM whenever mdo is on
+        for rec in live_recs[below_boot:]:
+            self._mark_record(rec, stats)
         if config.loo:
             for rec in live_recs:
                 if (
@@ -368,14 +392,19 @@ class GcEngine:
             )
         return stats
 
-    def _mark(self, rec: ObjectRecord, stats: CollectionStats) -> None:
+    def _mark_record(self, rec: ObjectRecord, stats: CollectionStats) -> None:
+        """Mark ``rec`` in place, or in its DRAM shadow slot when mdo keeps PCM marks out of PCM."""
         heap = self.heap
         if self.config.mdo and heap.space_map[rec.space].memory is MemoryKind.PCM:
             if rec.meta_addr is None:
                 rec.meta_addr = heap.free_list_spaces["meta-dram"].alloc(META_SLOT_SIZE)
-            target, space = rec.meta_addr, "meta-dram"
+            self._mark(rec.meta_addr, "meta-dram", stats)
         else:
-            target, space = rec.addr, rec.space
+            self._mark(rec.addr, rec.space, stats)
+
+    def _mark(self, target: int, space: str, stats: CollectionStats) -> None:
+        """One mark write: the cache line holding ``target``, in ``space``."""
+        heap = self.heap
         line = heap.system.cache.line_size
         line_base = (target // line) * line
         heap.emitted["mark"] += line

@@ -9,10 +9,6 @@ class ConfigError(SimulatorError):
     """A configuration value is malformed or inconsistent."""
 
 
-class AddressRangeError(SimulatorError):
-    """An address falls outside the managed heap range."""
-
-
 class OutOfChunks(SimulatorError):
     """A chunk free list has no chunk left to hand out."""
 

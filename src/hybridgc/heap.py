@@ -11,11 +11,15 @@ collector's traffic, live in :mod:`hybridgc.collectors`. Every access
 goes straight to ``MemorySystem.access``, and each call site adds its
 bytes to the heap's ``emitted`` tally.
 
-Besides ``objects`` (every live record), the heap keeps ``young``: the
-records in the observer or the nursery, in address order. Allocation
-appends to it and the collector rebuilds it, so a minor collection
-touches only young records. ``check_placement`` still covers every
-object, comparing each address with its space's precomputed half.
+The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
+at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
+trace writes one. Its record is built on the first lookup of its id, so
+``objects`` holds every live allocation plus only the boot objects a
+trace has named (``named_boot_ids``). Besides ``objects`` the heap keeps
+``young``: the records in the observer or the nursery, in address
+order. Allocation appends to it and the collector rebuilds it, so a
+minor collection touches only young records. ``check_placement`` covers
+every record, comparing each address with its space's precomputed half.
 """
 
 from __future__ import annotations
@@ -312,7 +316,14 @@ class HeapInstance:
         for desc in self.space_map.values():
             if desc.policy == "free-list":
                 self.free_list_spaces[desc.name] = FreeListSpace(desc, self.layout)
-        self._seed_boot_objects(boot_object_size)
+
+        # The image predates the trace: it fills the boot space with whole
+        # objects, emits no traffic and builds no record up front.
+        self.boot_extent = align8(max(boot_object_size, HEADER_SIZE + BOOT_OBJECT_REFS * REF_SIZE))
+        count = self.boot_space.capacity // self.boot_extent
+        self.boot_space.alloc(count * self.boot_extent)
+        self.boot_ids = range(-1, -count - 1, -1)
+        self.named_boot_ids: list[int] = []  # boot objects with a record, in naming order
 
     # -- construction helpers --
 
@@ -356,23 +367,6 @@ class HeapInstance:
         self.nursery = bump_spaces[NURSERY]
         self.observer = bump_spaces.get(OBSERVER)
         self.boot_space = bump_spaces[BOOT]
-
-    def _seed_boot_objects(self, boot_object_size: int) -> None:
-        """Pre-populate the immortal space; ids are negative and fixed.
-
-        The boot image exists before the trace starts, so seeding emits
-        no traffic. Traces address boot object k as id -(k+1).
-        """
-        extent = align8(max(boot_object_size, HEADER_SIZE + BOOT_OBJECT_REFS * REF_SIZE))
-        count = self.boot_space.capacity // extent
-        self.boot_ids: list[int] = []
-        for k in range(count):
-            addr = self.boot_space.alloc(extent)  # count fits by construction
-            oid = -(k + 1)
-            self.objects[oid] = ObjectRecord(
-                id=oid, addr=addr, size=extent, space=BOOT, refs=[0] * BOOT_OBJECT_REFS
-            )
-            self.boot_ids.append(oid)
 
     # -- address helpers --
 
@@ -465,7 +459,20 @@ class HeapInstance:
     def _lookup(self, oid: int) -> ObjectRecord:
         rec = self.objects.get(oid)
         if rec is None:
+            rec = self._name_boot_object(oid)
+        return rec
+
+    def _name_boot_object(self, oid: int) -> ObjectRecord:
+        """Build boot object ``oid``'s record on the first lookup of its id.
+
+        Naming it emits no traffic; any other unknown id is a trace error.
+        """
+        if oid not in self.boot_ids:
             raise TraceError(f"id {oid} is not a live allocation")
+        addr = self.boot_space.lo + (-oid - 1) * self.boot_extent
+        rec = ObjectRecord(id=oid, addr=addr, size=self.boot_extent, space=BOOT, refs=[0] * BOOT_OBJECT_REFS)
+        self.objects[oid] = rec
+        self.named_boot_ids.append(oid)
         return rec
 
     @staticmethod
@@ -485,7 +492,10 @@ class HeapInstance:
         )
 
     def check_placement(self) -> None:
-        """Every live object must sit in the memory half of its space's kind."""
+        """Every record must sit in the memory half of its space's kind.
+
+        A boot object with no record sits where the arithmetic puts it.
+        """
         bounds = self.space_bounds
         for rec in self.objects.values():
             lo, hi = bounds[rec.space]

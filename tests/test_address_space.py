@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridgc.address_space import MemoryKind, init_layout
-from hybridgc.errors import AddressRangeError, ConfigError, DoubleFree, InvariantError, OutOfChunks
+from hybridgc.errors import ConfigError, DoubleFree, InvariantError, OutOfChunks
 from support import small_heap
 
 
@@ -17,17 +17,22 @@ def test_two_chunk_layout():
     assert layout.pcm.free_indices == [0] and layout.dram.free_indices == [1]
 
 
-def test_region_of_boundaries():
+def test_half_bounds_boundaries():
     layout = init_layout(512, 256)
-    assert layout.region_of(0) is MemoryKind.PCM
-    assert layout.region_of(255) is MemoryKind.PCM
+    assert layout.half_bounds(MemoryKind.PCM) == (0, 256)
+    assert layout.half_bounds(MemoryKind.DRAM) == (256, 512)
+
+    def halves(addr):
+        return [kind for kind in MemoryKind if layout.half_bounds(kind)[0] <= addr < layout.half_bounds(kind)[1]]
+
+    assert halves(0) == [MemoryKind.PCM]
+    assert halves(255) == [MemoryKind.PCM]
     # the split address itself belongs to the DRAM half
-    assert layout.region_of(256) is MemoryKind.DRAM
-    assert layout.region_of(511) is MemoryKind.DRAM
-    assert layout.region_of(300) is MemoryKind.DRAM
+    assert halves(256) == [MemoryKind.DRAM]
+    assert halves(511) == [MemoryKind.DRAM]
+    assert halves(300) == [MemoryKind.DRAM]
     for bad in (-1, 512, 10_000):
-        with pytest.raises(AddressRangeError):
-            layout.region_of(bad)
+        assert halves(bad) == []  # outside the heap: in neither half
 
 
 def test_layout_must_split_into_whole_chunks():

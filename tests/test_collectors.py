@@ -6,6 +6,7 @@ from hybridgc.collectors import Phase, loo_admit, route_survivor
 from hybridgc.config import CollectorConfig
 from hybridgc.errors import ConfigError, GcLogicError, HeapExhausted
 from hybridgc.heap import (
+    BOOT,
     LOS_DRAM,
     LOS_PCM,
     MATURE_DRAM,
@@ -402,6 +403,38 @@ class TestLargeObjects:
 
         assert heap.objects[1].space == LOS_PCM
         assert stats.large_relocated == 0
+
+
+class TestBootImage:
+    @pytest.mark.parametrize("variant", ["KG-N", "PCM-Only"])
+    def test_a_major_marks_the_boot_range_once_in_address_order(self, variant):
+        heap, _ = small_heap(variant, nursery=8 * KIB, budget=1 * MIB, zeroing=False)
+        heap.alloc_object(1, 4 * KIB, 0)
+        heap.set_root(1, True)
+        heap.alloc_object(2, 4 * KIB, 0)
+        heap.write_ref(-64, 3, 2)  # 2 is held only by the last boot object
+        heap.write_data(-1, 0, 8)
+        heap.alloc_object(3, 4 * KIB, 0)  # a minor promotes 1 and 2
+        heap.set_root(3, True)
+        assert [heap.objects[oid].space for oid in (1, 2, 3)] == [MATURE_PCM, MATURE_PCM, NURSERY]
+        marks = []
+        access = heap.system.access
+
+        def spy(inst, addr, length, write, space, *, collector=False):
+            if collector:
+                marks.append((addr, space))
+            access(inst, addr, length, write, space, collector=collector)
+
+        heap.system.access = spy
+        stats = heap.gc.collect_major()
+
+        assert all(oid in heap.objects for oid in (1, 2, 3, -1, -64))
+        assert heap.named_boot_ids == [-64, -1]
+        boot = [(heap.boot_space.lo + k * 256, BOOT) for k in range(len(heap.boot_ids))]
+        records = [(heap.objects[oid].addr // 64 * 64, heap.objects[oid].space) for oid in (1, 2, 3)]
+        # every boot object once, named or not, where the address order puts it
+        assert marks == sorted(boot + records)
+        assert stats.mark_writes == stats.objects_scanned == len(heap.boot_ids) + 3
 
 
 class TestMarkPlacement:

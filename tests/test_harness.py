@@ -142,7 +142,7 @@ def corrupted_instance(*args, **kwargs):
     heap = build_instance(*args, **kwargs)
     if heap.instance_id == 1:
         if corrupt == "placement":
-            heap.objects[heap.boot_ids[-1]].addr = 0  # a DRAM boot object moved into PCM
+            heap._lookup(heap.boot_ids[-1]).addr = 0  # a DRAM boot object moved into PCM
         else:
             heap.system.counters.demand_write_bytes[(1, MemoryKind.DRAM)] = 64  # never written
     return heap

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hybridgc.address_space import MemoryKind
@@ -27,6 +29,11 @@ def test_align8():
     assert align8(1) == 8
     assert align8(8) == 8
     assert align8(23) == 24
+
+
+def in_half(layout, kind, addr):
+    lo, hi = layout.half_bounds(kind)
+    return lo <= addr < hi
 
 
 def kinds(space_map):
@@ -87,14 +94,14 @@ class TestPlacement:
         heap, _ = small_heap("KG-N", nursery=64 * KIB, heap_size=8 * MIB)
         assert heap.nursery.hi == heap.layout.heap_size
         assert heap.nursery.capacity == 64 * KIB
-        assert heap.layout.region_of(heap.nursery.lo) is MemoryKind.DRAM
+        assert in_half(heap.layout, MemoryKind.DRAM, heap.nursery.lo)
         assert heap.observer is None
         assert (heap.young_lo, heap.young_hi) == (heap.nursery.lo, heap.nursery.hi)
 
     def test_pcm_only_nursery_below_split(self):
         heap, _ = small_heap("PCM-Only", nursery=64 * KIB, heap_size=8 * MIB)
         assert heap.nursery.hi == heap.layout.split
-        assert heap.layout.region_of(heap.nursery.lo) is MemoryKind.PCM
+        assert in_half(heap.layout, MemoryKind.PCM, heap.nursery.lo)
 
     def test_observer_directly_below_nursery(self):
         heap, _ = small_heap("KG-W", nursery=64 * KIB, observer_multiplier=2.0)
@@ -138,15 +145,37 @@ class TestPlacement:
             small_heap("KG-W", nursery=2 * MIB, observer_multiplier=2.0, heap_size=8 * MIB,
                        budget=8 * MIB)  # 6 MiB young > 4 MiB half
 
-    def test_boot_objects_seeded_silently(self):
+    def test_boot_objects_are_named_silently(self):
         heap, system = small_heap("KG-N", boot_size=16 * KIB, boot_object_size=256)
         assert len(heap.boot_ids) == 64
         assert heap.boot_ids[0] == -1 and heap.boot_ids[-1] == -64
-        rec = heap.objects[-1]
-        assert rec.space == BOOT and len(rec.refs) == 4
-        # the boot image predates the trace: no traffic, no simulated time
+        assert heap.objects == {} and heap.named_boot_ids == []
+        # the first lookup builds the record where the arithmetic puts it
+        for oid in (-1, -64):
+            rec = heap._lookup(oid)
+            assert heap.objects[oid] is rec
+            assert rec.addr == heap.boot_space.lo + (-oid - 1) * 256
+            assert rec.space == BOOT and rec.refs == [0, 0, 0, 0]
+        assert heap._lookup(-1) is heap.objects[-1]  # built once
+        assert heap.named_boot_ids == [-1, -64]
+        # the boot image predates the trace: neither the build nor naming
+        # emits traffic or takes simulated time
         assert total_bytes(system.counters.write_bytes) == 0
+        assert total_bytes(system.counters.read_bytes) == 0
         assert system.clock.now_ns == 0.0
+
+    def test_a_default_boot_image_costs_no_records(self):
+        """A 4 MiB image of 16,384 boot objects is built without a record each."""
+        config = CollectorConfig(variant="KG-W")
+        system = make_system(2048 * MIB)
+        tracemalloc.start()
+        try:
+            heap = build_instance(config, system)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(heap.boot_ids) == 16_384 and heap.objects == {}
+        assert peak < 512 * KIB
 
 
 class TestAlloc:
@@ -170,7 +199,7 @@ class TestAlloc:
         heap, _ = small_heap("KG-N")  # loo off
         rec = heap.alloc_object(1, 8 * KIB, 0)
         assert rec.large and rec.space == LOS_PCM
-        assert heap.layout.region_of(rec.addr) is MemoryKind.PCM
+        assert in_half(heap.layout, MemoryKind.PCM, rec.addr)
         assert heap.free_list_spaces[LOS_PCM].allocated_bytes == 8 * KIB
 
     def test_large_hint_forces_los(self):

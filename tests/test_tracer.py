@@ -25,6 +25,16 @@ PINNED_ACCESS = {
 }
 
 
+# Per side of the pair that runs majors: (major collections,
+# memory.access.calls, memory.access.lines, collectors.mark_writes,
+# collectors.mark_writes_pcm), recorded while every boot object still
+# had a record built at heap construction.
+PINNED_MAJOR = {
+    "PCM-Only": (1, 32_015, 860_380, 16_962, 16_962),
+    "KG-W": (4, 90_214, 1_066_186, 68_045, 0),
+}
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
@@ -32,17 +42,16 @@ def load_tracer():
     return module.Tracer
 
 
-@pytest.fixture(scope="module")
-def traced_pair():
+def trace_pair(archetype: str, heap_budget: int):
     tracer = load_tracer()()
     config = config_for_archetype(
-        "mature-mutation",
+        archetype,
         "KG-W",
         7,
         op_count=12_000,
         instances=2,
         nursery_size=128 * KIB,
-        heap_budget=4 * MIB,
+        heap_budget=heap_budget,
         chunk_size=256 * KIB,
         cache_capacity=128 * KIB,
     )
@@ -52,6 +61,17 @@ def traced_pair():
     finally:
         tracer.uninstall()
     return tracer, pair
+
+
+@pytest.fixture(scope="module")
+def traced_pair():
+    return trace_pair("mature-mutation", 4 * MIB)
+
+
+@pytest.fixture(scope="module")
+def traced_major_pair():
+    """Both sides run majors, which mark the whole boot image."""
+    return trace_pair("large-object-graph", 12 * MIB)
 
 
 @pytest.mark.parametrize("side", sorted(PINNED_ACCESS))
@@ -70,3 +90,15 @@ def test_tracer_reconciles_with_the_report(traced_pair, side):
     assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == (calls, lines)
     assert calls > 0 and lines > 0
     assert metrics["memory.fills"] > 0 and metrics["memory.drain.lines"] > 0
+
+
+@pytest.mark.parametrize("side", sorted(PINNED_MAJOR))
+def test_tracer_pins_major_collection_traffic(traced_major_pair, side):
+    tracer, pair = traced_major_pair
+    report = pair.baseline if side == "PCM-Only" else pair.variant
+    assert report.collector == side and not report.failed
+    metrics = tracer.metrics(side)
+    majors, calls, lines, marks, marks_pcm = PINNED_MAJOR[side]
+    assert metrics["collectors.major.calls"] == report.aggregate.major_collections == majors
+    assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == (calls, lines)
+    assert (metrics["collectors.mark_writes"], metrics["collectors.mark_writes_pcm"]) == (marks, marks_pcm)
