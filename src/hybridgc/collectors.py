@@ -279,17 +279,23 @@ class GcEngine:
 
     def _copy(self, rec: ObjectRecord, new_addr: int, dest: str, stats: CollectionStats) -> None:
         heap = self.heap
-        heap.emitted["copy_read"] += rec.size
-        heap.system.access(heap.instance_id, rec.addr, rec.size, False, rec.space, collector=True)
-        heap.emitted["copy_write"] += rec.size
-        heap.system.access(heap.instance_id, new_addr, rec.size, True, dest, collector=True)
-        heap.system.clock.advance(1, 2 * rec.size, collector=True)
+        system = heap.system
+        emitted = heap.emitted
+        size = rec.size
+        emitted["copy_read"] += size
+        system.access(heap.instance_id, rec.addr, size, False, rec.space, collector=True)
+        emitted["copy_write"] += size
+        system.access(heap.instance_id, new_addr, size, True, dest, collector=True)
+        clock = system.clock
+        if clock.include_collector_time:  # SimClock.advance(1, 2 * size, collector=True), inline
+            clock.now_ns += clock.op_cost_ns + 2 * size * clock.byte_cost_ns
         rec.addr = new_addr
         rec.space = dest
         rec.write_count = 0  # residency changed; observation restarts
         stats.copied_objects += 1
-        stats.copied_bytes[dest] = stats.copied_bytes.get(dest, 0) + rec.size
-        stats.evacuated_bytes += rec.size
+        copied = stats.copied_bytes
+        copied[dest] = copied.get(dest, 0) + size
+        stats.evacuated_bytes += size
 
     def _reclaim_dead_young(self, live: set[int]) -> int:
         """Drop the young dead; ``young`` keeps the observer's residents, in order."""

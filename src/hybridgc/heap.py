@@ -374,41 +374,51 @@ class HeapInstance:
         return self.young_lo <= addr < self.young_hi
 
     # -- mutator operations (one per trace op kind) --
+    #
+    # Each op takes one frame besides the cache walk (and, for a small
+    # allocation, the record's constructor and the nursery's bump), so the
+    # record lookup, bounds test, alignment, young-range test and clock
+    # advance are written out inline. They repeat ``align8``,
+    # ``is_young_addr`` and ``SimClock.advance``'s expression
+    # ``ops * op_cost_ns + nbytes * byte_cost_ns`` term for term, so
+    # simulated time stays bit-identical.
 
     def alloc_object(self, oid: int, size: int, n_refs: int, large_hint: bool = False) -> ObjectRecord:
         if oid <= 0:
             raise TraceError(f"allocation id {oid} must be positive")
-        if oid in self.ever_ids:
+        ever_ids = self.ever_ids
+        if oid in ever_ids:
             raise TraceError(f"id {oid} was already allocated once")
         if size <= 0 or n_refs < 0:
             raise TraceError(f"bad allocation geometry (size={size}, refs={n_refs})")
-        extent = align8(max(size, HEADER_SIZE + n_refs * REF_SIZE))
-        self.system.clock.advance(1, extent)
+        floor = HEADER_SIZE + n_refs * REF_SIZE
+        extent = ((size if size > floor else floor) + 7) & ~7
+        system = self.system
+        clock = system.clock
+        clock.now_ns += clock.op_cost_ns + extent * clock.byte_cost_ns
         large = large_hint or size >= self.config.large_threshold
 
         if large:
             addr, space = self._alloc_large(extent)
         else:
-            addr, space = self._alloc_small(extent)
+            nursery = self.nursery
+            addr = nursery.alloc(extent)
+            if addr is None:
+                self.gc.on_nursery_full()
+                addr = nursery.alloc(extent)
+                if addr is None:
+                    raise HeapExhausted(f"{extent}-byte object cannot fit an empty nursery")
+            space = NURSERY
 
-        rec = ObjectRecord(id=oid, addr=addr, size=extent, space=space, refs=[0] * n_refs, large=large)
+        rec = ObjectRecord(oid, addr, extent, space, [0] * n_refs, large=large)
         self.objects[oid] = rec
         if space == NURSERY:
             self.young.append(rec)
-        self.ever_ids.add(oid)
+        ever_ids.add(oid)
         if self.zeroing:
             self.emitted["zero"] += extent
-            self.system.access(self.instance_id, addr, extent, True, space)
+            system.access(self.instance_id, addr, extent, True, space)
         return rec
-
-    def _alloc_small(self, extent: int) -> tuple[int, str]:
-        addr = self.nursery.alloc(extent)
-        if addr is None:
-            self.gc.on_nursery_full()
-            addr = self.nursery.alloc(extent)
-            if addr is None:
-                raise HeapExhausted(f"{extent}-byte object cannot fit an empty nursery")
-        return addr, NURSERY
 
     def _alloc_large(self, extent: int) -> tuple[int, str]:
         if loo_admit(self.config, extent, self.nursery.free):
@@ -416,56 +426,75 @@ class HeapInstance:
         return self.free_list_spaces[LOS_PCM].alloc(extent), LOS_PCM
 
     def write_data(self, oid: int, offset: int, length: int) -> None:
-        rec = self._lookup(oid)
-        self._check_bounds(rec, offset, length)
-        self.system.clock.advance(1, length)
+        rec = self.objects.get(oid)
+        if rec is None:
+            rec = self._name_boot_object(oid)
+        if offset < 0 or length < 0 or offset + length > rec.size:
+            raise self._bounds_error(rec, offset, length)
+        system = self.system
+        clock = system.clock
+        clock.now_ns += clock.op_cost_ns + length * clock.byte_cost_ns
         rec.write_count += 1
         self.emitted["mutator_write"] += length
-        self.system.access(self.instance_id, rec.addr + offset, length, True, rec.space)
+        system.access(self.instance_id, rec.addr + offset, length, True, rec.space)
 
     def read_data(self, oid: int, offset: int, length: int) -> None:
-        rec = self._lookup(oid)
-        self._check_bounds(rec, offset, length)
-        self.system.clock.advance(1, length)
+        rec = self.objects.get(oid)
+        if rec is None:
+            rec = self._name_boot_object(oid)
+        if offset < 0 or length < 0 or offset + length > rec.size:
+            raise self._bounds_error(rec, offset, length)
+        system = self.system
+        clock = system.clock
+        clock.now_ns += clock.op_cost_ns + length * clock.byte_cost_ns
         self.emitted["mutator_read"] += length
-        self.system.access(self.instance_id, rec.addr + offset, length, False, rec.space)
+        system.access(self.instance_id, rec.addr + offset, length, False, rec.space)
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
-        parent = self._lookup(parent_id)
-        if not 0 <= slot < len(parent.refs):
-            raise TraceError(f"object {parent_id} has {len(parent.refs)} ref slots, not {slot + 1}")
-        child = self._lookup(child_id) if child_id else None
-        parent.refs[slot] = child_id if child is not None else 0
+        objects = self.objects
+        parent = objects.get(parent_id)
+        if parent is None:
+            parent = self._name_boot_object(parent_id)
+        refs = parent.refs
+        if not 0 <= slot < len(refs):
+            raise TraceError(f"object {parent_id} has {len(refs)} ref slots, not {slot + 1}")
+        if child_id:
+            child = objects.get(child_id)
+            if child is None:
+                child = self._name_boot_object(child_id)
+        refs[slot] = child_id
         parent.write_count += 1
-        self.system.clock.advance(1, 64)
-        line = self.system.cache.line_size
+        system = self.system
+        clock = system.clock
+        clock.now_ns += clock.op_cost_ns + 64 * clock.byte_cost_ns
+        line = system.cache.line_size
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
         self.emitted["barrier"] += line
-        self.system.access(self.instance_id, line_base, line, True, parent.space)
-        if child is not None and not self.is_young_addr(parent.addr) and self.is_young_addr(child.addr):
-            self.remset.add((parent_id, slot))
+        system.access(self.instance_id, line_base, line, True, parent.space)
+        if child_id:
+            young_lo = self.young_lo
+            young_hi = self.young_hi
+            if not young_lo <= parent.addr < young_hi and young_lo <= child.addr < young_hi:
+                self.remset.add((parent_id, slot))
 
     def set_root(self, oid: int, rooted: bool) -> None:
-        self._lookup(oid)  # rooting a reclaimed id is a trace error
-        self.system.clock.advance(1, 0)
+        if oid not in self.objects:
+            self._name_boot_object(oid)  # rooting a reclaimed id is a trace error
+        clock = self.system.clock
+        clock.now_ns += clock.op_cost_ns + 0 * clock.byte_cost_ns
         if rooted:
             self.roots.add(oid)
         else:
             self.roots.discard(oid)
 
-    # -- plumbing shared with the collector engine --
-
-    def _lookup(self, oid: int) -> ObjectRecord:
-        rec = self.objects.get(oid)
-        if rec is None:
-            rec = self._name_boot_object(oid)
-        return rec
+    # -- lookup misses and errors of the mutator operations --
 
     def _name_boot_object(self, oid: int) -> ObjectRecord:
-        """Build boot object ``oid``'s record on the first lookup of its id.
+        """Build boot object ``oid``'s record when an op first names its id.
 
-        Naming it emits no traffic; any other unknown id is a trace error.
+        An op calls this when ``oid`` has no record. Naming emits no
+        traffic; any other unknown id is a trace error.
         """
         if oid not in self.boot_ids:
             raise TraceError(f"id {oid} is not a live allocation")
@@ -476,11 +505,9 @@ class HeapInstance:
         return rec
 
     @staticmethod
-    def _check_bounds(rec: ObjectRecord, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > rec.size:
-            raise TraceError(
-                f"access [{offset}, {offset + length}) outside object {rec.id} of {rec.size} bytes"
-            )
+    def _bounds_error(rec: ObjectRecord, offset: int, length: int) -> TraceError:
+        """The error for an access of ``length`` bytes at ``offset`` that leaves ``rec``."""
+        return TraceError(f"access [{offset}, {offset + length}) outside object {rec.id} of {rec.size} bytes")
 
     def mature_occupancy(self) -> int:
         # mark metadata is collector bookkeeping, not payload; the heap

@@ -12,7 +12,9 @@ space (id -k is the k-th boot object). The text form is line oriented:
     U id                     unroot
 
 ``#`` starts a comment line. Parsing then serializing reproduces the
-input exactly (modulo comments and blank lines).
+input exactly (modulo comments and blank lines). The op records are
+plain slotted dataclasses: a replay trace is parsed into one list whose
+records every instance reads and none writes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .heap import HeapInstance
 from .units import KIB, MIB
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Alloc:
     oid: int
     size: int
@@ -36,33 +38,33 @@ class Alloc:
     large: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WriteOp:
     oid: int
     offset: int
     length: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReadOp:
     oid: int
     offset: int
     length: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RefOp:
     parent: int
     slot: int
     child: int  # 0 means null
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RootOp:
     oid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UnrootOp:
     oid: int
 
@@ -95,37 +97,34 @@ def serialize_trace(ops: Iterable[TraceOp], out: TextIO) -> int:
     return n
 
 
+# Op kinds whose fields are the record's fields, in order.
+_PLAIN_KINDS = {"W": WriteOp, "R": ReadOp, "P": RefOp, "G": RootOp, "U": UnrootOp}
+
+
 def parse_trace(lines: Iterable[str]) -> Iterator[TraceOp]:
+    plain_kinds = _PLAIN_KINDS
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = text.split()
-        kind, args = fields[0], fields[1:]
+        kind = fields[0]
         try:
-            vals = [int(a) for a in args]
+            vals = [int(a) for a in fields[1:]]
         except ValueError as exc:
-            raise TraceError(f"non-integer field in {text!r}", line=lineno) from exc
+            raise TraceError(f"non-integer field in {raw.strip()!r}", line=lineno) from exc
         try:
             if kind == "A":
                 oid, size, n_refs, large = vals
                 if oid <= 0:
                     raise TraceError(f"allocation id {oid} must be positive", line=lineno)
                 yield Alloc(oid, size, n_refs, bool(large))
-            elif kind == "W":
-                yield WriteOp(*vals)
-            elif kind == "R":
-                yield ReadOp(*vals)
-            elif kind == "P":
-                yield RefOp(*vals)
-            elif kind == "G":
-                yield RootOp(*vals)
-            elif kind == "U":
-                yield UnrootOp(*vals)
             else:
-                raise TraceError(f"unknown op kind {kind!r}", line=lineno)
+                cls = plain_kinds.get(kind)
+                if cls is None:
+                    raise TraceError(f"unknown op kind {kind!r}", line=lineno)
+                yield cls(*vals)
         except (TypeError, ValueError) as exc:
-            raise TraceError(f"wrong field count in {text!r}", line=lineno) from exc
+            raise TraceError(f"wrong field count in {raw.strip()!r}", line=lineno) from exc
 
 
 def load_trace(path: str) -> list[TraceOp]:

@@ -25,7 +25,7 @@ from hybridgc.harness import (
     sweep,
 )
 from hybridgc.memory import MAX_INSTANCES, lifetime_years
-from hybridgc.workloads import default_spec
+from hybridgc.workloads import ReadOp, WriteOp, default_spec, generate, serialize_trace
 
 from support import KIB, MIB
 
@@ -142,7 +142,7 @@ def corrupted_instance(*args, **kwargs):
     heap = build_instance(*args, **kwargs)
     if heap.instance_id == 1:
         if corrupt == "placement":
-            heap._lookup(heap.boot_ids[-1]).addr = 0  # a DRAM boot object moved into PCM
+            heap._name_boot_object(heap.boot_ids[-1]).addr = 0  # a DRAM boot object moved into PCM
         else:
             heap.system.counters.demand_write_bytes[(1, MemoryKind.DRAM)] = 64  # never written
     return heap
@@ -246,6 +246,35 @@ class TestMultiprogram:
         assert report.rows[0].dram_write_bytes == report.rows[1].dram_write_bytes
 
 
+    def test_replay_instances_leave_the_shared_ops_unchanged(self, tmp_path, monkeypatch):
+        """Every instance replays the records of one parsed list, and none may write them."""
+        path = tmp_path / "churn.trace"
+        with open(path, "w", encoding="utf-8") as fh:
+            serialize_trace(generate(default_spec("nursery-churn", op_count=6_000, seed=3)), fh)
+        parsed = []
+        load_trace = harness.load_trace
+
+        def capture(trace_path):
+            ops = load_trace(trace_path)
+            parsed.append(ops)
+            return ops
+
+        monkeypatch.setattr(harness, "load_trace", capture)
+        config = ExperimentConfig(
+            collector="KG-W", seed=1, trace_path=str(path), instances=4, nursery_size=64 * KIB
+        )
+        report = run_experiment(config)
+        assert not report.failed
+        assert [r.ops_executed for r in report.rows] == [6_000] * 4
+        assert report.aggregate.minor_collections > 0
+        assert len(parsed) == 1
+        out = io.StringIO()
+        serialize_trace(parsed[0], out)
+        assert out.getvalue().encode("utf-8") == path.read_bytes()
+        # op records compare by class as well as by fields
+        assert WriteOp(1, 2, 3) != ReadOp(1, 2, 3)
+
+
 class TestReportFormats:
     def test_csv_shape(self):
         report = run_experiment(churn_config(instances=2))
@@ -346,3 +375,44 @@ class TestPinnedResults:
                 report.aggregate.dram_write_bytes,
             )
             assert got == self.EXPECTED[archetype][report.collector]
+
+    # (op_cost_ns, byte_cost_ns, include_collector_time) -> (sim_seconds,
+    # final clock.now_ns) of a two-instance KG-W mature-mutation run with
+    # 10 minor and 4 observer collections, whose copies advance the clock
+    # only when collector time counts; recorded before the clock's cost
+    # expression was inlined. The default costs are multiples of 1/4, so
+    # every sum is exact; 5.1 and 0.3 are not, so a changed order of
+    # summation moves the last bits.
+    CLOCK = {
+        (5.0, 0.25, True): (0.000508613, 1_794_794.25),
+        (5.0, 0.25, False): (8.9195e-05, 536_918.25),
+        (5.1, 0.3, True): (0.0006019854000001338, 2_117_940.3000002634),
+        (5.1, 0.3, False): (0.00010343399999997689, 622_701.8999998977),
+    }
+
+    @pytest.mark.parametrize("op_cost_ns,byte_cost_ns,include_collector_time", sorted(CLOCK))
+    def test_simulated_time_is_unchanged(self, monkeypatch, op_cost_ns, byte_cost_ns, include_collector_time):
+        systems = []
+        build_system = harness.build_system
+
+        def capture(config):
+            systems.append(build_system(config))
+            return systems[-1]
+
+        monkeypatch.setattr(harness, "build_system", capture)
+        config = config_for_archetype(
+            "mature-mutation",
+            "KG-W",
+            7,
+            op_count=12_000,
+            instances=2,
+            nursery_size=128 * KIB,
+            include_collector_time=include_collector_time,
+            op_cost_ns=op_cost_ns,
+            byte_cost_ns=byte_cost_ns,
+        )
+        report = run_experiment(config)
+        assert not report.failed
+        assert (report.aggregate.minor_collections, report.aggregate.observer_collections) == (10, 4)
+        expected = self.CLOCK[(op_cost_ns, byte_cost_ns, include_collector_time)]
+        assert (report.sim_seconds, systems[0].clock.now_ns) == expected

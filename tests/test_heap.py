@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -16,11 +17,14 @@ from hybridgc.heap import (
     META_SLOT_SIZE,
     NURSERY,
     OBSERVER,
+    BumpSpace,
+    HeapInstance,
+    ObjectRecord,
     align8,
     make_space_map,
 )
 from hybridgc.collectors import build_instance
-from hybridgc.memory import MAX_INSTANCES, total_bytes
+from hybridgc.memory import MAX_INSTANCES, MemorySystem, total_bytes
 from support import KIB, MIB, make_system, reserve_every_free_chunk, small_heap
 
 
@@ -150,19 +154,27 @@ class TestPlacement:
         assert len(heap.boot_ids) == 64
         assert heap.boot_ids[0] == -1 and heap.boot_ids[-1] == -64
         assert heap.objects == {} and heap.named_boot_ids == []
-        # the first lookup builds the record where the arithmetic puts it
+        # naming builds the record where the arithmetic puts it
         for oid in (-1, -64):
-            rec = heap._lookup(oid)
+            rec = heap._name_boot_object(oid)
             assert heap.objects[oid] is rec
             assert rec.addr == heap.boot_space.lo + (-oid - 1) * 256
             assert rec.space == BOOT and rec.refs == [0, 0, 0, 0]
-        assert heap._lookup(-1) is heap.objects[-1]  # built once
         assert heap.named_boot_ids == [-1, -64]
         # the boot image predates the trace: neither the build nor naming
         # emits traffic or takes simulated time
         assert total_bytes(system.counters.write_bytes) == 0
         assert total_bytes(system.counters.read_bytes) == 0
         assert system.clock.now_ns == 0.0
+        # an op on a named boot object finds its record; one on an unnamed
+        # one names it, once
+        rec = heap.objects[-1]
+        heap.set_root(-1, True)
+        heap.set_root(-2, True)
+        heap.write_ref(-2, 0, -1)
+        assert heap.objects[-1] is rec
+        assert heap.named_boot_ids == [-1, -64, -2]
+        assert heap.objects[-2].refs == [-1, 0, 0, 0]
 
     def test_a_default_boot_image_costs_no_records(self):
         """A 4 MiB image of 16,384 boot objects is built without a record each."""
@@ -312,6 +324,59 @@ class TestMutatorOps:
         assert 1 not in heap.roots
         with pytest.raises(TraceError):
             heap.set_root(99, True)
+
+
+class TestFrameBudget:
+    """The Python frames one op enters on a live, non-boot object while no
+    collection runs. A helper frame added back to an op fails here."""
+
+    NAMES = {
+        fn.__code__: name
+        for name, fn in (
+            ("alloc_object", HeapInstance.alloc_object),
+            ("write_data", HeapInstance.write_data),
+            ("read_data", HeapInstance.read_data),
+            ("write_ref", HeapInstance.write_ref),
+            ("set_root", HeapInstance.set_root),
+            ("ObjectRecord.__init__", ObjectRecord.__init__),
+            ("BumpSpace.alloc", BumpSpace.alloc),
+            ("MemorySystem.access", MemorySystem.access),
+        )
+    }
+
+    def frames(self, op, *args) -> list[str]:
+        entered = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                entered.append(self.NAMES.get(frame.f_code, frame.f_code.co_qualname))
+
+        sys.setprofile(profile)
+        try:
+            op(*args)
+        finally:
+            sys.setprofile(None)
+        return entered
+
+    @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
+    def test_each_op_runs_in_its_budget(self, variant):
+        heap, _ = small_heap(variant, cache_capacity=64 * KIB)
+        heap.alloc_object(1, 64, 2)
+        heap.alloc_object(2, 64, 0)
+        access = "MemorySystem.access"
+        assert self.frames(heap.alloc_object, 3, 96, 1) == [
+            "alloc_object",
+            "BumpSpace.alloc",
+            "ObjectRecord.__init__",
+            access,
+        ]
+        assert self.frames(heap.write_data, 1, 16, 8) == ["write_data", access]
+        assert self.frames(heap.read_data, 2, 0, 32) == ["read_data", access]
+        assert self.frames(heap.write_ref, 1, 1, 2) == ["write_ref", access]
+        assert self.frames(heap.write_ref, 1, 1, 0) == ["write_ref", access]
+        assert self.frames(heap.set_root, 1, True) == ["set_root"]
+        assert self.frames(heap.set_root, 1, False) == ["set_root"]
+        assert heap.gc.collections == []
 
 
 def test_mature_occupancy_ignores_metadata():

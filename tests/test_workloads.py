@@ -58,6 +58,24 @@ class TestGrammar:
         text = "# header\n\n   \nA 1 64 0 0\n  # indented comment\nG 1\n"
         assert list(parse_trace(text.splitlines())) == [Alloc(1, 64, 0, False), RootOp(1)]
 
+    # The lines that may precede a bad one: a comment, a tab-indented
+    # comment and a whitespace-only line.
+    PREAMBLE = ["# preamble", "\t# indented", " \t "]
+    # The message of each bad line, one of four classes: non-integer
+    # field, wrong field count, unknown op kind, non-positive id.
+    MESSAGES = {
+        "X 1 2": "unknown op kind 'X'",
+        "X 1 two": "non-integer field in 'X 1 two'",
+        "A 1 sixty 0 0": "non-integer field in 'A 1 sixty 0 0'",
+        "W 1 2": "wrong field count in 'W 1 2'",
+        "  W 1 2\t": "wrong field count in 'W 1 2'",
+        "G": "wrong field count in 'G'",
+        "U 1 2": "wrong field count in 'U 1 2'",
+        "A 1 64 0 0 9": "wrong field count in 'A 1 64 0 0 9'",
+        "A 0 64 0 0": "allocation id 0 must be positive",
+        "A -5 64 0 0": "allocation id -5 must be positive",
+    }
+
     @pytest.mark.parametrize(
         "bad,lineno",
         [
@@ -67,12 +85,17 @@ class TestGrammar:
             ("A 1 64 0 0 9", 2),
             ("A 0 64 0 0", 2),
             ("A -5 64 0 0", 2),
+            ("X 1 two", 3),
+            ("  W 1 2\t", 4),
+            ("G", 4),
+            ("U 1 2", 4),
         ],
     )
     def test_bad_lines_report_their_position(self, bad, lineno):
         with pytest.raises(TraceError) as err:
-            list(parse_trace(["# preamble", bad]))
+            list(parse_trace(self.PREAMBLE[: lineno - 1] + [bad]))
         assert err.value.line == lineno
+        assert err.value.args == (self.MESSAGES[bad],)
 
     @given(
         st.lists(
