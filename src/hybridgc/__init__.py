@@ -6,7 +6,6 @@ from .config import Collector, CollectorConfig
 from .errors import (
     ConfigError,
     DoubleFree,
-    GcLogicError,
     HeapExhausted,
     InvariantError,
     OutOfChunks,
@@ -55,7 +54,6 @@ __all__ = [
     "DoubleFree",
     "ExperimentConfig",
     "GcEngine",
-    "GcLogicError",
     "HeapExhausted",
     "HeapInstance",
     "HeapLayout",

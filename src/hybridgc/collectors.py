@@ -3,11 +3,9 @@
 The engine owns the generational cycle: evacuate the nursery when it
 fills, spill the observation space into mature DRAM or PCM according to
 observed write counts, and run a full mark-sweep when mature occupancy
-crosses the budget. Policy decisions (where a survivor goes, whether a
-large object may use the nursery) are small pure functions so tests can
-pin them directly. A young collection decides each survivor's
-destination once; the chunk pre-flight and the copy loop both read that
-plan.
+crosses the budget. A young collection decides each survivor's
+destination once, in ``_plan_survivors``; the chunk pre-flight and the
+copy loop both read that plan.
 
 A minor collection costs O(young), not O(heap): it seeds its closure
 from the heap's address-ordered ``young`` list and the remembered set,
@@ -26,48 +24,24 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import attrgetter
 from typing import Callable
 
 from .address_space import MemoryKind
-from .config import Collector, CollectorConfig
-from .errors import GcLogicError, HeapExhausted, InvariantError
+from .config import CollectorConfig
+from .errors import HeapExhausted, InvariantError
 from .heap import (
     BOOT,
     LOS_DRAM,
     LOS_PCM,
+    MATURE_DRAM,
+    MATURE_PCM,
     META_SLOT_SIZE,
     NURSERY,
     OBSERVER,
     HeapInstance,
     ObjectRecord,
-    loo_admit,  # noqa: F401 -- the admission policy sits with route_survivor here
 )
-
-
-class Phase(Enum):
-    MINOR = "minor"
-    OBSERVER = "observer"
-
-
-def route_survivor(config: CollectorConfig, obj: ObjectRecord | None, phase: Phase) -> str:
-    """Destination space for a (non-large) survivor of the given phase.
-
-    Only the observer phase reads ``obj``; a minor survivor's route
-    depends on the variant alone.
-    """
-    if phase is Phase.MINOR:
-        if config.variant.is_write_sampling:
-            return OBSERVER
-        return "mature-pcm"
-    if phase is Phase.OBSERVER:
-        if not config.variant.is_write_sampling:
-            raise GcLogicError(f"{config.variant.value} has no observation space")
-        # Objects that stayed write-quiet while observed are safe in PCM;
-        # anything written goes to DRAM.
-        return "mature-pcm" if obj.write_count == 0 else "mature-dram"
-    raise GcLogicError(f"unknown phase {phase!r}")
 
 
 @dataclass
@@ -185,15 +159,16 @@ class GcEngine:
     def _plan_survivors(self, live: set[int]) -> SurvivorPlan:
         """Where each live young object goes, in address order.
 
-        Nursery survivors go to the large-object space if large, else
-        where ``route_survivor`` sends them. The observer is evacuated
-        only when the survivors bound for it overflow its free space;
-        otherwise ``observer_moves`` is None. Walking ``heap.young``
-        yields both lists already in address order.
+        A large nursery survivor goes to the large-object space; any other
+        pauses in the observer under write sampling and goes to mature
+        PCM otherwise. The observer is evacuated only when the survivors
+        bound for it overflow its free space; otherwise
+        ``observer_moves`` is None. An evacuee that stayed write-quiet
+        while observed is safe in PCM; one that was written goes to DRAM.
+        Walking ``heap.young`` yields both lists already in address order.
         """
         heap = self.heap
-        config = self.config
-        minor_dest = route_survivor(config, None, Phase.MINOR)
+        minor_dest = OBSERVER if self.config.variant.is_write_sampling else MATURE_PCM
         nursery_moves = []
         observer_live = []
         to_observer = 0
@@ -209,7 +184,7 @@ class GcEngine:
                 observer_live.append(rec)
         observer_moves = None
         if heap.observer is not None and heap.observer.free < to_observer:
-            observer_moves = [(rec, route_survivor(config, rec, Phase.OBSERVER)) for rec in observer_live]
+            observer_moves = [(rec, MATURE_DRAM if rec.write_count else MATURE_PCM) for rec in observer_live]
         return SurvivorPlan(nursery_moves, observer_moves)
 
     def _chunks_available(self, plan: SurvivorPlan) -> bool:
@@ -260,7 +235,9 @@ class GcEngine:
         heap.nursery.reset()
 
         stats.reclaimed_objects = self._reclaim_dead_young(live)
-        self._remember_edges_from(moved_out)
+        # objects that just left the young region may still point into it;
+        # the prune keeps exactly the slots that do
+        heap.remset.update((rec.id, slot) for rec in moved_out for slot, cid in enumerate(rec.refs) if cid)
         self._prune_remset()
         self.collections.append(stats)
         if heap.strict_checks:
@@ -280,11 +257,8 @@ class GcEngine:
     def _copy(self, rec: ObjectRecord, new_addr: int, dest: str, stats: CollectionStats) -> None:
         heap = self.heap
         system = heap.system
-        emitted = heap.emitted
         size = rec.size
-        emitted["copy_read"] += size
         system.access(heap.instance_id, rec.addr, size, False, rec.space, collector=True)
-        emitted["copy_write"] += size
         system.access(heap.instance_id, new_addr, size, True, dest, collector=True)
         clock = system.clock
         if clock.include_collector_time:  # SimClock.advance(1, 2 * size, collector=True), inline
@@ -311,17 +285,6 @@ class GcEngine:
                 kept.append(rec)
         heap.young = kept
         return dead
-
-    def _remember_edges_from(self, moved_out: list[ObjectRecord]) -> None:
-        """Objects that just left the young region may still point into it."""
-        heap = self.heap
-        for rec in moved_out:
-            for slot, cid in enumerate(rec.refs):
-                if not cid:
-                    continue
-                child = heap.objects.get(cid)
-                if child is not None and heap.is_young_addr(child.addr):
-                    heap.remset.add((rec.id, slot))
 
     def _prune_remset(self) -> None:
         """Keep the entries whose parent is outside the young region and still points into it."""
@@ -401,7 +364,7 @@ class GcEngine:
     def _mark_record(self, rec: ObjectRecord, stats: CollectionStats) -> None:
         """Mark ``rec`` in place, or in its DRAM shadow slot when mdo keeps PCM marks out of PCM."""
         heap = self.heap
-        if self.config.mdo and heap.space_map[rec.space].memory is MemoryKind.PCM:
+        if self.config.mdo and heap.space_map[rec.space] is MemoryKind.PCM:
             if rec.meta_addr is None:
                 rec.meta_addr = heap.free_list_spaces["meta-dram"].alloc(META_SLOT_SIZE)
             self._mark(rec.meta_addr, "meta-dram", stats)
@@ -413,7 +376,6 @@ class GcEngine:
         heap = self.heap
         line = heap.system.cache.line_size
         line_base = (target // line) * line
-        heap.emitted["mark"] += line
         heap.system.access(heap.instance_id, line_base, line, True, space, collector=True)
         heap.system.clock.advance(1, line, collector=True)
         stats.mark_writes += 1

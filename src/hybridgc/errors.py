@@ -41,10 +41,6 @@ class TraceError(SimulatorError):
         return msg
 
 
-class GcLogicError(SimulatorError):
-    """A collection phase was requested that the configured collector lacks."""
-
-
 class InvariantError(SimulatorError):
     """A model invariant does not hold; the simulator's state is inconsistent.
 

@@ -8,8 +8,7 @@ on demand, and an allocation that finds its half out of chunks raises
 ``HeapExhausted``. The write barrier and the mutator's traffic live
 here; the collection algorithms that consume this state, and issue the
 collector's traffic, live in :mod:`hybridgc.collectors`. Every access
-goes straight to ``MemorySystem.access``, and each call site adds its
-bytes to the heap's ``emitted`` tally.
+goes straight to ``MemorySystem.access``.
 
 The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
@@ -71,65 +70,38 @@ def loo_admit(config: CollectorConfig, size: int, nursery_free: int) -> bool:
     return size <= cap and size <= nursery_free
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    name: str
-    memory: MemoryKind
-    policy: str  # "bump" (fixed contiguous range) | "free-list" (on-demand chunks)
-
-
-def make_space_map(config: CollectorConfig) -> dict[str, SpaceDescriptor]:
+def make_space_map(config: CollectorConfig) -> dict[str, MemoryKind]:
     """Spaces for a collector variant, each pinned to one memory kind."""
-
-    def bump(name: str, kind: MemoryKind) -> SpaceDescriptor:
-        return SpaceDescriptor(name, kind, "bump")
-
-    def demand(name: str, kind: MemoryKind) -> SpaceDescriptor:
-        return SpaceDescriptor(name, kind, "free-list")
-
+    pcm, dram = MemoryKind.PCM, MemoryKind.DRAM
     variant = config.variant
-    spaces: list[SpaceDescriptor] = []
     if variant is Collector.PCM_ONLY:
-        spaces = [
-            bump(BOOT, MemoryKind.PCM),
-            bump(NURSERY, MemoryKind.PCM),
-            demand(MATURE_PCM, MemoryKind.PCM),
-            demand(LOS_PCM, MemoryKind.PCM),
-            demand(META_PCM, MemoryKind.PCM),
-        ]
-    elif variant.is_write_sampling:
-        spaces = [
-            bump(BOOT, MemoryKind.DRAM),
-            bump(NURSERY, MemoryKind.DRAM),
-            bump(OBSERVER, MemoryKind.DRAM),
-            demand(MATURE_DRAM, MemoryKind.DRAM),
-            demand(MATURE_PCM, MemoryKind.PCM),
-            demand(LOS_DRAM, MemoryKind.DRAM),
-            demand(LOS_PCM, MemoryKind.PCM),
-            demand(META_PCM, MemoryKind.PCM),
-        ]
+        return {BOOT: pcm, NURSERY: pcm, MATURE_PCM: pcm, LOS_PCM: pcm, META_PCM: pcm}
+    if variant.is_write_sampling:
+        spaces = {
+            BOOT: dram,
+            NURSERY: dram,
+            OBSERVER: dram,
+            MATURE_DRAM: dram,
+            MATURE_PCM: pcm,
+            LOS_DRAM: dram,
+            LOS_PCM: pcm,
+            META_PCM: pcm,
+        }
         if config.mdo:
-            spaces.append(demand(META_DRAM, MemoryKind.DRAM))
+            spaces[META_DRAM] = dram
     else:
-        spaces = [
-            bump(BOOT, MemoryKind.DRAM),
-            bump(NURSERY, MemoryKind.DRAM),
-            demand(MATURE_PCM, MemoryKind.PCM),
-            demand(LOS_PCM, MemoryKind.PCM),
-            demand(META_PCM, MemoryKind.PCM),
-        ]
+        spaces = {BOOT: dram, NURSERY: dram, MATURE_PCM: pcm, LOS_PCM: pcm, META_PCM: pcm}
         if config.loo:
             # relocation target for heavily written large objects
-            spaces.append(demand(LOS_DRAM, MemoryKind.DRAM))
-    return {d.name: d for d in spaces}
+            spaces[LOS_DRAM] = dram
+    return spaces
 
 
 class BumpSpace:
     """Contiguous space with a monotone cursor; reset empties it wholesale."""
 
-    def __init__(self, descriptor: SpaceDescriptor, lo: int, hi: int) -> None:
-        self.descriptor = descriptor
-        self.name = descriptor.name
+    def __init__(self, name: str, lo: int, hi: int) -> None:
+        self.name = name
         self.lo = lo
         self.hi = hi
         self.cursor = lo
@@ -160,10 +132,9 @@ class BumpSpace:
 class FreeListSpace:
     """Mark-sweep space over on-demand chunks with first-fit extents."""
 
-    def __init__(self, descriptor: SpaceDescriptor, layout: HeapLayout) -> None:
-        self.descriptor = descriptor
-        self.name = descriptor.name
-        self.memory = descriptor.memory
+    def __init__(self, name: str, memory: MemoryKind, layout: HeapLayout) -> None:
+        self.name = name
+        self.memory = memory
         self.layout = layout
         self.chunks: list = []
         self.extents: list[list[int]] = []  # [addr, size], sorted by addr
@@ -286,7 +257,7 @@ class HeapInstance:
         self.space_map = make_space_map(config)
         # [lo, hi) of the memory half each space must sit in
         self.space_bounds = {
-            name: self.layout.half_bounds(desc.memory) for name, desc in self.space_map.items()
+            name: self.layout.half_bounds(kind) for name, kind in self.space_map.items()
         }
         self.gc: "GcEngine | None" = None  # attached by the engine
 
@@ -300,22 +271,13 @@ class HeapInstance:
         self.ever_ids: set[int] = set()
         self.op_index = 0  # maintained by the trace driver, for diagnostics
 
-        # raw bytes emitted toward the memory system, by source
-        self.emitted = {
-            "zero": 0,
-            "mutator_write": 0,
-            "mutator_read": 0,
-            "barrier": 0,
-            "copy_read": 0,
-            "copy_write": 0,
-            "mark": 0,
-        }
-
         self._place_fixed_spaces(boot_size)
-        self.free_list_spaces: dict[str, FreeListSpace] = {}
-        for desc in self.space_map.values():
-            if desc.policy == "free-list":
-                self.free_list_spaces[desc.name] = FreeListSpace(desc, self.layout)
+        # every space but the fixed ranges pulls chunks on demand
+        self.free_list_spaces = {
+            name: FreeListSpace(name, kind, self.layout)
+            for name, kind in self.space_map.items()
+            if name not in (BOOT, NURSERY, OBSERVER)
+        }
 
         # The image predates the trace: it fills the boot space with whole
         # objects, emits no traffic and builds no record up front.
@@ -330,7 +292,7 @@ class HeapInstance:
     def _place_fixed_spaces(self, boot_size: int) -> None:
         layout = self.layout
         cfg = self.config
-        young_kind = self.space_map[NURSERY].memory
+        young_kind = self.space_map[NURSERY]
         half_lo, half_hi = layout.half_bounds(young_kind)
         nursery_hi = half_hi
         nursery_lo = nursery_hi - cfg.effective_nursery_size
@@ -341,7 +303,7 @@ class HeapInstance:
             observer_lo = observer_hi - cfg.observer_size
             ranges.append((OBSERVER, observer_lo, observer_hi))
             young_lo = observer_lo
-        boot_kind = self.space_map[BOOT].memory
+        boot_kind = self.space_map[BOOT]
         boot_lo = layout.half_bounds(boot_kind)[0]
         boot_hi = boot_lo + boot_size
         ranges.append((BOOT, boot_lo, boot_hi))
@@ -354,13 +316,12 @@ class HeapInstance:
         bump_spaces: dict[str, BumpSpace] = {}
         reserved: set[int] = set()
         for name, lo, hi in ranges:
-            desc = self.space_map[name]
             for index in range(lo // layout.chunk_size, (hi - 1) // layout.chunk_size + 1):
                 if index in reserved:
                     continue  # adjacent fixed spaces may share a boundary chunk
                 layout.free_list_for(layout.chunks[index].kind).reserve_index(index, name)
                 reserved.add(index)
-            bump_spaces[name] = BumpSpace(desc, lo, hi)
+            bump_spaces[name] = BumpSpace(name, lo, hi)
 
         self.young_lo = young_lo
         self.young_hi = nursery_hi
@@ -416,7 +377,6 @@ class HeapInstance:
             self.young.append(rec)
         ever_ids.add(oid)
         if self.zeroing:
-            self.emitted["zero"] += extent
             system.access(self.instance_id, addr, extent, True, space)
         return rec
 
@@ -435,7 +395,6 @@ class HeapInstance:
         clock = system.clock
         clock.now_ns += clock.op_cost_ns + length * clock.byte_cost_ns
         rec.write_count += 1
-        self.emitted["mutator_write"] += length
         system.access(self.instance_id, rec.addr + offset, length, True, rec.space)
 
     def read_data(self, oid: int, offset: int, length: int) -> None:
@@ -447,7 +406,6 @@ class HeapInstance:
         system = self.system
         clock = system.clock
         clock.now_ns += clock.op_cost_ns + length * clock.byte_cost_ns
-        self.emitted["mutator_read"] += length
         system.access(self.instance_id, rec.addr + offset, length, False, rec.space)
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
@@ -470,7 +428,6 @@ class HeapInstance:
         line = system.cache.line_size
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
-        self.emitted["barrier"] += line
         system.access(self.instance_id, line_base, line, True, parent.space)
         if child_id:
             young_lo = self.young_lo

@@ -2,7 +2,7 @@
 
 ``MemorySystem`` owns the cache walk: every access and the final drain
 run in its methods. ``CacheModel`` is only the cache's geometry and
-state (its sets and the optional event log).
+state (its sets).
 
 Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or a drain, or immediately when the cache is
@@ -116,15 +116,7 @@ class CacheModel:
     no cache: every access passes through byte-for-byte.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        assoc: int,
-        line_size: int,
-        split: int,
-        *,
-        record_events: bool = False,
-    ) -> None:
+    def __init__(self, capacity: int, assoc: int, line_size: int, split: int) -> None:
         if capacity < 0 or line_size <= 0 or assoc <= 0:
             raise ConfigError("cache geometry must be non-negative")
         if capacity and capacity % (assoc * line_size) != 0:
@@ -142,8 +134,6 @@ class CacheModel:
         # is insertion order: a hit re-inserts its key, and the victim is
         # the first key.
         self.sets: list[dict[int, str | None]] = [{} for _ in range(self.n_sets)]
-        self.record_events = record_events
-        self.events: list[tuple[str, int, int]] = []
 
 
 class SimClock:
@@ -212,7 +202,6 @@ class MemorySystem:
         assoc = cache.assoc
         shift = INST_BITS
         split_key = split_line << shift
-        events = cache.events if cache.record_events else None
         for lo, hi, kind in runs:
             absorbed = 0
             fills = 0
@@ -231,17 +220,12 @@ class MemorySystem:
                     continue
                 # miss: allocate on both reads and writes
                 fills += 1
-                if events is not None:
-                    events.append(("fill", inst, ln))
                 if len(cset) >= assoc:
                     vkey = next(iter(cset))
                     vspace = cset.pop(vkey)
                     if vspace is not None:
-                        vinst = vkey & INST_MASK
-                        wkey = (vinst, vkey < split_key, vspace)
+                        wkey = (vkey & INST_MASK, vkey < split_key, vspace)
                         victims[wkey] = victims.get(wkey, 0) + 1
-                        if events is not None:
-                            events.append(("wb", vinst, vkey >> shift))
                 cset[key] = space if write else None
             if write:
                 dkey = (inst, kind)
@@ -301,19 +285,14 @@ class MemorySystem:
         second time. Lines are flushed set by set, least recent first.
         """
         cache = self.cache
-        shift = INST_BITS
-        split_key = cache.split_line << shift
-        events = cache.events if cache.record_events else None
+        split_key = cache.split_line << INST_BITS
         victims: dict[tuple[int, bool, str], int] = {}
         for cset in cache.sets:
             for key, space in cset.items():
                 if space is not None:
                     cset[key] = None
-                    inst = key & INST_MASK
-                    wkey = (inst, key < split_key, space)
+                    wkey = (key & INST_MASK, key < split_key, space)
                     victims[wkey] = victims.get(wkey, 0) + 1
-                    if events is not None:
-                        events.append(("wb", inst, key >> shift))
         return self._writeback(victims)
 
 

@@ -3,8 +3,9 @@
 Deliberately structured nothing like the production model: a flat entry
 list with explicit recency stamps and linear scans, so a shared bug is
 implausible. It reproduces the same observable behavior: per-line
-demand/absorb/writeback accounting, fill and writeback events in access
-order, and drains ordered by set then by recency.
+demand/absorb/writeback accounting, each set's residents in recency
+order with their dirty state, and drains that leave every line resident
+and clean.
 """
 
 from hybridgc.address_space import MemoryKind
@@ -20,7 +21,6 @@ class RefCache:
         # each entry: [inst, line, dirty, space, stamp]
         self.entries: list[list] = []
         self.tick = 0
-        self.events: list[tuple[str, int, int]] = []
 
     def _kind(self, line: int) -> MemoryKind:
         return MemoryKind.PCM if line < self.split_line else MemoryKind.DRAM
@@ -63,7 +63,6 @@ class RefCache:
             counters.fills += 1
             rkey = (inst, kind, space)
             counters.read_bytes[rkey] = counters.read_bytes.get(rkey, 0) + self.line_size
-            self.events.append(("fill", inst, line))
             members = self._set_members(line % self.n_sets)
             if len(members) >= self.assoc:
                 victim = min(members, key=lambda e: e[4])
@@ -80,17 +79,19 @@ class RefCache:
         counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + self.line_size
         wkey = (inst, kind, space)
         counters.write_bytes[wkey] = counters.write_bytes.get(wkey, 0) + self.line_size
-        self.events.append(("wb", inst, line))
 
     def drain(self, counters) -> int:
         flushed = 0
-        dirty = [e for e in self.entries if e[2]]
-        dirty.sort(key=lambda e: (e[1] % self.n_sets, e[4]))
-        for entry in dirty:
-            entry[2] = False
-            self._write_back(counters, entry)
-            flushed += 1
+        for entry in self.entries:
+            if entry[2]:
+                entry[2] = False
+                self._write_back(counters, entry)
+                flushed += 1
         return flushed
 
-    def resident_lines(self) -> int:
-        return len(self.entries)
+    def state(self) -> list[list[tuple]]:
+        """Per set, ``(inst, line, space if dirty else None)`` of each resident, least recent first."""
+        sets: list[list[tuple]] = [[] for _ in range(self.n_sets)]
+        for inst, line, dirty, space, _stamp in sorted(self.entries, key=lambda e: e[4]):
+            sets[line % self.n_sets].append((inst, line, space if dirty else None))
+        return sets

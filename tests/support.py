@@ -8,17 +8,10 @@ KIB = 1024
 MIB = 1024 * KIB
 
 
-def make_system(
-    heap_size: int,
-    cache_capacity: int = 0,
-    assoc: int = 16,
-    line: int = 64,
-    gc_through: bool = True,
-    record_events: bool = False,
-) -> MemorySystem:
-    """A memory system whose split matches a base-0 heap of heap_size."""
-    cache = CacheModel(cache_capacity, assoc, line, heap_size // 2, record_events=record_events)
-    return MemorySystem(cache, TrafficCounters(), SimClock(), gc_through)
+def make_system(heap_size: int, cache_capacity: int = 0) -> MemorySystem:
+    """A memory system whose split matches a base-0 heap of heap_size: 16-way, 64 B lines."""
+    cache = CacheModel(cache_capacity, 16, 64, heap_size // 2)
+    return MemorySystem(cache, TrafficCounters(), SimClock())
 
 
 def small_heap(

@@ -1,6 +1,9 @@
-"""Event-stream equivalence between the cache walk and the brute-force reference.
+"""State equivalence between the cache walk and the brute-force reference.
 
 The model side is ``MemorySystem.access``/``drain`` over a ``CacheModel``.
+After every access and after the drain, each set's residents must match
+the reference's in recency order, instance, line and dirty space, so a
+wrong victim or a lost recency update fails at the access that made it.
 """
 
 import random
@@ -8,8 +11,15 @@ import random
 import pytest
 
 from cache_reference import RefCache
-from support import resident_lines
-from hybridgc.memory import MAX_INSTANCES, CacheModel, MemorySystem, SimClock, TrafficCounters
+from hybridgc.memory import (
+    INST_BITS,
+    INST_MASK,
+    MAX_INSTANCES,
+    CacheModel,
+    MemorySystem,
+    SimClock,
+    TrafficCounters,
+)
 
 LINE = 64
 
@@ -22,9 +32,16 @@ SHORT_LENGTHS = (1, 4, 8, 32, 64, 96, 200)
 LONG_LENGTHS = (15 * LINE + 2, 16 * LINE, 23 * LINE - 1, 31 * LINE + 7, 40 * LINE, 63 * LINE - 3)
 
 
-def cached_system(lines, assoc, split, record_events=True):
-    cache = CacheModel(lines * LINE, assoc, LINE, split, record_events=record_events)
+def cached_system(lines, assoc, split):
+    cache = CacheModel(lines * LINE, assoc, LINE, split)
     return MemorySystem(cache, TrafficCounters(), SimClock())
+
+
+def model_state(cache):
+    """Per set, ``(inst, line, space if dirty else None)`` of each resident, least recent first."""
+    return [
+        [(key & INST_MASK, key >> INST_BITS, space) for key, space in cset.items()] for cset in cache.sets
+    ]
 
 
 def run_pair(
@@ -37,19 +54,20 @@ def run_pair(
     *,
     lengths=SHORT_LENGTHS,
     straddle=False,
-    record_events=True,
 ):
     """Drive model and reference with one random access stream; compare.
 
-    ``straddle`` makes every access cross the PCM/DRAM split.
+    ``straddle`` makes every access cross the PCM/DRAM split. Returns the
+    number of accesses compared.
     """
     lines, assoc = geometry
     split = split_lines * LINE
-    model = cached_system(lines, assoc, split, record_events)
+    model = cached_system(lines, assoc, split)
     ref = RefCache(lines * LINE, assoc, LINE, split)
     mc, rc = model.counters, TrafficCounters()
     rng = random.Random(seed)
     top = addr_lines * LINE
+    compared = 0
     for _ in range(n_accesses):
         inst = instance_ids[rng.randrange(len(instance_ids))]
         if straddle:
@@ -65,22 +83,23 @@ def run_pair(
         space = rng.choice(("a", "b"))
         model.access(inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
+        assert model_state(model.cache) == ref.state()
+        compared += 1
     assert model.drain() == ref.drain(rc)
-    assert model.cache.events == (ref.events if record_events else [])
+    assert model_state(model.cache) == ref.state()
     assert mc.write_bytes == rc.write_bytes
     assert mc.read_bytes == rc.read_bytes
     assert mc.demand_write_bytes == rc.demand_write_bytes
     assert mc.absorbed_write_bytes == rc.absorbed_write_bytes
     assert mc.writeback_bytes == rc.writeback_bytes
     assert mc.fills == rc.fills and mc.writebacks == rc.writebacks
-    assert resident_lines(model.cache) == ref.resident_lines()
     mc.check_write_conservation()
-    return len(ref.events)
+    return compared
 
 
 @pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
 def test_model_matches_reference(geometry):
-    for seed in (1, 2):
+    for seed in (1, 2, 7, 8):
         run_pair(geometry, seed, 3_000)
 
 
@@ -93,15 +112,17 @@ def test_cyclic_writes_through_two_line_direct_mapped():
         for line in (0, 1, 2):
             model.access(0, line * LINE, 8, True, "s")
             ref.access(rc, 0, line * LINE, 8, True, "s")
-    assert model.cache.events == ref.events
-    # lines 0 and 2 share set 0 and evict each other every round
-    wbs = [e for e in model.cache.events if e[0] == "wb"]
-    assert len(wbs) == 7
-    assert {ln for (_k, _i, ln) in wbs} == {0, 2}
+            assert model_state(model.cache) == ref.state()
+    # lines 0 and 2 share set 0 and evict each other every round, while
+    # line 1 stays resident in set 1 after its one fill
+    counters = model.counters
+    assert counters.writebacks == rc.writebacks == 7
+    assert counters.fills == rc.fills == 9
+    assert model_state(model.cache) == [[(0, 2, "s")], [(0, 1, "s")]]
 
 
 def test_full_oracle_load():
-    """The acceptance-scale load: >= 1e5 accesses across 10 seeds."""
+    """The acceptance-scale load: >= 1e5 accesses across 10 seeds, each state-checked."""
     total = 0
     for seed in range(10):
         geometry = SMALL_GEOMETRIES[seed % len(SMALL_GEOMETRIES)]
@@ -111,23 +132,14 @@ def test_full_oracle_load():
 
 @pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
 def test_long_accesses_wrap_the_sets(geometry):
-    for seed in (3, 4):
+    for seed in (3, 4, 7, 8):
         run_pair(geometry, seed, 400, addr_lines=160, split_lines=80, lengths=LONG_LENGTHS)
 
 
 @pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
 def test_accesses_straddling_the_split(geometry):
-    for seed in (5, 6):
+    for seed in (5, 6, 7, 8):
         run_pair(geometry, seed, 1_500, straddle=True)
-
-
-def test_counters_match_reference_without_event_recording():
-    """The production configuration records no events; its counters must still match."""
-    geometry = (6, 3)
-    for seed in (7, 8):
-        run_pair(geometry, seed, 3_000, record_events=False)
-        run_pair(geometry, seed, 300, addr_lines=160, split_lines=80, lengths=LONG_LENGTHS, record_events=False)
-        run_pair(geometry, seed, 1_000, straddle=True, record_events=False)
 
 
 @pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from hybridgc.collectors import Phase, loo_admit, route_survivor
-from hybridgc.config import CollectorConfig
-from hybridgc.errors import ConfigError, GcLogicError, HeapExhausted
+from hybridgc.config import Collector, CollectorConfig
+from hybridgc.errors import ConfigError, HeapExhausted
 from hybridgc.heap import (
     BOOT,
     LOS_DRAM,
@@ -13,37 +12,57 @@ from hybridgc.heap import (
     MATURE_PCM,
     NURSERY,
     OBSERVER,
-    ObjectRecord,
+    loo_admit,
 )
 from hybridgc.memory import MemoryKind, total_bytes
 
 from support import KIB, MIB, reserve_every_free_chunk, small_heap
 
-
-def rec_with_writes(n: int) -> ObjectRecord:
-    return ObjectRecord(id=1, addr=0, size=64, space=OBSERVER, refs=[], write_count=n)
+SAMPLING_VARIANTS = [v.value for v in Collector if v.is_write_sampling]
 
 
 class TestRouting:
+    """Where each collection sends a small survivor, seen through whole heaps."""
+
     def test_minor_survivors_pause_for_observation_when_sampling(self):
-        config = CollectorConfig(variant="KG-W")
-        assert route_survivor(config, rec_with_writes(0), Phase.MINOR) == OBSERVER
+        for variant in SAMPLING_VARIANTS:
+            heap, _ = small_heap(variant, nursery=8 * KIB, budget=1 * MIB, zeroing=False)
+            ids = ids_from()
+            fill_rooted(heap, ids, 2)
+            heap.write_data(1, 0, 8)  # written or not, a minor survivor waits
+            fill_rooted(heap, ids, 1)  # triggers the first cycle
+            assert [s.kind for s in heap.gc.collections] == ["minor"], variant
+            assert heap.objects[1].space == heap.objects[2].space == OBSERVER, variant
 
     @pytest.mark.parametrize("variant", ["PCM-Only", "KG-N", "KG-B", "KG-N+LOO"])
     def test_minor_survivors_promote_straight_to_pcm_otherwise(self, variant):
-        config = CollectorConfig(variant=variant)
-        assert route_survivor(config, rec_with_writes(3), Phase.MINOR) == MATURE_PCM
+        heap, _ = small_heap(variant, nursery=8 * KIB, budget=1 * MIB, zeroing=False)
+        ids = ids_from()
+        first = fill_rooted(heap, ids, 1)
+        for _ in range(3):
+            heap.write_data(first[0], 0, 8)  # without an observer, writes do not route
+        promoted = list(first)
+        while not heap.gc.collections:  # the B variants' nursery is three times larger
+            promoted += fill_rooted(heap, ids, 1)
+        assert heap.observer is None
+        assert [s.kind for s in heap.gc.collections] == ["minor"]
+        assert {heap.objects[oid].space for oid in promoted[:-1]} == {MATURE_PCM}
+        assert heap.objects[promoted[-1]].space == NURSERY
 
     def test_observed_objects_route_by_write_count(self):
-        config = CollectorConfig(variant="KG-W")
-        assert route_survivor(config, rec_with_writes(0), Phase.OBSERVER) == MATURE_PCM
-        assert route_survivor(config, rec_with_writes(1), Phase.OBSERVER) == MATURE_DRAM
-        assert route_survivor(config, rec_with_writes(9), Phase.OBSERVER) == MATURE_DRAM
-
-    def test_observation_phase_needs_a_sampling_collector(self):
-        config = CollectorConfig(variant="KG-N")
-        with pytest.raises(GcLogicError):
-            route_survivor(config, rec_with_writes(1), Phase.OBSERVER)
+        for variant in SAMPLING_VARIANTS:
+            heap, _ = small_heap(
+                variant, nursery=8 * KIB, observer_multiplier=1.0, budget=1 * MIB, zeroing=False
+            )
+            ids = ids_from()
+            fill_rooted(heap, ids, 5, size=2 * KIB)  # 1-4 move into observation
+            heap.write_data(2, 0, 8)
+            for _ in range(9):
+                heap.write_data(3, 0, 8)
+            fill_rooted(heap, ids, 4, size=2 * KIB)  # full again; evacuation precedes the copy-in
+            assert [s.kind for s in heap.gc.collections] == ["minor", "observer", "minor"], variant
+            spaces = {oid: heap.objects[oid].space for oid in (1, 2, 3, 4)}
+            assert spaces == {1: MATURE_PCM, 2: MATURE_DRAM, 3: MATURE_DRAM, 4: MATURE_PCM}, variant
 
     def test_nursery_admission_for_large_objects(self):
         config = CollectorConfig(variant="KG-W", nursery_size=64 * KIB)
@@ -106,9 +125,10 @@ class TestMinorCollection:
         assert stats.copied_bytes == {MATURE_PCM: 6 * KIB}
         assert stats.reclaimed_objects == 1
         assert stats.space_used_before == 8 * KIB
-        assert heap.emitted["copy_read"] == 6 * KIB
-        assert heap.emitted["copy_write"] == 6 * KIB
-        # the copies land in phase-change memory and nowhere else
+        # each copy reads its nursery bytes once and writes them once into
+        # phase-change memory, and nowhere else
+        assert system.counters.read_bytes == {(0, MemoryKind.DRAM, NURSERY): 6 * KIB}
+        assert system.counters.write_bytes[(0, MemoryKind.PCM, MATURE_PCM)] == 6 * KIB
         assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 6 * KIB
 
     def test_reference_cycle_is_copied_once(self):

@@ -40,13 +40,9 @@ def in_half(layout, kind, addr):
     return lo <= addr < hi
 
 
-def kinds(space_map):
-    return {name: desc.memory for name, desc in space_map.items()}
-
-
 class TestSpaceMaps:
     def test_pcm_only_is_all_pcm(self):
-        got = kinds(make_space_map(CollectorConfig(variant=Collector.PCM_ONLY)))
+        got = make_space_map(CollectorConfig(variant=Collector.PCM_ONLY))
         assert got == {
             BOOT: MemoryKind.PCM,
             NURSERY: MemoryKind.PCM,
@@ -56,7 +52,7 @@ class TestSpaceMaps:
         }
 
     def test_kg_n_moves_young_to_dram(self):
-        got = kinds(make_space_map(CollectorConfig(variant=Collector.KG_N)))
+        got = make_space_map(CollectorConfig(variant=Collector.KG_N))
         assert got == {
             BOOT: MemoryKind.DRAM,
             NURSERY: MemoryKind.DRAM,
@@ -66,15 +62,15 @@ class TestSpaceMaps:
         }
 
     def test_loo_variants_add_dram_los(self):
-        got = kinds(make_space_map(CollectorConfig(variant=Collector.KG_N_LOO)))
+        got = make_space_map(CollectorConfig(variant=Collector.KG_N_LOO))
         assert got[LOS_DRAM] is MemoryKind.DRAM
         assert OBSERVER not in got
-        assert kinds(make_space_map(CollectorConfig(variant=Collector.KG_B))).keys() == {
+        assert make_space_map(CollectorConfig(variant=Collector.KG_B)).keys() == {
             BOOT, NURSERY, MATURE_PCM, LOS_PCM, META_PCM
         }
 
     def test_write_sampling_full_map(self):
-        got = kinds(make_space_map(CollectorConfig(variant=Collector.KG_W)))
+        got = make_space_map(CollectorConfig(variant=Collector.KG_W))
         assert got == {
             BOOT: MemoryKind.DRAM,
             NURSERY: MemoryKind.DRAM,
@@ -88,7 +84,7 @@ class TestSpaceMaps:
         }
 
     def test_mdo_ablation_has_no_dram_metadata(self):
-        got = kinds(make_space_map(CollectorConfig(variant=Collector.KG_W_NO_MDO)))
+        got = make_space_map(CollectorConfig(variant=Collector.KG_W_NO_MDO))
         assert META_DRAM not in got
         assert OBSERVER in got
 
@@ -116,6 +112,8 @@ class TestPlacement:
         assert heap.is_young_addr(heap.observer.lo)
         assert heap.is_young_addr(heap.nursery.hi - 1)
         assert not heap.is_young_addr(heap.observer.lo - 1)
+        # every space but the fixed ranges is a free list
+        assert heap.free_list_spaces.keys() == heap.space_map.keys() - {BOOT, NURSERY, OBSERVER}
 
     def test_boot_at_the_bottom_of_its_half(self):
         kg = small_heap("KG-N", boot_size=16 * KIB)[0]
@@ -204,8 +202,9 @@ class TestAlloc:
     def test_zeroing_toggle(self):
         heap, system = small_heap("KG-N", zeroing=False)
         heap.alloc_object(1, 64, 0)
-        assert heap.emitted["zero"] == 0
-        assert total_bytes(system.counters.write_bytes) == 0
+        counters = system.counters
+        assert counters.write_bytes == counters.demand_write_bytes == {}
+        assert counters.read_bytes == {}
 
     def test_large_goes_to_los(self):
         heap, _ = small_heap("KG-N")  # loo off
@@ -264,10 +263,9 @@ class TestMutatorOps:
         heap.write_data(1, 16, 32)
         heap.read_data(1, 0, 8)
         assert rec.write_count == 1
-        assert heap.emitted["mutator_write"] == 32
-        assert heap.emitted["mutator_read"] == 8
-        assert system.counters.write_bytes[(0, MemoryKind.DRAM, NURSERY)] == 32
-        assert system.counters.read_bytes[(0, MemoryKind.DRAM, NURSERY)] == 8
+        # without a cache, each op reaches memory byte for byte
+        assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 32}
+        assert system.counters.read_bytes == {(0, MemoryKind.DRAM, NURSERY): 8}
 
     def test_bounds_checks(self):
         heap, _ = small_heap("KG-N")
@@ -294,7 +292,8 @@ class TestMutatorOps:
         parent = heap.objects[1]
         assert parent.refs == [0, 2]
         assert parent.write_count == 1
-        assert heap.emitted["barrier"] == 64
+        # the barrier writes the one line holding the slot
+        assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 64}
         # both objects young: nothing to remember
         assert heap.remset == set()
         heap.write_ref(1, 1, 0)  # clearing a slot is fine

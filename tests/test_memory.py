@@ -194,11 +194,12 @@ class TestCacheModel:
 
     def test_drain_decodes_instance_and_kind_of_each_line(self):
         system = system_over(8 * 64, 8, split=2 * 64)
-        system.cache.record_events = True
         system.access(7, 64, 64, True, "p")  # line 1, PCM
         system.access(300, 2 * 64, 64, True, "d")  # line 2, DRAM
         assert system.drain() == 2
-        assert system.cache.events == [("fill", 7, 1), ("fill", 300, 2), ("wb", 7, 1), ("wb", 300, 2)]
+        # both lines stay resident, now clean, in their fill order
+        residents = [list(cset.items()) for cset in system.cache.sets]
+        assert residents == [[(1 << INST_BITS | 7, None), (2 << INST_BITS | 300, None)]]
         assert system.counters.write_bytes == {(7, MemoryKind.PCM, "p"): 64, (300, MemoryKind.DRAM, "d"): 64}
 
     def test_passthrough_is_byte_exact(self):
