@@ -23,7 +23,7 @@ every record, comparing each address with its space's precomputed half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .address_space import HeapLayout, MemoryKind, init_layout

@@ -12,7 +12,7 @@ disabled. Reads reach memory as line fills. Every counter is keyed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .address_space import MemoryKind
 from .errors import ConfigError, InvariantError

@@ -4,7 +4,7 @@ A trace is a flat op stream over object ids. Positive ids are allocated
 by the trace; negative ids name objects of the pre-populated immortal
 space (id -k is the k-th boot object). The text form is line oriented:
 
-    A id size n_refs large   allocate
+    A id size n_refs large   allocate (large is 0 or 1)
     W id offset len          data write
     R id offset len          data read
     P parent slot child      reference write (child 0 stores null)
@@ -19,10 +19,13 @@ records every instance reads and none writes.
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import bisect
 from dataclasses import dataclass, asdict
+from heapq import heappop, heappush
 from itertools import islice
+from math import exp
+from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ConfigError, TraceError
@@ -72,27 +75,35 @@ class UnrootOp:
 TraceOp = Alloc | WriteOp | ReadOp | RefOp | RootOp | UnrootOp
 
 
+# Each record's text form: a %-format and the getter of its fields.
+_FORMATS = {
+    Alloc: ("A %d %d %d %d", attrgetter("oid", "size", "n_refs", "large")),
+    WriteOp: ("W %d %d %d", attrgetter("oid", "offset", "length")),
+    ReadOp: ("R %d %d %d", attrgetter("oid", "offset", "length")),
+    RefOp: ("P %d %d %d", attrgetter("parent", "slot", "child")),
+    RootOp: ("G %d", attrgetter("oid")),
+    UnrootOp: ("U %d", attrgetter("oid")),
+}
+
+
 def serialize_op(op: TraceOp) -> str:
-    match op:
-        case Alloc(oid, size, n_refs, large):
-            return f"A {oid} {size} {n_refs} {int(large)}"
-        case WriteOp(oid, offset, length):
-            return f"W {oid} {offset} {length}"
-        case ReadOp(oid, offset, length):
-            return f"R {oid} {offset} {length}"
-        case RefOp(parent, slot, child):
-            return f"P {parent} {slot} {child}"
-        case RootOp(oid):
-            return f"G {oid}"
-        case UnrootOp(oid):
-            return f"U {oid}"
-    raise TraceError(f"cannot serialize {op!r}")
+    try:
+        fmt, fields = _FORMATS[op.__class__]
+    except KeyError:
+        raise TraceError(f"cannot serialize {op!r}") from None
+    return fmt % fields(op)
 
 
 def serialize_trace(ops: Iterable[TraceOp], out: TextIO) -> int:
+    lines = {cls: (fmt + "\n", fields) for cls, (fmt, fields) in _FORMATS.items()}
+    write = out.write
     n = 0
     for op in ops:
-        out.write(serialize_op(op) + "\n")
+        try:
+            fmt, fields = lines[op.__class__]
+        except KeyError:
+            raise TraceError(f"cannot serialize {op!r}") from None
+        write(fmt % fields(op))
         n += 1
     return n
 
@@ -117,7 +128,9 @@ def parse_trace(lines: Iterable[str]) -> Iterator[TraceOp]:
                 oid, size, n_refs, large = vals
                 if oid <= 0:
                     raise TraceError(f"allocation id {oid} must be positive", line=lineno)
-                yield Alloc(oid, size, n_refs, bool(large))
+                if large != 0 and large != 1:
+                    raise TraceError(f"large flag {large} must be 0 or 1", line=lineno)
+                yield Alloc(oid, size, n_refs, large == 1)
             else:
                 cls = plain_kinds.get(kind)
                 if cls is None:
@@ -163,6 +176,17 @@ class WorkloadSpec:
             raise ConfigError(f"unknown archetype {self.archetype!r}; choose from {ARCHETYPES}")
         if self.op_count <= 0:
             raise ConfigError("op_count must be positive")
+        for name in ("survival", "locality", "large_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not 0 < self.size_min <= self.size_max:
+            raise ConfigError("need 0 < size_min <= size_max")
+        if not 0 < self.large_min <= self.large_max:
+            raise ConfigError("need 0 < large_min <= large_max")
+        if not self.size_log_sigma >= 0:
+            raise ConfigError("size_log_sigma must not be negative")
+        if self.resident_bytes < 0:
+            raise ConfigError("resident_bytes must not be negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -210,135 +234,126 @@ def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> 
 
 
 def generate(spec: WorkloadSpec) -> Iterator[TraceOp]:
-    """Deterministic op stream for ``spec``; exactly ``op_count`` ops."""
+    """Deterministic op stream for ``spec``; exactly ``op_count`` ops.
+
+    Each archetype is an unbounded generator capped here. Every op of a
+    generator depends only on the draws before it, so a capped stream is
+    a prefix of a longer one and may end mid-pattern (an ``Alloc``
+    without its ``RootOp``).
+    """
     if spec.archetype == "nursery-churn":
-        return _gen_nursery_churn(spec)
-    if spec.archetype == "mature-mutation":
-        return _gen_mature_mutation(spec)
-    if spec.archetype == "large-object-graph":
-        return _gen_large_object_graph(spec)
-    raise ConfigError(f"unknown archetype {spec.archetype!r}")
+        gen = _gen_nursery_churn(spec)
+    elif spec.archetype == "mature-mutation":
+        gen = _gen_mature_mutation(spec)
+    elif spec.archetype == "large-object-graph":
+        gen = _gen_large_object_graph(spec)
+    else:
+        raise ConfigError(f"unknown archetype {spec.archetype!r}")
+    return islice(gen, spec.op_count)
 
 
-class _Emitter:
-    """Budgeted op sink so generators stop mid-pattern at exactly op_count."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.out: list[TraceOp] = []
-
-    @property
-    def open(self) -> bool:
-        return self.budget > 0
-
-    def put(self, op: TraceOp) -> None:
-        if self.budget > 0:
-            self.out.append(op)
-            self.budget -= 1
-
-    def take(self) -> list[TraceOp]:
-        ops, self.out = self.out, []
-        return ops
-
-
-def _small_size(rng: random.Random, spec: WorkloadSpec, n_refs: int) -> int:
-    size = int(rng.lognormvariate(spec.size_log_mean, spec.size_log_sigma))
-    size = max(spec.size_min, min(spec.size_max, size))
-    return max(size, 16 + 8 * n_refs)
-
-
-def _large_size(rng: random.Random, spec: WorkloadSpec, n_refs: int) -> int:
-    lo, hi = spec.large_min, spec.large_max
-    size = int(lo * (hi / lo) ** rng.random())  # log-uniform across the range
-    return max(size, 16 + 8 * n_refs)
-
-
-def _pick(rng: random.Random, pool: list) -> object:
-    return pool[rng.randrange(len(pool))]
+# The generators draw only through public random.Random methods, bound
+# once; the stream pins in tests/test_workloads.py fix their draw order.
+# A weighted pick ``pop[bisect(cum_weights, random() * total, 0, len(pop) - 1)]``
+# is the expression rng.choices(pop, cum_weights=...) evaluates, and a
+# small-object size ``int(exp(normalvariate(mu, sigma)))`` is
+# int(rng.lognormvariate(mu, sigma)). Each op is built where it is
+# yielded, so one step of a stream runs in the generator's own frame.
 
 
 def _gen_nursery_churn(spec: WorkloadSpec) -> Iterator[TraceOp]:
     rng = random.Random(spec.seed)
-    emit = _Emitter(spec.op_count)
-    next_id = 1
-    allocs = 0
+    random_, choice, randrange, normalvariate = rng.random, rng.choice, rng.randrange, rng.normalvariate
+    mu, sigma, size_min, size_max = spec.size_log_mean, spec.size_log_sigma, spec.size_min, spec.size_max
+    survival, locality = spec.survival, spec.locality
+    allocs = 0  # also the id of the latest allocation
     recent: list[tuple[int, int, int]] = []  # (id, size, n_refs), ring of the young set
     retained: list[tuple[int, int, int]] = []
     deaths: list[tuple[int, int]] = []  # heap of (due_alloc_count, id)
-
-    def alloc_one() -> None:
-        nonlocal next_id, allocs
-        # weights 4:3:2:1, passed cumulated: given plain weights, choices
-        # would build this same list on every call (the stream is the same)
-        n_refs = rng.choices((0, 1, 2, 3), cum_weights=(4, 7, 9, 10))[0]
-        size = _small_size(rng, spec, n_refs)
-        oid = next_id
-        next_id += 1
-        emit.put(Alloc(oid, size, n_refs, False))
-        emit.put(RootOp(oid))
-        allocs += 1
-        entry = (oid, size, n_refs)
-        if len(recent) < 512:
-            recent.append(entry)
-        else:
-            recent[allocs % 512] = entry
-        if rng.random() < spec.survival:
-            retained.append(entry)
-        else:
-            # delay > ring size, so dead ids are never picked as targets
-            heapq.heappush(deaths, (allocs + rng.randint(600, 3000), oid))
-
-    while emit.open:
-        while deaths and deaths[0][0] <= allocs and emit.open:
-            emit.put(UnrootOp(heapq.heappop(deaths)[1]))
-        if not emit.open:
-            break
-        r = rng.random()
+    while True:
+        while deaths and deaths[0][0] <= allocs:
+            yield UnrootOp(heappop(deaths)[1])
+        r = random_()
         if r < 0.42 or not recent:
-            alloc_one()
-        elif r < 0.76:
-            pool = recent if (rng.random() < spec.locality or not retained) else retained
-            oid, size, _ = _pick(rng, pool)
-            length = rng.choice((8, 16, 32, 64))
-            length = min(length, size)
-            emit.put(WriteOp(oid, rng.randrange(0, size - length + 1), length))
-        elif r < 0.88:
-            oid, size, _ = _pick(rng, recent)
-            length = min(32, size)
-            emit.put(ReadOp(oid, rng.randrange(0, size - length + 1), length))
-        else:
-            parent_pool = retained if (retained and rng.random() < 0.5) else recent
-            pid, psize, pslots = _pick(rng, parent_pool)
-            if pslots == 0:
-                emit.put(WriteOp(pid, 0, min(8, psize)))
+            n_refs = (0, 1, 2, 3)[bisect((4, 7, 9, 10), random_() * 10.0, 0, 3)]  # weights 4:3:2:1
+            size = max(size_min, min(size_max, int(exp(normalvariate(mu, sigma)))), 16 + 8 * n_refs)
+            allocs += 1
+            entry = (allocs, size, n_refs)
+            if len(recent) < 512:
+                recent.append(entry)
             else:
-                child = 0 if rng.random() < 0.1 else _pick(rng, recent)[0]
-                emit.put(RefOp(pid, rng.randrange(pslots), child))
-        yield from emit.take()
-    yield from emit.take()  # ops buffered when the budget ran out mid-flush
+                recent[allocs % 512] = entry
+            if random_() < survival:
+                retained.append(entry)
+            else:
+                # delay > ring size, so dead ids are never picked as targets
+                heappush(deaths, (allocs + randrange(600, 3001), allocs))
+            yield Alloc(allocs, size, n_refs, False)
+            yield RootOp(allocs)
+        elif r < 0.76:
+            pool = recent if (random_() < locality or not retained) else retained
+            oid, size, _ = choice(pool)
+            length = min(choice((8, 16, 32, 64)), size)
+            yield WriteOp(oid, randrange(size - length + 1), length)
+        elif r < 0.88:
+            oid, size, _ = choice(recent)
+            length = min(32, size)
+            yield ReadOp(oid, randrange(size - length + 1), length)
+        else:
+            parent_pool = retained if (retained and random_() < 0.5) else recent
+            pid, psize, pslots = choice(parent_pool)
+            if pslots == 0:
+                yield WriteOp(pid, 0, min(8, psize))
+            else:
+                child = 0 if random_() < 0.1 else choice(recent)[0]
+                yield RefOp(pid, randrange(pslots), child)
 
 
 def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
     rng = random.Random(spec.seed)
-    emit = _Emitter(spec.op_count)
-    next_id = 1
-    allocs = 0
+    random_, choice, randrange, normalvariate = rng.random, rng.choice, rng.randrange, rng.normalvariate
+    mu, sigma, size_min, size_max = spec.size_log_mean, spec.size_log_sigma, spec.size_min, spec.size_max
+    locality, resident_bytes = spec.locality, spec.resident_bytes
+    allocs = 0  # also the id of the latest allocation
     resident: list[tuple[int, int, int]] = []
     hot: list[tuple[int, int, int]] = []  # leading slice of resident, kept incrementally
     resident_total = 0
     recent: list[tuple[int, int, int]] = []
     deaths: list[tuple[int, int]] = []
-
-    def alloc(into_resident: bool) -> None:
-        nonlocal next_id, allocs, resident_total
-        n_refs = rng.choices((0, 1, 2), cum_weights=(5, 8, 10))[0]  # weights 5:3:2, cumulated
-        size = _small_size(rng, spec, n_refs)
-        oid = next_id
-        next_id += 1
-        emit.put(Alloc(oid, size, n_refs, False))
-        emit.put(RootOp(oid))
+    while True:
+        while deaths and deaths[0][0] <= allocs:
+            yield UnrootOp(heappop(deaths)[1])
+        building = resident_total < resident_bytes
+        r = random_()
+        if building and r < 0.55:
+            into_resident = True
+        elif r < 0.30:
+            into_resident = False
+        elif r < 0.80 and resident:
+            pool = hot if random_() < locality else (recent or resident)
+            oid, size, _ = choice(pool)
+            length = min(choice((8, 16, 32, 64, 128)), size)
+            yield WriteOp(oid, randrange(size - length + 1), length)
+            continue
+        elif r < 0.92 and resident:
+            oid, size, _ = choice(resident)
+            length = min(64, size)
+            yield ReadOp(oid, randrange(size - length + 1), length)
+            continue
+        elif resident and recent:
+            pid, _, pslots = choice(resident)
+            if pslots == 0:
+                oid, size, _ = resident[0]
+                yield WriteOp(oid, 0, min(8, size))
+            else:
+                yield RefOp(pid, randrange(pslots), choice(recent)[0])
+            continue
+        else:
+            into_resident = building
+        n_refs = (0, 1, 2)[bisect((5, 8, 10), random_() * 10.0, 0, 2)]  # weights 5:3:2
+        size = max(size_min, min(size_max, int(exp(normalvariate(mu, sigma)))), 16 + 8 * n_refs)
         allocs += 1
-        entry = (oid, size, n_refs)
+        entry = (allocs, size, n_refs)
         if into_resident:
             resident.append(entry)
             resident_total += size
@@ -350,118 +365,84 @@ def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
             else:
                 recent[allocs % 256] = entry
             # middle-aged: survives a couple of nursery rounds, then dies
-            heapq.heappush(deaths, (allocs + rng.randint(30_000, 55_000), oid))
-
-    while emit.open:
-        while deaths and deaths[0][0] <= allocs and emit.open:
-            emit.put(UnrootOp(heapq.heappop(deaths)[1]))
-        if not emit.open:
-            break
-        building = resident_total < spec.resident_bytes
-        r = rng.random()
-        if building and r < 0.55:
-            alloc(into_resident=True)
-        elif r < 0.30:
-            alloc(into_resident=False)
-        elif r < 0.80 and resident:
-            pool = hot if rng.random() < spec.locality else (recent or resident)
-            oid, size, _ = _pick(rng, pool)
-            length = min(rng.choice((8, 16, 32, 64, 128)), size)
-            emit.put(WriteOp(oid, rng.randrange(0, size - length + 1), length))
-        elif r < 0.92 and resident:
-            oid, size, _ = _pick(rng, resident)
-            length = min(64, size)
-            emit.put(ReadOp(oid, rng.randrange(0, size - length + 1), length))
-        elif resident and recent:
-            pid, _, pslots = _pick(rng, resident)
-            if pslots == 0:
-                oid, size, _ = resident[0]
-                emit.put(WriteOp(oid, 0, min(8, size)))
-            else:
-                emit.put(RefOp(pid, rng.randrange(pslots), _pick(rng, recent)[0]))
-        else:
-            alloc(into_resident=building)
-        yield from emit.take()
-    yield from emit.take()
+            heappush(deaths, (allocs + randrange(30_000, 55_001), allocs))
+        yield Alloc(allocs, size, n_refs, False)
+        yield RootOp(allocs)
 
 
 def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
     rng = random.Random(spec.seed)
-    emit = _Emitter(spec.op_count)
-    next_id = 1
-    allocs = 0
+    random_, choice, randrange, normalvariate = rng.random, rng.choice, rng.randrange, rng.normalvariate
+    mu, sigma, size_min, size_max = spec.size_log_mean, spec.size_log_sigma, spec.size_min, spec.size_max
+    large_min, large_ratio = spec.large_min, spec.large_max / spec.large_min
+    survival, locality, large_fraction = spec.survival, spec.locality, spec.large_fraction
+    allocs = 0  # also the id of the latest allocation
     hot_large: list[tuple[int, int, int]] = []  # long-lived, heavily written
     recent_large: list[tuple[int, int, int]] = []
     recent_small: list[tuple[int, int, int]] = []
-    deaths: list[tuple[int, int]] = []
+    # heap of (due_alloc_count, id, pool, pool entry); (due, id) is unique,
+    # so the order is that of (due, id) alone
+    deaths: list[tuple[int, int, list, tuple[int, int, int]]] = []
     HOT_TARGET = 8
-
-    def alloc_one() -> None:
-        nonlocal next_id, allocs
-        large = rng.random() < spec.large_fraction
-        n_refs = rng.choices((0, 1, 2, 4), cum_weights=(3, 6, 8, 10))[0]  # weights 3:3:2:2, cumulated
-        size = _large_size(rng, spec, n_refs) if large else _small_size(rng, spec, n_refs)
-        oid = next_id
-        next_id += 1
-        emit.put(Alloc(oid, size, n_refs, large))
-        emit.put(RootOp(oid))
+    while True:
+        while deaths and deaths[0][0] <= allocs:
+            _, dead, pool, entry = heappop(deaths)
+            # unrooted ids may be collected any time; drop them as targets
+            # (the entry is gone already if the ring overwrote it)
+            try:
+                pool.remove(entry)
+            except ValueError:
+                pass
+            yield UnrootOp(dead)
+        r = random_()
+        if r < 0.40 or not (hot_large or recent_small):
+            pass  # allocate, below
+        elif r < 0.78:
+            if hot_large and random_() < locality:
+                oid, size, _ = choice(hot_large)
+                length = min(choice((256, 512, 1024, 4096)), size)
+            else:
+                oid, size, _ = choice(recent_small or hot_large)
+                length = min(choice((8, 16, 32, 64)), size)
+            yield WriteOp(oid, randrange(size - length + 1), length)
+            continue
+        elif r < 0.90:
+            oid, size, _ = choice(recent_large or hot_large or recent_small)
+            length = min(512, size)
+            yield ReadOp(oid, randrange(size - length + 1), length)
+            continue
+        else:
+            pools = tuple(filter(None, (recent_small, recent_large, hot_large)))
+            pid, _, pslots = choice(pools[allocs % len(pools)])
+            if pslots:
+                child_pool = recent_large or recent_small or hot_large
+                child = 0 if random_() < 0.1 else choice(child_pool)[0]
+                yield RefOp(pid, randrange(pslots), child)
+                continue
+        large = random_() < large_fraction
+        n_refs = (0, 1, 2, 4)[bisect((3, 6, 8, 10), random_() * 10.0, 0, 3)]  # weights 3:3:2:2
+        if large:
+            size = max(int(large_min * large_ratio ** random_()), 16 + 8 * n_refs)  # log-uniform
+        else:
+            size = max(size_min, min(size_max, int(exp(normalvariate(mu, sigma)))), 16 + 8 * n_refs)
         allocs += 1
-        entry = (oid, size, n_refs)
+        entry = (allocs, size, n_refs)
         if large and len(hot_large) < HOT_TARGET:
             hot_large.append(entry)
-            return
-        pool = recent_large if large else recent_small
-        if len(pool) < 128:
-            pool.append(entry)
         else:
-            pool[allocs % 128] = entry
-        if rng.random() < spec.survival:
-            heapq.heappush(deaths, (allocs + rng.randint(8_000, 16_000), oid))
-        else:
-            # die before the nursery turns over so admitted large objects
-            # are mostly reclaimed young instead of copied out
-            heapq.heappush(deaths, (allocs + rng.randint(100, 700), oid))
-
-    while emit.open:
-        while deaths and deaths[0][0] <= allocs and emit.open:
-            dead = heapq.heappop(deaths)[1]
-            # unrooted ids may be collected any time; drop them as targets
-            for pool in (recent_large, recent_small):
-                for k, entry in enumerate(pool):
-                    if entry[0] == dead:
-                        del pool[k]
-                        break
-            emit.put(UnrootOp(dead))
-        if not emit.open:
-            break
-        r = rng.random()
-        if r < 0.40 or not (hot_large or recent_small):
-            alloc_one()
-        elif r < 0.78:
-            if hot_large and rng.random() < spec.locality:
-                oid, size, _ = _pick(rng, hot_large)
-                length = min(rng.choice((256, 512, 1024, 4096)), size)
+            pool = recent_large if large else recent_small
+            if len(pool) < 128:
+                pool.append(entry)
             else:
-                pool = recent_small or hot_large
-                oid, size, _ = _pick(rng, pool)
-                length = min(rng.choice((8, 16, 32, 64)), size)
-            emit.put(WriteOp(oid, rng.randrange(0, size - length + 1), length))
-        elif r < 0.90:
-            pool = recent_large or hot_large or recent_small
-            oid, size, _ = _pick(rng, pool)
-            length = min(512, size)
-            emit.put(ReadOp(oid, rng.randrange(0, size - length + 1), length))
-        else:
-            pools = [p for p in (recent_small, recent_large, hot_large) if p]
-            pid, _, pslots = _pick(rng, pools[allocs % len(pools)])
-            if pslots == 0:
-                alloc_one()
+                pool[allocs % 128] = entry
+            if random_() < survival:
+                heappush(deaths, (allocs + randrange(8_000, 16_001), allocs, pool, entry))
             else:
-                child_pool = recent_large or recent_small or hot_large
-                child = 0 if rng.random() < 0.1 else _pick(rng, child_pool)[0]
-                emit.put(RefOp(pid, rng.randrange(pslots), child))
-        yield from emit.take()
-    yield from emit.take()
+                # die before the nursery turns over so admitted large objects
+                # are mostly reclaimed young instead of copied out
+                heappush(deaths, (allocs + randrange(100, 701), allocs, pool, entry))
+        yield Alloc(allocs, size, n_refs, large)
+        yield RootOp(allocs)
 
 
 # ---------------------------------------------------------------------------

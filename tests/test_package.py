@@ -23,3 +23,44 @@ def test_no_invariant_is_an_assert():
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def test_no_unused_import():
+    """Every name a module imports is read in it, counting string annotations.
+
+    ``__init__.py`` re-exports what it imports, and ``__future__`` imports
+    are directives, so neither is checked.
+    """
+    package = os.path.dirname(hybridgc.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for annotation in filter(None, _annotations(tree)):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    expr = ast.parse(node.value, mode="eval")
+                    used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+        unused += [f"{os.path.basename(path)}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert sorted(unused) == []

@@ -2,11 +2,15 @@
 
 import hashlib
 import io
+import sys
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridgc import workloads
 from hybridgc.address_space import MemoryKind
 from hybridgc.errors import ConfigError, TraceError
 from hybridgc.heap import BOOT
@@ -61,8 +65,9 @@ class TestGrammar:
     # The lines that may precede a bad one: a comment, a tab-indented
     # comment and a whitespace-only line.
     PREAMBLE = ["# preamble", "\t# indented", " \t "]
-    # The message of each bad line, one of four classes: non-integer
-    # field, wrong field count, unknown op kind, non-positive id.
+    # The message of each bad line, one of five classes: non-integer
+    # field, wrong field count, unknown op kind, non-positive id, and a
+    # large flag other than 0 or 1 (which would not serialize back).
     MESSAGES = {
         "X 1 2": "unknown op kind 'X'",
         "X 1 two": "non-integer field in 'X 1 two'",
@@ -74,6 +79,8 @@ class TestGrammar:
         "A 1 64 0 0 9": "wrong field count in 'A 1 64 0 0 9'",
         "A 0 64 0 0": "allocation id 0 must be positive",
         "A -5 64 0 0": "allocation id -5 must be positive",
+        "A 1 64 0 2": "large flag 2 must be 0 or 1",
+        "A 1 64 0 -1": "large flag -1 must be 0 or 1",
     }
 
     @pytest.mark.parametrize(
@@ -85,7 +92,9 @@ class TestGrammar:
             ("A 1 64 0 0 9", 2),
             ("A 0 64 0 0", 2),
             ("A -5 64 0 0", 2),
+            ("A 1 64 0 2", 2),
             ("X 1 two", 3),
+            ("A 1 64 0 -1", 3),
             ("  W 1 2\t", 4),
             ("G", 4),
             ("U 1 2", 4),
@@ -148,6 +157,38 @@ class TestSpecs:
     def test_op_count_must_be_positive(self):
         with pytest.raises(ConfigError):
             WorkloadSpec(archetype="nursery-churn", op_count=0)
+
+    @pytest.mark.parametrize("name", ["survival", "locality", "large_fraction"])
+    def test_fractions_lie_in_the_unit_interval(self, name):
+        for value in (0.0, 1.0):
+            WorkloadSpec("nursery-churn", 10, **{name: value})
+        for value in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match=name):
+                WorkloadSpec("nursery-churn", 10, **{name: value})
+
+    def test_small_sizes_must_form_a_positive_range(self):
+        WorkloadSpec("nursery-churn", 10, size_min=64, size_max=64)
+        for lo, hi in ((0, 64), (-16, 64), (128, 64)):
+            with pytest.raises(ConfigError, match="size_min"):
+                WorkloadSpec("nursery-churn", 10, size_min=lo, size_max=hi)
+
+    def test_large_sizes_must_form_a_positive_range(self):
+        WorkloadSpec("large-object-graph", 10, large_min=8 * KIB, large_max=8 * KIB)
+        # a zero minimum used to fail inside the generator, dividing by zero
+        for lo, hi in ((0, 64 * KIB), (64 * KIB, 8 * KIB)):
+            with pytest.raises(ConfigError, match="large_min"):
+                WorkloadSpec("large-object-graph", 50, large_min=lo, large_max=hi, large_fraction=1.0)
+
+    def test_size_spread_must_not_be_negative(self):
+        WorkloadSpec("nursery-churn", 10, size_log_sigma=0.0)
+        for sigma in (-0.5, float("nan")):
+            with pytest.raises(ConfigError, match="size_log_sigma"):
+                WorkloadSpec("nursery-churn", 10, size_log_sigma=sigma)
+
+    def test_resident_set_must_not_be_negative(self):
+        WorkloadSpec("mature-mutation", 10, resident_bytes=0)
+        with pytest.raises(ConfigError, match="resident_bytes"):
+            WorkloadSpec("mature-mutation", 10, resident_bytes=-1)
 
     def test_dict_round_trip_and_reseeding(self):
         spec = default_spec("large-object-graph", op_count=500, seed=3)
@@ -242,8 +283,15 @@ class TestGenerators:
         assert any(isinstance(op, RefOp) for op in ops)
 
 
+def stream_sha256(archetype: str, count: int, seed: int) -> str:
+    text = "\n".join(serialize_op(op) for op in generate(default_spec(archetype, op_count=count, seed=seed)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # SHA-256 of each archetype's serialized stream at seed 7, 5,000 ops,
-# recorded before the generators passed cum_weights to rng.choices.
+# recorded from the first generators, which drew through helper
+# functions, rng.choices and rng.lognormvariate. Any change to what the
+# generators draw, or in which order, moves these.
 STREAM_SHA256 = {
     "nursery-churn": "a00f4d16293e3b39857948fc5795ed96ed759af31b75455ebba6076646950928",
     "mature-mutation": "148c7975bf817bd1aff82e3ce0912107a7e23500fcef661311095aa274689737",
@@ -253,8 +301,73 @@ STREAM_SHA256 = {
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
 def test_generated_streams_are_pinned(archetype):
-    text = "\n".join(serialize_op(op) for op in generate(default_spec(archetype, op_count=5_000, seed=7)))
-    assert hashlib.sha256(text.encode()).hexdigest() == STREAM_SHA256[archetype]
+    assert stream_sha256(archetype, 5_000, 7) == STREAM_SHA256[archetype]
+
+
+# The same digests at the benchmark's op counts and at its two seeds, and
+# at 1, 2 and 3 ops (seed 42), where the count ends the stream inside an
+# allocation's Alloc/RootOp pair or just after it. Recorded from the
+# generators that buffered each loop turn's ops and dropped those past
+# the count.
+BENCH_STREAM_SHA256 = {
+    ("nursery-churn", 100_000, 42): "7f941a5f504061e7f23de733f1032d926af667d7b9249e26c2b26bfac8235cbd",
+    ("nursery-churn", 100_000, 20180800): "6e0979eda32169aac3fa9cb29921217672601c829e3eb4264eaa3f2ab3e1f9cb",
+    ("nursery-churn", 1, 42): "e43f56ece38b6d3e474f93ecc6fc4480f0625fc23fa520399671783437380941",
+    ("nursery-churn", 2, 42): "37d864dc79e7ae77a0211acf2b3bc2bfc9686eb9f355b176c355fbb322649c94",
+    ("nursery-churn", 3, 42): "0347020c0e7e2d990b2245d736ce02de1c2e897d54f281b8773cdb072fcf849c",
+    ("mature-mutation", 120_000, 42): "9f9fd75546ec10dd2a37af04ad038ee14758748796379d9d4930767427f985b8",
+    ("mature-mutation", 120_000, 20180800): "9141a1691802fc0ee10c9b112845c19cfa5cc958d755c3b07ebc9ddb0dba7cd4",
+    ("mature-mutation", 1, 42): "1c67a35e047ed5e6bccc241e2700db6a31c9d956d492697a3c22123773256a19",
+    ("mature-mutation", 2, 42): "b95fc668dc04ef0f126652adb054057ddd9a1a9c3500fcc1be73641e94736a72",
+    ("mature-mutation", 3, 42): "3c41ac71319b56e4e5cd9c4caf3a7f98ebe3687ee955174293ac3a9448235981",
+    ("large-object-graph", 16_000, 42): "251cdf19285c07081e77faa2cab7670e6c2628d04cbcba690a01139906380197",
+    ("large-object-graph", 16_000, 20180800): "cf07756250e7347c30a519cce297adb8a0630504ab83cb94fc6af8ca001554e4",
+    ("large-object-graph", 1, 42): "e8cec157853d98a38612c880e27b7441fd8a5d77f0edc4122e377b23477fc7b4",
+    ("large-object-graph", 2, 42): "7da8e014ca2b71800508b3ccbdcf1651c5bedda482e4556f9925d665a7e3be73",
+    ("large-object-graph", 3, 42): "ac7de988dc26302954d8cc2440ae3a02bb57fbbd1433617030c0e0c153f48ec1",
+}
+
+
+@pytest.mark.parametrize("archetype,count,seed", sorted(BENCH_STREAM_SHA256))
+def test_benchmark_scale_streams_are_pinned(archetype, count, seed):
+    assert stream_sha256(archetype, count, seed) == BENCH_STREAM_SHA256[archetype, count, seed]
+
+
+RECORDS = (Alloc, WriteOp, ReadOp, RefOp, RootOp, UnrootOp)
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_each_generated_op_runs_in_its_frame_budget(archetype):
+    """A step of a stream enters, of the frames defined in this package's
+    workloads module, only its generator and the yielded record's
+    ``__init__``. A helper frame added back to a generator fails here."""
+    # keyed by identity: records with the same fields have equal __init__ code
+    names = {id(cls.__init__.__code__): f"{cls.__name__}.__init__" for cls in RECORDS}
+    entered: list[str] = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and (id(code) in names or code.co_filename == workloads.__file__):
+            entered.append(names.get(id(code), code.co_qualname))
+
+    generator = "_gen_" + archetype.replace("-", "_")
+    # a small resident set, so that mature-mutation's first unroots come
+    # before op 150,000 (the other archetypes build no resident set)
+    stream = generate(replace(default_spec(archetype, op_count=160_000, seed=7), resident_bytes=64 * KIB))
+    kinds = set()
+    for skip in (0, 150_000 - 2_000):
+        for _ in islice(stream, skip):
+            pass
+        for _ in range(2_000):
+            entered.clear()
+            sys.setprofile(profile)
+            try:
+                op = next(stream)
+            finally:
+                sys.setprofile(None)
+            assert entered == [generator, f"{type(op).__name__}.__init__"]
+            kinds.add(type(op))
+    assert kinds == set(RECORDS)
 
 
 class TestDriver:
