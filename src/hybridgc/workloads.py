@@ -95,6 +95,7 @@ def serialize_op(op: TraceOp) -> str:
 
 
 def serialize_trace(ops: Iterable[TraceOp], out: TextIO) -> int:
+    # serialize_op inlined, so that a line costs no call of its own
     lines = {cls: (fmt + "\n", fields) for cls, (fmt, fields) in _FORMATS.items()}
     write = out.write
     n = 0
