@@ -14,7 +14,7 @@ class OutOfChunks(SimulatorError):
 
 
 class DoubleFree(SimulatorError):
-    """A chunk that is not in use was released."""
+    """A chunk that is already free was released."""
 
 
 class HeapExhausted(SimulatorError):

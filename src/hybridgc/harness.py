@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise ConfigError("quantum must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warm-up fraction must be in [0, 1)")
+        if not (self.op_cost_ns >= 0.0 and self.byte_cost_ns >= 0.0):  # NaN fails too
+            raise ConfigError("op and byte costs must be non-negative")
+        self.lifetime_model()  # validate before the run, not at report time
 
     def collector_config(self) -> CollectorConfig:
         return CollectorConfig(

@@ -1,14 +1,15 @@
 """Per-instance heap: spaces, object records, mutator operations.
 
-Each instance owns a full split address range starting at 0. Fixed
-spaces (boot, nursery, observer) claim the chunks under their ranges at
-startup, once each even where two adjacent spaces share a boundary
-chunk; mature, large and metadata spaces pull chunks from the free lists
-on demand, and an allocation that finds its half out of chunks raises
-``HeapExhausted``. The write barrier and the mutator's traffic live
-here; the collection algorithms that consume this state, and issue the
-collector's traffic, live in :mod:`hybridgc.collectors`. Every access
-goes straight to ``MemorySystem.access``.
+Each instance owns a full split address range starting at 0. A chunk
+is its index in that range. Fixed spaces (boot, nursery, observer) claim
+the chunks under their ranges at startup, once each even where two
+adjacent spaces share a boundary chunk, and the heap keeps them as the
+set ``reserved``; mature, large and metadata spaces pull chunk indices
+from the free lists on demand, and an allocation that finds its half out
+of chunks raises ``HeapExhausted``. The write barrier and the mutator's
+traffic live here; the collection algorithms that consume this state,
+and issue the collector's traffic, live in :mod:`hybridgc.collectors`.
+Every access goes straight to ``MemorySystem.access``.
 
 The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
@@ -18,7 +19,9 @@ trace has named (``named_boot_ids``). Besides ``objects`` the heap keeps
 ``young``: the records in the observer or the nursery, in address
 order. Allocation appends to it and the collector rebuilds it, so a
 minor collection touches only young records. ``check_placement`` covers
-every record, comparing each address with its space's precomputed half.
+every record, comparing each address with its space's precomputed half,
+and every chunk: the free indices of both halves, the chunks of the
+free-list spaces and ``reserved`` must cover each index exactly once.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class FreeListSpace:
         self.name = name
         self.memory = memory
         self.layout = layout
-        self.chunks: list = []
+        self.chunks: list[int] = []  # indices of the chunks this space holds
         self.extents: list[list[int]] = []  # [addr, size], sorted by addr
         self.allocated_bytes = 0
 
@@ -148,14 +151,15 @@ class FreeListSpace:
         addr = self._first_fit(n)
         if addr is None:
             try:
-                chunk = self.layout.free_list_for(self.memory).reserve(self.name)
+                index = self.layout.free_list_for(self.memory).reserve(self.name)
             except OutOfChunks as exc:
                 raise HeapExhausted(str(exc)) from exc
-            self.chunks.append(chunk)
-            self._insert_extent(chunk.base, chunk.size)
+            self.chunks.append(index)
+            size = self.layout.chunk_size
+            self._insert_extent(index * size, size)
             addr = self._first_fit(n)
             if addr is None:
-                raise InvariantError(f"a fresh {chunk.size}-byte chunk of {self.name} cannot hold {n} bytes")
+                raise InvariantError(f"a fresh {size}-byte chunk of {self.name} cannot hold {n} bytes")
         self.allocated_bytes += n
         return addr
 
@@ -190,8 +194,10 @@ class FreeListSpace:
         live_bytes = 0
         idx = 0
         n_live = len(live_intervals)
-        for chunk in sorted(self.chunks, key=lambda c: c.base):
-            lo, hi = chunk.base, chunk.base + chunk.size
+        size = self.layout.chunk_size
+        for index in sorted(self.chunks):
+            lo = index * size
+            hi = lo + size
             cursor = lo
             any_live = False
             while idx < n_live and live_intervals[idx][0] < hi:
@@ -205,11 +211,11 @@ class FreeListSpace:
                 cursor = a + sz
                 idx += 1
             if not any_live:
-                self.layout.release_chunk(chunk)
+                self.layout.free_list_for(self.memory).release(index)
                 continue
             if cursor < hi:
                 extents.append([cursor, hi - cursor])
-            kept.append(chunk)
+            kept.append(index)
         if idx != n_live:
             raise InvariantError(f"live object at {live_intervals[idx][0]:#x} is not inside any {self.name} chunk")
         self.chunks = kept
@@ -316,12 +322,15 @@ class HeapInstance:
         bump_spaces: dict[str, BumpSpace] = {}
         reserved: set[int] = set()
         for name, lo, hi in ranges:
+            free_list = layout.free_list_for(self.space_map[name])
             for index in range(lo // layout.chunk_size, (hi - 1) // layout.chunk_size + 1):
                 if index in reserved:
                     continue  # adjacent fixed spaces may share a boundary chunk
-                layout.free_list_for(layout.chunks[index].kind).reserve_index(index, name)
+                free_list.reserve_index(index, name)
                 reserved.add(index)
             bump_spaces[name] = BumpSpace(name, lo, hi)
+
+        self.reserved = reserved  # the fixed spaces' chunks, held for the heap's life
 
         self.young_lo = young_lo
         self.young_hi = nursery_hi
@@ -476,9 +485,14 @@ class HeapInstance:
         )
 
     def check_placement(self) -> None:
-        """Every record must sit in the memory half of its space's kind.
+        """Every record and every chunk must sit where its kind says.
 
-        A boot object with no record sits where the arithmetic puts it.
+        Each record lies in the memory half of its space's kind; a boot
+        object with no record sits where the arithmetic puts it. The
+        chunks form a partition: every index is free in its half's list,
+        held by one free-list space inside that space's half, or under a
+        fixed space (claimed from the fixed space's half at construction),
+        and no index is in two of these places.
         """
         bounds = self.space_bounds
         for rec in self.objects.values():
@@ -487,4 +501,20 @@ class HeapInstance:
                 raise InvariantError(
                     f"object {rec.id} in {rec.space} landed at {rec.addr:#x}, outside [{lo:#x}, {hi:#x})"
                 )
-        self.layout.check_invariants()
+        layout = self.layout
+        holders = [(f"free {half.kind.value}", half.free_indices, half) for half in (layout.pcm, layout.dram)]
+        holders += [
+            (name, space.chunks, layout.free_list_for(space.memory))
+            for name, space in self.free_list_spaces.items()
+        ]
+        held_by = dict.fromkeys(self.reserved, "fixed")
+        for holder, indices, half in holders:
+            for index in indices:
+                if index in held_by:
+                    raise InvariantError(f"chunk {index} is both {held_by[index]} and {holder}")
+                if index not in half.indices:
+                    raise InvariantError(f"chunk {index} of {holder} lies outside the {half.kind.value} half")
+                held_by[index] = holder
+        for index in range(layout.heap_size // layout.chunk_size):
+            if index not in held_by:
+                raise InvariantError(f"chunk {index} is neither free nor held")

@@ -11,15 +11,20 @@ space (id -k is the k-th boot object). The text form is line oriented:
     G id                     root
     U id                     unroot
 
-``#`` starts a comment line. Parsing then serializing reproduces the
-input exactly (modulo comments and blank lines). The op records are
-plain slotted dataclasses: a replay trace is parsed into one list whose
-records every instance reads and none writes.
+``#`` starts a comment line. Every integer is written canonically:
+ASCII digits, a ``-`` only before a nonzero value, no leading zero, no
+``+`` or ``_``; the parser rejects any other spelling that ``int()``
+would read. Parsing then serializing reproduces the input exactly up to
+whitespace (fields may be separated by runs of spaces and tabs, which
+come back as one space) and apart from comments and blank lines. The op
+records are plain slotted dataclasses: a replay trace is parsed into one
+list whose records every instance reads and none writes.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect
 from dataclasses import dataclass, asdict
 from heapq import heappop, heappush
@@ -112,13 +117,21 @@ def serialize_trace(ops: Iterable[TraceOp], out: TextIO) -> int:
 # Op kinds whose fields are the record's fields, in order.
 _PLAIN_KINDS = {"W": WriteOp, "R": ReadOp, "P": RefOp, "G": RootOp, "U": UnrootOp}
 
+# A field with a leading zero, or a negative zero: ``int()`` reads both,
+# but neither serializes back. Every integer field follows whitespace.
+# Searched only on lines holding a "0".
+_LEADING_ZERO = re.compile(r"\s(?:-0|0\d)")
+
 
 def parse_trace(lines: Iterable[str]) -> Iterator[TraceOp]:
     plain_kinds = _PLAIN_KINDS
+    leading_zero = _LEADING_ZERO.search
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
+        if not raw.isascii() or "_" in raw or "+" in raw or ("0" in raw and leading_zero(raw)):
+            raise TraceError(f"non-canonical field in {raw.strip()!r}", line=lineno)
         kind = fields[0]
         try:
             vals = [int(a) for a in fields[1:]]

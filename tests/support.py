@@ -54,8 +54,13 @@ def resident_lines(cache) -> int:
     return sum(len(cset) for cset in cache.sets)
 
 
-def reserve_every_free_chunk(layout) -> None:
-    """Leave both halves of ``layout`` without a free chunk."""
+def reserve_every_free_chunk(heap) -> None:
+    """Leave both halves of ``heap`` without a free chunk.
+
+    The heap holds the taken chunks as it holds its fixed spaces' chunks,
+    so its chunk partition check still passes.
+    """
+    layout = heap.layout
     for free_list in (layout.pcm, layout.dram):
         while free_list.free_indices:
-            free_list.reserve("filler")
+            heap.reserved.add(free_list.reserve("filler"))

@@ -4,16 +4,15 @@ from hypothesis import strategies as st
 
 from hybridgc.address_space import MemoryKind, init_layout
 from hybridgc.errors import ConfigError, DoubleFree, InvariantError, OutOfChunks
+from hybridgc.heap import LOS_PCM, MATURE_DRAM, MATURE_PCM
 from support import small_heap
 
 
 def test_two_chunk_layout():
     layout = init_layout(512, 256)
     assert layout.split == 256
-    assert len(layout.chunks) == 2
-    assert layout.chunks[0].kind is MemoryKind.PCM
-    assert layout.chunks[1].kind is MemoryKind.DRAM
-    assert layout.pcm.chunks == layout.chunks[:1] and layout.dram.chunks == layout.chunks[1:]
+    assert layout.pcm.kind is MemoryKind.PCM and layout.dram.kind is MemoryKind.DRAM
+    assert layout.pcm.indices == range(1) and layout.dram.indices == range(1, 2)
     assert layout.pcm.free_indices == [0] and layout.dram.free_indices == [1]
 
 
@@ -45,9 +44,9 @@ def test_layout_must_split_into_whole_chunks():
 
 def test_reserve_lowest_first_and_exhaustion():
     layout = init_layout(8 * 256, 256)  # 4 chunks per half
-    got = [layout.pcm.reserve("s").index for _ in range(4)]
+    got = [layout.pcm.reserve("s") for _ in range(4)]
     assert got == [0, 1, 2, 3]
-    with pytest.raises(OutOfChunks):
+    with pytest.raises(OutOfChunks, match="no free PCM chunk for 's'"):
         layout.pcm.reserve("s")
     # DRAM list is untouched by PCM exhaustion
     assert layout.dram.free_count == 4
@@ -58,47 +57,49 @@ def test_release_recycles_without_unmapping():
     a = layout.pcm.reserve("x")
     b = layout.pcm.reserve("x")
     layout.pcm.release(a)
-    assert a.mapped and not a.in_use and a.owner is None
+    assert layout.pcm.free_indices == [a]
     again = layout.pcm.reserve("y")
-    assert again is a  # lowest free index comes back first
-    # recycling must not log a second bind
-    assert len([e for e in layout.bind_log if e.chunk_index == a.index]) == 1
-    assert len(layout.bind_log) == 2
+    assert again == a  # lowest free index comes back first
+    with pytest.raises(ConfigError, match=f"chunk {b} does not belong to the DRAM list"):
+        layout.dram.release(b)  # a PCM index
+    assert layout.dram.free_indices == [2, 3]
     layout.pcm.release(b)
     layout.pcm.release(again)
-    with pytest.raises(DoubleFree):
+    with pytest.raises(DoubleFree, match=f"chunk {again} released while free"):
         layout.pcm.release(again)
+    assert layout.pcm.free_indices == [0, 1]
 
 
 def test_reserve_index_and_range():
     layout = init_layout(8 * 256, 256)
-    c = layout.pcm.reserve_index(2, "boot")
-    assert c.index == 2
-    with pytest.raises(OutOfChunks):
+    layout.pcm.reserve_index(2, "boot")
+    assert layout.pcm.free_indices == [0, 1, 3]
+    with pytest.raises(OutOfChunks, match="PCM chunk 2 is not free for 'boot'"):
         layout.pcm.reserve_index(2, "boot")
     # a range is reserved one index at a time, each from its own half
-    spanning = [layout.dram.reserve_index(i, "nursery") for i in (4, 5, 6)]
-    assert [c.index for c in spanning] == [4, 5, 6]
-    assert all(c.kind is MemoryKind.DRAM and c.owner == "nursery" for c in spanning)
+    for i in (4, 5, 6):
+        layout.dram.reserve_index(i, "nursery")
     assert layout.dram.free_indices == [7]
     with pytest.raises(OutOfChunks):
         layout.pcm.reserve_index(4, "wrong-half")  # a DRAM index
     with pytest.raises(OutOfChunks):
         layout.dram.reserve_index(8, "over")  # past the top of the heap
-    layout.check_invariants()
+    assert layout.pcm.free_indices == [0, 1, 3] and layout.dram.free_indices == [7]
 
 
 def test_chunk_at():
     """Chunk ``addr // chunk_size`` covers ``addr``; a heap reserves the ones under its fixed spaces."""
     layout = init_layout(4 * 256, 256)
-    for addr, index in ((0, 0), (255, 0), (256, 1), (1023, 3)):
-        chunk = layout.chunks[addr // layout.chunk_size]
-        assert chunk.index == index and chunk.base <= addr < chunk.base + chunk.size
+    for addr, index, kind in ((0, 0, MemoryKind.PCM), (255, 0, MemoryKind.PCM), (256, 1, MemoryKind.PCM),
+                              (512, 2, MemoryKind.DRAM), (1023, 3, MemoryKind.DRAM)):  # fmt: skip
+        assert addr // layout.chunk_size == index and index in layout.free_list_for(kind).indices
     heap, _ = small_heap("KG-N")  # 64 KiB chunks, young and boot in DRAM
-    chunks = heap.layout.chunks
+    size = heap.layout.chunk_size
+    covering = set()
     for space in (heap.boot_space, heap.nursery):
-        covering = chunks[space.lo // heap.layout.chunk_size : (space.hi - 1) // heap.layout.chunk_size + 1]
-        assert covering and all(c.in_use and c.owner == space.name for c in covering)
+        covering.update(range(space.lo // size, (space.hi - 1) // size + 1))
+    assert covering and heap.reserved == covering
+    assert covering.isdisjoint(heap.layout.dram.free_indices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,11 +114,13 @@ def test_reserve_release_conserves_chunks(script):
                 held.append(layout.pcm.reserve("t"))
         else:
             layout.pcm.release(held.pop(step % len(held)))
-        layout.check_invariants()
+        # free stays ascending, and free and held cover the half once
+        assert layout.pcm.free_indices == sorted(layout.pcm.free_indices)
+        assert sorted(layout.pcm.free_indices + held) == list(layout.pcm.indices)
     # a full drain always succeeds
     for c in held:
         layout.pcm.release(c)
-    assert layout.pcm.free_count == len(layout.pcm.chunks)
+    assert layout.pcm.free_indices == list(layout.pcm.indices)
 
 
 def test_exhaustion_is_deterministic():
@@ -130,14 +133,32 @@ def test_exhaustion_is_deterministic():
         layout.dram.reserve("s")
 
 
-@pytest.mark.parametrize("corrupt", ["in_use_cleared", "in_use_index_freed"])
+@pytest.mark.parametrize("corrupt", ["in_use_cleared", "in_use_index_freed", "held_twice", "fixed_freed", "wrong_half"])
 def test_invariants_reject_a_free_list_out_of_step_with_its_chunks(corrupt):
-    layout = init_layout(8 * 256, 256)
-    held = [layout.pcm.reserve("t"), layout.dram.reserve_index(6, "t")]
-    layout.check_invariants()
+    """The heap's partition check names the chunk that is in no place, or in two."""
+    heap, _ = small_heap("KG-W")  # 128 chunks of 64 KiB; DRAM from index 64
+    layout = heap.layout
+    spaces = heap.free_list_spaces
+    spaces[MATURE_PCM].alloc(64)
+    spaces[MATURE_DRAM].alloc(64)
+    held = spaces[MATURE_PCM].chunks[0]
+    heap.check_placement()
     if corrupt == "in_use_cleared":
-        held[0].in_use = False  # the free list still holds it out
+        spaces[MATURE_PCM].chunks.remove(held)  # leaked: neither free nor held
+        check = f"chunk {held} is neither free nor held"
+    elif corrupt == "in_use_index_freed":
+        layout.pcm.release(held)  # handed back while its space still holds it
+        check = f"chunk {held} is both free PCM and {MATURE_PCM}"
+    elif corrupt == "held_twice":
+        spaces[LOS_PCM].chunks.append(held)
+        check = f"chunk {held} is both {MATURE_PCM} and {LOS_PCM}"
+    elif corrupt == "fixed_freed":
+        fixed = min(heap.reserved)
+        layout.dram.release(fixed)  # the boot image's chunk, free for the taking
+        check = f"chunk {fixed} is both fixed and free DRAM"
     else:
-        layout.dram.free_indices.insert(2, 6)  # handed out again while in use
-    with pytest.raises(InvariantError, match="free list disagrees with in_use"):
-        layout.check_invariants()
+        wrong = layout.dram.reserve("t")
+        spaces[MATURE_PCM].chunks.append(wrong)
+        check = f"chunk {wrong} of {MATURE_PCM} lies outside the PCM half"
+    with pytest.raises(InvariantError, match=check):
+        heap.check_placement()

@@ -201,7 +201,7 @@ class TestObservationPipeline:
         ids = ids_from()
         fill_rooted(heap, ids, 2)
         fill_rooted(heap, ids, 1)  # 1 and 2 now under observation
-        reserve_every_free_chunk(heap.layout)
+        reserve_every_free_chunk(heap)
         with pytest.raises(HeapExhausted, match="minor-collection survivors"):
             fill_rooted(heap, ids, 2)  # full again; evacuating 1 and 2 needs a mature chunk
         # the pre-flight refused before anything moved, after one cascaded major

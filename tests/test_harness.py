@@ -48,7 +48,18 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("instances", 0), ("quantum", 0), ("warmup_fraction", 1.0), ("warmup_fraction", -0.1)],
+        [
+            ("instances", 0),
+            ("quantum", 0),
+            ("warmup_fraction", 1.0),
+            ("warmup_fraction", -0.1),
+            ("op_cost_ns", -5.0),
+            ("byte_cost_ns", -0.25),
+            ("byte_cost_ns", float("nan")),
+            ("lifetime_efficiency", 2.0),
+            ("lifetime_endurance", 0.0),
+            ("lifetime_capacity_bytes", -1),
+        ],
     )
     def test_rejects_bad_knobs(self, field, value):
         with pytest.raises(ConfigError):
@@ -143,6 +154,8 @@ def corrupted_instance(*args, **kwargs):
     if heap.instance_id == 1:
         if corrupt == "placement":
             heap._name_boot_object(heap.boot_ids[-1]).addr = 0  # a DRAM boot object moved into PCM
+        elif corrupt == "chunks":
+            heap.layout.dram.release(heap.boot_space.lo // heap.layout.chunk_size)  # still under the boot image
         else:
             heap.system.counters.demand_write_bytes[(1, MemoryKind.DRAM)] = 64  # never written
     return heap
@@ -159,7 +172,11 @@ print(json.dumps({"debug": __debug__, "failed": report.failed, "error": report.e
 class TestInvariantFailures:
     @pytest.mark.parametrize(
         "corrupt, check, op_index",
-        [("placement", "landed at", None), ("conservation", "not conserved", 6_000)],
+        [
+            ("placement", "landed at", None),
+            ("chunks", "chunk 256 is both fixed and free DRAM", None),  # the split's index
+            ("conservation", "not conserved", 6_000),
+        ],
     )
     def test_a_broken_invariant_fails_the_report_under_optimize(self, corrupt, check, op_index):
         src = os.path.dirname(os.path.dirname(os.path.abspath(hybridgc.__file__)))

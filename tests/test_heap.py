@@ -129,18 +129,16 @@ class TestPlacement:
         )
         layout = heap.layout
         size = layout.chunk_size
-        shared = layout.chunks[heap.nursery.lo // size]
-        assert shared is layout.chunks[(heap.observer.hi - 1) // size]
-        assert shared.in_use and shared.owner == NURSERY
-        assert [e.chunk_index for e in layout.bind_log].count(shared.index) == 1
+        shared = heap.nursery.lo // size
+        assert shared == (heap.observer.hi - 1) // size
+        assert shared in heap.reserved and shared not in layout.dram.free_indices
         # nothing outside the young and boot ranges is reserved at build time
         fixed = [(heap.young_lo, heap.young_hi), (heap.boot_space.lo, heap.boot_space.hi)]
-        under_fixed = {
-            c.index for c in layout.chunks if any(c.base < hi and lo < c.base + c.size for lo, hi in fixed)
-        }
-        assert {c.index for c in layout.chunks if c.in_use} == under_fixed
-        assert sorted(e.chunk_index for e in layout.bind_log) == sorted(under_fixed)
-        layout.check_invariants()
+        n = layout.heap_size // size
+        under_fixed = {i for i in range(n) if any(i * size < hi and lo < (i + 1) * size for lo, hi in fixed)}
+        assert heap.reserved == under_fixed
+        assert sorted(layout.pcm.free_indices + layout.dram.free_indices) == sorted(set(range(n)) - under_fixed)
+        heap.check_placement()
 
     def test_young_region_must_fit(self):
         with pytest.raises(ConfigError):
@@ -396,7 +394,7 @@ def test_mature_occupancy_ignores_metadata():
 @pytest.mark.parametrize("variant", ["KG-W", "KG-N", "PCM-Only"])
 def test_free_list_space_out_of_chunks_is_heap_exhausted(variant):
     heap, _ = small_heap(variant)
-    reserve_every_free_chunk(heap.layout)
+    reserve_every_free_chunk(heap)
     assert variant != "KG-W" or META_DRAM in heap.free_list_spaces
     for space in heap.free_list_spaces.values():
         with pytest.raises(HeapExhausted):
@@ -407,7 +405,7 @@ def test_mark_slot_out_of_chunks_is_heap_exhausted():
     heap, _ = small_heap("KG-W", nursery=64 * KIB, budget=512 * KIB)
     heap.alloc_object(1, 9 * KIB, 0)  # over the admission cap: lands in los-pcm
     heap.set_root(1, True)
-    reserve_every_free_chunk(heap.layout)
+    reserve_every_free_chunk(heap)
     with pytest.raises(HeapExhausted):
         heap.gc.collect_major()  # the PCM resident's DRAM mark slot has no chunk
 

@@ -34,6 +34,16 @@ PINNED_MAJOR = {
     "KG-W": (4, 90_214, 1_066_186, 68_045, 0),
 }
 
+# Per side of the same pair: (address_space.reserve.calls,
+# address_space.release.calls) and the report's (llc_fills,
+# llc_writebacks, pcm_write_bytes, dram_write_bytes), recorded while each
+# chunk still had a descriptor object. Both sides release chunks, so a
+# change to chunk recycling that moves an address shows here.
+PINNED_CHUNKS = {
+    "PCM-Only": ((162, 4), (141_792, 141_772, 9_073_408, 0)),
+    "KG-W": ((122, 17), (203_793, 188_722, 8_298_752, 3_779_456)),
+}
+
 
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
@@ -102,3 +112,7 @@ def test_tracer_pins_major_collection_traffic(traced_major_pair, side):
     assert metrics["collectors.major.calls"] == report.aggregate.major_collections == majors
     assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == (calls, lines)
     assert (metrics["collectors.mark_writes"], metrics["collectors.mark_writes_pcm"]) == (marks, marks_pcm)
+    chunk_calls, traffic = PINNED_CHUNKS[side]
+    assert (metrics["address_space.reserve.calls"], metrics["address_space.release.calls"]) == chunk_calls
+    agg = report.aggregate
+    assert (report.llc_fills, report.llc_writebacks, agg.pcm_write_bytes, agg.dram_write_bytes) == traffic

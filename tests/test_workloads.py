@@ -65,9 +65,10 @@ class TestGrammar:
     # The lines that may precede a bad one: a comment, a tab-indented
     # comment and a whitespace-only line.
     PREAMBLE = ["# preamble", "\t# indented", " \t "]
-    # The message of each bad line, one of five classes: non-integer
-    # field, wrong field count, unknown op kind, non-positive id, and a
-    # large flag other than 0 or 1 (which would not serialize back).
+    # The message of each bad line, one of six classes: non-integer
+    # field, wrong field count, unknown op kind, non-positive id, a large
+    # flag other than 0 or 1, and an integer that int() reads but that is
+    # not spelled canonically (the last two would not serialize back).
     MESSAGES = {
         "X 1 2": "unknown op kind 'X'",
         "X 1 two": "non-integer field in 'X 1 two'",
@@ -81,6 +82,11 @@ class TestGrammar:
         "A -5 64 0 0": "allocation id -5 must be positive",
         "A 1 64 0 2": "large flag 2 must be 0 or 1",
         "A 1 64 0 -1": "large flag -1 must be 0 or 1",
+        "A 1 1_000 0 0": "non-canonical field in 'A 1 1_000 0 0'",
+        "W +1 0 8": "non-canonical field in 'W +1 0 8'",
+        "W 1 007 8": "non-canonical field in 'W 1 007 8'",
+        "G -0": "non-canonical field in 'G -0'",
+        "G \u0661": "non-canonical field in 'G \u0661'",  # an Arabic-Indic one
     }
 
     @pytest.mark.parametrize(
@@ -95,6 +101,11 @@ class TestGrammar:
             ("A 1 64 0 2", 2),
             ("X 1 two", 3),
             ("A 1 64 0 -1", 3),
+            ("A 1 1_000 0 0", 2),
+            ("W +1 0 8", 2),
+            ("W 1 007 8", 3),
+            ("G -0", 4),
+            ("G \u0661", 4),
             ("  W 1 2\t", 4),
             ("G", 4),
             ("U 1 2", 4),
@@ -145,6 +156,26 @@ class TestGrammar:
         buf = io.StringIO()
         serialize_trace(ops, buf)
         assert list(parse_trace(buf.getvalue().splitlines())) == ops
+
+    @given(
+        st.sampled_from("AWRPGU"),
+        st.lists(
+            st.one_of(
+                st.integers(-300, 300).map(str),
+                st.sampled_from(["007", "00", "-0", "-01", "+1", "1_0", "\u0661", "\uff11"]),
+            ),
+            max_size=5,
+        ),
+        st.lists(st.sampled_from([" ", "\t", "  ", " \t"]), min_size=5, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_parsed_line_serializes_back_up_to_whitespace(self, kind, fields, seps):
+        raw = kind + "".join(sep + field for sep, field in zip(seps, fields)) + seps[0]
+        try:
+            ops = list(parse_trace([raw]))
+        except TraceError:
+            return
+        assert serialize_op(ops[0]) == " ".join([kind, *fields])
 
 
 class TestSpecs:
