@@ -2,7 +2,7 @@
 
 from .address_space import HeapLayout, MemoryKind, init_layout
 from .collectors import CollectionStats, GcEngine, build_instance
-from .config import Collector, CollectorConfig
+from .config import Collector, ExperimentConfig
 from .errors import (
     ConfigError,
     DoubleFree,
@@ -13,7 +13,6 @@ from .errors import (
     TraceError,
 )
 from .harness import (
-    ExperimentConfig,
     PairResult,
     Report,
     config_for_archetype,
@@ -49,7 +48,6 @@ __all__ = [
     "CacheModel",
     "CollectionStats",
     "Collector",
-    "CollectorConfig",
     "ConfigError",
     "DoubleFree",
     "ExperimentConfig",

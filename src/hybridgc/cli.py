@@ -10,10 +10,9 @@ import argparse
 import os
 import sys
 
-from .config import Collector
+from .config import Collector, ExperimentConfig
 from .errors import ConfigError, SimulatorError, TraceError
 from .harness import (
-    ExperimentConfig,
     config_for_archetype,
     emit_report,
     run_baseline_pair,
@@ -55,6 +54,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.cache is not None:
         overrides["cache_capacity"] = args.cache
     if args.trace is not None:
+        if args.ops is not None:
+            # a replay runs every op of its trace; only a generator takes a count
+            raise ConfigError("--ops sets a generated trace's length; it cannot cut --trace")
         return ExperimentConfig(collector=args.collector, seed=args.seed,
                                 trace_path=args.trace, **overrides)
     return config_for_archetype(args.archetype, args.collector, args.seed,

@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .address_space import MemoryKind
-from .config import CollectorConfig
+from .config import ExperimentConfig
 from .errors import HeapExhausted, InvariantError
 from .heap import (
     BOOT,
@@ -42,6 +42,7 @@ from .heap import (
     HeapInstance,
     ObjectRecord,
 )
+from .memory import MemorySystem
 
 
 @dataclass
@@ -240,8 +241,7 @@ class GcEngine:
         heap.remset.update((rec.id, slot) for rec in moved_out for slot, cid in enumerate(rec.refs) if cid)
         self._prune_remset()
         self.collections.append(stats)
-        if heap.strict_checks:
-            heap.check_placement()
+        heap.check_placement()
 
     def _evacuate_observer(self, moves: list[tuple[ObjectRecord, str]]) -> list[ObjectRecord]:
         heap = self.heap
@@ -320,7 +320,7 @@ class GcEngine:
             self._mark(addr, BOOT, stats)  # the boot space is DRAM whenever mdo is on
         for rec in live_recs[below_boot:]:
             self._mark_record(rec, stats)
-        if config.loo:
+        if config.variant.loo:
             for rec in live_recs:
                 if (
                     rec.large
@@ -353,8 +353,7 @@ class GcEngine:
         self._prune_remset()
         stats.live_bytes_after = heap.mature_occupancy()
         self.collections.append(stats)
-        if heap.strict_checks:
-            heap.check_placement()
+        heap.check_placement()
         if stats.live_bytes_after >= config.heap_budget:
             raise HeapExhausted(
                 f"{stats.live_bytes_after} live bytes exceed the {config.heap_budget}-byte budget"
@@ -364,7 +363,7 @@ class GcEngine:
     def _mark_record(self, rec: ObjectRecord, stats: CollectionStats) -> None:
         """Mark ``rec`` in place, or in its DRAM shadow slot when mdo keeps PCM marks out of PCM."""
         heap = self.heap
-        if self.config.mdo and heap.space_map[rec.space] is MemoryKind.PCM:
+        if self.config.variant.mdo and heap.space_map[rec.space] is MemoryKind.PCM:
             if rec.meta_addr is None:
                 rec.meta_addr = heap.free_list_spaces["meta-dram"].alloc(META_SLOT_SIZE)
             self._mark(rec.meta_addr, "meta-dram", stats)
@@ -389,13 +388,8 @@ class GcEngine:
         stats.large_relocated += 1
 
 
-def build_instance(
-    config: CollectorConfig,
-    system,
-    instance_id: int = 0,
-    **heap_kwargs,
-) -> HeapInstance:
+def build_instance(config: ExperimentConfig, system: MemorySystem, instance_id: int) -> HeapInstance:
     """Construct a heap with its collection engine attached."""
-    heap = HeapInstance(instance_id, config, system, **heap_kwargs)
+    heap = HeapInstance(instance_id, config, system)
     GcEngine(heap)
     return heap

@@ -1,12 +1,23 @@
-"""Collector variants and their tunable knobs."""
+"""Collector variants and the one configuration object of a run.
+
+``ExperimentConfig`` holds every knob of a run: the collector variant,
+the op source, the heap, cache and clock geometry and the lifetime
+model. The heap, the engine and the memory system read it directly, and
+``__post_init__`` rejects every bad value when the config is built, so a
+bad point of a sweep fails before any point runs.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
+from .address_space import init_layout
 from .errors import ConfigError
+from .memory import MAX_INSTANCES, LifetimeModel, cache_set_count
 from .units import KIB, MIB
+from .workloads import WorkloadSpec
 
 
 class Collector(Enum):
@@ -28,6 +39,12 @@ class Collector(Enum):
     KG_W_NO_LOO = "KG-W-LOO"
     KG_W_NO_MDO = "KG-W-MDO"
 
+    def __init__(self, value: str) -> None:
+        # Plain attributes, not properties: the heap reads ``loo`` on each
+        # large allocation and the engine reads ``mdo`` on each mark.
+        self.loo = value in ("KG-N+LOO", "KG-B+LOO", "KG-W", "KG-W-MDO")  # large objects may use the nursery
+        self.mdo = value in ("KG-W", "KG-W-LOO")  # PCM residents' marks go to DRAM
+
     @classmethod
     def from_name(cls, name: str) -> "Collector":
         # accept the unicode minus some docs use for the ablations
@@ -47,41 +64,58 @@ class Collector(Enum):
         """The B variants trade a bigger nursery for the observer space."""
         return 3 if self in (Collector.KG_B, Collector.KG_B_LOO) else 1
 
-    @property
-    def default_loo(self) -> bool:
-        return self in (Collector.KG_N_LOO, Collector.KG_B_LOO, Collector.KG_W, Collector.KG_W_NO_MDO)
-
-    @property
-    def default_mdo(self) -> bool:
-        return self in (Collector.KG_W, Collector.KG_W_NO_LOO)
-
 
 @dataclass
-class CollectorConfig:
-    """Per-instance collector parameters.
+class ExperimentConfig:
+    """Every parameter of one run; ``variant`` is derived from ``collector``."""
 
-    ``loo`` and ``mdo`` default from the variant; explicit values are
-    validated against what the variant permits (the ablation variants
-    exist precisely to pin these off).
-    """
-
-    variant: Collector
+    collector: str
+    seed: int
+    instances: int = 1
+    workload: WorkloadSpec | None = None  # replicated per instance with derived seeds
+    trace_path: str | None = None
     nursery_size: int = 4 * MIB  # base size, before the B-variant multiplier
     observer_multiplier: float = 2.0
     heap_budget: int = 64 * MIB
-    loo: bool | None = None
-    mdo: bool | None = None
+    heap_size: int = 2048 * MIB
+    chunk_size: int = 4 * MIB
+    cache_capacity: int = 20 * MIB
+    cache_assoc: int = 16
+    cache_line: int = 64
+    quantum: int = 10_000
+    warmup_fraction: float = 0.10
+    zeroing: bool = True
+    gc_traffic_through_cache: bool = True
+    include_collector_time: bool = True
     large_threshold: int = 8 * KIB
     loo_nursery_fraction: float = 1.0 / 8.0
     large_relocation_threshold: int = 4
+    boot_size: int = 4 * MIB
+    boot_object_size: int = 256
+    op_cost_ns: float = 5.0
+    byte_cost_ns: float = 0.25
+    lifetime_capacity_bytes: int = 32_000_000_000
+    lifetime_endurance: float = 1.0e7
+    lifetime_efficiency: float = 0.5
 
     def __post_init__(self) -> None:
-        if isinstance(self.variant, str):
-            self.variant = Collector.from_name(self.variant)
-        if self.loo is None:
-            self.loo = self.variant.default_loo
-        if self.mdo is None:
-            self.mdo = self.variant.default_mdo
+        # not a field, so to_dict() and replace() see only ``collector``
+        self.variant = Collector.from_name(self.collector)
+        if self.seed is None:
+            raise ConfigError("a seed is required; runs must be reproducible")
+        if self.instances < 1:
+            raise ConfigError("need at least one instance")
+        if self.instances > MAX_INSTANCES:
+            # the cache tags each line with the instance id in 16 bits
+            raise ConfigError(f"at most {MAX_INSTANCES} instances share one cache, not {self.instances}")
+        if (self.workload is None) == (self.trace_path is None):
+            raise ConfigError("exactly one of workload or trace_path must be given")
+        if self.quantum <= 0:
+            raise ConfigError("quantum must be positive")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ConfigError("warm-up fraction must be in [0, 1)")
+        if not (self.op_cost_ns >= 0.0 and self.byte_cost_ns >= 0.0):  # NaN fails too
+            raise ConfigError("op and byte costs must be non-negative")
         if self.nursery_size <= 0:
             raise ConfigError("nursery size must be positive")
         if self.heap_budget < self.effective_nursery_size:
@@ -95,12 +129,15 @@ class CollectorConfig:
             raise ConfigError("large-object thresholds out of range")
         if not 0 < self.loo_nursery_fraction <= 1:
             raise ConfigError("nursery admission fraction must be in (0, 1]")
-        if self.loo and self.variant is Collector.KG_W_NO_LOO:
-            raise ConfigError(f"{self.variant.value} removes the large-object optimization")
-        if self.mdo and not self.variant.is_write_sampling:
-            raise ConfigError(f"{self.variant.value} has no DRAM metadata space")
-        if self.mdo and self.variant is Collector.KG_W_NO_MDO:
-            raise ConfigError(f"{self.variant.value} removes the metadata optimization")
+        cache_set_count(self.cache_capacity, self.cache_assoc, self.cache_line)
+        init_layout(self.heap_size, self.chunk_size)
+        if self.boot_size < 0:
+            raise ConfigError("boot size must not be negative")
+        # Boot sits at the bottom of the half that holds the nursery (both
+        # are DRAM, or both PCM), the young region at its top.
+        if self.boot_size + self.effective_nursery_size + self.observer_size > self.heap_size // 2:
+            raise ConfigError("boot, nursery and observer do not fit in their memory half")
+        self.lifetime_model()  # validate before the run, not at report time
 
     @property
     def effective_nursery_size(self) -> int:
@@ -111,3 +148,23 @@ class CollectorConfig:
         if not self.variant.is_write_sampling:
             return 0
         return int(self.effective_nursery_size * self.observer_multiplier)
+
+    def lifetime_model(self) -> LifetimeModel:
+        return LifetimeModel(
+            capacity_bytes=self.lifetime_capacity_bytes,
+            endurance_writes=self.lifetime_endurance,
+            wear_efficiency=self.lifetime_efficiency,
+        )
+
+    def to_dict(self) -> dict:
+        data = dataclasses.asdict(self)
+        if self.workload is not None:
+            data["workload"] = self.workload.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        data = dict(data)
+        if data.get("workload") is not None:
+            data["workload"] = WorkloadSpec.from_dict(data["workload"])
+        return cls(**data)

@@ -4,7 +4,8 @@ A run builds N heap instances over one shared cache/clock, interleaves
 their op streams round-robin with a fixed quantum, excludes a warm-up
 prefix from the counters, drains the cache, and reports per-instance and
 aggregate traffic. Reports serialize to JSON or CSV and are byte-stable
-for a given configuration and seed.
+for a given configuration and seed. A run's ``ExperimentConfig`` lives in
+:mod:`hybridgc.config`; this module re-exports it.
 """
 
 from __future__ import annotations
@@ -17,20 +18,11 @@ from dataclasses import dataclass, field, replace
 
 from .address_space import MemoryKind
 from .collectors import build_instance
-from .config import Collector, CollectorConfig
+from .config import Collector, ExperimentConfig
 from .errors import ConfigError, InvariantError, SimulatorError
-from .memory import (
-    MAX_INSTANCES,
-    CacheModel,
-    LifetimeModel,
-    MemorySystem,
-    SimClock,
-    TrafficCounters,
-    lifetime_years,
-    total_bytes,
-)
-from .units import KIB, MIB
-from .workloads import WorkloadSpec, default_spec, drive, generate, load_trace
+from .memory import CacheModel, MemorySystem, SimClock, TrafficCounters, lifetime_years, total_bytes
+from .units import MIB
+from .workloads import default_spec, drive, generate, load_trace
 
 ARCHETYPE_NURSERY = {
     "nursery-churn": 4 * MIB,
@@ -47,89 +39,6 @@ ARCHETYPE_BUDGET = {
 def derive_seed(master: int, index: int) -> int:
     """Stable per-instance seed; instances must not share RNG streams."""
     return (master * 6364136223846793005 + (index + 1) * 1442695040888963407) % (1 << 63)
-
-
-@dataclass
-class ExperimentConfig:
-    collector: str
-    seed: int
-    instances: int = 1
-    workload: WorkloadSpec | None = None  # replicated per instance with derived seeds
-    trace_path: str | None = None
-    nursery_size: int = 4 * MIB
-    observer_multiplier: float = 2.0
-    heap_budget: int = 64 * MIB
-    heap_size: int = 2048 * MIB
-    chunk_size: int = 4 * MIB
-    cache_capacity: int = 20 * MIB
-    cache_assoc: int = 16
-    cache_line: int = 64
-    quantum: int = 10_000
-    warmup_fraction: float = 0.10
-    zeroing: bool = True
-    gc_traffic_through_cache: bool = True
-    include_collector_time: bool = True
-    large_threshold: int = 8 * KIB
-    loo_nursery_fraction: float = 1.0 / 8.0
-    large_relocation_threshold: int = 4
-    boot_size: int = 4 * MIB
-    boot_object_size: int = 256
-    strict_checks: bool = True
-    op_cost_ns: float = 5.0
-    byte_cost_ns: float = 0.25
-    lifetime_capacity_bytes: int = 32_000_000_000
-    lifetime_endurance: float = 1.0e7
-    lifetime_efficiency: float = 0.5
-
-    def __post_init__(self) -> None:
-        Collector.from_name(self.collector)  # validate early
-        if self.seed is None:
-            raise ConfigError("a seed is required; runs must be reproducible")
-        if self.instances < 1:
-            raise ConfigError("need at least one instance")
-        if self.instances > MAX_INSTANCES:
-            # the cache tags each line with the instance id in 16 bits
-            raise ConfigError(f"at most {MAX_INSTANCES} instances share one cache, not {self.instances}")
-        if (self.workload is None) == (self.trace_path is None):
-            raise ConfigError("exactly one of workload or trace_path must be given")
-        if self.quantum <= 0:
-            raise ConfigError("quantum must be positive")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError("warm-up fraction must be in [0, 1)")
-        if not (self.op_cost_ns >= 0.0 and self.byte_cost_ns >= 0.0):  # NaN fails too
-            raise ConfigError("op and byte costs must be non-negative")
-        self.lifetime_model()  # validate before the run, not at report time
-
-    def collector_config(self) -> CollectorConfig:
-        return CollectorConfig(
-            variant=Collector.from_name(self.collector),
-            nursery_size=self.nursery_size,
-            observer_multiplier=self.observer_multiplier,
-            heap_budget=self.heap_budget,
-            large_threshold=self.large_threshold,
-            loo_nursery_fraction=self.loo_nursery_fraction,
-            large_relocation_threshold=self.large_relocation_threshold,
-        )
-
-    def lifetime_model(self) -> LifetimeModel:
-        return LifetimeModel(
-            capacity_bytes=self.lifetime_capacity_bytes,
-            endurance_writes=self.lifetime_endurance,
-            wear_efficiency=self.lifetime_efficiency,
-        )
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        if self.workload is not None:
-            data["workload"] = self.workload.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        if data.get("workload") is not None:
-            data["workload"] = WorkloadSpec.from_dict(data["workload"])
-        return cls(**data)
 
 
 def config_for_archetype(
@@ -283,21 +192,7 @@ def _failure(exc: SimulatorError, instance: int, heap) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> Report:
     system = build_system(config)
-    collector_config = config.collector_config()
-    heaps = [
-        build_instance(
-            collector_config,
-            system,
-            instance_id=i,
-            heap_size=config.heap_size,
-            chunk_size=config.chunk_size,
-            boot_size=config.boot_size,
-            boot_object_size=config.boot_object_size,
-            zeroing=config.zeroing,
-            strict_checks=config.strict_checks,
-        )
-        for i in range(config.instances)
-    ]
+    heaps = [build_instance(config, system, i) for i in range(config.instances)]
     streams = _instance_streams(config)
     totals = [t for (_d, _s, t) in streams]
     warmup_at = [int(t * config.warmup_fraction) for t in totals]
@@ -328,12 +223,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
             base_ns = system.clock.now_ns
 
     system.drain()
-    if config.strict_checks:
-        try:
-            system.counters.check_write_conservation()
-        except InvariantError as exc:
-            if failure is None:  # a failed slice already explains the run
-                failure = _failure(exc, exc.instance, heaps[exc.instance])
+    try:
+        system.counters.check_write_conservation()
+    except InvariantError as exc:
+        if failure is None:  # a failed slice already explains the run
+            failure = _failure(exc, exc.instance, heaps[exc.instance])
 
     window = system.counters.diff(base_counters)
     elapsed = (system.clock.now_ns - base_ns) * 1e-9
@@ -408,7 +302,7 @@ class PairResult:
 
 
 def run_baseline_pair(config: ExperimentConfig, baseline: str = "PCM-Only") -> PairResult:
-    if Collector.from_name(config.collector) is Collector.from_name(baseline):
+    if config.variant is Collector.from_name(baseline):
         raise ConfigError("variant and baseline are the same collector")
     base_report = run_experiment(replace(config, collector=baseline))
     var_report = run_experiment(config)
@@ -427,17 +321,17 @@ def sweep(
     cache_sizes: list[int],
     instance_counts: list[int],
 ) -> list[tuple[str, Report]]:
-    """Cross product of the requested axes; one report per point."""
-    out = []
-    for name in collectors:
-        for cap in cache_sizes:
-            for n in instance_counts:
-                point = replace(
-                    config, collector=name, cache_capacity=cap, instances=n
-                )
-                label = f"{name}_cache{cap}_n{n}"
-                out.append((label, run_experiment(point)))
-    return out
+    """Cross product of the requested axes; one report per point.
+
+    Every point's config is built, and so checked, before the first runs.
+    """
+    points = [
+        (f"{name}_cache{cap}_n{n}", replace(config, collector=name, cache_capacity=cap, instances=n))
+        for name in collectors
+        for cap in cache_sizes
+        for n in instance_counts
+    ]
+    return [(label, run_experiment(point)) for label, point in points]
 
 
 def emit_report(report: Report, fmt: str, dest) -> None:

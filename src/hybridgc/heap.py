@@ -1,12 +1,15 @@
 """Per-instance heap: spaces, object records, mutator operations.
 
-Each instance owns a full split address range starting at 0. A chunk
-is its index in that range. Fixed spaces (boot, nursery, observer) claim
-the chunks under their ranges at startup, once each even where two
-adjacent spaces share a boundary chunk, and the heap keeps them as the
-set ``reserved``; mature, large and metadata spaces pull chunk indices
-from the free lists on demand, and an allocation that finds its half out
-of chunks raises ``HeapExhausted``. The write barrier and the mutator's
+A heap is built from its run's ``ExperimentConfig``, which has already
+checked the geometry: the heap and chunk sizes, and that boot, nursery
+and observer fit in one memory half. Each instance owns a full split
+address range starting at 0. A chunk is its index in that range. Fixed
+spaces (boot, nursery, observer) claim the chunks under their ranges at
+startup, once each even where two adjacent spaces share a boundary
+chunk, and the heap keeps them as the set ``reserved``; mature, large
+and metadata spaces pull chunk indices from the free lists on demand,
+and an allocation that finds its half out of chunks raises
+``HeapExhausted``. The write barrier and the mutator's
 traffic live here; the collection algorithms that consume this state,
 and issue the collector's traffic, live in :mod:`hybridgc.collectors`.
 Every access goes straight to ``MemorySystem.access``.
@@ -22,6 +25,7 @@ minor collection touches only young records. ``check_placement`` covers
 every record, comparing each address with its space's precomputed half,
 and every chunk: the free indices of both halves, the chunks of the
 free-list spaces and ``reserved`` must cover each index exactly once.
+The engine runs it after every collection; no switch turns it off.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .address_space import HeapLayout, MemoryKind, init_layout
-from .config import Collector, CollectorConfig
+from .config import Collector, ExperimentConfig
 from .errors import ConfigError, HeapExhausted, InvariantError, OutOfChunks, TraceError
 from .memory import MAX_INSTANCES, MemorySystem
-from .units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover
     from .collectors import GcEngine
@@ -60,23 +63,25 @@ def align8(n: int) -> int:
     return (n + 7) & ~7
 
 
-def loo_admit(config: CollectorConfig, size: int, nursery_free: int) -> bool:
+def loo_admit(config: ExperimentConfig, size: int, nursery_free: int) -> bool:
     """May a large object of ``size`` bytes be allocated in the nursery?
 
-    Only when the optimization is on, the object is small relative to the
-    nursery, and there is room right now; otherwise it goes to the LOS
-    without forcing a collection.
+    Only when the variant has the optimization, the object is small
+    relative to the nursery, and there is room right now; otherwise it
+    goes to the LOS without forcing a collection.
     """
-    if not config.loo:
+    if not config.variant.loo:
         return False
     cap = config.loo_nursery_fraction * config.effective_nursery_size
     return size <= cap and size <= nursery_free
 
 
-def make_space_map(config: CollectorConfig) -> dict[str, MemoryKind]:
-    """Spaces for a collector variant, each pinned to one memory kind."""
+def make_space_map(variant: Collector) -> dict[str, MemoryKind]:
+    """Spaces for a collector variant, each pinned to one memory kind.
+
+    Boot and nursery share a kind in every variant.
+    """
     pcm, dram = MemoryKind.PCM, MemoryKind.DRAM
-    variant = config.variant
     if variant is Collector.PCM_ONLY:
         return {BOOT: pcm, NURSERY: pcm, MATURE_PCM: pcm, LOS_PCM: pcm, META_PCM: pcm}
     if variant.is_write_sampling:
@@ -90,11 +95,11 @@ def make_space_map(config: CollectorConfig) -> dict[str, MemoryKind]:
             LOS_PCM: pcm,
             META_PCM: pcm,
         }
-        if config.mdo:
+        if variant.mdo:
             spaces[META_DRAM] = dram
     else:
         spaces = {BOOT: dram, NURSERY: dram, MATURE_PCM: pcm, LOS_PCM: pcm, META_PCM: pcm}
-        if config.loo:
+        if variant.loo:
             # relocation target for heavily written large objects
             spaces[LOS_DRAM] = dram
     return spaces
@@ -238,29 +243,16 @@ class ObjectRecord:
 class HeapInstance:
     """One program's heap; all traffic goes through the shared memory system."""
 
-    def __init__(
-        self,
-        instance_id: int,
-        config: CollectorConfig,
-        system: MemorySystem,
-        *,
-        heap_size: int = 2048 * MIB,
-        chunk_size: int = 4 * MIB,
-        boot_size: int = 4 * MIB,
-        boot_object_size: int = 256,
-        zeroing: bool = True,
-        strict_checks: bool = True,
-    ) -> None:
+    def __init__(self, instance_id: int, config: ExperimentConfig, system: MemorySystem) -> None:
         if not 0 <= instance_id < MAX_INSTANCES:
             # the cache tags each line with the instance id in 16 bits
             raise ConfigError(f"instance id {instance_id} is outside [0, {MAX_INSTANCES})")
         self.instance_id = instance_id
         self.config = config
         self.system = system
-        self.zeroing = zeroing
-        self.strict_checks = strict_checks
-        self.layout = init_layout(heap_size, chunk_size)
-        self.space_map = make_space_map(config)
+        self.zeroing = config.zeroing
+        self.layout = init_layout(config.heap_size, config.chunk_size)
+        self.space_map = make_space_map(config.variant)
         # [lo, hi) of the memory half each space must sit in
         self.space_bounds = {
             name: self.layout.half_bounds(kind) for name, kind in self.space_map.items()
@@ -277,7 +269,7 @@ class HeapInstance:
         self.ever_ids: set[int] = set()
         self.op_index = 0  # maintained by the trace driver, for diagnostics
 
-        self._place_fixed_spaces(boot_size)
+        self._place_fixed_spaces()
         # every space but the fixed ranges pulls chunks on demand
         self.free_list_spaces = {
             name: FreeListSpace(name, kind, self.layout)
@@ -287,7 +279,7 @@ class HeapInstance:
 
         # The image predates the trace: it fills the boot space with whole
         # objects, emits no traffic and builds no record up front.
-        self.boot_extent = align8(max(boot_object_size, HEADER_SIZE + BOOT_OBJECT_REFS * REF_SIZE))
+        self.boot_extent = align8(max(config.boot_object_size, HEADER_SIZE + BOOT_OBJECT_REFS * REF_SIZE))
         count = self.boot_space.capacity // self.boot_extent
         self.boot_space.alloc(count * self.boot_extent)
         self.boot_ids = range(-1, -count - 1, -1)
@@ -295,11 +287,14 @@ class HeapInstance:
 
     # -- construction helpers --
 
-    def _place_fixed_spaces(self, boot_size: int) -> None:
+    def _place_fixed_spaces(self) -> None:
+        """Boot at the bottom of the young kind's half, nursery at its top, observer below it.
+
+        ``ExperimentConfig`` has checked that the three fit without overlap.
+        """
         layout = self.layout
         cfg = self.config
-        young_kind = self.space_map[NURSERY]
-        half_lo, half_hi = layout.half_bounds(young_kind)
+        half_lo, half_hi = layout.half_bounds(self.space_map[NURSERY])
         nursery_hi = half_hi
         nursery_lo = nursery_hi - cfg.effective_nursery_size
         ranges: list[tuple[str, int, int]] = [(NURSERY, nursery_lo, nursery_hi)]
@@ -309,15 +304,7 @@ class HeapInstance:
             observer_lo = observer_hi - cfg.observer_size
             ranges.append((OBSERVER, observer_lo, observer_hi))
             young_lo = observer_lo
-        boot_kind = self.space_map[BOOT]
-        boot_lo = layout.half_bounds(boot_kind)[0]
-        boot_hi = boot_lo + boot_size
-        ranges.append((BOOT, boot_lo, boot_hi))
-
-        if young_lo < half_lo:
-            raise ConfigError("nursery and observer do not fit in their memory half")
-        if boot_kind is young_kind and boot_hi > young_lo:
-            raise ConfigError("boot space overlaps the young region")
+        ranges.append((BOOT, half_lo, half_lo + cfg.boot_size))
 
         bump_spaces: dict[str, BumpSpace] = {}
         reserved: set[int] = set()
@@ -432,9 +419,9 @@ class HeapInstance:
         refs[slot] = child_id
         parent.write_count += 1
         system = self.system
-        clock = system.clock
-        clock.now_ns += clock.op_cost_ns + 64 * clock.byte_cost_ns
         line = system.cache.line_size
+        clock = system.clock
+        clock.now_ns += clock.op_cost_ns + line * clock.byte_cost_ns
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
         system.access(self.instance_id, line_base, line, True, parent.space)

@@ -106,6 +106,17 @@ class TrafficCounters:
                 )
 
 
+def cache_set_count(capacity: int, assoc: int, line_size: int) -> int:
+    """Sets of a cache of this geometry; 0 for ``capacity`` 0, no cache."""
+    if capacity < 0 or line_size <= 0 or assoc <= 0:
+        raise ConfigError("cache capacity must be non-negative, associativity and line size positive")
+    if capacity % (assoc * line_size) != 0:
+        raise ConfigError(
+            f"capacity {capacity} is not a whole number of {assoc}-way sets of {line_size}B lines"
+        )
+    return capacity // (assoc * line_size)
+
+
 class CacheModel:
     """Geometry and state of a set-associative write-back write-allocate LRU cache.
 
@@ -117,17 +128,11 @@ class CacheModel:
     """
 
     def __init__(self, capacity: int, assoc: int, line_size: int, split: int) -> None:
-        if capacity < 0 or line_size <= 0 or assoc <= 0:
-            raise ConfigError("cache geometry must be non-negative")
-        if capacity and capacity % (assoc * line_size) != 0:
-            raise ConfigError(
-                f"capacity {capacity} is not a whole number of {assoc}-way sets of {line_size}B lines"
-            )
         self.capacity = capacity
         self.assoc = assoc
         self.line_size = line_size
         self.split_line = split // line_size
-        self.n_sets = capacity // (assoc * line_size) if capacity else 0
+        self.n_sets = cache_set_count(capacity, assoc, line_size)
         # Each set maps a line key ``(line index << INST_BITS) | instance``
         # to the space that last wrote the line while it is dirty, or None
         # while it is clean; a clean line's space is never read. LRU order

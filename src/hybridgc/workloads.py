@@ -31,11 +31,13 @@ from heapq import heappop, heappush
 from itertools import islice
 from math import exp
 from operator import attrgetter
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .errors import ConfigError, TraceError
-from .heap import HeapInstance
 from .units import KIB, MIB
+
+if TYPE_CHECKING:  # pragma: no cover - heap imports config, which imports this module
+    from .heap import HeapInstance
 
 
 @dataclass(slots=True)
@@ -80,28 +82,20 @@ class UnrootOp:
 TraceOp = Alloc | WriteOp | ReadOp | RefOp | RootOp | UnrootOp
 
 
-# Each record's text form: a %-format and the getter of its fields.
-_FORMATS = {
-    Alloc: ("A %d %d %d %d", attrgetter("oid", "size", "n_refs", "large")),
-    WriteOp: ("W %d %d %d", attrgetter("oid", "offset", "length")),
-    ReadOp: ("R %d %d %d", attrgetter("oid", "offset", "length")),
-    RefOp: ("P %d %d %d", attrgetter("parent", "slot", "child")),
-    RootOp: ("G %d", attrgetter("oid")),
-    UnrootOp: ("U %d", attrgetter("oid")),
+# Each record's text line: a %-format and the getter of its fields.
+_LINES = {
+    Alloc: ("A %d %d %d %d\n", attrgetter("oid", "size", "n_refs", "large")),
+    WriteOp: ("W %d %d %d\n", attrgetter("oid", "offset", "length")),
+    ReadOp: ("R %d %d %d\n", attrgetter("oid", "offset", "length")),
+    RefOp: ("P %d %d %d\n", attrgetter("parent", "slot", "child")),
+    RootOp: ("G %d\n", attrgetter("oid")),
+    UnrootOp: ("U %d\n", attrgetter("oid")),
 }
 
 
-def serialize_op(op: TraceOp) -> str:
-    try:
-        fmt, fields = _FORMATS[op.__class__]
-    except KeyError:
-        raise TraceError(f"cannot serialize {op!r}") from None
-    return fmt % fields(op)
-
-
 def serialize_trace(ops: Iterable[TraceOp], out: TextIO) -> int:
-    # serialize_op inlined, so that a line costs no call of its own
-    lines = {cls: (fmt + "\n", fields) for cls, (fmt, fields) in _FORMATS.items()}
+    """Write ``ops`` to ``out``, one line each; returns the number written."""
+    lines = _LINES
     write = out.write
     n = 0
     for op in ops:

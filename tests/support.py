@@ -1,52 +1,48 @@
 """Builders shared by the test modules."""
 
-from hybridgc.config import CollectorConfig
 from hybridgc.collectors import build_instance
-from hybridgc.memory import CacheModel, MemorySystem, SimClock, TrafficCounters
+from hybridgc.config import ExperimentConfig
+from hybridgc.harness import build_system
+from hybridgc.workloads import WorkloadSpec
 
 KIB = 1024
 MIB = 1024 * KIB
 
-
-def make_system(heap_size: int, cache_capacity: int = 0) -> MemorySystem:
-    """A memory system whose split matches a base-0 heap of heap_size: 16-way, 64 B lines."""
-    cache = CacheModel(cache_capacity, 16, 64, heap_size // 2)
-    return MemorySystem(cache, TrafficCounters(), SimClock())
+# Heaps built here are driven op by op, so their config's op source is never read.
+ONE_OP = WorkloadSpec("nursery-churn", op_count=1)
 
 
-def small_heap(
+def small_config(
     variant: str,
     *,
     nursery: int = 64 * KIB,
     budget: int = 512 * KIB,
-    observer_multiplier: float = 2.0,
     heap_size: int = 8 * MIB,
     chunk_size: int = 64 * KIB,
     boot_size: int = 16 * KIB,
-    boot_object_size: int = 256,
     cache_capacity: int = 0,
-    zeroing: bool = True,
-    **config_kwargs,
-):
-    """A deliberately tiny heap so collections happen within a few ops."""
-    config = CollectorConfig(
-        variant=variant,
+    **overrides,
+) -> ExperimentConfig:
+    """A deliberately tiny heap's config, so collections happen within a few ops."""
+    return ExperimentConfig(
+        collector=variant,
+        seed=0,
+        workload=ONE_OP,
         nursery_size=nursery,
         heap_budget=budget,
-        observer_multiplier=observer_multiplier,
-        **config_kwargs,
-    )
-    system = make_system(heap_size, cache_capacity)
-    heap = build_instance(
-        config,
-        system,
         heap_size=heap_size,
         chunk_size=chunk_size,
         boot_size=boot_size,
-        boot_object_size=boot_object_size,
-        zeroing=zeroing,
+        cache_capacity=cache_capacity,
+        **overrides,
     )
-    return heap, system
+
+
+def small_heap(variant: str, **config_kwargs):
+    """Instance 0 of ``small_config(variant, **config_kwargs)`` and its memory system."""
+    config = small_config(variant, **config_kwargs)
+    system = build_system(config)
+    return build_instance(config, system, 0), system
 
 
 def resident_lines(cache) -> int:

@@ -7,7 +7,8 @@ behind the verdict. Expensive desk-scale runs are cached and shared.
 import time
 
 from hybridgc.harness import config_for_archetype, run_experiment
-from hybridgc.memory import LifetimeModel, lifetime_years
+from hybridgc.heap import HeapInstance
+from hybridgc.memory import LifetimeModel, TrafficCounters, lifetime_years
 from hybridgc.workloads import ARCHETYPES
 
 from gc_reference import check_collections
@@ -193,15 +194,42 @@ def test_criterion_09_byte_identical_reports():
     )
 
 
-def test_criterion_10_always_on_accounting():
-    # every run above kept the built-in checks armed: write conservation
-    # after the drain, placement and chunk accounting after each collection
-    strict = all(r.config["strict_checks"] for r in _RUNS.values())
-    clean = all(not r.failed for r in _RUNS.values())
-    ok = strict and clean and len(_RUNS) >= 13
+def test_criterion_10_always_on_accounting(monkeypatch):
+    # No switch turns the built-in checks off: a run checks write
+    # conservation after its drain, and placement and chunk accounting
+    # after each collection. Count the checks of one more run, then
+    # require every run above to have passed them.
+    calls = {}
+
+    def count_calls(owner, name):
+        check_fn = getattr(owner, name)
+
+        def counted(self):
+            calls[name] = calls.get(name, 0) + 1
+            return check_fn(self)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count_calls(TrafficCounters, "check_write_conservation")
+    count_calls(HeapInstance, "check_placement")
+    config = config_for_archetype(
+        "large-object-graph",
+        "KG-W",
+        SEED,
+        op_count=3_000,
+        nursery_size=1 * MIB,
+        heap_budget=4 * MIB,
+        chunk_size=256 * KIB,
+    )
+    report = run_experiment(config)
+    minors, majors = report.aggregate.minor_collections, report.aggregate.major_collections
+    # an observer evacuation runs inside a minor collection
+    expected = {"check_write_conservation": 1, "check_placement": minors + majors}
+    counted = minors > 0 and majors > 0 and calls == expected
+    clean = not report.failed and all(not r.failed for r in _RUNS.values())
     check(
         10,
         "conservation and chunk accounting enforced in all runs",
-        ok,
-        f"{len(_RUNS)} cached runs, strict checks on in all: {strict}",
+        counted and clean and len(_RUNS) >= 13,
+        f"{len(_RUNS)} cached runs clean: {clean}; checks in a run of {minors} minors and {majors} majors: {calls}",
     )

@@ -85,6 +85,19 @@ def test_run_replays_a_trace_file(tmp_path, capsys):
     assert payload["instances"][0]["workload"] == str(trace)
 
 
+@pytest.mark.parametrize("command", ["run", "pair", "sweep"])
+def test_replay_rejects_an_op_count(tmp_path, capsys, command):
+    trace = tmp_path / "two.trace"
+    trace.write_text("A 1 64 0 0\nG 1\n")
+    out_dir = tmp_path / "results"
+    extra = ["--out-dir", str(out_dir)] if command == "sweep" else []
+    code = main([command, "--collector", "KG-N", "--seed", "1", "--trace", str(trace), "--ops", "5", *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: --ops" in captured.err
+    assert not out_dir.exists()
+
+
 def test_failed_replay_exits_one(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     trace.write_text("A 1 64 0 0\nW 99 0 8\n")

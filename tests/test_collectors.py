@@ -2,7 +2,7 @@
 
 import pytest
 
-from hybridgc.config import Collector, CollectorConfig
+from hybridgc.config import Collector
 from hybridgc.errors import ConfigError, HeapExhausted
 from hybridgc.heap import (
     BOOT,
@@ -16,7 +16,7 @@ from hybridgc.heap import (
 )
 from hybridgc.memory import MemoryKind, total_bytes
 
-from support import KIB, MIB, reserve_every_free_chunk, small_heap
+from support import KIB, MIB, reserve_every_free_chunk, small_config, small_heap
 
 SAMPLING_VARIANTS = [v.value for v in Collector if v.is_write_sampling]
 
@@ -65,19 +65,19 @@ class TestRouting:
             assert spaces == {1: MATURE_PCM, 2: MATURE_DRAM, 3: MATURE_DRAM, 4: MATURE_PCM}, variant
 
     def test_nursery_admission_for_large_objects(self):
-        config = CollectorConfig(variant="KG-W", nursery_size=64 * KIB)
+        config = small_config("KG-W", nursery=64 * KIB)
         cap = 8 * KIB  # an eighth of the nursery
         assert loo_admit(config, cap, nursery_free=64 * KIB)
         assert not loo_admit(config, cap + 1, nursery_free=64 * KIB)
         assert not loo_admit(config, cap, nursery_free=cap - 1)
-        off = CollectorConfig(variant="KG-N", nursery_size=64 * KIB)
+        off = small_config("KG-N", nursery=64 * KIB)
         assert not loo_admit(off, 1024, nursery_free=64 * KIB)
 
     def test_observation_space_must_hold_a_full_nursery(self):
         with pytest.raises(ConfigError):
-            CollectorConfig(variant="KG-W", observer_multiplier=0.5)
+            small_config("KG-W", observer_multiplier=0.5)
         # collectors without an observation space ignore the multiplier
-        CollectorConfig(variant="KG-N", observer_multiplier=0.5)
+        small_config("KG-N", observer_multiplier=0.5)
 
 
 def fill_rooted(heap, ids, count, size=4 * KIB, n_refs=0):

@@ -1,9 +1,13 @@
 import pytest
 
-from hybridgc.config import Collector, CollectorConfig
+from hybridgc.config import Collector, ExperimentConfig
 from hybridgc.errors import ConfigError
 
-MIB = 1024 * 1024
+from support import MIB, ONE_OP
+
+
+def default_config(collector: str, **overrides) -> ExperimentConfig:
+    return ExperimentConfig(collector=collector, seed=0, workload=ONE_OP, **overrides)
 
 
 def test_all_variant_names_round_trip():
@@ -46,45 +50,26 @@ def test_defaults_per_variant():
         Collector.KG_W_NO_MDO: (True, False),
     }
     for variant, (loo, mdo) in expected.items():
-        cfg = CollectorConfig(variant=variant)
-        assert (cfg.loo, cfg.mdo) == (loo, mdo), variant
+        assert (variant.loo, variant.mdo) == (loo, mdo), variant
 
 
 def test_string_variant_is_coerced():
-    cfg = CollectorConfig(variant="kg-w")
+    cfg = default_config("kg-w")
     assert cfg.variant is Collector.KG_W
+    # the variant is derived, not a field: reports keep their config keys
+    assert "variant" not in cfg.to_dict()
 
 
 def test_effective_sizes():
-    cfg = CollectorConfig(variant=Collector.KG_B, nursery_size=4 * MIB, heap_budget=64 * MIB)
+    cfg = default_config("KG-B", nursery_size=4 * MIB, heap_budget=64 * MIB)
     assert cfg.effective_nursery_size == 12 * MIB
     assert cfg.observer_size == 0
-    kgw = CollectorConfig(variant=Collector.KG_W, nursery_size=4 * MIB, observer_multiplier=2.0)
+    kgw = default_config("KG-W", nursery_size=4 * MIB, observer_multiplier=2.0)
     assert kgw.effective_nursery_size == 4 * MIB
     assert kgw.observer_size == 8 * MIB
 
 
-def test_forbidden_toggles():
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_W_NO_LOO, loo=True)
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_W_NO_MDO, mdo=True)
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_N, mdo=True)  # no metadata space
-
-
 def test_budget_must_cover_nursery():
     with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_B, nursery_size=4 * MIB, heap_budget=8 * MIB)
-    CollectorConfig(variant=Collector.KG_B, nursery_size=4 * MIB, heap_budget=12 * MIB)
-
-
-def test_validation_errors():
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_N, nursery_size=0)
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_W, observer_multiplier=0)
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_W, loo_nursery_fraction=0)
-    with pytest.raises(ConfigError):
-        CollectorConfig(variant=Collector.KG_W, large_threshold=0)
+        default_config("KG-B", nursery_size=4 * MIB, heap_budget=8 * MIB)
+    default_config("KG-B", nursery_size=4 * MIB, heap_budget=12 * MIB)

@@ -47,28 +47,37 @@ class TestConfig:
             )
 
     @pytest.mark.parametrize(
-        "field,value",
+        "overrides",
         [
-            ("instances", 0),
-            ("quantum", 0),
-            ("warmup_fraction", 1.0),
-            ("warmup_fraction", -0.1),
-            ("op_cost_ns", -5.0),
-            ("byte_cost_ns", -0.25),
-            ("byte_cost_ns", float("nan")),
-            ("lifetime_efficiency", 2.0),
-            ("lifetime_endurance", 0.0),
-            ("lifetime_capacity_bytes", -1),
+            {"instances": 0},
+            {"quantum": 0},
+            {"warmup_fraction": 1.0},
+            {"warmup_fraction": -0.1},
+            {"op_cost_ns": -5.0},
+            {"byte_cost_ns": -0.25},
+            {"byte_cost_ns": float("nan")},
+            {"lifetime_efficiency": 2.0},
+            {"lifetime_endurance": 0.0},
+            {"lifetime_capacity_bytes": -1},
+            {"nursery_size": 0},
+            {"collector": "KG-B", "heap_budget": 8 * MIB},  # below the 12 MiB tripled nursery
+            {"observer_multiplier": 0},
+            {"observer_multiplier": 0.5},  # KG-W observes a whole nursery
+            {"large_threshold": 0},
+            {"large_relocation_threshold": -1},
+            {"loo_nursery_fraction": 0},
+            {"cache_capacity": 100},
+            {"cache_assoc": 0},
+            {"heap_size": 2052 * MIB},  # not whole pairs of 4 MiB chunks
+            {"boot_size": -1},
+            {"boot_size": 1013 * MIB},  # 1 MiB into the 12 MiB young region atop the 1 GiB half
         ],
+        ids=lambda overrides: "-".join(f"{k}-{v}" for k, v in overrides.items()),
     )
-    def test_rejects_bad_knobs(self, field, value):
+    def test_rejects_bad_knobs(self, overrides):
+        base = {"collector": "KG-W", "seed": 1, "workload": default_spec("nursery-churn", op_count=10)}
         with pytest.raises(ConfigError):
-            ExperimentConfig(
-                collector="KG-W",
-                seed=1,
-                workload=default_spec("nursery-churn", op_count=10),
-                **{field: value},
-            )
+            ExperimentConfig(**{**base, **overrides})
 
     def test_instance_count_fits_the_cache_tag(self):
         spec = default_spec("nursery-churn", op_count=10)
@@ -331,6 +340,14 @@ class TestComparisons:
     def test_pair_rejects_identical_collectors(self):
         with pytest.raises(ConfigError):
             run_baseline_pair(churn_config(collector="PCM-Only"))
+
+    def test_sweep_checks_every_point_before_running_any(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=5000)
+        with pytest.raises(ConfigError):
+            sweep(config, ["KG-W"], [256 * KIB, 100], [1])
+        assert runs == []
 
     def test_sweep_covers_the_cross_product(self):
         config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=5000)

@@ -1,10 +1,11 @@
+import gc
 import sys
 import tracemalloc
 
 import pytest
 
 from hybridgc.address_space import MemoryKind
-from hybridgc.config import Collector, CollectorConfig
+from hybridgc.config import Collector, ExperimentConfig
 from hybridgc.errors import ConfigError, HeapExhausted, TraceError
 from hybridgc.heap import (
     BOOT,
@@ -24,8 +25,9 @@ from hybridgc.heap import (
     make_space_map,
 )
 from hybridgc.collectors import build_instance
+from hybridgc.harness import build_system
 from hybridgc.memory import MAX_INSTANCES, MemorySystem, total_bytes
-from support import KIB, MIB, make_system, reserve_every_free_chunk, small_heap
+from support import KIB, MIB, ONE_OP, reserve_every_free_chunk, small_config, small_heap
 
 
 def test_align8():
@@ -42,7 +44,7 @@ def in_half(layout, kind, addr):
 
 class TestSpaceMaps:
     def test_pcm_only_is_all_pcm(self):
-        got = make_space_map(CollectorConfig(variant=Collector.PCM_ONLY))
+        got = make_space_map(Collector.PCM_ONLY)
         assert got == {
             BOOT: MemoryKind.PCM,
             NURSERY: MemoryKind.PCM,
@@ -52,7 +54,7 @@ class TestSpaceMaps:
         }
 
     def test_kg_n_moves_young_to_dram(self):
-        got = make_space_map(CollectorConfig(variant=Collector.KG_N))
+        got = make_space_map(Collector.KG_N)
         assert got == {
             BOOT: MemoryKind.DRAM,
             NURSERY: MemoryKind.DRAM,
@@ -62,15 +64,15 @@ class TestSpaceMaps:
         }
 
     def test_loo_variants_add_dram_los(self):
-        got = make_space_map(CollectorConfig(variant=Collector.KG_N_LOO))
+        got = make_space_map(Collector.KG_N_LOO)
         assert got[LOS_DRAM] is MemoryKind.DRAM
         assert OBSERVER not in got
-        assert make_space_map(CollectorConfig(variant=Collector.KG_B)).keys() == {
+        assert make_space_map(Collector.KG_B).keys() == {
             BOOT, NURSERY, MATURE_PCM, LOS_PCM, META_PCM
         }
 
     def test_write_sampling_full_map(self):
-        got = make_space_map(CollectorConfig(variant=Collector.KG_W))
+        got = make_space_map(Collector.KG_W)
         assert got == {
             BOOT: MemoryKind.DRAM,
             NURSERY: MemoryKind.DRAM,
@@ -84,7 +86,7 @@ class TestSpaceMaps:
         }
 
     def test_mdo_ablation_has_no_dram_metadata(self):
-        got = make_space_map(CollectorConfig(variant=Collector.KG_W_NO_MDO))
+        got = make_space_map(Collector.KG_W_NO_MDO)
         assert META_DRAM not in got
         assert OBSERVER in got
 
@@ -174,11 +176,11 @@ class TestPlacement:
 
     def test_a_default_boot_image_costs_no_records(self):
         """A 4 MiB image of 16,384 boot objects is built without a record each."""
-        config = CollectorConfig(variant="KG-W")
-        system = make_system(2048 * MIB)
+        config = ExperimentConfig(collector="KG-W", seed=0, workload=ONE_OP, cache_capacity=0)
+        system = build_system(config)
         tracemalloc.start()
         try:
-            heap = build_instance(config, system)
+            heap = build_instance(config, system, 0)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -297,6 +299,15 @@ class TestMutatorOps:
         heap.write_ref(1, 1, 0)  # clearing a slot is fine
         assert parent.refs == [0, 0]
 
+    def test_ref_write_charges_the_line_it_writes(self):
+        heap, system = small_heap("KG-N", zeroing=False, cache_line=128)
+        heap.alloc_object(1, 64, 2)
+        clock = system.clock
+        before = clock.now_ns
+        heap.write_ref(1, 1, 0)
+        assert clock.now_ns - before == clock.op_cost_ns + 128 * clock.byte_cost_ns
+        assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 128}
+
     def test_ref_slot_validation(self):
         heap, _ = small_heap("KG-N")
         heap.alloc_object(1, 64, 1)
@@ -342,17 +353,22 @@ class TestFrameBudget:
     }
 
     def frames(self, op, *args) -> list[str]:
+        """The frames ``op(*args)`` enters, with no cyclic collection's frames among them."""
         entered = []
 
         def profile(frame, event, _arg):
             if event == "call":
                 entered.append(self.NAMES.get(frame.f_code, frame.f_code.co_qualname))
 
+        was_enabled = gc.isenabled()
+        gc.disable()
         sys.setprofile(profile)
         try:
             op(*args)
         finally:
             sys.setprofile(None)
+            if was_enabled:
+                gc.enable()
         return entered
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
@@ -411,10 +427,9 @@ def test_mark_slot_out_of_chunks_is_heap_exhausted():
 
 
 def test_instance_id_must_fit_the_cache_tag():
-    config = CollectorConfig(variant=Collector.KG_W, nursery_size=64 * KIB, heap_budget=512 * KIB)
-    system = make_system(8 * MIB)
-    sizes = dict(heap_size=8 * MIB, chunk_size=64 * KIB, boot_size=16 * KIB)
-    assert build_instance(config, system, instance_id=MAX_INSTANCES - 1, **sizes).instance_id == MAX_INSTANCES - 1
+    config = small_config("KG-W")
+    system = build_system(config)
+    assert build_instance(config, system, MAX_INSTANCES - 1).instance_id == MAX_INSTANCES - 1
     for bad in (-1, MAX_INSTANCES):
         with pytest.raises(ConfigError):
-            build_instance(config, system, instance_id=bad, **sizes)
+            build_instance(config, system, bad)

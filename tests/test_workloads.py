@@ -28,7 +28,6 @@ from hybridgc.workloads import (
     generate,
     load_trace,
     parse_trace,
-    serialize_op,
     serialize_trace,
 )
 
@@ -47,9 +46,16 @@ HANDWRITTEN = [
 ]
 
 
+def serialized(ops) -> str:
+    """``ops`` as ``serialize_trace`` writes them: one newline-terminated line each."""
+    out = io.StringIO()
+    serialize_trace(ops, out)
+    return out.getvalue()
+
+
 class TestGrammar:
     def test_round_trip_identity(self):
-        text = "\n".join(serialize_op(op) for op in HANDWRITTEN)
+        text = serialized(HANDWRITTEN)
         assert list(parse_trace(text.splitlines())) == HANDWRITTEN
 
     def test_file_round_trip(self, tmp_path):
@@ -175,7 +181,7 @@ class TestGrammar:
             ops = list(parse_trace([raw]))
         except TraceError:
             return
-        assert serialize_op(ops[0]) == " ".join([kind, *fields])
+        assert serialized(ops) == " ".join([kind, *fields]) + "\n"
 
 
 class TestSpecs:
@@ -315,7 +321,8 @@ class TestGenerators:
 
 
 def stream_sha256(archetype: str, count: int, seed: int) -> str:
-    text = "\n".join(serialize_op(op) for op in generate(default_spec(archetype, op_count=count, seed=seed)))
+    # the pins hash the lines joined by newlines, with no newline after the last
+    text = serialized(generate(default_spec(archetype, op_count=count, seed=seed))).removesuffix("\n")
     return hashlib.sha256(text.encode()).hexdigest()
 
 
