@@ -5,10 +5,8 @@ from .collectors import CollectionStats, GcEngine, build_instance
 from .config import Collector, ExperimentConfig
 from .errors import (
     ConfigError,
-    DoubleFree,
     HeapExhausted,
     InvariantError,
-    OutOfChunks,
     SimulatorError,
     TraceError,
 )
@@ -26,7 +24,6 @@ from .memory import (
     CacheModel,
     LifetimeModel,
     MemorySystem,
-    SimClock,
     TrafficCounters,
     lifetime_years,
 )
@@ -49,7 +46,6 @@ __all__ = [
     "CollectionStats",
     "Collector",
     "ConfigError",
-    "DoubleFree",
     "ExperimentConfig",
     "GcEngine",
     "HeapExhausted",
@@ -60,10 +56,8 @@ __all__ = [
     "MemoryKind",
     "MemorySystem",
     "ObjectRecord",
-    "OutOfChunks",
     "PairResult",
     "Report",
-    "SimClock",
     "SimulatorError",
     "TraceError",
     "TrafficCounters",

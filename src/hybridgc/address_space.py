@@ -17,7 +17,7 @@ import bisect
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, DoubleFree, OutOfChunks
+from .errors import ConfigError, HeapExhausted, InvariantError
 
 
 class MemoryKind(Enum):
@@ -46,22 +46,22 @@ class FreeList:
     def reserve(self, owner: str) -> int:
         """Take the lowest free index; ``owner`` only names the caller in the error."""
         if not self.free_indices:
-            raise OutOfChunks(f"no free {self.kind.value} chunk for {owner!r}")
+            raise HeapExhausted(f"no free {self.kind.value} chunk for {owner!r}")
         return self.free_indices.pop(0)
 
     def reserve_index(self, index: int, owner: str) -> None:
         """Take chunk ``index``; used for boot-reserved ranges."""
         pos = bisect.bisect_left(self.free_indices, index)
         if pos >= len(self.free_indices) or self.free_indices[pos] != index:
-            raise OutOfChunks(f"{self.kind.value} chunk {index} is not free for {owner!r}")
+            raise InvariantError(f"{self.kind.value} chunk {index} is not free for {owner!r}")
         del self.free_indices[pos]
 
     def release(self, index: int) -> None:
         if index not in self.indices:
-            raise ConfigError(f"chunk {index} does not belong to the {self.kind.value} list")
+            raise InvariantError(f"chunk {index} does not belong to the {self.kind.value} list")
         pos = bisect.bisect_left(self.free_indices, index)
         if pos < len(self.free_indices) and self.free_indices[pos] == index:
-            raise DoubleFree(f"chunk {index} released while free")
+            raise InvariantError(f"chunk {index} released while free")
         self.free_indices.insert(pos, index)
 
 

@@ -36,6 +36,7 @@ from .heap import (
     LOS_PCM,
     MATURE_DRAM,
     MATURE_PCM,
+    META_DRAM,
     META_SLOT_SIZE,
     NURSERY,
     OBSERVER,
@@ -260,9 +261,8 @@ class GcEngine:
         size = rec.size
         system.access(heap.instance_id, rec.addr, size, False, rec.space, collector=True)
         system.access(heap.instance_id, new_addr, size, True, dest, collector=True)
-        clock = system.clock
-        if clock.include_collector_time:  # SimClock.advance(1, 2 * size, collector=True), inline
-            clock.now_ns += clock.op_cost_ns + 2 * size * clock.byte_cost_ns
+        if system.include_collector_time:
+            system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
         rec.addr = new_addr
         rec.space = dest
         rec.write_count = 0  # residency changed; observation restarts
@@ -334,7 +334,7 @@ class GcEngine:
             if rec.space in intervals:
                 intervals[rec.space].append((rec.addr, rec.size))
             if rec.meta_addr is not None:
-                intervals["meta-dram"].append((rec.meta_addr, META_SLOT_SIZE))
+                intervals[META_DRAM].append((rec.meta_addr, META_SLOT_SIZE))
         for name, space in heap.free_list_spaces.items():
             space.sweep(sorted(intervals[name]))
 
@@ -365,18 +365,20 @@ class GcEngine:
         heap = self.heap
         if self.config.variant.mdo and heap.space_map[rec.space] is MemoryKind.PCM:
             if rec.meta_addr is None:
-                rec.meta_addr = heap.free_list_spaces["meta-dram"].alloc(META_SLOT_SIZE)
-            self._mark(rec.meta_addr, "meta-dram", stats)
+                rec.meta_addr = heap.free_list_spaces[META_DRAM].alloc(META_SLOT_SIZE)
+            self._mark(rec.meta_addr, META_DRAM, stats)
         else:
             self._mark(rec.addr, rec.space, stats)
 
     def _mark(self, target: int, space: str, stats: CollectionStats) -> None:
         """One mark write: the cache line holding ``target``, in ``space``."""
         heap = self.heap
-        line = heap.system.cache.line_size
+        system = heap.system
+        line = system.cache.line_size
         line_base = (target // line) * line
-        heap.system.access(heap.instance_id, line_base, line, True, space, collector=True)
-        heap.system.clock.advance(1, line, collector=True)
+        system.access(heap.instance_id, line_base, line, True, space, collector=True)
+        if system.include_collector_time:
+            system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
         stats.mark_writes += 1
         if line_base < heap.layout.split:
             stats.mark_writes_pcm += 1

@@ -2,9 +2,11 @@
 
 ``ExperimentConfig`` holds every knob of a run: the collector variant,
 the op source, the heap, cache and clock geometry and the lifetime
-model. The heap, the engine and the memory system read it directly, and
-``__post_init__`` rejects every bad value when the config is built, so a
-bad point of a sweep fails before any point runs.
+model. The heap and the engine read it directly; ``build_system`` copies
+the cache geometry and the clock's costs into the run's ``MemorySystem``,
+which keeps the simulated time. The config is frozen and
+``__post_init__`` rejects every bad value when it is built, so a bad
+point of a sweep fails before any point runs.
 """
 
 from __future__ import annotations
@@ -65,9 +67,12 @@ class Collector(Enum):
         return 3 if self in (Collector.KG_B, Collector.KG_B_LOO) else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Every parameter of one run; ``variant`` is derived from ``collector``."""
+    """Every parameter of one run; ``variant`` is derived from ``collector``.
+
+    A changed point is a new config, built with ``dataclasses.replace``.
+    """
 
     collector: str
     seed: int
@@ -100,7 +105,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # not a field, so to_dict() and replace() see only ``collector``
-        self.variant = Collector.from_name(self.collector)
+        object.__setattr__(self, "variant", Collector.from_name(self.collector))
         if self.seed is None:
             raise ConfigError("a seed is required; runs must be reproducible")
         if self.instances < 1:

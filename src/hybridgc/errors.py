@@ -9,14 +9,6 @@ class ConfigError(SimulatorError):
     """A configuration value is malformed or inconsistent."""
 
 
-class OutOfChunks(SimulatorError):
-    """A chunk free list has no chunk left to hand out."""
-
-
-class DoubleFree(SimulatorError):
-    """A chunk that is already free was released."""
-
-
 class HeapExhausted(SimulatorError):
     """Allocation cannot be satisfied even after collecting."""
 

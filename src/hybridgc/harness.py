@@ -1,10 +1,11 @@
 """Experiment orchestration: scheduling, measurement windows, reports.
 
-A run builds N heap instances over one shared cache/clock, interleaves
-their op streams round-robin with a fixed quantum, excludes a warm-up
-prefix from the counters, drains the cache, and reports per-instance and
-aggregate traffic. Reports serialize to JSON or CSV and are byte-stable
-for a given configuration and seed. A run's ``ExperimentConfig`` lives in
+A run builds N heap instances over one shared ``MemorySystem`` (cache,
+counters and simulated clock), interleaves their op streams round-robin
+with a fixed quantum, excludes a warm-up prefix from the counters,
+drains the cache, and reports per-instance and aggregate traffic.
+Reports serialize to JSON or CSV and are byte-stable for a given
+configuration and seed. A run's ``ExperimentConfig`` lives in
 :mod:`hybridgc.config`; this module re-exports it.
 """
 
@@ -20,15 +21,10 @@ from .address_space import MemoryKind
 from .collectors import build_instance
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, InvariantError, SimulatorError
-from .memory import CacheModel, MemorySystem, SimClock, TrafficCounters, lifetime_years, total_bytes
+from .memory import CacheModel, MemorySystem, TrafficCounters, lifetime_years, total_bytes
 from .units import MIB
 from .workloads import default_spec, drive, generate, load_trace
 
-ARCHETYPE_NURSERY = {
-    "nursery-churn": 4 * MIB,
-    "mature-mutation": 4 * MIB,
-    "large-object-graph": 4 * MIB,
-}
 ARCHETYPE_BUDGET = {
     "nursery-churn": 64 * MIB,
     "mature-mutation": 12 * MIB,
@@ -50,7 +46,6 @@ def config_for_archetype(
         collector=collector,
         seed=seed,
         workload=spec,
-        nursery_size=ARCHETYPE_NURSERY[archetype],
         heap_budget=ARCHETYPE_BUDGET[archetype],
     )
     base.update(overrides)
@@ -134,41 +129,33 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
+        """One line per row; each ``CSV_COLUMNS`` name is a field of the row or of the report.
+
+        ``csv`` writes None as an empty field and a float as its ``repr``.
+        """
+        shared = {
+            "collector": self.collector,
+            "seed": self.seed,
+            "reduction_vs_baseline": self.reduction_vs_baseline,
+        }
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer = csv.DictWriter(buf, CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
         for row in [*self.rows, self.aggregate]:
-            writer.writerow(
-                [
-                    row.instance,
-                    self.collector,
-                    row.workload,
-                    self.seed,
-                    row.ops_executed,
-                    row.dram_write_bytes,
-                    row.pcm_write_bytes,
-                    row.dram_read_bytes,
-                    row.pcm_read_bytes,
-                    "" if row.pcm_write_rate_bps is None else repr(row.pcm_write_rate_bps),
-                    "" if row.lifetime_years is None else repr(row.lifetime_years),
-                    row.minor_collections,
-                    row.observer_collections,
-                    row.major_collections,
-                    row.copied_bytes,
-                    row.mark_writes,
-                    row.mark_writes_pcm,
-                    row.large_relocations,
-                    "" if self.reduction_vs_baseline is None else repr(self.reduction_vs_baseline),
-                ]
-            )
+            writer.writerow({**vars(row), **shared})
         return buf.getvalue()
 
 
 def build_system(config: ExperimentConfig) -> MemorySystem:
-    split = config.heap_size // 2
-    cache = CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line, split)
-    clock = SimClock(config.op_cost_ns, config.byte_cost_ns, config.include_collector_time)
-    return MemorySystem(cache, TrafficCounters(), clock, config.gc_traffic_through_cache)
+    cache = CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line, config.heap_size // 2)
+    return MemorySystem(
+        cache,
+        TrafficCounters(),
+        config.op_cost_ns,
+        config.byte_cost_ns,
+        config.include_collector_time,
+        config.gc_traffic_through_cache,
+    )
 
 
 def _instance_streams(config: ExperimentConfig):
@@ -180,7 +167,7 @@ def _instance_streams(config: ExperimentConfig):
             out.append((config.trace_path, iter(ops), len(ops)))
     else:
         for i in range(config.instances):
-            spec = config.workload.with_seed(derive_seed(config.seed, i))
+            spec = replace(config.workload, seed=derive_seed(config.seed, i))
             out.append((spec.archetype, generate(spec), spec.op_count))
     return out
 
@@ -200,7 +187,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     alive = [True] * config.instances
 
     base_counters = system.counters.snapshot()
-    base_ns = system.clock.now_ns
+    base_ns = system.now_ns
     warmed = all(ops_done[i] >= warmup_at[i] for i in range(config.instances))
     failure: dict | None = None
 
@@ -220,7 +207,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             # measurement window opens once every instance is past warm-up
             warmed = True
             base_counters = system.counters.snapshot()
-            base_ns = system.clock.now_ns
+            base_ns = system.now_ns
 
     system.drain()
     try:
@@ -230,7 +217,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             failure = _failure(exc, exc.instance, heaps[exc.instance])
 
     window = system.counters.diff(base_counters)
-    elapsed = (system.clock.now_ns - base_ns) * 1e-9
+    elapsed = (system.now_ns - base_ns) * 1e-9
     model = config.lifetime_model()
 
     def make_row(label: str, inst: int | None, desc: str, ops: int) -> InstanceReport:

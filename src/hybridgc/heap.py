@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .address_space import HeapLayout, MemoryKind, init_layout
 from .config import Collector, ExperimentConfig
-from .errors import ConfigError, HeapExhausted, InvariantError, OutOfChunks, TraceError
+from .errors import ConfigError, HeapExhausted, InvariantError, TraceError
 from .memory import MAX_INSTANCES, MemorySystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +56,6 @@ MATURE_PCM = "mature-pcm"
 LOS_DRAM = "los-dram"
 LOS_PCM = "los-pcm"
 META_DRAM = "meta-dram"
-META_PCM = "meta-pcm"
 
 
 def align8(n: int) -> int:
@@ -79,29 +78,19 @@ def loo_admit(config: ExperimentConfig, size: int, nursery_free: int) -> bool:
 def make_space_map(variant: Collector) -> dict[str, MemoryKind]:
     """Spaces for a collector variant, each pinned to one memory kind.
 
-    Boot and nursery share a kind in every variant.
+    Boot and nursery share a kind in every variant. A space exists only
+    where the variant can allocate in it.
     """
     pcm, dram = MemoryKind.PCM, MemoryKind.DRAM
-    if variant is Collector.PCM_ONLY:
-        return {BOOT: pcm, NURSERY: pcm, MATURE_PCM: pcm, LOS_PCM: pcm, META_PCM: pcm}
+    young = pcm if variant is Collector.PCM_ONLY else dram
+    spaces = {BOOT: young, NURSERY: young, MATURE_PCM: pcm, LOS_PCM: pcm}
     if variant.is_write_sampling:
-        spaces = {
-            BOOT: dram,
-            NURSERY: dram,
-            OBSERVER: dram,
-            MATURE_DRAM: dram,
-            MATURE_PCM: pcm,
-            LOS_DRAM: dram,
-            LOS_PCM: pcm,
-            META_PCM: pcm,
-        }
-        if variant.mdo:
-            spaces[META_DRAM] = dram
-    else:
-        spaces = {BOOT: dram, NURSERY: dram, MATURE_PCM: pcm, LOS_PCM: pcm, META_PCM: pcm}
-        if variant.loo:
-            # relocation target for heavily written large objects
-            spaces[LOS_DRAM] = dram
+        spaces[OBSERVER] = dram
+        spaces[MATURE_DRAM] = dram
+    if variant.loo:
+        spaces[LOS_DRAM] = dram  # relocation target for heavily written large objects
+    if variant.mdo:
+        spaces[META_DRAM] = dram  # shadow mark slots of PCM residents
     return spaces
 
 
@@ -155,10 +144,7 @@ class FreeListSpace:
             )
         addr = self._first_fit(n)
         if addr is None:
-            try:
-                index = self.layout.free_list_for(self.memory).reserve(self.name)
-            except OutOfChunks as exc:
-                raise HeapExhausted(str(exc)) from exc
+            index = self.layout.free_list_for(self.memory).reserve(self.name)
             self.chunks.append(index)
             size = self.layout.chunk_size
             self._insert_extent(index * size, size)
@@ -335,10 +321,10 @@ class HeapInstance:
     # Each op takes one frame besides the cache walk (and, for a small
     # allocation, the record's constructor and the nursery's bump), so the
     # record lookup, bounds test, alignment, young-range test and clock
-    # advance are written out inline. They repeat ``align8``,
-    # ``is_young_addr`` and ``SimClock.advance``'s expression
-    # ``ops * op_cost_ns + nbytes * byte_cost_ns`` term for term, so
-    # simulated time stays bit-identical.
+    # advance are written out inline. They repeat ``align8`` and
+    # ``is_young_addr`` term for term, and each advances the clock by
+    # ``MemorySystem``'s one expression, ``op_cost_ns + n * byte_cost_ns``
+    # for the ``n`` bytes it moves, so simulated time stays bit-identical.
 
     def alloc_object(self, oid: int, size: int, n_refs: int, large_hint: bool = False) -> ObjectRecord:
         if oid <= 0:
@@ -351,8 +337,7 @@ class HeapInstance:
         floor = HEADER_SIZE + n_refs * REF_SIZE
         extent = ((size if size > floor else floor) + 7) & ~7
         system = self.system
-        clock = system.clock
-        clock.now_ns += clock.op_cost_ns + extent * clock.byte_cost_ns
+        system.now_ns += system.op_cost_ns + extent * system.byte_cost_ns
         large = large_hint or size >= self.config.large_threshold
 
         if large:
@@ -388,8 +373,7 @@ class HeapInstance:
         if offset < 0 or length < 0 or offset + length > rec.size:
             raise self._bounds_error(rec, offset, length)
         system = self.system
-        clock = system.clock
-        clock.now_ns += clock.op_cost_ns + length * clock.byte_cost_ns
+        system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
         rec.write_count += 1
         system.access(self.instance_id, rec.addr + offset, length, True, rec.space)
 
@@ -400,8 +384,7 @@ class HeapInstance:
         if offset < 0 or length < 0 or offset + length > rec.size:
             raise self._bounds_error(rec, offset, length)
         system = self.system
-        clock = system.clock
-        clock.now_ns += clock.op_cost_ns + length * clock.byte_cost_ns
+        system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
         system.access(self.instance_id, rec.addr + offset, length, False, rec.space)
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
@@ -420,8 +403,7 @@ class HeapInstance:
         parent.write_count += 1
         system = self.system
         line = system.cache.line_size
-        clock = system.clock
-        clock.now_ns += clock.op_cost_ns + line * clock.byte_cost_ns
+        system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
         system.access(self.instance_id, line_base, line, True, parent.space)
@@ -434,8 +416,8 @@ class HeapInstance:
     def set_root(self, oid: int, rooted: bool) -> None:
         if oid not in self.objects:
             self._name_boot_object(oid)  # rooting a reclaimed id is a trace error
-        clock = self.system.clock
-        clock.now_ns += clock.op_cost_ns + 0 * clock.byte_cost_ns
+        system = self.system
+        system.now_ns += system.op_cost_ns + 0 * system.byte_cost_ns
         if rooted:
             self.roots.add(oid)
         else:
@@ -468,7 +450,7 @@ class HeapInstance:
         return sum(
             s.allocated_bytes
             for name, s in self.free_list_spaces.items()
-            if name not in (META_DRAM, META_PCM)
+            if name != META_DRAM
         )
 
     def check_placement(self) -> None:

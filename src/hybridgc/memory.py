@@ -1,8 +1,8 @@
 """Shared last-level cache, traffic accounting, simulated time, lifetime.
 
 ``MemorySystem`` owns the cache walk: every access and the final drain
-run in its methods. ``CacheModel`` is only the cache's geometry and
-state (its sets).
+run in its methods, and it carries the simulated clock. ``CacheModel``
+is only the cache's geometry and state (its sets).
 
 Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or a drain, or immediately when the cache is
@@ -12,12 +12,11 @@ disabled. Reads reach memory as line fills. Every counter is keyed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .address_space import MemoryKind
 from .errors import ConfigError, InvariantError
 
-LINE_SIZE_DEFAULT = 64
 SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
 
 # Finite stand-in for "no wear-out in any meaningful horizon".
@@ -52,10 +51,10 @@ class TrafficCounters:
     """Byte counters for traffic that reached memory, plus filter internals.
 
     ``write_bytes`` and ``read_bytes`` are keyed by
-    ``(instance, MemoryKind, space)``. The demand/absorbed/writeback
-    triple is keyed by ``(instance, MemoryKind)`` and feeds the filter
+    ``(instance, MemoryKind, space)``. The demand and absorbed counters
+    are keyed by ``(instance, MemoryKind)`` and feed the filter
     conservation check: after a drain, demand equals absorbed plus
-    written back, per key.
+    ``write_bytes`` summed over space, per key.
     """
 
     def __init__(self) -> None:
@@ -63,7 +62,6 @@ class TrafficCounters:
         self.read_bytes: dict[tuple[int, MemoryKind, str], int] = {}
         self.demand_write_bytes: dict[tuple[int, MemoryKind], int] = {}
         self.absorbed_write_bytes: dict[tuple[int, MemoryKind], int] = {}
-        self.writeback_bytes: dict[tuple[int, MemoryKind], int] = {}
         self.fills = 0
         self.writebacks = 0
 
@@ -78,7 +76,7 @@ class TrafficCounters:
     def diff(self, base: "TrafficCounters") -> "TrafficCounters":
         """Counters accumulated since ``base`` was snapshotted."""
         out = TrafficCounters()
-        for name in ("write_bytes", "read_bytes", "demand_write_bytes", "absorbed_write_bytes", "writeback_bytes"):
+        for name in ("write_bytes", "read_bytes", "demand_write_bytes", "absorbed_write_bytes"):
             cur: dict = getattr(self, name)
             old: dict = getattr(base, name)
             target: dict = getattr(out, name)
@@ -92,16 +90,19 @@ class TrafficCounters:
 
     def check_write_conservation(self) -> None:
         """Valid only when no dirty line is outstanding (post-drain)."""
-        keys = set(self.demand_write_bytes) | set(self.absorbed_write_bytes) | set(self.writeback_bytes)
+        written: dict[tuple[int, MemoryKind], int] = {}
+        for (inst, kind, _space), n in self.write_bytes.items():
+            written[inst, kind] = written.get((inst, kind), 0) + n
+        keys = set(self.demand_write_bytes) | set(self.absorbed_write_bytes) | set(written)
         # sorted, so a run that breaks conservation twice always names the same key
         for key in sorted(keys, key=lambda k: (k[0], k[1].value)):
             demand = self.demand_write_bytes.get(key, 0)
             absorbed = self.absorbed_write_bytes.get(key, 0)
-            written = self.writeback_bytes.get(key, 0)
-            if demand != absorbed + written:
+            written_back = written.get(key, 0)
+            if demand != absorbed + written_back:
                 raise InvariantError(
                     f"write bytes not conserved for {key}: {demand} demanded, "
-                    f"{absorbed} absorbed, {written} written back",
+                    f"{absorbed} absorbed, {written_back} written back",
                     instance=key[0],
                 )
 
@@ -141,33 +142,14 @@ class CacheModel:
         self.sets: list[dict[int, str | None]] = [{} for _ in range(self.n_sets)]
 
 
-class SimClock:
-    """Simulated nanosecond clock with a linear op + byte cost model.
-
-    The heap's mutator ops and the collector's copies add ``advance``'s
-    expression to ``now_ns`` inline, term for term, to save a frame.
-    """
-
-    def __init__(
-        self,
-        op_cost_ns: float = 5.0,
-        byte_cost_ns: float = 0.25,
-        include_collector_time: bool = True,
-    ) -> None:
-        self.op_cost_ns = op_cost_ns
-        self.byte_cost_ns = byte_cost_ns
-        self.include_collector_time = include_collector_time
-        self.now_ns = 0.0
-
-    def advance(self, ops: int, nbytes: int, *, collector: bool = False) -> None:
-        if collector and not self.include_collector_time:
-            return
-        self.now_ns += ops * self.op_cost_ns + nbytes * self.byte_cost_ns
-
-
 @dataclass
 class MemorySystem:
     """One shared cache, counter set and clock, as seen by every instance.
+
+    Time is ``now_ns``, in simulated nanoseconds. Every site that
+    advances it adds ``op_cost_ns + n * byte_cost_ns`` for the ``n``
+    bytes it moves, written out inline to save a frame; collector copies
+    and marks add it only when ``include_collector_time`` is set.
 
     ``access`` walks the cache in one frame. Traffic is accounted per
     access, not per line: an access splits its line range at
@@ -180,8 +162,11 @@ class MemorySystem:
 
     cache: CacheModel
     counters: TrafficCounters
-    clock: SimClock
+    op_cost_ns: float = 5.0
+    byte_cost_ns: float = 0.25
+    include_collector_time: bool = True
     gc_traffic_through_cache: bool = True
+    now_ns: float = field(default=0.0, init=False)
 
     def access(self, inst: int, addr: int, length: int, write: bool, space: str, *, collector: bool = False) -> None:
         if length <= 0:
@@ -250,16 +235,11 @@ class MemorySystem:
         """Write back dirty lines counted as ``(instance, is_pcm, space) -> lines``; returns the total."""
         line_size = self.cache.line_size
         counters = self.counters
-        writeback_bytes = counters.writeback_bytes
         write_bytes = counters.write_bytes
         total = 0
         for (inst, is_pcm, space), n in victims.items():
-            kind = _PCM if is_pcm else _DRAM
-            nbytes = n * line_size
-            wkey = (inst, kind)
-            writeback_bytes[wkey] = writeback_bytes.get(wkey, 0) + nbytes
-            skey = (inst, kind, space)
-            write_bytes[skey] = write_bytes.get(skey, 0) + nbytes
+            skey = (inst, _PCM if is_pcm else _DRAM, space)
+            write_bytes[skey] = write_bytes.get(skey, 0) + n * line_size
             total += n
         counters.writebacks += total
         return total
@@ -278,7 +258,6 @@ class MemorySystem:
             if write:
                 key = (inst, kind)
                 counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + n
-                counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + n
                 counters.write_bytes[skey] = counters.write_bytes.get(skey, 0) + n
             else:
                 counters.read_bytes[skey] = counters.read_bytes.get(skey, 0) + n

@@ -157,10 +157,7 @@ def load_trace(path: str) -> list[TraceOp]:
 # synthetic archetypes
 
 
-ARCHETYPES = ("nursery-churn", "mature-mutation", "large-object-graph")
-
-
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
     """Parameters of one synthetic op stream; fully determines it with seed."""
 
@@ -203,42 +200,13 @@ class WorkloadSpec:
     def from_dict(cls, data: dict) -> "WorkloadSpec":
         return cls(**data)
 
-    def with_seed(self, seed: int) -> "WorkloadSpec":
-        data = self.to_dict()
-        data["seed"] = seed
-        return WorkloadSpec(**data)
-
 
 def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> WorkloadSpec:
-    """Canned parameterizations for the three archetypes."""
-    if archetype == "nursery-churn":
-        return WorkloadSpec(
-            archetype=archetype,
-            op_count=op_count or 300_000,
-            seed=seed,
-            survival=0.05,
-            locality=0.85,
-        )
-    if archetype == "mature-mutation":
-        return WorkloadSpec(
-            archetype=archetype,
-            op_count=op_count or 300_000,
-            seed=seed,
-            size_log_mean=4.85,  # ~128 bytes
-            size_log_sigma=0.5,
-            locality=0.75,
-            resident_bytes=6 * MIB,
-        )
-    if archetype == "large-object-graph":
-        return WorkloadSpec(
-            archetype=archetype,
-            op_count=op_count or 24_000,
-            seed=seed,
-            large_fraction=0.3,
-            locality=0.5,
-            survival=0.10,
-        )
-    raise ConfigError(f"unknown archetype {archetype!r}")
+    """The archetype's canned parameterization, read from its table entry."""
+    if archetype not in ARCHETYPES:
+        raise ConfigError(f"unknown archetype {archetype!r}")
+    _gen, default_ops, overrides = _ARCHETYPES[archetype]
+    return WorkloadSpec(archetype, op_count or default_ops, seed, **overrides)
 
 
 def generate(spec: WorkloadSpec) -> Iterator[TraceOp]:
@@ -249,15 +217,7 @@ def generate(spec: WorkloadSpec) -> Iterator[TraceOp]:
     a prefix of a longer one and may end mid-pattern (an ``Alloc``
     without its ``RootOp``).
     """
-    if spec.archetype == "nursery-churn":
-        gen = _gen_nursery_churn(spec)
-    elif spec.archetype == "mature-mutation":
-        gen = _gen_mature_mutation(spec)
-    elif spec.archetype == "large-object-graph":
-        gen = _gen_large_object_graph(spec)
-    else:
-        raise ConfigError(f"unknown archetype {spec.archetype!r}")
-    return islice(gen, spec.op_count)
+    return islice(_ARCHETYPES[spec.archetype][0](spec), spec.op_count)
 
 
 # The generators draw only through public random.Random methods, bound
@@ -451,6 +411,23 @@ def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
                 heappush(deaths, (allocs + randrange(100, 701), allocs, pool, entry))
         yield Alloc(allocs, size, n_refs, large)
         yield RootOp(allocs)
+
+
+# Each archetype's generator, default op count and the spec fields it sets.
+_ARCHETYPES = {
+    "nursery-churn": (_gen_nursery_churn, 300_000, {"survival": 0.05, "locality": 0.85}),
+    "mature-mutation": (
+        _gen_mature_mutation,
+        300_000,
+        {"size_log_mean": 4.85, "size_log_sigma": 0.5, "locality": 0.75, "resident_bytes": 6 * MIB},  # ~128 B
+    ),
+    "large-object-graph": (
+        _gen_large_object_graph,
+        24_000,
+        {"large_fraction": 0.3, "locality": 0.5, "survival": 0.10},
+    ),
+}
+ARCHETYPES = tuple(_ARCHETYPES)
 
 
 # ---------------------------------------------------------------------------

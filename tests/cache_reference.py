@@ -75,8 +75,6 @@ class RefCache:
         inst, line, _dirty, space, _stamp = entry
         kind = self._kind(line)
         counters.writebacks += 1
-        key = (inst, kind)
-        counters.writeback_bytes[key] = counters.writeback_bytes.get(key, 0) + self.line_size
         wkey = (inst, kind, space)
         counters.write_bytes[wkey] = counters.write_bytes.get(wkey, 0) + self.line_size
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridgc.address_space import MemoryKind, init_layout
-from hybridgc.errors import ConfigError, DoubleFree, InvariantError, OutOfChunks
+from hybridgc.errors import ConfigError, HeapExhausted, InvariantError
 from hybridgc.heap import LOS_PCM, MATURE_DRAM, MATURE_PCM
 from support import small_heap
 
@@ -46,7 +46,7 @@ def test_reserve_lowest_first_and_exhaustion():
     layout = init_layout(8 * 256, 256)  # 4 chunks per half
     got = [layout.pcm.reserve("s") for _ in range(4)]
     assert got == [0, 1, 2, 3]
-    with pytest.raises(OutOfChunks, match="no free PCM chunk for 's'"):
+    with pytest.raises(HeapExhausted, match="no free PCM chunk for 's'"):
         layout.pcm.reserve("s")
     # DRAM list is untouched by PCM exhaustion
     assert layout.dram.free_count == 4
@@ -60,12 +60,12 @@ def test_release_recycles_without_unmapping():
     assert layout.pcm.free_indices == [a]
     again = layout.pcm.reserve("y")
     assert again == a  # lowest free index comes back first
-    with pytest.raises(ConfigError, match=f"chunk {b} does not belong to the DRAM list"):
+    with pytest.raises(InvariantError, match=f"chunk {b} does not belong to the DRAM list"):
         layout.dram.release(b)  # a PCM index
     assert layout.dram.free_indices == [2, 3]
     layout.pcm.release(b)
     layout.pcm.release(again)
-    with pytest.raises(DoubleFree, match=f"chunk {again} released while free"):
+    with pytest.raises(InvariantError, match=f"chunk {again} released while free"):
         layout.pcm.release(again)
     assert layout.pcm.free_indices == [0, 1]
 
@@ -74,15 +74,15 @@ def test_reserve_index_and_range():
     layout = init_layout(8 * 256, 256)
     layout.pcm.reserve_index(2, "boot")
     assert layout.pcm.free_indices == [0, 1, 3]
-    with pytest.raises(OutOfChunks, match="PCM chunk 2 is not free for 'boot'"):
+    with pytest.raises(InvariantError, match="PCM chunk 2 is not free for 'boot'"):
         layout.pcm.reserve_index(2, "boot")
     # a range is reserved one index at a time, each from its own half
     for i in (4, 5, 6):
         layout.dram.reserve_index(i, "nursery")
     assert layout.dram.free_indices == [7]
-    with pytest.raises(OutOfChunks):
+    with pytest.raises(InvariantError, match="PCM chunk 4 is not free for 'wrong-half'"):
         layout.pcm.reserve_index(4, "wrong-half")  # a DRAM index
-    with pytest.raises(OutOfChunks):
+    with pytest.raises(InvariantError, match="DRAM chunk 8 is not free for 'over'"):
         layout.dram.reserve_index(8, "over")  # past the top of the heap
     assert layout.pcm.free_indices == [0, 1, 3] and layout.dram.free_indices == [7]
 
@@ -129,7 +129,7 @@ def test_exhaustion_is_deterministic():
     n = layout.dram.free_count
     for _ in range(n):
         layout.dram.reserve("s")
-    with pytest.raises(OutOfChunks):
+    with pytest.raises(HeapExhausted, match="no free DRAM chunk for 's'"):
         layout.dram.reserve("s")
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from hybridgc.config import Collector, ExperimentConfig
@@ -73,3 +75,16 @@ def test_budget_must_cover_nursery():
     with pytest.raises(ConfigError):
         default_config("KG-B", nursery_size=4 * MIB, heap_budget=8 * MIB)
     default_config("KG-B", nursery_size=4 * MIB, heap_budget=12 * MIB)
+
+
+def test_a_built_config_cannot_change():
+    """Assigning a field would skip ``__post_init__``'s checks and leave ``variant`` stale."""
+    cfg = default_config("KG-W")
+    with pytest.raises(FrozenInstanceError):
+        cfg.collector = "PCM-Only"
+    with pytest.raises(FrozenInstanceError):
+        cfg.heap_budget = 1
+    with pytest.raises(FrozenInstanceError):
+        cfg.workload.op_count = 0
+    assert (cfg.collector, cfg.variant, cfg.heap_budget) == ("KG-W", Collector.KG_W, 64 * MIB)
+    assert cfg.workload.op_count == 1

@@ -411,7 +411,7 @@ class TestPinnedResults:
             assert got == self.EXPECTED[archetype][report.collector]
 
     # (op_cost_ns, byte_cost_ns, include_collector_time) -> (sim_seconds,
-    # final clock.now_ns) of a two-instance KG-W mature-mutation run with
+    # final now_ns) of a two-instance KG-W mature-mutation run with
     # 10 minor and 4 observer collections, whose copies advance the clock
     # only when collector time counts; recorded before the clock's cost
     # expression was inlined. The default costs are multiples of 1/4, so
@@ -449,4 +449,4 @@ class TestPinnedResults:
         assert not report.failed
         assert (report.aggregate.minor_collections, report.aggregate.observer_collections) == (10, 4)
         expected = self.CLOCK[(op_cost_ns, byte_cost_ns, include_collector_time)]
-        assert (report.sim_seconds, systems[0].clock.now_ns) == expected
+        assert (report.sim_seconds, systems[0].now_ns) == expected

@@ -14,7 +14,6 @@ from hybridgc.heap import (
     MATURE_DRAM,
     MATURE_PCM,
     META_DRAM,
-    META_PCM,
     META_SLOT_SIZE,
     NURSERY,
     OBSERVER,
@@ -50,7 +49,6 @@ class TestSpaceMaps:
             NURSERY: MemoryKind.PCM,
             MATURE_PCM: MemoryKind.PCM,
             LOS_PCM: MemoryKind.PCM,
-            META_PCM: MemoryKind.PCM,
         }
 
     def test_kg_n_moves_young_to_dram(self):
@@ -60,7 +58,6 @@ class TestSpaceMaps:
             NURSERY: MemoryKind.DRAM,
             MATURE_PCM: MemoryKind.PCM,
             LOS_PCM: MemoryKind.PCM,
-            META_PCM: MemoryKind.PCM,
         }
 
     def test_loo_variants_add_dram_los(self):
@@ -68,7 +65,7 @@ class TestSpaceMaps:
         assert got[LOS_DRAM] is MemoryKind.DRAM
         assert OBSERVER not in got
         assert make_space_map(Collector.KG_B).keys() == {
-            BOOT, NURSERY, MATURE_PCM, LOS_PCM, META_PCM
+            BOOT, NURSERY, MATURE_PCM, LOS_PCM
         }
 
     def test_write_sampling_full_map(self):
@@ -81,7 +78,19 @@ class TestSpaceMaps:
             MATURE_PCM: MemoryKind.PCM,
             LOS_DRAM: MemoryKind.DRAM,
             LOS_PCM: MemoryKind.PCM,
-            META_PCM: MemoryKind.PCM,
+            META_DRAM: MemoryKind.DRAM,
+        }
+
+    def test_loo_ablation_has_no_dram_los(self):
+        # only large-object relocation writes los-dram, and it runs only under LOO
+        got = make_space_map(Collector.KG_W_NO_LOO)
+        assert got == {
+            BOOT: MemoryKind.DRAM,
+            NURSERY: MemoryKind.DRAM,
+            OBSERVER: MemoryKind.DRAM,
+            MATURE_DRAM: MemoryKind.DRAM,
+            MATURE_PCM: MemoryKind.PCM,
+            LOS_PCM: MemoryKind.PCM,
             META_DRAM: MemoryKind.DRAM,
         }
 
@@ -163,7 +172,7 @@ class TestPlacement:
         # emits traffic or takes simulated time
         assert total_bytes(system.counters.write_bytes) == 0
         assert total_bytes(system.counters.read_bytes) == 0
-        assert system.clock.now_ns == 0.0
+        assert system.now_ns == 0.0
         # an op on a named boot object finds its record; one on an unnamed
         # one names it, once
         rec = heap.objects[-1]
@@ -302,10 +311,9 @@ class TestMutatorOps:
     def test_ref_write_charges_the_line_it_writes(self):
         heap, system = small_heap("KG-N", zeroing=False, cache_line=128)
         heap.alloc_object(1, 64, 2)
-        clock = system.clock
-        before = clock.now_ns
+        before = system.now_ns
         heap.write_ref(1, 1, 0)
-        assert clock.now_ns - before == clock.op_cost_ns + 128 * clock.byte_cost_ns
+        assert system.now_ns - before == system.op_cost_ns + 128 * system.byte_cost_ns
         assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 128}
 
     def test_ref_slot_validation(self):
@@ -402,7 +410,7 @@ def test_mature_occupancy_ignores_metadata():
     payload = sum(
         s.allocated_bytes
         for name, s in heap.free_list_spaces.items()
-        if name not in (META_DRAM, META_PCM)
+        if name != META_DRAM
     )
     assert heap.mature_occupancy() == payload == 9 * KIB
 

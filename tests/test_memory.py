@@ -10,13 +10,12 @@ from hybridgc.memory import (
     CacheModel,
     LifetimeModel,
     MemorySystem,
-    SimClock,
     TrafficCounters,
     lifetime_years,
     total_bytes,
 )
 
-from support import resident_lines
+from support import resident_lines, small_heap
 
 # Frozen oracle values, computed as capacity * endurance * efficiency
 # divided by rate * seconds-per-year with independent arithmetic:
@@ -62,9 +61,6 @@ class TestRate:
     """The write rate a report gives is its window's PCM bytes over its simulated seconds."""
 
     def test_one_gib_over_ten_seconds(self):
-        clock = SimClock(op_cost_ns=5.0)
-        clock.advance(2_000_000_000, 0)  # exactly 10 simulated seconds
-        assert clock.now_ns == 1e10
         config = config_for_archetype("mature-mutation", "PCM-Only", 3, op_count=5_000, instances=2, quantum=500)
         report = run_experiment(config)
         assert report.sim_seconds > 0
@@ -86,17 +82,26 @@ class TestRate:
             assert row.pcm_write_rate_bps is None and row.lifetime_years is None
 
     def test_collector_time_toggle(self):
-        clock = SimClock(include_collector_time=False)
-        clock.advance(10, 100, collector=True)
-        assert clock.now_ns == 0.0
-        clock.advance(10, 100, collector=False)
-        assert clock.now_ns == pytest.approx(10 * 5.0 + 100 * 0.25)
+        """Each mark of a major collection costs one op and a line's bytes, or nothing with collector time off."""
+        for include_collector_time in (True, False):
+            heap, system = small_heap("PCM-Only", include_collector_time=include_collector_time)
+            heap.alloc_object(1, 64, 0)
+            heap.set_root(1, True)
+            mutator_ns = system.now_ns
+            assert mutator_ns == 2 * system.op_cost_ns + 64 * system.byte_cost_ns
+            stats = heap.gc.collect_major()  # PCM-Only copies nothing in a major: only marks cost time
+            assert stats.mark_writes == 1 + 64  # the record and the 16 KiB boot image of 256 B objects
+            expected = mutator_ns
+            if include_collector_time:
+                for _ in range(stats.mark_writes):
+                    expected += system.op_cost_ns + system.cache.line_size * system.byte_cost_ns
+            assert system.now_ns == expected
 
 
 def system_over(capacity, assoc=16, split=1 << 40, gc_through=True):
     """A memory system over a fresh cache of the given geometry (line 64 B)."""
     cache = CacheModel(capacity, assoc, 64, split)
-    return MemorySystem(cache, TrafficCounters(), SimClock(), gc_traffic_through_cache=gc_through)
+    return MemorySystem(cache, TrafficCounters(), gc_traffic_through_cache=gc_through)
 
 
 def one_set_cache(ways=2, split=1 << 40):
@@ -123,7 +128,6 @@ class TestCacheModel:
         key = (0, MemoryKind.PCM)
         assert counters.demand_write_bytes[key] == 100 * 64
         assert counters.absorbed_write_bytes[key] == 99 * 64
-        assert counters.writeback_bytes[key] == 64
         counters.check_write_conservation()
 
     def test_straddling_write_touches_two_lines(self):
@@ -293,6 +297,12 @@ class TestCounters:
         with pytest.raises(InvariantError, match="not conserved") as failure:
             counters.check_write_conservation()
         assert failure.value.instance == 0
+        # written-back bytes with no demand behind them break it too
+        counters = TrafficCounters()
+        counters.write_bytes[(1, MemoryKind.DRAM, "nursery")] = 64
+        with pytest.raises(InvariantError, match="not conserved.* 0 demanded, 0 absorbed, 64 written back") as failure:
+            counters.check_write_conservation()
+        assert failure.value.instance == 1
 
 
 class TestMemorySystem:

@@ -64,3 +64,24 @@ def test_no_unused_import():
                     used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
         unused += [f"{os.path.basename(path)}:{line} {name}" for name, line in imported.items() if name not in used]
     assert sorted(unused) == []
+
+
+def test_every_constant_is_read():
+    """Each upper-case module-level name that a module binds is read by some module of the package."""
+    package = os.path.dirname(hybridgc.__file__)
+    bound = []
+    read = set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    bound.append(f"{os.path.basename(path)}:{node.lineno} {target.id}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [entry for entry in bound if entry.split()[1] not in read] == []

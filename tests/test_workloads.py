@@ -230,7 +230,7 @@ class TestSpecs:
     def test_dict_round_trip_and_reseeding(self):
         spec = default_spec("large-object-graph", op_count=500, seed=3)
         assert WorkloadSpec.from_dict(spec.to_dict()) == spec
-        reseeded = spec.with_seed(9)
+        reseeded = replace(spec, seed=9)
         assert reseeded.seed == 9
         assert reseeded.large_fraction == spec.large_fraction
 
@@ -246,7 +246,7 @@ class TestGenerators:
         second = list(generate(spec))
         assert first == second
         assert len(first) == count
-        assert first != list(generate(spec.with_seed(43)))
+        assert first != list(generate(replace(spec, seed=43)))
 
     @given(
         st.sampled_from(["nursery-churn", "mature-mutation", "large-object-graph"]),
