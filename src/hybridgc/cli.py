@@ -37,8 +37,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nursery", type=parse_size, default=None, metavar="SIZE")
     p.add_argument("--budget", type=parse_size, default=None, metavar="SIZE")
     p.add_argument("--cache", type=parse_size, default=None, metavar="SIZE")
-    p.add_argument("--quantum", type=int, default=10_000)
-    p.add_argument("--warmup", type=float, default=0.10, metavar="FRACTION")
+    p.add_argument("--quantum", type=int, default=ExperimentConfig.quantum)
+    p.add_argument("--warmup", type=float, default=ExperimentConfig.warmup_fraction, metavar="FRACTION")
     p.add_argument("--no-zeroing", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -148,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_life = sub.add_parser("lifetime", help="device lifetime in years for a PCM write rate")
     p_life.add_argument("rate", type=float, help="sustained PCM write rate in bytes/second")
-    p_life.add_argument("--capacity", default="32GB")
-    p_life.add_argument("--endurance", type=float, default=1.0e7)
-    p_life.add_argument("--efficiency", type=float, default=0.5)
+    p_life.add_argument("--capacity", default=LifetimeModel.capacity_bytes)
+    p_life.add_argument("--endurance", type=float, default=LifetimeModel.endurance_writes)
+    p_life.add_argument("--efficiency", type=float, default=LifetimeModel.wear_efficiency)
     p_life.set_defaults(func=_cmd_lifetime)
 
     return parser

@@ -3,9 +3,12 @@
 The engine owns the generational cycle: evacuate the nursery when it
 fills, spill the observation space into mature DRAM or PCM according to
 observed write counts, and run a full mark-sweep when mature occupancy
-crosses the budget. A young collection decides each survivor's
-destination once, in ``_plan_survivors``; the chunk pre-flight and the
-copy loop both read that plan.
+crosses the budget. Both kinds of collection find their live set with
+one reachability walk, ``_closure``, which follows refs only inside a
+scope: the young records for a minor, every record for a major. A young
+collection decides each survivor's destination once, in
+``_plan_survivors``, as a pair of move lists (nursery, observer); the
+chunk pre-flight and the copy loop both read that pair.
 
 A minor collection costs O(young), not O(heap): it seeds its closure
 from the heap's address-ordered ``young`` list and the remembered set,
@@ -47,20 +50,11 @@ from .memory import MemorySystem
 
 
 @dataclass
-class SurvivorPlan:
-    """One young collection's copies: (record, destination space) pairs by address."""
-
-    nursery_moves: list[tuple[ObjectRecord, str]]
-    observer_moves: list[tuple[ObjectRecord, str]] | None  # None: the observer stays
-
-
-@dataclass
 class CollectionStats:
     kind: str  # "minor" | "observer" | "major"
     objects_scanned: int = 0
     copied_objects: int = 0
     copied_bytes: dict[str, int] = field(default_factory=dict)
-    evacuated_bytes: int = 0  # bytes copied out of the collected space
     space_used_before: int = 0  # fill of the collected space at entry
     mark_writes: int = 0
     mark_writes_pcm: int = 0
@@ -71,6 +65,9 @@ class CollectionStats:
     @property
     def bytes_copied_total(self) -> int:
         return sum(self.copied_bytes.values())
+
+
+Moves = list[tuple[ObjectRecord, str]]  # (record, destination space) pairs, by address
 
 
 class GcEngine:
@@ -88,20 +85,25 @@ class GcEngine:
     # -- the hook used by the heap's allocator --
 
     def on_nursery_full(self) -> None:
+        heap = self.heap
         for attempt in (0, 1):
-            live = self._young_closure()
-            plan = self._plan_survivors(live)
-            if self._chunks_available(plan):
+            # seeds: the young roots and the young children of remembered slots
+            roots = heap.roots
+            stack = [rec.id for rec in heap.young if rec.id in roots]
+            stack += filter(None, (self._remembered_child(pid, slot) for pid, slot in heap.remset))
+            live = self._closure(stack, {rec.id: rec for rec in heap.young})
+            nursery_moves, observer_moves = self._plan_survivors(live)
+            if self._chunks_available(nursery_moves, observer_moves):
                 break
             if attempt == 0:
                 self.collect_major()  # cascade once, then give up
             else:
                 raise HeapExhausted("no chunks left for minor-collection survivors")
-        self._run_young_cycle(live, plan)
-        if self.heap.mature_occupancy() >= self.config.heap_budget:
+        self._run_young_cycle(live, nursery_moves, observer_moves)
+        if heap.mature_occupancy() >= self.config.heap_budget:
             self.collect_major()
 
-    # -- closures --
+    # -- the reachability walk --
 
     def _remembered_child(self, pid: int, slot: int) -> int:
         """The young object a remembered slot points at, or 0 if the entry is stale."""
@@ -115,51 +117,24 @@ class GcEngine:
         child = objects.get(cid)
         return cid if child is not None and self.heap.is_young_addr(child.addr) else 0
 
-    def _young_closure(self) -> set[int]:
-        """Ids of young objects reachable from roots and remembered slots."""
-        heap = self.heap
-        roots = heap.roots
-        young = {rec.id: rec for rec in heap.young}
-        stack = [oid for oid in young if oid in roots]
-        for pid, slot in heap.remset:
-            cid = self._remembered_child(pid, slot)
-            if cid:
-                stack.append(cid)
+    @staticmethod
+    def _closure(stack: list[int], scope: dict[int, ObjectRecord]) -> set[int]:
+        """Ids reachable from the seeds on ``stack`` (all in ``scope``) by refs inside ``scope``."""
         live: set[int] = set()
         while stack:
             oid = stack.pop()
             if oid in live:
                 continue
             live.add(oid)
-            for cid in young[oid].refs:
-                if cid in young and cid not in live:
-                    stack.append(cid)
-        return live
-
-    def _full_closure(self) -> set[int]:
-        """Ids of the records reachable from roots and the named boot records.
-
-        The boot image counts as roots, but a boot object no trace has
-        named has only null slots, so it adds nothing to the closure.
-        """
-        heap = self.heap
-        objects = heap.objects
-        live: set[int] = set()
-        stack = [*heap.roots, *heap.named_boot_ids]
-        while stack:
-            oid = stack.pop()
-            if oid in live or oid not in objects:
-                continue
-            live.add(oid)
-            for cid in objects[oid].refs:
-                if cid and cid not in live:
+            for cid in scope[oid].refs:
+                if cid in scope and cid not in live:
                     stack.append(cid)
         return live
 
     # -- the survivor plan and its chunk pre-flight, so copies never fail halfway --
 
-    def _plan_survivors(self, live: set[int]) -> SurvivorPlan:
-        """Where each live young object goes, in address order.
+    def _plan_survivors(self, live: set[int]) -> tuple[Moves, Moves | None]:
+        """Where each live young object goes: ``(nursery_moves, observer_moves)``.
 
         A large nursery survivor goes to the large-object space; any other
         pauses in the observer under write sampling and goes to mature
@@ -187,13 +162,13 @@ class GcEngine:
         observer_moves = None
         if heap.observer is not None and heap.observer.free < to_observer:
             observer_moves = [(rec, MATURE_DRAM if rec.write_count else MATURE_PCM) for rec in observer_live]
-        return SurvivorPlan(nursery_moves, observer_moves)
+        return nursery_moves, observer_moves
 
-    def _chunks_available(self, plan: SurvivorPlan) -> bool:
+    def _chunks_available(self, nursery_moves: Moves, observer_moves: Moves | None) -> bool:
         heap = self.heap
         layout = heap.layout
         needs: dict[str, int] = {}
-        for rec, dest in (*plan.nursery_moves, *(plan.observer_moves or ())):
+        for rec, dest in (*nursery_moves, *(observer_moves or ())):
             if dest != OBSERVER:
                 needs[dest] = needs.get(dest, 0) + rec.size
         fresh = {MemoryKind.DRAM: 0, MemoryKind.PCM: 0}
@@ -213,19 +188,23 @@ class GcEngine:
 
     # -- the nursery/observer cycle --
 
-    def _run_young_cycle(self, live: set[int], plan: SurvivorPlan) -> None:
+    def _run_young_cycle(self, live: set[int], nursery_moves: Moves, observer_moves: Moves | None) -> None:
         heap = self.heap
         if self.inspect_hook is not None:
             self.inspect_hook("minor", frozenset(live))
 
         moved_out: list[ObjectRecord] = []
-        if plan.observer_moves is not None:
-            moved_out.extend(self._evacuate_observer(plan.observer_moves))
+        if observer_moves is not None:
+            stats = CollectionStats("observer", objects_scanned=len(observer_moves),
+                                    space_used_before=heap.observer.used)
+            for rec, dest in observer_moves:
+                self._copy(rec, heap.free_list_spaces[dest].alloc(rec.size), dest, stats)
+                moved_out.append(rec)
+            heap.observer.reset()
+            self.collections.append(stats)
 
-        stats = CollectionStats("minor")
-        stats.objects_scanned = len(live)
-        stats.space_used_before = heap.nursery.used
-        for rec, dest in plan.nursery_moves:
+        stats = CollectionStats("minor", objects_scanned=len(live), space_used_before=heap.nursery.used)
+        for rec, dest in nursery_moves:
             if dest == OBSERVER:
                 new_addr = heap.observer.alloc(rec.size)
                 if new_addr is None:
@@ -236,24 +215,24 @@ class GcEngine:
             self._copy(rec, new_addr, dest, stats)
         heap.nursery.reset()
 
-        stats.reclaimed_objects = self._reclaim_dead_young(live)
+        # drop the young dead; ``young`` keeps the observer's residents, in order
+        objects = heap.objects
+        kept = []
+        dead = 0
+        for rec in heap.young:
+            if rec.id not in live:
+                del objects[rec.id]
+                dead += 1
+            elif rec.space == OBSERVER:  # stayed, or was just copied in
+                kept.append(rec)
+        heap.young = kept
+        stats.reclaimed_objects = dead
         # objects that just left the young region may still point into it;
         # the prune keeps exactly the slots that do
         heap.remset.update((rec.id, slot) for rec in moved_out for slot, cid in enumerate(rec.refs) if cid)
         self._prune_remset()
         self.collections.append(stats)
         heap.check_placement()
-
-    def _evacuate_observer(self, moves: list[tuple[ObjectRecord, str]]) -> list[ObjectRecord]:
-        heap = self.heap
-        stats = CollectionStats("observer")
-        stats.objects_scanned = len(moves)
-        stats.space_used_before = heap.observer.used
-        for rec, dest in moves:
-            self._copy(rec, heap.free_list_spaces[dest].alloc(rec.size), dest, stats)
-        heap.observer.reset()
-        self.collections.append(stats)
-        return [rec for rec, _dest in moves]
 
     def _copy(self, rec: ObjectRecord, new_addr: int, dest: str, stats: CollectionStats) -> None:
         heap = self.heap
@@ -269,22 +248,6 @@ class GcEngine:
         stats.copied_objects += 1
         copied = stats.copied_bytes
         copied[dest] = copied.get(dest, 0) + size
-        stats.evacuated_bytes += size
-
-    def _reclaim_dead_young(self, live: set[int]) -> int:
-        """Drop the young dead; ``young`` keeps the observer's residents, in order."""
-        heap = self.heap
-        objects = heap.objects
-        kept = []
-        dead = 0
-        for rec in heap.young:
-            if rec.id not in live:
-                del objects[rec.id]
-                dead += 1
-            elif rec.space == OBSERVER:  # stayed, or was just copied in
-                kept.append(rec)
-        heap.young = kept
-        return dead
 
     def _prune_remset(self) -> None:
         """Keep the entries whose parent is outside the young region and still points into it."""
@@ -300,7 +263,9 @@ class GcEngine:
     def collect_major(self) -> CollectionStats:
         heap = self.heap
         config = self.config
-        live = self._full_closure()
+        # the boot image counts as roots, but a boot object no trace has
+        # named has only null slots, so it adds nothing to the closure
+        live = self._closure([*heap.roots, *heap.named_boot_ids], heap.objects)
         if self.inspect_hook is not None:
             self.inspect_hook("major", frozenset(live.union(heap.boot_ids)))
 

@@ -99,9 +99,9 @@ class ExperimentConfig:
     boot_object_size: int = 256
     op_cost_ns: float = 5.0
     byte_cost_ns: float = 0.25
-    lifetime_capacity_bytes: int = 32_000_000_000
-    lifetime_endurance: float = 1.0e7
-    lifetime_efficiency: float = 0.5
+    lifetime_capacity_bytes: int = LifetimeModel.capacity_bytes
+    lifetime_endurance: float = LifetimeModel.endurance_writes
+    lifetime_efficiency: float = LifetimeModel.wear_efficiency
 
     def __post_init__(self) -> None:
         # not a field, so to_dict() and replace() see only ``collector``
@@ -162,14 +162,4 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        if self.workload is not None:
-            data["workload"] = self.workload.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        if data.get("workload") is not None:
-            data["workload"] = WorkloadSpec.from_dict(data["workload"])
-        return cls(**data)
+        return dataclasses.asdict(self)  # recurses into the workload spec

@@ -183,12 +183,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
     streams = _instance_streams(config)
     totals = [t for (_d, _s, t) in streams]
     warmup_at = [int(t * config.warmup_fraction) for t in totals]
-    ops_done = [0] * config.instances
     alive = [True] * config.instances
 
     base_counters = system.counters.snapshot()
     base_ns = system.now_ns
-    warmed = all(ops_done[i] >= warmup_at[i] for i in range(config.instances))
+    warmed = not any(warmup_at)
     failure: dict | None = None
 
     while any(alive) and failure is None:
@@ -196,14 +195,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
             if not alive[i]:
                 continue
             try:
-                executed, exhausted = drive(heaps[i], streams[i][1], config.quantum)
+                _executed, exhausted = drive(heaps[i], streams[i][1], config.quantum)
             except SimulatorError as exc:
                 failure = _failure(exc, i, heaps[i])
                 break
-            ops_done[i] += executed
             if exhausted:
                 alive[i] = False
-        if not warmed and all(ops_done[i] >= warmup_at[i] for i in range(config.instances)):
+        if not warmed and all(h.op_index >= at for h, at in zip(heaps, warmup_at)):
             # measurement window opens once every instance is past warm-up
             warmed = True
             base_counters = system.counters.snapshot()
@@ -259,10 +257,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         )
 
     rows = [
-        make_row(str(i), i, streams[i][0], ops_done[i])
+        make_row(str(i), i, streams[i][0], heaps[i].op_index)
         for i in range(config.instances)
     ]
-    aggregate = make_row("all", None, streams[0][0], sum(ops_done))
+    aggregate = make_row("all", None, streams[0][0], sum(h.op_index for h in heaps))
     # Break each heap/engine reference cycle so a finished run's heap is
     # freed now, not by a later cyclic collection; ``heap.gc`` stays readable.
     for heap in heaps:

@@ -30,6 +30,7 @@ The engine runs it after every collection; no switch turns it off.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -147,7 +148,7 @@ class FreeListSpace:
             index = self.layout.free_list_for(self.memory).reserve(self.name)
             self.chunks.append(index)
             size = self.layout.chunk_size
-            self._insert_extent(index * size, size)
+            insort(self.extents, [index * size, size])  # chunk addresses are distinct
             addr = self._first_fit(n)
             if addr is None:
                 raise InvariantError(f"a fresh {size}-byte chunk of {self.name} cannot hold {n} bytes")
@@ -164,16 +165,6 @@ class FreeListSpace:
                     self.extents.remove(ext)
                 return addr
         return None
-
-    def _insert_extent(self, addr: int, size: int) -> None:
-        lo, hi = 0, len(self.extents)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.extents[mid][0] < addr:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.extents.insert(lo, [addr, size])
 
     def sweep(self, live_intervals: list[tuple[int, int]]) -> None:
         """Rebuild free extents around ``live_intervals`` (sorted by addr).
@@ -281,35 +272,21 @@ class HeapInstance:
         layout = self.layout
         cfg = self.config
         half_lo, half_hi = layout.half_bounds(self.space_map[NURSERY])
-        nursery_hi = half_hi
-        nursery_lo = nursery_hi - cfg.effective_nursery_size
-        ranges: list[tuple[str, int, int]] = [(NURSERY, nursery_lo, nursery_hi)]
-        young_lo = nursery_lo
+        self.nursery = BumpSpace(NURSERY, half_hi - cfg.effective_nursery_size, half_hi)
+        self.observer = None
         if OBSERVER in self.space_map:
-            observer_hi = nursery_lo
-            observer_lo = observer_hi - cfg.observer_size
-            ranges.append((OBSERVER, observer_lo, observer_hi))
-            young_lo = observer_lo
-        ranges.append((BOOT, half_lo, half_lo + cfg.boot_size))
+            self.observer = BumpSpace(OBSERVER, self.nursery.lo - cfg.observer_size, self.nursery.lo)
+        self.boot_space = BumpSpace(BOOT, half_lo, half_lo + cfg.boot_size)
+        self.young_lo = (self.observer or self.nursery).lo
+        self.young_hi = half_hi
 
-        bump_spaces: dict[str, BumpSpace] = {}
-        reserved: set[int] = set()
-        for name, lo, hi in ranges:
-            free_list = layout.free_list_for(self.space_map[name])
-            for index in range(lo // layout.chunk_size, (hi - 1) // layout.chunk_size + 1):
-                if index in reserved:
-                    continue  # adjacent fixed spaces may share a boundary chunk
-                free_list.reserve_index(index, name)
-                reserved.add(index)
-            bump_spaces[name] = BumpSpace(name, lo, hi)
-
-        self.reserved = reserved  # the fixed spaces' chunks, held for the heap's life
-
-        self.young_lo = young_lo
-        self.young_hi = nursery_hi
-        self.nursery = bump_spaces[NURSERY]
-        self.observer = bump_spaces.get(OBSERVER)
-        self.boot_space = bump_spaces[BOOT]
+        self.reserved: set[int] = set()  # the fixed spaces' chunks, held for the heap's life
+        for space in filter(None, (self.nursery, self.observer, self.boot_space)):
+            free_list = layout.free_list_for(self.space_map[space.name])
+            for index in range(space.lo // layout.chunk_size, (space.hi - 1) // layout.chunk_size + 1):
+                if index not in self.reserved:  # adjacent fixed spaces may share a boundary chunk
+                    free_list.reserve_index(index, space.name)
+                    self.reserved.add(index)
 
     # -- address helpers --
 

@@ -129,7 +129,6 @@ class CacheModel:
     """
 
     def __init__(self, capacity: int, assoc: int, line_size: int, split: int) -> None:
-        self.capacity = capacity
         self.assoc = assoc
         self.line_size = line_size
         self.split_line = split // line_size

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from math import exp
@@ -192,13 +192,6 @@ class WorkloadSpec:
             raise ConfigError("size_log_sigma must not be negative")
         if self.resident_bytes < 0:
             raise ConfigError("resident_bytes must not be negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        return cls(**data)
 
 
 def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> WorkloadSpec:

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import hybridgc
 from hybridgc import harness
+from hybridgc.config import Collector
 from hybridgc.errors import ConfigError
 from hybridgc.harness import (
     CSV_COLUMNS,
@@ -25,7 +27,7 @@ from hybridgc.harness import (
     sweep,
 )
 from hybridgc.memory import MAX_INSTANCES, lifetime_years
-from hybridgc.workloads import ReadOp, WriteOp, default_spec, generate, serialize_trace
+from hybridgc.workloads import ReadOp, WorkloadSpec, WriteOp, default_spec, generate, serialize_trace
 
 from support import KIB, MIB
 
@@ -90,8 +92,10 @@ class TestConfig:
             churn_config(collector="KG-X")
 
     def test_dict_round_trip(self):
+        # the report's config must capture every field, the workload's included
         config = churn_config()
-        clone = ExperimentConfig.from_dict(config.to_dict())
+        data = config.to_dict()
+        clone = ExperimentConfig(**{**data, "workload": WorkloadSpec(**data["workload"])})
         assert clone == config
 
     def test_derived_seeds_differ_per_instance(self):
@@ -145,6 +149,16 @@ class TestSingleRun:
         }
         assert "TraceError" in report.error["message"]
         json.loads(report.to_json())  # still serializable
+
+    def test_failed_run_counts_the_ops_of_its_failing_slice(self):
+        # the budget runs out part way through a 10,000-op slice
+        config = config_for_archetype(
+            "mature-mutation", "PCM-Only", 3, op_count=60_000, nursery_size=256 * KIB, heap_budget=1 * MIB
+        )
+        report = run_experiment(config)
+        assert report.failed
+        assert report.error["op_index"] % config.quantum != 0
+        assert report.rows[0].ops_executed == report.aggregate.ops_executed == report.error["op_index"]
 
 
 # Runs a two-instance KG-W experiment with instance 1 corrupted, under
@@ -450,3 +464,48 @@ class TestPinnedResults:
         assert (report.aggregate.minor_collections, report.aggregate.observer_collections) == (10, 4)
         expected = self.CLOCK[(op_cost_ns, byte_cost_ns, include_collector_time)]
         assert (report.sim_seconds, systems[0].now_ns) == expected
+
+
+class TestPinnedReports:
+    """SHA-256 of ``to_json() + to_csv()`` for every variant on one small
+    input, with the default LLC and with no cache. A refactor keeps these
+    digests; a declared model change re-pins them and records the old and
+    new values in CHANGES.md. ``quantum`` is 500 because at the default
+    10,000-op quantum these 6,000-op runs have an empty measurement window
+    and would pin only the drain."""
+
+    CONFIG = dict(op_count=6_000, nursery_size=1 * MIB, heap_budget=6 * MIB, quantum=500)
+    DIGESTS = {
+        "llc": {
+            "PCM-Only": "08a6415b114e1c39d5819d9e181533883c3d314f8b1cb7820b2653d243980b6d",
+            "KG-N": "d348ce783fbe68c2b21e5d2cfe87ee00f9a18a83a2855ee9c18ac1fe37e3f928",
+            "KG-B": "42df0eebd4f383948440b244ee7bfb7ffc63f905b4beb3f3abd9ec20b6a23d5b",
+            "KG-N+LOO": "2ad9d666c3a79491fa671379b462c50bf02e95432443544d7336b54c3dcb34a8",
+            "KG-B+LOO": "99f15c85c8f70562617ace2a568aaf808aa1fb6dd1293a99f99195b8efbb6c4f",
+            "KG-W": "02e7cf19925a2be134a7d39f5f9bf4ea54c3aebb039c7cb6b83cc9491ad7a1cc",
+            "KG-W-LOO": "b849eb912e8d844a319b135a1928a9772a4ef5274395e675b245f14c2a3d396f",
+            "KG-W-MDO": "f26d561da2248593b20ce93b698ffbac0a2673c05c47f7733db53d648609a4cc",
+        },
+        "no-cache": {
+            "PCM-Only": "2bd7f1cd9a98c2ac565436262b4241b76c141baf033de163e00cc77adb208ced",
+            "KG-N": "c668317966aa99e2e3311720a61eae95c67771d54b083dcd5d27499130e86051",
+            "KG-B": "c392e8f7d6a971ac92f8df44f23aacf8f248a82af804f5abb7fc125258eaea21",
+            "KG-N+LOO": "06e9dd9e8ad66b5197240de60eb6c6ad365294d775d55566aeb92d5874a6a182",
+            "KG-B+LOO": "35b3ae687f42be7978a692016128e8b3497c8b1bebc993d99edf34b1ec86706e",
+            "KG-W": "af0212eeac12941080d464694070d379452d0dfffd2baf9cf82d2679758fa3da",
+            "KG-W-LOO": "4890cc30da43b3e9627bf334598a6ee88aacf32b2a5c3dd6eeb76f2c78c26570",
+            "KG-W-MDO": "20e46715aee53c527b3db653f89ddfdd6482c0ffd09b1f29ec006318faa38a9d",
+        },
+    }
+    CACHE = {"llc": {}, "no-cache": {"cache_capacity": 0}}
+
+    @pytest.mark.parametrize("collector", [c.value for c in Collector])
+    @pytest.mark.parametrize("fidelity", sorted(DIGESTS))
+    def test_report_bytes_are_unchanged(self, fidelity, collector):
+        config = config_for_archetype(
+            "large-object-graph", collector, 5, **self.CONFIG, **self.CACHE[fidelity]
+        )
+        report = run_experiment(config)
+        assert not report.failed
+        digest = hashlib.sha256((report.to_json() + report.to_csv()).encode()).hexdigest()
+        assert digest == self.DIGESTS[fidelity][collector]

@@ -3,7 +3,7 @@
 import hashlib
 import io
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import islice
 
 import pytest
@@ -229,7 +229,7 @@ class TestSpecs:
 
     def test_dict_round_trip_and_reseeding(self):
         spec = default_spec("large-object-graph", op_count=500, seed=3)
-        assert WorkloadSpec.from_dict(spec.to_dict()) == spec
+        assert WorkloadSpec(**asdict(spec)) == spec
         reseeded = replace(spec, seed=9)
         assert reseeded.seed == 9
         assert reseeded.large_fraction == spec.large_fraction
@@ -286,7 +286,7 @@ class TestGenerators:
         drive(heap, generate(spec))
         minors = [s for s in heap.gc.collections if s.kind == "minor"]
         assert len(minors) >= 1
-        survival = sum(s.evacuated_bytes for s in minors) / sum(
+        survival = sum(s.bytes_copied_total for s in minors) / sum(
             s.space_used_before for s in minors
         )
         assert survival < 0.15
