@@ -8,11 +8,15 @@ Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or a drain, or immediately when the cache is
 disabled. Reads reach memory as line fills. Every counter is keyed by
 (instance, memory kind, space) so multiprogram runs stay attributable.
+A dirty line holds the key it will be written back under, so neither an
+eviction nor the drain decodes a line to count it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .address_space import MemoryKind
 from .errors import ConfigError, InvariantError
@@ -28,10 +32,9 @@ _ABSENT = object()  # sentinel for a set lookup that misses
 
 # A cached line's key is ``(line index << INST_BITS) | instance``. Configs
 # and heaps reject instance ids of MAX_INSTANCES and up, so keys never
-# collide and ``key < split_line << INST_BITS`` exactly when a line is PCM.
+# collide.
 INST_BITS = 16
 MAX_INSTANCES = 1 << INST_BITS
-INST_MASK = MAX_INSTANCES - 1
 
 
 def total_bytes(
@@ -134,11 +137,12 @@ class CacheModel:
         self.split_line = split // line_size
         self.n_sets = cache_set_count(capacity, assoc, line_size)
         # Each set maps a line key ``(line index << INST_BITS) | instance``
-        # to the space that last wrote the line while it is dirty, or None
-        # while it is clean; a clean line's space is never read. LRU order
-        # is insertion order: a hit re-inserts its key, and the victim is
-        # the first key.
-        self.sets: list[dict[int, str | None]] = [{} for _ in range(self.n_sets)]
+        # to None while the line is clean, or while it is dirty to the
+        # ``write_bytes`` key it will be written back under: the interned
+        # ``(instance, kind of the line, space that last wrote it)``. LRU
+        # order is insertion order: a hit re-inserts its key, and the
+        # victim is the first key.
+        self.sets: list[dict[int, tuple[int, MemoryKind, str] | None]] = [{} for _ in range(self.n_sets)]
 
 
 @dataclass
@@ -154,9 +158,12 @@ class MemorySystem:
     access, not per line: an access splits its line range at
     ``split_line`` into at most one PCM run and one DRAM run, counts
     demand, absorbed and filled lines and dirty victims in locals while
-    it walks a run, and then adds them to the counters once. A drain
-    batches its writebacks the same way. All counters are integer sums,
-    so the totals equal those of per-line accounting.
+    it walks a run, and then adds them to the counters once. A write run
+    interns its ``(instance, kind, space)`` key in ``_tags`` and stores
+    that one tuple in every line it dirties, so a dirty victim is counted
+    under the key it holds. A drain batches its writebacks the same way.
+    All counters are integer sums, so the totals equal those of per-line
+    accounting.
     """
 
     cache: CacheModel
@@ -166,6 +173,8 @@ class MemorySystem:
     include_collector_time: bool = True
     gc_traffic_through_cache: bool = True
     now_ns: float = field(default=0.0, init=False)
+    # write-back key -> itself; at most instances x 2 kinds x spaces entries
+    _tags: dict = field(default_factory=dict, init=False, repr=False)
 
     def access(self, inst: int, addr: int, length: int, write: bool, space: str, *, collector: bool = False) -> None:
         if length <= 0:
@@ -190,11 +199,16 @@ class MemorySystem:
         sets = cache.sets
         assoc = cache.assoc
         shift = INST_BITS
-        split_key = split_line << shift
+        tags = self._tags
         for lo, hi, kind in runs:
             absorbed = 0
             fills = 0
-            victims: dict[tuple[int, bool, str], int] = {}
+            victims: dict[tuple[int, MemoryKind, str], int] = {}
+            if write:
+                tag = (inst, kind, space)
+                tag = tags.setdefault(tag, tag)
+            else:
+                tag = None
             for ln in range(lo, hi):
                 cset = sets[ln % n_sets]
                 key = ln << shift | inst
@@ -203,19 +217,17 @@ class MemorySystem:
                     if write:
                         if old is not None:
                             absorbed += 1
-                        cset[key] = space
+                        cset[key] = tag
                     else:
                         cset[key] = old
                     continue
                 # miss: allocate on both reads and writes
                 fills += 1
                 if len(cset) >= assoc:
-                    vkey = next(iter(cset))
-                    vspace = cset.pop(vkey)
-                    if vspace is not None:
-                        wkey = (vkey & INST_MASK, vkey < split_key, vspace)
-                        victims[wkey] = victims.get(wkey, 0) + 1
-                cset[key] = space if write else None
+                    vtag = cset.pop(next(iter(cset)))
+                    if vtag is not None:
+                        victims[vtag] = victims.get(vtag, 0) + 1
+                cset[key] = tag
             if write:
                 dkey = (inst, kind)
                 demand = counters.demand_write_bytes
@@ -225,20 +237,19 @@ class MemorySystem:
                     absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
             if fills:
                 counters.fills += fills
-                rkey = (inst, kind, space)
+                rkey = tag or (inst, kind, space)
                 read_bytes[rkey] = read_bytes.get(rkey, 0) + fills * line_size
             if victims:
                 self._writeback(victims)
 
-    def _writeback(self, victims: dict[tuple[int, bool, str], int]) -> int:
-        """Write back dirty lines counted as ``(instance, is_pcm, space) -> lines``; returns the total."""
+    def _writeback(self, victims: dict[tuple[int, MemoryKind, str], int]) -> int:
+        """Write back dirty lines counted as ``write_bytes key -> lines``; returns the total."""
         line_size = self.cache.line_size
         counters = self.counters
         write_bytes = counters.write_bytes
         total = 0
-        for (inst, is_pcm, space), n in victims.items():
-            skey = (inst, _PCM if is_pcm else _DRAM, space)
-            write_bytes[skey] = write_bytes.get(skey, 0) + n * line_size
+        for tag, n in victims.items():
+            write_bytes[tag] = write_bytes.get(tag, 0) + n * line_size
             total += n
         counters.writebacks += total
         return total
@@ -264,18 +275,16 @@ class MemorySystem:
     def drain(self) -> int:
         """Flush every dirty line; returns the number written back.
 
-        Lines stay resident but clean, so draining twice is a no-op the
-        second time. Lines are flushed set by set, least recent first.
+        Lines stay resident but clean, in their LRU order, so draining
+        twice is a no-op the second time. The lines are counted by the key
+        each holds, so the flush order does not matter.
         """
-        cache = self.cache
-        split_key = cache.split_line << INST_BITS
-        victims: dict[tuple[int, bool, str], int] = {}
-        for cset in cache.sets:
-            for key, space in cset.items():
-                if space is not None:
-                    cset[key] = None
-                    wkey = (key & INST_MASK, key < split_key, space)
-                    victims[wkey] = victims.get(wkey, 0) + 1
+        sets = self.cache.sets
+        victims = Counter(chain.from_iterable(map(dict.values, sets)))
+        victims.pop(None, None)
+        # set by set, so at most one old set is alive beside the new ones
+        for i, cset in enumerate(sets):
+            sets[i] = dict.fromkeys(cset)
         return self._writeback(victims)
 
 

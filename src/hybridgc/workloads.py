@@ -199,7 +199,7 @@ def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> 
     if archetype not in ARCHETYPES:
         raise ConfigError(f"unknown archetype {archetype!r}")
     _gen, default_ops, overrides = _ARCHETYPES[archetype]
-    return WorkloadSpec(archetype, op_count or default_ops, seed, **overrides)
+    return WorkloadSpec(archetype, default_ops if op_count is None else op_count, seed, **overrides)
 
 
 def generate(spec: WorkloadSpec) -> Iterator[TraceOp]:

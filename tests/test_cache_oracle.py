@@ -2,8 +2,10 @@
 
 The model side is ``MemorySystem.access``/``drain`` over a ``CacheModel``.
 After every access and after the drain, each set's residents must match
-the reference's in recency order, instance, line and dirty space, so a
+the reference's in recency order, instance, line and dirty state, so a
 wrong victim or a lost recency update fails at the access that made it.
+A dirty line must hold the key it will be written back under:
+``(instance, kind of its line, space that last wrote it)``.
 """
 
 import random
@@ -11,9 +13,9 @@ import random
 import pytest
 
 from cache_reference import RefCache
+from hybridgc.address_space import MemoryKind
 from hybridgc.memory import (
     INST_BITS,
-    INST_MASK,
     MAX_INSTANCES,
     CacheModel,
     MemorySystem,
@@ -21,6 +23,7 @@ from hybridgc.memory import (
 )
 
 LINE = 64
+PCM, DRAM = MemoryKind.PCM, MemoryKind.DRAM
 
 # (capacity_lines, assoc) pairs, all at most 8 lines total
 SMALL_GEOMETRIES = [(1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (6, 3)]
@@ -37,9 +40,20 @@ def cached_system(lines, assoc, split):
 
 
 def model_state(cache):
-    """Per set, ``(inst, line, space if dirty else None)`` of each resident, least recent first."""
+    """Per set, ``(inst, line, held value)`` of each resident, least recent first."""
     return [
-        [(key & INST_MASK, key >> INST_BITS, space) for key, space in cset.items()] for cset in cache.sets
+        [(key % MAX_INSTANCES, key >> INST_BITS, held) for key, held in cset.items()] for cset in cache.sets
+    ]
+
+
+def expected_state(ref):
+    """The reference's state with each dirty line's space replaced by the key it must hold."""
+    return [
+        [
+            (inst, line, None if space is None else (inst, PCM if line < ref.split_line else DRAM, space))
+            for inst, line, space in residents
+        ]
+        for residents in ref.state()
     ]
 
 
@@ -82,10 +96,10 @@ def run_pair(
         space = rng.choice(("a", "b"))
         model.access(inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
-        assert model_state(model.cache) == ref.state()
+        assert model_state(model.cache) == expected_state(ref)
         compared += 1
     assert model.drain() == ref.drain(rc)
-    assert model_state(model.cache) == ref.state()
+    assert model_state(model.cache) == expected_state(ref)
     assert mc.write_bytes == rc.write_bytes
     assert mc.read_bytes == rc.read_bytes
     assert mc.demand_write_bytes == rc.demand_write_bytes
@@ -110,13 +124,13 @@ def test_cyclic_writes_through_two_line_direct_mapped():
         for line in (0, 1, 2):
             model.access(0, line * LINE, 8, True, "s")
             ref.access(rc, 0, line * LINE, 8, True, "s")
-            assert model_state(model.cache) == ref.state()
+            assert model_state(model.cache) == expected_state(ref)
     # lines 0 and 2 share set 0 and evict each other every round, while
     # line 1 stays resident in set 1 after its one fill
     counters = model.counters
     assert counters.writebacks == rc.writebacks == 7
     assert counters.fills == rc.fills == 9
-    assert model_state(model.cache) == [[(0, 2, "s")], [(0, 1, "s")]]
+    assert model_state(model.cache) == [[(0, 2, (0, PCM, "s"))], [(0, 1, (0, PCM, "s"))]]
 
 
 def test_full_oracle_load():

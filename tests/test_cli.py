@@ -147,3 +147,19 @@ def test_sweep_writes_one_file_per_point(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all(": ok pcm_write_bytes=" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--collector", "KG-N", "--seed", "1", "--ops", "0"],
+        ["gen-trace", "--archetype", "large-object-graph", "--seed", "1", "--ops", "0"],
+    ],
+)
+def test_zero_ops_is_rejected_not_defaulted(tmp_path, capsys, argv):
+    out = tmp_path / "zero.trace"
+    extra = ["--out", str(out)] if argv[0] == "gen-trace" else []
+    assert main([*argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "op_count must be positive" in captured.err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 
 from hybridgc.config import Collector, ExperimentConfig
 from hybridgc.errors import ConfigError
+from hybridgc.harness import config_for_archetype
 
 from support import MIB, ONE_OP
 
@@ -88,3 +89,9 @@ def test_a_built_config_cannot_change():
         cfg.workload.op_count = 0
     assert (cfg.collector, cfg.variant, cfg.heap_budget) == ("KG-W", Collector.KG_W, 64 * MIB)
     assert cfg.workload.op_count == 1
+
+
+@pytest.mark.parametrize("op_count", [0, -3])
+def test_archetype_config_rejects_a_non_positive_op_count(op_count):
+    with pytest.raises(ConfigError, match="op_count must be positive"):
+        config_for_archetype("large-object-graph", "KG-W", 1, op_count=op_count)

@@ -399,6 +399,21 @@ class TestFrameBudget:
         assert self.frames(heap.set_root, 1, False) == ["set_root"]
         assert heap.gc.collections == []
 
+    @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
+    def test_a_write_that_evicts_a_dirty_line_runs_in_its_budget(self, variant):
+        # one direct-mapped line: every miss evicts the line before it
+        heap, system = small_heap(variant, cache_capacity=64, cache_assoc=1)
+        heap.alloc_object(1, 64, 0)
+        heap.alloc_object(2, 64, 0)  # evicts object 1's line and leaves its own dirty
+        written_back = system.counters.writebacks
+        assert self.frames(heap.write_data, 1, 16, 8) == [
+            "write_data",
+            "MemorySystem.access",
+            "MemorySystem._writeback",
+        ]
+        assert system.counters.writebacks == written_back + 1
+        assert heap.gc.collections == []
+
 
 def test_mature_occupancy_ignores_metadata():
     heap, _ = small_heap("KG-W", nursery=64 * KIB, budget=512 * KIB)

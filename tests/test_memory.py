@@ -200,11 +200,30 @@ class TestCacheModel:
         system = system_over(8 * 64, 8, split=2 * 64)
         system.access(7, 64, 64, True, "p")  # line 1, PCM
         system.access(300, 2 * 64, 64, True, "d")  # line 2, DRAM
-        assert system.drain() == 2
-        # both lines stay resident, now clean, in their fill order
+        system.access(5, 64 + 32, 64, True, "s")  # lines 1 | 2, straddling the split
+        # each dirty line holds the key it is written back under
+        pcm, dram = (7, MemoryKind.PCM, "p"), (300, MemoryKind.DRAM, "d")
+        straddle_pcm, straddle_dram = (5, MemoryKind.PCM, "s"), (5, MemoryKind.DRAM, "s")
+        keys = [1 << INST_BITS | 7, 2 << INST_BITS | 300, 1 << INST_BITS | 5, 2 << INST_BITS | 5]
         residents = [list(cset.items()) for cset in system.cache.sets]
-        assert residents == [[(1 << INST_BITS | 7, None), (2 << INST_BITS | 300, None)]]
-        assert system.counters.write_bytes == {(7, MemoryKind.PCM, "p"): 64, (300, MemoryKind.DRAM, "d"): 64}
+        assert residents == [list(zip(keys, (pcm, dram, straddle_pcm, straddle_dram)))]
+        assert system.drain() == 4
+        # every line stays resident, now clean, in its fill order
+        residents = [list(cset.items()) for cset in system.cache.sets]
+        assert residents == [[(key, None) for key in keys]]
+        assert system.counters.write_bytes == {pcm: 64, dram: 64, straddle_pcm: 64, straddle_dram: 64}
+
+    def test_dirty_lines_share_one_interned_key(self):
+        system = system_over(8 * 64, 8, split=4 * 64)
+        system.access(0, 0, 64, True, "s")
+        system.access(0, 64, 3 * 64, True, "s")  # a second write run, same key
+        system.access(0, 4 * 64, 64, False, "s")  # a read leaves its line clean
+        held = list(system.cache.sets[0].values())
+        assert held[:4] == [(0, MemoryKind.PCM, "s")] * 4 and held[4] is None
+        assert all(tag is held[0] for tag in held[:4])
+        # the held tuple is the key the line is counted under
+        (read_key,) = [key for key in system.counters.read_bytes if key[1] is MemoryKind.PCM]
+        assert read_key is held[0]
 
     def test_passthrough_is_byte_exact(self):
         system = system_over(0)

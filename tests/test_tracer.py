@@ -44,6 +44,18 @@ PINNED_CHUNKS = {
     "KG-W": ((122, 17), (203_793, 188_722, 8_298_752, 3_779_456)),
 }
 
+# Per side of each pair: (memory.drain.lines, memory.writebacks), recorded
+# while the drain still decoded each dirty line's instance and kind from
+# its line key.
+PINNED_DRAIN = {
+    "PCM-Only": (1_331, 45_804),
+    "KG-W": (1_328, 62_207),
+}
+PINNED_MAJOR_DRAIN = {
+    "PCM-Only": (2_003, 832_332),
+    "KG-W": (2_003, 957_219),
+}
+
 
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
@@ -99,7 +111,8 @@ def test_tracer_reconciles_with_the_report(traced_pair, side):
     calls, lines = PINNED_ACCESS[side]
     assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == (calls, lines)
     assert calls > 0 and lines > 0
-    assert metrics["memory.fills"] > 0 and metrics["memory.drain.lines"] > 0
+    assert metrics["memory.fills"] > 0
+    assert (metrics["memory.drain.lines"], metrics["memory.writebacks"]) == PINNED_DRAIN[side]
 
 
 @pytest.mark.parametrize("side", sorted(PINNED_MAJOR))
@@ -112,6 +125,7 @@ def test_tracer_pins_major_collection_traffic(traced_major_pair, side):
     assert metrics["collectors.major.calls"] == report.aggregate.major_collections == majors
     assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == (calls, lines)
     assert (metrics["collectors.mark_writes"], metrics["collectors.mark_writes_pcm"]) == (marks, marks_pcm)
+    assert (metrics["memory.drain.lines"], metrics["memory.writebacks"]) == PINNED_MAJOR_DRAIN[side]
     chunk_calls, traffic = PINNED_CHUNKS[side]
     assert (metrics["address_space.reserve.calls"], metrics["address_space.release.calls"]) == chunk_calls
     agg = report.aggregate
