@@ -156,13 +156,13 @@ class FreeListSpace:
         return addr
 
     def _first_fit(self, n: int) -> int | None:
-        for ext in self.extents:
+        for i, ext in enumerate(self.extents):
             if ext[1] >= n:
                 addr = ext[0]
                 ext[0] += n
                 ext[1] -= n
                 if ext[1] == 0:
-                    self.extents.remove(ext)
+                    del self.extents[i]
                 return addr
         return None
 

@@ -14,6 +14,7 @@ eviction nor the drain decodes a line to count it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -35,6 +36,10 @@ _ABSENT = object()  # sentinel for a set lookup that misses
 # collide.
 INST_BITS = 16
 MAX_INSTANCES = 1 << INST_BITS
+
+# Fewest lines of a run that ``MemorySystem.access`` walks as a list of its
+# sets zipped with a range of its line keys; see its docstring.
+LONG_RUN = 16
 
 
 def total_bytes(
@@ -164,6 +169,18 @@ class MemorySystem:
     under the key it holds. A drain batches its writebacks the same way.
     All counters are integer sums, so the totals equal those of per-line
     accounting.
+
+    A run has two walks, chosen by its length, with the same hits,
+    fills, victims and counters. A run of at least ``LONG_RUN`` lines
+    zips a list of its sets with a range of its line keys, since
+    consecutive lines map to consecutive sets and keys: one slice of
+    ``sets``, or, when the run wraps past the last set, a list built in
+    C in line order. Its dirty victims are listed and counted per key at
+    the end, in first-seen order. A shorter run computes each line's set
+    and key. The long walk pays for itself on the thousand-line zeroings
+    and copies of large objects, but its setup costs more than it saves
+    on runs of a few lines, which are most of the runs elsewhere. Neither
+    walk enters a frame of its own: no comprehension, generator or helper.
     """
 
     cache: CacheModel
@@ -209,25 +226,55 @@ class MemorySystem:
                 tag = tags.setdefault(tag, tag)
             else:
                 tag = None
-            for ln in range(lo, hi):
-                cset = sets[ln % n_sets]
-                key = ln << shift | inst
-                old = cset.pop(key, _ABSENT)
-                if old is not _ABSENT:
-                    if write:
-                        if old is not None:
-                            absorbed += 1
-                        cset[key] = tag
-                    else:
-                        cset[key] = old
-                    continue
-                # miss: allocate on both reads and writes
-                fills += 1
-                if len(cset) >= assoc:
-                    vtag = cset.pop(next(iter(cset)))
-                    if vtag is not None:
-                        victims[vtag] = victims.get(vtag, 0) + 1
-                cset[key] = tag
+            if hi - lo < LONG_RUN:
+                for ln in range(lo, hi):
+                    cset = sets[ln % n_sets]
+                    key = ln << shift | inst
+                    old = cset.pop(key, _ABSENT)
+                    if old is not _ABSENT:
+                        if write:
+                            if old is not None:
+                                absorbed += 1
+                            cset[key] = tag
+                        else:
+                            cset[key] = old
+                        continue
+                    # miss: allocate on both reads and writes
+                    fills += 1
+                    if len(cset) >= assoc:
+                        vtag = cset.pop(next(iter(cset)))
+                        if vtag is not None:
+                            victims[vtag] = victims.get(vtag, 0) + 1
+                    cset[key] = tag
+            else:
+                # consecutive lines map to consecutive sets and keys
+                start = lo % n_sets
+                if start + hi - lo <= n_sets:
+                    csets = sets[start : start + hi - lo]
+                else:
+                    # wraps: a set that recurs is updated in line order
+                    csets = [*map(sets.__getitem__, map(n_sets.__rmod__, range(lo, hi)))]
+                evicted = []
+                for cset, key in zip(csets, range(lo << shift | inst, hi << shift | inst, 1 << shift)):
+                    old = cset.pop(key, _ABSENT)
+                    if old is not _ABSENT:
+                        if write:
+                            if old is not None:
+                                absorbed += 1
+                            cset[key] = tag
+                        else:
+                            cset[key] = old
+                        continue
+                    fills += 1
+                    if len(cset) >= assoc:
+                        vtag = cset.pop(next(iter(cset)))
+                        if vtag is not None:
+                            evicted.append(vtag)
+                    cset[key] = tag
+                if evicted:
+                    # one entry per key, in first-seen order, as the short walk counts
+                    vtags = dict.fromkeys(evicted)
+                    victims = dict(zip(vtags, map(evicted.count, vtags)))
             if write:
                 dkey = (inst, kind)
                 demand = counters.demand_write_bytes
@@ -297,8 +344,8 @@ class LifetimeModel:
     wear_efficiency: float = 0.5  # achieved fraction of ideal wear-leveling
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.endurance_writes <= 0:
-            raise ConfigError("lifetime model needs positive capacity and endurance")
+        if self.capacity_bytes <= 0 or not 0 < self.endurance_writes < math.inf:
+            raise ConfigError("lifetime model needs positive capacity and finite, positive endurance")
         if not 0.0 < self.wear_efficiency <= 1.0:
             raise ConfigError("wear efficiency must be in (0, 1]")
 
@@ -309,8 +356,8 @@ def lifetime_years(write_rate_bytes_per_s: float, model: LifetimeModel = Lifetim
     A zero rate means the device never wears out; that is reported as the
     ``UNBOUNDED_YEARS`` cap so reports stay finite.
     """
-    if write_rate_bytes_per_s < 0:
-        raise ConfigError("write rate must be non-negative")
+    if not 0 <= write_rate_bytes_per_s < math.inf:
+        raise ConfigError("write rate must be finite and non-negative")
     if write_rate_bytes_per_s == 0:
         return UNBOUNDED_YEARS
     total = model.capacity_bytes * model.endurance_writes * model.wear_efficiency

@@ -16,6 +16,7 @@ from cache_reference import RefCache
 from hybridgc.address_space import MemoryKind
 from hybridgc.memory import (
     INST_BITS,
+    LONG_RUN,
     MAX_INSTANCES,
     CacheModel,
     MemorySystem,
@@ -32,6 +33,14 @@ SMALL_GEOMETRIES = [(1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (6, 
 SHORT_LENGTHS = (1, 4, 8, 32, 64, 96, 200)
 # 16 to 64 lines each, so one access wraps the sets of every geometry
 LONG_LENGTHS = (15 * LINE + 2, 16 * LINE, 23 * LINE - 1, 31 * LINE + 7, 40 * LINE, 63 * LINE - 3)
+
+
+# Enough sets that a run of LONG_RUN lines and more can start anywhere
+# and either fit without wrapping or wrap past the last set.
+WIDE_SETS = 2 * LONG_RUN
+WIDE_GEOMETRIES = [(WIDE_SETS, 1), (2 * WIDE_SETS, 2)]
+# In lines: both sides of the long-walk threshold, up to past the set count
+RUN_LINES = (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, WIDE_SETS - 1, WIDE_SETS, WIDE_SETS + 1, 2 * WIDE_SETS + 3)
 
 
 def cached_system(lines, assoc, split):
@@ -73,31 +82,43 @@ def run_pair(
     ``straddle`` makes every access cross the PCM/DRAM split. Returns the
     number of accesses compared.
     """
-    lines, assoc = geometry
+    rng = random.Random(seed)
     split = split_lines * LINE
+    top = addr_lines * LINE
+
+    def accesses():
+        for _ in range(n_accesses):
+            inst = instance_ids[rng.randrange(len(instance_ids))]
+            if straddle:
+                addr = split - rng.randrange(1, 4 * LINE + 1)
+                length = split - addr + rng.randrange(1, 4 * LINE + 1)
+            else:
+                addr = rng.randrange(top)
+                length = rng.choice(lengths)
+            length = min(length, top - addr)
+            if length:
+                yield inst, addr, length, rng.random() < 0.5, rng.choice(("a", "b"))
+
+    return compare(geometry, split, accesses())
+
+
+def compare(geometry, split, accesses):
+    """Drive model and reference with ``(inst, addr, length, write, space)`` accesses; compare.
+
+    Returns the number of accesses compared.
+    """
+    lines, assoc = geometry
     model = cached_system(lines, assoc, split)
     ref = RefCache(lines * LINE, assoc, LINE, split)
     mc, rc = model.counters, TrafficCounters()
-    rng = random.Random(seed)
-    top = addr_lines * LINE
     compared = 0
-    for _ in range(n_accesses):
-        inst = instance_ids[rng.randrange(len(instance_ids))]
-        if straddle:
-            addr = split - rng.randrange(1, 4 * LINE + 1)
-            length = split - addr + rng.randrange(1, 4 * LINE + 1)
-        else:
-            addr = rng.randrange(top)
-            length = rng.choice(lengths)
-        length = min(length, top - addr)
-        if length == 0:
-            continue
-        write = rng.random() < 0.5
-        space = rng.choice(("a", "b"))
+    for inst, addr, length, write, space in accesses:
         model.access(inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
         assert model_state(model.cache) == expected_state(ref)
         compared += 1
+    # victims are written back in the order they were evicted
+    assert list(mc.write_bytes) == list(rc.write_bytes)
     assert model.drain() == ref.drain(rc)
     assert model_state(model.cache) == expected_state(ref)
     assert mc.write_bytes == rc.write_bytes
@@ -161,3 +182,47 @@ def test_extreme_instance_ids_stay_apart(geometry):
     for seed in (9, 10):
         run_pair(geometry, seed, 1_500, instance_ids=ids)
         run_pair(geometry, seed, 1_000, instance_ids=ids, straddle=True)
+
+
+def line_access(rng, first_line, lines):
+    """A random access to ``lines`` whole lines from ``first_line``."""
+    inst = rng.randrange(2)
+    return inst, first_line * LINE, lines * LINE, rng.random() < 0.5, rng.choice(("a", "b"))
+
+
+@pytest.mark.parametrize("geometry", WIDE_GEOMETRIES)
+def test_long_runs_that_fit_wrap_and_outgrow_the_sets(geometry):
+    """Runs of ``RUN_LINES`` that fit in the sets, wrap past the last set or outnumber the sets."""
+    rng = random.Random(11)
+    shapes = set()
+    accesses = []
+    for _ in range(600):
+        lines = rng.choice(RUN_LINES)
+        if lines <= WIDE_SETS and rng.random() < 0.5:
+            start = rng.randrange(WIDE_SETS - lines + 1)  # fits
+        else:
+            start = rng.randrange(max(WIDE_SETS - lines + 1, 0), WIDE_SETS)  # from the last sets
+        first = rng.randrange(8) * WIDE_SETS + start
+        shapes.add((lines >= LONG_RUN, start + lines > WIDE_SETS, lines > WIDE_SETS))
+        accesses.append(line_access(rng, first, lines))
+    # short, long that fits, long that wraps, long past the set count
+    assert {(False, False, False), (True, False, False), (True, True, False), (True, True, True)} <= shapes
+    assert compare(geometry, 4 * WIDE_SETS * LINE, accesses) == 600
+
+
+@pytest.mark.parametrize("geometry", WIDE_GEOMETRIES)
+def test_long_and_short_parts_straddling_the_split(geometry):
+    """A long PCM part with a short DRAM part, and the reverse.
+
+    The split is LONG_RUN sets into a round of the sets, so a long part of
+    exactly LONG_RUN lines fits on either side of it and a longer one wraps.
+    """
+    rng = random.Random(12)
+    split_line = 3 * WIDE_SETS + LONG_RUN
+    accesses = []
+    for _ in range(600):
+        long_part = rng.choice(RUN_LINES[1:])
+        short_part = rng.randrange(1, LONG_RUN)
+        pcm, dram = (long_part, short_part) if rng.random() < 0.5 else (short_part, long_part)
+        accesses.append(line_access(rng, split_line - pcm, pcm + dram))
+    assert compare(geometry, split_line * LINE, accesses) == 600

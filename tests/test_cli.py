@@ -22,6 +22,15 @@ def test_lifetime_honors_model_overrides(capsys):
     assert capsys.readouterr().out == "5.2813\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["nan"], ["inf"], ["1000", "--endurance", "nan"], ["1000", "--endurance", "inf"]]
+)
+def test_lifetime_rejects_non_finite_inputs(capsys, argv):
+    assert main(["lifetime", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
 def test_seed_is_mandatory(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--collector", "KG-N"])

@@ -25,7 +25,7 @@ from hybridgc.heap import (
 )
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system
-from hybridgc.memory import MAX_INSTANCES, MemorySystem, total_bytes
+from hybridgc.memory import LONG_RUN, MAX_INSTANCES, MemorySystem, total_bytes
 from support import KIB, MIB, ONE_OP, reserve_every_free_chunk, small_config, small_heap
 
 
@@ -412,6 +412,40 @@ class TestFrameBudget:
             "MemorySystem._writeback",
         ]
         assert system.counters.writebacks == written_back + 1
+        assert heap.gc.collections == []
+
+    @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
+    def test_long_ops_enter_the_frames_of_short_ones(self, variant):
+        heap, system = small_heap(variant, cache_capacity=64 * KIB)
+        long = LONG_RUN * system.cache.line_size  # at least LONG_RUN lines at any alignment
+        demand = system.counters.demand_write_bytes
+        zeroed = sum(demand.values())
+        assert self.frames(heap.alloc_object, 1, long, 0) == [
+            "alloc_object",
+            "BumpSpace.alloc",
+            "ObjectRecord.__init__",
+            "MemorySystem.access",
+        ]
+        assert sum(demand.values()) - zeroed >= long
+        assert self.frames(heap.write_data, 1, 0, long) == ["write_data", "MemorySystem.access"]
+        assert heap.gc.collections == []
+
+    @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
+    def test_a_long_write_that_evicts_dirty_lines_runs_in_its_budget(self, variant):
+        # direct-mapped, with room for two objects of LONG_RUN lines: the
+        # third object's zeroing evicts the first's dirty lines, and the
+        # first's write evicts the third's
+        heap, system = small_heap(variant, cache_capacity=2 * LONG_RUN * 64, cache_assoc=1)
+        long = LONG_RUN * system.cache.line_size
+        for oid in (1, 2, 3):
+            heap.alloc_object(oid, long, 0)
+        written_back = system.counters.writebacks
+        assert self.frames(heap.write_data, 1, 0, long) == [
+            "write_data",
+            "MemorySystem.access",
+            "MemorySystem._writeback",
+        ]
+        assert system.counters.writebacks >= written_back + LONG_RUN
         assert heap.gc.collections == []
 
 

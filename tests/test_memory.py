@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hybridgc.address_space import MemoryKind
@@ -44,6 +46,11 @@ class TestLifetime:
         with pytest.raises(ConfigError):
             lifetime_years(-1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ConfigError):
+            lifetime_years(rate)
+
     def test_model_validation(self):
         with pytest.raises(ConfigError):
             LifetimeModel(capacity_bytes=0)
@@ -51,6 +58,9 @@ class TestLifetime:
             LifetimeModel(wear_efficiency=0.0)
         with pytest.raises(ConfigError):
             LifetimeModel(wear_efficiency=1.5)
+        for endurance in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                LifetimeModel(endurance_writes=endurance)
 
     def test_scales_with_model(self):
         half = LifetimeModel(capacity_bytes=16_000_000_000)
