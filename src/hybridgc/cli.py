@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit status: 0 on success, 1 when a simulation run fails (heap
-exhaustion or a trace error mid-run), 2 for bad usage or configuration.
+exhaustion or a trace error mid-run), 2 for bad usage or configuration,
+or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     caches = [parse_size(s) for s in args.cache_sizes] if args.cache_sizes else [config.cache_capacity]
     counts = args.instance_counts or [config.instances]
+    os.makedirs(args.out_dir, exist_ok=True)  # an unwritable directory fails before any point runs
     points = sweep(config, args.collectors, caches, counts)
-    os.makedirs(args.out_dir, exist_ok=True)
     status = 0
     for label, report in points:
         path = os.path.join(args.out_dir, f"{label}.{args.format}")
@@ -161,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceError) as exc:
+    except (ConfigError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulatorError as exc:

@@ -193,35 +193,29 @@ class GcEngine:
         if self.inspect_hook is not None:
             self.inspect_hook("minor", frozenset(live))
 
-        moved_out: list[ObjectRecord] = []
+        # every record that leaves the young region
+        moved_out = [rec for rec, dest in nursery_moves if dest != OBSERVER]
         if observer_moves is not None:
             stats = CollectionStats("observer", objects_scanned=len(observer_moves),
                                     space_used_before=heap.observer.used)
-            for rec, dest in observer_moves:
-                self._copy(rec, heap.free_list_spaces[dest].alloc(rec.size), dest, stats)
-                moved_out.append(rec)
+            self._move(observer_moves, stats)
+            moved_out += [rec for rec, _dest in observer_moves]
             heap.observer.reset()
             self.collections.append(stats)
 
         stats = CollectionStats("minor", objects_scanned=len(live), space_used_before=heap.nursery.used)
-        for rec, dest in nursery_moves:
-            if dest == OBSERVER:
-                new_addr = heap.observer.alloc(rec.size)
-                if new_addr is None:
-                    raise InvariantError("observer evacuation left too little room")
-            else:
-                new_addr = heap.free_list_spaces[dest].alloc(rec.size)
-                moved_out.append(rec)
-            self._copy(rec, new_addr, dest, stats)
+        self._move(nursery_moves, stats)
         heap.nursery.reset()
 
         # drop the young dead; ``young`` keeps the observer's residents, in order
         objects = heap.objects
+        reclaimed = heap.reclaimed
         kept = []
         dead = 0
         for rec in heap.young:
             if rec.id not in live:
                 del objects[rec.id]
+                reclaimed.add(rec.id)
                 dead += 1
             elif rec.space == OBSERVER:  # stayed, or was just copied in
                 kept.append(rec)
@@ -234,20 +228,30 @@ class GcEngine:
         self.collections.append(stats)
         heap.check_placement()
 
-    def _copy(self, rec: ObjectRecord, new_addr: int, dest: str, stats: CollectionStats) -> None:
+    def _move(self, moves: Moves, stats: CollectionStats) -> None:
+        """Copy each record, in list order, to a fresh extent of its destination space."""
         heap = self.heap
         system = heap.system
-        size = rec.size
-        system.access(heap.instance_id, rec.addr, size, False, rec.space, collector=True)
-        system.access(heap.instance_id, new_addr, size, True, dest, collector=True)
-        if system.include_collector_time:
-            system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
-        rec.addr = new_addr
-        rec.space = dest
-        rec.write_count = 0  # residency changed; observation restarts
-        stats.copied_objects += 1
+        inst = heap.instance_id
+        spaces = heap.free_list_spaces
         copied = stats.copied_bytes
-        copied[dest] = copied.get(dest, 0) + size
+        for rec, dest in moves:
+            size = rec.size
+            if dest == OBSERVER:
+                new_addr = heap.observer.alloc(size)
+                if new_addr is None:
+                    raise InvariantError("observer evacuation left too little room")
+            else:
+                new_addr = spaces[dest].alloc(size)
+            system.access(inst, rec.addr, size, False, rec.space, collector=True)
+            system.access(inst, new_addr, size, True, dest, collector=True)
+            if system.include_collector_time:
+                system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
+            rec.addr = new_addr
+            rec.space = dest
+            rec.write_count = 0  # residency changed; observation restarts
+            copied[dest] = copied.get(dest, 0) + size
+        stats.copied_objects += len(moves)
 
     def _prune_remset(self) -> None:
         """Keep the entries whose parent is outside the young region and still points into it."""
@@ -306,6 +310,7 @@ class GcEngine:
         dead = [oid for oid in heap.objects if oid not in live]
         for oid in dead:
             del heap.objects[oid]
+        heap.reclaimed.update(dead)
         stats.reclaimed_objects = len(dead)
         # a major cascaded from on_nursery_full reclaims young objects too
         heap.young = [rec for rec in heap.young if rec.id in live]
@@ -349,8 +354,7 @@ class GcEngine:
             stats.mark_writes_pcm += 1
 
     def _relocate_large(self, rec: ObjectRecord, stats: CollectionStats) -> None:
-        new_addr = self.heap.free_list_spaces[LOS_DRAM].alloc(rec.size)
-        self._copy(rec, new_addr, LOS_DRAM, stats)
+        self._move([(rec, LOS_DRAM)], stats)
         rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
         stats.large_relocated += 1
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 from dataclasses import dataclass, field, replace
@@ -178,105 +179,118 @@ def _failure(exc: SimulatorError, instance: int, heap) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    system = build_system(config)
-    heaps = [build_instance(config, system, i) for i in range(config.instances)]
-    streams = _instance_streams(config)
-    totals = [t for (_d, _s, t) in streams]
-    warmup_at = [int(t * config.warmup_fraction) for t in totals]
-    alive = [True] * config.instances
+    """Run one experiment to its report; a failed run is a failed report, not an exception.
 
-    base_counters = system.counters.snapshot()
-    base_ns = system.now_ns
-    warmed = not any(warmup_at)
-    failure: dict | None = None
-
-    while any(alive) and failure is None:
-        for i in range(config.instances):
-            if not alive[i]:
-                continue
-            try:
-                _executed, exhausted = drive(heaps[i], streams[i][1], config.quantum)
-            except SimulatorError as exc:
-                failure = _failure(exc, i, heaps[i])
-                break
-            if exhausted:
-                alive[i] = False
-        if not warmed and all(h.op_index >= at for h, at in zip(heaps, warmup_at)):
-            # measurement window opens once every instance is past warm-up
-            warmed = True
-            base_counters = system.counters.snapshot()
-            base_ns = system.now_ns
-
-    system.drain()
+    The run builds no reference cycles (records hold ids, ops hold ints,
+    and each heap's link to its engine is cut at the end), so CPython's
+    cyclic collector is off while it runs: its passes would traverse
+    every record and find nothing. The caller's setting is restored.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        system.counters.check_write_conservation()
-    except InvariantError as exc:
-        if failure is None:  # a failed slice already explains the run
-            failure = _failure(exc, exc.instance, heaps[exc.instance])
+        system = build_system(config)
+        heaps = [build_instance(config, system, i) for i in range(config.instances)]
+        streams = _instance_streams(config)
+        totals = [t for (_d, _s, t) in streams]
+        warmup_at = [int(t * config.warmup_fraction) for t in totals]
+        alive = [True] * config.instances
 
-    window = system.counters.diff(base_counters)
-    elapsed = (system.now_ns - base_ns) * 1e-9
-    model = config.lifetime_model()
+        base_counters = system.counters.snapshot()
+        base_ns = system.now_ns
+        warmed = not any(warmup_at)
+        failure: dict | None = None
 
-    def make_row(label: str, inst: int | None, desc: str, ops: int) -> InstanceReport:
-        pcm_w = total_bytes(window.write_bytes, MemoryKind.PCM, inst)
-        dram_w = total_bytes(window.write_bytes, MemoryKind.DRAM, inst)
-        pcm_r = total_bytes(window.read_bytes, MemoryKind.PCM, inst)
-        dram_r = total_bytes(window.read_bytes, MemoryKind.DRAM, inst)
-        rate = pcm_w / elapsed if elapsed > 0 else None
-        years = lifetime_years(rate, model) if rate is not None else None
-        engines = [heaps[inst].gc] if inst is not None else [h.gc for h in heaps]
-        counts = {"minor": 0, "observer": 0, "major": 0}
-        copied = marks = marks_pcm = reloc = 0
-        for eng in engines:
-            for st in eng.collections:
-                counts[st.kind] += 1
-                copied += st.bytes_copied_total
-                marks += st.mark_writes
-                marks_pcm += st.mark_writes_pcm
-                reloc += st.large_relocated
-        return InstanceReport(
-            instance=label,
-            workload=desc,
-            ops_executed=ops,
-            pcm_write_bytes=pcm_w,
-            dram_write_bytes=dram_w,
-            pcm_read_bytes=pcm_r,
-            dram_read_bytes=dram_r,
-            pcm_write_rate_bps=rate,
-            lifetime_years=years,
-            minor_collections=counts["minor"],
-            observer_collections=counts["observer"],
-            major_collections=counts["major"],
-            copied_bytes=copied,
-            mark_writes=marks,
-            mark_writes_pcm=marks_pcm,
-            large_relocations=reloc,
-            pcm_write_bytes_by_space=(window.by_space(inst, MemoryKind.PCM) if inst is not None else {}),
-            dram_write_bytes_by_space=(window.by_space(inst, MemoryKind.DRAM) if inst is not None else {}),
+        while any(alive) and failure is None:
+            for i in range(config.instances):
+                if not alive[i]:
+                    continue
+                try:
+                    _executed, exhausted = drive(heaps[i], streams[i][1], config.quantum)
+                except SimulatorError as exc:
+                    failure = _failure(exc, i, heaps[i])
+                    break
+                if exhausted:
+                    alive[i] = False
+            if not warmed and all(h.op_index >= at for h, at in zip(heaps, warmup_at)):
+                # measurement window opens once every instance is past warm-up
+                warmed = True
+                base_counters = system.counters.snapshot()
+                base_ns = system.now_ns
+
+        system.drain()
+        try:
+            system.counters.check_write_conservation()
+        except InvariantError as exc:
+            if failure is None:  # a failed slice already explains the run
+                failure = _failure(exc, exc.instance, heaps[exc.instance])
+
+        window = system.counters.diff(base_counters)
+        elapsed = (system.now_ns - base_ns) * 1e-9
+        model = config.lifetime_model()
+
+        def make_row(label: str, inst: int | None, desc: str, ops: int) -> InstanceReport:
+            pcm_w = total_bytes(window.write_bytes, MemoryKind.PCM, inst)
+            dram_w = total_bytes(window.write_bytes, MemoryKind.DRAM, inst)
+            pcm_r = total_bytes(window.read_bytes, MemoryKind.PCM, inst)
+            dram_r = total_bytes(window.read_bytes, MemoryKind.DRAM, inst)
+            rate = pcm_w / elapsed if elapsed > 0 else None
+            years = lifetime_years(rate, model) if rate is not None else None
+            engines = [heaps[inst].gc] if inst is not None else [h.gc for h in heaps]
+            counts = {"minor": 0, "observer": 0, "major": 0}
+            copied = marks = marks_pcm = reloc = 0
+            for eng in engines:
+                for st in eng.collections:
+                    counts[st.kind] += 1
+                    copied += st.bytes_copied_total
+                    marks += st.mark_writes
+                    marks_pcm += st.mark_writes_pcm
+                    reloc += st.large_relocated
+            return InstanceReport(
+                instance=label,
+                workload=desc,
+                ops_executed=ops,
+                pcm_write_bytes=pcm_w,
+                dram_write_bytes=dram_w,
+                pcm_read_bytes=pcm_r,
+                dram_read_bytes=dram_r,
+                pcm_write_rate_bps=rate,
+                lifetime_years=years,
+                minor_collections=counts["minor"],
+                observer_collections=counts["observer"],
+                major_collections=counts["major"],
+                copied_bytes=copied,
+                mark_writes=marks,
+                mark_writes_pcm=marks_pcm,
+                large_relocations=reloc,
+                pcm_write_bytes_by_space=(window.by_space(inst, MemoryKind.PCM) if inst is not None else {}),
+                dram_write_bytes_by_space=(window.by_space(inst, MemoryKind.DRAM) if inst is not None else {}),
+            )
+
+        rows = [
+            make_row(str(i), i, streams[i][0], heaps[i].op_index)
+            for i in range(config.instances)
+        ]
+        aggregate = make_row("all", None, streams[0][0], sum(h.op_index for h in heaps))
+        # Break each heap/engine reference cycle so a finished run's heap is
+        # freed now, not by a later cyclic collection; ``heap.gc`` stays readable.
+        for heap in heaps:
+            heap.gc.heap = None
+        return Report(
+            config=config.to_dict(),
+            collector=config.collector,
+            seed=config.seed,
+            sim_seconds=elapsed,
+            rows=rows,
+            aggregate=aggregate,
+            llc_fills=window.fills,
+            llc_writebacks=window.writebacks,
+            failed=failure is not None,
+            error=failure,
         )
-
-    rows = [
-        make_row(str(i), i, streams[i][0], heaps[i].op_index)
-        for i in range(config.instances)
-    ]
-    aggregate = make_row("all", None, streams[0][0], sum(h.op_index for h in heaps))
-    # Break each heap/engine reference cycle so a finished run's heap is
-    # freed now, not by a later cyclic collection; ``heap.gc`` stays readable.
-    for heap in heaps:
-        heap.gc.heap = None
-    return Report(
-        config=config.to_dict(),
-        collector=config.collector,
-        seed=config.seed,
-        sim_seconds=elapsed,
-        rows=rows,
-        aggregate=aggregate,
-        llc_fills=window.fills,
-        llc_writebacks=window.writebacks,
-        failed=failure is not None,
-        error=failure,
-    )
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass

@@ -243,7 +243,9 @@ class HeapInstance:
         self.young: list[ObjectRecord] = []
         self.roots: set[int] = set()
         self.remset: set[tuple[int, int]] = set()
-        self.ever_ids: set[int] = set()
+        # ids the collector has reclaimed; with ``objects`` they are every id
+        # ever allocated, so a trace cannot allocate one twice
+        self.reclaimed: set[int] = set()
         self.op_index = 0  # maintained by the trace driver, for diagnostics
 
         self._place_fixed_spaces()
@@ -306,8 +308,7 @@ class HeapInstance:
     def alloc_object(self, oid: int, size: int, n_refs: int, large_hint: bool = False) -> ObjectRecord:
         if oid <= 0:
             raise TraceError(f"allocation id {oid} must be positive")
-        ever_ids = self.ever_ids
-        if oid in ever_ids:
+        if oid in self.objects or oid in self.reclaimed:
             raise TraceError(f"id {oid} was already allocated once")
         if size <= 0 or n_refs < 0:
             raise TraceError(f"bad allocation geometry (size={size}, refs={n_refs})")
@@ -333,7 +334,6 @@ class HeapInstance:
         self.objects[oid] = rec
         if space == NURSERY:
             self.young.append(rec)
-        ever_ids.add(oid)
         if self.zeroing:
             system.access(self.instance_id, addr, extent, True, space)
         return rec

@@ -160,15 +160,18 @@ class MemorySystem:
     and marks add it only when ``include_collector_time`` is set.
 
     ``access`` walks the cache in one frame. Traffic is accounted per
-    access, not per line: an access splits its line range at
-    ``split_line`` into at most one PCM run and one DRAM run, counts
-    demand, absorbed and filled lines and dirty victims in locals while
-    it walks a run, and then adds them to the counters once. A write run
-    interns its ``(instance, kind, space)`` key in ``_tags`` and stores
-    that one tuple in every line it dirties, so a dirty victim is counted
-    under the key it holds. A drain batches its writebacks the same way.
-    All counters are integer sums, so the totals equal those of per-line
-    accounting.
+    access, not per line: one loop walks the run of lines below
+    ``split_line`` (PCM) and then the run above it (DRAM), counts demand,
+    absorbed and filled lines and dirty victims in locals while it walks
+    a run, and then adds them to the counters once. ``_keys`` interns one
+    ``(write_bytes/read_bytes key, demand key)`` pair per
+    ``(instance, kind, space)`` on its first use, so a later access
+    builds no key tuple. A write stores the interned
+    ``(instance, kind, space)`` tuple in every line it dirties, so a dirty
+    victim is counted under the key it holds; the victims dict is made
+    only at a run's first dirty victim. A drain batches its writebacks
+    the same way. All counters are integer sums, so the totals equal
+    those of per-line accounting.
 
     A run has two walks, chosen by its length, with the same hits,
     fills, victims and counters. A run of at least ``LONG_RUN`` lines
@@ -190,8 +193,9 @@ class MemorySystem:
     include_collector_time: bool = True
     gc_traffic_through_cache: bool = True
     now_ns: float = field(default=0.0, init=False)
-    # write-back key -> itself; at most instances x 2 kinds x spaces entries
-    _tags: dict = field(default_factory=dict, init=False, repr=False)
+    # space -> instance -> (PCM pair, DRAM pair), each pair a run's
+    # ``(write_bytes/read_bytes key, demand key)``
+    _keys: dict = field(default_factory=dict, init=False, repr=False)
 
     def access(self, inst: int, addr: int, length: int, write: bool, space: str, *, collector: bool = False) -> None:
         if length <= 0:
@@ -201,31 +205,33 @@ class MemorySystem:
         if not n_sets or (collector and not self.gc_traffic_through_cache):
             self._passthrough(inst, addr, length, write, space)
             return
+        try:
+            pcm_keys, dram_keys = self._keys[space][inst]
+        except KeyError:
+            pcm_keys, dram_keys = self._keys.setdefault(space, {})[inst] = (
+                ((inst, _PCM, space), (inst, _PCM)),
+                ((inst, _DRAM, space), (inst, _DRAM)),
+            )
         counters = self.counters
         line_size = cache.line_size
-        first = addr // line_size
+        lo = addr // line_size
         end = (addr + length - 1) // line_size + 1
         split_line = cache.split_line
-        if end <= split_line:
-            runs = ((first, end, _PCM),)
-        elif first >= split_line:
-            runs = ((first, end, _DRAM),)
-        else:
-            runs = ((first, split_line, _PCM), (split_line, end, _DRAM))
-        read_bytes = counters.read_bytes
         sets = cache.sets
         assoc = cache.assoc
         shift = INST_BITS
-        tags = self._tags
-        for lo, hi, kind in runs:
+        # the PCM run of the line range, then the DRAM run
+        while lo < end:
+            if lo < split_line:
+                hi = end if end <= split_line else split_line
+                wkey, dkey = pcm_keys
+            else:
+                hi = end
+                wkey, dkey = dram_keys
+            tag = wkey if write else None
             absorbed = 0
             fills = 0
-            victims: dict[tuple[int, MemoryKind, str], int] = {}
-            if write:
-                tag = (inst, kind, space)
-                tag = tags.setdefault(tag, tag)
-            else:
-                tag = None
+            victims = None
             if hi - lo < LONG_RUN:
                 for ln in range(lo, hi):
                     cset = sets[ln % n_sets]
@@ -244,7 +250,10 @@ class MemorySystem:
                     if len(cset) >= assoc:
                         vtag = cset.pop(next(iter(cset)))
                         if vtag is not None:
-                            victims[vtag] = victims.get(vtag, 0) + 1
+                            if victims is None:
+                                victims = {vtag: 1}
+                            else:
+                                victims[vtag] = victims.get(vtag, 0) + 1
                     cset[key] = tag
             else:
                 # consecutive lines map to consecutive sets and keys
@@ -276,7 +285,6 @@ class MemorySystem:
                     vtags = dict.fromkeys(evicted)
                     victims = dict(zip(vtags, map(evicted.count, vtags)))
             if write:
-                dkey = (inst, kind)
                 demand = counters.demand_write_bytes
                 demand[dkey] = demand.get(dkey, 0) + (hi - lo) * line_size
                 if absorbed:
@@ -284,10 +292,11 @@ class MemorySystem:
                     absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
             if fills:
                 counters.fills += fills
-                rkey = tag or (inst, kind, space)
-                read_bytes[rkey] = read_bytes.get(rkey, 0) + fills * line_size
+                read_bytes = counters.read_bytes
+                read_bytes[wkey] = read_bytes.get(wkey, 0) + fills * line_size
             if victims:
                 self._writeback(victims)
+            lo = hi
 
     def _writeback(self, victims: dict[tuple[int, MemoryKind, str], int]) -> int:
         """Write back dirty lines counted as ``write_bytes key -> lines``; returns the total."""

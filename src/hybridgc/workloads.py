@@ -128,7 +128,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[TraceOp]:
             raise TraceError(f"non-canonical field in {raw.strip()!r}", line=lineno)
         kind = fields[0]
         try:
-            vals = [int(a) for a in fields[1:]]
+            vals = [*map(int, fields[1:])]  # no comprehension frame per line
         except ValueError as exc:
             raise TraceError(f"non-integer field in {raw.strip()!r}", line=lineno) from exc
         try:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hybridgc import harness
 from hybridgc.cli import main
 from hybridgc.harness import CSV_COLUMNS
 from hybridgc.workloads import load_trace
@@ -172,3 +173,31 @@ def test_zero_ops_is_rejected_not_defaulted(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and "op_count must be positive" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "1", "--trace", "{missing}/x.trace"],
+        ["run", "--seed", "1", "--ops", "1000", "--out", "{missing}/x.json"],
+        ["gen-trace", "--archetype", "nursery-churn", "--seed", "1", "--ops", "10", "--out", "{missing}/x.trace"],
+    ],
+)
+def test_unreadable_or_unwritable_paths_exit_two(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+def test_sweep_makes_its_out_dir_before_any_point_runs(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a file cannot hold the results directory
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment", ran.append)
+    argv = ["sweep", "--seed", "1", "--ops", "1000", "--collectors", "KG-N", "--out-dir", str(blocker / "results")]
+    assert main(argv) == 2
+    assert ran == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

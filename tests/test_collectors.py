@@ -1,5 +1,7 @@
 """Collection behavior: survivor routing, observation, majors, large objects."""
 
+import sys
+
 import pytest
 
 from hybridgc.config import Collector
@@ -195,6 +197,27 @@ class TestObservationPipeline:
         evac = heap.gc.collections[1]
         assert evac.copied_bytes == {MATURE_DRAM: 4 * KIB, MATURE_PCM: 4 * KIB}
         assert evac.space_used_before == 8 * KIB
+
+    def test_each_move_list_is_copied_in_one_frame(self):
+        heap, _ = self.build()
+        ids = ids_from()
+        fill_rooted(heap, ids, 3)  # 1 and 2 now under observation, 3 in the nursery
+        fill_rooted(heap, ids, 1)
+        entered = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                entered.append(frame.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            fill_rooted(heap, ids, 1)  # evacuates 1 and 2, then copies 3 and 4 in
+        finally:
+            sys.setprofile(None)
+        evac, minor = heap.gc.collections[1:]
+        assert (evac.kind, evac.copied_objects, minor.kind, minor.copied_objects) == ("observer", 2, "minor", 2)
+        assert entered.count("GcEngine._move") == 2
+        assert entered.count("MemorySystem.access") == 8  # a read and a write per copy
 
     def test_evacuation_is_checked_for_chunks_before_any_copy(self):
         heap, _ = self.build()

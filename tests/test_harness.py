@@ -36,6 +36,13 @@ def churn_config(collector="KG-W", seed=5, **overrides):
     return config_for_archetype("nursery-churn", collector, seed, op_count=20_000, **overrides)
 
 
+def failing_slice_config():
+    """A run whose budget runs out part way through a 10,000-op slice."""
+    return config_for_archetype(
+        "mature-mutation", "PCM-Only", 3, op_count=60_000, nursery_size=256 * KIB, heap_budget=1 * MIB
+    )
+
+
 class TestConfig:
     def test_exactly_one_op_source(self):
         with pytest.raises(ConfigError):
@@ -151,10 +158,7 @@ class TestSingleRun:
         json.loads(report.to_json())  # still serializable
 
     def test_failed_run_counts_the_ops_of_its_failing_slice(self):
-        # the budget runs out part way through a 10,000-op slice
-        config = config_for_archetype(
-            "mature-mutation", "PCM-Only", 3, op_count=60_000, nursery_size=256 * KIB, heap_budget=1 * MIB
-        )
+        config = failing_slice_config()
         report = run_experiment(config)
         assert report.failed
         assert report.error["op_index"] % config.quantum != 0
@@ -509,3 +513,74 @@ class TestPinnedReports:
         assert not report.failed
         digest = hashlib.sha256((report.to_json() + report.to_csv()).encode()).hexdigest()
         assert digest == self.DIGESTS[fidelity][collector]
+
+
+class TestCyclicCollectorSwitch:
+    """``run_experiment`` runs with CPython's cyclic collector off, leaves
+    no garbage that only the collector could free, and restores the
+    caller's setting."""
+
+    @staticmethod
+    def cyclic_garbage(config):
+        """The report of ``config``'s run and the objects a full collection then finds unreachable."""
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()  # so no automatic pass frees the run's garbage before the count
+        try:
+            report = run_experiment(config)
+            return report, gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    # the pinned reports' input, with and without the LLC, and a shape
+    # with minor and observer collections in every variant that has them
+    SHAPES = {
+        **{
+            f"pinned-{fidelity}": ("large-object-graph", {**TestPinnedReports.CONFIG, **cache})
+            for fidelity, cache in TestPinnedReports.CACHE.items()
+        },
+        "collecting": (
+            "mature-mutation",
+            dict(op_count=20_000, nursery_size=256 * KIB, heap_budget=8 * MIB, chunk_size=256 * KIB, quantum=500),
+        ),
+    }
+
+    @pytest.mark.parametrize("collector", [c.value for c in Collector])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_a_run_leaves_no_cyclic_garbage(self, shape, collector):
+        archetype, overrides = self.SHAPES[shape]
+        report, unreachable = self.cyclic_garbage(config_for_archetype(archetype, collector, 5, **overrides))
+        assert not report.failed
+        if shape == "collecting":
+            assert report.aggregate.minor_collections
+            assert report.aggregate.observer_collections or not Collector(collector).is_write_sampling
+        assert unreachable == 0
+
+    def test_a_failed_run_leaves_no_cyclic_garbage(self):
+        report, unreachable = self.cyclic_garbage(failing_slice_config())
+        assert report.failed
+        assert unreachable == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_setting_is_restored(self, enabled, tmp_path, monkeypatch):
+        during = []
+        drive = harness.drive
+
+        def probed_drive(*args):
+            during.append(gc.isenabled())
+            return drive(*args)
+
+        monkeypatch.setattr(harness, "drive", probed_drive)
+        missing = ExperimentConfig(collector="KG-N", seed=1, trace_path=str(tmp_path / "missing.trace"))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert not run_experiment(churn_config()).failed
+            assert gc.isenabled() is enabled
+            with pytest.raises(FileNotFoundError):
+                run_experiment(missing)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during and not any(during)

@@ -252,6 +252,23 @@ class TestAlloc:
         with pytest.raises(TraceError):
             heap.alloc_object(3, 64, -1)
 
+    def test_a_reclaimed_id_cannot_be_allocated_again(self):
+        heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
+        heap.alloc_object(1, 2 * KIB, 0)  # dies young
+        for oid in (2, 3, 4, 5):  # 5 finds the nursery full: a minor reclaims 1
+            heap.alloc_object(oid, 2 * KIB, 0)
+            heap.set_root(oid, True)
+        assert [s.kind for s in heap.gc.collections] == ["minor"]
+        assert 1 not in heap.objects
+        with pytest.raises(TraceError, match="^id 1 was already allocated once$"):
+            heap.alloc_object(1, 64, 0)
+        heap.set_root(2, False)  # promoted by the minor, now dead
+        heap.gc.collect_major()
+        assert 2 not in heap.objects
+        with pytest.raises(TraceError, match="^id 2 was already allocated once$"):
+            heap.alloc_object(2, 64, 0)
+        heap.alloc_object(6, 64, 0)  # a fresh id still allocates
+
     def test_object_exceeding_chunk_size(self):
         heap, _ = small_heap("KG-N")  # 64 KiB chunks
         with pytest.raises(HeapExhausted):

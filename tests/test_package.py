@@ -85,3 +85,35 @@ def test_every_constant_is_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert [entry for entry in bound if entry.split()[1] not in read] == []
+
+
+def test_the_cyclic_collector_is_switched_only_around_a_run():
+    """The package's one use of ``gc``: ``run_experiment`` switches it off
+    before the ``try`` that holds the whole run, and its ``finally``
+    switches it back on only if it was on."""
+    package = os.path.dirname(hybridgc.__file__)
+    uses = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        module = os.path.basename(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                uses += [(module, "import") for alias in node.names if alias.name == "gc"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                uses.append((module, "from-import"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gc":
+                uses.append((module, node.attr))
+        if module == "harness.py":
+            (run,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_experiment"]
+    assert sorted(uses) == [
+        ("harness.py", "disable"),
+        ("harness.py", "enable"),
+        ("harness.py", "import"),
+        ("harness.py", "isenabled"),
+    ]
+    docstring, *switch, guarded = run.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [ast.unparse(stmt) for stmt in switch] == ["was_enabled = gc.isenabled()", "gc.disable()"]
+    assert isinstance(guarded, ast.Try)
+    assert [ast.unparse(stmt) for stmt in guarded.finalbody] == ["if was_enabled:\n    gc.enable()"]
