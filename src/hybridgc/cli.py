@@ -2,7 +2,10 @@
 
 Exit status: 0 on success, 1 when a simulation run fails (heap
 exhaustion or a trace error mid-run), 2 for bad usage or configuration,
-or a file that cannot be read or written.
+a trace file that does not parse (a malformed line, or bytes that are
+not UTF-8), or a file that cannot be read or written. ``run`` and ``pair``
+open ``--out``, and ``sweep`` checks its points and makes ``--out-dir``,
+before any run starts.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, SimulatorError, TraceError
@@ -18,7 +22,7 @@ from .harness import (
     emit_report,
     run_baseline_pair,
     run_experiment,
-    sweep,
+    sweep_points,
 )
 from .memory import LifetimeModel, lifetime_years
 from .units import parse_size
@@ -64,17 +68,24 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                                 op_count=args.ops, **overrides)
 
 
+def _output(path: str | None):
+    """Where a report goes, opened before the run so a bad path costs no run."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report = run_experiment(config)
-    emit_report(report, args.format, args.out or sys.stdout)
+    with _output(args.out) as out:
+        report = run_experiment(config)
+        emit_report(report, args.format, out)
     return 1 if report.failed else 0
 
 
 def _cmd_pair(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    pair = run_baseline_pair(config, baseline=args.baseline)
-    emit_report(pair.variant, args.format, args.out or sys.stdout)
+    with _output(args.out) as out:
+        pair = run_baseline_pair(config, baseline=args.baseline)
+        emit_report(pair.variant, args.format, out)
     return 1 if (pair.baseline.failed or pair.variant.failed) else 0
 
 
@@ -82,12 +93,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     caches = [parse_size(s) for s in args.cache_sizes] if args.cache_sizes else [config.cache_capacity]
     counts = args.instance_counts or [config.instances]
+    points = sweep_points(config, args.collectors, caches, counts)  # a bad point fails here
     os.makedirs(args.out_dir, exist_ok=True)  # an unwritable directory fails before any point runs
-    points = sweep(config, args.collectors, caches, counts)
     status = 0
-    for label, report in points:
-        path = os.path.join(args.out_dir, f"{label}.{args.format}")
-        emit_report(report, args.format, path)
+    for label, point in points:
+        report = run_experiment(point)
+        emit_report(report, args.format, os.path.join(args.out_dir, f"{label}.{args.format}"))
         state = "FAILED" if report.failed else "ok"
         print(f"{label}: {state} pcm_write_bytes={report.aggregate.pcm_write_bytes}")
         if report.failed:

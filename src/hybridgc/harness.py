@@ -314,22 +314,32 @@ def run_baseline_pair(config: ExperimentConfig, baseline: str = "PCM-Only") -> P
     return PairResult(base_report, var_report, reduction)
 
 
+def sweep_points(
+    config: ExperimentConfig,
+    collectors: list[str],
+    cache_sizes: list[int],
+    instance_counts: list[int],
+) -> list[tuple[str, ExperimentConfig]]:
+    """The labelled configs of the cross product of the requested axes.
+
+    Building each config checks it, so a bad point fails before any runs.
+    """
+    return [
+        (f"{name}_cache{cap}_n{n}", replace(config, collector=name, cache_capacity=cap, instances=n))
+        for name in collectors
+        for cap in cache_sizes
+        for n in instance_counts
+    ]
+
+
 def sweep(
     config: ExperimentConfig,
     collectors: list[str],
     cache_sizes: list[int],
     instance_counts: list[int],
 ) -> list[tuple[str, Report]]:
-    """Cross product of the requested axes; one report per point.
-
-    Every point's config is built, and so checked, before the first runs.
-    """
-    points = [
-        (f"{name}_cache{cap}_n{n}", replace(config, collector=name, cache_capacity=cap, instances=n))
-        for name in collectors
-        for cap in cache_sizes
-        for n in instance_counts
-    ]
+    """One report per point of :func:`sweep_points`; every point is checked before the first runs."""
+    points = sweep_points(config, collectors, cache_sizes, instance_counts)
     return [(label, run_experiment(point)) for label, point in points]
 
 

@@ -19,10 +19,18 @@ whitespace (fields may be separated by runs of spaces and tabs, which
 come back as one space) and apart from comments and blank lines. The op
 records are plain slotted dataclasses: a replay trace is parsed into one
 list whose records every instance reads and none writes.
+
+``load_trace`` reads text exactly as ``serialize_trace`` (``gen-trace``)
+writes it in bulk: it checks it a block of lines at a time with one
+regex and converts each block's integers in one ``json.loads`` call. It
+reads any other text line by line through ``parse_trace``, with the same
+records and the same errors. A file that is not UTF-8 is a ``TraceError``
+at the line of its first invalid byte.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from bisect import bisect
@@ -148,9 +156,74 @@ def parse_trace(lines: Iterable[str]) -> Iterator[TraceOp]:
             raise TraceError(f"wrong field count in {raw.strip()!r}", line=lineno) from exc
 
 
+# A block of whole lines exactly as ``serialize_trace`` writes them:
+# single spaces, canonical integers (``[0-9]``: ``\d`` matches every
+# Unicode digit), a positive allocation id, a large flag of 0 or 1 and
+# "\n" after every line. The plain ``*`` keeps backtracking state per
+# line, so it is matched a block at a time, never over a whole file.
+_INT = r"(?:0|-?[1-9][0-9]*)"
+_SERIALIZED_LINES = re.compile(
+    rf"(?:(?:A [1-9][0-9]* {_INT} {_INT} [01]|[WRP] {_INT} {_INT} {_INT}|[GU] {_INT})\n)*"
+)
+_BLOCK_CHARS = 1 << 16  # cut at the last line end within this many characters
+# Kind letters become codes 1-6 and separators commas, so a checked block
+# reads as one JSON list of ints.
+_KIND_CODES = str.maketrans("AWRPGU \n", "123456,,")
+
+
+def _load_serialized(text: str) -> list[TraceOp] | None:
+    """The records of ``text`` if all of it is ``serialize_trace`` output, else None."""
+    ops: list[TraceOp] = []
+    append = ops.append
+    pos, size = 0, len(text)
+    while pos < size:
+        end = text.rfind("\n", pos, pos + _BLOCK_CHARS) + 1
+        if end <= pos or _SERIALIZED_LINES.fullmatch(text, pos, end) is None:
+            return None
+        try:
+            vals = json.loads("[" + text[pos : end - 1].translate(_KIND_CODES) + "]")
+        except ValueError:  # an integer longer than int() converts
+            return None
+        it = iter(vals)
+        nxt = it.__next__
+        for code in it:
+            if code == 1:
+                append(Alloc(nxt(), nxt(), nxt(), nxt() == 1))
+            elif code == 5:
+                append(RootOp(nxt()))
+            elif code == 2:
+                append(WriteOp(nxt(), nxt(), nxt()))
+            elif code == 6:
+                append(UnrootOp(nxt()))
+            elif code == 3:
+                append(ReadOp(nxt(), nxt(), nxt()))
+            else:
+                append(RefOp(nxt(), nxt(), nxt()))
+        pos = end
+    return ops
+
+
 def load_trace(path: str) -> list[TraceOp]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(parse_trace(fh))
+    r"""Every record of the trace file at ``path``.
+
+    ``gen-trace`` output loads in bulk; any other text goes line by line
+    through ``parse_trace``, which gives the same records and raises the
+    same errors. Lines end at ``\n`` after the universal-newline translation
+    of text-mode ``open``, never at the other characters ``str.splitlines``
+    cuts at.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise TraceError(f"not UTF-8: byte {exc.start} ({exc.reason})", line=line) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    ops = _load_serialized(text)
+    return list(parse_trace(text.split("\n"))) if ops is None else ops
 
 
 # ---------------------------------------------------------------------------

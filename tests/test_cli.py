@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hybridgc import harness
+from hybridgc import cli, harness
 from hybridgc.cli import main
 from hybridgc.harness import CSV_COLUMNS
 from hybridgc.workloads import load_trace
@@ -118,6 +118,16 @@ def test_failed_replay_exits_one(tmp_path, capsys):
     assert payload["error"]["op_index"] == 1
 
 
+def test_trace_that_is_not_utf8_exits_two(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(b"A 1 64 0 0\nG 1\nW 1 0 \xff\n")
+    code = main(["run", "--collector", "KG-N", "--seed", "1", "--trace", str(trace)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 3: ") and "UTF-8" in err and "Traceback" not in err
+
+
 def test_pair_reports_against_the_baseline(capsys):
     code = main(["pair", "--collector", "KG-N", "--seed", "4", "--ops", "4000"])
     assert code == 0
@@ -181,11 +191,17 @@ def test_zero_ops_is_rejected_not_defaulted(tmp_path, capsys, argv):
         ["run", "--seed", "1", "--trace", "{missing}/x.trace"],
         ["run", "--seed", "1", "--ops", "1000", "--out", "{missing}/x.json"],
         ["gen-trace", "--archetype", "nursery-churn", "--seed", "1", "--ops", "10", "--out", "{missing}/x.trace"],
+        ["pair", "--seed", "1", "--ops", "1000", "--out", "{missing}/x.json"],
     ],
 )
-def test_unreadable_or_unwritable_paths_exit_two(tmp_path, capsys, argv):
+def test_unreadable_or_unwritable_paths_exit_two(tmp_path, capsys, monkeypatch, argv):
+    ran = []
+    if "--out" in argv:  # an output that cannot be opened costs no run
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
     missing = tmp_path / "missing"
     assert main([arg.format(missing=missing) for arg in argv]) == 2
+    assert ran == []
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
@@ -201,3 +217,13 @@ def test_sweep_makes_its_out_dir_before_any_point_runs(tmp_path, capsys, monkeyp
     assert ran == []
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+def test_sweep_rejects_a_bad_point_before_it_makes_its_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "d"
+    argv = ["sweep", "--seed", "1", "--ops", "100", "--collectors", "KG-N", "--cache-sizes", "1000",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not out_dir.exists()

@@ -11,7 +11,9 @@ import os
 import pytest
 
 from hybridgc import harness
+from hybridgc.config import ExperimentConfig
 from hybridgc.harness import config_for_archetype
+from hybridgc.workloads import default_spec, generate, serialize_trace
 
 from support import KIB, MIB
 
@@ -65,7 +67,6 @@ def load_tracer():
 
 
 def trace_pair(archetype: str, heap_budget: int):
-    tracer = load_tracer()()
     config = config_for_archetype(
         archetype,
         "KG-W",
@@ -77,6 +78,11 @@ def trace_pair(archetype: str, heap_budget: int):
         chunk_size=256 * KIB,
         cache_capacity=128 * KIB,
     )
+    return run_traced(config)
+
+
+def run_traced(config):
+    tracer = load_tracer()()
     tracer.install()
     try:
         pair = harness.run_baseline_pair(config)
@@ -88,6 +94,18 @@ def trace_pair(archetype: str, heap_budget: int):
 @pytest.fixture(scope="module")
 def traced_pair():
     return trace_pair("mature-mutation", 4 * MIB)
+
+
+REPLAY_OPS = 6_000
+
+
+@pytest.fixture(scope="module")
+def traced_replay_pair(tmp_path_factory):
+    """Two instances replay one recorded churn trace, parsed once per side."""
+    path = tmp_path_factory.mktemp("replay") / "churn.trace"
+    with open(path, "w", encoding="utf-8") as fh:
+        serialize_trace(generate(default_spec("nursery-churn", op_count=REPLAY_OPS, seed=11)), fh)
+    return run_traced(ExperimentConfig(collector="KG-W", seed=11, trace_path=str(path), instances=2))
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +148,15 @@ def test_tracer_pins_major_collection_traffic(traced_major_pair, side):
     assert (metrics["address_space.reserve.calls"], metrics["address_space.release.calls"]) == chunk_calls
     agg = report.aggregate
     assert (report.llc_fills, report.llc_writebacks, agg.pcm_write_bytes, agg.dram_write_bytes) == traffic
+
+
+@pytest.mark.parametrize("side", ["KG-W", "PCM-Only"])
+def test_tracer_sees_the_replay_parse(traced_replay_pair, side):
+    tracer, pair = traced_replay_pair
+    report = pair.baseline if side == "PCM-Only" else pair.variant
+    assert report.collector == side and not report.failed
+    metrics = tracer.metrics(side)
+    assert metrics["workloads.parse.ops"] == REPLAY_OPS
+    assert tracer.totals[(side, "workloads.parse")][0] == 1  # calls
+    heap_calls = sum(metrics[f"heap.{op}.calls"] for op in ("alloc", "write", "read", "ref", "root"))
+    assert heap_calls == report.aggregate.ops_executed == 2 * REPLAY_OPS

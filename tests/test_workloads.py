@@ -2,7 +2,9 @@
 
 import hashlib
 import io
+import os
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from itertools import islice
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from hybridgc import workloads
 from hybridgc.address_space import MemoryKind
+from hybridgc.cli import main
 from hybridgc.errors import ConfigError, TraceError
 from hybridgc.heap import BOOT
 from hybridgc.workloads import (
@@ -53,10 +56,35 @@ def serialized(ops) -> str:
     return out.getvalue()
 
 
+def outcome(read):
+    """What ``read()`` returns, or the args and line of the TraceError it raises."""
+    try:
+        return read()
+    except TraceError as exc:
+        return ("TraceError", exc.args, exc.line)
+
+
+def loaded(text: str):
+    """``load_trace`` of ``text`` written to a file, checked against
+    ``parse_trace`` over the file's lines: the same records (compared by
+    ``repr``, so a large flag must be the same bool), or a TraceError
+    with the same args and line, which is returned as ``outcome`` gives it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ops.trace")
+        with open(path, "w", encoding="utf-8", newline="") as fh:  # "\r" is written as given
+            fh.write(text)
+        with open(path, encoding="utf-8") as fh:
+            expected = outcome(lambda: list(parse_trace(fh)))
+        got = outcome(lambda: load_trace(path))
+    assert repr(got) == repr(expected)
+    return got
+
+
 class TestGrammar:
     def test_round_trip_identity(self):
         text = serialized(HANDWRITTEN)
         assert list(parse_trace(text.splitlines())) == HANDWRITTEN
+        assert loaded(text) == HANDWRITTEN
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "ops.trace"
@@ -67,6 +95,7 @@ class TestGrammar:
     def test_comments_and_blank_lines_are_skipped(self):
         text = "# header\n\n   \nA 1 64 0 0\n  # indented comment\nG 1\n"
         assert list(parse_trace(text.splitlines())) == [Alloc(1, 64, 0, False), RootOp(1)]
+        assert loaded(text) == [Alloc(1, 64, 0, False), RootOp(1)]
 
     # The lines that may precede a bad one: a comment, a tab-indented
     # comment and a whitespace-only line.
@@ -122,6 +151,13 @@ class TestGrammar:
             list(parse_trace(self.PREAMBLE[: lineno - 1] + [bad]))
         assert err.value.line == lineno
         assert err.value.args == (self.MESSAGES[bad],)
+        text = "\n".join(self.PREAMBLE[: lineno - 1] + [bad]) + "\n"
+        assert loaded(text) == ("TraceError", (self.MESSAGES[bad],), lineno)
+
+    @pytest.mark.parametrize("bad", sorted(MESSAGES))
+    def test_a_bad_line_after_a_canonical_one_fails_at_its_position(self, bad):
+        # no preamble, so the bulk check of load_trace sees the bad line
+        assert loaded("G 1\n" + bad + "\n") == ("TraceError", (self.MESSAGES[bad],), 2)
 
     @given(
         st.lists(
@@ -162,6 +198,7 @@ class TestGrammar:
         buf = io.StringIO()
         serialize_trace(ops, buf)
         assert list(parse_trace(buf.getvalue().splitlines())) == ops
+        assert loaded(buf.getvalue()) == ops
 
     @given(
         st.sampled_from("AWRPGU"),
@@ -177,11 +214,64 @@ class TestGrammar:
     @settings(max_examples=300, deadline=None)
     def test_a_parsed_line_serializes_back_up_to_whitespace(self, kind, fields, seps):
         raw = kind + "".join(sep + field for sep, field in zip(seps, fields)) + seps[0]
+        loaded(raw + "\n")
+        loaded(" ".join([kind, *fields]) + "\n")  # single spaces, as a serialized line
         try:
             ops = list(parse_trace([raw]))
         except TraceError:
             return
         assert serialized(ops) == " ".join([kind, *fields]) + "\n"
+
+    # A canonical trace longer than one bulk block of ``load_trace``.
+    LONG = list(generate(default_spec("nursery-churn", op_count=12_000, seed=3)))
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # only "\n" ends a line: str.splitlines would also cut at these
+            ("A 1 64 0 0\x0bG 1\n", ("TraceError", ("non-integer field in " + repr("A 1 64 0 0\x0bG 1"),), 1)),
+            ("A 1 64 0 0\x0cG 1\n", ("TraceError", ("non-integer field in " + repr("A 1 64 0 0\x0cG 1"),), 1)),
+            ("G 1\nA 1 64 0 0\x1cG 1\n", ("TraceError", ("non-integer field in " + repr("A 1 64 0 0\x1cG 1"),), 2)),
+            # universal newlines, as text-mode reading gives
+            (serialized(HANDWRITTEN).replace("\n", "\r\n"), HANDWRITTEN),
+            (serialized(HANDWRITTEN).replace("\n", "\r"), HANDWRITTEN),
+            (serialized(HANDWRITTEN).removesuffix("\n"), HANDWRITTEN),
+            ("", []),
+            # canonical, but longer than int() converts (4,300 digits)
+            ("G 1\nG " + "1" * 5_000 + "\n", ("TraceError", ("non-integer field in 'G " + "1" * 5_000 + "'",), 2)),
+            (serialized(HANDWRITTEN) + "# trailing comment\n", HANDWRITTEN),
+            (serialized(LONG), LONG),
+            (serialized(LONG) + "X 1\n", ("TraceError", ("unknown op kind 'X'",), len(LONG) + 1)),
+        ],
+        ids=[
+            "vertical-tab", "form-feed", "file-separator", "crlf", "cr", "no-final-newline", "empty",
+            "5000-digits", "final-comment", "many-blocks", "many-blocks-then-bad-line",
+        ],
+    )
+    def test_load_trace_reads_what_parse_trace_reads(self, text, expected):
+        assert loaded(text) == expected
+
+    def test_load_trace_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b"A 1 64 0 0\r\nG 1\rW 1 0 8\nG \xff\n")
+        with pytest.raises(TraceError) as err:
+            load_trace(str(path))
+        assert err.value.line == 4
+        assert "UTF-8" in err.value.args[0]
+
+    @pytest.mark.parametrize("archetype", ARCHETYPES)
+    def test_gen_trace_output_loads_without_the_line_parser(self, tmp_path, monkeypatch, archetype):
+        """``gen-trace`` text takes the bulk path: a change to the serializer
+        that sent it line by line would lose the bulk load's speed unseen."""
+        path = tmp_path / "g.trace"
+        assert main(["gen-trace", "--archetype", archetype, "--seed", "5", "--ops", "9000", "--out", str(path)]) == 0
+        assert path.stat().st_size > workloads._BLOCK_CHARS  # more than one block
+
+        def refuse(_lines):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(workloads, "parse_trace", refuse)
+        assert load_trace(str(path)) == list(generate(default_spec(archetype, op_count=9000, seed=5)))
 
 
 class TestSpecs:
