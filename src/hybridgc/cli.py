@@ -5,7 +5,8 @@ exhaustion or a trace error mid-run), 2 for bad usage or configuration,
 a trace file that does not parse (a malformed line, or bytes that are
 not UTF-8), or a file that cannot be read or written. ``run`` and ``pair``
 open ``--out``, and ``sweep`` checks its points and makes ``--out-dir``,
-before any run starts.
+before any run starts; ``--out`` is emptied only when its report is
+written, so a run that raises leaves an existing file unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, SimulatorError, TraceError
@@ -22,6 +23,7 @@ from .harness import (
     emit_report,
     run_baseline_pair,
     run_experiment,
+    run_points,
     sweep_points,
 )
 from .memory import LifetimeModel, lifetime_years
@@ -68,24 +70,48 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                                 op_count=args.ops, **overrides)
 
 
-def _output(path: str | None):
-    """Where a report goes, opened before the run so a bad path costs no run."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+@contextmanager
+def _report_writer(path: str | None, fmt: str):
+    """A function that writes one report as ``fmt`` to ``path`` (stdout if None).
+
+    ``path`` is opened before the run, so one that cannot be written costs
+    no run, but it is emptied only as the report is written: a run that
+    raises leaves a file that was there as it was, and removes one it made.
+    """
+    if path is None:
+        yield lambda report: emit_report(report, fmt, sys.stdout)
+        return
+    made = not os.path.exists(path)
+    fh = open(path, "a", encoding="utf-8")
+
+    def write(report) -> None:
+        if fh.seekable():
+            fh.seek(0)
+            fh.truncate()
+        emit_report(report, fmt, fh)
+
+    try:
+        with fh:
+            yield write
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    with _output(args.out) as out:
+    with _report_writer(args.out, args.format) as write:
         report = run_experiment(config)
-        emit_report(report, args.format, out)
+        write(report)
     return 1 if report.failed else 0
 
 
 def _cmd_pair(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    with _output(args.out) as out:
+    with _report_writer(args.out, args.format) as write:
         pair = run_baseline_pair(config, baseline=args.baseline)
-        emit_report(pair.variant, args.format, out)
+        write(pair.variant)
     return 1 if (pair.baseline.failed or pair.variant.failed) else 0
 
 
@@ -96,9 +122,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = sweep_points(config, args.collectors, caches, counts)  # a bad point fails here
     os.makedirs(args.out_dir, exist_ok=True)  # an unwritable directory fails before any point runs
     status = 0
-    for label, point in points:
-        report = run_experiment(point)
-        emit_report(report, args.format, os.path.join(args.out_dir, f"{label}.{args.format}"))
+    for label, report in run_points(points):
+        path = os.path.join(args.out_dir, f"{label}.{args.format}")
+        emit_report(report, args.format, path)
         state = "FAILED" if report.failed else "ok"
         print(f"{label}: {state} pcm_write_bytes={report.aggregate.pcm_write_bytes}")
         if report.failed:

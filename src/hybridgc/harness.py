@@ -332,6 +332,11 @@ def sweep_points(
     ]
 
 
+def run_points(points: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, Report]]:
+    """One report per labelled config, run in order."""
+    return [(label, run_experiment(point)) for label, point in points]
+
+
 def sweep(
     config: ExperimentConfig,
     collectors: list[str],
@@ -339,8 +344,7 @@ def sweep(
     instance_counts: list[int],
 ) -> list[tuple[str, Report]]:
     """One report per point of :func:`sweep_points`; every point is checked before the first runs."""
-    points = sweep_points(config, collectors, cache_sizes, instance_counts)
-    return [(label, run_experiment(point)) for label, point in points]
+    return run_points(sweep_points(config, collectors, cache_sizes, instance_counts))
 
 
 def emit_report(report: Report, fmt: str, dest) -> None:

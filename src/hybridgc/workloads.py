@@ -22,14 +22,15 @@ list whose records every instance reads and none writes.
 
 ``load_trace`` reads text exactly as ``serialize_trace`` (``gen-trace``)
 writes it in bulk: it checks it a block of lines at a time with one
-regex and converts each block's integers in one ``json.loads`` call. It
-reads any other text line by line through ``parse_trace``, with the same
-records and the same errors. A file that is not UTF-8 is a ``TraceError``
+regex and converts each block's integers in one ``json.loads`` call. From
+the first block that holds any other text it reads line by line through
+``parse_trace``, with the same records and the same errors. A file that is not UTF-8 is a ``TraceError``
 at the line of its first invalid byte.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -125,10 +126,11 @@ _PLAIN_KINDS = {"W": WriteOp, "R": ReadOp, "P": RefOp, "G": RootOp, "U": UnrootO
 _LEADING_ZERO = re.compile(r"\s(?:-0|0\d)")
 
 
-def parse_trace(lines: Iterable[str]) -> Iterator[TraceOp]:
+def parse_trace(lines: Iterable[str], first_line: int = 1) -> Iterator[TraceOp]:
+    """The records of ``lines``, which are numbered from ``first_line`` in errors."""
     plain_kinds = _PLAIN_KINDS
     leading_zero = _LEADING_ZERO.search
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first_line):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
@@ -171,19 +173,19 @@ _BLOCK_CHARS = 1 << 16  # cut at the last line end within this many characters
 _KIND_CODES = str.maketrans("AWRPGU \n", "123456,,")
 
 
-def _load_serialized(text: str) -> list[TraceOp] | None:
-    """The records of ``text`` if all of it is ``serialize_trace`` output, else None."""
-    ops: list[TraceOp] = []
+def _load_serialized(text: str, ops: list[TraceOp]) -> int:
+    """Append to ``ops`` the records of the leading blocks of ``text`` that
+    are exactly ``serialize_trace`` output; return where those blocks end."""
     append = ops.append
     pos, size = 0, len(text)
     while pos < size:
         end = text.rfind("\n", pos, pos + _BLOCK_CHARS) + 1
         if end <= pos or _SERIALIZED_LINES.fullmatch(text, pos, end) is None:
-            return None
+            break
         try:
             vals = json.loads("[" + text[pos : end - 1].translate(_KIND_CODES) + "]")
         except ValueError:  # an integer longer than int() converts
-            return None
+            break
         it = iter(vals)
         nxt = it.__next__
         for code in it:
@@ -200,30 +202,35 @@ def _load_serialized(text: str) -> list[TraceOp] | None:
             else:
                 append(RefOp(nxt(), nxt(), nxt()))
         pos = end
-    return ops
+    return pos
 
 
 def load_trace(path: str) -> list[TraceOp]:
     r"""Every record of the trace file at ``path``.
 
-    ``gen-trace`` output loads in bulk; any other text goes line by line
-    through ``parse_trace``, which gives the same records and raises the
-    same errors. Lines end at ``\n`` after the universal-newline translation
-    of text-mode ``open``, never at the other characters ``str.splitlines``
-    cuts at.
+    ``gen-trace`` output loads in bulk; from the first block that holds
+    any other text, the file goes line by line through ``parse_trace``,
+    which gives the same records and raises the same errors. Lines end at
+    ``\n`` after the universal-newline translation of text-mode ``open``,
+    never at the other characters ``str.splitlines`` cuts at.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise TraceError(f"not UTF-8: byte {exc.start} ({exc.reason})", line=line) from None
+        try:
+            text = fh.read().decode("utf-8")  # the bytes are not kept
+        except UnicodeDecodeError as exc:
+            head = exc.object[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise TraceError(f"not UTF-8: byte {exc.start} ({exc.reason})", line=line) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    ops = _load_serialized(text)
-    return list(parse_trace(text.split("\n"))) if ops is None else ops
+    ops: list[TraceOp] = []
+    pos = _load_serialized(text, ops)
+    if pos < len(text):
+        # the rest, from the first block that is not serialize_trace output,
+        # goes line by line; StringIO's default newline="\n" cuts at "\n" only
+        first_line = text.count("\n", 0, pos) + 1
+        ops.extend(parse_trace(io.StringIO(text[pos:]), first_line))
+    return ops
 
 
 # ---------------------------------------------------------------------------

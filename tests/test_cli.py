@@ -212,6 +212,7 @@ def test_sweep_makes_its_out_dir_before_any_point_runs(tmp_path, capsys, monkeyp
     blocker.write_text("")  # a file cannot hold the results directory
     ran = []
     monkeypatch.setattr(harness, "run_experiment", ran.append)
+    monkeypatch.setattr(cli, "run_experiment", ran.append)
     argv = ["sweep", "--seed", "1", "--ops", "1000", "--collectors", "KG-N", "--out-dir", str(blocker / "results")]
     assert main(argv) == 2
     assert ran == []
@@ -227,3 +228,33 @@ def test_sweep_rejects_a_bad_point_before_it_makes_its_out_dir(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "pair"])
+@pytest.mark.parametrize("earlier", [None, "an earlier report\n"])
+def test_a_run_that_raises_leaves_out_as_it_was(tmp_path, capsys, command, earlier):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("A 1 64 0 0\nQ 1\n")
+    out = tmp_path / "report.json"
+    if earlier is not None:
+        out.write_text(earlier)
+    argv = [command, "--collector", "KG-N", "--seed", "1", "--trace", str(trace), "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: line 2: " in capsys.readouterr().err
+    assert (out.read_text() if out.exists() else None) == earlier
+
+
+def test_out_may_replace_the_trace_it_replays(tmp_path, capsys):
+    trace = tmp_path / "one.trace"
+    trace.write_text("A 1 64 0 0\nG 1\nU 1\n")
+    assert main(["run", "--collector", "KG-N", "--seed", "1", "--trace", str(trace), "--out", str(trace)]) == 0
+    assert json.loads(trace.read_text())["aggregate"]["ops_executed"] == 3
+
+
+def test_out_replaces_a_longer_earlier_report(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    out.write_text("~" * 100_000)
+    assert main(["run", "--collector", "KG-N", "--seed", "1", "--ops", "500", "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert "~" not in out.read_text()

@@ -242,10 +242,16 @@ class TestGrammar:
             (serialized(HANDWRITTEN) + "# trailing comment\n", HANDWRITTEN),
             (serialized(LONG), LONG),
             (serialized(LONG) + "X 1\n", ("TraceError", ("unknown op kind 'X'",), len(LONG) + 1)),
+            (serialized(LONG) + "# trailing comment\n", LONG),
+            # bulk blocks, then the rest line by line from a later block
+            (serialized(LONG[:9000]) + "# mid\n" + serialized(LONG[9000:]), LONG),
+            (serialized(LONG[:9000]) + "G  1\n" + serialized(LONG[9000:]) + "U 0x1\n",
+             ("TraceError", ("non-integer field in 'U 0x1'",), len(LONG) + 2)),
         ],
         ids=[
             "vertical-tab", "form-feed", "file-separator", "crlf", "cr", "no-final-newline", "empty",
             "5000-digits", "final-comment", "many-blocks", "many-blocks-then-bad-line",
+            "many-blocks-then-comment", "comment-in-a-later-block", "bad-line-after-a-later-block",
         ],
     )
     def test_load_trace_reads_what_parse_trace_reads(self, text, expected):
