@@ -5,11 +5,13 @@ run in its methods, and it carries the simulated clock. ``CacheModel``
 is only the cache's geometry and state (its sets).
 
 Device-level write counters only grow when a line actually reaches
-memory: on a dirty eviction or a drain, or immediately when the cache is
-disabled. Reads reach memory as line fills. Every counter is keyed by
-(instance, memory kind, space) so multiprogram runs stay attributable.
-A dirty line holds the key it will be written back under, so neither an
-eviction nor the drain decodes a line to count it.
+memory: on a dirty eviction or the drain, or immediately when the cache
+is disabled. Reads reach memory as line fills. Every count is kept per
+``(instance, memory kind, space)`` key, so multiprogram runs stay
+attributable. Each key is interned once as an id, an index into the
+count lists of ``TrafficCounters``, and a dirty line holds the id it
+will be written back under, so neither an eviction nor the drain
+decodes a line to count it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, zip_longest
+from types import MappingProxyType
+from typing import Mapping
 
 from .address_space import MemoryKind
 from .errors import ConfigError, InvariantError
@@ -41,9 +45,12 @@ MAX_INSTANCES = 1 << INST_BITS
 # sets zipped with a range of its line keys; see its docstring.
 LONG_RUN = 16
 
+# The per-key count lists of ``TrafficCounters``.
+_COUNTS = ("written", "read", "demand", "absorbed")
+
 
 def total_bytes(
-    counts: dict[tuple[int, MemoryKind, str], int],
+    counts: Mapping[tuple[int, MemoryKind, str], int],
     kind: MemoryKind | None = None,
     inst: int | None = None,
 ) -> int:
@@ -58,54 +65,89 @@ def total_bytes(
 class TrafficCounters:
     """Byte counters for traffic that reached memory, plus filter internals.
 
-    ``write_bytes`` and ``read_bytes`` are keyed by
-    ``(instance, MemoryKind, space)``. The demand and absorbed counters
-    are keyed by ``(instance, MemoryKind)`` and feed the filter
-    conservation check: after a drain, demand equals absorbed plus
-    ``write_bytes`` summed over space, per key.
+    Counts are kept in lists indexed by a key id, with
+    ``keys[id] == (instance, MemoryKind, space)``: ``written`` and
+    ``read`` are the bytes written back to and filled from memory,
+    ``demand`` the bytes written to the cache and ``absorbed`` the bytes
+    that landed on a line already dirty. ``MemorySystem.access`` interns
+    the ids and appends a 0 to every list for each new key, so the lists
+    always have one entry per key.
+
+    ``write_bytes`` and ``read_bytes`` are read-only views of the nonzero
+    ``written`` and ``read`` counts by key. ``demand_write_bytes`` and
+    ``absorbed_write_bytes`` sum the ``demand`` and ``absorbed`` counts by
+    ``(instance, MemoryKind)`` and feed the filter conservation check:
+    after a drain, demand equals absorbed plus ``written`` summed over
+    space, per ``(instance, kind)``. The check cannot be made per key,
+    since absorbed bytes count under the writer's key and a write-back
+    under the line's last writer.
     """
 
     def __init__(self) -> None:
-        self.write_bytes: dict[tuple[int, MemoryKind, str], int] = {}
-        self.read_bytes: dict[tuple[int, MemoryKind, str], int] = {}
-        self.demand_write_bytes: dict[tuple[int, MemoryKind], int] = {}
-        self.absorbed_write_bytes: dict[tuple[int, MemoryKind], int] = {}
+        self.keys: list[tuple[int, MemoryKind, str]] = []
+        self.written: list[int] = []
+        self.read: list[int] = []
+        self.demand: list[int] = []
+        self.absorbed: list[int] = []
         self.fills = 0
         self.writebacks = 0
+
+    @property
+    def write_bytes(self) -> Mapping[tuple[int, MemoryKind, str], int]:
+        return MappingProxyType({key: n for key, n in zip(self.keys, self.written) if n})
+
+    @property
+    def read_bytes(self) -> Mapping[tuple[int, MemoryKind, str], int]:
+        return MappingProxyType({key: n for key, n in zip(self.keys, self.read) if n})
+
+    @property
+    def demand_write_bytes(self) -> Mapping[tuple[int, MemoryKind], int]:
+        return self._per_kind(self.demand)
+
+    @property
+    def absorbed_write_bytes(self) -> Mapping[tuple[int, MemoryKind], int]:
+        return self._per_kind(self.absorbed)
+
+    def _per_kind(self, counts: list[int]) -> Mapping[tuple[int, MemoryKind], int]:
+        """Nonzero ``counts`` summed over space, by ``(instance, kind)``."""
+        out: dict[tuple[int, MemoryKind], int] = {}
+        for (inst, kind, _space), n in zip(self.keys, counts):
+            if n:
+                out[inst, kind] = out.get((inst, kind), 0) + n
+        return MappingProxyType(out)
 
     def by_space(self, inst: int, kind: MemoryKind) -> dict[str, int]:
         return {s: n for (i, k, s), n in sorted(self.write_bytes.items(), key=lambda kv: kv[0][2]) if i == inst and k is kind}
 
     def snapshot(self) -> "TrafficCounters":
-        # every counter only grows by positive amounts, so no entry is 0
-        # and the diff against empty counters is a full copy
         return self.diff(TrafficCounters())
 
     def diff(self, base: "TrafficCounters") -> "TrafficCounters":
-        """Counters accumulated since ``base`` was snapshotted."""
+        """Counters accumulated since ``base`` was snapshotted.
+
+        Keys are only ever appended, so ``base.keys`` is a prefix of
+        ``keys`` and a key interned after the snapshot counts from 0.
+        """
         out = TrafficCounters()
-        for name in ("write_bytes", "read_bytes", "demand_write_bytes", "absorbed_write_bytes"):
-            cur: dict = getattr(self, name)
-            old: dict = getattr(base, name)
-            target: dict = getattr(out, name)
-            for key, n in cur.items():
-                d = n - old.get(key, 0)
-                if d:
-                    target[key] = d
+        out.keys = self.keys[:]
+        for name in _COUNTS:
+            cur: list[int] = getattr(self, name)
+            old: list[int] = getattr(base, name)
+            setattr(out, name, [n - o for n, o in zip_longest(cur, old, fillvalue=0)])
         out.fills = self.fills - base.fills
         out.writebacks = self.writebacks - base.writebacks
         return out
 
     def check_write_conservation(self) -> None:
         """Valid only when no dirty line is outstanding (post-drain)."""
-        written: dict[tuple[int, MemoryKind], int] = {}
-        for (inst, kind, _space), n in self.write_bytes.items():
-            written[inst, kind] = written.get((inst, kind), 0) + n
-        keys = set(self.demand_write_bytes) | set(self.absorbed_write_bytes) | set(written)
+        demand_bytes = self.demand_write_bytes
+        absorbed_bytes = self.absorbed_write_bytes
+        written = self._per_kind(self.written)
+        keys = set(demand_bytes) | set(absorbed_bytes) | set(written)
         # sorted, so a run that breaks conservation twice always names the same key
         for key in sorted(keys, key=lambda k: (k[0], k[1].value)):
-            demand = self.demand_write_bytes.get(key, 0)
-            absorbed = self.absorbed_write_bytes.get(key, 0)
+            demand = demand_bytes.get(key, 0)
+            absorbed = absorbed_bytes.get(key, 0)
             written_back = written.get(key, 0)
             if demand != absorbed + written_back:
                 raise InvariantError(
@@ -142,12 +184,11 @@ class CacheModel:
         self.split_line = split // line_size
         self.n_sets = cache_set_count(capacity, assoc, line_size)
         # Each set maps a line key ``(line index << INST_BITS) | instance``
-        # to None while the line is clean, or while it is dirty to the
-        # ``write_bytes`` key it will be written back under: the interned
-        # ``(instance, kind of the line, space that last wrote it)``. LRU
-        # order is insertion order: a hit re-inserts its key, and the
-        # victim is the first key.
-        self.sets: list[dict[int, tuple[int, MemoryKind, str] | None]] = [{} for _ in range(self.n_sets)]
+        # to None while the line is clean, or while it is dirty to the id
+        # of the key it will be written back under: ``(instance, kind of
+        # the line, space that last wrote it)``. LRU order is insertion
+        # order: a hit re-inserts its key, and the victim is the first key.
+        self.sets: list[dict[int, int | None]] = [{} for _ in range(self.n_sets)]
 
 
 @dataclass
@@ -159,31 +200,30 @@ class MemorySystem:
     bytes it moves, written out inline to save a frame; collector copies
     and marks add it only when ``include_collector_time`` is set.
 
-    ``access`` walks the cache in one frame. Traffic is accounted per
-    access, not per line: one loop walks the run of lines below
-    ``split_line`` (PCM) and then the run above it (DRAM), counts demand,
-    absorbed and filled lines and dirty victims in locals while it walks
-    a run, and then adds them to the counters once. ``_keys`` interns one
-    ``(write_bytes/read_bytes key, demand key)`` pair per
-    ``(instance, kind, space)`` on its first use, so a later access
-    builds no key tuple. A write stores the interned
-    ``(instance, kind, space)`` tuple in every line it dirties, so a dirty
-    victim is counted under the key it holds; the victims dict is made
-    only at a run's first dirty victim. A drain batches its writebacks
-    the same way. All counters are integer sums, so the totals equal
-    those of per-line accounting.
+    ``access`` walks the cache in one frame. It looks up the ids of the
+    ``(instance, PCM, space)`` and ``(instance, DRAM, space)`` keys in
+    ``_ids``, and on their first use interns them inline. One loop walks
+    the run of lines below ``split_line`` (PCM) and then the run above it
+    (DRAM). It counts absorbed and filled lines in locals while it walks
+    a run and adds them, with the run's demand, to the count lists by
+    index once. A write stores its key id in every line it dirties, and a
+    dirty victim adds a line to ``written`` under the id it holds as it
+    is evicted. All counters are integer sums, so the totals equal those
+    of per-line accounting.
 
     A run has two walks, chosen by its length, with the same hits,
     fills, victims and counters. A run of at least ``LONG_RUN`` lines
     zips a list of its sets with a range of its line keys, since
     consecutive lines map to consecutive sets and keys: one slice of
     ``sets``, or, when the run wraps past the last set, a list built in
-    C in line order. Its dirty victims are listed and counted per key at
-    the end, in first-seen order. A shorter run computes each line's set
-    and key. The long walk pays for itself on the thousand-line zeroings
-    and copies of large objects, but its setup costs more than it saves
-    on runs of a few lines, which are most of the runs elsewhere. Neither
-    walk enters a frame of its own: no comprehension, generator or helper.
+    C in line order. A shorter run computes each line's set and key. The
+    long walk pays for itself on the thousand-line zeroings and copies of
+    large objects, but its setup costs more than it saves on runs of a
+    few lines, which are most of the runs elsewhere. Neither walk enters
+    a frame of its own: no comprehension, generator or helper.
+
+    ``drain`` ends a run: it writes back every dirty line and empties the
+    cache.
     """
 
     cache: CacheModel
@@ -193,26 +233,29 @@ class MemorySystem:
     include_collector_time: bool = True
     gc_traffic_through_cache: bool = True
     now_ns: float = field(default=0.0, init=False)
-    # space -> instance -> (PCM pair, DRAM pair), each pair a run's
-    # ``(write_bytes/read_bytes key, demand key)``
-    _keys: dict = field(default_factory=dict, init=False, repr=False)
+    # space -> instance -> (PCM key id, DRAM key id) in ``counters``
+    _ids: dict = field(default_factory=dict, init=False, repr=False)
 
     def access(self, inst: int, addr: int, length: int, write: bool, space: str, *, collector: bool = False) -> None:
         if length <= 0:
             return
+        counters = self.counters
+        try:
+            pcm_id, dram_id = self._ids[space][inst]
+        except KeyError:
+            keys = counters.keys
+            pcm_id = len(keys)
+            dram_id = pcm_id + 1
+            keys += ((inst, _PCM, space), (inst, _DRAM, space))
+            for name in _COUNTS:
+                getattr(counters, name).extend((0, 0))
+            self._ids.setdefault(space, {})[inst] = (pcm_id, dram_id)
         cache = self.cache
         n_sets = cache.n_sets
         if not n_sets or (collector and not self.gc_traffic_through_cache):
-            self._passthrough(inst, addr, length, write, space)
+            self._passthrough(pcm_id, dram_id, addr, length, write)
             return
-        try:
-            pcm_keys, dram_keys = self._keys[space][inst]
-        except KeyError:
-            pcm_keys, dram_keys = self._keys.setdefault(space, {})[inst] = (
-                ((inst, _PCM, space), (inst, _PCM)),
-                ((inst, _DRAM, space), (inst, _DRAM)),
-            )
-        counters = self.counters
+        written = counters.written
         line_size = cache.line_size
         lo = addr // line_size
         end = (addr + length - 1) // line_size + 1
@@ -220,18 +263,18 @@ class MemorySystem:
         sets = cache.sets
         assoc = cache.assoc
         shift = INST_BITS
+        wbs = 0
         # the PCM run of the line range, then the DRAM run
         while lo < end:
             if lo < split_line:
                 hi = end if end <= split_line else split_line
-                wkey, dkey = pcm_keys
+                kid = pcm_id
             else:
                 hi = end
-                wkey, dkey = dram_keys
-            tag = wkey if write else None
+                kid = dram_id
+            tag = kid if write else None
             absorbed = 0
             fills = 0
-            victims = None
             if hi - lo < LONG_RUN:
                 for ln in range(lo, hi):
                     cset = sets[ln % n_sets]
@@ -250,10 +293,8 @@ class MemorySystem:
                     if len(cset) >= assoc:
                         vtag = cset.pop(next(iter(cset)))
                         if vtag is not None:
-                            if victims is None:
-                                victims = {vtag: 1}
-                            else:
-                                victims[vtag] = victims.get(vtag, 0) + 1
+                            written[vtag] += line_size
+                            wbs += 1
                     cset[key] = tag
             else:
                 # consecutive lines map to consecutive sets and keys
@@ -263,7 +304,6 @@ class MemorySystem:
                 else:
                     # wraps: a set that recurs is updated in line order
                     csets = [*map(sets.__getitem__, map(n_sets.__rmod__, range(lo, hi)))]
-                evicted = []
                 for cset, key in zip(csets, range(lo << shift | inst, hi << shift | inst, 1 << shift)):
                     old = cset.pop(key, _ABSENT)
                     if old is not _ABSENT:
@@ -278,70 +318,55 @@ class MemorySystem:
                     if len(cset) >= assoc:
                         vtag = cset.pop(next(iter(cset)))
                         if vtag is not None:
-                            evicted.append(vtag)
+                            written[vtag] += line_size
+                            wbs += 1
                     cset[key] = tag
-                if evicted:
-                    # one entry per key, in first-seen order, as the short walk counts
-                    vtags = dict.fromkeys(evicted)
-                    victims = dict(zip(vtags, map(evicted.count, vtags)))
             if write:
-                demand = counters.demand_write_bytes
-                demand[dkey] = demand.get(dkey, 0) + (hi - lo) * line_size
+                counters.demand[kid] += (hi - lo) * line_size
                 if absorbed:
-                    absorbed_bytes = counters.absorbed_write_bytes
-                    absorbed_bytes[dkey] = absorbed_bytes.get(dkey, 0) + absorbed * line_size
+                    counters.absorbed[kid] += absorbed * line_size
             if fills:
                 counters.fills += fills
-                read_bytes = counters.read_bytes
-                read_bytes[wkey] = read_bytes.get(wkey, 0) + fills * line_size
-            if victims:
-                self._writeback(victims)
+                counters.read[kid] += fills * line_size
             lo = hi
+        if wbs:
+            counters.writebacks += wbs
 
-    def _writeback(self, victims: dict[tuple[int, MemoryKind, str], int]) -> int:
-        """Write back dirty lines counted as ``write_bytes key -> lines``; returns the total."""
-        line_size = self.cache.line_size
-        counters = self.counters
-        write_bytes = counters.write_bytes
-        total = 0
-        for tag, n in victims.items():
-            write_bytes[tag] = write_bytes.get(tag, 0) + n * line_size
-            total += n
-        counters.writebacks += total
-        return total
-
-    def _passthrough(self, inst: int, addr: int, length: int, write: bool, space: str) -> None:
+    def _passthrough(self, pcm_id: int, dram_id: int, addr: int, length: int, write: bool) -> None:
         """Forward an access byte-for-byte: no cache, or collector traffic that bypasses it."""
         # The PCM/DRAM boundary is the one the cached path uses: the first
         # byte of line ``split_line``.
         counters = self.counters
         boundary = self.cache.split_line * self.cache.line_size
         pcm = min(max(boundary - addr, 0), length)
-        for kind, n in ((_PCM, pcm), (_DRAM, length - pcm)):
+        for kid, n in ((pcm_id, pcm), (dram_id, length - pcm)):
             if not n:
                 continue
-            skey = (inst, kind, space)
             if write:
-                key = (inst, kind)
-                counters.demand_write_bytes[key] = counters.demand_write_bytes.get(key, 0) + n
-                counters.write_bytes[skey] = counters.write_bytes.get(skey, 0) + n
+                counters.demand[kid] += n
+                counters.written[kid] += n
             else:
-                counters.read_bytes[skey] = counters.read_bytes.get(skey, 0) + n
+                counters.read[kid] += n
 
     def drain(self) -> int:
-        """Flush every dirty line; returns the number written back.
+        """Write back every dirty line and empty the cache; returns the lines written back.
 
-        Lines stay resident but clean, in their LRU order, so draining
-        twice is a no-op the second time. The lines are counted by the key
-        each holds, so the flush order does not matter.
+        Only the end of a run drains, and no access follows it, so every
+        set is emptied (written back and invalidated) rather than kept
+        clean; a second drain writes back nothing. The lines are counted
+        by the key id each holds, so the flush order does not matter.
         """
-        sets = self.cache.sets
-        victims = Counter(chain.from_iterable(map(dict.values, sets)))
-        victims.pop(None, None)
-        # set by set, so at most one old set is alive beside the new ones
-        for i, cset in enumerate(sets):
-            sets[i] = dict.fromkeys(cset)
-        return self._writeback(victims)
+        cache = self.cache
+        counters = self.counters
+        dirty = Counter(chain.from_iterable(map(dict.values, cache.sets)))
+        dirty.pop(None, None)
+        for kid, n in dirty.items():
+            counters.written[kid] += n * cache.line_size
+        total = dirty.total()
+        counters.writebacks += total
+        for cset in cache.sets:
+            cset.clear()
+        return total
 
 
 @dataclass(frozen=True)

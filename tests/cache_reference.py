@@ -4,11 +4,24 @@ Deliberately structured nothing like the production model: a flat entry
 list with explicit recency stamps and linear scans, so a shared bug is
 implausible. It reproduces the same observable behavior: per-line
 demand/absorb/writeback accounting, each set's residents in recency
-order with their dirty state, and drains that leave every line resident
-and clean.
+order with their dirty state, and drains that write back every dirty
+line and empty the cache. Its counters are plain dicts keyed like the
+model's count views, so no list or interned id is shared with the model.
 """
 
 from hybridgc.address_space import MemoryKind
+
+
+class RefCounters:
+    """The reference's traffic counts, keyed as ``TrafficCounters``' views."""
+
+    def __init__(self):
+        self.write_bytes: dict = {}
+        self.read_bytes: dict = {}
+        self.demand_write_bytes: dict = {}
+        self.absorbed_write_bytes: dict = {}
+        self.fills = 0
+        self.writebacks = 0
 
 
 class RefCache:
@@ -82,9 +95,9 @@ class RefCache:
         flushed = 0
         for entry in self.entries:
             if entry[2]:
-                entry[2] = False
                 self._write_back(counters, entry)
                 flushed += 1
+        self.entries = []
         return flushed
 
     def state(self) -> list[list[tuple]]:

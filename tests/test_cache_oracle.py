@@ -4,15 +4,16 @@ The model side is ``MemorySystem.access``/``drain`` over a ``CacheModel``.
 After every access and after the drain, each set's residents must match
 the reference's in recency order, instance, line and dirty state, so a
 wrong victim or a lost recency update fails at the access that made it.
-A dirty line must hold the key it will be written back under:
-``(instance, kind of its line, space that last wrote it)``.
+A dirty line must hold the id of the key it will be written back under,
+``(instance, kind of its line, space that last wrote it)``, which
+``counters.keys`` decodes.
 """
 
 import random
 
 import pytest
 
-from cache_reference import RefCache
+from cache_reference import RefCache, RefCounters
 from hybridgc.address_space import MemoryKind
 from hybridgc.memory import (
     INST_BITS,
@@ -48,10 +49,15 @@ def cached_system(lines, assoc, split):
     return MemorySystem(cache, TrafficCounters())
 
 
-def model_state(cache):
-    """Per set, ``(inst, line, held value)`` of each resident, least recent first."""
+def model_state(system):
+    """Per set, ``(inst, line, held key)`` of each resident, least recent first.
+
+    A dirty line's held id is decoded through ``counters.keys``.
+    """
+    keys = system.counters.keys
     return [
-        [(key % MAX_INSTANCES, key >> INST_BITS, held) for key, held in cset.items()] for cset in cache.sets
+        [(key % MAX_INSTANCES, key >> INST_BITS, None if held is None else keys[held]) for key, held in cset.items()]
+        for cset in system.cache.sets
     ]
 
 
@@ -110,17 +116,17 @@ def compare(geometry, split, accesses):
     lines, assoc = geometry
     model = cached_system(lines, assoc, split)
     ref = RefCache(lines * LINE, assoc, LINE, split)
-    mc, rc = model.counters, TrafficCounters()
+    mc, rc = model.counters, RefCounters()
     compared = 0
     for inst, addr, length, write, space in accesses:
         model.access(inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
-        assert model_state(model.cache) == expected_state(ref)
+        assert model_state(model) == expected_state(ref)
         compared += 1
-    # victims are written back in the order they were evicted
-    assert list(mc.write_bytes) == list(rc.write_bytes)
+    assert mc.write_bytes == rc.write_bytes and mc.writebacks == rc.writebacks
     assert model.drain() == ref.drain(rc)
-    assert model_state(model.cache) == expected_state(ref)
+    # the drain writes back and invalidates every line
+    assert model_state(model) == expected_state(ref) == [[] for _ in range(ref.n_sets)]
     assert mc.write_bytes == rc.write_bytes
     assert mc.read_bytes == rc.read_bytes
     assert mc.demand_write_bytes == rc.demand_write_bytes
@@ -140,18 +146,18 @@ def test_cyclic_writes_through_two_line_direct_mapped():
     """Three lines cycled through 2 direct-mapped lines thrash predictably."""
     model = cached_system(2, 1, split=1 << 30)
     ref = RefCache(2 * LINE, 1, LINE, split=1 << 30)
-    rc = TrafficCounters()
+    rc = RefCounters()
     for _ in range(4):
         for line in (0, 1, 2):
             model.access(0, line * LINE, 8, True, "s")
             ref.access(rc, 0, line * LINE, 8, True, "s")
-            assert model_state(model.cache) == expected_state(ref)
+            assert model_state(model) == expected_state(ref)
     # lines 0 and 2 share set 0 and evict each other every round, while
     # line 1 stays resident in set 1 after its one fill
     counters = model.counters
     assert counters.writebacks == rc.writebacks == 7
     assert counters.fills == rc.fills == 9
-    assert model_state(model.cache) == [[(0, 2, (0, PCM, "s"))], [(0, 1, (0, PCM, "s"))]]
+    assert model_state(model) == [[(0, 2, (0, PCM, "s"))], [(0, 1, (0, PCM, "s"))]]
 
 
 def test_full_oracle_load():

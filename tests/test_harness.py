@@ -184,7 +184,17 @@ def corrupted_instance(*args, **kwargs):
         elif corrupt == "chunks":
             heap.layout.dram.release(heap.boot_space.lo // heap.layout.chunk_size)  # still under the boot image
         else:
-            heap.system.counters.demand_write_bytes[(1, MemoryKind.DRAM)] = 64  # never written
+            system = heap.system
+            drain = system.drain
+
+            def corrupted_drain():
+                # 64 demanded bytes, never written, in the count of instance 1's first DRAM key
+                counters = system.counters
+                dram_ids = [i for i, (inst, kind, _space) in enumerate(counters.keys) if inst == 1 and kind is MemoryKind.DRAM]
+                counters.demand[dram_ids[0]] += 64
+                return drain()
+
+            system.drain = corrupted_drain
     return heap
 
 harness.build_instance = corrupted_instance

@@ -195,15 +195,19 @@ class TestCacheModel:
         assert counters.write_bytes == {(top, MemoryKind.PCM, "a"): 64, (0, MemoryKind.DRAM, "b"): 64}
         counters.check_write_conservation()
 
-    def test_drain_is_idempotent_and_keeps_lines(self):
+    def test_drain_is_idempotent_and_empties(self):
         system = one_set_cache()
         system.access(0, 0, 8, True, "s")
+        system.access(0, 64, 8, False, "s")  # a clean line
         assert system.drain() == 1
-        assert resident_lines(system.cache) == 1
+        # written back and invalidated: clean lines leave too
+        assert resident_lines(system.cache) == 0
         assert system.drain() == 0
-        # drained lines are clean; rewriting dirties them again
+        # a write after the drain misses and fills its line again
         system.access(0, 0, 8, True, "s")
+        assert system.counters.fills == 3
         assert system.drain() == 1
+        assert system.counters.writebacks == 2
         system.counters.check_write_conservation()
 
     def test_drain_decodes_instance_and_kind_of_each_line(self):
@@ -211,29 +215,30 @@ class TestCacheModel:
         system.access(7, 64, 64, True, "p")  # line 1, PCM
         system.access(300, 2 * 64, 64, True, "d")  # line 2, DRAM
         system.access(5, 64 + 32, 64, True, "s")  # lines 1 | 2, straddling the split
-        # each dirty line holds the key it is written back under
+        # each dirty line holds the id of the key it is written back under
         pcm, dram = (7, MemoryKind.PCM, "p"), (300, MemoryKind.DRAM, "d")
         straddle_pcm, straddle_dram = (5, MemoryKind.PCM, "s"), (5, MemoryKind.DRAM, "s")
         keys = [1 << INST_BITS | 7, 2 << INST_BITS | 300, 1 << INST_BITS | 5, 2 << INST_BITS | 5]
-        residents = [list(cset.items()) for cset in system.cache.sets]
+        counters = system.counters
+        residents = [[(key, counters.keys[held]) for key, held in cset.items()] for cset in system.cache.sets]
         assert residents == [list(zip(keys, (pcm, dram, straddle_pcm, straddle_dram)))]
         assert system.drain() == 4
-        # every line stays resident, now clean, in its fill order
-        residents = [list(cset.items()) for cset in system.cache.sets]
-        assert residents == [[(key, None) for key in keys]]
-        assert system.counters.write_bytes == {pcm: 64, dram: 64, straddle_pcm: 64, straddle_dram: 64}
+        assert resident_lines(system.cache) == 0
+        assert counters.write_bytes == {pcm: 64, dram: 64, straddle_pcm: 64, straddle_dram: 64}
 
     def test_dirty_lines_share_one_interned_key(self):
         system = system_over(8 * 64, 8, split=4 * 64)
         system.access(0, 0, 64, True, "s")
         system.access(0, 64, 3 * 64, True, "s")  # a second write run, same key
-        system.access(0, 4 * 64, 64, False, "s")  # a read leaves its line clean
+        system.access(0, 4 * 64, 64, False, "s")  # a DRAM read leaves its line clean
+        counters = system.counters
+        # one id per (instance, kind, space), interned at the first access
+        assert counters.keys == [(0, MemoryKind.PCM, "s"), (0, MemoryKind.DRAM, "s")]
         held = list(system.cache.sets[0].values())
-        assert held[:4] == [(0, MemoryKind.PCM, "s")] * 4 and held[4] is None
-        assert all(tag is held[0] for tag in held[:4])
-        # the held tuple is the key the line is counted under
-        (read_key,) = [key for key in system.counters.read_bytes if key[1] is MemoryKind.PCM]
-        assert read_key is held[0]
+        assert held == [0, 0, 0, 0, None]
+        # the held id is the index the line's fill was counted under
+        assert counters.read == [4 * 64, 64]
+        assert counters.demand == [4 * 64, 0]
 
     def test_passthrough_is_byte_exact(self):
         system = system_over(0)
@@ -296,39 +301,89 @@ class TestCacheModel:
             assert system.counters.demand_write_bytes == {}
 
 
+def intern(counters, key):
+    """Append ``key`` to ``counters`` with zero counts, as ``MemorySystem.access`` interns it; returns its id."""
+    counters.keys.append(key)
+    for counts in (counters.written, counters.read, counters.demand, counters.absorbed):
+        counts.append(0)
+    return len(counters.keys) - 1
+
+
 class TestCounters:
     def test_snapshot_diff(self):
         counters = TrafficCounters()
-        counters.write_bytes[(0, MemoryKind.PCM, "a")] = 10
+        a = intern(counters, (0, MemoryKind.PCM, "a"))
+        b = intern(counters, (1, MemoryKind.DRAM, "b"))
+        counters.written[a] = 10
         counters.fills = 2
         base = counters.snapshot()
-        assert base.write_bytes == counters.write_bytes and base.fills == 2
-        counters.write_bytes[(0, MemoryKind.PCM, "a")] += 7
-        counters.read_bytes[(1, MemoryKind.DRAM, "b")] = 3
+        assert base.write_bytes == counters.write_bytes == {(0, MemoryKind.PCM, "a"): 10} and base.fills == 2
+        counters.written[a] += 7
+        counters.read[b] = 3
         counters.fills += 1
         window = counters.diff(base)
         assert window.fills == 1
-        assert total_bytes(window.write_bytes) == 7
-        assert total_bytes(window.read_bytes) == 3
-        assert total_bytes(base.write_bytes) == 10  # snapshot is unaffected
+        assert window.write_bytes == {(0, MemoryKind.PCM, "a"): 7}
+        assert window.read_bytes == {(1, MemoryKind.DRAM, "b"): 3}
+        assert base.written == [10, 0] and base.read == [0, 0]  # snapshot is unaffected
+
+    def test_diff_counts_a_key_interned_after_the_snapshot_from_zero(self):
+        # as when a run first writes a space (KG-W's mature-dram) after its window opens
+        system = system_over(16 * 64, 16, split=8 * 64)
+        counters = system.counters
+        system.access(0, 0, 64, True, "nursery")
+        base = counters.snapshot()
+        system.access(0, 8 * 64, 128, True, "mature-dram")
+        system.drain()
+        assert len(base.keys) == 2 and len(counters.keys) == 4
+        window = counters.diff(base)
+        assert window.keys == counters.keys
+        assert window.demand_write_bytes == {(0, MemoryKind.DRAM): 128}
+        assert window.read_bytes == {(0, MemoryKind.DRAM, "mature-dram"): 128}
+        assert window.write_bytes == {(0, MemoryKind.PCM, "nursery"): 64, (0, MemoryKind.DRAM, "mature-dram"): 128}
+        assert window.fills == 2 and window.writebacks == 3
+
+    def test_views_are_read_only(self):
+        counters = TrafficCounters()
+        kid = intern(counters, (0, MemoryKind.PCM, "a"))
+        counters.written[kid] = counters.demand[kid] = 64
+        for view, key in (
+            (counters.write_bytes, (0, MemoryKind.PCM, "a")),
+            (counters.read_bytes, (0, MemoryKind.PCM, "a")),
+            (counters.demand_write_bytes, (0, MemoryKind.PCM)),
+            (counters.absorbed_write_bytes, (0, MemoryKind.PCM)),
+        ):
+            with pytest.raises(TypeError):
+                view[key] = 1
+        assert counters.written == counters.demand == [64]
 
     def test_by_space(self):
         counters = TrafficCounters()
-        counters.write_bytes[(0, MemoryKind.PCM, "nursery")] = 5
-        counters.write_bytes[(0, MemoryKind.PCM, "los-pcm")] = 9
-        counters.write_bytes[(0, MemoryKind.DRAM, "nursery")] = 100
+        for key, n in (
+            ((0, MemoryKind.PCM, "nursery"), 5),
+            ((0, MemoryKind.PCM, "los-pcm"), 9),
+            ((0, MemoryKind.DRAM, "nursery"), 100),
+            ((0, MemoryKind.PCM, "boot"), 0),  # interned, never written back
+        ):
+            counters.written[intern(counters, key)] = n
         assert counters.by_space(0, MemoryKind.PCM) == {"los-pcm": 9, "nursery": 5}
+        assert counters.by_space(0, MemoryKind.DRAM) == {"nursery": 100}
 
     def test_conservation_violation_detected(self):
         counters = TrafficCounters()
-        counters.demand_write_bytes[(0, MemoryKind.PCM)] = 128
-        counters.absorbed_write_bytes[(0, MemoryKind.PCM)] = 64
+        kid = intern(counters, (0, MemoryKind.PCM, "a"))
+        counters.demand[kid] = 128
+        counters.absorbed[kid] = 64
         with pytest.raises(InvariantError, match="not conserved") as failure:
             counters.check_write_conservation()
         assert failure.value.instance == 0
+        # conservation holds per (instance, kind), not per key: the last
+        # writer of a line may be another space than the one it absorbed
+        counters.written[intern(counters, (0, MemoryKind.PCM, "b"))] = 64
+        counters.check_write_conservation()
         # written-back bytes with no demand behind them break it too
         counters = TrafficCounters()
-        counters.write_bytes[(1, MemoryKind.DRAM, "nursery")] = 64
+        counters.written[intern(counters, (1, MemoryKind.DRAM, "nursery"))] = 64
         with pytest.raises(InvariantError, match="not conserved.* 0 demanded, 0 absorbed, 64 written back") as failure:
             counters.check_write_conservation()
         assert failure.value.instance == 1

@@ -117,3 +117,60 @@ def test_the_cyclic_collector_is_switched_only_around_a_run():
     assert [ast.unparse(stmt) for stmt in switch] == ["was_enabled = gc.isenabled()", "gc.disable()"]
     assert isinstance(guarded, ast.Try)
     assert [ast.unparse(stmt) for stmt in guarded.finalbody] == ["if was_enabled:\n    gc.enable()"]
+
+
+def _memory_defs() -> dict[str, ast.ClassDef | ast.FunctionDef]:
+    """The classes and functions that ``memory.py`` defines at module level."""
+    path = os.path.join(os.path.dirname(hybridgc.__file__), "memory.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+
+def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_a_cache_access_calls_no_method_of_its_own_but_the_passthrough():
+    """``MemorySystem.access`` is one frame per cached access: no helper
+    method counts victims, interns keys or walks a run."""
+    access = _methods(_memory_defs()["MemorySystem"])["access"]
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(access)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    ]
+    assert calls == ["self._passthrough"]
+
+
+def test_memory_counts_per_key_in_lists():
+    """``TrafficCounters`` holds its counts in lists indexed by key id, not
+    in tuple-keyed dicts; the one tuple-keyed store in ``memory.py`` builds
+    a read-only ``(instance, kind)`` view."""
+    defs = _memory_defs()
+    init = _methods(defs["TrafficCounters"])["__init__"]
+    bound = {}
+    for stmt in init.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        for target in targets:
+            bound[ast.unparse(target)] = ast.unparse(stmt.value)
+    assert set(bound.values()) <= {"[]", "0"}, bound
+    assert bound["self.fills"] == bound["self.writebacks"] == "0"
+    functions = {}
+    for name, node in defs.items():
+        if isinstance(node, ast.ClassDef):
+            functions.update((f"{name}.{method}", fn) for method, fn in _methods(node).items())
+        else:
+            functions[name] = node
+    tuple_keyed = {
+        name
+        for name, fn in functions.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and isinstance(node.slice, ast.Tuple)
+    }
+    assert tuple_keyed == {"TrafficCounters._per_kind"}
+    (returned,) = [node for node in ast.walk(functions["TrafficCounters._per_kind"]) if isinstance(node, ast.Return)]
+    assert ast.unparse(returned.value) == "MappingProxyType(out)"
