@@ -289,14 +289,17 @@ class GcEngine:
             self._mark(addr, BOOT, stats)  # the boot space is DRAM whenever mdo is on
         for rec in live_recs[below_boot:]:
             self._mark_record(rec, stats)
-        if config.variant.loo:
-            for rec in live_recs:
-                if (
-                    rec.large
-                    and rec.space == LOS_PCM
-                    and rec.write_count >= config.large_relocation_threshold
-                ):
-                    self._relocate_large(rec, stats)
+        # LOO moves a large PCM object written often enough in this
+        # relocation window to DRAM; the window restarts at each full
+        # collection, for the moved objects (``_move``) and the rest alike.
+        for rec in live_recs:
+            if rec.large and rec.space == LOS_PCM:
+                if config.variant.loo and rec.write_count >= config.large_relocation_threshold:
+                    self._move([(rec, LOS_DRAM)], stats)
+                    rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
+                    stats.large_relocated += 1
+                else:
+                    rec.write_count = 0
 
         intervals: dict[str, list[tuple[int, int]]] = {name: [] for name in heap.free_list_spaces}
         for rec in live_recs:
@@ -314,11 +317,6 @@ class GcEngine:
         stats.reclaimed_objects = len(dead)
         # a major cascaded from on_nursery_full reclaims young objects too
         heap.young = [rec for rec in heap.young if rec.id in live]
-
-        # the relocation window restarts at each full collection
-        for rec in live_recs:
-            if rec.large and rec.space == LOS_PCM:
-                rec.write_count = 0
 
         self._prune_remset()
         stats.live_bytes_after = heap.mature_occupancy()
@@ -352,11 +350,6 @@ class GcEngine:
         stats.mark_writes += 1
         if line_base < heap.layout.split:
             stats.mark_writes_pcm += 1
-
-    def _relocate_large(self, rec: ObjectRecord, stats: CollectionStats) -> None:
-        self._move([(rec, LOS_DRAM)], stats)
-        rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
-        stats.large_relocated += 1
 
 
 def build_instance(config: ExperimentConfig, system: MemorySystem, instance_id: int) -> HeapInstance:

@@ -22,7 +22,7 @@ from .address_space import MemoryKind
 from .collectors import build_instance
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, InvariantError, SimulatorError
-from .memory import CacheModel, MemorySystem, TrafficCounters, lifetime_years, total_bytes
+from .memory import CacheModel, MemorySystem, lifetime_years
 from .units import MIB
 from .workloads import default_spec, drive, generate, load_trace
 
@@ -151,7 +151,6 @@ def build_system(config: ExperimentConfig) -> MemorySystem:
     cache = CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line, config.heap_size // 2)
     return MemorySystem(
         cache,
-        TrafficCounters(),
         config.op_cost_ns,
         config.byte_cost_ns,
         config.include_collector_time,
@@ -230,10 +229,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         model = config.lifetime_model()
 
         def make_row(label: str, inst: int | None, desc: str, ops: int) -> InstanceReport:
-            pcm_w = total_bytes(window.write_bytes, MemoryKind.PCM, inst)
-            dram_w = total_bytes(window.write_bytes, MemoryKind.DRAM, inst)
-            pcm_r = total_bytes(window.read_bytes, MemoryKind.PCM, inst)
-            dram_r = total_bytes(window.read_bytes, MemoryKind.DRAM, inst)
+            pcm_w = window.total(window.written, MemoryKind.PCM, inst)
+            dram_w = window.total(window.written, MemoryKind.DRAM, inst)
+            pcm_r = window.total(window.read, MemoryKind.PCM, inst)
+            dram_r = window.total(window.read, MemoryKind.DRAM, inst)
             rate = pcm_w / elapsed if elapsed > 0 else None
             years = lifetime_years(rate, model) if rate is not None else None
             engines = [heaps[inst].gc] if inst is not None else [h.gc for h in heaps]
@@ -323,13 +322,21 @@ def sweep_points(
     """The labelled configs of the cross product of the requested axes.
 
     Building each config checks it, so a bad point fails before any runs.
+    Two points with the same variant, however its name is spelled, cache
+    size and instance count are one point asked for twice: a ``ConfigError``.
     """
-    return [
+    points = [
         (f"{name}_cache{cap}_n{n}", replace(config, collector=name, cache_capacity=cap, instances=n))
         for name in collectors
         for cap in cache_sizes
         for n in instance_counts
     ]
+    seen = set()
+    for label, point in points:
+        if (key := (point.variant, point.cache_capacity, point.instances)) in seen:
+            raise ConfigError(f"sweep point {label} repeats an earlier point")
+        seen.add(key)
+    return points
 
 
 def run_points(points: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, Report]]:

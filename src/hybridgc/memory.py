@@ -11,7 +11,8 @@ is disabled. Reads reach memory as line fills. Every count is kept per
 attributable. Each key is interned once as an id, an index into the
 count lists of ``TrafficCounters``, and a dirty line holds the id it
 will be written back under, so neither an eviction nor the drain
-decodes a line to count it.
+decodes a line to count it. Readers sum a count list with
+``TrafficCounters.total``; there is no per-key dict of the counts.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
-from types import MappingProxyType
-from typing import Mapping
 
 from .address_space import MemoryKind
 from .errors import ConfigError, InvariantError
@@ -49,38 +48,16 @@ LONG_RUN = 16
 _COUNTS = ("written", "read", "demand", "absorbed")
 
 
-def total_bytes(
-    counts: Mapping[tuple[int, MemoryKind, str], int],
-    kind: MemoryKind | None = None,
-    inst: int | None = None,
-) -> int:
-    """Sum of ``TrafficCounters.write_bytes`` or ``read_bytes``, optionally for one kind and instance."""
-    return sum(
-        n
-        for (i, k, _s), n in counts.items()
-        if (kind is None or k is kind) and (inst is None or i == inst)
-    )
-
-
 class TrafficCounters:
     """Byte counters for traffic that reached memory, plus filter internals.
 
-    Counts are kept in lists indexed by a key id, with
+    The counts are lists indexed by a key id, with
     ``keys[id] == (instance, MemoryKind, space)``: ``written`` and
     ``read`` are the bytes written back to and filled from memory,
     ``demand`` the bytes written to the cache and ``absorbed`` the bytes
     that landed on a line already dirty. ``MemorySystem.access`` interns
-    the ids and appends a 0 to every list for each new key, so the lists
-    always have one entry per key.
-
-    ``write_bytes`` and ``read_bytes`` are read-only views of the nonzero
-    ``written`` and ``read`` counts by key. ``demand_write_bytes`` and
-    ``absorbed_write_bytes`` sum the ``demand`` and ``absorbed`` counts by
-    ``(instance, MemoryKind)`` and feed the filter conservation check:
-    after a drain, demand equals absorbed plus ``written`` summed over
-    space, per ``(instance, kind)``. The check cannot be made per key,
-    since absorbed bytes count under the writer's key and a write-back
-    under the line's last writer.
+    each new key and appends a 0 to every list. :meth:`total` is the one
+    query over the counts.
     """
 
     def __init__(self) -> None:
@@ -92,32 +69,17 @@ class TrafficCounters:
         self.fills = 0
         self.writebacks = 0
 
-    @property
-    def write_bytes(self) -> Mapping[tuple[int, MemoryKind, str], int]:
-        return MappingProxyType({key: n for key, n in zip(self.keys, self.written) if n})
-
-    @property
-    def read_bytes(self) -> Mapping[tuple[int, MemoryKind, str], int]:
-        return MappingProxyType({key: n for key, n in zip(self.keys, self.read) if n})
-
-    @property
-    def demand_write_bytes(self) -> Mapping[tuple[int, MemoryKind], int]:
-        return self._per_kind(self.demand)
-
-    @property
-    def absorbed_write_bytes(self) -> Mapping[tuple[int, MemoryKind], int]:
-        return self._per_kind(self.absorbed)
-
-    def _per_kind(self, counts: list[int]) -> Mapping[tuple[int, MemoryKind], int]:
-        """Nonzero ``counts`` summed over space, by ``(instance, kind)``."""
-        out: dict[tuple[int, MemoryKind], int] = {}
-        for (inst, kind, _space), n in zip(self.keys, counts):
-            if n:
-                out[inst, kind] = out.get((inst, kind), 0) + n
-        return MappingProxyType(out)
+    def total(self, counts: list[int], kind: MemoryKind | None = None, inst: int | None = None) -> int:
+        """Sum of ``counts``, one of the count lists, over the keys of ``kind`` and ``inst``; None matches any."""
+        return sum(
+            n
+            for (i, k, _s), n in zip(self.keys, counts)
+            if (kind is None or k is kind) and (inst is None or i == inst)
+        )
 
     def by_space(self, inst: int, kind: MemoryKind) -> dict[str, int]:
-        return {s: n for (i, k, s), n in sorted(self.write_bytes.items(), key=lambda kv: kv[0][2]) if i == inst and k is kind}
+        """Nonzero ``written`` bytes of ``inst`` and ``kind`` by space, in space order."""
+        return dict(sorted((s, n) for (i, k, s), n in zip(self.keys, self.written) if n and i == inst and k is kind))
 
     def snapshot(self) -> "TrafficCounters":
         return self.diff(TrafficCounters())
@@ -139,21 +101,22 @@ class TrafficCounters:
         return out
 
     def check_write_conservation(self) -> None:
-        """Valid only when no dirty line is outstanding (post-drain)."""
-        demand_bytes = self.demand_write_bytes
-        absorbed_bytes = self.absorbed_write_bytes
-        written = self._per_kind(self.written)
-        keys = set(demand_bytes) | set(absorbed_bytes) | set(written)
+        """Check that ``demand`` equals ``absorbed`` plus ``written`` per ``(instance, kind)``.
+
+        Not per key: absorbed bytes count under the writer's key and a
+        write-back under the line's last writer. Valid only when no dirty
+        line is outstanding (post-drain).
+        """
         # sorted, so a run that breaks conservation twice always names the same key
-        for key in sorted(keys, key=lambda k: (k[0], k[1].value)):
-            demand = demand_bytes.get(key, 0)
-            absorbed = absorbed_bytes.get(key, 0)
-            written_back = written.get(key, 0)
+        for inst, kind in sorted({(i, k) for i, k, _s in self.keys}, key=lambda ik: (ik[0], ik[1].value)):
+            demand = self.total(self.demand, kind, inst)
+            absorbed = self.total(self.absorbed, kind, inst)
+            written_back = self.total(self.written, kind, inst)
             if demand != absorbed + written_back:
                 raise InvariantError(
-                    f"write bytes not conserved for {key}: {demand} demanded, "
+                    f"write bytes not conserved for {(inst, kind)}: {demand} demanded, "
                     f"{absorbed} absorbed, {written_back} written back",
-                    instance=key[0],
+                    instance=inst,
                 )
 
 
@@ -227,7 +190,7 @@ class MemorySystem:
     """
 
     cache: CacheModel
-    counters: TrafficCounters
+    counters: TrafficCounters = field(default_factory=TrafficCounters, init=False)
     op_cost_ns: float = 5.0
     byte_cost_ns: float = 0.25
     include_collector_time: bool = True

@@ -5,15 +5,16 @@ list with explicit recency stamps and linear scans, so a shared bug is
 implausible. It reproduces the same observable behavior: per-line
 demand/absorb/writeback accounting, each set's residents in recency
 order with their dirty state, and drains that write back every dirty
-line and empty the cache. Its counters are plain dicts keyed like the
-model's count views, so no list or interned id is shared with the model.
+line and empty the cache. Its counters are plain dicts, keyed by
+``(instance, kind, space)`` or, for demand and absorbed bytes, by
+``(instance, kind)``, so no list or interned id is shared with the model.
 """
 
 from hybridgc.address_space import MemoryKind
 
 
 class RefCounters:
-    """The reference's traffic counts, keyed as ``TrafficCounters``' views."""
+    """The reference's traffic counts, in dicts rather than ``TrafficCounters``' lists."""
 
     def __init__(self):
         self.write_bytes: dict = {}

@@ -45,6 +45,11 @@ def small_heap(variant: str, **config_kwargs):
     return build_instance(config, system, 0), system
 
 
+def per_key(counters, counts) -> dict:
+    """The nonzero entries of ``counts``, one of ``counters``' count lists, by key."""
+    return {key: n for key, n in zip(counters.keys, counts) if n}
+
+
 def resident_lines(cache) -> int:
     """Lines currently held in ``cache``'s sets, clean or dirty."""
     return sum(len(cset) for cset in cache.sets)

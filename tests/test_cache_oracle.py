@@ -21,8 +21,9 @@ from hybridgc.memory import (
     MAX_INSTANCES,
     CacheModel,
     MemorySystem,
-    TrafficCounters,
 )
+
+from support import per_key
 
 LINE = 64
 PCM, DRAM = MemoryKind.PCM, MemoryKind.DRAM
@@ -46,7 +47,7 @@ RUN_LINES = (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, WIDE_SETS - 1, WIDE_SETS, WID
 
 def cached_system(lines, assoc, split):
     cache = CacheModel(lines * LINE, assoc, LINE, split)
-    return MemorySystem(cache, TrafficCounters())
+    return MemorySystem(cache)
 
 
 def model_state(system):
@@ -123,14 +124,16 @@ def compare(geometry, split, accesses):
         ref.access(rc, inst, addr, length, write, space)
         assert model_state(model) == expected_state(ref)
         compared += 1
-    assert mc.write_bytes == rc.write_bytes and mc.writebacks == rc.writebacks
+    assert per_key(mc, mc.written) == rc.write_bytes and mc.writebacks == rc.writebacks
     assert model.drain() == ref.drain(rc)
     # the drain writes back and invalidates every line
     assert model_state(model) == expected_state(ref) == [[] for _ in range(ref.n_sets)]
-    assert mc.write_bytes == rc.write_bytes
-    assert mc.read_bytes == rc.read_bytes
-    assert mc.demand_write_bytes == rc.demand_write_bytes
-    assert mc.absorbed_write_bytes == rc.absorbed_write_bytes
+    assert per_key(mc, mc.written) == rc.write_bytes
+    assert per_key(mc, mc.read) == rc.read_bytes
+    # the reference keeps demand and absorbed bytes by (instance, kind)
+    for inst, kind in {(i, k) for i, k, _s in mc.keys} | rc.demand_write_bytes.keys() | rc.absorbed_write_bytes.keys():
+        assert mc.total(mc.demand, kind, inst) == rc.demand_write_bytes.get((inst, kind), 0)
+        assert mc.total(mc.absorbed, kind, inst) == rc.absorbed_write_bytes.get((inst, kind), 0)
     assert mc.fills == rc.fills and mc.writebacks == rc.writebacks
     mc.check_write_conservation()
     return compared

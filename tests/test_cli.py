@@ -230,6 +230,45 @@ def test_sweep_rejects_a_bad_point_before_it_makes_its_out_dir(tmp_path, capsys)
     assert not out_dir.exists()
 
 
+def test_sweep_rejects_a_repeated_point_before_it_makes_its_out_dir(tmp_path, capsys):
+    # 1MiB and 1048576 are one cache size, and the instance count repeats
+    out_dir = tmp_path / "d"
+    argv = ["sweep", "--seed", "1", "--ops", "2000", "--collectors", "KG-W", "--cache-sizes", "1MiB", "1048576",
+            "--instance-counts", "1", "1", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: sweep point KG-W_cache1048576_n1 repeats an earlier point\n"
+    assert not out_dir.exists()
+
+
+def test_sweep_reports_a_failed_point_and_exits_one(tmp_path, capsys):
+    # a budget of one nursery cannot hold mature-mutation's resident set
+    argv = ["sweep", "--seed", "1", "--archetype", "mature-mutation", "--ops", "5000", "--nursery", "64KiB",
+            "--budget", "64KiB", "--collectors", "PCM-Only", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("PCM-Only_cache20971520_n1: FAILED pcm_write_bytes=")
+    report = json.loads((tmp_path / "PCM-Only_cache20971520_n1.json").read_text())
+    assert report["failed"] is True and report["error"]["message"].startswith("HeapExhausted: ")
+
+
+def test_run_sizes_reach_the_report_config(capsys):
+    argv = ["run", "--collector", "KG-N", "--seed", "1", "--ops", "500", "--nursery", "128KiB", "--budget", "2MiB",
+            "--cache", "64KiB"]
+    assert main(argv) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["nursery_size"], config["heap_budget"], config["cache_capacity"]) == (128 * 1024, 2 << 20, 64 * 1024)
+
+
+def test_gen_trace_writes_stdout_as_it_writes_out(tmp_path, capsys):
+    argv = ["gen-trace", "--archetype", "large-object-graph", "--seed", "2", "--ops", "300"]
+    out = tmp_path / "g.trace"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 @pytest.mark.parametrize("command", ["run", "pair"])
 @pytest.mark.parametrize("earlier", [None, "an earlier report\n"])
 def test_a_run_that_raises_leaves_out_as_it_was(tmp_path, capsys, command, earlier):

@@ -16,9 +16,9 @@ from hybridgc.heap import (
     OBSERVER,
     loo_admit,
 )
-from hybridgc.memory import MemoryKind, total_bytes
+from hybridgc.memory import MemoryKind
 
-from support import KIB, MIB, reserve_every_free_chunk, small_config, small_heap
+from support import KIB, MIB, per_key, reserve_every_free_chunk, small_config, small_heap
 
 SAMPLING_VARIANTS = [v.value for v in Collector if v.is_write_sampling]
 
@@ -129,9 +129,9 @@ class TestMinorCollection:
         assert stats.space_used_before == 8 * KIB
         # each copy reads its nursery bytes once and writes them once into
         # phase-change memory, and nowhere else
-        assert system.counters.read_bytes == {(0, MemoryKind.DRAM, NURSERY): 6 * KIB}
-        assert system.counters.write_bytes[(0, MemoryKind.PCM, MATURE_PCM)] == 6 * KIB
-        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 6 * KIB
+        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.DRAM, NURSERY): 6 * KIB}
+        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.PCM, MATURE_PCM)] == 6 * KIB
+        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 6 * KIB
 
     def test_reference_cycle_is_copied_once(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)

@@ -25,6 +25,7 @@ from hybridgc.harness import (
     run_baseline_pair,
     run_experiment,
     sweep,
+    sweep_points,
 )
 from hybridgc.memory import MAX_INSTANCES, lifetime_years
 from hybridgc.workloads import ReadOp, WorkloadSpec, WriteOp, default_spec, generate, serialize_trace
@@ -375,6 +376,25 @@ class TestComparisons:
         config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=5000)
         with pytest.raises(ConfigError):
             sweep(config, ["KG-W"], [256 * KIB, 100], [1])
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "collectors, caches, counts",
+        [
+            (["KG-W", "kg-w "], [0], [1]),  # one variant spelled two ways
+            (["KG-W-LOO", "KG-W\u2212LOO"], [0], [1]),  # with a unicode minus
+            (["KG-W"], [256 * KIB, 256 * KIB], [1]),
+            (["PCM-Only", "KG-N"], [0], [2, 1, 2]),
+        ],
+    )
+    def test_sweep_rejects_a_repeated_point(self, monkeypatch, collectors, caches, counts):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=5000)
+        with pytest.raises(ConfigError, match="repeats an earlier point"):
+            sweep_points(config, collectors, caches, counts)
+        with pytest.raises(ConfigError, match="repeats an earlier point"):
+            sweep(config, collectors, caches, counts)
         assert runs == []
 
     def test_sweep_covers_the_cross_product(self):

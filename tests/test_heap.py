@@ -25,8 +25,8 @@ from hybridgc.heap import (
 )
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system
-from hybridgc.memory import LONG_RUN, MAX_INSTANCES, MemorySystem, total_bytes
-from support import KIB, MIB, ONE_OP, reserve_every_free_chunk, small_config, small_heap
+from hybridgc.memory import LONG_RUN, MAX_INSTANCES, MemorySystem
+from support import KIB, MIB, ONE_OP, per_key, reserve_every_free_chunk, small_config, small_heap
 
 
 def test_align8():
@@ -170,8 +170,8 @@ class TestPlacement:
         assert heap.named_boot_ids == [-1, -64]
         # the boot image predates the trace: neither the build nor naming
         # emits traffic or takes simulated time
-        assert total_bytes(system.counters.write_bytes) == 0
-        assert total_bytes(system.counters.read_bytes) == 0
+        assert system.counters.total(system.counters.written) == 0
+        assert system.counters.total(system.counters.read) == 0
         assert system.now_ns == 0.0
         # an op on a named boot object finds its record; one on an unnamed
         # one names it, once
@@ -206,14 +206,14 @@ class TestAlloc:
         assert a.size == 32  # padded to 16B header + 2 slots, 8B aligned
         assert b.addr == a.addr + 32
         assert b.size == align8(100)
-        assert system.counters.write_bytes[(0, MemoryKind.DRAM, NURSERY)] == 32 + 104
+        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.DRAM, NURSERY)] == 32 + 104
 
     def test_zeroing_toggle(self):
         heap, system = small_heap("KG-N", zeroing=False)
         heap.alloc_object(1, 64, 0)
         counters = system.counters
-        assert counters.write_bytes == counters.demand_write_bytes == {}
-        assert counters.read_bytes == {}
+        assert per_key(counters, counters.written) == per_key(counters, counters.demand) == {}
+        assert per_key(counters, counters.read) == {}
 
     def test_large_goes_to_los(self):
         heap, _ = small_heap("KG-N")  # loo off
@@ -290,8 +290,8 @@ class TestMutatorOps:
         heap.read_data(1, 0, 8)
         assert rec.write_count == 1
         # without a cache, each op reaches memory byte for byte
-        assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 32}
-        assert system.counters.read_bytes == {(0, MemoryKind.DRAM, NURSERY): 8}
+        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.DRAM, NURSERY): 32}
+        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.DRAM, NURSERY): 8}
 
     def test_bounds_checks(self):
         heap, _ = small_heap("KG-N")
@@ -304,11 +304,21 @@ class TestMutatorOps:
         with pytest.raises(TraceError):
             heap.write_data(2, 0, 4)  # never allocated
 
+    def test_a_read_names_a_boot_object(self):
+        heap, system = small_heap("KG-N")
+        assert -5 not in heap.objects
+        heap.read_data(-5, 8, 16)
+        rec = heap.objects[-5]
+        assert rec.space == BOOT and rec.write_count == 0
+        assert heap.named_boot_ids == [-5]
+        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.DRAM, BOOT): 16}
+        assert per_key(system.counters, system.counters.written) == {}
+
     def test_boot_objects_are_writable(self):
         heap, system = small_heap("KG-N")
         heap.write_data(-3, 0, 16)
         assert heap.objects[-3].write_count == 1
-        assert system.counters.write_bytes[(0, MemoryKind.DRAM, BOOT)] == 16
+        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.DRAM, BOOT)] == 16
 
     def test_ref_write_emits_one_line(self):
         heap, system = small_heap("KG-N", zeroing=False)
@@ -319,7 +329,7 @@ class TestMutatorOps:
         assert parent.refs == [0, 2]
         assert parent.write_count == 1
         # the barrier writes the one line holding the slot
-        assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 64}
+        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.DRAM, NURSERY): 64}
         # both objects young: nothing to remember
         assert heap.remset == set()
         heap.write_ref(1, 1, 0)  # clearing a slot is fine
@@ -331,7 +341,7 @@ class TestMutatorOps:
         before = system.now_ns
         heap.write_ref(1, 1, 0)
         assert system.now_ns - before == system.op_cost_ns + 128 * system.byte_cost_ns
-        assert system.counters.write_bytes == {(0, MemoryKind.DRAM, NURSERY): 128}
+        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.DRAM, NURSERY): 128}
 
     def test_ref_slot_validation(self):
         heap, _ = small_heap("KG-N")

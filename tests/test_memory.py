@@ -14,10 +14,9 @@ from hybridgc.memory import (
     MemorySystem,
     TrafficCounters,
     lifetime_years,
-    total_bytes,
 )
 
-from support import resident_lines, small_heap
+from support import per_key, resident_lines, small_heap
 
 # Frozen oracle values, computed as capacity * endurance * efficiency
 # divided by rate * seconds-per-year with independent arithmetic:
@@ -111,7 +110,7 @@ class TestRate:
 def system_over(capacity, assoc=16, split=1 << 40, gc_through=True):
     """A memory system over a fresh cache of the given geometry (line 64 B)."""
     cache = CacheModel(capacity, assoc, 64, split)
-    return MemorySystem(cache, TrafficCounters(), gc_traffic_through_cache=gc_through)
+    return MemorySystem(cache, gc_traffic_through_cache=gc_through)
 
 
 def one_set_cache(ways=2, split=1 << 40):
@@ -132,18 +131,17 @@ class TestCacheModel:
         counters = system.counters
         for _ in range(100):
             system.access(0, 0, 8, True, "s")
-        assert total_bytes(counters.write_bytes) == 0  # nothing reached memory yet
+        assert counters.total(counters.written) == 0  # nothing reached memory yet
         assert system.drain() == 1
-        assert total_bytes(counters.write_bytes, MemoryKind.PCM) == 64
-        key = (0, MemoryKind.PCM)
-        assert counters.demand_write_bytes[key] == 100 * 64
-        assert counters.absorbed_write_bytes[key] == 99 * 64
+        assert counters.total(counters.written, MemoryKind.PCM) == 64
+        assert counters.total(counters.demand, MemoryKind.PCM, 0) == 100 * 64
+        assert counters.total(counters.absorbed, MemoryKind.PCM, 0) == 99 * 64
         counters.check_write_conservation()
 
     def test_straddling_write_touches_two_lines(self):
         system = one_set_cache()
         system.access(0, 60, 8, True, "s")
-        assert system.counters.demand_write_bytes[(0, MemoryKind.PCM)] == 128
+        assert system.counters.total(system.counters.demand, MemoryKind.PCM, 0) == 128
         assert system.counters.fills == 2
 
     def test_lru_eviction_order(self):
@@ -161,8 +159,8 @@ class TestCacheModel:
         counters = system.counters
         system.access(0, 0, 64, False, "s")
         system.access(0, 64, 64, False, "s")  # evicts clean line 0
-        assert total_bytes(counters.read_bytes, MemoryKind.PCM) == 128
-        assert total_bytes(counters.write_bytes) == 0
+        assert counters.total(counters.read, MemoryKind.PCM) == 128
+        assert counters.total(counters.written) == 0
         assert counters.writebacks == 0
 
     def test_split_classifies_lines(self):
@@ -170,8 +168,8 @@ class TestCacheModel:
         system.access(0, 0, 8, True, "lo")
         system.access(0, 128, 8, True, "hi")
         system.drain()
-        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 64
-        assert total_bytes(system.counters.write_bytes, MemoryKind.DRAM) == 64
+        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 64
+        assert system.counters.total(system.counters.written, MemoryKind.DRAM) == 64
 
     def test_instances_do_not_alias(self):
         system = one_set_cache(ways=2)
@@ -179,8 +177,8 @@ class TestCacheModel:
         system.access(1, 0, 8, True, "s")  # same address, other program
         assert resident_lines(system.cache) == 2
         system.drain()
-        assert total_bytes(system.counters.write_bytes, inst=0) == 64
-        assert total_bytes(system.counters.write_bytes, inst=1) == 64
+        assert system.counters.total(system.counters.written, inst=0) == 64
+        assert system.counters.total(system.counters.written, inst=1) == 64
 
     def test_highest_instance_does_not_alias_the_next_line(self):
         # keys are (line << INST_BITS) | instance: instance 65535 on line 0
@@ -192,7 +190,7 @@ class TestCacheModel:
         assert resident_lines(system.cache) == 2
         assert system.drain() == 2
         counters = system.counters
-        assert counters.write_bytes == {(top, MemoryKind.PCM, "a"): 64, (0, MemoryKind.DRAM, "b"): 64}
+        assert per_key(counters, counters.written) == {(top, MemoryKind.PCM, "a"): 64, (0, MemoryKind.DRAM, "b"): 64}
         counters.check_write_conservation()
 
     def test_drain_is_idempotent_and_empties(self):
@@ -224,7 +222,7 @@ class TestCacheModel:
         assert residents == [list(zip(keys, (pcm, dram, straddle_pcm, straddle_dram)))]
         assert system.drain() == 4
         assert resident_lines(system.cache) == 0
-        assert counters.write_bytes == {pcm: 64, dram: 64, straddle_pcm: 64, straddle_dram: 64}
+        assert per_key(counters, counters.written) == {pcm: 64, dram: 64, straddle_pcm: 64, straddle_dram: 64}
 
     def test_dirty_lines_share_one_interned_key(self):
         system = system_over(8 * 64, 8, split=4 * 64)
@@ -245,8 +243,8 @@ class TestCacheModel:
         counters = system.counters
         system.access(0, 3, 5, True, "s")
         system.access(0, 1000, 7, False, "s")
-        assert total_bytes(counters.write_bytes, MemoryKind.PCM) == 5
-        assert total_bytes(counters.read_bytes, MemoryKind.PCM) == 7
+        assert counters.total(counters.written, MemoryKind.PCM) == 5
+        assert counters.total(counters.read, MemoryKind.PCM) == 7
         assert system.drain() == 0
         counters.check_write_conservation()
 
@@ -254,12 +252,12 @@ class TestCacheModel:
         system = system_over(8 * 64, 8, split=4 * 64)
         counters = system.counters
         system.access(0, 2 * 64 + 10, 3 * 64, True, "s")  # lines 2, 3 | 4, 5
-        assert counters.demand_write_bytes == {(0, MemoryKind.PCM): 128, (0, MemoryKind.DRAM): 128}
-        assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
+        assert per_key(counters, counters.demand) == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
+        assert per_key(counters, counters.read) == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
         assert counters.fills == 4
         assert system.drain() == 4
-        assert total_bytes(counters.write_bytes, MemoryKind.PCM) == 128
-        assert total_bytes(counters.write_bytes, MemoryKind.DRAM) == 128
+        assert counters.total(counters.written, MemoryKind.PCM) == 128
+        assert counters.total(counters.written, MemoryKind.DRAM) == 128
         counters.check_write_conservation()
 
     def test_passthrough_splits_a_straddling_range(self):
@@ -267,9 +265,9 @@ class TestCacheModel:
         counters = system.counters
         system.access(0, 1000, 100, True, "s")  # 24 bytes PCM, 76 DRAM
         system.access(0, 1020, 10, False, "s")  # 4 bytes PCM, 6 DRAM
-        assert counters.write_bytes == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
-        assert counters.read_bytes == {(0, MemoryKind.PCM, "s"): 4, (0, MemoryKind.DRAM, "s"): 6}
-        assert counters.demand_write_bytes == {(0, MemoryKind.PCM): 24, (0, MemoryKind.DRAM): 76}
+        assert per_key(counters, counters.written) == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
+        assert per_key(counters, counters.read) == {(0, MemoryKind.PCM, "s"): 4, (0, MemoryKind.DRAM, "s"): 6}
+        assert per_key(counters, counters.demand) == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
         counters.check_write_conservation()
 
     def test_passthrough_boundary_is_the_cached_paths_line_boundary(self):
@@ -280,14 +278,14 @@ class TestCacheModel:
         cached.access(0, 900, 128, True, "s")
         bypass.access(0, 900, 128, True, "s")
         cached.drain()
-        assert total_bytes(cached.counters.write_bytes, MemoryKind.PCM) == 64  # line 14
-        assert total_bytes(bypass.counters.write_bytes, MemoryKind.PCM) == 60  # bytes 900..959
-        assert total_bytes(bypass.counters.write_bytes, MemoryKind.DRAM) == 68
+        assert cached.counters.total(cached.counters.written, MemoryKind.PCM) == 64  # line 14
+        assert bypass.counters.total(bypass.counters.written, MemoryKind.PCM) == 60  # bytes 900..959
+        assert bypass.counters.total(bypass.counters.written, MemoryKind.DRAM) == 68
 
     def test_zero_length_access_is_a_noop(self):
         system = one_set_cache()
         system.access(0, 0, 0, True, "s")
-        assert system.counters.demand_write_bytes == {}
+        assert per_key(system.counters, system.counters.demand) == {}
         assert resident_lines(system.cache) == 0
 
     def test_zero_length_access_is_a_noop_on_every_path(self):
@@ -297,8 +295,8 @@ class TestCacheModel:
         ):
             system.access(0, 0, 0, True, "s", collector=collector)
             system.access(0, 64, -8, False, "s", collector=collector)
-            assert system.counters.write_bytes == {} and system.counters.read_bytes == {}
-            assert system.counters.demand_write_bytes == {}
+            assert per_key(system.counters, system.counters.written) == {} and per_key(system.counters, system.counters.read) == {}
+            assert per_key(system.counters, system.counters.demand) == {}
 
 
 def intern(counters, key):
@@ -317,14 +315,14 @@ class TestCounters:
         counters.written[a] = 10
         counters.fills = 2
         base = counters.snapshot()
-        assert base.write_bytes == counters.write_bytes == {(0, MemoryKind.PCM, "a"): 10} and base.fills == 2
+        assert per_key(base, base.written) == per_key(counters, counters.written) == {(0, MemoryKind.PCM, "a"): 10} and base.fills == 2
         counters.written[a] += 7
         counters.read[b] = 3
         counters.fills += 1
         window = counters.diff(base)
         assert window.fills == 1
-        assert window.write_bytes == {(0, MemoryKind.PCM, "a"): 7}
-        assert window.read_bytes == {(1, MemoryKind.DRAM, "b"): 3}
+        assert per_key(window, window.written) == {(0, MemoryKind.PCM, "a"): 7}
+        assert per_key(window, window.read) == {(1, MemoryKind.DRAM, "b"): 3}
         assert base.written == [10, 0] and base.read == [0, 0]  # snapshot is unaffected
 
     def test_diff_counts_a_key_interned_after_the_snapshot_from_zero(self):
@@ -338,24 +336,10 @@ class TestCounters:
         assert len(base.keys) == 2 and len(counters.keys) == 4
         window = counters.diff(base)
         assert window.keys == counters.keys
-        assert window.demand_write_bytes == {(0, MemoryKind.DRAM): 128}
-        assert window.read_bytes == {(0, MemoryKind.DRAM, "mature-dram"): 128}
-        assert window.write_bytes == {(0, MemoryKind.PCM, "nursery"): 64, (0, MemoryKind.DRAM, "mature-dram"): 128}
+        assert per_key(window, window.demand) == {(0, MemoryKind.DRAM, "mature-dram"): 128}
+        assert per_key(window, window.read) == {(0, MemoryKind.DRAM, "mature-dram"): 128}
+        assert per_key(window, window.written) == {(0, MemoryKind.PCM, "nursery"): 64, (0, MemoryKind.DRAM, "mature-dram"): 128}
         assert window.fills == 2 and window.writebacks == 3
-
-    def test_views_are_read_only(self):
-        counters = TrafficCounters()
-        kid = intern(counters, (0, MemoryKind.PCM, "a"))
-        counters.written[kid] = counters.demand[kid] = 64
-        for view, key in (
-            (counters.write_bytes, (0, MemoryKind.PCM, "a")),
-            (counters.read_bytes, (0, MemoryKind.PCM, "a")),
-            (counters.demand_write_bytes, (0, MemoryKind.PCM)),
-            (counters.absorbed_write_bytes, (0, MemoryKind.PCM)),
-        ):
-            with pytest.raises(TypeError):
-                view[key] = 1
-        assert counters.written == counters.demand == [64]
 
     def test_by_space(self):
         counters = TrafficCounters()
@@ -368,6 +352,21 @@ class TestCounters:
             counters.written[intern(counters, key)] = n
         assert counters.by_space(0, MemoryKind.PCM) == {"los-pcm": 9, "nursery": 5}
         assert counters.by_space(0, MemoryKind.DRAM) == {"nursery": 100}
+
+    def test_total_sums_a_list_over_the_keys_of_a_kind_and_an_instance(self):
+        counters = TrafficCounters()
+        for key, n in (
+            ((0, MemoryKind.PCM, "nursery"), 5),
+            ((0, MemoryKind.DRAM, "nursery"), 100),
+            ((1, MemoryKind.PCM, "nursery"), 7),
+            ((1, MemoryKind.PCM, "los-pcm"), 9),
+        ):
+            counters.read[intern(counters, key)] = n
+        assert counters.total(counters.read) == 121
+        assert counters.total(counters.read, MemoryKind.PCM) == 21
+        assert counters.total(counters.read, inst=1) == 16
+        assert counters.total(counters.read, MemoryKind.DRAM, 1) == 0
+        assert counters.total(counters.written) == 0
 
     def test_conservation_violation_detected(self):
         counters = TrafficCounters()
@@ -394,18 +393,18 @@ class TestMemorySystem:
         system = system_over(16 * 64, gc_through=False)
         system.access(0, 0, 8, True, "s", collector=True)
         # bypassed traffic reaches memory immediately, byte-exact
-        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 8
+        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 8
         system.access(0, 0, 8, True, "s", collector=False)
-        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 8  # cached
+        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 8  # cached
         system.drain()
-        assert total_bytes(system.counters.write_bytes, MemoryKind.PCM) == 8 + 64
+        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 8 + 64
         system.counters.check_write_conservation()
 
     def test_collector_bypass_splits_a_straddling_range(self):
         system = system_over(16 * 64, split=4096, gc_through=False)
         system.access(0, 4096 - 40, 100, True, "gc", collector=True)
         system.access(0, 4096 - 8, 16, False, "gc", collector=True)
-        assert system.counters.write_bytes == {(0, MemoryKind.PCM, "gc"): 40, (0, MemoryKind.DRAM, "gc"): 60}
-        assert system.counters.read_bytes == {(0, MemoryKind.PCM, "gc"): 8, (0, MemoryKind.DRAM, "gc"): 8}
+        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.PCM, "gc"): 40, (0, MemoryKind.DRAM, "gc"): 60}
+        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.PCM, "gc"): 8, (0, MemoryKind.DRAM, "gc"): 8}
         assert resident_lines(system.cache) == 0
         system.counters.check_write_conservation()

@@ -1,8 +1,11 @@
 """The package's public surface and source rules."""
 
 import ast
+import dataclasses
 import glob
+import importlib
 import os
+import re
 
 import hybridgc
 
@@ -119,12 +122,15 @@ def test_the_cyclic_collector_is_switched_only_around_a_run():
     assert [ast.unparse(stmt) for stmt in guarded.finalbody] == ["if was_enabled:\n    gc.enable()"]
 
 
-def _memory_defs() -> dict[str, ast.ClassDef | ast.FunctionDef]:
-    """The classes and functions that ``memory.py`` defines at module level."""
+def _memory_tree() -> ast.Module:
     path = os.path.join(os.path.dirname(hybridgc.__file__), "memory.py")
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    return {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        return ast.parse(fh.read(), filename=path)
+
+
+def _memory_defs() -> dict[str, ast.ClassDef | ast.FunctionDef]:
+    """The classes and functions that ``memory.py`` defines at module level."""
+    return {node.name: node for node in _memory_tree().body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
 
 
 def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
@@ -147,11 +153,10 @@ def test_a_cache_access_calls_no_method_of_its_own_but_the_passthrough():
 
 
 def test_memory_counts_per_key_in_lists():
-    """``TrafficCounters`` holds its counts in lists indexed by key id, not
-    in tuple-keyed dicts; the one tuple-keyed store in ``memory.py`` builds
-    a read-only ``(instance, kind)`` view."""
-    defs = _memory_defs()
-    init = _methods(defs["TrafficCounters"])["__init__"]
+    """``TrafficCounters`` holds its counts in lists indexed by key id, and
+    ``memory.py`` stores nothing under a tuple key: no dict of counts by
+    ``(instance, kind, space)`` or ``(instance, kind)`` is built."""
+    init = _methods(_memory_defs()["TrafficCounters"])["__init__"]
     bound = {}
     for stmt in init.body:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -159,18 +164,61 @@ def test_memory_counts_per_key_in_lists():
             bound[ast.unparse(target)] = ast.unparse(stmt.value)
     assert set(bound.values()) <= {"[]", "0"}, bound
     assert bound["self.fills"] == bound["self.writebacks"] == "0"
-    functions = {}
-    for name, node in defs.items():
-        if isinstance(node, ast.ClassDef):
-            functions.update((f"{name}.{method}", fn) for method, fn in _methods(node).items())
-        else:
-            functions[name] = node
-    tuple_keyed = {
-        name
-        for name, fn in functions.items()
-        for node in ast.walk(fn)
+    tuple_keyed = [
+        f"memory.py:{node.lineno}"
+        for node in ast.walk(_memory_tree())
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and isinstance(node.slice, ast.Tuple)
-    }
-    assert tuple_keyed == {"TrafficCounters._per_kind"}
-    (returned,) = [node for node in ast.walk(functions["TrafficCounters._per_kind"]) if isinstance(node, ast.Return)]
-    assert ast.unparse(returned.value) == "MappingProxyType(out)"
+    ]
+    assert tuple_keyed == []
+
+
+def _self_attrs(cls: ast.ClassDef) -> set[str]:
+    """Names the methods of ``cls`` assign to ``self``, by ``self.x = ...`` or ``object.__setattr__(self, "x", ...)``."""
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                names.add(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__" and len(node.args) > 1:
+            if isinstance(node.args[1], ast.Constant):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_every_name_the_readme_gives_resolves():
+    """A backticked ``Name.attr`` in README.md, where ``Name`` is a module of
+    the package or a class it defines, names an attribute of that module or
+    class, a dataclass field, or an attribute the class assigns to ``self``.
+    A file name such as ``workloads.py`` is not a ``Name.attr``."""
+    package = os.path.dirname(hybridgc.__file__)
+    modules = {}
+    classes = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        name = os.path.basename(path)[:-3]
+        if name == "__init__":
+            continue
+        modules[name] = importlib.import_module(f"hybridgc.{name}")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (getattr(modules[name], node.name), _self_attrs(node))
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        spans = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", fh.read())
+    checked, unresolved = 0, []
+    for owner, attr in spans:
+        if attr == "py":
+            continue
+        if owner in modules:
+            found = hasattr(modules[owner], attr)
+        elif owner in classes:
+            cls, assigned = classes[owner]
+            fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+            found = hasattr(cls, attr) or attr in fields or attr in assigned
+        else:
+            continue
+        checked += 1
+        if not found:
+            unresolved.append(f"{owner}.{attr}")
+    assert unresolved == []
+    assert checked >= 5  # the README's library section names several
