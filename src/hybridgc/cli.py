@@ -6,7 +6,8 @@ a trace file that does not parse (a malformed line, or bytes that are
 not UTF-8), or a file that cannot be read or written. ``run`` and ``pair``
 open ``--out``, and ``sweep`` checks its points and makes ``--out-dir``,
 before any run starts; ``--out`` is emptied only when its report is
-written, so a run that raises leaves an existing file unchanged.
+written, so a run that raises leaves an existing file unchanged. ``sweep``
+writes each point's report, and prints its line, as the point ends.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .harness import (
     emit_report,
     run_baseline_pair,
     run_experiment,
-    run_points,
-    sweep_points,
+    sweep,
 )
 from .memory import LifetimeModel, lifetime_years
 from .units import parse_size
@@ -48,7 +48,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", type=float, default=ExperimentConfig.warmup_fraction, metavar="FRACTION")
     p.add_argument("--no-zeroing", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -119,14 +118,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     caches = [parse_size(s) for s in args.cache_sizes] if args.cache_sizes else [config.cache_capacity]
     counts = args.instance_counts or [config.instances]
-    points = sweep_points(config, args.collectors, caches, counts)  # a bad point fails here
+    reports = sweep(config, args.collectors, caches, counts)  # a bad point fails here
     os.makedirs(args.out_dir, exist_ok=True)  # an unwritable directory fails before any point runs
     status = 0
-    for label, report in run_points(points):
+    for label, report in reports:  # each point is written and printed as it ends
         path = os.path.join(args.out_dir, f"{label}.{args.format}")
         emit_report(report, args.format, path)
         state = "FAILED" if report.failed else "ok"
-        print(f"{label}: {state} pcm_write_bytes={report.aggregate.pcm_write_bytes}")
+        print(f"{label}: {state} pcm_write_bytes={report.aggregate.pcm_write_bytes}", flush=True)
         if report.failed:
             status = 1
     return status
@@ -168,8 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(p_pair)
     p_pair.add_argument("--baseline", default="PCM-Only")
     p_pair.set_defaults(func=_cmd_pair)
+    for p in (p_run, p_pair):
+        p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p_sweep = sub.add_parser("sweep", help="cross product of collectors, cache sizes, instance counts")
+    # no abbreviations, so a --out, which a sweep does not take, cannot pass for --out-dir
+    p_sweep = sub.add_parser("sweep", help="cross product, one report per point", allow_abbrev=False)
     _add_run_args(p_sweep)
     p_sweep.add_argument("--collectors", nargs="+", default=COLLECTOR_NAMES)
     p_sweep.add_argument("--cache-sizes", nargs="+", default=None, metavar="SIZE")

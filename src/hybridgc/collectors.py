@@ -243,8 +243,8 @@ class GcEngine:
                     raise InvariantError("observer evacuation left too little room")
             else:
                 new_addr = spaces[dest].alloc(size)
-            system.access(inst, rec.addr, size, False, rec.space, collector=True)
-            system.access(inst, new_addr, size, True, dest, collector=True)
+            system.access(inst, rec.addr, size, False, heap.key_ids[rec.space], collector=True)
+            system.access(inst, new_addr, size, True, heap.key_ids[dest], collector=True)
             if system.include_collector_time:
                 system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
             rec.addr = new_addr
@@ -344,11 +344,11 @@ class GcEngine:
         system = heap.system
         line = system.cache.line_size
         line_base = (target // line) * line
-        system.access(heap.instance_id, line_base, line, True, space, collector=True)
+        system.access(heap.instance_id, line_base, line, True, heap.key_ids[space], collector=True)
         if system.include_collector_time:
             system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
         stats.mark_writes += 1
-        if line_base < heap.layout.split:
+        if heap.space_map[space] is MemoryKind.PCM:
             stats.mark_writes_pcm += 1
 
 

@@ -17,12 +17,14 @@ import gc
 import io
 import json
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .address_space import MemoryKind
 from .collectors import build_instance
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, InvariantError, SimulatorError
-from .memory import CacheModel, MemorySystem, lifetime_years
+from .heap import HeapInstance
+from .memory import CacheModel, LifetimeModel, MemorySystem, TrafficCounters, lifetime_years
 from .units import MIB
 from .workloads import default_spec, drive, generate, load_trace
 
@@ -148,9 +150,8 @@ class Report:
 
 
 def build_system(config: ExperimentConfig) -> MemorySystem:
-    cache = CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line, config.heap_size // 2)
     return MemorySystem(
-        cache,
+        CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line),
         config.op_cost_ns,
         config.byte_cost_ns,
         config.include_collector_time,
@@ -175,6 +176,46 @@ def _instance_streams(config: ExperimentConfig):
 def _failure(exc: SimulatorError, instance: int, heap) -> dict:
     """A failed report's ``error``: the instance, its op index and the exception."""
     return {"instance": instance, "op_index": heap.op_index, "message": f"{type(exc).__name__}: {exc}"}
+
+
+def _rate(pcm_write_bytes: int, elapsed: float, model: LifetimeModel) -> dict:
+    """A row's PCM write rate over the window and the device lifetime at it; None without time."""
+    rate = pcm_write_bytes / elapsed if elapsed > 0 else None
+    return {"pcm_write_rate_bps": rate, "lifetime_years": lifetime_years(rate, model) if rate is not None else None}
+
+
+def _instance_row(
+    label: str, desc: str, heap: HeapInstance, window: TrafficCounters, elapsed: float, model: LifetimeModel
+) -> InstanceReport:
+    """One instance's row, read in one pass over its own heap's keys, and its collections."""
+    written: dict[MemoryKind, dict[str, int]] = {MemoryKind.PCM: {}, MemoryKind.DRAM: {}}  # by space, in order
+    read = dict.fromkeys(written, 0)
+    for space, kid in sorted(heap.key_ids.items()):
+        kind = heap.space_map[space]
+        if window.written[kid]:
+            written[kind][space] = window.written[kid]
+        read[kind] += window.read[kid]
+    stats = heap.gc.collections
+    pcm_w = sum(written[MemoryKind.PCM].values())
+    return InstanceReport(
+        instance=label,
+        workload=desc,
+        ops_executed=heap.op_index,
+        pcm_write_bytes=pcm_w,
+        dram_write_bytes=sum(written[MemoryKind.DRAM].values()),
+        pcm_read_bytes=read[MemoryKind.PCM],
+        dram_read_bytes=read[MemoryKind.DRAM],
+        **_rate(pcm_w, elapsed, model),
+        minor_collections=sum(st.kind == "minor" for st in stats),
+        observer_collections=sum(st.kind == "observer" for st in stats),
+        major_collections=sum(st.kind == "major" for st in stats),
+        copied_bytes=sum(st.bytes_copied_total for st in stats),
+        mark_writes=sum(st.mark_writes for st in stats),
+        mark_writes_pcm=sum(st.mark_writes_pcm for st in stats),
+        large_relocations=sum(st.large_relocated for st in stats),
+        pcm_write_bytes_by_space=written[MemoryKind.PCM],
+        dram_write_bytes_by_space=written[MemoryKind.DRAM],
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -228,49 +269,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
         elapsed = (system.now_ns - base_ns) * 1e-9
         model = config.lifetime_model()
 
-        def make_row(label: str, inst: int | None, desc: str, ops: int) -> InstanceReport:
-            pcm_w = window.total(window.written, MemoryKind.PCM, inst)
-            dram_w = window.total(window.written, MemoryKind.DRAM, inst)
-            pcm_r = window.total(window.read, MemoryKind.PCM, inst)
-            dram_r = window.total(window.read, MemoryKind.DRAM, inst)
-            rate = pcm_w / elapsed if elapsed > 0 else None
-            years = lifetime_years(rate, model) if rate is not None else None
-            engines = [heaps[inst].gc] if inst is not None else [h.gc for h in heaps]
-            counts = {"minor": 0, "observer": 0, "major": 0}
-            copied = marks = marks_pcm = reloc = 0
-            for eng in engines:
-                for st in eng.collections:
-                    counts[st.kind] += 1
-                    copied += st.bytes_copied_total
-                    marks += st.mark_writes
-                    marks_pcm += st.mark_writes_pcm
-                    reloc += st.large_relocated
-            return InstanceReport(
-                instance=label,
-                workload=desc,
-                ops_executed=ops,
-                pcm_write_bytes=pcm_w,
-                dram_write_bytes=dram_w,
-                pcm_read_bytes=pcm_r,
-                dram_read_bytes=dram_r,
-                pcm_write_rate_bps=rate,
-                lifetime_years=years,
-                minor_collections=counts["minor"],
-                observer_collections=counts["observer"],
-                major_collections=counts["major"],
-                copied_bytes=copied,
-                mark_writes=marks,
-                mark_writes_pcm=marks_pcm,
-                large_relocations=reloc,
-                pcm_write_bytes_by_space=(window.by_space(inst, MemoryKind.PCM) if inst is not None else {}),
-                dram_write_bytes_by_space=(window.by_space(inst, MemoryKind.DRAM) if inst is not None else {}),
-            )
-
         rows = [
-            make_row(str(i), i, streams[i][0], heaps[i].op_index)
-            for i in range(config.instances)
+            _instance_row(str(i), streams[i][0], heap, window, elapsed, model) for i, heap in enumerate(heaps)
         ]
-        aggregate = make_row("all", None, streams[0][0], sum(h.op_index for h in heaps))
+        # every int field of a row is a count, which the aggregate sums over the instances
+        counts = [f.name for f in dataclasses.fields(InstanceReport) if f.type == "int"]
+        summed = {name: sum(getattr(row, name) for row in rows) for name in counts}
+        aggregate = InstanceReport(
+            instance="all", workload=streams[0][0], **summed, **_rate(summed["pcm_write_bytes"], elapsed, model)
+        )
         # Break each heap/engine reference cycle so a finished run's heap is
         # freed now, not by a later cyclic collection; ``heap.gc`` stays readable.
         for heap in heaps:
@@ -339,19 +346,20 @@ def sweep_points(
     return points
 
 
-def run_points(points: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, Report]]:
-    """One report per labelled config, run in order."""
-    return [(label, run_experiment(point)) for label, point in points]
-
-
 def sweep(
     config: ExperimentConfig,
     collectors: list[str],
     cache_sizes: list[int],
     instance_counts: list[int],
-) -> list[tuple[str, Report]]:
-    """One report per point of :func:`sweep_points`; every point is checked before the first runs."""
-    return run_points(sweep_points(config, collectors, cache_sizes, instance_counts))
+) -> Iterator[tuple[str, Report]]:
+    """The labelled report of each point of :func:`sweep_points`, each run as the iterator reaches it.
+
+    Every point is checked before this returns, so a bad point fails
+    before the first runs, and a caller can keep each report as its
+    point ends.
+    """
+    points = sweep_points(config, collectors, cache_sizes, instance_counts)
+    return ((label, run_experiment(point)) for label, point in points)
 
 
 def emit_report(report: Report, fmt: str, dest) -> None:

@@ -12,7 +12,11 @@ and an allocation that finds its half out of chunks raises
 ``HeapExhausted``. The write barrier and the mutator's
 traffic live here; the collection algorithms that consume this state,
 and issue the collector's traffic, live in :mod:`hybridgc.collectors`.
-Every access goes straight to ``MemorySystem.access``.
+A space's memory kind alone makes its traffic PCM or DRAM traffic: the
+heap interns one counter key per space, with the space's kind, when it
+is built (``key_ids``), and every access, the mutator's and the
+collector's, goes straight to ``MemorySystem.access`` under its space's
+key id.
 
 The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
@@ -230,6 +234,10 @@ class HeapInstance:
         self.zeroing = config.zeroing
         self.layout = init_layout(config.heap_size, config.chunk_size)
         self.space_map = make_space_map(config.variant)
+        # each space's traffic counts under one key, of the space's kind
+        self.key_ids = {
+            name: system.counters.intern(instance_id, kind, name) for name, kind in self.space_map.items()
+        }
         # [lo, hi) of the memory half each space must sit in
         self.space_bounds = {
             name: self.layout.half_bounds(kind) for name, kind in self.space_map.items()
@@ -335,7 +343,7 @@ class HeapInstance:
         if space == NURSERY:
             self.young.append(rec)
         if self.zeroing:
-            system.access(self.instance_id, addr, extent, True, space)
+            system.access(self.instance_id, addr, extent, True, self.key_ids[space])
         return rec
 
     def _alloc_large(self, extent: int) -> tuple[int, str]:
@@ -352,7 +360,7 @@ class HeapInstance:
         system = self.system
         system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
         rec.write_count += 1
-        system.access(self.instance_id, rec.addr + offset, length, True, rec.space)
+        system.access(self.instance_id, rec.addr + offset, length, True, self.key_ids[rec.space])
 
     def read_data(self, oid: int, offset: int, length: int) -> None:
         rec = self.objects.get(oid)
@@ -362,7 +370,7 @@ class HeapInstance:
             raise self._bounds_error(rec, offset, length)
         system = self.system
         system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
-        system.access(self.instance_id, rec.addr + offset, length, False, rec.space)
+        system.access(self.instance_id, rec.addr + offset, length, False, self.key_ids[rec.space])
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
         objects = self.objects
@@ -383,7 +391,7 @@ class HeapInstance:
         system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
-        system.access(self.instance_id, line_base, line, True, parent.space)
+        system.access(self.instance_id, line_base, line, True, self.key_ids[parent.space])
         if child_id:
             young_lo = self.young_lo
             young_hi = self.young_hi

@@ -8,11 +8,13 @@ Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or the drain, or immediately when the cache
 is disabled. Reads reach memory as line fills. Every count is kept per
 ``(instance, memory kind, space)`` key, so multiprogram runs stay
-attributable. Each key is interned once as an id, an index into the
-count lists of ``TrafficCounters``, and a dirty line holds the id it
-will be written back under, so neither an eviction nor the drain
-decodes a line to count it. Readers sum a count list with
-``TrafficCounters.total``; there is no per-key dict of the counts.
+attributable. A heap interns one key per space when it is built, with
+the space's memory kind, and sends each access under its space's key
+id, an index into the count lists of ``TrafficCounters``; nothing here
+tells PCM from DRAM by address. A dirty line holds the id it will be
+written back under, so neither an eviction nor the drain decodes a line
+to count it. Readers sum a count list with ``TrafficCounters.total``;
+there is no per-key dict of the counts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, zip_longest
+from itertools import chain, groupby, zip_longest
 
 from .address_space import MemoryKind
 from .errors import ConfigError, InvariantError
@@ -30,8 +32,6 @@ SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
 # Finite stand-in for "no wear-out in any meaningful horizon".
 UNBOUNDED_YEARS = 1.0e9
 
-_PCM = MemoryKind.PCM
-_DRAM = MemoryKind.DRAM
 _ABSENT = object()  # sentinel for a set lookup that misses
 
 # A cached line's key is ``(line index << INST_BITS) | instance``. Configs
@@ -55,9 +55,8 @@ class TrafficCounters:
     ``keys[id] == (instance, MemoryKind, space)``: ``written`` and
     ``read`` are the bytes written back to and filled from memory,
     ``demand`` the bytes written to the cache and ``absorbed`` the bytes
-    that landed on a line already dirty. ``MemorySystem.access`` interns
-    each new key and appends a 0 to every list. :meth:`total` is the one
-    query over the counts.
+    that landed on a line already dirty. :meth:`intern` adds a key and a
+    0 to every list. :meth:`total` is the one query over the counts.
     """
 
     def __init__(self) -> None:
@@ -69,6 +68,13 @@ class TrafficCounters:
         self.fills = 0
         self.writebacks = 0
 
+    def intern(self, inst: int, kind: MemoryKind, space: str) -> int:
+        """Add the key ``(inst, kind, space)`` with zero counts; returns its id."""
+        self.keys.append((inst, kind, space))
+        for name in _COUNTS:
+            getattr(self, name).append(0)
+        return len(self.keys) - 1
+
     def total(self, counts: list[int], kind: MemoryKind | None = None, inst: int | None = None) -> int:
         """Sum of ``counts``, one of the count lists, over the keys of ``kind`` and ``inst``; None matches any."""
         return sum(
@@ -76,10 +82,6 @@ class TrafficCounters:
             for (i, k, _s), n in zip(self.keys, counts)
             if (kind is None or k is kind) and (inst is None or i == inst)
         )
-
-    def by_space(self, inst: int, kind: MemoryKind) -> dict[str, int]:
-        """Nonzero ``written`` bytes of ``inst`` and ``kind`` by space, in space order."""
-        return dict(sorted((s, n) for (i, k, s), n in zip(self.keys, self.written) if n and i == inst and k is kind))
 
     def snapshot(self) -> "TrafficCounters":
         return self.diff(TrafficCounters())
@@ -107,11 +109,18 @@ class TrafficCounters:
         write-back under the line's last writer. Valid only when no dirty
         line is outstanding (post-drain).
         """
+        keys = self.keys
+
+        def owner(kid: int) -> tuple[int, str]:
+            return keys[kid][0], keys[kid][1].value
+
         # sorted, so a run that breaks conservation twice always names the same key
-        for inst, kind in sorted({(i, k) for i, k, _s in self.keys}, key=lambda ik: (ik[0], ik[1].value)):
-            demand = self.total(self.demand, kind, inst)
-            absorbed = self.total(self.absorbed, kind, inst)
-            written_back = self.total(self.written, kind, inst)
+        for (inst, _kind), group in groupby(sorted(range(len(keys)), key=owner), key=owner):
+            kids = [*group]
+            kind = keys[kids[0]][1]
+            demand = sum(map(self.demand.__getitem__, kids))
+            absorbed = sum(map(self.absorbed.__getitem__, kids))
+            written_back = sum(map(self.written.__getitem__, kids))
             if demand != absorbed + written_back:
                 raise InvariantError(
                     f"write bytes not conserved for {(inst, kind)}: {demand} demanded, "
@@ -141,15 +150,14 @@ class CacheModel:
     no cache: every access passes through byte-for-byte.
     """
 
-    def __init__(self, capacity: int, assoc: int, line_size: int, split: int) -> None:
+    def __init__(self, capacity: int, assoc: int, line_size: int) -> None:
         self.assoc = assoc
         self.line_size = line_size
-        self.split_line = split // line_size
         self.n_sets = cache_set_count(capacity, assoc, line_size)
         # Each set maps a line key ``(line index << INST_BITS) | instance``
         # to None while the line is clean, or while it is dirty to the id
         # of the key it will be written back under: ``(instance, kind of
-        # the line, space that last wrote it)``. LRU order is insertion
+        # the space that last wrote it, that space)``. LRU order is insertion
         # order: a hit re-inserts its key, and the victim is the first key.
         self.sets: list[dict[int, int | None]] = [{} for _ in range(self.n_sets)]
 
@@ -163,16 +171,17 @@ class MemorySystem:
     bytes it moves, written out inline to save a frame; collector copies
     and marks add it only when ``include_collector_time`` is set.
 
-    ``access`` walks the cache in one frame. It looks up the ids of the
-    ``(instance, PCM, space)`` and ``(instance, DRAM, space)`` keys in
-    ``_ids``, and on their first use interns them inline. One loop walks
-    the run of lines below ``split_line`` (PCM) and then the run above it
-    (DRAM). It counts absorbed and filled lines in locals while it walks
-    a run and adds them, with the run's demand, to the count lists by
-    index once. A write stores its key id in every line it dirties, and a
-    dirty victim adds a line to ``written`` under the id it holds as it
-    is evicted. All counters are integer sums, so the totals equal those
-    of per-line accounting.
+    ``access`` walks the cache in one frame. Its caller names the key the
+    access counts under by its id, ``kid``: a heap sends the id of the
+    space the bytes sit in, so the key's memory kind is the space's, and
+    an access is one run of lines under one key. Without a cache, or for
+    collector traffic that bypasses it, the bytes reach memory as they
+    are. Otherwise the walk counts absorbed and filled lines in locals and
+    adds them, with the run's demand, to the count lists by index once. A
+    write stores ``kid`` in every line it dirties, and a dirty victim adds
+    a line to ``written`` under the id it holds as it is evicted. All
+    counters are integer sums, so the totals equal those of per-line
+    accounting.
 
     A run has two walks, chosen by its length, with the same hits,
     fills, victims and counters. A run of at least ``LONG_RUN`` lines
@@ -196,120 +205,87 @@ class MemorySystem:
     include_collector_time: bool = True
     gc_traffic_through_cache: bool = True
     now_ns: float = field(default=0.0, init=False)
-    # space -> instance -> (PCM key id, DRAM key id) in ``counters``
-    _ids: dict = field(default_factory=dict, init=False, repr=False)
 
-    def access(self, inst: int, addr: int, length: int, write: bool, space: str, *, collector: bool = False) -> None:
+    def access(self, inst: int, addr: int, length: int, write: bool, kid: int, *, collector: bool = False) -> None:
         if length <= 0:
             return
         counters = self.counters
-        try:
-            pcm_id, dram_id = self._ids[space][inst]
-        except KeyError:
-            keys = counters.keys
-            pcm_id = len(keys)
-            dram_id = pcm_id + 1
-            keys += ((inst, _PCM, space), (inst, _DRAM, space))
-            for name in _COUNTS:
-                getattr(counters, name).extend((0, 0))
-            self._ids.setdefault(space, {})[inst] = (pcm_id, dram_id)
         cache = self.cache
         n_sets = cache.n_sets
         if not n_sets or (collector and not self.gc_traffic_through_cache):
-            self._passthrough(pcm_id, dram_id, addr, length, write)
+            # no cache, or collector traffic that bypasses it: byte for byte
+            if write:
+                counters.demand[kid] += length
+                counters.written[kid] += length
+            else:
+                counters.read[kid] += length
             return
         written = counters.written
         line_size = cache.line_size
         lo = addr // line_size
-        end = (addr + length - 1) // line_size + 1
-        split_line = cache.split_line
+        hi = (addr + length - 1) // line_size + 1
         sets = cache.sets
         assoc = cache.assoc
         shift = INST_BITS
+        tag = kid if write else None
+        absorbed = 0
+        fills = 0
         wbs = 0
-        # the PCM run of the line range, then the DRAM run
-        while lo < end:
-            if lo < split_line:
-                hi = end if end <= split_line else split_line
-                kid = pcm_id
+        if hi - lo < LONG_RUN:
+            for ln in range(lo, hi):
+                cset = sets[ln % n_sets]
+                key = ln << shift | inst
+                old = cset.pop(key, _ABSENT)
+                if old is not _ABSENT:
+                    if write:
+                        if old is not None:
+                            absorbed += 1
+                        cset[key] = tag
+                    else:
+                        cset[key] = old
+                    continue
+                # miss: allocate on both reads and writes
+                fills += 1
+                if len(cset) >= assoc:
+                    vtag = cset.pop(next(iter(cset)))
+                    if vtag is not None:
+                        written[vtag] += line_size
+                        wbs += 1
+                cset[key] = tag
+        else:
+            # consecutive lines map to consecutive sets and keys
+            start = lo % n_sets
+            if start + hi - lo <= n_sets:
+                csets = sets[start : start + hi - lo]
             else:
-                hi = end
-                kid = dram_id
-            tag = kid if write else None
-            absorbed = 0
-            fills = 0
-            if hi - lo < LONG_RUN:
-                for ln in range(lo, hi):
-                    cset = sets[ln % n_sets]
-                    key = ln << shift | inst
-                    old = cset.pop(key, _ABSENT)
-                    if old is not _ABSENT:
-                        if write:
-                            if old is not None:
-                                absorbed += 1
-                            cset[key] = tag
-                        else:
-                            cset[key] = old
-                        continue
-                    # miss: allocate on both reads and writes
-                    fills += 1
-                    if len(cset) >= assoc:
-                        vtag = cset.pop(next(iter(cset)))
-                        if vtag is not None:
-                            written[vtag] += line_size
-                            wbs += 1
-                    cset[key] = tag
-            else:
-                # consecutive lines map to consecutive sets and keys
-                start = lo % n_sets
-                if start + hi - lo <= n_sets:
-                    csets = sets[start : start + hi - lo]
-                else:
-                    # wraps: a set that recurs is updated in line order
-                    csets = [*map(sets.__getitem__, map(n_sets.__rmod__, range(lo, hi)))]
-                for cset, key in zip(csets, range(lo << shift | inst, hi << shift | inst, 1 << shift)):
-                    old = cset.pop(key, _ABSENT)
-                    if old is not _ABSENT:
-                        if write:
-                            if old is not None:
-                                absorbed += 1
-                            cset[key] = tag
-                        else:
-                            cset[key] = old
-                        continue
-                    fills += 1
-                    if len(cset) >= assoc:
-                        vtag = cset.pop(next(iter(cset)))
-                        if vtag is not None:
-                            written[vtag] += line_size
-                            wbs += 1
-                    cset[key] = tag
-            if write:
-                counters.demand[kid] += (hi - lo) * line_size
-                if absorbed:
-                    counters.absorbed[kid] += absorbed * line_size
-            if fills:
-                counters.fills += fills
-                counters.read[kid] += fills * line_size
-            lo = hi
+                # wraps: a set that recurs is updated in line order
+                csets = [*map(sets.__getitem__, map(n_sets.__rmod__, range(lo, hi)))]
+            for cset, key in zip(csets, range(lo << shift | inst, hi << shift | inst, 1 << shift)):
+                old = cset.pop(key, _ABSENT)
+                if old is not _ABSENT:
+                    if write:
+                        if old is not None:
+                            absorbed += 1
+                        cset[key] = tag
+                    else:
+                        cset[key] = old
+                    continue
+                fills += 1
+                if len(cset) >= assoc:
+                    vtag = cset.pop(next(iter(cset)))
+                    if vtag is not None:
+                        written[vtag] += line_size
+                        wbs += 1
+                cset[key] = tag
+        if write:
+            counters.demand[kid] += (hi - lo) * line_size
+            if absorbed:
+                counters.absorbed[kid] += absorbed * line_size
+        if fills:
+            counters.fills += fills
+            counters.read[kid] += fills * line_size
         if wbs:
             counters.writebacks += wbs
-
-    def _passthrough(self, pcm_id: int, dram_id: int, addr: int, length: int, write: bool) -> None:
-        """Forward an access byte-for-byte: no cache, or collector traffic that bypasses it."""
-        # The PCM/DRAM boundary is the one the cached path uses: the first
-        # byte of line ``split_line``.
-        counters = self.counters
-        boundary = self.cache.split_line * self.cache.line_size
-        pcm = min(max(boundary - addr, 0), length)
-        for kid, n in ((pcm_id, pcm), (dram_id, length - pcm)):
-            if not n:
-                continue
-            if write:
-                counters.demand[kid] += n
-                counters.written[kid] += n
-            else:
-                counters.read[kid] += n
 
     def drain(self) -> int:
         """Write back every dirty line and empty the cache; returns the lines written back.

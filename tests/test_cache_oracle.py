@@ -7,6 +7,13 @@ wrong victim or a lost recency update fails at the access that made it.
 A dirty line must hold the id of the key it will be written back under,
 ``(instance, kind of its line, space that last wrote it)``, which
 ``counters.keys`` decodes.
+
+The model knows no PCM/DRAM split; the reference does. So the driver
+sends each access to the model as a heap would send it: under the id of
+an ``(instance, kind, space)`` key, interned on the test side the first
+time the driver needs it, with the kind of the side of the split the
+bytes are on. An access that straddles the split goes to the model as
+two calls, its PCM part and then its DRAM part.
 """
 
 import random
@@ -45,9 +52,23 @@ WIDE_GEOMETRIES = [(WIDE_SETS, 1), (2 * WIDE_SETS, 2)]
 RUN_LINES = (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, WIDE_SETS - 1, WIDE_SETS, WIDE_SETS + 1, 2 * WIDE_SETS + 3)
 
 
-def cached_system(lines, assoc, split):
-    cache = CacheModel(lines * LINE, assoc, LINE, split)
-    return MemorySystem(cache)
+def cached_system(lines, assoc):
+    return MemorySystem(CacheModel(lines * LINE, assoc, LINE))
+
+
+def model_access(model, ids, split, inst, addr, length, write, space):
+    """Send one access to ``model`` as its heap would, each part of it under the key of its side of ``split``.
+
+    ``split`` is line-aligned, as the reference's is. ``ids`` maps each
+    ``(instance, kind, space)`` key the driver has interned to its id.
+    """
+    end = addr + length
+    for lo, hi, kind in ((addr, min(end, split), PCM), (max(addr, split), end, DRAM)):
+        if lo < hi:
+            key = (inst, kind, space)
+            if key not in ids:
+                ids[key] = model.counters.intern(*key)
+            model.access(inst, lo, hi - lo, write, ids[key])
 
 
 def model_state(system):
@@ -115,12 +136,13 @@ def compare(geometry, split, accesses):
     Returns the number of accesses compared.
     """
     lines, assoc = geometry
-    model = cached_system(lines, assoc, split)
+    model = cached_system(lines, assoc)
     ref = RefCache(lines * LINE, assoc, LINE, split)
     mc, rc = model.counters, RefCounters()
+    ids = {}
     compared = 0
     for inst, addr, length, write, space in accesses:
-        model.access(inst, addr, length, write, space)
+        model_access(model, ids, split, inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
         assert model_state(model) == expected_state(ref)
         compared += 1
@@ -147,12 +169,13 @@ def test_model_matches_reference(geometry):
 
 def test_cyclic_writes_through_two_line_direct_mapped():
     """Three lines cycled through 2 direct-mapped lines thrash predictably."""
-    model = cached_system(2, 1, split=1 << 30)
+    model = cached_system(2, 1)
     ref = RefCache(2 * LINE, 1, LINE, split=1 << 30)
     rc = RefCounters()
+    kid = model.counters.intern(0, PCM, "s")
     for _ in range(4):
         for line in (0, 1, 2):
-            model.access(0, line * LINE, 8, True, "s")
+            model.access(0, line * LINE, 8, True, kid)
             ref.access(rc, 0, line * LINE, 8, True, "s")
             assert model_state(model) == expected_state(ref)
     # lines 0 and 2 share set 0 and evict each other every round, while

@@ -252,6 +252,38 @@ def test_sweep_reports_a_failed_point_and_exits_one(tmp_path, capsys):
     assert report["failed"] is True and report["error"]["message"].startswith("HeapExhausted: ")
 
 
+@pytest.mark.parametrize("out_args", [["--out", "{tmp}/x.json"], ["--out={tmp}/x.json"]])
+def test_sweep_rejects_out(tmp_path, capsys, out_args):
+    # a sweep writes one file per point under --out-dir; --out is no abbreviation of it
+    argv = ["sweep", "--seed", "1", "--ops", "2000", "--collectors", "KG-W", *out_args,
+            "--out-dir", str(tmp_path / "d")]
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --out" in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_sweep_writes_and_prints_each_point_as_it_ends(tmp_path, capsys, monkeypatch):
+    seen = []
+    run = harness.run_experiment
+
+    def spy(config):
+        # what the sweep has left behind when this point starts
+        seen.append((sorted(p.name for p in tmp_path.iterdir()), capsys.readouterr().out))
+        return run(config)
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    argv = ["sweep", "--seed", "2", "--ops", "1000", "--collectors", "PCM-Only", "KG-N", "--cache-sizes", "0",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert seen[0] == ([], "")
+    assert seen[1][0] == ["PCM-Only_cache0_n1.json"]
+    assert seen[1][1].startswith("PCM-Only_cache0_n1: ok pcm_write_bytes=")
+    assert capsys.readouterr().out.startswith("KG-N_cache0_n1: ok pcm_write_bytes=")
+
+
 def test_run_sizes_reach_the_report_config(capsys):
     argv = ["run", "--collector", "KG-N", "--seed", "1", "--ops", "500", "--nursery", "128KiB", "--budget", "2MiB",
             "--cache", "64KiB"]

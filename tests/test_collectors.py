@@ -463,10 +463,12 @@ class TestBootImage:
         marks = []
         access = heap.system.access
 
-        def spy(inst, addr, length, write, space, *, collector=False):
+        keys = heap.system.counters.keys
+
+        def spy(inst, addr, length, write, kid, *, collector=False):
             if collector:
-                marks.append((addr, space))
-            access(inst, addr, length, write, space, collector=collector)
+                marks.append((addr, keys[kid][2]))
+            access(inst, addr, length, write, kid, collector=collector)
 
         heap.system.access = spy
         stats = heap.gc.collect_major()

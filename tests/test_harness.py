@@ -399,7 +399,7 @@ class TestComparisons:
 
     def test_sweep_covers_the_cross_product(self):
         config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=5000)
-        points = sweep(config, ["PCM-Only", "KG-N"], [0, 256 * KIB], [1])
+        points = list(sweep(config, ["PCM-Only", "KG-N"], [0, 256 * KIB], [1]))
         assert [label for label, _ in points] == [
             "PCM-Only_cache0_n1",
             "PCM-Only_cache262144_n1",

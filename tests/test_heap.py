@@ -428,20 +428,31 @@ class TestFrameBudget:
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_the_first_access_under_a_new_space_and_instance_runs_in_its_budget(self, variant):
-        # interning the new keys is written out inline in ``access``
-        heap, system = small_heap(variant, cache_capacity=64 * KIB)
-        keys = system.counters.keys
-        assert (0, MemoryKind.DRAM, NURSERY) not in keys  # the heap's build touched only the boot image
-        assert self.frames(heap.alloc_object, 1, 64, 0) == [
-            "alloc_object",
-            "BumpSpace.alloc",
-            "ObjectRecord.__init__",
-            "MemorySystem.access",
-        ]
-        assert keys[-2:] == [(0, MemoryKind.PCM, NURSERY), (0, MemoryKind.DRAM, NURSERY)]
-        assert self.frames(system.access, 1, 0, 64, True, NURSERY) == ["MemorySystem.access"]
-        assert keys[-2:] == [(1, MemoryKind.PCM, NURSERY), (1, MemoryKind.DRAM, NURSERY)]
-        assert heap.gc.collections == []
+        # a built heap holds one key per space, of the space's kind, and no op adds one
+        config = small_config(variant, cache_capacity=64 * KIB)
+        system = build_system(config)
+        counters = system.counters
+        first = build_instance(config, system, 0)
+        second = build_instance(config, system, 1)
+        assert counters.keys == [(i, kind, space) for i in (0, 1) for space, kind in first.space_map.items()]
+        for heap in (first, second):
+            assert heap.key_ids == {space: counters.keys.index((heap.instance_id, kind, space))
+                                    for space, kind in heap.space_map.items()}
+        keys = counters.keys[:]
+        for heap in (second, first):
+            assert self.frames(heap.alloc_object, 1, 64, 0) == [
+                "alloc_object",
+                "BumpSpace.alloc",
+                "ObjectRecord.__init__",
+                "MemorySystem.access",
+            ]
+            heap.alloc_object(2, 16 * KIB, 0)  # large: los-pcm
+            heap.write_data(2, 0, 64)
+            heap.read_data(-1, 0, 8)
+            heap.write_ref(-1, 0, 1)
+            heap.set_root(1, True)
+            assert heap.gc.collections == []
+        assert counters.keys == keys
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_a_write_that_evicts_a_dirty_line_runs_in_its_budget(self, variant):

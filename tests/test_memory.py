@@ -16,7 +16,7 @@ from hybridgc.memory import (
     lifetime_years,
 )
 
-from support import per_key, resident_lines, small_heap
+from support import KIB, per_key, resident_lines, small_heap
 
 # Frozen oracle values, computed as capacity * endurance * efficiency
 # divided by rate * seconds-per-year with independent arithmetic:
@@ -107,49 +107,52 @@ class TestRate:
             assert system.now_ns == expected
 
 
-def system_over(capacity, assoc=16, split=1 << 40, gc_through=True):
+PCM, DRAM = MemoryKind.PCM, MemoryKind.DRAM
+
+
+def system_over(capacity, assoc=16, gc_through=True):
     """A memory system over a fresh cache of the given geometry (line 64 B)."""
-    cache = CacheModel(capacity, assoc, 64, split)
-    return MemorySystem(cache, gc_traffic_through_cache=gc_through)
+    return MemorySystem(CacheModel(capacity, assoc, 64), gc_traffic_through_cache=gc_through)
 
 
-def one_set_cache(ways=2, split=1 << 40):
-    """One set, all PCM below an enormous split unless told otherwise."""
-    return system_over(ways * 64, ways, split)
+def one_set_cache(ways=2):
+    return system_over(ways * 64, ways)
 
 
 class TestCacheModel:
     def test_geometry_validation(self):
         with pytest.raises(ConfigError):
-            CacheModel(100, 2, 64, 0)  # not whole sets
+            CacheModel(100, 2, 64)  # not whole sets
         with pytest.raises(ConfigError):
-            CacheModel(-1, 2, 64, 0)
-        CacheModel(0, 2, 64, 0)  # disabled cache is fine
+            CacheModel(-1, 2, 64)
+        CacheModel(0, 2, 64)  # disabled cache is fine
 
     def test_write_coalescing(self):
         system = one_set_cache()
         counters = system.counters
+        kid = counters.intern(0, PCM, "s")
         for _ in range(100):
-            system.access(0, 0, 8, True, "s")
+            system.access(0, 0, 8, True, kid)
         assert counters.total(counters.written) == 0  # nothing reached memory yet
         assert system.drain() == 1
-        assert counters.total(counters.written, MemoryKind.PCM) == 64
-        assert counters.total(counters.demand, MemoryKind.PCM, 0) == 100 * 64
-        assert counters.total(counters.absorbed, MemoryKind.PCM, 0) == 99 * 64
+        assert counters.total(counters.written, PCM) == 64
+        assert counters.total(counters.demand, PCM, 0) == 100 * 64
+        assert counters.total(counters.absorbed, PCM, 0) == 99 * 64
         counters.check_write_conservation()
 
     def test_straddling_write_touches_two_lines(self):
         system = one_set_cache()
-        system.access(0, 60, 8, True, "s")
-        assert system.counters.total(system.counters.demand, MemoryKind.PCM, 0) == 128
+        system.access(0, 60, 8, True, system.counters.intern(0, PCM, "s"))
+        assert system.counters.total(system.counters.demand, PCM, 0) == 128
         assert system.counters.fills == 2
 
     def test_lru_eviction_order(self):
         system = one_set_cache(ways=2)
-        system.access(0, 0 * 64, 8, True, "s")  # line 0
-        system.access(0, 1 * 64, 8, True, "s")  # line 1
-        system.access(0, 0 * 64, 8, False, "s")  # touch 0: LRU is now 1
-        system.access(0, 2 * 64, 8, True, "s")  # evicts line 1
+        kid = system.counters.intern(0, PCM, "s")
+        system.access(0, 0 * 64, 8, True, kid)  # line 0
+        system.access(0, 1 * 64, 8, True, kid)  # line 1
+        system.access(0, 0 * 64, 8, False, kid)  # touch 0: LRU is now 1
+        system.access(0, 2 * 64, 8, True, kid)  # evicts line 1
         assert system.counters.writebacks == 1
         held = {key >> INST_BITS for key in system.cache.sets[0]}
         assert held == {0, 2}
@@ -157,83 +160,91 @@ class TestCacheModel:
     def test_reads_fill_without_writeback(self):
         system = one_set_cache(ways=1)
         counters = system.counters
-        system.access(0, 0, 64, False, "s")
-        system.access(0, 64, 64, False, "s")  # evicts clean line 0
-        assert counters.total(counters.read, MemoryKind.PCM) == 128
+        kid = counters.intern(0, PCM, "s")
+        system.access(0, 0, 64, False, kid)
+        system.access(0, 64, 64, False, kid)  # evicts clean line 0
+        assert counters.total(counters.read, PCM) == 128
         assert counters.total(counters.written) == 0
         assert counters.writebacks == 0
 
     def test_split_classifies_lines(self):
-        system = system_over(4 * 64, 4, split=128)
-        system.access(0, 0, 8, True, "lo")
-        system.access(0, 128, 8, True, "hi")
-        system.drain()
-        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 64
-        assert system.counters.total(system.counters.written, MemoryKind.DRAM) == 64
+        # a heap sends each access under its space's key, so lines below the
+        # layout's split count as PCM and lines above it as DRAM
+        heap, system = small_heap("KG-W", cache_capacity=64 * KIB, zeroing=False)
+        heap.alloc_object(1, 64, 0)  # nursery, in the DRAM half
+        heap.alloc_object(2, 16 * KIB, 0)  # large: los-pcm, in the PCM half
+        assert heap.objects[1].addr >= heap.layout.split > heap.objects[2].addr
+        heap.write_data(1, 0, 8)
+        heap.write_data(2, 0, 8)
+        assert system.drain() == 2
+        counters = system.counters
+        assert per_key(counters, counters.written) == {(0, DRAM, "nursery"): 64, (0, PCM, "los-pcm"): 64}
 
     def test_instances_do_not_alias(self):
         system = one_set_cache(ways=2)
-        system.access(0, 0, 8, True, "s")
-        system.access(1, 0, 8, True, "s")  # same address, other program
+        counters = system.counters
+        system.access(0, 0, 8, True, counters.intern(0, PCM, "s"))
+        system.access(1, 0, 8, True, counters.intern(1, PCM, "s"))  # same address, other program
         assert resident_lines(system.cache) == 2
         system.drain()
-        assert system.counters.total(system.counters.written, inst=0) == 64
-        assert system.counters.total(system.counters.written, inst=1) == 64
+        assert counters.total(counters.written, inst=0) == 64
+        assert counters.total(counters.written, inst=1) == 64
 
     def test_highest_instance_does_not_alias_the_next_line(self):
         # keys are (line << INST_BITS) | instance: instance 65535 on line 0
         # and instance 0 on line 1 are neighbouring keys, not the same one
-        system = system_over(4 * 64, 4, split=64)
+        system = system_over(4 * 64, 4)
+        counters = system.counters
         top = MAX_INSTANCES - 1
-        system.access(top, 0, 8, True, "a")
-        system.access(0, 64, 8, True, "b")
+        system.access(top, 0, 8, True, counters.intern(top, PCM, "a"))
+        system.access(0, 64, 8, True, counters.intern(0, DRAM, "b"))
         assert resident_lines(system.cache) == 2
         assert system.drain() == 2
-        counters = system.counters
-        assert per_key(counters, counters.written) == {(top, MemoryKind.PCM, "a"): 64, (0, MemoryKind.DRAM, "b"): 64}
+        assert per_key(counters, counters.written) == {(top, PCM, "a"): 64, (0, DRAM, "b"): 64}
         counters.check_write_conservation()
 
     def test_drain_is_idempotent_and_empties(self):
         system = one_set_cache()
-        system.access(0, 0, 8, True, "s")
-        system.access(0, 64, 8, False, "s")  # a clean line
+        kid = system.counters.intern(0, PCM, "s")
+        system.access(0, 0, 8, True, kid)
+        system.access(0, 64, 8, False, kid)  # a clean line
         assert system.drain() == 1
         # written back and invalidated: clean lines leave too
         assert resident_lines(system.cache) == 0
         assert system.drain() == 0
         # a write after the drain misses and fills its line again
-        system.access(0, 0, 8, True, "s")
+        system.access(0, 0, 8, True, kid)
         assert system.counters.fills == 3
         assert system.drain() == 1
         assert system.counters.writebacks == 2
         system.counters.check_write_conservation()
 
     def test_drain_decodes_instance_and_kind_of_each_line(self):
-        system = system_over(8 * 64, 8, split=2 * 64)
-        system.access(7, 64, 64, True, "p")  # line 1, PCM
-        system.access(300, 2 * 64, 64, True, "d")  # line 2, DRAM
-        system.access(5, 64 + 32, 64, True, "s")  # lines 1 | 2, straddling the split
-        # each dirty line holds the id of the key it is written back under
-        pcm, dram = (7, MemoryKind.PCM, "p"), (300, MemoryKind.DRAM, "d")
-        straddle_pcm, straddle_dram = (5, MemoryKind.PCM, "s"), (5, MemoryKind.DRAM, "s")
-        keys = [1 << INST_BITS | 7, 2 << INST_BITS | 300, 1 << INST_BITS | 5, 2 << INST_BITS | 5]
+        system = system_over(8 * 64, 8)
         counters = system.counters
+        pcm, dram, span = (7, PCM, "p"), (300, DRAM, "d"), (5, DRAM, "s")
+        system.access(7, 64, 64, True, counters.intern(*pcm))  # line 1
+        system.access(300, 2 * 64, 64, True, counters.intern(*dram))  # line 2
+        system.access(5, 64 + 32, 64, True, counters.intern(*span))  # lines 1 and 2, one key
+        # each dirty line holds the id of the key it is written back under
+        keys = [1 << INST_BITS | 7, 2 << INST_BITS | 300, 1 << INST_BITS | 5, 2 << INST_BITS | 5]
         residents = [[(key, counters.keys[held]) for key, held in cset.items()] for cset in system.cache.sets]
-        assert residents == [list(zip(keys, (pcm, dram, straddle_pcm, straddle_dram)))]
+        assert residents == [list(zip(keys, (pcm, dram, span, span)))]
         assert system.drain() == 4
         assert resident_lines(system.cache) == 0
-        assert per_key(counters, counters.written) == {pcm: 64, dram: 64, straddle_pcm: 64, straddle_dram: 64}
+        assert per_key(counters, counters.written) == {pcm: 64, dram: 64, span: 128}
 
     def test_dirty_lines_share_one_interned_key(self):
-        system = system_over(8 * 64, 8, split=4 * 64)
-        system.access(0, 0, 64, True, "s")
-        system.access(0, 64, 3 * 64, True, "s")  # a second write run, same key
-        system.access(0, 4 * 64, 64, False, "s")  # a DRAM read leaves its line clean
+        system = system_over(8 * 64, 8)
         counters = system.counters
-        # one id per (instance, kind, space), interned at the first access
-        assert counters.keys == [(0, MemoryKind.PCM, "s"), (0, MemoryKind.DRAM, "s")]
+        kid = counters.intern(0, PCM, "s")
+        other = counters.intern(0, DRAM, "t")
+        system.access(0, 0, 64, True, kid)
+        system.access(0, 64, 3 * 64, True, kid)  # a second write run, same key
+        system.access(0, 4 * 64, 64, False, other)  # a read leaves its line clean
+        assert counters.keys == [(0, PCM, "s"), (0, DRAM, "t")]  # an access interns nothing
         held = list(system.cache.sets[0].values())
-        assert held == [0, 0, 0, 0, None]
+        assert held == [kid, kid, kid, kid, None]
         # the held id is the index the line's fill was counted under
         assert counters.read == [4 * 64, 64]
         assert counters.demand == [4 * 64, 0]
@@ -241,50 +252,17 @@ class TestCacheModel:
     def test_passthrough_is_byte_exact(self):
         system = system_over(0)
         counters = system.counters
-        system.access(0, 3, 5, True, "s")
-        system.access(0, 1000, 7, False, "s")
-        assert counters.total(counters.written, MemoryKind.PCM) == 5
-        assert counters.total(counters.read, MemoryKind.PCM) == 7
+        kid = counters.intern(0, PCM, "s")
+        system.access(0, 3, 5, True, kid)
+        system.access(0, 1000, 7, False, kid)
+        assert counters.total(counters.written, PCM) == 5
+        assert counters.total(counters.read, PCM) == 7
         assert system.drain() == 0
         counters.check_write_conservation()
 
-    def test_access_straddling_the_split_classifies_each_line(self):
-        system = system_over(8 * 64, 8, split=4 * 64)
-        counters = system.counters
-        system.access(0, 2 * 64 + 10, 3 * 64, True, "s")  # lines 2, 3 | 4, 5
-        assert per_key(counters, counters.demand) == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
-        assert per_key(counters, counters.read) == {(0, MemoryKind.PCM, "s"): 128, (0, MemoryKind.DRAM, "s"): 128}
-        assert counters.fills == 4
-        assert system.drain() == 4
-        assert counters.total(counters.written, MemoryKind.PCM) == 128
-        assert counters.total(counters.written, MemoryKind.DRAM) == 128
-        counters.check_write_conservation()
-
-    def test_passthrough_splits_a_straddling_range(self):
-        system = system_over(0, split=1024)
-        counters = system.counters
-        system.access(0, 1000, 100, True, "s")  # 24 bytes PCM, 76 DRAM
-        system.access(0, 1020, 10, False, "s")  # 4 bytes PCM, 6 DRAM
-        assert per_key(counters, counters.written) == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
-        assert per_key(counters, counters.read) == {(0, MemoryKind.PCM, "s"): 4, (0, MemoryKind.DRAM, "s"): 6}
-        assert per_key(counters, counters.demand) == {(0, MemoryKind.PCM, "s"): 24, (0, MemoryKind.DRAM, "s"): 76}
-        counters.check_write_conservation()
-
-    def test_passthrough_boundary_is_the_cached_paths_line_boundary(self):
-        # split 1000 is not line-aligned: line 15 (bytes 960..1023) is the
-        # first DRAM line, so the cached and uncached paths agree at 960.
-        cached = system_over(16 * 64, 16, split=1000)
-        bypass = system_over(0, split=1000)
-        cached.access(0, 900, 128, True, "s")
-        bypass.access(0, 900, 128, True, "s")
-        cached.drain()
-        assert cached.counters.total(cached.counters.written, MemoryKind.PCM) == 64  # line 14
-        assert bypass.counters.total(bypass.counters.written, MemoryKind.PCM) == 60  # bytes 900..959
-        assert bypass.counters.total(bypass.counters.written, MemoryKind.DRAM) == 68
-
     def test_zero_length_access_is_a_noop(self):
         system = one_set_cache()
-        system.access(0, 0, 0, True, "s")
+        system.access(0, 0, 0, True, system.counters.intern(0, PCM, "s"))
         assert per_key(system.counters, system.counters.demand) == {}
         assert resident_lines(system.cache) == 0
 
@@ -293,84 +271,64 @@ class TestCacheModel:
             (system_over(0), False),
             (system_over(16 * 64, gc_through=False), True),
         ):
-            system.access(0, 0, 0, True, "s", collector=collector)
-            system.access(0, 64, -8, False, "s", collector=collector)
+            kid = system.counters.intern(0, PCM, "s")
+            system.access(0, 0, 0, True, kid, collector=collector)
+            system.access(0, 64, -8, False, kid, collector=collector)
             assert per_key(system.counters, system.counters.written) == {} and per_key(system.counters, system.counters.read) == {}
             assert per_key(system.counters, system.counters.demand) == {}
-
-
-def intern(counters, key):
-    """Append ``key`` to ``counters`` with zero counts, as ``MemorySystem.access`` interns it; returns its id."""
-    counters.keys.append(key)
-    for counts in (counters.written, counters.read, counters.demand, counters.absorbed):
-        counts.append(0)
-    return len(counters.keys) - 1
 
 
 class TestCounters:
     def test_snapshot_diff(self):
         counters = TrafficCounters()
-        a = intern(counters, (0, MemoryKind.PCM, "a"))
-        b = intern(counters, (1, MemoryKind.DRAM, "b"))
+        a = counters.intern(0, PCM, "a")
+        b = counters.intern(1, DRAM, "b")
         counters.written[a] = 10
         counters.fills = 2
         base = counters.snapshot()
-        assert per_key(base, base.written) == per_key(counters, counters.written) == {(0, MemoryKind.PCM, "a"): 10} and base.fills == 2
+        assert per_key(base, base.written) == per_key(counters, counters.written) == {(0, PCM, "a"): 10} and base.fills == 2
         counters.written[a] += 7
         counters.read[b] = 3
         counters.fills += 1
         window = counters.diff(base)
         assert window.fills == 1
-        assert per_key(window, window.written) == {(0, MemoryKind.PCM, "a"): 7}
-        assert per_key(window, window.read) == {(1, MemoryKind.DRAM, "b"): 3}
+        assert per_key(window, window.written) == {(0, PCM, "a"): 7}
+        assert per_key(window, window.read) == {(1, DRAM, "b"): 3}
         assert base.written == [10, 0] and base.read == [0, 0]  # snapshot is unaffected
 
     def test_diff_counts_a_key_interned_after_the_snapshot_from_zero(self):
-        # as when a run first writes a space (KG-W's mature-dram) after its window opens
-        system = system_over(16 * 64, 16, split=8 * 64)
+        system = system_over(16 * 64, 16)
         counters = system.counters
-        system.access(0, 0, 64, True, "nursery")
+        system.access(0, 0, 64, True, counters.intern(0, PCM, "nursery"))
         base = counters.snapshot()
-        system.access(0, 8 * 64, 128, True, "mature-dram")
+        system.access(0, 8 * 64, 128, True, counters.intern(0, DRAM, "mature-dram"))
         system.drain()
-        assert len(base.keys) == 2 and len(counters.keys) == 4
+        assert len(base.keys) == 1 and len(counters.keys) == 2
         window = counters.diff(base)
         assert window.keys == counters.keys
-        assert per_key(window, window.demand) == {(0, MemoryKind.DRAM, "mature-dram"): 128}
-        assert per_key(window, window.read) == {(0, MemoryKind.DRAM, "mature-dram"): 128}
-        assert per_key(window, window.written) == {(0, MemoryKind.PCM, "nursery"): 64, (0, MemoryKind.DRAM, "mature-dram"): 128}
+        assert per_key(window, window.demand) == {(0, DRAM, "mature-dram"): 128}
+        assert per_key(window, window.read) == {(0, DRAM, "mature-dram"): 128}
+        assert per_key(window, window.written) == {(0, PCM, "nursery"): 64, (0, DRAM, "mature-dram"): 128}
         assert window.fills == 2 and window.writebacks == 3
-
-    def test_by_space(self):
-        counters = TrafficCounters()
-        for key, n in (
-            ((0, MemoryKind.PCM, "nursery"), 5),
-            ((0, MemoryKind.PCM, "los-pcm"), 9),
-            ((0, MemoryKind.DRAM, "nursery"), 100),
-            ((0, MemoryKind.PCM, "boot"), 0),  # interned, never written back
-        ):
-            counters.written[intern(counters, key)] = n
-        assert counters.by_space(0, MemoryKind.PCM) == {"los-pcm": 9, "nursery": 5}
-        assert counters.by_space(0, MemoryKind.DRAM) == {"nursery": 100}
 
     def test_total_sums_a_list_over_the_keys_of_a_kind_and_an_instance(self):
         counters = TrafficCounters()
         for key, n in (
-            ((0, MemoryKind.PCM, "nursery"), 5),
-            ((0, MemoryKind.DRAM, "nursery"), 100),
-            ((1, MemoryKind.PCM, "nursery"), 7),
-            ((1, MemoryKind.PCM, "los-pcm"), 9),
+            ((0, PCM, "nursery"), 5),
+            ((0, DRAM, "nursery"), 100),
+            ((1, PCM, "nursery"), 7),
+            ((1, PCM, "los-pcm"), 9),
         ):
-            counters.read[intern(counters, key)] = n
+            counters.read[counters.intern(*key)] = n
         assert counters.total(counters.read) == 121
-        assert counters.total(counters.read, MemoryKind.PCM) == 21
+        assert counters.total(counters.read, PCM) == 21
         assert counters.total(counters.read, inst=1) == 16
-        assert counters.total(counters.read, MemoryKind.DRAM, 1) == 0
+        assert counters.total(counters.read, DRAM, 1) == 0
         assert counters.total(counters.written) == 0
 
     def test_conservation_violation_detected(self):
         counters = TrafficCounters()
-        kid = intern(counters, (0, MemoryKind.PCM, "a"))
+        kid = counters.intern(0, PCM, "a")
         counters.demand[kid] = 128
         counters.absorbed[kid] = 64
         with pytest.raises(InvariantError, match="not conserved") as failure:
@@ -378,33 +336,46 @@ class TestCounters:
         assert failure.value.instance == 0
         # conservation holds per (instance, kind), not per key: the last
         # writer of a line may be another space than the one it absorbed
-        counters.written[intern(counters, (0, MemoryKind.PCM, "b"))] = 64
+        counters.written[counters.intern(0, PCM, "b")] = 64
         counters.check_write_conservation()
         # written-back bytes with no demand behind them break it too
         counters = TrafficCounters()
-        counters.written[intern(counters, (1, MemoryKind.DRAM, "nursery"))] = 64
+        counters.written[counters.intern(1, DRAM, "nursery")] = 64
         with pytest.raises(InvariantError, match="not conserved.* 0 demanded, 0 absorbed, 64 written back") as failure:
             counters.check_write_conservation()
+        assert failure.value.instance == 1
+
+    def test_conservation_groups_keys_interned_apart_and_names_the_first_broken_pair(self):
+        counters = TrafficCounters()
+        spaces = ("nursery", "mature-pcm", "los-pcm")
+        for space in spaces:  # each (instance, kind) has keys far apart in the lists
+            for inst in (2, 1, 0):
+                for kind in (PCM, DRAM):
+                    kid = counters.intern(inst, kind, space)
+                    counters.demand[kid] = 64
+                    # each pair's demand is written back under its last space
+                    counters.written[kid] = 3 * 64 if space == spaces[-1] else 0
+        counters.check_write_conservation()
+        for inst, kind in ((2, PCM), (1, DRAM), (1, PCM)):
+            counters.absorbed[counters.keys.index((inst, kind, "nursery"))] = 64
+        with pytest.raises(InvariantError) as failure:
+            counters.check_write_conservation()
+        assert str(failure.value) == (
+            f"write bytes not conserved for {(1, DRAM)}: 192 demanded, 64 absorbed, 192 written back"
+        )
         assert failure.value.instance == 1
 
 
 class TestMemorySystem:
     def test_collector_bypass(self):
         system = system_over(16 * 64, gc_through=False)
-        system.access(0, 0, 8, True, "s", collector=True)
+        counters = system.counters
+        kid = counters.intern(0, PCM, "s")
+        system.access(0, 0, 8, True, kid, collector=True)
         # bypassed traffic reaches memory immediately, byte-exact
-        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 8
-        system.access(0, 0, 8, True, "s", collector=False)
-        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 8  # cached
+        assert counters.total(counters.written, PCM) == 8
+        system.access(0, 0, 8, True, kid, collector=False)
+        assert counters.total(counters.written, PCM) == 8  # cached
         system.drain()
-        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 8 + 64
-        system.counters.check_write_conservation()
-
-    def test_collector_bypass_splits_a_straddling_range(self):
-        system = system_over(16 * 64, split=4096, gc_through=False)
-        system.access(0, 4096 - 40, 100, True, "gc", collector=True)
-        system.access(0, 4096 - 8, 16, False, "gc", collector=True)
-        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.PCM, "gc"): 40, (0, MemoryKind.DRAM, "gc"): 60}
-        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.PCM, "gc"): 8, (0, MemoryKind.DRAM, "gc"): 8}
-        assert resident_lines(system.cache) == 0
-        system.counters.check_write_conservation()
+        assert counters.total(counters.written, PCM) == 8 + 64
+        counters.check_write_conservation()
