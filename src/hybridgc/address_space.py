@@ -24,12 +24,6 @@ class MemoryKind(Enum):
     DRAM = "DRAM"
     PCM = "PCM"
 
-    # Every traffic counter key holds a kind, and Enum's __hash__ is a
-    # Python-level call. Members are singletons, so identity hashing is
-    # equivalent; the name hash it replaces was already randomized per
-    # process, so no output depends on hash order.
-    __hash__ = object.__hash__
-
 
 class FreeList:
     """Free chunk indices of one memory kind, handed out lowest first."""

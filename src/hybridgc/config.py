@@ -12,6 +12,7 @@ point of a sweep fails before any point runs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,8 +43,11 @@ class Collector(Enum):
     KG_W_NO_MDO = "KG-W-MDO"
 
     def __init__(self, value: str) -> None:
-        # Plain attributes, not properties: the heap reads ``loo`` on each
-        # large allocation and the engine reads ``mdo`` on each mark.
+        # Plain attributes, not properties: the heap reads ``loo`` and the
+        # nursery size on each large allocation and the engine reads ``mdo``
+        # on each mark.
+        self.is_write_sampling = value in ("KG-W", "KG-W-LOO", "KG-W-MDO")  # has an observation space
+        self.nursery_multiplier = 3 if value in ("KG-B", "KG-B+LOO") else 1  # B: a bigger nursery, no observer
         self.loo = value in ("KG-N+LOO", "KG-B+LOO", "KG-W", "KG-W-MDO")  # large objects may use the nursery
         self.mdo = value in ("KG-W", "KG-W-LOO")  # PCM residents' marks go to DRAM
 
@@ -55,16 +59,6 @@ class Collector(Enum):
             if member.value.lower() == cleaned.lower():
                 return member
         raise ConfigError(f"unknown collector {name!r}; choose from {[m.value for m in cls]}")
-
-    @property
-    def is_write_sampling(self) -> bool:
-        """True for the variants with an observation space."""
-        return self in (Collector.KG_W, Collector.KG_W_NO_LOO, Collector.KG_W_NO_MDO)
-
-    @property
-    def nursery_multiplier(self) -> int:
-        """The B variants trade a bigger nursery for the observer space."""
-        return 3 if self in (Collector.KG_B, Collector.KG_B_LOO) else 1
 
 
 @dataclass(frozen=True)
@@ -119,14 +113,14 @@ class ExperimentConfig:
             raise ConfigError("quantum must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warm-up fraction must be in [0, 1)")
-        if not (self.op_cost_ns >= 0.0 and self.byte_cost_ns >= 0.0):  # NaN fails too
-            raise ConfigError("op and byte costs must be non-negative")
+        if not (0.0 <= self.op_cost_ns < math.inf and 0.0 <= self.byte_cost_ns < math.inf):  # NaN fails too
+            raise ConfigError("op and byte costs must be finite and non-negative")
         if self.nursery_size <= 0:
             raise ConfigError("nursery size must be positive")
         if self.heap_budget < self.effective_nursery_size:
             raise ConfigError("heap budget smaller than the nursery makes no progress")
-        if self.observer_multiplier <= 0:
-            raise ConfigError("observer multiplier must be positive")
+        if not 0 < self.observer_multiplier < math.inf:  # NaN fails too
+            raise ConfigError("observer multiplier must be finite and positive")
         if self.variant.is_write_sampling and self.observer_multiplier < 1.0:
             # a full nursery of survivors must fit after an evacuation
             raise ConfigError("the observation space cannot be smaller than the nursery")

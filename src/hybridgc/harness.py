@@ -260,7 +260,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
         system.drain()
         try:
-            system.counters.check_write_conservation()
+            for heap in heaps:
+                heap.check_write_conservation()
         except InvariantError as exc:
             if failure is None:  # a failed slice already explains the run
                 failure = _failure(exc, exc.instance, heaps[exc.instance])
@@ -320,17 +321,19 @@ def run_baseline_pair(config: ExperimentConfig, baseline: str = "PCM-Only") -> P
     return PairResult(base_report, var_report, reduction)
 
 
-def sweep_points(
+def sweep(
     config: ExperimentConfig,
     collectors: list[str],
     cache_sizes: list[int],
     instance_counts: list[int],
-) -> list[tuple[str, ExperimentConfig]]:
-    """The labelled configs of the cross product of the requested axes.
+) -> Iterator[tuple[str, Report]]:
+    """The labelled report of each point of the axes' cross product, run as the iterator reaches it.
 
-    Building each config checks it, so a bad point fails before any runs.
-    Two points with the same variant, however its name is spelled, cache
-    size and instance count are one point asked for twice: a ``ConfigError``.
+    Building each point's config checks it, and every point is built
+    before this returns, so a bad point fails before the first runs and a
+    caller can keep each report as its point ends. Two points with the
+    same variant, however its name is spelled, cache size and instance
+    count are one point asked for twice: a ``ConfigError``.
     """
     points = [
         (f"{name}_cache{cap}_n{n}", replace(config, collector=name, cache_capacity=cap, instances=n))
@@ -343,22 +346,6 @@ def sweep_points(
         if (key := (point.variant, point.cache_capacity, point.instances)) in seen:
             raise ConfigError(f"sweep point {label} repeats an earlier point")
         seen.add(key)
-    return points
-
-
-def sweep(
-    config: ExperimentConfig,
-    collectors: list[str],
-    cache_sizes: list[int],
-    instance_counts: list[int],
-) -> Iterator[tuple[str, Report]]:
-    """The labelled report of each point of :func:`sweep_points`, each run as the iterator reaches it.
-
-    Every point is checked before this returns, so a bad point fails
-    before the first runs, and a caller can keep each report as its
-    point ends.
-    """
-    points = sweep_points(config, collectors, cache_sizes, instance_counts)
     return ((label, run_experiment(point)) for label, point in points)
 
 

@@ -13,10 +13,12 @@ and an allocation that finds its half out of chunks raises
 traffic live here; the collection algorithms that consume this state,
 and issue the collector's traffic, live in :mod:`hybridgc.collectors`.
 A space's memory kind alone makes its traffic PCM or DRAM traffic: the
-heap interns one counter key per space, with the space's kind, when it
-is built (``key_ids``), and every access, the mutator's and the
-collector's, goes straight to ``MemorySystem.access`` under its space's
-key id.
+heap adds one counter key per space when it is built (``key_ids``), and
+every access, the mutator's and the collector's, goes straight to
+``MemorySystem.access`` under its space's key id. The ids mean nothing
+to the memory system; ``key_ids`` and ``space_map`` are the only record
+of which instance, space and kind each one counts, and the heap checks
+write conservation over its own ids after the drain.
 
 The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
@@ -234,10 +236,8 @@ class HeapInstance:
         self.zeroing = config.zeroing
         self.layout = init_layout(config.heap_size, config.chunk_size)
         self.space_map = make_space_map(config.variant)
-        # each space's traffic counts under one key, of the space's kind
-        self.key_ids = {
-            name: system.counters.intern(instance_id, kind, name) for name, kind in self.space_map.items()
-        }
+        # each space's traffic counts under one key
+        self.key_ids = {name: system.counters.add_key() for name in self.space_map}
         # [lo, hi) of the memory half each space must sit in
         self.space_bounds = {
             name: self.layout.half_bounds(kind) for name, kind in self.space_map.items()
@@ -437,6 +437,27 @@ class HeapInstance:
             for name, s in self.free_list_spaces.items()
             if name != META_DRAM
         )
+
+    def check_write_conservation(self) -> None:
+        """Check that ``demand`` equals ``absorbed`` plus ``written`` over this heap's keys, per memory kind.
+
+        Not per key: absorbed bytes count under the writer's key and a
+        write-back under the line's last writer, which may be another
+        space of the same kind. Valid only when no dirty line is
+        outstanding (after the drain).
+        """
+        counters = self.system.counters
+        for kind in (MemoryKind.DRAM, MemoryKind.PCM):
+            kids = [kid for space, kid in self.key_ids.items() if self.space_map[space] is kind]
+            demand = sum(map(counters.demand.__getitem__, kids))
+            absorbed = sum(map(counters.absorbed.__getitem__, kids))
+            written_back = sum(map(counters.written.__getitem__, kids))
+            if demand != absorbed + written_back:
+                raise InvariantError(
+                    f"write bytes not conserved for {(self.instance_id, kind)}: {demand} demanded, "
+                    f"{absorbed} absorbed, {written_back} written back",
+                    instance=self.instance_id,
+                )
 
     def check_placement(self) -> None:
         """Every record and every chunk must sit where its kind says.

@@ -7,14 +7,12 @@ is only the cache's geometry and state (its sets).
 Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or the drain, or immediately when the cache
 is disabled. Reads reach memory as line fills. Every count is kept per
-``(instance, memory kind, space)`` key, so multiprogram runs stay
-attributable. A heap interns one key per space when it is built, with
-the space's memory kind, and sends each access under its space's key
-id, an index into the count lists of ``TrafficCounters``; nothing here
-tells PCM from DRAM by address. A dirty line holds the id it will be
-written back under, so neither an eviction nor the drain decodes a line
-to count it. Readers sum a count list with ``TrafficCounters.total``;
-there is no per-key dict of the counts.
+key id, an index into the count lists of ``TrafficCounters``. A heap
+adds one key per space when it is built and sends each access under its
+space's id; only the heap knows which instance, space and memory kind an
+id stands for, so nothing here tells PCM from DRAM. A dirty line holds
+the id it will be written back under, so neither an eviction nor the
+drain decodes a line to count it.
 """
 
 from __future__ import annotations
@@ -22,10 +20,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, groupby, zip_longest
+from itertools import chain, zip_longest
 
-from .address_space import MemoryKind
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 
 SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
 
@@ -51,16 +48,15 @@ _COUNTS = ("written", "read", "demand", "absorbed")
 class TrafficCounters:
     """Byte counters for traffic that reached memory, plus filter internals.
 
-    The counts are lists indexed by a key id, with
-    ``keys[id] == (instance, MemoryKind, space)``: ``written`` and
-    ``read`` are the bytes written back to and filled from memory,
-    ``demand`` the bytes written to the cache and ``absorbed`` the bytes
-    that landed on a line already dirty. :meth:`intern` adds a key and a
-    0 to every list. :meth:`total` is the one query over the counts.
+    The counts are lists indexed by a key id: ``written`` and ``read``
+    are the bytes written back to and filled from memory, ``demand`` the
+    bytes written to the cache and ``absorbed`` the bytes that landed on
+    a line already dirty. :meth:`add_key` adds a 0 to every list and
+    returns the new id. An id means nothing here; the heap that added it
+    knows its instance, space and memory kind.
     """
 
     def __init__(self) -> None:
-        self.keys: list[tuple[int, MemoryKind, str]] = []
         self.written: list[int] = []
         self.read: list[int] = []
         self.demand: list[int] = []
@@ -68,20 +64,11 @@ class TrafficCounters:
         self.fills = 0
         self.writebacks = 0
 
-    def intern(self, inst: int, kind: MemoryKind, space: str) -> int:
-        """Add the key ``(inst, kind, space)`` with zero counts; returns its id."""
-        self.keys.append((inst, kind, space))
+    def add_key(self) -> int:
+        """Add a key with zero counts; returns its id."""
         for name in _COUNTS:
             getattr(self, name).append(0)
-        return len(self.keys) - 1
-
-    def total(self, counts: list[int], kind: MemoryKind | None = None, inst: int | None = None) -> int:
-        """Sum of ``counts``, one of the count lists, over the keys of ``kind`` and ``inst``; None matches any."""
-        return sum(
-            n
-            for (i, k, _s), n in zip(self.keys, counts)
-            if (kind is None or k is kind) and (inst is None or i == inst)
-        )
+        return len(self.written) - 1
 
     def snapshot(self) -> "TrafficCounters":
         return self.diff(TrafficCounters())
@@ -89,11 +76,10 @@ class TrafficCounters:
     def diff(self, base: "TrafficCounters") -> "TrafficCounters":
         """Counters accumulated since ``base`` was snapshotted.
 
-        Keys are only ever appended, so ``base.keys`` is a prefix of
-        ``keys`` and a key interned after the snapshot counts from 0.
+        Keys are only ever added, so a key added after the snapshot
+        counts from 0.
         """
         out = TrafficCounters()
-        out.keys = self.keys[:]
         for name in _COUNTS:
             cur: list[int] = getattr(self, name)
             old: list[int] = getattr(base, name)
@@ -101,32 +87,6 @@ class TrafficCounters:
         out.fills = self.fills - base.fills
         out.writebacks = self.writebacks - base.writebacks
         return out
-
-    def check_write_conservation(self) -> None:
-        """Check that ``demand`` equals ``absorbed`` plus ``written`` per ``(instance, kind)``.
-
-        Not per key: absorbed bytes count under the writer's key and a
-        write-back under the line's last writer. Valid only when no dirty
-        line is outstanding (post-drain).
-        """
-        keys = self.keys
-
-        def owner(kid: int) -> tuple[int, str]:
-            return keys[kid][0], keys[kid][1].value
-
-        # sorted, so a run that breaks conservation twice always names the same key
-        for (inst, _kind), group in groupby(sorted(range(len(keys)), key=owner), key=owner):
-            kids = [*group]
-            kind = keys[kids[0]][1]
-            demand = sum(map(self.demand.__getitem__, kids))
-            absorbed = sum(map(self.absorbed.__getitem__, kids))
-            written_back = sum(map(self.written.__getitem__, kids))
-            if demand != absorbed + written_back:
-                raise InvariantError(
-                    f"write bytes not conserved for {(inst, kind)}: {demand} demanded, "
-                    f"{absorbed} absorbed, {written_back} written back",
-                    instance=inst,
-                )
 
 
 def cache_set_count(capacity: int, assoc: int, line_size: int) -> int:
@@ -156,9 +116,9 @@ class CacheModel:
         self.n_sets = cache_set_count(capacity, assoc, line_size)
         # Each set maps a line key ``(line index << INST_BITS) | instance``
         # to None while the line is clean, or while it is dirty to the id
-        # of the key it will be written back under: ``(instance, kind of
-        # the space that last wrote it, that space)``. LRU order is insertion
-        # order: a hit re-inserts its key, and the victim is the first key.
+        # of the key it will be written back under: that of the space that
+        # last wrote it. LRU order is insertion order: a hit re-inserts its
+        # key, and the victim is the first key.
         self.sets: list[dict[int, int | None]] = [{} for _ in range(self.n_sets)]
 
 
@@ -173,15 +133,14 @@ class MemorySystem:
 
     ``access`` walks the cache in one frame. Its caller names the key the
     access counts under by its id, ``kid``: a heap sends the id of the
-    space the bytes sit in, so the key's memory kind is the space's, and
-    an access is one run of lines under one key. Without a cache, or for
-    collector traffic that bypasses it, the bytes reach memory as they
-    are. Otherwise the walk counts absorbed and filled lines in locals and
-    adds them, with the run's demand, to the count lists by index once. A
-    write stores ``kid`` in every line it dirties, and a dirty victim adds
-    a line to ``written`` under the id it holds as it is evicted. All
-    counters are integer sums, so the totals equal those of per-line
-    accounting.
+    space the bytes sit in, and an access is one run of lines under one
+    key. Without a cache, or for collector traffic that bypasses it, the
+    bytes reach memory as they are. Otherwise the walk counts absorbed and
+    filled lines in locals and adds them, with the run's demand, to the
+    count lists by index once. A write stores ``kid`` in every line it
+    dirties, and a dirty victim adds a line to ``written`` under the id it
+    holds as it is evicted. All counters are integer sums, so the totals
+    equal those of per-line accounting.
 
     A run has two walks, chosen by its length, with the same hits,
     fills, victims and counters. A run of at least ``LONG_RUN`` lines

@@ -7,7 +7,7 @@ demand/absorb/writeback accounting, each set's residents in recency
 order with their dirty state, and drains that write back every dirty
 line and empty the cache. Its counters are plain dicts, keyed by
 ``(instance, kind, space)`` or, for demand and absorbed bytes, by
-``(instance, kind)``, so no list or interned id is shared with the model.
+``(instance, kind)``, so no list or key id is shared with the model.
 """
 
 from hybridgc.address_space import MemoryKind

@@ -178,7 +178,7 @@ def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[st
     """
     # the B variants triple their nursery; keep every effective nursery near 64 KiB
     multiplier = Collector.from_name(variant).nursery_multiplier
-    heap, system = small_heap(
+    heap, _ = small_heap(
         variant,
         nursery=(64 * KIB // multiplier) & ~7,
         observer_multiplier=1.0,
@@ -213,5 +213,5 @@ def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[st
         pass
     check_young_list(heap)
     heap.check_placement()
-    system.counters.check_write_conservation()
+    heap.check_write_conservation()
     return checks

@@ -45,9 +45,18 @@ def small_heap(variant: str, **config_kwargs):
     return build_instance(config, system, 0), system
 
 
-def per_key(counters, counts) -> dict:
-    """The nonzero entries of ``counts``, one of ``counters``' count lists, by key."""
-    return {key: n for key, n in zip(counters.keys, counts) if n}
+def per_key(counts, *heaps) -> dict:
+    """The nonzero entries of ``counts``, a ``TrafficCounters`` count list, by ``(instance, kind, space)``.
+
+    Only a heap knows what its key ids stand for: each one is named
+    through the ``key_ids`` and ``space_map`` of the heap that added it.
+    """
+    return {
+        (heap.instance_id, heap.space_map[space], space): counts[kid]
+        for heap in heaps
+        for space, kid in heap.key_ids.items()
+        if counts[kid]
+    }
 
 
 def resident_lines(cache) -> int:

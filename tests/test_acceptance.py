@@ -8,7 +8,7 @@ import time
 
 from hybridgc.harness import config_for_archetype, run_experiment
 from hybridgc.heap import HeapInstance
-from hybridgc.memory import LifetimeModel, TrafficCounters, lifetime_years
+from hybridgc.memory import LifetimeModel, lifetime_years
 from hybridgc.workloads import ARCHETYPES
 
 from gc_reference import check_collections
@@ -215,7 +215,7 @@ def test_criterion_10_always_on_accounting(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count_calls(TrafficCounters, "check_write_conservation")
+    count_calls(HeapInstance, "check_write_conservation")
     count_calls(HeapInstance, "check_placement")
     config = config_for_archetype(
         "large-object-graph",

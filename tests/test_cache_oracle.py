@@ -5,15 +5,16 @@ After every access and after the drain, each set's residents must match
 the reference's in recency order, instance, line and dirty state, so a
 wrong victim or a lost recency update fails at the access that made it.
 A dirty line must hold the id of the key it will be written back under,
-``(instance, kind of its line, space that last wrote it)``, which
-``counters.keys`` decodes.
+``(instance, kind of its line, space that last wrote it)``.
 
-The model knows no PCM/DRAM split; the reference does. So the driver
-sends each access to the model as a heap would send it: under the id of
-an ``(instance, kind, space)`` key, interned on the test side the first
-time the driver needs it, with the kind of the side of the split the
-bytes are on. An access that straddles the split goes to the model as
-two calls, its PCM part and then its DRAM part.
+The model knows no PCM/DRAM split and no meaning of a key id; the
+reference knows the split. So the driver sends each access to the model
+as a heap would send it: under the id of an ``(instance, kind, space)``
+key, added to the model the first time the driver needs it, with the
+kind of the side of the split the bytes are on. The driver keeps its
+own table of what each id stands for, and decodes the model's held ids
+and count lists through it. An access that straddles the split goes to
+the model as two calls, its PCM part and then its DRAM part.
 """
 
 import random
@@ -29,8 +30,6 @@ from hybridgc.memory import (
     CacheModel,
     MemorySystem,
 )
-
-from support import per_key
 
 LINE = 64
 PCM, DRAM = MemoryKind.PCM, MemoryKind.DRAM
@@ -59,28 +58,48 @@ def cached_system(lines, assoc):
 def model_access(model, ids, split, inst, addr, length, write, space):
     """Send one access to ``model`` as its heap would, each part of it under the key of its side of ``split``.
 
-    ``split`` is line-aligned, as the reference's is. ``ids`` maps each
-    ``(instance, kind, space)`` key the driver has interned to its id.
+    ``split`` is line-aligned, as the reference's is. ``ids`` is the
+    driver's table: it maps each ``(instance, kind, space)`` key the
+    driver has added to the model to its id.
     """
     end = addr + length
     for lo, hi, kind in ((addr, min(end, split), PCM), (max(addr, split), end, DRAM)):
         if lo < hi:
             key = (inst, kind, space)
             if key not in ids:
-                ids[key] = model.counters.intern(*key)
+                ids[key] = model.counters.add_key()
             model.access(inst, lo, hi - lo, write, ids[key])
 
 
-def model_state(system):
+def names_of(ids):
+    """The driver's table turned around: the ``(instance, kind, space)`` key of each id."""
+    return {kid: key for key, kid in ids.items()}
+
+
+def model_state(system, ids):
     """Per set, ``(inst, line, held key)`` of each resident, least recent first.
 
-    A dirty line's held id is decoded through ``counters.keys``.
+    A dirty line's held id is decoded through the driver's table ``ids``.
     """
-    keys = system.counters.keys
+    names = names_of(ids)
     return [
-        [(key % MAX_INSTANCES, key >> INST_BITS, None if held is None else keys[held]) for key, held in cset.items()]
+        [(key % MAX_INSTANCES, key >> INST_BITS, None if held is None else names[held]) for key, held in cset.items()]
         for cset in system.cache.sets
     ]
+
+
+def by_key(ids, counts):
+    """The nonzero entries of ``counts``, one of the model's count lists, by ``(instance, kind, space)``."""
+    names = names_of(ids)
+    return {names[kid]: n for kid, n in enumerate(counts) if n}
+
+
+def by_pair(ids, counts):
+    """The nonzero sums of ``counts`` by ``(instance, kind)``."""
+    out = {}
+    for (inst, kind, _space), n in by_key(ids, counts).items():
+        out[inst, kind] = out.get((inst, kind), 0) + n
+    return out
 
 
 def expected_state(ref):
@@ -144,20 +163,21 @@ def compare(geometry, split, accesses):
     for inst, addr, length, write, space in accesses:
         model_access(model, ids, split, inst, addr, length, write, space)
         ref.access(rc, inst, addr, length, write, space)
-        assert model_state(model) == expected_state(ref)
+        assert model_state(model, ids) == expected_state(ref)
         compared += 1
-    assert per_key(mc, mc.written) == rc.write_bytes and mc.writebacks == rc.writebacks
+    assert by_key(ids, mc.written) == rc.write_bytes and mc.writebacks == rc.writebacks
     assert model.drain() == ref.drain(rc)
     # the drain writes back and invalidates every line
-    assert model_state(model) == expected_state(ref) == [[] for _ in range(ref.n_sets)]
-    assert per_key(mc, mc.written) == rc.write_bytes
-    assert per_key(mc, mc.read) == rc.read_bytes
+    assert model_state(model, ids) == expected_state(ref) == [[] for _ in range(ref.n_sets)]
+    assert by_key(ids, mc.written) == rc.write_bytes
+    assert by_key(ids, mc.read) == rc.read_bytes
     # the reference keeps demand and absorbed bytes by (instance, kind)
-    for inst, kind in {(i, k) for i, k, _s in mc.keys} | rc.demand_write_bytes.keys() | rc.absorbed_write_bytes.keys():
-        assert mc.total(mc.demand, kind, inst) == rc.demand_write_bytes.get((inst, kind), 0)
-        assert mc.total(mc.absorbed, kind, inst) == rc.absorbed_write_bytes.get((inst, kind), 0)
+    demand, absorbed, written = (by_pair(ids, counts) for counts in (mc.demand, mc.absorbed, mc.written))
+    assert demand == rc.demand_write_bytes and absorbed == rc.absorbed_write_bytes
     assert mc.fills == rc.fills and mc.writebacks == rc.writebacks
-    mc.check_write_conservation()
+    # write conservation per (instance, kind), as each heap checks it after the drain
+    for pair in demand.keys() | written.keys():
+        assert demand.get(pair, 0) == absorbed.get(pair, 0) + written.get(pair, 0), pair
     return compared
 
 
@@ -172,18 +192,18 @@ def test_cyclic_writes_through_two_line_direct_mapped():
     model = cached_system(2, 1)
     ref = RefCache(2 * LINE, 1, LINE, split=1 << 30)
     rc = RefCounters()
-    kid = model.counters.intern(0, PCM, "s")
+    ids = {(0, PCM, "s"): model.counters.add_key()}
     for _ in range(4):
         for line in (0, 1, 2):
-            model.access(0, line * LINE, 8, True, kid)
+            model.access(0, line * LINE, 8, True, ids[0, PCM, "s"])
             ref.access(rc, 0, line * LINE, 8, True, "s")
-            assert model_state(model) == expected_state(ref)
+            assert model_state(model, ids) == expected_state(ref)
     # lines 0 and 2 share set 0 and evict each other every round, while
     # line 1 stays resident in set 1 after its one fill
     counters = model.counters
     assert counters.writebacks == rc.writebacks == 7
     assert counters.fills == rc.fills == 9
-    assert model_state(model) == [[(0, 2, (0, PCM, "s"))], [(0, 1, (0, PCM, "s"))]]
+    assert model_state(model, ids) == [[(0, 2, (0, PCM, "s"))], [(0, 1, (0, PCM, "s"))]]
 
 
 def test_full_oracle_load():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hybridgc.address_space import MemoryKind
 from hybridgc.config import Collector
 from hybridgc.errors import ConfigError, HeapExhausted
 from hybridgc.heap import (
@@ -16,7 +17,6 @@ from hybridgc.heap import (
     OBSERVER,
     loo_admit,
 )
-from hybridgc.memory import MemoryKind
 
 from support import KIB, MIB, per_key, reserve_every_free_chunk, small_config, small_heap
 
@@ -129,9 +129,10 @@ class TestMinorCollection:
         assert stats.space_used_before == 8 * KIB
         # each copy reads its nursery bytes once and writes them once into
         # phase-change memory, and nowhere else
-        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.DRAM, NURSERY): 6 * KIB}
-        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.PCM, MATURE_PCM)] == 6 * KIB
-        assert system.counters.total(system.counters.written, MemoryKind.PCM) == 6 * KIB
+        assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, NURSERY): 6 * KIB}
+        written = per_key(system.counters.written, heap)
+        assert written[(0, MemoryKind.PCM, MATURE_PCM)] == 6 * KIB
+        assert sum(n for (_i, kind, _s), n in written.items() if kind is MemoryKind.PCM) == 6 * KIB
 
     def test_reference_cycle_is_copied_once(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
@@ -463,11 +464,11 @@ class TestBootImage:
         marks = []
         access = heap.system.access
 
-        keys = heap.system.counters.keys
+        spaces = {kid: space for space, kid in heap.key_ids.items()}
 
         def spy(inst, addr, length, write, kid, *, collector=False):
             if collector:
-                marks.append((addr, keys[kid][2]))
+                marks.append((addr, spaces[kid]))
             access(inst, addr, length, write, kid, collector=collector)
 
         heap.system.access = spy

@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -39,6 +40,9 @@ def test_variant_properties():
     assert Collector.KG_B_LOO.nursery_multiplier == 3
     assert Collector.KG_N.nursery_multiplier == 1
     assert Collector.KG_W.nursery_multiplier == 1
+    # the four flags are plain attributes of each member, not properties
+    for member in Collector:
+        assert {"is_write_sampling", "nursery_multiplier", "loo", "mdo"} <= vars(member).keys()
 
 
 def test_defaults_per_variant():
@@ -76,6 +80,21 @@ def test_budget_must_cover_nursery():
     with pytest.raises(ConfigError):
         default_config("KG-B", nursery_size=4 * MIB, heap_budget=8 * MIB)
     default_config("KG-B", nursery_size=4 * MIB, heap_budget=12 * MIB)
+
+
+@pytest.mark.parametrize("field", ["op_cost_ns", "byte_cost_ns"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_clock_costs_must_be_finite_and_non_negative(field, value):
+    # an infinite cost made the simulated time NaN, and the report invalid JSON
+    with pytest.raises(ConfigError, match="costs must be finite and non-negative"):
+        default_config("KG-W", **{field: value})
+
+
+@pytest.mark.parametrize("collector", ["KG-W", "PCM-Only"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+def test_observer_multiplier_must_be_finite_and_positive(collector, value):
+    with pytest.raises(ConfigError, match="observer multiplier must be finite and positive"):
+        default_config(collector, observer_multiplier=value)
 
 
 def test_a_built_config_cannot_change():

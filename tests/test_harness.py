@@ -25,7 +25,6 @@ from hybridgc.harness import (
     run_baseline_pair,
     run_experiment,
     sweep,
-    sweep_points,
 )
 from hybridgc.memory import MAX_INSTANCES, lifetime_years
 from hybridgc.workloads import ReadOp, WorkloadSpec, WriteOp, default_spec, generate, serialize_trace
@@ -190,9 +189,8 @@ def corrupted_instance(*args, **kwargs):
 
             def corrupted_drain():
                 # 64 demanded bytes, never written, in the count of instance 1's first DRAM key
-                counters = system.counters
-                dram_ids = [i for i, (inst, kind, _space) in enumerate(counters.keys) if inst == 1 and kind is MemoryKind.DRAM]
-                counters.demand[dram_ids[0]] += 64
+                dram_ids = [kid for space, kid in heap.key_ids.items() if heap.space_map[space] is MemoryKind.DRAM]
+                system.counters.demand[dram_ids[0]] += 64
                 return drain()
 
             system.drain = corrupted_drain
@@ -391,8 +389,6 @@ class TestComparisons:
         runs = []
         monkeypatch.setattr(harness, "run_experiment", runs.append)
         config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=5000)
-        with pytest.raises(ConfigError, match="repeats an earlier point"):
-            sweep_points(config, collectors, caches, counts)
         with pytest.raises(ConfigError, match="repeats an earlier point"):
             sweep(config, collectors, caches, counts)
         assert runs == []

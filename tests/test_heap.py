@@ -170,8 +170,7 @@ class TestPlacement:
         assert heap.named_boot_ids == [-1, -64]
         # the boot image predates the trace: neither the build nor naming
         # emits traffic or takes simulated time
-        assert system.counters.total(system.counters.written) == 0
-        assert system.counters.total(system.counters.read) == 0
+        assert sum(system.counters.written) == sum(system.counters.read) == 0
         assert system.now_ns == 0.0
         # an op on a named boot object finds its record; one on an unnamed
         # one names it, once
@@ -206,14 +205,14 @@ class TestAlloc:
         assert a.size == 32  # padded to 16B header + 2 slots, 8B aligned
         assert b.addr == a.addr + 32
         assert b.size == align8(100)
-        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.DRAM, NURSERY)] == 32 + 104
+        assert per_key(system.counters.written, heap)[(0, MemoryKind.DRAM, NURSERY)] == 32 + 104
 
     def test_zeroing_toggle(self):
         heap, system = small_heap("KG-N", zeroing=False)
         heap.alloc_object(1, 64, 0)
         counters = system.counters
-        assert per_key(counters, counters.written) == per_key(counters, counters.demand) == {}
-        assert per_key(counters, counters.read) == {}
+        assert per_key(counters.written, heap) == per_key(counters.demand, heap) == {}
+        assert per_key(counters.read, heap) == {}
 
     def test_large_goes_to_los(self):
         heap, _ = small_heap("KG-N")  # loo off
@@ -290,8 +289,8 @@ class TestMutatorOps:
         heap.read_data(1, 0, 8)
         assert rec.write_count == 1
         # without a cache, each op reaches memory byte for byte
-        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.DRAM, NURSERY): 32}
-        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.DRAM, NURSERY): 8}
+        assert per_key(system.counters.written, heap) == {(0, MemoryKind.DRAM, NURSERY): 32}
+        assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, NURSERY): 8}
 
     def test_bounds_checks(self):
         heap, _ = small_heap("KG-N")
@@ -311,14 +310,14 @@ class TestMutatorOps:
         rec = heap.objects[-5]
         assert rec.space == BOOT and rec.write_count == 0
         assert heap.named_boot_ids == [-5]
-        assert per_key(system.counters, system.counters.read) == {(0, MemoryKind.DRAM, BOOT): 16}
-        assert per_key(system.counters, system.counters.written) == {}
+        assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, BOOT): 16}
+        assert per_key(system.counters.written, heap) == {}
 
     def test_boot_objects_are_writable(self):
         heap, system = small_heap("KG-N")
         heap.write_data(-3, 0, 16)
         assert heap.objects[-3].write_count == 1
-        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.DRAM, BOOT)] == 16
+        assert per_key(system.counters.written, heap)[(0, MemoryKind.DRAM, BOOT)] == 16
 
     def test_ref_write_emits_one_line(self):
         heap, system = small_heap("KG-N", zeroing=False)
@@ -329,7 +328,7 @@ class TestMutatorOps:
         assert parent.refs == [0, 2]
         assert parent.write_count == 1
         # the barrier writes the one line holding the slot
-        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.DRAM, NURSERY): 64}
+        assert per_key(system.counters.written, heap) == {(0, MemoryKind.DRAM, NURSERY): 64}
         # both objects young: nothing to remember
         assert heap.remset == set()
         heap.write_ref(1, 1, 0)  # clearing a slot is fine
@@ -341,7 +340,7 @@ class TestMutatorOps:
         before = system.now_ns
         heap.write_ref(1, 1, 0)
         assert system.now_ns - before == system.op_cost_ns + 128 * system.byte_cost_ns
-        assert per_key(system.counters, system.counters.written) == {(0, MemoryKind.DRAM, NURSERY): 128}
+        assert per_key(system.counters.written, heap) == {(0, MemoryKind.DRAM, NURSERY): 128}
 
     def test_ref_slot_validation(self):
         heap, _ = small_heap("KG-N")
@@ -428,17 +427,16 @@ class TestFrameBudget:
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_the_first_access_under_a_new_space_and_instance_runs_in_its_budget(self, variant):
-        # a built heap holds one key per space, of the space's kind, and no op adds one
+        # a built heap adds one key per space, ids apart from every other
+        # heap's, and no op adds one
         config = small_config(variant, cache_capacity=64 * KIB)
         system = build_system(config)
         counters = system.counters
         first = build_instance(config, system, 0)
         second = build_instance(config, system, 1)
-        assert counters.keys == [(i, kind, space) for i in (0, 1) for space, kind in first.space_map.items()]
-        for heap in (first, second):
-            assert heap.key_ids == {space: counters.keys.index((heap.instance_id, kind, space))
-                                    for space, kind in heap.space_map.items()}
-        keys = counters.keys[:]
+        assert first.key_ids.keys() == second.key_ids.keys() == first.space_map.keys()
+        n_keys = 2 * len(first.space_map)
+        assert [*first.key_ids.values(), *second.key_ids.values()] == [*range(n_keys)]
         for heap in (second, first):
             assert self.frames(heap.alloc_object, 1, 64, 0) == [
                 "alloc_object",
@@ -452,7 +450,9 @@ class TestFrameBudget:
             heap.write_ref(-1, 0, 1)
             heap.set_root(1, True)
             assert heap.gc.collections == []
-        assert counters.keys == keys
+        assert [len(counts) for counts in (counters.written, counters.read, counters.demand, counters.absorbed)] == [
+            n_keys
+        ] * 4
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_a_write_that_evicts_a_dirty_line_runs_in_its_budget(self, variant):

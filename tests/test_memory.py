@@ -4,7 +4,8 @@ import pytest
 
 from hybridgc.address_space import MemoryKind
 from hybridgc.errors import ConfigError, InvariantError
-from hybridgc.harness import config_for_archetype, run_experiment
+from hybridgc.collectors import build_instance
+from hybridgc.harness import build_system, config_for_archetype, run_experiment
 from hybridgc.memory import (
     INST_BITS,
     MAX_INSTANCES,
@@ -16,7 +17,7 @@ from hybridgc.memory import (
     lifetime_years,
 )
 
-from support import KIB, per_key, resident_lines, small_heap
+from support import KIB, per_key, resident_lines, small_config, small_heap
 
 # Frozen oracle values, computed as capacity * endurance * efficiency
 # divided by rate * seconds-per-year with independent arithmetic:
@@ -130,25 +131,24 @@ class TestCacheModel:
     def test_write_coalescing(self):
         system = one_set_cache()
         counters = system.counters
-        kid = counters.intern(0, PCM, "s")
+        kid = counters.add_key()
         for _ in range(100):
             system.access(0, 0, 8, True, kid)
-        assert counters.total(counters.written) == 0  # nothing reached memory yet
+        assert counters.written == [0]  # nothing reached memory yet
         assert system.drain() == 1
-        assert counters.total(counters.written, PCM) == 64
-        assert counters.total(counters.demand, PCM, 0) == 100 * 64
-        assert counters.total(counters.absorbed, PCM, 0) == 99 * 64
-        counters.check_write_conservation()
+        assert counters.written == [64]
+        assert counters.demand == [100 * 64]
+        assert counters.absorbed == [99 * 64]
 
     def test_straddling_write_touches_two_lines(self):
         system = one_set_cache()
-        system.access(0, 60, 8, True, system.counters.intern(0, PCM, "s"))
-        assert system.counters.total(system.counters.demand, PCM, 0) == 128
+        system.access(0, 60, 8, True, system.counters.add_key())
+        assert system.counters.demand == [128]
         assert system.counters.fills == 2
 
     def test_lru_eviction_order(self):
         system = one_set_cache(ways=2)
-        kid = system.counters.intern(0, PCM, "s")
+        kid = system.counters.add_key()
         system.access(0, 0 * 64, 8, True, kid)  # line 0
         system.access(0, 1 * 64, 8, True, kid)  # line 1
         system.access(0, 0 * 64, 8, False, kid)  # touch 0: LRU is now 1
@@ -160,11 +160,11 @@ class TestCacheModel:
     def test_reads_fill_without_writeback(self):
         system = one_set_cache(ways=1)
         counters = system.counters
-        kid = counters.intern(0, PCM, "s")
+        kid = counters.add_key()
         system.access(0, 0, 64, False, kid)
         system.access(0, 64, 64, False, kid)  # evicts clean line 0
-        assert counters.total(counters.read, PCM) == 128
-        assert counters.total(counters.written) == 0
+        assert counters.read == [128]
+        assert counters.written == [0]
         assert counters.writebacks == 0
 
     def test_split_classifies_lines(self):
@@ -177,35 +177,32 @@ class TestCacheModel:
         heap.write_data(1, 0, 8)
         heap.write_data(2, 0, 8)
         assert system.drain() == 2
-        counters = system.counters
-        assert per_key(counters, counters.written) == {(0, DRAM, "nursery"): 64, (0, PCM, "los-pcm"): 64}
+        assert per_key(system.counters.written, heap) == {(0, DRAM, "nursery"): 64, (0, PCM, "los-pcm"): 64}
 
     def test_instances_do_not_alias(self):
         system = one_set_cache(ways=2)
         counters = system.counters
-        system.access(0, 0, 8, True, counters.intern(0, PCM, "s"))
-        system.access(1, 0, 8, True, counters.intern(1, PCM, "s"))  # same address, other program
+        system.access(0, 0, 8, True, counters.add_key())
+        system.access(1, 0, 8, True, counters.add_key())  # same address, other program
         assert resident_lines(system.cache) == 2
         system.drain()
-        assert counters.total(counters.written, inst=0) == 64
-        assert counters.total(counters.written, inst=1) == 64
+        assert counters.written == [64, 64]
 
     def test_highest_instance_does_not_alias_the_next_line(self):
         # keys are (line << INST_BITS) | instance: instance 65535 on line 0
         # and instance 0 on line 1 are neighbouring keys, not the same one
         system = system_over(4 * 64, 4)
         counters = system.counters
-        top = MAX_INSTANCES - 1
-        system.access(top, 0, 8, True, counters.intern(top, PCM, "a"))
-        system.access(0, 64, 8, True, counters.intern(0, DRAM, "b"))
+        system.access(MAX_INSTANCES - 1, 0, 8, True, counters.add_key())
+        system.access(0, 64, 8, True, counters.add_key())
         assert resident_lines(system.cache) == 2
         assert system.drain() == 2
-        assert per_key(counters, counters.written) == {(top, PCM, "a"): 64, (0, DRAM, "b"): 64}
-        counters.check_write_conservation()
+        assert counters.written == counters.demand == [64, 64]
 
     def test_drain_is_idempotent_and_empties(self):
         system = one_set_cache()
-        kid = system.counters.intern(0, PCM, "s")
+        counters = system.counters
+        kid = counters.add_key()
         system.access(0, 0, 8, True, kid)
         system.access(0, 64, 8, False, kid)  # a clean line
         assert system.drain() == 1
@@ -214,56 +211,55 @@ class TestCacheModel:
         assert system.drain() == 0
         # a write after the drain misses and fills its line again
         system.access(0, 0, 8, True, kid)
-        assert system.counters.fills == 3
+        assert counters.fills == 3
         assert system.drain() == 1
-        assert system.counters.writebacks == 2
-        system.counters.check_write_conservation()
+        assert counters.writebacks == 2
+        assert counters.written == counters.demand == [128] and counters.absorbed == [0]
 
     def test_drain_decodes_instance_and_kind_of_each_line(self):
+        # the id a dirty line holds is the key, and so the instance and
+        # kind, that the drain counts it under
         system = system_over(8 * 64, 8)
         counters = system.counters
-        pcm, dram, span = (7, PCM, "p"), (300, DRAM, "d"), (5, DRAM, "s")
-        system.access(7, 64, 64, True, counters.intern(*pcm))  # line 1
-        system.access(300, 2 * 64, 64, True, counters.intern(*dram))  # line 2
-        system.access(5, 64 + 32, 64, True, counters.intern(*span))  # lines 1 and 2, one key
-        # each dirty line holds the id of the key it is written back under
+        pcm, dram, span = counters.add_key(), counters.add_key(), counters.add_key()
+        system.access(7, 64, 64, True, pcm)  # line 1
+        system.access(300, 2 * 64, 64, True, dram)  # line 2
+        system.access(5, 64 + 32, 64, True, span)  # lines 1 and 2, one key
         keys = [1 << INST_BITS | 7, 2 << INST_BITS | 300, 1 << INST_BITS | 5, 2 << INST_BITS | 5]
-        residents = [[(key, counters.keys[held]) for key, held in cset.items()] for cset in system.cache.sets]
-        assert residents == [list(zip(keys, (pcm, dram, span, span)))]
+        assert [[*cset.items()] for cset in system.cache.sets] == [list(zip(keys, (pcm, dram, span, span)))]
         assert system.drain() == 4
         assert resident_lines(system.cache) == 0
-        assert per_key(counters, counters.written) == {pcm: 64, dram: 64, span: 128}
+        assert counters.written == [64, 64, 128]
 
     def test_dirty_lines_share_one_interned_key(self):
         system = system_over(8 * 64, 8)
         counters = system.counters
-        kid = counters.intern(0, PCM, "s")
-        other = counters.intern(0, DRAM, "t")
+        kid = counters.add_key()
+        other = counters.add_key()
         system.access(0, 0, 64, True, kid)
         system.access(0, 64, 3 * 64, True, kid)  # a second write run, same key
         system.access(0, 4 * 64, 64, False, other)  # a read leaves its line clean
-        assert counters.keys == [(0, PCM, "s"), (0, DRAM, "t")]  # an access interns nothing
         held = list(system.cache.sets[0].values())
         assert held == [kid, kid, kid, kid, None]
-        # the held id is the index the line's fill was counted under
+        # the held id is the index the line's fill was counted under, and
+        # an access adds no key
         assert counters.read == [4 * 64, 64]
         assert counters.demand == [4 * 64, 0]
 
     def test_passthrough_is_byte_exact(self):
         system = system_over(0)
         counters = system.counters
-        kid = counters.intern(0, PCM, "s")
+        kid = counters.add_key()
         system.access(0, 3, 5, True, kid)
         system.access(0, 1000, 7, False, kid)
-        assert counters.total(counters.written, PCM) == 5
-        assert counters.total(counters.read, PCM) == 7
+        assert counters.written == counters.demand == [5]
+        assert counters.read == [7]
         assert system.drain() == 0
-        counters.check_write_conservation()
 
     def test_zero_length_access_is_a_noop(self):
         system = one_set_cache()
-        system.access(0, 0, 0, True, system.counters.intern(0, PCM, "s"))
-        assert per_key(system.counters, system.counters.demand) == {}
+        system.access(0, 0, 0, True, system.counters.add_key())
+        assert system.counters.demand == [0]
         assert resident_lines(system.cache) == 0
 
     def test_zero_length_access_is_a_noop_on_every_path(self):
@@ -271,98 +267,108 @@ class TestCacheModel:
             (system_over(0), False),
             (system_over(16 * 64, gc_through=False), True),
         ):
-            kid = system.counters.intern(0, PCM, "s")
+            counters = system.counters
+            kid = counters.add_key()
             system.access(0, 0, 0, True, kid, collector=collector)
             system.access(0, 64, -8, False, kid, collector=collector)
-            assert per_key(system.counters, system.counters.written) == {} and per_key(system.counters, system.counters.read) == {}
-            assert per_key(system.counters, system.counters.demand) == {}
+            assert counters.written == counters.read == counters.demand == [0]
+
+
+def two_heaps():
+    """Instances 0 and 1 of one small KG-W config, on one memory system with a cache."""
+    config = small_config("KG-W", cache_capacity=64 * KIB)
+    system = build_system(config)
+    return [build_instance(config, system, i) for i in (0, 1)], system
+
+
+def check_every_heap(heaps):
+    """Each heap's write conservation check, in instance order, as a run makes them after its drain."""
+    for heap in heaps:
+        heap.check_write_conservation()
 
 
 class TestCounters:
     def test_snapshot_diff(self):
         counters = TrafficCounters()
-        a = counters.intern(0, PCM, "a")
-        b = counters.intern(1, DRAM, "b")
+        a = counters.add_key()
+        b = counters.add_key()
         counters.written[a] = 10
         counters.fills = 2
         base = counters.snapshot()
-        assert per_key(base, base.written) == per_key(counters, counters.written) == {(0, PCM, "a"): 10} and base.fills == 2
+        assert base.written == counters.written == [10, 0] and base.fills == 2
         counters.written[a] += 7
         counters.read[b] = 3
         counters.fills += 1
         window = counters.diff(base)
         assert window.fills == 1
-        assert per_key(window, window.written) == {(0, PCM, "a"): 7}
-        assert per_key(window, window.read) == {(1, DRAM, "b"): 3}
+        assert window.written == [7, 0]
+        assert window.read == [0, 3]
         assert base.written == [10, 0] and base.read == [0, 0]  # snapshot is unaffected
 
     def test_diff_counts_a_key_interned_after_the_snapshot_from_zero(self):
         system = system_over(16 * 64, 16)
         counters = system.counters
-        system.access(0, 0, 64, True, counters.intern(0, PCM, "nursery"))
+        system.access(0, 0, 64, True, counters.add_key())
         base = counters.snapshot()
-        system.access(0, 8 * 64, 128, True, counters.intern(0, DRAM, "mature-dram"))
+        system.access(0, 8 * 64, 128, True, counters.add_key())
         system.drain()
-        assert len(base.keys) == 1 and len(counters.keys) == 2
+        assert len(base.written) == 1 and len(counters.written) == 2
         window = counters.diff(base)
-        assert window.keys == counters.keys
-        assert per_key(window, window.demand) == {(0, DRAM, "mature-dram"): 128}
-        assert per_key(window, window.read) == {(0, DRAM, "mature-dram"): 128}
-        assert per_key(window, window.written) == {(0, PCM, "nursery"): 64, (0, DRAM, "mature-dram"): 128}
+        assert window.demand == [0, 128]
+        assert window.read == [0, 128]
+        assert window.written == [64, 128]
         assert window.fills == 2 and window.writebacks == 3
 
-    def test_total_sums_a_list_over_the_keys_of_a_kind_and_an_instance(self):
-        counters = TrafficCounters()
-        for key, n in (
-            ((0, PCM, "nursery"), 5),
-            ((0, DRAM, "nursery"), 100),
-            ((1, PCM, "nursery"), 7),
-            ((1, PCM, "los-pcm"), 9),
-        ):
-            counters.read[counters.intern(*key)] = n
-        assert counters.total(counters.read) == 121
-        assert counters.total(counters.read, PCM) == 21
-        assert counters.total(counters.read, inst=1) == 16
-        assert counters.total(counters.read, DRAM, 1) == 0
-        assert counters.total(counters.written) == 0
-
     def test_conservation_violation_detected(self):
-        counters = TrafficCounters()
-        kid = counters.intern(0, PCM, "a")
+        (first, second), system = two_heaps()
+        counters = system.counters
+        kid = first.key_ids["los-pcm"]
         counters.demand[kid] = 128
         counters.absorbed[kid] = 64
         with pytest.raises(InvariantError, match="not conserved") as failure:
-            counters.check_write_conservation()
+            check_every_heap((first, second))
         assert failure.value.instance == 0
         # conservation holds per (instance, kind), not per key: the last
         # writer of a line may be another space than the one it absorbed
-        counters.written[counters.intern(0, PCM, "b")] = 64
-        counters.check_write_conservation()
+        counters.written[first.key_ids["mature-pcm"]] = 64
+        check_every_heap((first, second))
         # written-back bytes with no demand behind them break it too
-        counters = TrafficCounters()
-        counters.written[counters.intern(1, DRAM, "nursery")] = 64
+        counters.written[second.key_ids["nursery"]] = 64
         with pytest.raises(InvariantError, match="not conserved.* 0 demanded, 0 absorbed, 64 written back") as failure:
-            counters.check_write_conservation()
+            check_every_heap((first, second))
         assert failure.value.instance == 1
 
     def test_conservation_groups_keys_interned_apart_and_names_the_first_broken_pair(self):
-        counters = TrafficCounters()
-        spaces = ("nursery", "mature-pcm", "los-pcm")
-        for space in spaces:  # each (instance, kind) has keys far apart in the lists
-            for inst in (2, 1, 0):
-                for kind in (PCM, DRAM):
-                    kid = counters.intern(inst, kind, space)
-                    counters.demand[kid] = 64
-                    # each pair's demand is written back under its last space
-                    counters.written[kid] = 3 * 64 if space == spaces[-1] else 0
-        counters.check_write_conservation()
-        for inst, kind in ((2, PCM), (1, DRAM), (1, PCM)):
-            counters.absorbed[counters.keys.index((inst, kind, "nursery"))] = 64
+        heaps, system = two_heaps()
+        counters = system.counters
+        n_spaces = {}
+        for heap in heaps:
+            # each (instance, kind) has keys apart in the lists; its demand
+            # is written back under its last space
+            for kind in (PCM, DRAM):
+                spaces = [space for space, k in heap.space_map.items() if k is kind]
+                for space in spaces:
+                    counters.demand[heap.key_ids[space]] = 64
+                counters.written[heap.key_ids[spaces[-1]]] = len(spaces) * 64
+                n_spaces[kind] = len(spaces)
+        assert n_spaces == {PCM: 2, DRAM: 6}
+        check_every_heap(heaps)
+        first, second = heaps
+        for heap, space in ((second, "nursery"), (second, "los-pcm"), (first, "observer"), (first, "mature-pcm")):
+            counters.absorbed[heap.key_ids[space]] = 64
         with pytest.raises(InvariantError) as failure:
-            counters.check_write_conservation()
+            check_every_heap(heaps)
+        # instance 0 before instance 1, and DRAM before PCM
         assert str(failure.value) == (
-            f"write bytes not conserved for {(1, DRAM)}: 192 demanded, 64 absorbed, 192 written back"
+            f"write bytes not conserved for {(0, DRAM)}: 384 demanded, 64 absorbed, 384 written back"
         )
+        assert failure.value.instance == 0
+        counters.absorbed[first.key_ids["observer"]] = 0
+        with pytest.raises(InvariantError, match=rf"not conserved for \(0, {PCM!r}\)"):
+            check_every_heap(heaps)
+        counters.absorbed[first.key_ids["mature-pcm"]] = 0
+        with pytest.raises(InvariantError, match=rf"not conserved for \(1, {DRAM!r}\)") as failure:
+            check_every_heap(heaps)
         assert failure.value.instance == 1
 
 
@@ -370,12 +376,11 @@ class TestMemorySystem:
     def test_collector_bypass(self):
         system = system_over(16 * 64, gc_through=False)
         counters = system.counters
-        kid = counters.intern(0, PCM, "s")
+        kid = counters.add_key()
         system.access(0, 0, 8, True, kid, collector=True)
         # bypassed traffic reaches memory immediately, byte-exact
-        assert counters.total(counters.written, PCM) == 8
+        assert counters.written == [8]
         system.access(0, 0, 8, True, kid, collector=False)
-        assert counters.total(counters.written, PCM) == 8  # cached
+        assert counters.written == [8]  # cached
         system.drain()
-        assert counters.total(counters.written, PCM) == 8 + 64
-        counters.check_write_conservation()
+        assert counters.written == counters.demand == [8 + 64]

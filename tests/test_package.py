@@ -139,7 +139,7 @@ def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
 
 def test_a_cache_access_calls_no_method_of_its_own():
     """``MemorySystem.access`` is one frame per access, cached or not: no
-    helper method passes bytes through, counts victims, interns keys or
+    helper method passes bytes through, counts victims, adds keys or
     walks a run."""
     defs = _memory_defs()
     # every method a class of memory.py defines, whatever it is called on
@@ -173,6 +173,23 @@ def test_memory_counts_per_key_in_lists():
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and isinstance(node.slice, ast.Tuple)
     ]
     assert tuple_keyed == []
+
+
+def test_memory_knows_no_memory_kind():
+    """A counter key means something only to the heap that added it:
+    ``memory.py`` imports nothing from ``address_space`` and names no
+    ``MemoryKind``."""
+    imports, kinds = [], []
+    for node in ast.walk(_memory_tree()):
+        if isinstance(node, ast.ImportFrom) and "address_space" in (node.module or ""):
+            imports.append(ast.unparse(node))
+        elif isinstance(node, ast.Import) and any("address_space" in alias.name for alias in node.names):
+            imports.append(ast.unparse(node))
+        elif (isinstance(node, ast.Name) and node.id == "MemoryKind") or (
+            isinstance(node, ast.Attribute) and node.attr == "MemoryKind"
+        ):
+            kinds.append(f"memory.py:{node.lineno}")
+    assert imports == [] and kinds == []
 
 
 def _self_attrs(cls: ast.ClassDef) -> set[str]:

@@ -552,7 +552,7 @@ class TestDriver:
         assert rec.addr == heap.boot_space.lo + (count - 1) * 256
         assert rec.space == BOOT and rec.refs == [0, 0, 0, 1]
         # one barrier line and the data write, both in the boot space
-        assert per_key(system.counters, system.counters.written)[(0, MemoryKind.DRAM, BOOT)] == 64 + 8
+        assert per_key(system.counters.written, heap)[(0, MemoryKind.DRAM, BOOT)] == 64 + 8
 
     def test_an_id_past_the_boot_image_is_rejected_at_its_position(self):
         count = 64  # a 16 KiB image of 256-byte boot objects
