@@ -34,17 +34,15 @@ from .address_space import MemoryKind
 from .config import ExperimentConfig
 from .errors import HeapExhausted, InvariantError
 from .heap import (
-    BOOT,
     LOS_DRAM,
     LOS_PCM,
     MATURE_DRAM,
     MATURE_PCM,
     META_DRAM,
     META_SLOT_SIZE,
-    NURSERY,
-    OBSERVER,
     HeapInstance,
     ObjectRecord,
+    Space,
 )
 from .memory import MemorySystem
 
@@ -67,7 +65,7 @@ class CollectionStats:
         return sum(self.copied_bytes.values())
 
 
-Moves = list[tuple[ObjectRecord, str]]  # (record, destination space) pairs, by address
+Moves = list[tuple[ObjectRecord, Space]]  # (record, destination space) pairs, by address
 
 
 class GcEngine:
@@ -115,7 +113,7 @@ class GcEngine:
         if not cid:
             return 0
         child = objects.get(cid)
-        return cid if child is not None and self.heap.is_young_addr(child.addr) else 0
+        return cid if child is not None and child.space.young else 0
 
     @staticmethod
     def _closure(stack: list[int], scope: dict[int, ObjectRecord]) -> set[int]:
@@ -145,41 +143,40 @@ class GcEngine:
         Walking ``heap.young`` yields both lists already in address order.
         """
         heap = self.heap
-        minor_dest = OBSERVER if self.config.variant.is_write_sampling else MATURE_PCM
+        spaces = heap.spaces
+        minor_dest = heap.observer or spaces[MATURE_PCM]
         nursery_moves = []
         observer_live = []
         to_observer = 0
         for rec in heap.young:
             if rec.id not in live:
                 continue
-            if rec.space == NURSERY:
-                dest = LOS_PCM if rec.large else minor_dest
-                if dest == OBSERVER:
+            if rec.space is heap.nursery:
+                dest = spaces[LOS_PCM] if rec.large else minor_dest
+                if dest.young:
                     to_observer += rec.size
                 nursery_moves.append((rec, dest))
             else:
                 observer_live.append(rec)
         observer_moves = None
         if heap.observer is not None and heap.observer.free < to_observer:
-            observer_moves = [(rec, MATURE_DRAM if rec.write_count else MATURE_PCM) for rec in observer_live]
+            observer_moves = [(rec, spaces[MATURE_DRAM if rec.write_count else MATURE_PCM]) for rec in observer_live]
         return nursery_moves, observer_moves
 
     def _chunks_available(self, nursery_moves: Moves, observer_moves: Moves | None) -> bool:
-        heap = self.heap
-        layout = heap.layout
-        needs: dict[str, int] = {}
+        layout = self.heap.layout
+        needs: dict[Space, int] = {}
         for rec, dest in (*nursery_moves, *(observer_moves or ())):
-            if dest != OBSERVER:
+            if not dest.young:
                 needs[dest] = needs.get(dest, 0) + rec.size
         fresh = {MemoryKind.DRAM: 0, MemoryKind.PCM: 0}
-        for name, nbytes in needs.items():
-            space = heap.free_list_spaces[name]
+        for space, nbytes in needs.items():
             # bytes already free in this space's extents serve first; only
             # the shortfall demands fresh chunks (fragmentation aside)
             slack = sum(ext[1] for ext in space.extents)
             short = nbytes - slack
             if short > 0:
-                fresh[space.memory] += -(-short // layout.chunk_size)
+                fresh[space.kind] += -(-short // layout.chunk_size)
         return all(
             layout.free_list_for(kind).free_count >= count
             for kind, count in fresh.items()
@@ -194,7 +191,7 @@ class GcEngine:
             self.inspect_hook("minor", frozenset(live))
 
         # every record that leaves the young region
-        moved_out = [rec for rec, dest in nursery_moves if dest != OBSERVER]
+        moved_out = [rec for rec, dest in nursery_moves if not dest.young]
         if observer_moves is not None:
             stats = CollectionStats("observer", objects_scanned=len(observer_moves),
                                     space_used_before=heap.observer.used)
@@ -217,7 +214,7 @@ class GcEngine:
                 del objects[rec.id]
                 reclaimed.add(rec.id)
                 dead += 1
-            elif rec.space == OBSERVER:  # stayed, or was just copied in
+            elif rec.space.young:  # in the observer: stayed, or was just copied in
                 kept.append(rec)
         heap.young = kept
         stats.reclaimed_objects = dead
@@ -233,24 +230,20 @@ class GcEngine:
         heap = self.heap
         system = heap.system
         inst = heap.instance_id
-        spaces = heap.free_list_spaces
         copied = stats.copied_bytes
         for rec, dest in moves:
             size = rec.size
-            if dest == OBSERVER:
-                new_addr = heap.observer.alloc(size)
-                if new_addr is None:
-                    raise InvariantError("observer evacuation left too little room")
-            else:
-                new_addr = spaces[dest].alloc(size)
-            system.access(inst, rec.addr, size, False, heap.key_ids[rec.space], collector=True)
-            system.access(inst, new_addr, size, True, heap.key_ids[dest], collector=True)
+            new_addr = dest.alloc(size)  # only the observer's bump returns None; a free list raises
+            if new_addr is None:
+                raise InvariantError("observer evacuation left too little room")
+            system.access(inst, rec.addr, size, False, rec.space.kid, collector=True)
+            system.access(inst, new_addr, size, True, dest.kid, collector=True)
             if system.include_collector_time:
                 system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
             rec.addr = new_addr
             rec.space = dest
             rec.write_count = 0  # residency changed; observation restarts
-            copied[dest] = copied.get(dest, 0) + size
+            copied[dest.name] = copied.get(dest.name, 0) + size
         stats.copied_objects += len(moves)
 
     def _prune_remset(self) -> None:
@@ -259,7 +252,7 @@ class GcEngine:
         heap.remset = {
             (pid, slot)
             for pid, slot in heap.remset
-            if self._remembered_child(pid, slot) and not heap.is_young_addr(heap.objects[pid].addr)
+            if self._remembered_child(pid, slot) and not heap.objects[pid].space.young
         }
 
     # -- full collection --
@@ -286,29 +279,30 @@ class GcEngine:
         for rec in live_recs[:below_boot]:
             self._mark_record(rec, stats)
         for addr in range(boot.lo, boot.cursor, heap.boot_extent):
-            self._mark(addr, BOOT, stats)  # the boot space is DRAM whenever mdo is on
+            self._mark(addr, boot, stats)  # the boot space is DRAM whenever mdo is on
         for rec in live_recs[below_boot:]:
             self._mark_record(rec, stats)
         # LOO moves a large PCM object written often enough in this
         # relocation window to DRAM; the window restarts at each full
         # collection, for the moved objects (``_move``) and the rest alike.
+        los_pcm = heap.spaces[LOS_PCM]
         for rec in live_recs:
-            if rec.large and rec.space == LOS_PCM:
+            if rec.large and rec.space is los_pcm:
                 if config.variant.loo and rec.write_count >= config.large_relocation_threshold:
-                    self._move([(rec, LOS_DRAM)], stats)
+                    self._move([(rec, heap.spaces[LOS_DRAM])], stats)
                     rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
                     stats.large_relocated += 1
                 else:
                     rec.write_count = 0
 
-        intervals: dict[str, list[tuple[int, int]]] = {name: [] for name in heap.free_list_spaces}
+        intervals: dict[Space, list[tuple[int, int]]] = {space: [] for space in heap.free_list_spaces}
         for rec in live_recs:
             if rec.space in intervals:
                 intervals[rec.space].append((rec.addr, rec.size))
             if rec.meta_addr is not None:
-                intervals[META_DRAM].append((rec.meta_addr, META_SLOT_SIZE))
-        for name, space in heap.free_list_spaces.items():
-            space.sweep(sorted(intervals[name]))
+                intervals[heap.spaces[META_DRAM]].append((rec.meta_addr, META_SLOT_SIZE))
+        for space, live_intervals in intervals.items():
+            space.sweep(sorted(live_intervals))
 
         dead = [oid for oid in heap.objects if oid not in live]
         for oid in dead:
@@ -331,24 +325,25 @@ class GcEngine:
     def _mark_record(self, rec: ObjectRecord, stats: CollectionStats) -> None:
         """Mark ``rec`` in place, or in its DRAM shadow slot when mdo keeps PCM marks out of PCM."""
         heap = self.heap
-        if self.config.variant.mdo and heap.space_map[rec.space] is MemoryKind.PCM:
+        if self.config.variant.mdo and rec.space.kind is MemoryKind.PCM:
+            meta = heap.spaces[META_DRAM]
             if rec.meta_addr is None:
-                rec.meta_addr = heap.free_list_spaces[META_DRAM].alloc(META_SLOT_SIZE)
-            self._mark(rec.meta_addr, META_DRAM, stats)
+                rec.meta_addr = meta.alloc(META_SLOT_SIZE)
+            self._mark(rec.meta_addr, meta, stats)
         else:
             self._mark(rec.addr, rec.space, stats)
 
-    def _mark(self, target: int, space: str, stats: CollectionStats) -> None:
+    def _mark(self, target: int, space: Space, stats: CollectionStats) -> None:
         """One mark write: the cache line holding ``target``, in ``space``."""
         heap = self.heap
         system = heap.system
         line = system.cache.line_size
         line_base = (target // line) * line
-        system.access(heap.instance_id, line_base, line, True, heap.key_ids[space], collector=True)
+        system.access(heap.instance_id, line_base, line, True, space.kid, collector=True)
         if system.include_collector_time:
             system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
         stats.mark_writes += 1
-        if heap.space_map[space] is MemoryKind.PCM:
+        if space.kind is MemoryKind.PCM:
             stats.mark_writes_pcm += 1
 
 

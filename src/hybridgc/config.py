@@ -20,7 +20,7 @@ from .address_space import init_layout
 from .errors import ConfigError
 from .memory import MAX_INSTANCES, LifetimeModel, cache_set_count
 from .units import KIB, MIB
-from .workloads import WorkloadSpec
+from .workloads import WorkloadSpec, check_field_types
 
 
 class Collector(Enum):
@@ -102,6 +102,12 @@ class ExperimentConfig:
         object.__setattr__(self, "variant", Collector.from_name(self.collector))
         if self.seed is None:
             raise ConfigError("a seed is required; runs must be reproducible")
+        # these two keep their own messages for a non-finite value
+        if not (0.0 <= self.op_cost_ns < math.inf and 0.0 <= self.byte_cost_ns < math.inf):  # NaN fails too
+            raise ConfigError("op and byte costs must be finite and non-negative")
+        if not 0 < self.observer_multiplier < math.inf:  # NaN fails too
+            raise ConfigError("observer multiplier must be finite and positive")
+        check_field_types(self)
         if self.instances < 1:
             raise ConfigError("need at least one instance")
         if self.instances > MAX_INSTANCES:
@@ -113,14 +119,10 @@ class ExperimentConfig:
             raise ConfigError("quantum must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warm-up fraction must be in [0, 1)")
-        if not (0.0 <= self.op_cost_ns < math.inf and 0.0 <= self.byte_cost_ns < math.inf):  # NaN fails too
-            raise ConfigError("op and byte costs must be finite and non-negative")
         if self.nursery_size <= 0:
             raise ConfigError("nursery size must be positive")
         if self.heap_budget < self.effective_nursery_size:
             raise ConfigError("heap budget smaller than the nursery makes no progress")
-        if not 0 < self.observer_multiplier < math.inf:  # NaN fails too
-            raise ConfigError("observer multiplier must be finite and positive")
         if self.variant.is_write_sampling and self.observer_multiplier < 1.0:
             # a full nursery of survivors must fit after an evacuation
             raise ConfigError("the observation space cannot be smaller than the nursery")

@@ -187,14 +187,13 @@ def _rate(pcm_write_bytes: int, elapsed: float, model: LifetimeModel) -> dict:
 def _instance_row(
     label: str, desc: str, heap: HeapInstance, window: TrafficCounters, elapsed: float, model: LifetimeModel
 ) -> InstanceReport:
-    """One instance's row, read in one pass over its own heap's keys, and its collections."""
+    """One instance's row, read in one pass over its own heap's spaces, and its collections."""
     written: dict[MemoryKind, dict[str, int]] = {MemoryKind.PCM: {}, MemoryKind.DRAM: {}}  # by space, in order
     read = dict.fromkeys(written, 0)
-    for space, kid in sorted(heap.key_ids.items()):
-        kind = heap.space_map[space]
-        if window.written[kid]:
-            written[kind][space] = window.written[kid]
-        read[kind] += window.read[kid]
+    for name, space in sorted(heap.spaces.items()):
+        if window.written[space.kid]:
+            written[space.kind][name] = window.written[space.kid]
+        read[space.kind] += window.read[space.kid]
     stats = heap.gc.collections
     pcm_w = sum(written[MemoryKind.PCM].values())
     return InstanceReport(
@@ -221,10 +220,11 @@ def _instance_row(
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run one experiment to its report; a failed run is a failed report, not an exception.
 
-    The run builds no reference cycles (records hold ids, ops hold ints,
-    and each heap's link to its engine is cut at the end), so CPython's
-    cyclic collector is off while it runs: its passes would traverse
-    every record and find nothing. The caller's setting is restored.
+    The run builds no reference cycles (records hold ids and spaces, ops
+    hold ints, and each heap's link to its engine is cut at the end), so
+    CPython's cyclic collector is off while it runs: its passes would
+    traverse every record and find nothing. The caller's setting is
+    restored.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -303,8 +303,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
 @dataclass
 class PairResult:
     baseline: Report
-    variant: Report
-    reduction: float | None  # 1 - variant/baseline PCM write bytes
+    variant: Report  # its reduction_vs_baseline is 1 - variant/baseline PCM write bytes
 
 
 def run_baseline_pair(config: ExperimentConfig, baseline: str = "PCM-Only") -> PairResult:
@@ -318,7 +317,7 @@ def run_baseline_pair(config: ExperimentConfig, baseline: str = "PCM-Only") -> P
         reduction = 1.0 - var_report.aggregate.pcm_write_bytes / base_pcm
     var_report.baseline_collector = baseline
     var_report.reduction_vs_baseline = reduction
-    return PairResult(base_report, var_report, reduction)
+    return PairResult(base_report, var_report)
 
 
 def sweep(

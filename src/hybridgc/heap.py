@@ -12,13 +12,16 @@ and an allocation that finds its half out of chunks raises
 ``HeapExhausted``. The write barrier and the mutator's
 traffic live here; the collection algorithms that consume this state,
 and issue the collector's traffic, live in :mod:`hybridgc.collectors`.
-A space's memory kind alone makes its traffic PCM or DRAM traffic: the
-heap adds one counter key per space when it is built (``key_ids``), and
-every access, the mutator's and the collector's, goes straight to
-``MemorySystem.access`` under its space's key id. The ids mean nothing
-to the memory system; ``key_ids`` and ``space_map`` are the only record
-of which instance, space and kind each one counts, and the heap checks
-write conservation over its own ids after the drain.
+Each space is the one record of what it is: its name, its memory kind,
+its counter key id (``kid``) and whether it is young (the nursery and
+the observer). The heap builds every space in one place, adding one
+counter key per space, and each object record points at its space. A
+space's kind alone makes its traffic PCM or DRAM traffic: every access,
+the mutator's and the collector's, goes straight to
+``MemorySystem.access`` under its space's ``kid``. The ids mean nothing
+to the memory system; the heap's spaces are the only record of which
+instance, space and kind each one counts, and the heap checks write
+conservation over its own ids after the drain.
 
 The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
@@ -28,7 +31,7 @@ trace has named (``named_boot_ids``). Besides ``objects`` the heap keeps
 ``young``: the records in the observer or the nursery, in address
 order. Allocation appends to it and the collector rebuilds it, so a
 minor collection touches only young records. ``check_placement`` covers
-every record, comparing each address with its space's precomputed half,
+every record, comparing each address with the half of its space's kind,
 and every chunk: the free indices of both halves, the chunks of the
 free-list spaces and ``reserved`` must cover each index exactly once.
 The engine runs it after every collection; no switch turns it off.
@@ -104,8 +107,11 @@ def make_space_map(variant: Collector) -> dict[str, MemoryKind]:
 class BumpSpace:
     """Contiguous space with a monotone cursor; reset empties it wholesale."""
 
-    def __init__(self, name: str, lo: int, hi: int) -> None:
+    def __init__(self, name: str, kind: MemoryKind, kid: int, lo: int, hi: int, young: bool) -> None:
         self.name = name
+        self.kind = kind
+        self.kid = kid  # the counter key its traffic counts under
+        self.young = young
         self.lo = lo
         self.hi = hi
         self.cursor = lo
@@ -136,9 +142,11 @@ class BumpSpace:
 class FreeListSpace:
     """Mark-sweep space over on-demand chunks with first-fit extents."""
 
-    def __init__(self, name: str, memory: MemoryKind, layout: HeapLayout) -> None:
+    def __init__(self, name: str, kind: MemoryKind, kid: int, layout: HeapLayout) -> None:
         self.name = name
-        self.memory = memory
+        self.kind = kind
+        self.kid = kid  # the counter key its traffic counts under
+        self.young = False
         self.layout = layout
         self.chunks: list[int] = []  # indices of the chunks this space holds
         self.extents: list[list[int]] = []  # [addr, size], sorted by addr
@@ -151,7 +159,7 @@ class FreeListSpace:
             )
         addr = self._first_fit(n)
         if addr is None:
-            index = self.layout.free_list_for(self.memory).reserve(self.name)
+            index = self.layout.free_list_for(self.kind).reserve(self.name)
             self.chunks.append(index)
             size = self.layout.chunk_size
             insort(self.extents, [index * size, size])  # chunk addresses are distinct
@@ -199,7 +207,7 @@ class FreeListSpace:
                 cursor = a + sz
                 idx += 1
             if not any_live:
-                self.layout.free_list_for(self.memory).release(index)
+                self.layout.free_list_for(self.kind).release(index)
                 continue
             if cursor < hi:
                 extents.append([cursor, hi - cursor])
@@ -211,12 +219,15 @@ class FreeListSpace:
         self.allocated_bytes = live_bytes
 
 
+Space = BumpSpace | FreeListSpace
+
+
 @dataclass(slots=True)
 class ObjectRecord:
     id: int
     addr: int
     size: int  # extent size: requested, padded to header+slots and 8B-aligned
-    space: str
+    space: Space
     refs: list[int]  # referent ids; 0 is null
     write_count: int = 0
     large: bool = False
@@ -234,14 +245,7 @@ class HeapInstance:
         self.config = config
         self.system = system
         self.zeroing = config.zeroing
-        self.layout = init_layout(config.heap_size, config.chunk_size)
-        self.space_map = make_space_map(config.variant)
-        # each space's traffic counts under one key
-        self.key_ids = {name: system.counters.add_key() for name in self.space_map}
-        # [lo, hi) of the memory half each space must sit in
-        self.space_bounds = {
-            name: self.layout.half_bounds(kind) for name, kind in self.space_map.items()
-        }
+        self.layout = layout = init_layout(config.heap_size, config.chunk_size)
         self.gc: "GcEngine | None" = None  # attached by the engine
 
         self.objects: dict[int, ObjectRecord] = {}
@@ -256,13 +260,37 @@ class HeapInstance:
         self.reclaimed: set[int] = set()
         self.op_index = 0  # maintained by the trace driver, for diagnostics
 
-        self._place_fixed_spaces()
-        # every space but the fixed ranges pulls chunks on demand
-        self.free_list_spaces = {
-            name: FreeListSpace(name, kind, self.layout)
-            for name, kind in self.space_map.items()
-            if name not in (BOOT, NURSERY, OBSERVER)
+        # Every space, in make_space_map order, each adding its counter key.
+        # Boot sits at the bottom of the young kind's half, the nursery at its
+        # top and the observer below it (ExperimentConfig has checked that the
+        # three fit); every other space pulls chunks on demand.
+        space_map = make_space_map(config.variant)
+        half_lo, half_hi = layout.half_bounds(space_map[NURSERY])
+        nursery_lo = half_hi - config.effective_nursery_size
+        fixed = {
+            BOOT: (half_lo, half_lo + config.boot_size),
+            NURSERY: (nursery_lo, half_hi),
+            OBSERVER: (nursery_lo - config.observer_size, nursery_lo),
         }
+        add_key = system.counters.add_key
+        self.spaces: dict[str, Space] = {
+            name: BumpSpace(name, kind, add_key(), *fixed[name], young=name != BOOT)
+            if name in fixed
+            else FreeListSpace(name, kind, add_key(), layout)
+            for name, kind in space_map.items()
+        }
+        self.nursery = self.spaces[NURSERY]
+        self.observer = self.spaces.get(OBSERVER)
+        self.boot_space = self.spaces[BOOT]
+        self.free_list_spaces = [space for space in self.spaces.values() if isinstance(space, FreeListSpace)]
+
+        self.reserved: set[int] = set()  # the fixed spaces' chunks, held for the heap's life
+        for space in filter(None, (self.nursery, self.observer, self.boot_space)):
+            free_list = layout.free_list_for(space.kind)
+            for index in range(space.lo // layout.chunk_size, (space.hi - 1) // layout.chunk_size + 1):
+                if index not in self.reserved:  # adjacent fixed spaces may share a boundary chunk
+                    free_list.reserve_index(index, space.name)
+                    self.reserved.add(index)
 
         # The image predates the trace: it fills the boot space with whole
         # objects, emits no traffic and builds no record up front.
@@ -272,46 +300,16 @@ class HeapInstance:
         self.boot_ids = range(-1, -count - 1, -1)
         self.named_boot_ids: list[int] = []  # boot objects with a record, in naming order
 
-    # -- construction helpers --
-
-    def _place_fixed_spaces(self) -> None:
-        """Boot at the bottom of the young kind's half, nursery at its top, observer below it.
-
-        ``ExperimentConfig`` has checked that the three fit without overlap.
-        """
-        layout = self.layout
-        cfg = self.config
-        half_lo, half_hi = layout.half_bounds(self.space_map[NURSERY])
-        self.nursery = BumpSpace(NURSERY, half_hi - cfg.effective_nursery_size, half_hi)
-        self.observer = None
-        if OBSERVER in self.space_map:
-            self.observer = BumpSpace(OBSERVER, self.nursery.lo - cfg.observer_size, self.nursery.lo)
-        self.boot_space = BumpSpace(BOOT, half_lo, half_lo + cfg.boot_size)
-        self.young_lo = (self.observer or self.nursery).lo
-        self.young_hi = half_hi
-
-        self.reserved: set[int] = set()  # the fixed spaces' chunks, held for the heap's life
-        for space in filter(None, (self.nursery, self.observer, self.boot_space)):
-            free_list = layout.free_list_for(self.space_map[space.name])
-            for index in range(space.lo // layout.chunk_size, (space.hi - 1) // layout.chunk_size + 1):
-                if index not in self.reserved:  # adjacent fixed spaces may share a boundary chunk
-                    free_list.reserve_index(index, space.name)
-                    self.reserved.add(index)
-
-    # -- address helpers --
-
-    def is_young_addr(self, addr: int) -> bool:
-        return self.young_lo <= addr < self.young_hi
-
     # -- mutator operations (one per trace op kind) --
     #
     # Each op takes one frame besides the cache walk (and, for a small
     # allocation, the record's constructor and the nursery's bump), so the
-    # record lookup, bounds test, alignment, young-range test and clock
-    # advance are written out inline. They repeat ``align8`` and
-    # ``is_young_addr`` term for term, and each advances the clock by
-    # ``MemorySystem``'s one expression, ``op_cost_ns + n * byte_cost_ns``
-    # for the ``n`` bytes it moves, so simulated time stays bit-identical.
+    # record lookup, bounds test, alignment and clock advance are written
+    # out inline. They repeat ``align8`` term for term; the write barrier's
+    # young test reads the two records' ``space.young``. Each op advances
+    # the clock by ``MemorySystem``'s one expression, ``op_cost_ns + n *
+    # byte_cost_ns`` for the ``n`` bytes it moves, so simulated time stays
+    # bit-identical.
 
     def alloc_object(self, oid: int, size: int, n_refs: int, large_hint: bool = False) -> ObjectRecord:
         if oid <= 0:
@@ -329,27 +327,25 @@ class HeapInstance:
         if large:
             addr, space = self._alloc_large(extent)
         else:
-            nursery = self.nursery
+            space = nursery = self.nursery
             addr = nursery.alloc(extent)
             if addr is None:
                 self.gc.on_nursery_full()
                 addr = nursery.alloc(extent)
                 if addr is None:
                     raise HeapExhausted(f"{extent}-byte object cannot fit an empty nursery")
-            space = NURSERY
 
         rec = ObjectRecord(oid, addr, extent, space, [0] * n_refs, large=large)
         self.objects[oid] = rec
-        if space == NURSERY:
+        if space.young:
             self.young.append(rec)
         if self.zeroing:
-            system.access(self.instance_id, addr, extent, True, self.key_ids[space])
+            system.access(self.instance_id, addr, extent, True, space.kid)
         return rec
 
-    def _alloc_large(self, extent: int) -> tuple[int, str]:
-        if loo_admit(self.config, extent, self.nursery.free):
-            return self.nursery.alloc(extent), NURSERY  # admission checked the free space
-        return self.free_list_spaces[LOS_PCM].alloc(extent), LOS_PCM
+    def _alloc_large(self, extent: int) -> tuple[int, Space]:
+        space = self.nursery if loo_admit(self.config, extent, self.nursery.free) else self.spaces[LOS_PCM]
+        return space.alloc(extent), space  # admission checked the nursery's free space
 
     def write_data(self, oid: int, offset: int, length: int) -> None:
         rec = self.objects.get(oid)
@@ -360,7 +356,7 @@ class HeapInstance:
         system = self.system
         system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
         rec.write_count += 1
-        system.access(self.instance_id, rec.addr + offset, length, True, self.key_ids[rec.space])
+        system.access(self.instance_id, rec.addr + offset, length, True, rec.space.kid)
 
     def read_data(self, oid: int, offset: int, length: int) -> None:
         rec = self.objects.get(oid)
@@ -370,7 +366,7 @@ class HeapInstance:
             raise self._bounds_error(rec, offset, length)
         system = self.system
         system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
-        system.access(self.instance_id, rec.addr + offset, length, False, self.key_ids[rec.space])
+        system.access(self.instance_id, rec.addr + offset, length, False, rec.space.kid)
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
         objects = self.objects
@@ -391,12 +387,9 @@ class HeapInstance:
         system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
-        system.access(self.instance_id, line_base, line, True, self.key_ids[parent.space])
-        if child_id:
-            young_lo = self.young_lo
-            young_hi = self.young_hi
-            if not young_lo <= parent.addr < young_hi and young_lo <= child.addr < young_hi:
-                self.remset.add((parent_id, slot))
+        system.access(self.instance_id, line_base, line, True, parent.space.kid)
+        if child_id and child.space.young and not parent.space.young:
+            self.remset.add((parent_id, slot))
 
     def set_root(self, oid: int, rooted: bool) -> None:
         if oid not in self.objects:
@@ -419,7 +412,7 @@ class HeapInstance:
         if oid not in self.boot_ids:
             raise TraceError(f"id {oid} is not a live allocation")
         addr = self.boot_space.lo + (-oid - 1) * self.boot_extent
-        rec = ObjectRecord(id=oid, addr=addr, size=self.boot_extent, space=BOOT, refs=[0] * BOOT_OBJECT_REFS)
+        rec = ObjectRecord(id=oid, addr=addr, size=self.boot_extent, space=self.boot_space, refs=[0] * BOOT_OBJECT_REFS)
         self.objects[oid] = rec
         self.named_boot_ids.append(oid)
         return rec
@@ -433,9 +426,9 @@ class HeapInstance:
         # mark metadata is collector bookkeeping, not payload; the heap
         # budget governs payload so mdo on/off cannot shift major timing
         return sum(
-            s.allocated_bytes
-            for name, s in self.free_list_spaces.items()
-            if name != META_DRAM
+            space.allocated_bytes
+            for space in self.free_list_spaces
+            if space.name != META_DRAM
         )
 
     def check_write_conservation(self) -> None:
@@ -448,7 +441,7 @@ class HeapInstance:
         """
         counters = self.system.counters
         for kind in (MemoryKind.DRAM, MemoryKind.PCM):
-            kids = [kid for space, kid in self.key_ids.items() if self.space_map[space] is kind]
+            kids = [space.kid for space in self.spaces.values() if space.kind is kind]
             demand = sum(map(counters.demand.__getitem__, kids))
             absorbed = sum(map(counters.absorbed.__getitem__, kids))
             written_back = sum(map(counters.written.__getitem__, kids))
@@ -469,18 +462,19 @@ class HeapInstance:
         fixed space (claimed from the fixed space's half at construction),
         and no index is in two of these places.
         """
-        bounds = self.space_bounds
+        # [lo, hi) of the half each space must sit in, read once per space
+        bounds = {space: self.layout.half_bounds(space.kind) for space in self.spaces.values()}
         for rec in self.objects.values():
             lo, hi = bounds[rec.space]
             if not lo <= rec.addr < hi:
                 raise InvariantError(
-                    f"object {rec.id} in {rec.space} landed at {rec.addr:#x}, outside [{lo:#x}, {hi:#x})"
+                    f"object {rec.id} in {rec.space.name} landed at {rec.addr:#x}, outside [{lo:#x}, {hi:#x})"
                 )
         layout = self.layout
         holders = [(f"free {half.kind.value}", half.free_indices, half) for half in (layout.pcm, layout.dram)]
         holders += [
-            (name, space.chunks, layout.free_list_for(space.memory))
-            for name, space in self.free_list_spaces.items()
+            (space.name, space.chunks, layout.free_list_for(space.kind))
+            for space in self.free_list_spaces
         ]
         held_by = dict.fromkeys(self.reserved, "fixed")
         for holder, indices, half in holders:

@@ -35,10 +35,10 @@ import json
 import random
 import re
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from itertools import islice
-from math import exp
+from math import exp, isfinite
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
@@ -237,6 +237,32 @@ def load_trace(path: str) -> list[TraceOp]:
 # synthetic archetypes
 
 
+# declared field type -> (what the error calls it, the types it may hold)
+_SCALAR_FIELDS = {"int": ("an int", int), "float": ("a finite number", (int, float)), "bool": ("a bool", bool)}
+
+
+def check_field_types(params) -> None:
+    """Reject a field of dataclass ``params`` that does not hold its declared scalar type.
+
+    An ``int`` field holds an int, a ``bool`` field a bool, and a
+    ``float`` field a finite int or float; a bool is neither an int nor a
+    number here. ``WorkloadSpec`` and ``ExperimentConfig`` call it from
+    ``__post_init__``, so a fractional count or a non-finite size fails
+    as a ``ConfigError`` before it can reach a run or a report.
+    """
+    for f in fields(params):
+        if f.type not in _SCALAR_FIELDS:
+            continue
+        what, types = _SCALAR_FIELDS[f.type]
+        value = getattr(params, f.name)
+        if (
+            isinstance(value, bool) != (f.type == "bool")
+            or not isinstance(value, types)
+            or (isinstance(value, float) and not isfinite(value))
+        ):
+            raise ConfigError(f"{f.name} must be {what}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Parameters of one synthetic op stream; fully determines it with seed."""
@@ -259,6 +285,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.archetype not in ARCHETYPES:
             raise ConfigError(f"unknown archetype {self.archetype!r}; choose from {ARCHETYPES}")
+        check_field_types(self)
         if self.op_count <= 0:
             raise ConfigError("op_count must be positive")
         for name in ("survival", "locality", "large_fraction"):

@@ -54,9 +54,11 @@ class ShadowGraph:
         is exactly the guarantee the write barrier has to uphold.
         """
 
+        lo, hi = young_range(heap)
+
         def young(oid: int) -> bool:
             rec = heap.objects.get(oid)
-            return rec is not None and heap.is_young_addr(rec.addr)
+            return rec is not None and lo <= rec.addr < hi
 
         stack = [oid for oid in self.roots if young(oid)]
         for pid, rec in heap.objects.items():
@@ -71,6 +73,11 @@ class ShadowGraph:
             live.add(oid)
             stack.extend(c for c in self.slots[oid] if c and young(c))
         return live
+
+
+def young_range(heap) -> tuple[int, int]:
+    """[lo, hi) of the young region, from the bounds of the nursery and of the observer below it."""
+    return (heap.observer or heap.nursery).lo, heap.nursery.hi
 
 
 def boot_id(rng: random.Random, boot_count: int) -> int:
@@ -161,7 +168,7 @@ def apply_op(heap, op) -> None:
 
 def check_young_list(heap) -> None:
     """``heap.young`` is exactly the records in the young region, in address order."""
-    lo, hi = heap.young_lo, heap.young_hi
+    lo, hi = young_range(heap)
     expected = sorted((rec for rec in heap.objects.values() if lo <= rec.addr < hi), key=lambda r: r.addr)
     assert list(map(id, heap.young)) == list(map(id, expected)), (
         [r.id for r in heap.young],
@@ -169,10 +176,21 @@ def check_young_list(heap) -> None:
     )
 
 
+def check_spaces(heap) -> None:
+    """Each record's space is its own heap's space object, and is young
+    exactly when the record's address is in the young region."""
+    lo, hi = young_range(heap)
+    for rec in heap.objects.values():
+        space = rec.space
+        assert space is heap.spaces[space.name], (rec.id, space.name)
+        assert space.young == (lo <= rec.addr < hi), (rec.id, space.name, hex(rec.addr))
+
+
 def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[str, int]:
     """Run one random trace, asserting every live set against the shadow.
 
-    After every op the heap's young list must also match its objects.
+    After every op the heap's young list must also match its objects, and
+    after every op that collected, each record its space.
 
     Returns how many collections of each kind were checked.
     """
@@ -203,15 +221,20 @@ def check_collections(seed: int, variant: str, n_objects: int = 1500) -> dict[st
         checks[kind] += 1
 
     heap.gc.inspect_hook = hook
+    collections = 0
     try:
         for op in ops:
             apply_op(heap, op)
             shadow.apply(op)
             check_young_list(heap)
+            if len(heap.gc.collections) > collections:
+                collections = len(heap.gc.collections)
+                check_spaces(heap)
         heap.gc.collect_major()
     except HeapExhausted:
         pass
     check_young_list(heap)
+    check_spaces(heap)
     heap.check_placement()
     heap.check_write_conservation()
     return checks

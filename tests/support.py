@@ -49,13 +49,13 @@ def per_key(counts, *heaps) -> dict:
     """The nonzero entries of ``counts``, a ``TrafficCounters`` count list, by ``(instance, kind, space)``.
 
     Only a heap knows what its key ids stand for: each one is named
-    through the ``key_ids`` and ``space_map`` of the heap that added it.
+    through the space of the heap that added it.
     """
     return {
-        (heap.instance_id, heap.space_map[space], space): counts[kid]
+        (heap.instance_id, space.kind, name): counts[space.kid]
         for heap in heaps
-        for space, kid in heap.key_ids.items()
-        if counts[kid]
+        for name, space in heap.spaces.items()
+        if counts[space.kid]
     }
 
 

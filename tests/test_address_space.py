@@ -138,7 +138,7 @@ def test_invariants_reject_a_free_list_out_of_step_with_its_chunks(corrupt):
     """The heap's partition check names the chunk that is in no place, or in two."""
     heap, _ = small_heap("KG-W")  # 128 chunks of 64 KiB; DRAM from index 64
     layout = heap.layout
-    spaces = heap.free_list_spaces
+    spaces = heap.spaces
     spaces[MATURE_PCM].alloc(64)
     spaces[MATURE_DRAM].alloc(64)
     held = spaces[MATURE_PCM].chunks[0]

@@ -34,7 +34,7 @@ class TestRouting:
             heap.write_data(1, 0, 8)  # written or not, a minor survivor waits
             fill_rooted(heap, ids, 1)  # triggers the first cycle
             assert [s.kind for s in heap.gc.collections] == ["minor"], variant
-            assert heap.objects[1].space == heap.objects[2].space == OBSERVER, variant
+            assert heap.objects[1].space.name == heap.objects[2].space.name == OBSERVER, variant
 
     @pytest.mark.parametrize("variant", ["PCM-Only", "KG-N", "KG-B", "KG-N+LOO"])
     def test_minor_survivors_promote_straight_to_pcm_otherwise(self, variant):
@@ -48,8 +48,8 @@ class TestRouting:
             promoted += fill_rooted(heap, ids, 1)
         assert heap.observer is None
         assert [s.kind for s in heap.gc.collections] == ["minor"]
-        assert {heap.objects[oid].space for oid in promoted[:-1]} == {MATURE_PCM}
-        assert heap.objects[promoted[-1]].space == NURSERY
+        assert {heap.objects[oid].space.name for oid in promoted[:-1]} == {MATURE_PCM}
+        assert heap.objects[promoted[-1]].space.name == NURSERY
 
     def test_observed_objects_route_by_write_count(self):
         for variant in SAMPLING_VARIANTS:
@@ -63,7 +63,7 @@ class TestRouting:
                 heap.write_data(3, 0, 8)
             fill_rooted(heap, ids, 4, size=2 * KIB)  # full again; evacuation precedes the copy-in
             assert [s.kind for s in heap.gc.collections] == ["minor", "observer", "minor"], variant
-            spaces = {oid: heap.objects[oid].space for oid in (1, 2, 3, 4)}
+            spaces = {oid: heap.objects[oid].space.name for oid in (1, 2, 3, 4)}
             assert spaces == {1: MATURE_PCM, 2: MATURE_DRAM, 3: MATURE_DRAM, 4: MATURE_PCM}, variant
 
     def test_nursery_admission_for_large_objects(self):
@@ -117,9 +117,9 @@ class TestMinorCollection:
         heap.alloc_object(5, 2 * KIB, 0)  # does not fit; forces the cycle
 
         for oid in (1, 2, 4):
-            assert heap.objects[oid].space == MATURE_PCM
+            assert heap.objects[oid].space.name == MATURE_PCM
         assert 3 not in heap.objects
-        assert heap.objects[5].space == NURSERY
+        assert heap.objects[5].space.name == NURSERY
         assert heap.nursery.used == 2 * KIB
 
         stats = heap.gc.collections[-1]
@@ -144,8 +144,8 @@ class TestMinorCollection:
 
         heap.alloc_object(3, 4 * KIB, 0)
 
-        assert heap.objects[1].space == MATURE_PCM
-        assert heap.objects[2].space == MATURE_PCM
+        assert heap.objects[1].space.name == MATURE_PCM
+        assert heap.objects[2].space.name == MATURE_PCM
         assert heap.gc.collections[-1].copied_objects == 2
 
     def test_boot_image_references_keep_young_objects_alive(self):
@@ -157,7 +157,7 @@ class TestMinorCollection:
 
         heap.alloc_object(3, 4 * KIB, 0)
 
-        assert heap.objects[1].space == MATURE_PCM
+        assert heap.objects[1].space.name == MATURE_PCM
         assert 2 not in heap.objects
 
 
@@ -177,8 +177,8 @@ class TestObservationPipeline:
         fill_rooted(heap, ids, 2)
         fill_rooted(heap, ids, 1)  # triggers the first cycle
 
-        assert heap.objects[1].space == OBSERVER
-        assert heap.objects[2].space == OBSERVER
+        assert heap.objects[1].space.name == OBSERVER
+        assert heap.objects[2].space.name == OBSERVER
         assert heap.observer.used == 8 * KIB
 
     def test_written_objects_go_to_dram_quiet_ones_to_pcm(self):
@@ -191,8 +191,8 @@ class TestObservationPipeline:
         fill_rooted(heap, ids, 1)
         fill_rooted(heap, ids, 1)  # full again; evacuation precedes the copy-in
 
-        assert heap.objects[1].space == MATURE_DRAM
-        assert heap.objects[2].space == MATURE_PCM
+        assert heap.objects[1].space.name == MATURE_DRAM
+        assert heap.objects[2].space.name == MATURE_PCM
         assert heap.objects[1].write_count == 0  # observation window closed
         assert [s.kind for s in heap.gc.collections] == ["minor", "observer", "minor"]
         evac = heap.gc.collections[1]
@@ -230,7 +230,7 @@ class TestObservationPipeline:
             fill_rooted(heap, ids, 2)  # full again; evacuating 1 and 2 needs a mature chunk
         # the pre-flight refused before anything moved, after one cascaded major
         assert [s.kind for s in heap.gc.collections] == ["minor", "major"]
-        assert heap.objects[1].space == heap.objects[2].space == OBSERVER
+        assert heap.objects[1].space.name == heap.objects[2].space.name == OBSERVER
 
     def test_promotion_remembers_edges_left_behind(self):
         heap, _ = self.build()
@@ -244,15 +244,15 @@ class TestObservationPipeline:
         fill_rooted(heap, ids, 1)  # 5; evacuates 1 and 2, copies 3,4,100 in
 
         # the pointer store counted as a write, so 1 was routed to DRAM
-        assert heap.objects[1].space == MATURE_DRAM
-        assert heap.objects[100].space == OBSERVER
+        assert heap.objects[1].space.name == MATURE_DRAM
+        assert heap.objects[100].space.name == OBSERVER
         assert (1, 0) in heap.remset  # promoted parent, young child
 
         fill_rooted(heap, ids, 1)  # 6
         fill_rooted(heap, ids, 1)  # 7; next cycle
 
         # 100 survived purely through the remembered slot of 1
-        assert heap.objects[100].space == MATURE_PCM
+        assert heap.objects[100].space.name == MATURE_PCM
         assert heap.remset == set()
 
         heap.write_ref(1, 0, 0)
@@ -307,7 +307,7 @@ class TestYoungList:
         assert 1 not in heap.objects
         assert heap.gc.collections[-1].reclaimed_objects == 1
         assert young_ids(heap) == [2, 3, 4, 5]
-        assert [heap.objects[oid].space for oid in (2, 3, 4)] == [OBSERVER] * 3
+        assert [heap.objects[oid].space.name for oid in (2, 3, 4)] == [OBSERVER] * 3
         assert heap.observer.used == 16 * KIB  # a bump space frees only on evacuation
 
     def test_surviving_admitted_large_object_leaves_for_the_los(self):
@@ -319,7 +319,7 @@ class TestYoungList:
         fill_rooted(heap, ids, 14)
         fill_rooted(heap, ids, 1)  # 16: the first minor
 
-        assert heap.objects[1].space == LOS_PCM
+        assert heap.objects[1].space.name == LOS_PCM
         assert young_ids(heap) == list(range(2, 17))
 
     def test_rooted_mature_objects_are_not_scanned(self):
@@ -345,7 +345,7 @@ class TestMajorCollection:
         ids = ids_from()
         alive = fill_rooted(heap, ids, 9)  # four cycles; 8 promoted, 1 young
         promoted = alive[:8]
-        assert heap.free_list_spaces[MATURE_PCM].allocated_bytes == 32 * KIB
+        assert heap.spaces[MATURE_PCM].allocated_bytes == 32 * KIB
         assert heap.layout.free_list_for(MemoryKind.PCM).free_count == free0 - 1
 
         for oid in promoted:
@@ -355,7 +355,7 @@ class TestMajorCollection:
         assert all(oid not in heap.objects for oid in promoted)
         assert stats.reclaimed_objects == 8
         assert stats.mark_writes == len(heap.boot_ids) + 1  # boot image + id 9
-        assert heap.free_list_spaces[MATURE_PCM].allocated_bytes == 0
+        assert heap.spaces[MATURE_PCM].allocated_bytes == 0
         assert heap.layout.free_list_for(MemoryKind.PCM).free_count == free0
 
     def test_live_bytes_at_budget_is_fatal(self):
@@ -381,7 +381,7 @@ class TestMajorCollection:
         fill_rooted(heap, ids, 9)  # first cycle reserves the PCM chunk
         fill_rooted(heap, ids, 8)  # second cycle fits in the chunk's free tail
         assert [s.kind for s in heap.gc.collections] == ["minor", "minor"]
-        assert heap.free_list_spaces[MATURE_PCM].allocated_bytes == 64 * KIB
+        assert heap.spaces[MATURE_PCM].allocated_bytes == 64 * KIB
 
         with pytest.raises(HeapExhausted):
             fill_rooted(heap, ids, 8)  # third cycle has nowhere left to copy
@@ -393,19 +393,19 @@ class TestLargeObjects:
     def test_oversized_objects_skip_the_nursery_without_collecting(self):
         heap, _ = small_heap("KG-W", zeroing=False)
         heap.alloc_object(1, 16 * KIB, 0)  # over the admission cap
-        assert heap.objects[1].space == LOS_PCM
+        assert heap.objects[1].space.name == LOS_PCM
         assert heap.gc.collections == []
 
     def test_admitted_large_objects_live_and_die_in_the_nursery(self):
         heap, _ = small_heap("KG-W", zeroing=False)  # 64 KiB nursery, 8 KiB cap
         heap.alloc_object(1, 8 * KIB, 0)
-        assert heap.objects[1].space == NURSERY
+        assert heap.objects[1].space.name == NURSERY
         assert heap.objects[1].large
         ids = ids_from(2)
         fill_rooted(heap, ids, 14)  # fills the nursery behind it
         fill_rooted(heap, ids, 1)  # collection: 1 is garbage
         assert 1 not in heap.objects
-        assert heap.free_list_spaces[LOS_PCM].allocated_bytes == 0
+        assert heap.spaces[LOS_PCM].allocated_bytes == 0
 
     def test_admitted_large_survivors_promote_to_the_los(self):
         heap, _ = small_heap("KG-W", zeroing=False)
@@ -414,7 +414,7 @@ class TestLargeObjects:
         ids = ids_from(2)
         fill_rooted(heap, ids, 14)
         fill_rooted(heap, ids, 1)
-        assert heap.objects[1].space == LOS_PCM
+        assert heap.objects[1].space.name == LOS_PCM
 
     def test_write_hot_large_objects_relocate_at_the_next_major(self):
         heap, _ = small_heap("KG-W", zeroing=False)
@@ -429,8 +429,8 @@ class TestLargeObjects:
 
         stats = heap.gc.collect_major()
 
-        assert heap.objects[1].space == LOS_DRAM
-        assert heap.objects[2].space == LOS_PCM
+        assert heap.objects[1].space.name == LOS_DRAM
+        assert heap.objects[2].space.name == LOS_PCM
         assert stats.large_relocated == 1
         # the observation window restarts either way
         assert heap.objects[1].write_count == 0
@@ -445,7 +445,7 @@ class TestLargeObjects:
 
         stats = heap.gc.collect_major()
 
-        assert heap.objects[1].space == LOS_PCM
+        assert heap.objects[1].space.name == LOS_PCM
         assert stats.large_relocated == 0
 
 
@@ -460,11 +460,11 @@ class TestBootImage:
         heap.write_data(-1, 0, 8)
         heap.alloc_object(3, 4 * KIB, 0)  # a minor promotes 1 and 2
         heap.set_root(3, True)
-        assert [heap.objects[oid].space for oid in (1, 2, 3)] == [MATURE_PCM, MATURE_PCM, NURSERY]
+        assert [heap.objects[oid].space.name for oid in (1, 2, 3)] == [MATURE_PCM, MATURE_PCM, NURSERY]
         marks = []
         access = heap.system.access
 
-        spaces = {kid: space for space, kid in heap.key_ids.items()}
+        spaces = {space.kid: name for name, space in heap.spaces.items()}
 
         def spy(inst, addr, length, write, kid, *, collector=False):
             if collector:
@@ -477,7 +477,7 @@ class TestBootImage:
         assert all(oid in heap.objects for oid in (1, 2, 3, -1, -64))
         assert heap.named_boot_ids == [-64, -1]
         boot = [(heap.boot_space.lo + k * 256, BOOT) for k in range(len(heap.boot_ids))]
-        records = [(heap.objects[oid].addr // 64 * 64, heap.objects[oid].space) for oid in (1, 2, 3)]
+        records = [(heap.objects[oid].addr // 64 * 64, heap.objects[oid].space.name) for oid in (1, 2, 3)]
         # every boot object once, named or not, where the address order puts it
         assert marks == sorted(boot + records)
         assert stats.mark_writes == stats.objects_scanned == len(heap.boot_ids) + 3
@@ -492,21 +492,21 @@ class TestMarkPlacement:
         stats = heap.gc.collect_major()
 
         rec = heap.objects[1]
-        assert rec.space == LOS_PCM
+        assert rec.space.name == LOS_PCM
         assert rec.meta_addr is not None
         assert stats.mark_writes == len(heap.boot_ids) + 1
         assert stats.mark_writes_pcm == 0
 
     def test_inline_marks_hit_pcm_without_the_optimization(self):
         heap, _ = small_heap("KG-W-MDO", zeroing=False)
-        assert "meta-dram" not in heap.free_list_spaces
+        assert "meta-dram" not in heap.spaces
         heap.alloc_object(1, 16 * KIB, 0)
         heap.set_root(1, True)
 
         stats = heap.gc.collect_major()
 
         rec = heap.objects[1]
-        assert rec.space == LOS_PCM
+        assert rec.space.name == LOS_PCM
         assert rec.meta_addr is None
         assert stats.mark_writes == len(heap.boot_ids) + 1
         assert stats.mark_writes_pcm == 1

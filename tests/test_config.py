@@ -97,6 +97,39 @@ def test_observer_multiplier_must_be_finite_and_positive(collector, value):
         default_config(collector, observer_multiplier=value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("large_threshold", math.nan),
+        ("large_threshold", math.inf),
+        ("large_relocation_threshold", math.nan),
+        ("heap_budget", math.inf),
+        ("lifetime_capacity_bytes", math.nan),
+        ("nursery_size", math.nan),
+        ("boot_object_size", math.inf),
+        ("quantum", 2.5),
+        ("instances", 2.0),
+        ("seed", 1.5),
+        ("cache_assoc", True),
+        ("zeroing", 1),
+        ("include_collector_time", None),
+        ("warmup_fraction", True),
+        ("lifetime_endurance", math.inf),
+        ("lifetime_endurance", "1e7"),
+    ],
+)
+def test_every_field_holds_its_declared_type(field, value):
+    # non-finite sizes and thresholds used to run and write NaN or Infinity
+    # into the report; fractional counts and bad types escaped as raw errors
+    with pytest.raises(ConfigError, match=rf"^{field} must be (an int|a bool|a finite number), not "):
+        ExperimentConfig(**{"collector": "KG-W", "seed": 0, "workload": ONE_OP, field: value})
+
+
+def test_a_float_field_takes_an_int():
+    cfg = default_config("KG-W", op_cost_ns=5, warmup_fraction=0, lifetime_endurance=10**7)
+    assert (cfg.op_cost_ns, cfg.warmup_fraction, cfg.lifetime_endurance) == (5, 0, 10**7)
+
+
 def test_a_built_config_cannot_change():
     """Assigning a field would skip ``__post_init__``'s checks and leave ``variant`` stale."""
     cfg = default_config("KG-W")

@@ -107,7 +107,7 @@ class TestPlacement:
         assert heap.nursery.capacity == 64 * KIB
         assert in_half(heap.layout, MemoryKind.DRAM, heap.nursery.lo)
         assert heap.observer is None
-        assert (heap.young_lo, heap.young_hi) == (heap.nursery.lo, heap.nursery.hi)
+        assert [name for name, space in heap.spaces.items() if space.young] == [NURSERY]
 
     def test_pcm_only_nursery_below_split(self):
         heap, _ = small_heap("PCM-Only", nursery=64 * KIB, heap_size=8 * MIB)
@@ -119,12 +119,13 @@ class TestPlacement:
         assert heap.observer is not None
         assert heap.observer.hi == heap.nursery.lo
         assert heap.observer.capacity == 128 * KIB
-        assert heap.young_lo == heap.observer.lo
-        assert heap.is_young_addr(heap.observer.lo)
-        assert heap.is_young_addr(heap.nursery.hi - 1)
-        assert not heap.is_young_addr(heap.observer.lo - 1)
-        # every space but the fixed ranges is a free list
-        assert heap.free_list_spaces.keys() == heap.space_map.keys() - {BOOT, NURSERY, OBSERVER}
+        assert [name for name, space in heap.spaces.items() if space.young] == [NURSERY, OBSERVER]
+        # each space carries its kind, in make_space_map order; every space
+        # but the fixed ranges is a free list
+        kinds = [(name, space.kind) for name, space in heap.spaces.items()]
+        assert kinds == [*make_space_map(Collector.KG_W).items()]
+        fixed = (BOOT, NURSERY, OBSERVER)
+        assert [space.name for space in heap.free_list_spaces] == [name for name in heap.spaces if name not in fixed]
 
     def test_boot_at_the_bottom_of_its_half(self):
         kg = small_heap("KG-N", boot_size=16 * KIB)[0]
@@ -144,7 +145,7 @@ class TestPlacement:
         assert shared == (heap.observer.hi - 1) // size
         assert shared in heap.reserved and shared not in layout.dram.free_indices
         # nothing outside the young and boot ranges is reserved at build time
-        fixed = [(heap.young_lo, heap.young_hi), (heap.boot_space.lo, heap.boot_space.hi)]
+        fixed = [(heap.observer.lo, heap.nursery.hi), (heap.boot_space.lo, heap.boot_space.hi)]
         n = layout.heap_size // size
         under_fixed = {i for i in range(n) if any(i * size < hi and lo < (i + 1) * size for lo, hi in fixed)}
         assert heap.reserved == under_fixed
@@ -166,7 +167,7 @@ class TestPlacement:
             rec = heap._name_boot_object(oid)
             assert heap.objects[oid] is rec
             assert rec.addr == heap.boot_space.lo + (-oid - 1) * 256
-            assert rec.space == BOOT and rec.refs == [0, 0, 0, 0]
+            assert rec.space.name == BOOT and rec.refs == [0, 0, 0, 0]
         assert heap.named_boot_ids == [-1, -64]
         # the boot image predates the trace: neither the build nor naming
         # emits traffic or takes simulated time
@@ -217,25 +218,25 @@ class TestAlloc:
     def test_large_goes_to_los(self):
         heap, _ = small_heap("KG-N")  # loo off
         rec = heap.alloc_object(1, 8 * KIB, 0)
-        assert rec.large and rec.space == LOS_PCM
+        assert rec.large and rec.space.name == LOS_PCM
         assert in_half(heap.layout, MemoryKind.PCM, rec.addr)
-        assert heap.free_list_spaces[LOS_PCM].allocated_bytes == 8 * KIB
+        assert heap.spaces[LOS_PCM].allocated_bytes == 8 * KIB
 
     def test_large_hint_forces_los(self):
         heap, _ = small_heap("KG-N")
         rec = heap.alloc_object(1, 100, 0, large_hint=True)
-        assert rec.large and rec.space == LOS_PCM
+        assert rec.large and rec.space.name == LOS_PCM
 
     def test_loo_admits_small_large_objects(self):
         # admission cap is nursery/8 = 8 KiB, exactly the large threshold
         heap, _ = small_heap("KG-W", nursery=64 * KIB)
         rec = heap.alloc_object(1, 8 * KIB, 0)
-        assert rec.large and rec.space == NURSERY
+        assert rec.large and rec.space.name == NURSERY
 
     def test_loo_respects_the_size_cap(self):
         heap, _ = small_heap("KG-W", nursery=64 * KIB)
         rec = heap.alloc_object(1, 9 * KIB, 0)  # over nursery/8
-        assert rec.space == LOS_PCM
+        assert rec.space.name == LOS_PCM
 
     def test_alloc_id_rules(self):
         heap, _ = small_heap("KG-N")
@@ -308,7 +309,7 @@ class TestMutatorOps:
         assert -5 not in heap.objects
         heap.read_data(-5, 8, 16)
         rec = heap.objects[-5]
-        assert rec.space == BOOT and rec.write_count == 0
+        assert rec.space.name == BOOT and rec.write_count == 0
         assert heap.named_boot_ids == [-5]
         assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, BOOT): 16}
         assert per_key(system.counters.written, heap) == {}
@@ -434,9 +435,9 @@ class TestFrameBudget:
         counters = system.counters
         first = build_instance(config, system, 0)
         second = build_instance(config, system, 1)
-        assert first.key_ids.keys() == second.key_ids.keys() == first.space_map.keys()
-        n_keys = 2 * len(first.space_map)
-        assert [*first.key_ids.values(), *second.key_ids.values()] == [*range(n_keys)]
+        assert [*first.spaces] == [*second.spaces] == [*make_space_map(config.variant)]
+        n_keys = 2 * len(first.spaces)
+        assert [space.kid for heap in (first, second) for space in heap.spaces.values()] == [*range(n_keys)]
         for heap in (second, first):
             assert self.frames(heap.alloc_object, 1, 64, 0) == [
                 "alloc_object",
@@ -501,13 +502,9 @@ def test_mature_occupancy_ignores_metadata():
     heap.alloc_object(1, 9 * KIB, 0)  # over the admission cap: lands in los-pcm
     heap.set_root(1, True)
     heap.gc.collect_major()
-    meta = heap.free_list_spaces[META_DRAM].allocated_bytes
+    meta = heap.spaces[META_DRAM].allocated_bytes
     assert meta == 16  # the one live PCM resident got a DRAM shadow mark slot
-    payload = sum(
-        s.allocated_bytes
-        for name, s in heap.free_list_spaces.items()
-        if name != META_DRAM
-    )
+    payload = sum(s.allocated_bytes for s in heap.free_list_spaces if s.name != META_DRAM)
     assert heap.mature_occupancy() == payload == 9 * KIB
 
 
@@ -515,8 +512,8 @@ def test_mature_occupancy_ignores_metadata():
 def test_free_list_space_out_of_chunks_is_heap_exhausted(variant):
     heap, _ = small_heap(variant)
     reserve_every_free_chunk(heap)
-    assert variant != "KG-W" or META_DRAM in heap.free_list_spaces
-    for space in heap.free_list_spaces.values():
+    assert variant != "KG-W" or META_DRAM in heap.spaces
+    for space in heap.free_list_spaces:
         with pytest.raises(HeapExhausted):
             space.alloc(META_SLOT_SIZE)
 

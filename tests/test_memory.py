@@ -322,7 +322,7 @@ class TestCounters:
     def test_conservation_violation_detected(self):
         (first, second), system = two_heaps()
         counters = system.counters
-        kid = first.key_ids["los-pcm"]
+        kid = first.spaces["los-pcm"].kid
         counters.demand[kid] = 128
         counters.absorbed[kid] = 64
         with pytest.raises(InvariantError, match="not conserved") as failure:
@@ -330,10 +330,10 @@ class TestCounters:
         assert failure.value.instance == 0
         # conservation holds per (instance, kind), not per key: the last
         # writer of a line may be another space than the one it absorbed
-        counters.written[first.key_ids["mature-pcm"]] = 64
+        counters.written[first.spaces["mature-pcm"].kid] = 64
         check_every_heap((first, second))
         # written-back bytes with no demand behind them break it too
-        counters.written[second.key_ids["nursery"]] = 64
+        counters.written[second.spaces["nursery"].kid] = 64
         with pytest.raises(InvariantError, match="not conserved.* 0 demanded, 0 absorbed, 64 written back") as failure:
             check_every_heap((first, second))
         assert failure.value.instance == 1
@@ -346,16 +346,16 @@ class TestCounters:
             # each (instance, kind) has keys apart in the lists; its demand
             # is written back under its last space
             for kind in (PCM, DRAM):
-                spaces = [space for space, k in heap.space_map.items() if k is kind]
+                spaces = [space for space in heap.spaces.values() if space.kind is kind]
                 for space in spaces:
-                    counters.demand[heap.key_ids[space]] = 64
-                counters.written[heap.key_ids[spaces[-1]]] = len(spaces) * 64
+                    counters.demand[space.kid] = 64
+                counters.written[spaces[-1].kid] = len(spaces) * 64
                 n_spaces[kind] = len(spaces)
         assert n_spaces == {PCM: 2, DRAM: 6}
         check_every_heap(heaps)
         first, second = heaps
         for heap, space in ((second, "nursery"), (second, "los-pcm"), (first, "observer"), (first, "mature-pcm")):
-            counters.absorbed[heap.key_ids[space]] = 64
+            counters.absorbed[heap.spaces[space].kid] = 64
         with pytest.raises(InvariantError) as failure:
             check_every_heap(heaps)
         # instance 0 before instance 1, and DRAM before PCM
@@ -363,10 +363,10 @@ class TestCounters:
             f"write bytes not conserved for {(0, DRAM)}: 384 demanded, 64 absorbed, 384 written back"
         )
         assert failure.value.instance == 0
-        counters.absorbed[first.key_ids["observer"]] = 0
+        counters.absorbed[first.spaces["observer"].kid] = 0
         with pytest.raises(InvariantError, match=rf"not conserved for \(0, {PCM!r}\)"):
             check_every_heap(heaps)
-        counters.absorbed[first.key_ids["mature-pcm"]] = 0
+        counters.absorbed[first.spaces["mature-pcm"].kid] = 0
         with pytest.raises(InvariantError, match=rf"not conserved for \(1, {DRAM!r}\)") as failure:
             check_every_heap(heaps)
         assert failure.value.instance == 1

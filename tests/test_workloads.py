@@ -323,6 +323,24 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="resident_bytes"):
             WorkloadSpec("mature-mutation", 10, resident_bytes=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("op_count", 2.5),
+            ("seed", 1.5),
+            ("size_max", float("inf")),
+            ("large_max", float("inf")),
+            ("resident_bytes", float("nan")),
+            ("size_log_mean", float("nan")),
+            ("size_log_mean", float("inf")),
+            ("size_log_sigma", float("inf")),
+            ("large_fraction", True),
+        ],
+    )
+    def test_every_field_holds_its_declared_type(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be (an int|a finite number), not "):
+            WorkloadSpec(**{"archetype": "mature-mutation", "op_count": 10, field: value})
+
     def test_dict_round_trip_and_reseeding(self):
         spec = default_spec("large-object-graph", op_count=500, seed=3)
         assert WorkloadSpec(**asdict(spec)) == spec
@@ -526,7 +544,7 @@ class TestDriver:
             ops.append(RootOp(oid))
         assert drive(heap, iter(ops)) == (6, True)
         assert [s.kind for s in heap.gc.collections] == ["minor"]
-        assert heap.objects[3].space == "nursery"
+        assert heap.objects[3].space.name == "nursery"
 
     def test_unknown_op_is_rejected_at_its_position(self):
         heap, _ = small_heap("KG-N", zeroing=False)
@@ -550,7 +568,7 @@ class TestDriver:
         assert drive(heap, iter(ops)) == (4, True)
         rec = heap.objects[-count]
         assert rec.addr == heap.boot_space.lo + (count - 1) * 256
-        assert rec.space == BOOT and rec.refs == [0, 0, 0, 1]
+        assert rec.space.name == BOOT and rec.refs == [0, 0, 0, 1]
         # one barrier line and the data write, both in the boot space
         assert per_key(system.counters.written, heap)[(0, MemoryKind.DRAM, BOOT)] == 64 + 8
 
