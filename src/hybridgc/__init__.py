@@ -1,6 +1,6 @@
 """Trace-driven simulator for generational GC on hybrid DRAM/PCM memory."""
 
-from .address_space import HeapLayout, MemoryKind, init_layout
+from .address_space import HeapLayout, MemoryKind
 from .collectors import CollectionStats, GcEngine, build_instance
 from .config import Collector, ExperimentConfig
 from .errors import (
@@ -69,7 +69,6 @@ __all__ = [
     "default_spec",
     "drive",
     "generate",
-    "init_layout",
     "lifetime_years",
     "load_trace",
     "make_space_map",

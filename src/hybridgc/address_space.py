@@ -3,18 +3,19 @@
 The managed heap is one contiguous range starting at address 0. The low
 half is backed by PCM, the high half by DRAM, and each half is carved
 into fixed-size chunks. A chunk is its index: chunk ``i`` covers
-``[i * chunk_size, (i + 1) * chunk_size)``. Each half keeps only its
-free indices, in ascending order. On-demand spaces take the lowest free
-index (``FreeList.reserve``); the heap claims its fixed spaces' chunks
-one index at a time (``FreeList.reserve_index``). Who holds a chunk
-that is not free is the heap's to know; ``HeapInstance.check_placement``
-checks that the free indices and the held chunks cover every index once.
+``[i * chunk_size, (i + 1) * chunk_size)``. Each half is a ``FreeList``
+that holds its kind, chunk size, address range ``[lo, hi)`` and free
+indices, in ascending order; ``HeapLayout`` validates the geometry and
+builds both. On-demand spaces take the lowest free index
+(``FreeList.reserve``); the heap claims its fixed spaces' chunks one
+index at a time (``FreeList.reserve_index``). Who holds a chunk that is
+not free is the heap's to know; ``HeapInstance.check_placement`` checks
+that the free indices and the held chunks cover every index once.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, HeapExhausted, InvariantError
@@ -26,12 +27,15 @@ class MemoryKind(Enum):
 
 
 class FreeList:
-    """Free chunk indices of one memory kind, handed out lowest first."""
+    """Free chunk indices of one memory kind's half, handed out lowest first."""
 
-    def __init__(self, kind: MemoryKind, indices: range):
+    def __init__(self, kind: MemoryKind, indices: range, chunk_size: int):
         self.kind = kind
         self.indices = indices  # every chunk of this half, free or not
         self.free_indices = list(indices)  # ascending
+        self.chunk_size = chunk_size
+        self.lo = indices.start * chunk_size  # [lo, hi): the half's addresses
+        self.hi = indices.stop * chunk_size
 
     @property
     def free_count(self) -> int:
@@ -59,42 +63,24 @@ class FreeList:
         self.free_indices.insert(pos, index)
 
 
-@dataclass
 class HeapLayout:
-    """Geometry of the managed range plus its two chunk free lists."""
-
-    heap_size: int
-    chunk_size: int
-    split: int  # lowest DRAM address; everything below is PCM
-    dram: FreeList
-    pcm: FreeList
-
-    def half_bounds(self, kind: MemoryKind) -> tuple[int, int]:
-        """[lo, hi) of the half backed by ``kind``."""
-        if kind is MemoryKind.PCM:
-            return 0, self.split
-        return self.split, self.heap_size
-
-    def free_list_for(self, kind: MemoryKind) -> FreeList:
-        return self.dram if kind is MemoryKind.DRAM else self.pcm
-
-
-def init_layout(heap_size: int, chunk_size: int) -> HeapLayout:
-    """Build the split address range with both halves fully free.
+    """The split address range: PCM below ``heap_size // 2``, DRAM above, both fully free.
 
     ``heap_size`` must divide evenly into two halves of whole chunks.
     """
-    if heap_size <= 0 or chunk_size <= 0:
-        raise ConfigError("heap and chunk sizes must be positive")
-    if heap_size % (2 * chunk_size) != 0:
-        raise ConfigError(
-            f"heap size {heap_size} is not divisible by twice the chunk size {chunk_size}"
-        )
-    n = heap_size // chunk_size
-    return HeapLayout(
-        heap_size=heap_size,
-        chunk_size=chunk_size,
-        split=heap_size // 2,
-        dram=FreeList(MemoryKind.DRAM, range(n // 2, n)),
-        pcm=FreeList(MemoryKind.PCM, range(n // 2)),
-    )
+
+    def __init__(self, heap_size: int, chunk_size: int) -> None:
+        if heap_size <= 0 or chunk_size <= 0:
+            raise ConfigError("heap and chunk sizes must be positive")
+        if heap_size % (2 * chunk_size) != 0:
+            raise ConfigError(
+                f"heap size {heap_size} is not divisible by twice the chunk size {chunk_size}"
+            )
+        self.heap_size = heap_size
+        self.chunk_size = chunk_size
+        n = heap_size // chunk_size
+        self.pcm = FreeList(MemoryKind.PCM, range(n // 2), chunk_size)
+        self.dram = FreeList(MemoryKind.DRAM, range(n // 2, n), chunk_size)
+
+    def free_list_for(self, kind: MemoryKind) -> FreeList:
+        return self.dram if kind is MemoryKind.DRAM else self.pcm

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable
 
-from .address_space import MemoryKind
+from .address_space import FreeList, MemoryKind
 from .config import ExperimentConfig
 from .errors import HeapExhausted, InvariantError
 from .heap import (
@@ -164,24 +164,20 @@ class GcEngine:
         return nursery_moves, observer_moves
 
     def _chunks_available(self, nursery_moves: Moves, observer_moves: Moves | None) -> bool:
-        layout = self.heap.layout
         needs: dict[Space, int] = {}
         for rec, dest in (*nursery_moves, *(observer_moves or ())):
             if not dest.young:
                 needs[dest] = needs.get(dest, 0) + rec.size
-        fresh = {MemoryKind.DRAM: 0, MemoryKind.PCM: 0}
+        fresh: dict[FreeList, int] = {}  # fresh chunks wanted from each half
         for space, nbytes in needs.items():
             # bytes already free in this space's extents serve first; only
             # the shortfall demands fresh chunks (fragmentation aside)
             slack = sum(ext[1] for ext in space.extents)
             short = nbytes - slack
             if short > 0:
-                fresh[space.kind] += -(-short // layout.chunk_size)
-        return all(
-            layout.free_list_for(kind).free_count >= count
-            for kind, count in fresh.items()
-            if count
-        )
+                half = space.half
+                fresh[half] = fresh.get(half, 0) + -(-short // half.chunk_size)
+        return all(half.free_count >= count for half, count in fresh.items())
 
     # -- the nursery/observer cycle --
 

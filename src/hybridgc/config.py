@@ -12,11 +12,10 @@ point of a sweep fails before any point runs.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .address_space import init_layout
+from .address_space import HeapLayout
 from .errors import ConfigError
 from .memory import MAX_INSTANCES, LifetimeModel, cache_set_count
 from .units import KIB, MIB
@@ -98,16 +97,13 @@ class ExperimentConfig:
     lifetime_efficiency: float = LifetimeModel.wear_efficiency
 
     def __post_init__(self) -> None:
+        check_field_types(self)  # first: every check below reads a field of its declared type
         # not a field, so to_dict() and replace() see only ``collector``
         object.__setattr__(self, "variant", Collector.from_name(self.collector))
-        if self.seed is None:
-            raise ConfigError("a seed is required; runs must be reproducible")
-        # these two keep their own messages for a non-finite value
-        if not (0.0 <= self.op_cost_ns < math.inf and 0.0 <= self.byte_cost_ns < math.inf):  # NaN fails too
+        if self.op_cost_ns < 0 or self.byte_cost_ns < 0:
             raise ConfigError("op and byte costs must be finite and non-negative")
-        if not 0 < self.observer_multiplier < math.inf:  # NaN fails too
+        if self.observer_multiplier <= 0:
             raise ConfigError("observer multiplier must be finite and positive")
-        check_field_types(self)
         if self.instances < 1:
             raise ConfigError("need at least one instance")
         if self.instances > MAX_INSTANCES:
@@ -131,7 +127,7 @@ class ExperimentConfig:
         if not 0 < self.loo_nursery_fraction <= 1:
             raise ConfigError("nursery admission fraction must be in (0, 1]")
         cache_set_count(self.cache_capacity, self.cache_assoc, self.cache_line)
-        init_layout(self.heap_size, self.chunk_size)
+        HeapLayout(self.heap_size, self.chunk_size)
         if self.boot_size < 0:
             raise ConfigError("boot size must not be negative")
         # Boot sits at the bottom of the half that holds the nursery (both

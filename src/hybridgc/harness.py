@@ -246,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 if not alive[i]:
                     continue
                 try:
-                    _executed, exhausted = drive(heaps[i], streams[i][1], config.quantum)
+                    exhausted = drive(heaps[i], streams[i][1], config.quantum)
                 except SimulatorError as exc:
                     failure = _failure(exc, i, heaps[i])
                     break

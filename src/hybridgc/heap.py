@@ -7,21 +7,23 @@ address range starting at 0. A chunk is its index in that range. Fixed
 spaces (boot, nursery, observer) claim the chunks under their ranges at
 startup, once each even where two adjacent spaces share a boundary
 chunk, and the heap keeps them as the set ``reserved``; mature, large
-and metadata spaces pull chunk indices from the free lists on demand,
-and an allocation that finds its half out of chunks raises
-``HeapExhausted``. The write barrier and the mutator's
-traffic live here; the collection algorithms that consume this state,
-and issue the collector's traffic, live in :mod:`hybridgc.collectors`.
-Each space is the one record of what it is: its name, its memory kind,
-its counter key id (``kid``) and whether it is young (the nursery and
-the observer). The heap builds every space in one place, adding one
-counter key per space, and each object record points at its space. A
-space's kind alone makes its traffic PCM or DRAM traffic: every access,
-the mutator's and the collector's, goes straight to
-``MemorySystem.access`` under its space's ``kid``. The ids mean nothing
-to the memory system; the heap's spaces are the only record of which
-instance, space and kind each one counts, and the heap checks write
-conservation over its own ids after the drain.
+and metadata spaces pull chunk indices from their half on demand, and
+an allocation that finds its half out of chunks raises
+``HeapExhausted``. The write barrier and the mutator's traffic live
+here; the collection algorithms that consume this state, and issue the
+collector's traffic, live in :mod:`hybridgc.collectors`.
+Each space is the one record of what it is: its name, its memory
+``half`` (a ``FreeList``) and that half's kind, its counter key id
+(``kid``) and whether it is young (the nursery and the observer). The
+heap builds every space in one place, handing each its half and adding
+one counter key per space, and fixes the LOO admission cap,
+``loo_cap``; each object record points at its space. A space's kind
+alone makes its traffic PCM or DRAM traffic: every access, the
+mutator's and the collector's, goes straight to ``MemorySystem.access``
+under its space's ``kid``. The ids mean nothing to the memory system;
+the heap's spaces are the only record of which instance, space and kind
+each one counts, and the heap checks write conservation over its own
+ids after the drain.
 
 The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
@@ -31,9 +33,9 @@ trace has named (``named_boot_ids``). Besides ``objects`` the heap keeps
 ``young``: the records in the observer or the nursery, in address
 order. Allocation appends to it and the collector rebuilds it, so a
 minor collection touches only young records. ``check_placement`` covers
-every record, comparing each address with the half of its space's kind,
-and every chunk: the free indices of both halves, the chunks of the
-free-list spaces and ``reserved`` must cover each index exactly once.
+every record, comparing each address with its space's half, and every
+chunk: the free indices of both halves, the chunks of the free-list
+spaces and ``reserved`` must cover each index exactly once.
 The engine runs it after every collection; no switch turns it off.
 """
 
@@ -43,7 +45,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .address_space import HeapLayout, MemoryKind, init_layout
+from .address_space import FreeList, HeapLayout, MemoryKind
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, HeapExhausted, InvariantError, TraceError
 from .memory import MAX_INSTANCES, MemorySystem
@@ -72,19 +74,6 @@ def align8(n: int) -> int:
     return (n + 7) & ~7
 
 
-def loo_admit(config: ExperimentConfig, size: int, nursery_free: int) -> bool:
-    """May a large object of ``size`` bytes be allocated in the nursery?
-
-    Only when the variant has the optimization, the object is small
-    relative to the nursery, and there is room right now; otherwise it
-    goes to the LOS without forcing a collection.
-    """
-    if not config.variant.loo:
-        return False
-    cap = config.loo_nursery_fraction * config.effective_nursery_size
-    return size <= cap and size <= nursery_free
-
-
 def make_space_map(variant: Collector) -> dict[str, MemoryKind]:
     """Spaces for a collector variant, each pinned to one memory kind.
 
@@ -107,9 +96,10 @@ def make_space_map(variant: Collector) -> dict[str, MemoryKind]:
 class BumpSpace:
     """Contiguous space with a monotone cursor; reset empties it wholesale."""
 
-    def __init__(self, name: str, kind: MemoryKind, kid: int, lo: int, hi: int, young: bool) -> None:
+    def __init__(self, name: str, half: FreeList, kid: int, lo: int, hi: int, young: bool) -> None:
         self.name = name
-        self.kind = kind
+        self.half = half  # the memory half it sits in
+        self.kind = half.kind
         self.kid = kid  # the counter key its traffic counts under
         self.young = young
         self.lo = lo
@@ -142,26 +132,26 @@ class BumpSpace:
 class FreeListSpace:
     """Mark-sweep space over on-demand chunks with first-fit extents."""
 
-    def __init__(self, name: str, kind: MemoryKind, kid: int, layout: HeapLayout) -> None:
+    def __init__(self, name: str, half: FreeList, kid: int) -> None:
         self.name = name
-        self.kind = kind
+        self.half = half  # the memory half its chunks come from and return to
+        self.kind = half.kind
         self.kid = kid  # the counter key its traffic counts under
         self.young = False
-        self.layout = layout
         self.chunks: list[int] = []  # indices of the chunks this space holds
         self.extents: list[list[int]] = []  # [addr, size], sorted by addr
         self.allocated_bytes = 0
 
     def alloc(self, n: int) -> int:
-        if n > self.layout.chunk_size:
+        if n > self.half.chunk_size:
             raise HeapExhausted(
-                f"object of {n} bytes exceeds the {self.layout.chunk_size}-byte chunk size"
+                f"object of {n} bytes exceeds the {self.half.chunk_size}-byte chunk size"
             )
         addr = self._first_fit(n)
         if addr is None:
-            index = self.layout.free_list_for(self.kind).reserve(self.name)
+            index = self.half.reserve(self.name)
             self.chunks.append(index)
-            size = self.layout.chunk_size
+            size = self.half.chunk_size
             insort(self.extents, [index * size, size])  # chunk addresses are distinct
             addr = self._first_fit(n)
             if addr is None:
@@ -190,7 +180,7 @@ class FreeListSpace:
         live_bytes = 0
         idx = 0
         n_live = len(live_intervals)
-        size = self.layout.chunk_size
+        size = self.half.chunk_size
         for index in sorted(self.chunks):
             lo = index * size
             hi = lo + size
@@ -207,7 +197,7 @@ class FreeListSpace:
                 cursor = a + sz
                 idx += 1
             if not any_live:
-                self.layout.free_list_for(self.kind).release(index)
+                self.half.release(index)
                 continue
             if cursor < hi:
                 extents.append([cursor, hi - cursor])
@@ -245,7 +235,7 @@ class HeapInstance:
         self.config = config
         self.system = system
         self.zeroing = config.zeroing
-        self.layout = layout = init_layout(config.heap_size, config.chunk_size)
+        self.layout = layout = HeapLayout(config.heap_size, config.chunk_size)
         self.gc: "GcEngine | None" = None  # attached by the engine
 
         self.objects: dict[int, ObjectRecord] = {}
@@ -260,23 +250,24 @@ class HeapInstance:
         self.reclaimed: set[int] = set()
         self.op_index = 0  # maintained by the trace driver, for diagnostics
 
-        # Every space, in make_space_map order, each adding its counter key.
-        # Boot sits at the bottom of the young kind's half, the nursery at its
-        # top and the observer below it (ExperimentConfig has checked that the
-        # three fit); every other space pulls chunks on demand.
+        # Every space, in make_space_map order, each holding its kind's half
+        # and adding its counter key. Boot sits at the bottom of the young
+        # half, the nursery at its top and the observer below it
+        # (ExperimentConfig has checked that the three fit); every other
+        # space pulls chunks from its half on demand.
         space_map = make_space_map(config.variant)
-        half_lo, half_hi = layout.half_bounds(space_map[NURSERY])
-        nursery_lo = half_hi - config.effective_nursery_size
+        young_half = layout.free_list_for(space_map[NURSERY])
+        nursery_lo = young_half.hi - config.effective_nursery_size
         fixed = {
-            BOOT: (half_lo, half_lo + config.boot_size),
-            NURSERY: (nursery_lo, half_hi),
+            BOOT: (young_half.lo, young_half.lo + config.boot_size),
+            NURSERY: (nursery_lo, young_half.hi),
             OBSERVER: (nursery_lo - config.observer_size, nursery_lo),
         }
         add_key = system.counters.add_key
         self.spaces: dict[str, Space] = {
-            name: BumpSpace(name, kind, add_key(), *fixed[name], young=name != BOOT)
+            name: BumpSpace(name, layout.free_list_for(kind), add_key(), *fixed[name], young=name != BOOT)
             if name in fixed
-            else FreeListSpace(name, kind, add_key(), layout)
+            else FreeListSpace(name, layout.free_list_for(kind), add_key())
             for name, kind in space_map.items()
         }
         self.nursery = self.spaces[NURSERY]
@@ -286,10 +277,9 @@ class HeapInstance:
 
         self.reserved: set[int] = set()  # the fixed spaces' chunks, held for the heap's life
         for space in filter(None, (self.nursery, self.observer, self.boot_space)):
-            free_list = layout.free_list_for(space.kind)
             for index in range(space.lo // layout.chunk_size, (space.hi - 1) // layout.chunk_size + 1):
                 if index not in self.reserved:  # adjacent fixed spaces may share a boundary chunk
-                    free_list.reserve_index(index, space.name)
+                    space.half.reserve_index(index, space.name)
                     self.reserved.add(index)
 
         # The image predates the trace: it fills the boot space with whole
@@ -299,6 +289,9 @@ class HeapInstance:
         self.boot_space.alloc(count * self.boot_extent)
         self.boot_ids = range(-1, -count - 1, -1)
         self.named_boot_ids: list[int] = []  # boot objects with a record, in naming order
+        # LOO: the largest large object the nursery admits, when it has the
+        # room; a variant without LOO admits none
+        self.loo_cap = config.loo_nursery_fraction * config.effective_nursery_size if config.variant.loo else 0
 
     # -- mutator operations (one per trace op kind) --
     #
@@ -325,7 +318,10 @@ class HeapInstance:
         large = large_hint or size >= self.config.large_threshold
 
         if large:
-            addr, space = self._alloc_large(extent)
+            # a large object LOO does not admit goes to the LOS without forcing a collection
+            nursery = self.nursery
+            space = nursery if extent <= self.loo_cap and extent <= nursery.free else self.spaces[LOS_PCM]
+            addr = space.alloc(extent)  # admission checked the nursery's free space
         else:
             space = nursery = self.nursery
             addr = nursery.alloc(extent)
@@ -342,10 +338,6 @@ class HeapInstance:
         if self.zeroing:
             system.access(self.instance_id, addr, extent, True, space.kid)
         return rec
-
-    def _alloc_large(self, extent: int) -> tuple[int, Space]:
-        space = self.nursery if loo_admit(self.config, extent, self.nursery.free) else self.spaces[LOS_PCM]
-        return space.alloc(extent), space  # admission checked the nursery's free space
 
     def write_data(self, oid: int, offset: int, length: int) -> None:
         rec = self.objects.get(oid)
@@ -462,20 +454,15 @@ class HeapInstance:
         fixed space (claimed from the fixed space's half at construction),
         and no index is in two of these places.
         """
-        # [lo, hi) of the half each space must sit in, read once per space
-        bounds = {space: self.layout.half_bounds(space.kind) for space in self.spaces.values()}
         for rec in self.objects.values():
-            lo, hi = bounds[rec.space]
-            if not lo <= rec.addr < hi:
+            half = rec.space.half
+            if not half.lo <= rec.addr < half.hi:
                 raise InvariantError(
-                    f"object {rec.id} in {rec.space.name} landed at {rec.addr:#x}, outside [{lo:#x}, {hi:#x})"
+                    f"object {rec.id} in {rec.space.name} landed at {rec.addr:#x}, outside [{half.lo:#x}, {half.hi:#x})"
                 )
         layout = self.layout
         holders = [(f"free {half.kind.value}", half.free_indices, half) for half in (layout.pcm, layout.dram)]
-        holders += [
-            (space.name, space.chunks, layout.free_list_for(space.kind))
-            for space in self.free_list_spaces
-        ]
+        holders += [(space.name, space.chunks, space.half) for space in self.free_list_spaces]
         held_by = dict.fromkeys(self.reserved, "fixed")
         for holder, indices, half in holders:
             for index in indices:

@@ -237,32 +237,6 @@ def load_trace(path: str) -> list[TraceOp]:
 # synthetic archetypes
 
 
-# declared field type -> (what the error calls it, the types it may hold)
-_SCALAR_FIELDS = {"int": ("an int", int), "float": ("a finite number", (int, float)), "bool": ("a bool", bool)}
-
-
-def check_field_types(params) -> None:
-    """Reject a field of dataclass ``params`` that does not hold its declared scalar type.
-
-    An ``int`` field holds an int, a ``bool`` field a bool, and a
-    ``float`` field a finite int or float; a bool is neither an int nor a
-    number here. ``WorkloadSpec`` and ``ExperimentConfig`` call it from
-    ``__post_init__``, so a fractional count or a non-finite size fails
-    as a ``ConfigError`` before it can reach a run or a report.
-    """
-    for f in fields(params):
-        if f.type not in _SCALAR_FIELDS:
-            continue
-        what, types = _SCALAR_FIELDS[f.type]
-        value = getattr(params, f.name)
-        if (
-            isinstance(value, bool) != (f.type == "bool")
-            or not isinstance(value, types)
-            or (isinstance(value, float) and not isfinite(value))
-        ):
-            raise ConfigError(f"{f.name} must be {what}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Parameters of one synthetic op stream; fully determines it with seed."""
@@ -299,6 +273,39 @@ class WorkloadSpec:
             raise ConfigError("size_log_sigma must not be negative")
         if self.resident_bytes < 0:
             raise ConfigError("resident_bytes must not be negative")
+
+
+# declared field type -> (what the error calls it, the types it may hold)
+_FIELD_TYPES = {
+    "int": ("an int", int),
+    "float": ("a finite number", (int, float)),
+    "bool": ("a bool", bool),
+    "str": ("a str", str),
+    "str | None": ("a str or None", (str, type(None))),
+    "WorkloadSpec | None": ("a WorkloadSpec or None", (WorkloadSpec, type(None))),
+}
+
+
+def check_field_types(params) -> None:
+    """Reject a field of dataclass ``params`` that does not hold its declared type.
+
+    An ``int`` field holds an int, a ``bool`` field a bool, a ``float``
+    field a finite int or float, and a ``str`` field a str; a bool is
+    none of the others here. Every field's declared type must be in
+    ``_FIELD_TYPES``. ``WorkloadSpec`` and ``ExperimentConfig`` call it
+    from ``__post_init__``, so a fractional count, a non-finite size or a
+    value of the wrong type fails as a ``ConfigError`` before it can
+    reach a run or a report.
+    """
+    for f in fields(params):
+        what, types = _FIELD_TYPES[f.type]
+        value = getattr(params, f.name)
+        if (
+            isinstance(value, bool) != (f.type == "bool")
+            or not isinstance(value, types)
+            or (isinstance(value, float) and not isfinite(value))
+        ):
+            raise ConfigError(f"{f.name} must be {what}, not {value!r}")
 
 
 def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> WorkloadSpec:
@@ -534,11 +541,11 @@ ARCHETYPES = tuple(_ARCHETYPES)
 # trace driver
 
 
-def drive(heap: HeapInstance, ops: Iterator[TraceOp], limit: int | None = None) -> tuple[int, bool]:
-    """Apply up to ``limit`` ops to ``heap``; returns (executed, exhausted).
+def drive(heap: HeapInstance, ops: Iterator[TraceOp], limit: int | None = None) -> bool:
+    """Apply up to ``limit`` ops to ``heap``; returns whether the stream ended.
 
-    ``exhausted`` is True when the stream ended. The heap's running op
-    index is used to annotate trace errors with their position.
+    The heap's running op index counts the ops applied, and annotates
+    trace errors with their position.
     """
     # One identity test chain per op, most frequent kinds first; the heap
     # methods are bound once per call, after any patching of the class.
@@ -572,5 +579,4 @@ def drive(heap: HeapInstance, ops: Iterator[TraceOp], limit: int | None = None) 
             index += 1
     finally:
         heap.op_index = index
-    executed = index - start
-    return executed, limit is None or executed < limit
+    return limit is None or index - start < limit

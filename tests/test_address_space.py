@@ -2,27 +2,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridgc.address_space import MemoryKind, init_layout
+from hybridgc.address_space import HeapLayout, MemoryKind
 from hybridgc.errors import ConfigError, HeapExhausted, InvariantError
 from hybridgc.heap import LOS_PCM, MATURE_DRAM, MATURE_PCM
 from support import small_heap
 
 
 def test_two_chunk_layout():
-    layout = init_layout(512, 256)
-    assert layout.split == 256
+    layout = HeapLayout(512, 256)
     assert layout.pcm.kind is MemoryKind.PCM and layout.dram.kind is MemoryKind.DRAM
     assert layout.pcm.indices == range(1) and layout.dram.indices == range(1, 2)
     assert layout.pcm.free_indices == [0] and layout.dram.free_indices == [1]
+    assert layout.pcm.chunk_size == layout.dram.chunk_size == 256
+    for kind in MemoryKind:
+        assert layout.free_list_for(kind).kind is kind
 
 
 def test_half_bounds_boundaries():
-    layout = init_layout(512, 256)
-    assert layout.half_bounds(MemoryKind.PCM) == (0, 256)
-    assert layout.half_bounds(MemoryKind.DRAM) == (256, 512)
+    layout = HeapLayout(512, 256)
+    assert (layout.pcm.lo, layout.pcm.hi) == (0, 256)
+    assert (layout.dram.lo, layout.dram.hi) == (256, 512)
 
     def halves(addr):
-        return [kind for kind in MemoryKind if layout.half_bounds(kind)[0] <= addr < layout.half_bounds(kind)[1]]
+        return [half.kind for half in (layout.pcm, layout.dram) if half.lo <= addr < half.hi]
 
     assert halves(0) == [MemoryKind.PCM]
     assert halves(255) == [MemoryKind.PCM]
@@ -36,14 +38,14 @@ def test_half_bounds_boundaries():
 
 def test_layout_must_split_into_whole_chunks():
     with pytest.raises(ConfigError):
-        init_layout(768, 512)  # halves of 384 are not whole 512B chunks
+        HeapLayout(768, 512)  # halves of 384 are not whole 512B chunks
     with pytest.raises(ConfigError):
-        init_layout(0, 256)
-    init_layout(1024, 256)  # fine: two whole chunks per half
+        HeapLayout(0, 256)
+    HeapLayout(1024, 256)  # fine: two whole chunks per half
 
 
 def test_reserve_lowest_first_and_exhaustion():
-    layout = init_layout(8 * 256, 256)  # 4 chunks per half
+    layout = HeapLayout(8 * 256, 256)  # 4 chunks per half
     got = [layout.pcm.reserve("s") for _ in range(4)]
     assert got == [0, 1, 2, 3]
     with pytest.raises(HeapExhausted, match="no free PCM chunk for 's'"):
@@ -53,7 +55,7 @@ def test_reserve_lowest_first_and_exhaustion():
 
 
 def test_release_recycles_without_unmapping():
-    layout = init_layout(4 * 256, 256)
+    layout = HeapLayout(4 * 256, 256)
     a = layout.pcm.reserve("x")
     b = layout.pcm.reserve("x")
     layout.pcm.release(a)
@@ -71,7 +73,7 @@ def test_release_recycles_without_unmapping():
 
 
 def test_reserve_index_and_range():
-    layout = init_layout(8 * 256, 256)
+    layout = HeapLayout(8 * 256, 256)
     layout.pcm.reserve_index(2, "boot")
     assert layout.pcm.free_indices == [0, 1, 3]
     with pytest.raises(InvariantError, match="PCM chunk 2 is not free for 'boot'"):
@@ -89,7 +91,7 @@ def test_reserve_index_and_range():
 
 def test_chunk_at():
     """Chunk ``addr // chunk_size`` covers ``addr``; a heap reserves the ones under its fixed spaces."""
-    layout = init_layout(4 * 256, 256)
+    layout = HeapLayout(4 * 256, 256)
     for addr, index, kind in ((0, 0, MemoryKind.PCM), (255, 0, MemoryKind.PCM), (256, 1, MemoryKind.PCM),
                               (512, 2, MemoryKind.DRAM), (1023, 3, MemoryKind.DRAM)):  # fmt: skip
         assert addr // layout.chunk_size == index and index in layout.free_list_for(kind).indices
@@ -106,7 +108,7 @@ def test_chunk_at():
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60))
 def test_reserve_release_conserves_chunks(script):
     """Random reserve/release interleavings keep the accounting identity."""
-    layout = init_layout(8 * 256, 256)
+    layout = HeapLayout(8 * 256, 256)
     held = []
     for step in script:
         if step < 6 or not held:  # bias toward reserving
@@ -125,7 +127,7 @@ def test_reserve_release_conserves_chunks(script):
 
 def test_exhaustion_is_deterministic():
     """Reserving N+1 chunks from N free ones fails exactly on the last call."""
-    layout = init_layout(12 * 256, 256)
+    layout = HeapLayout(12 * 256, 256)
     n = layout.dram.free_count
     for _ in range(n):
         layout.dram.reserve("s")

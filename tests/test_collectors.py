@@ -15,7 +15,6 @@ from hybridgc.heap import (
     MATURE_PCM,
     NURSERY,
     OBSERVER,
-    loo_admit,
 )
 
 from support import KIB, MIB, per_key, reserve_every_free_chunk, small_config, small_heap
@@ -67,13 +66,19 @@ class TestRouting:
             assert spaces == {1: MATURE_PCM, 2: MATURE_DRAM, 3: MATURE_DRAM, 4: MATURE_PCM}, variant
 
     def test_nursery_admission_for_large_objects(self):
-        config = small_config("KG-W", nursery=64 * KIB)
+        heap, _ = small_heap("KG-W", nursery=64 * KIB, zeroing=False)
         cap = 8 * KIB  # an eighth of the nursery
-        assert loo_admit(config, cap, nursery_free=64 * KIB)
-        assert not loo_admit(config, cap + 1, nursery_free=64 * KIB)
-        assert not loo_admit(config, cap, nursery_free=cap - 1)
-        off = small_config("KG-N", nursery=64 * KIB)
-        assert not loo_admit(off, 1024, nursery_free=64 * KIB)
+        assert heap.alloc_object(1, cap, 0).space.name == NURSERY  # at the cap
+        assert heap.alloc_object(2, cap + 1, 0).space.name == LOS_PCM  # one alignment step over it
+        for oid in range(3, 9):
+            heap.alloc_object(oid, 7 * KIB, 0)
+        heap.alloc_object(9, 6 * KIB + 8, 0)
+        assert heap.nursery.free == cap - 8
+        # at the cap, but the nursery has less room than the object: the LOS, without collecting
+        assert heap.alloc_object(10, cap, 0).space.name == LOS_PCM
+        assert heap.gc.collections == [] and heap.nursery.free == cap - 8
+        off, _ = small_heap("KG-N", nursery=64 * KIB, zeroing=False)
+        assert off.alloc_object(1, 1024, 0, large_hint=True).space.name == LOS_PCM  # a variant without LOO admits nothing
 
     def test_observation_space_must_hold_a_full_nursery(self):
         with pytest.raises(ConfigError):

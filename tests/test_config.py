@@ -85,15 +85,21 @@ def test_budget_must_cover_nursery():
 @pytest.mark.parametrize("field", ["op_cost_ns", "byte_cost_ns"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
 def test_clock_costs_must_be_finite_and_non_negative(field, value):
-    # an infinite cost made the simulated time NaN, and the report invalid JSON
-    with pytest.raises(ConfigError, match="costs must be finite and non-negative"):
+    # an infinite cost made the simulated time NaN, and the report invalid JSON;
+    # the type check names the field of a non-finite cost
+    message = "costs must be finite and non-negative" if math.isfinite(value) else f"^{field} must be a finite number"
+    with pytest.raises(ConfigError, match=message):
         default_config("KG-W", **{field: value})
 
 
 @pytest.mark.parametrize("collector", ["KG-W", "PCM-Only"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
 def test_observer_multiplier_must_be_finite_and_positive(collector, value):
-    with pytest.raises(ConfigError, match="observer multiplier must be finite and positive"):
+    # the type check names the field of a non-finite multiplier
+    message = "observer multiplier must be finite and positive"
+    if not math.isfinite(value):
+        message = "^observer_multiplier must be a finite number"
+    with pytest.raises(ConfigError, match=message):
         default_config(collector, observer_multiplier=value)
 
 
@@ -116,12 +122,22 @@ def test_observer_multiplier_must_be_finite_and_positive(collector, value):
         ("warmup_fraction", True),
         ("lifetime_endurance", math.inf),
         ("lifetime_endurance", "1e7"),
+        ("seed", None),
+        ("collector", 3),
+        ("collector", None),
+        ("op_cost_ns", "5"),
+        ("byte_cost_ns", [1]),
+        ("observer_multiplier", None),
+        ("workload", "nursery-churn"),
+        ("trace_path", 3),
     ],
 )
 def test_every_field_holds_its_declared_type(field, value):
     # non-finite sizes and thresholds used to run and write NaN or Infinity
-    # into the report; fractional counts and bad types escaped as raw errors
-    with pytest.raises(ConfigError, match=rf"^{field} must be (an int|a bool|a finite number), not "):
+    # into the report; fractional counts and bad types escaped as raw errors,
+    # and a trace path of 3 would have read file descriptor 3
+    kinds = "an int|a bool|a finite number|a str|a str or None|a WorkloadSpec or None"
+    with pytest.raises(ConfigError, match=rf"^{field} must be ({kinds}), not "):
         ExperimentConfig(**{"collector": "KG-W", "seed": 0, "workload": ONE_OP, field: value})
 
 

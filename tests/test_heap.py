@@ -37,8 +37,8 @@ def test_align8():
 
 
 def in_half(layout, kind, addr):
-    lo, hi = layout.half_bounds(kind)
-    return lo <= addr < hi
+    half = layout.free_list_for(kind)
+    return half.lo <= addr < half.hi
 
 
 class TestSpaceMaps:
@@ -111,7 +111,7 @@ class TestPlacement:
 
     def test_pcm_only_nursery_below_split(self):
         heap, _ = small_heap("PCM-Only", nursery=64 * KIB, heap_size=8 * MIB)
-        assert heap.nursery.hi == heap.layout.split
+        assert heap.nursery.hi == heap.layout.heap_size // 2
         assert in_half(heap.layout, MemoryKind.PCM, heap.nursery.lo)
 
     def test_observer_directly_below_nursery(self):
@@ -127,9 +127,27 @@ class TestPlacement:
         fixed = (BOOT, NURSERY, OBSERVER)
         assert [space.name for space in heap.free_list_spaces] == [name for name in heap.spaces if name not in fixed]
 
+    @pytest.mark.parametrize("variant", [v.value for v in Collector])
+    def test_each_space_holds_the_half_of_its_kind(self, variant):
+        heap, _ = small_heap(variant)
+        layout = heap.layout
+        for name, kind in make_space_map(Collector.from_name(variant)).items():
+            space = heap.spaces[name]
+            assert space.half is layout.free_list_for(kind) and space.kind is kind, name
+        for space in heap.free_list_spaces:
+            half = space.half
+            free = list(half.free_indices)
+            space.alloc(64)
+            [index] = space.chunks  # a fresh chunk, the lowest free one of its own half
+            assert index == free[0] and half.free_indices == free[1:], space.name
+            heap.check_placement()
+            space.sweep([])  # nothing live: the empty chunk returns to its half
+            assert space.chunks == [] and half.free_indices == free, space.name
+        heap.check_placement()
+
     def test_boot_at_the_bottom_of_its_half(self):
         kg = small_heap("KG-N", boot_size=16 * KIB)[0]
-        assert kg.boot_space.lo == kg.layout.split
+        assert kg.boot_space.lo == kg.layout.heap_size // 2
         pcm = small_heap("PCM-Only", boot_size=16 * KIB)[0]
         assert pcm.boot_space.lo == 0
 

@@ -173,7 +173,7 @@ class TestCacheModel:
         heap, system = small_heap("KG-W", cache_capacity=64 * KIB, zeroing=False)
         heap.alloc_object(1, 64, 0)  # nursery, in the DRAM half
         heap.alloc_object(2, 16 * KIB, 0)  # large: los-pcm, in the PCM half
-        assert heap.objects[1].addr >= heap.layout.split > heap.objects[2].addr
+        assert heap.objects[1].addr >= heap.layout.dram.lo > heap.objects[2].addr
         heap.write_data(1, 0, 8)
         heap.write_data(2, 0, 8)
         assert system.drain() == 2

@@ -192,6 +192,44 @@ def test_memory_knows_no_memory_kind():
     assert imports == [] and kinds == []
 
 
+def _nodes_by_scope(tree: ast.Module):
+    """``(scope, node)`` for every node of ``tree``: ``scope`` is ``Class.method``,
+    ``function`` or ``Class`` for the innermost named definition around it, else ``""``."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope.split('.')[0]}.{child.name}" if scope and "." not in scope else child.name
+                yield inner, child
+                yield from visit(child, inner)
+            else:
+                yield scope, child
+                yield from visit(child, scope)
+
+    yield from visit(tree, "")
+
+
+def test_a_space_holds_its_half_and_nothing_looks_it_up_by_kind():
+    """The heap maps each space's kind to its half once, when it builds its
+    spaces: under ``src/`` only ``HeapInstance.__init__`` calls
+    ``free_list_for``, and only the heap keeps and reads a ``layout``, so no
+    space or collector reaches the halves through it."""
+    package = os.path.dirname(hybridgc.__file__)
+    lookups, layouts = [], []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        where = os.path.basename(path)
+        for scope, node in _nodes_by_scope(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "free_list_for" and scope != "HeapInstance.__init__":
+                    lookups.append(f"{where}:{node.lineno} {scope}")
+            elif isinstance(node, ast.Attribute) and node.attr == "layout":
+                on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                if not (on_self and scope.startswith("HeapInstance.")):
+                    layouts.append(f"{where}:{node.lineno} {scope} {ast.unparse(node)}")
+    assert lookups == [] and layouts == []
+
+
 def _self_attrs(cls: ast.ClassDef) -> set[str]:
     """Names the methods of ``cls`` assign to ``self``, by ``self.x = ...`` or ``object.__setattr__(self, "x", ...)``."""
     names = set()

@@ -526,14 +526,14 @@ class TestDriver:
     def test_limit_slices_the_stream(self):
         heap, _ = small_heap("KG-N", zeroing=False)
         ops = iter([Alloc(1, 64, 0, False), RootOp(1)])
-        assert drive(heap, ops, limit=1) == (1, False)
-        assert drive(heap, ops, limit=1) == (1, False)
-        assert drive(heap, ops, limit=1) == (0, True)
+        assert drive(heap, ops, limit=1) is False and heap.op_index == 1
+        assert drive(heap, ops, limit=1) is False and heap.op_index == 2
+        assert drive(heap, ops, limit=1) is True and heap.op_index == 2
 
     def test_no_limit_runs_to_exhaustion(self):
         heap, _ = small_heap("KG-N", zeroing=False)
         ops = [Alloc(i, 64, 0, False) for i in (1, 2, 3)]
-        assert drive(heap, iter(ops)) == (3, True)
+        assert drive(heap, iter(ops)) is True
         assert heap.op_index == 3
 
     def test_collections_happen_mid_drive(self):
@@ -542,7 +542,7 @@ class TestDriver:
         for oid in (1, 2, 3):
             ops.append(Alloc(oid, 4 * KIB, 0, False))
             ops.append(RootOp(oid))
-        assert drive(heap, iter(ops)) == (6, True)
+        assert drive(heap, iter(ops)) is True and heap.op_index == 6
         assert [s.kind for s in heap.gc.collections] == ["minor"]
         assert heap.objects[3].space.name == "nursery"
 
@@ -565,7 +565,7 @@ class TestDriver:
         count = heap.boot_space.capacity // 256
         assert len(heap.boot_ids) == count == 64
         ops = [Alloc(1, 64, 0, False), RefOp(-count, 3, 1), WriteOp(-count, 0, 8), RootOp(-count)]
-        assert drive(heap, iter(ops)) == (4, True)
+        assert drive(heap, iter(ops)) is True and heap.op_index == 4
         rec = heap.objects[-count]
         assert rec.addr == heap.boot_space.lo + (count - 1) * 256
         assert rec.space.name == BOOT and rec.refs == [0, 0, 0, 1]
