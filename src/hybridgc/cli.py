@@ -197,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # a size option's parse_size raises ConfigError here
         return args.func(args)
     except (ConfigError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

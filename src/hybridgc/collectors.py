@@ -8,13 +8,18 @@ one reachability walk, ``_closure``, which follows refs only inside a
 scope: the young records for a minor, every record for a major. A young
 collection decides each survivor's destination once, in
 ``_plan_survivors``, as a pair of move lists (nursery, observer); the
-chunk pre-flight and the copy loop both read that pair.
+chunk pre-flight and the copy loop both read that pair. The pre-flight
+dry-runs the copy loop's allocations, first fit over a copy of each
+destination's extents and fresh chunks in the order its half hands them
+out, so a minor either makes every copy or, before any, cascades into
+one major.
 
 A minor collection costs O(young), not O(heap): it seeds its closure
-from the heap's address-ordered ``young`` list and the remembered set,
-plans its copies by walking that list, reclaims the young dead from it,
-and leaves it holding the observer's residents. Only ``check_placement``
-still visits every record, in one tight loop.
+from the roots in the heap's address-ordered ``young`` list and the
+young children of the remembered objects, plans its copies by walking
+that list, reclaims the young dead from it, remembers each record that
+left it holding a ref, and leaves it holding the observer's residents.
+Only ``check_placement`` still visits every record, in one tight loop.
 
 A major collection treats the boot image as roots without a record per
 boot object: its closure seeds from the roots and the boot records a
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .address_space import FreeList, MemoryKind
 from .config import ExperimentConfig
@@ -43,6 +49,7 @@ from .heap import (
     HeapInstance,
     ObjectRecord,
     Space,
+    first_fit,
 )
 from .memory import MemorySystem
 
@@ -85,11 +92,12 @@ class GcEngine:
     def on_nursery_full(self) -> None:
         heap = self.heap
         for attempt in (0, 1):
-            # seeds: the young roots and the young children of remembered slots
+            # seeds: the young roots and the young children of remembered objects
+            young = {rec.id: rec for rec in heap.young}
             roots = heap.roots
-            stack = [rec.id for rec in heap.young if rec.id in roots]
-            stack += filter(None, (self._remembered_child(pid, slot) for pid, slot in heap.remset))
-            live = self._closure(stack, {rec.id: rec for rec in heap.young})
+            stack = [oid for oid in young if oid in roots]
+            stack += [cid for pid in heap.remset for cid in heap.objects[pid].refs if cid in young]
+            live = self._closure(stack, young)
             nursery_moves, observer_moves = self._plan_survivors(live)
             if self._chunks_available(nursery_moves, observer_moves):
                 break
@@ -102,18 +110,6 @@ class GcEngine:
             self.collect_major()
 
     # -- the reachability walk --
-
-    def _remembered_child(self, pid: int, slot: int) -> int:
-        """The young object a remembered slot points at, or 0 if the entry is stale."""
-        objects = self.heap.objects
-        parent = objects.get(pid)
-        if parent is None or slot >= len(parent.refs):
-            return 0
-        cid = parent.refs[slot]
-        if not cid:
-            return 0
-        child = objects.get(cid)
-        return cid if child is not None and child.space.young else 0
 
     @staticmethod
     def _closure(stack: list[int], scope: dict[int, ObjectRecord]) -> set[int]:
@@ -164,20 +160,26 @@ class GcEngine:
         return nursery_moves, observer_moves
 
     def _chunks_available(self, nursery_moves: Moves, observer_moves: Moves | None) -> bool:
-        needs: dict[Space, int] = {}
-        for rec, dest in (*nursery_moves, *(observer_moves or ())):
-            if not dest.young:
-                needs[dest] = needs.get(dest, 0) + rec.size
-        fresh: dict[FreeList, int] = {}  # fresh chunks wanted from each half
-        for space, nbytes in needs.items():
-            # bytes already free in this space's extents serve first; only
-            # the shortfall demands fresh chunks (fragmentation aside)
-            slack = sum(ext[1] for ext in space.extents)
-            short = nbytes - slack
-            if short > 0:
-                half = space.half
-                fresh[half] = fresh.get(half, 0) + -(-short // half.chunk_size)
-        return all(half.free_count >= count for half, count in fresh.items())
+        """Whether every copy of the plan finds room, by a dry run of the copy loop's allocations.
+
+        The copies run in ``_run_young_cycle``'s order, observer evacuees
+        first, each through ``first_fit`` over a copy of its destination's
+        extents. A copy no extent holds takes its half's next free index,
+        the one ``FreeList.reserve`` would hand out: nothing releases a
+        chunk while the copies run.
+        """
+        extents: dict[Space, list[list[int]]] = {}
+        fresh: dict[FreeList, Iterator[int]] = {}  # each half's free indices, lowest first
+        for rec, dest in (*(observer_moves or ()), *nursery_moves):
+            if dest.young:
+                continue  # the plan evacuates the observer when its survivors need the room
+            half = dest.half
+            if dest not in extents:
+                extents[dest] = [ext.copy() for ext in dest.extents]
+                fresh.setdefault(half, iter(half.free_indices))
+            if first_fit(extents[dest], rec.size, half.chunk_size, partial(next, fresh[half], None)) is None:
+                return False
+        return True
 
     # -- the nursery/observer cycle --
 
@@ -186,13 +188,10 @@ class GcEngine:
         if self.inspect_hook is not None:
             self.inspect_hook("minor", frozenset(live))
 
-        # every record that leaves the young region
-        moved_out = [rec for rec, dest in nursery_moves if not dest.young]
         if observer_moves is not None:
             stats = CollectionStats("observer", objects_scanned=len(observer_moves),
                                     space_used_before=heap.observer.used)
             self._move(observer_moves, stats)
-            moved_out += [rec for rec, _dest in observer_moves]
             heap.observer.reset()
             self.collections.append(stats)
 
@@ -212,11 +211,10 @@ class GcEngine:
                 dead += 1
             elif rec.space.young:  # in the observer: stayed, or was just copied in
                 kept.append(rec)
+            elif any(rec.refs):  # just left the young region, and may still point into it
+                heap.remset.add(rec.id)
         heap.young = kept
         stats.reclaimed_objects = dead
-        # objects that just left the young region may still point into it;
-        # the prune keeps exactly the slots that do
-        heap.remset.update((rec.id, slot) for rec in moved_out for slot, cid in enumerate(rec.refs) if cid)
         self._prune_remset()
         self.collections.append(stats)
         heap.check_placement()
@@ -243,12 +241,14 @@ class GcEngine:
         stats.copied_objects += len(moves)
 
     def _prune_remset(self) -> None:
-        """Keep the entries whose parent is outside the young region and still points into it."""
-        heap = self.heap
-        heap.remset = {
-            (pid, slot)
-            for pid, slot in heap.remset
-            if self._remembered_child(pid, slot) and not heap.objects[pid].space.young
+        """Keep the remembered ids that are records outside the young region with a ref into it."""
+        # a lookup per ref of each remembered record, not a set of the young
+        # ids: the remembered set is small and the young list is not
+        objects = self.heap.objects
+        self.heap.remset = {
+            pid for pid in self.heap.remset
+            if (rec := objects.get(pid)) is not None and not rec.space.young
+            and any(objects[cid].space.young for cid in rec.refs if cid)
         }
 
     # -- full collection --

@@ -9,9 +9,12 @@ startup, once each even where two adjacent spaces share a boundary
 chunk, and the heap keeps them as the set ``reserved``; mature, large
 and metadata spaces pull chunk indices from their half on demand, and
 an allocation that finds its half out of chunks raises
-``HeapExhausted``. The write barrier and the mutator's traffic live
-here; the collection algorithms that consume this state, and issue the
-collector's traffic, live in :mod:`hybridgc.collectors`.
+``HeapExhausted``. A free-list space places each object by
+``first_fit``, which the collector's chunk pre-flight also dry-runs.
+The write barrier and the mutator's traffic live here; the collection
+algorithms that consume this state, and issue the collector's traffic,
+live in :mod:`hybridgc.collectors`. The barrier remembers the parent
+object, by id in ``remset``, when a store makes an old one point young.
 Each space is the one record of what it is: its name, its memory
 ``half`` (a ``FreeList``) and that half's kind, its counter key id
 (``kid``) and whether it is young (the nursery and the observer). The
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .address_space import FreeList, HeapLayout, MemoryKind
 from .config import Collector, ExperimentConfig
@@ -129,6 +132,32 @@ class BumpSpace:
         self.cursor = self.lo
 
 
+def first_fit(extents: list[list[int]], n: int, chunk_size: int, take_chunk: Callable[[], int | None]) -> int | None:
+    """Carve ``n`` bytes from ``extents`` ([addr, size], sorted by addr) and return their address.
+
+    The lowest extent that holds ``n`` bytes serves; when none does, the
+    chunk whose index ``take_chunk()`` returns joins the extents and
+    serves. ``None`` means ``take_chunk`` had no chunk left.
+    """
+    if n > chunk_size:
+        raise HeapExhausted(f"object of {n} bytes exceeds the {chunk_size}-byte chunk size")
+    for i, ext in enumerate(extents):
+        if ext[1] >= n:
+            addr = ext[0]
+            ext[0] += n
+            ext[1] -= n
+            if ext[1] == 0:
+                del extents[i]
+            return addr
+    index = take_chunk()
+    if index is None:
+        return None
+    addr = index * chunk_size
+    if n < chunk_size:
+        insort(extents, [addr + n, chunk_size - n])  # chunk addresses are distinct
+    return addr
+
+
 class FreeListSpace:
     """Mark-sweep space over on-demand chunks with first-fit extents."""
 
@@ -143,32 +172,14 @@ class FreeListSpace:
         self.allocated_bytes = 0
 
     def alloc(self, n: int) -> int:
-        if n > self.half.chunk_size:
-            raise HeapExhausted(
-                f"object of {n} bytes exceeds the {self.half.chunk_size}-byte chunk size"
-            )
-        addr = self._first_fit(n)
-        if addr is None:
-            index = self.half.reserve(self.name)
-            self.chunks.append(index)
-            size = self.half.chunk_size
-            insort(self.extents, [index * size, size])  # chunk addresses are distinct
-            addr = self._first_fit(n)
-            if addr is None:
-                raise InvariantError(f"a fresh {size}-byte chunk of {self.name} cannot hold {n} bytes")
+        addr = first_fit(self.extents, n, self.half.chunk_size, self._take_chunk)
         self.allocated_bytes += n
         return addr
 
-    def _first_fit(self, n: int) -> int | None:
-        for i, ext in enumerate(self.extents):
-            if ext[1] >= n:
-                addr = ext[0]
-                ext[0] += n
-                ext[1] -= n
-                if ext[1] == 0:
-                    del self.extents[i]
-                return addr
-        return None
+    def _take_chunk(self) -> int:
+        index = self.half.reserve(self.name)
+        self.chunks.append(index)
+        return index
 
     def sweep(self, live_intervals: list[tuple[int, int]]) -> None:
         """Rebuild free extents around ``live_intervals`` (sorted by addr).
@@ -244,7 +255,8 @@ class HeapInstance:
         # nursery, so allocation and copying only ever append.
         self.young: list[ObjectRecord] = []
         self.roots: set[int] = set()
-        self.remset: set[tuple[int, int]] = set()
+        # ids of the records outside the young region that may point into it
+        self.remset: set[int] = set()
         # ids the collector has reclaimed; with ``objects`` they are every id
         # ever allocated, so a trace cannot allocate one twice
         self.reclaimed: set[int] = set()
@@ -381,7 +393,7 @@ class HeapInstance:
         line_base = (slot_addr // line) * line
         system.access(self.instance_id, line_base, line, True, parent.space.kid)
         if child_id and child.space.young and not parent.space.young:
-            self.remset.add((parent_id, slot))
+            self.remset.add(parent_id)
 
     def set_root(self, oid: int, rooted: bool) -> None:
         if oid not in self.objects:

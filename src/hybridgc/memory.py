@@ -280,6 +280,17 @@ class LifetimeModel:
             raise ConfigError("lifetime model needs positive capacity and finite, positive endurance")
         if not 0.0 < self.wear_efficiency <= 1.0:
             raise ConfigError("wear efficiency must be in (0, 1]")
+        try:
+            writable = self.writable_bytes
+        except OverflowError:  # an int capacity too large for a float
+            writable = math.inf
+        if writable == math.inf:
+            raise ConfigError("capacity x endurance x efficiency must be a finite number of bytes")
+
+    @property
+    def writable_bytes(self) -> float:
+        """Bytes the device takes before it wears out."""
+        return self.capacity_bytes * self.endurance_writes * self.wear_efficiency
 
 
 def lifetime_years(write_rate_bytes_per_s: float, model: LifetimeModel = LifetimeModel()) -> float:
@@ -292,7 +303,6 @@ def lifetime_years(write_rate_bytes_per_s: float, model: LifetimeModel = Lifetim
         raise ConfigError("write rate must be finite and non-negative")
     if write_rate_bytes_per_s == 0:
         return UNBOUNDED_YEARS
-    total = model.capacity_bytes * model.endurance_writes * model.wear_efficiency
-    years = total / (write_rate_bytes_per_s * SECONDS_PER_YEAR)
+    years = model.writable_bytes / (write_rate_bytes_per_s * SECONDS_PER_YEAR)
     return min(years, UNBOUNDED_YEARS)
 

@@ -32,6 +32,21 @@ def test_lifetime_rejects_non_finite_inputs(capsys, argv):
     assert out == "" and "error:" in err
 
 
+def test_lifetime_rejects_a_capacity_too_large_for_a_float(capsys):
+    assert main(["lifetime", "100", "--capacity", "9" * 400]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "pair", "sweep"])
+@pytest.mark.parametrize("option", ["--nursery", "--budget", "--cache"])
+def test_a_bad_size_option_is_a_usage_error(capsys, command, option):
+    # parse_size runs inside argparse; its error used to escape as a traceback with exit 1
+    assert main([command, "--seed", "1", option, "4XB"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown size suffix 'XB' in '4XB'\n"
+
+
 def test_seed_is_mandatory(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--collector", "KG-N"])

@@ -98,6 +98,13 @@ def fill_rooted(heap, ids, count, size=4 * KIB, n_refs=0):
     return out
 
 
+def collect_young(heap, ids):
+    """Allocate unrooted 1 KiB garbage until the next collection runs."""
+    count = len(heap.gc.collections)
+    while len(heap.gc.collections) == count:
+        heap.alloc_object(next(ids), KIB, 0)
+
+
 def ids_from(start=1):
     def gen():
         n = start
@@ -157,7 +164,7 @@ class TestMinorCollection:
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
         heap.alloc_object(1, 4 * KIB, 0)
         heap.write_ref(-1, 0, 1)  # referenced from the boot image only
-        assert (-1, 0) in heap.remset
+        assert heap.remset == {-1}
         heap.alloc_object(2, 4 * KIB, 0)  # garbage
 
         heap.alloc_object(3, 4 * KIB, 0)
@@ -251,7 +258,7 @@ class TestObservationPipeline:
         # the pointer store counted as a write, so 1 was routed to DRAM
         assert heap.objects[1].space.name == MATURE_DRAM
         assert heap.objects[100].space.name == OBSERVER
-        assert (1, 0) in heap.remset  # promoted parent, young child
+        assert heap.remset == {1}  # promoted parent, young child
 
         fill_rooted(heap, ids, 1)  # 6
         fill_rooted(heap, ids, 1)  # 7; next cycle
@@ -263,6 +270,29 @@ class TestObservationPipeline:
         heap.write_ref(1, 0, 0)
         heap.gc.collect_major()
         assert 100 not in heap.objects
+
+    def test_a_parent_stays_remembered_while_any_slot_points_young(self):
+        heap, _ = self.build()
+        ids = ids_from(100)
+        heap.alloc_object(10, 1 * KIB, 0)
+        heap.alloc_object(11, 1 * KIB, 0)
+        heap.write_ref(-1, 0, 10)  # one old parent, two slots into the nursery
+        heap.write_ref(-1, 1, 11)
+        collect_young(heap, ids)
+        assert [heap.objects[oid].space.name for oid in (10, 11)] == [OBSERVER] * 2
+        assert heap.remset == {-1}
+
+        heap.write_ref(-1, 0, 0)
+        collect_young(heap, ids)
+        assert 10 not in heap.objects
+        assert heap.objects[11].space.name == OBSERVER  # held through the other slot
+        assert heap.remset == {-1}
+
+        heap.write_ref(-1, 1, 0)
+        assert heap.remset == {-1}  # a store of null forgets nothing; the next prune does
+        collect_young(heap, ids)
+        assert 11 not in heap.objects
+        assert heap.remset == set()
 
 
 def young_ids(heap):
@@ -392,6 +422,43 @@ class TestMajorCollection:
             fill_rooted(heap, ids, 8)  # third cycle has nowhere left to copy
         # the cascade ran one full collection before giving up
         assert [s.kind for s in heap.gc.collections] == ["minor", "minor", "major"]
+
+    def test_chunk_preflight_runs_first_fit_not_a_free_byte_count(self):
+        # two chunks per half; with no boot image the nursery is the DRAM half's only tenant
+        heap, _ = small_heap(
+            "KG-N",
+            nursery=16 * KIB,
+            budget=4 * MIB,
+            heap_size=256 * KIB,
+            chunk_size=64 * KIB,
+            zeroing=False,
+            boot_size=0,
+        )
+        ids = ids_from(1000)
+        heap.alloc_object(1, 40 * KIB, 0)  # large: PCM chunk 0 goes to the LOS
+        heap.set_root(1, True)
+        small = fill_rooted(heap, ids_from(2), 62, size=KIB)
+        collect_young(heap, ids)  # the last of them are promoted too
+        for oid in small[::2]:
+            heap.set_root(oid, False)
+        heap.gc.collect_major()
+        mature = heap.spaces[MATURE_PCM]
+        assert (mature.chunks, heap.spaces[LOS_PCM].chunks, heap.layout.pcm.free_indices) == ([1], [0], [])
+        assert sum(size for _addr, size in mature.extents) == 33 * KIB  # 1 KiB holes and a 2 KiB tail
+        assert max(size for _addr, size in mature.extents) == 2 * KIB
+        heap.set_root(1, False)  # chunk 0 is free once a major reclaims 1
+
+        fill_rooted(heap, ids_from(100), 1, size=KIB)  # fits a hole
+        fill_rooted(heap, ids_from(101), 1, size=3 * KIB)  # fits none
+        count = len(heap.gc.collections)
+        collect_young(heap, ids)
+
+        # 4 KiB of survivors against 33 KiB free: a free-byte count passes, but
+        # first-fit has no room for 101, so the pre-flight cascades before any copy
+        assert [s.kind for s in heap.gc.collections[count:]] == ["major", "minor"]
+        assert 1 not in heap.objects
+        assert heap.objects[100].space is heap.objects[101].space is mature
+        assert mature.chunks == [1, 0] and heap.objects[101].addr == 0
 
 
 class TestLargeObjects:

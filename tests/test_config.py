@@ -141,6 +141,13 @@ def test_every_field_holds_its_declared_type(field, value):
         ExperimentConfig(**{"collector": "KG-W", "seed": 0, "workload": ONE_OP, field: value})
 
 
+def test_a_lifetime_capacity_too_large_for_a_float_fails_before_the_run():
+    # it used to run the whole trace and overflow in lifetime_years at report time
+    with pytest.raises(ConfigError, match="finite number of bytes"):
+        config_for_archetype("nursery-churn", "PCM-Only", 1, op_count=2000, quantum=100,
+                             lifetime_capacity_bytes=10**400)
+
+
 def test_a_float_field_takes_an_int():
     cfg = default_config("KG-W", op_cost_ns=5, warmup_fraction=0, lifetime_endurance=10**7)
     assert (cfg.op_cost_ns, cfg.warmup_fraction, cfg.lifetime_endurance) == (5, 0, 10**7)

@@ -373,7 +373,7 @@ class TestMutatorOps:
         heap, _ = small_heap("KG-N")
         heap.alloc_object(7, 64, 0)
         heap.write_ref(-1, 0, 7)  # boot space is outside the young region
-        assert (-1, 0) in heap.remset
+        assert heap.remset == {-1}
 
     def test_roots(self):
         heap, _ = small_heap("KG-N")

@@ -62,6 +62,12 @@ class TestLifetime:
             with pytest.raises(ConfigError):
                 LifetimeModel(endurance_writes=endurance)
 
+    @pytest.mark.parametrize("capacity", [10**400, 10**305], ids=["10**400", "10**305"])
+    def test_writable_bytes_must_be_a_finite_float(self, capacity):
+        # 10**400 does not convert to a float; 10**305 does, but its product is inf
+        with pytest.raises(ConfigError, match="finite number of bytes"):
+            LifetimeModel(capacity_bytes=capacity)
+
     def test_scales_with_model(self):
         half = LifetimeModel(capacity_bytes=16_000_000_000)
         assert lifetime_years(480e6, half) == pytest.approx(LIFETIME_AT_480MBS / 2, rel=1e-12)

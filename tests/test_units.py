@@ -15,6 +15,8 @@ from hybridgc.units import GIB, MIB, parse_size
         ("32GB", 32_000_000_000),
         ("0", 0),
         (123, 123),
+        ("2.01kb", 2010),  # exact: a float product misses the whole number
+        pytest.param("9" * 400, 10**400 - 1, id="400-digit-count"),
     ],
 )
 def test_parse_size(text, expected):
