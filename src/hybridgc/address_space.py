@@ -37,10 +37,6 @@ class FreeList:
         self.lo = indices.start * chunk_size  # [lo, hi): the half's addresses
         self.hi = indices.stop * chunk_size
 
-    @property
-    def free_count(self) -> int:
-        return len(self.free_indices)
-
     def reserve(self, owner: str) -> int:
         """Take the lowest free index; ``owner`` only names the caller in the error."""
         if not self.free_indices:

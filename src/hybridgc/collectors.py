@@ -8,11 +8,19 @@ one reachability walk, ``_closure``, which follows refs only inside a
 scope: the young records for a minor, every record for a major. A young
 collection decides each survivor's destination once, in
 ``_plan_survivors``, as a pair of move lists (nursery, observer); the
-chunk pre-flight and the copy loop both read that pair. The pre-flight
-dry-runs the copy loop's allocations, first fit over a copy of each
-destination's extents and fresh chunks in the order its half hands them
-out, so a minor either makes every copy or, before any, cascades into
-one major.
+chunk pre-flight and the copy loop both read that pair. A major plans
+its DRAM allocations before its first mark: a shadow slot for each live
+PCM resident that has none (mdo), in mark order, then a copy for each
+large object it relocates (LOO). One pre-flight, ``_chunks_available``,
+dry-runs either plan's allocations in order, first fit over a copy of
+each space's extents and fresh chunks in the order its half hands them
+out. So a minor either makes every copy or, before any, cascades into
+one major, and a major either places its whole plan or raises
+``HeapExhausted`` before any traffic.
+
+Each collection appends a ``CollectionStats`` holding only what reports
+read: its kind, the bytes it copied, its mark writes (all, and those to
+PCM) and its large-object relocations.
 
 A minor collection costs O(young), not O(heap): it seeds its closure
 from the roots in the heap's address-ordered ``young`` list and the
@@ -31,7 +39,7 @@ the address order of the marks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterator
@@ -46,6 +54,7 @@ from .heap import (
     MATURE_PCM,
     META_DRAM,
     META_SLOT_SIZE,
+    FreeListSpace,
     HeapInstance,
     ObjectRecord,
     Space,
@@ -57,19 +66,10 @@ from .memory import MemorySystem
 @dataclass
 class CollectionStats:
     kind: str  # "minor" | "observer" | "major"
-    objects_scanned: int = 0
-    copied_objects: int = 0
-    copied_bytes: dict[str, int] = field(default_factory=dict)
-    space_used_before: int = 0  # fill of the collected space at entry
+    bytes_copied_total: int = 0
     mark_writes: int = 0
     mark_writes_pcm: int = 0
     large_relocated: int = 0
-    reclaimed_objects: int = 0
-    live_bytes_after: int = 0  # mature occupancy after a major
-
-    @property
-    def bytes_copied_total(self) -> int:
-        return sum(self.copied_bytes.values())
 
 
 Moves = list[tuple[ObjectRecord, Space]]  # (record, destination space) pairs, by address
@@ -99,7 +99,9 @@ class GcEngine:
             stack += [cid for pid in heap.remset for cid in heap.objects[pid].refs if cid in young]
             live = self._closure(stack, young)
             nursery_moves, observer_moves = self._plan_survivors(live)
-            if self._chunks_available(nursery_moves, observer_moves):
+            # the plan evacuates the observer when its survivors need the room
+            copies = (*(observer_moves or ()), *nursery_moves)
+            if self._chunks_available([(rec.size, dest) for rec, dest in copies if not dest.young]):
                 break
             if attempt == 0:
                 self.collect_major()  # cascade once, then give up
@@ -125,7 +127,7 @@ class GcEngine:
                     stack.append(cid)
         return live
 
-    # -- the survivor plan and its chunk pre-flight, so copies never fail halfway --
+    # -- the survivor plan, and the chunk pre-flight that keeps a collection from failing halfway --
 
     def _plan_survivors(self, live: set[int]) -> tuple[Moves, Moves | None]:
         """Where each live young object goes: ``(nursery_moves, observer_moves)``.
@@ -159,25 +161,23 @@ class GcEngine:
             observer_moves = [(rec, spaces[MATURE_DRAM if rec.write_count else MATURE_PCM]) for rec in observer_live]
         return nursery_moves, observer_moves
 
-    def _chunks_available(self, nursery_moves: Moves, observer_moves: Moves | None) -> bool:
-        """Whether every copy of the plan finds room, by a dry run of the copy loop's allocations.
+    @staticmethod
+    def _chunks_available(allocs: list[tuple[int, FreeListSpace]]) -> bool:
+        """Whether every ``(size, space)`` allocation, made in order, finds room: a dry run.
 
-        The copies run in ``_run_young_cycle``'s order, observer evacuees
-        first, each through ``first_fit`` over a copy of its destination's
-        extents. A copy no extent holds takes its half's next free index,
-        the one ``FreeList.reserve`` would hand out: nothing releases a
-        chunk while the copies run.
+        Each goes through ``first_fit`` over a copy of its space's extents.
+        One that no extent holds takes its half's next free index, the one
+        ``FreeList.reserve`` would hand out: nothing releases a chunk while
+        a collection allocates.
         """
-        extents: dict[Space, list[list[int]]] = {}
+        extents: dict[FreeListSpace, list[list[int]]] = {}
         fresh: dict[FreeList, Iterator[int]] = {}  # each half's free indices, lowest first
-        for rec, dest in (*(observer_moves or ()), *nursery_moves):
-            if dest.young:
-                continue  # the plan evacuates the observer when its survivors need the room
-            half = dest.half
-            if dest not in extents:
-                extents[dest] = [ext.copy() for ext in dest.extents]
+        for size, space in allocs:
+            half = space.half
+            if space not in extents:
+                extents[space] = [ext.copy() for ext in space.extents]
                 fresh.setdefault(half, iter(half.free_indices))
-            if first_fit(extents[dest], rec.size, half.chunk_size, partial(next, fresh[half], None)) is None:
+            if first_fit(extents[space], size, half.chunk_size, partial(next, fresh[half], None)) is None:
                 return False
         return True
 
@@ -189,13 +189,12 @@ class GcEngine:
             self.inspect_hook("minor", frozenset(live))
 
         if observer_moves is not None:
-            stats = CollectionStats("observer", objects_scanned=len(observer_moves),
-                                    space_used_before=heap.observer.used)
+            stats = CollectionStats("observer")
             self._move(observer_moves, stats)
             heap.observer.reset()
             self.collections.append(stats)
 
-        stats = CollectionStats("minor", objects_scanned=len(live), space_used_before=heap.nursery.used)
+        stats = CollectionStats("minor")
         self._move(nursery_moves, stats)
         heap.nursery.reset()
 
@@ -203,18 +202,15 @@ class GcEngine:
         objects = heap.objects
         reclaimed = heap.reclaimed
         kept = []
-        dead = 0
         for rec in heap.young:
             if rec.id not in live:
                 del objects[rec.id]
                 reclaimed.add(rec.id)
-                dead += 1
             elif rec.space.young:  # in the observer: stayed, or was just copied in
                 kept.append(rec)
             elif any(rec.refs):  # just left the young region, and may still point into it
                 heap.remset.add(rec.id)
         heap.young = kept
-        stats.reclaimed_objects = dead
         self._prune_remset()
         self.collections.append(stats)
         heap.check_placement()
@@ -224,7 +220,7 @@ class GcEngine:
         heap = self.heap
         system = heap.system
         inst = heap.instance_id
-        copied = stats.copied_bytes
+        stats.bytes_copied_total += sum(rec.size for rec, _dest in moves)
         for rec, dest in moves:
             size = rec.size
             new_addr = dest.alloc(size)  # only the observer's bump returns None; a free list raises
@@ -237,8 +233,6 @@ class GcEngine:
             rec.addr = new_addr
             rec.space = dest
             rec.write_count = 0  # residency changed; observation restarts
-            copied[dest.name] = copied.get(dest.name, 0) + size
-        stats.copied_objects += len(moves)
 
     def _prune_remset(self) -> None:
         """Keep the remembered ids that are records outside the young region with a ref into it."""
@@ -259,17 +253,36 @@ class GcEngine:
         # the boot image counts as roots, but a boot object no trace has
         # named has only null slots, so it adds nothing to the closure
         live = self._closure([*heap.roots, *heap.named_boot_ids], heap.objects)
+        by_addr = attrgetter("addr")
+        live_recs = sorted((heap.objects[oid] for oid in live if oid > 0), key=by_addr)  # boot ids are negative
+        # LOO moves a large PCM object written often enough in this
+        # relocation window to DRAM; the window restarts at each full collection
+        los_pcm = heap.spaces[LOS_PCM]
+        large_pcm = [rec for rec in live_recs if rec.space is los_pcm]
+        los_dram = heap.spaces.get(LOS_DRAM)
+        relocations = [
+            (rec, los_dram) for rec in large_pcm
+            if los_dram is not None and rec.write_count >= config.large_relocation_threshold
+        ]
+        # mdo marks each PCM resident in a DRAM shadow slot, which it keeps
+        # while it stays in PCM
+        meta = heap.spaces.get(META_DRAM)
+        unslotted = [
+            rec for rec in live_recs
+            if meta is not None and rec.meta_addr is None and rec.space.kind is MemoryKind.PCM
+        ]
+        # the pre-flight: every DRAM allocation, in the order made below
+        allocs = [(META_SLOT_SIZE, meta)] * len(unslotted) + [(rec.size, dest) for rec, dest in relocations]
+        if not self._chunks_available(allocs):
+            raise HeapExhausted("no chunks left for major-collection shadow slots and relocations")
         if self.inspect_hook is not None:
             self.inspect_hook("major", frozenset(live.union(heap.boot_ids)))
 
+        for rec in unslotted:
+            rec.meta_addr = meta.alloc(META_SLOT_SIZE)
         stats = CollectionStats("major")
-        # every boot object is live, named or not
-        stats.objects_scanned = len(live) + len(heap.boot_ids) - len(heap.named_boot_ids)
         # Marks go in address order. The boot range takes its place in that
-        # order in one loop, which also covers the boot records; boot ids are
-        # the only negative ones.
-        by_addr = attrgetter("addr")
-        live_recs = sorted((heap.objects[oid] for oid in live if oid > 0), key=by_addr)
+        # order in one loop, which also covers the boot records.
         boot = heap.boot_space
         below_boot = bisect_left(live_recs, boot.lo, key=by_addr)
         for rec in live_recs[:below_boot]:
@@ -278,25 +291,19 @@ class GcEngine:
             self._mark(addr, boot, stats)  # the boot space is DRAM whenever mdo is on
         for rec in live_recs[below_boot:]:
             self._mark_record(rec, stats)
-        # LOO moves a large PCM object written often enough in this
-        # relocation window to DRAM; the window restarts at each full
-        # collection, for the moved objects (``_move``) and the rest alike.
-        los_pcm = heap.spaces[LOS_PCM]
-        for rec in live_recs:
-            if rec.large and rec.space is los_pcm:
-                if config.variant.loo and rec.write_count >= config.large_relocation_threshold:
-                    self._move([(rec, heap.spaces[LOS_DRAM])], stats)
-                    rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
-                    stats.large_relocated += 1
-                else:
-                    rec.write_count = 0
+        for rec in large_pcm:
+            rec.write_count = 0
+        self._move(relocations, stats)
+        for rec, _dest in relocations:
+            rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
+        stats.large_relocated = len(relocations)
 
         intervals: dict[Space, list[tuple[int, int]]] = {space: [] for space in heap.free_list_spaces}
         for rec in live_recs:
             if rec.space in intervals:
                 intervals[rec.space].append((rec.addr, rec.size))
             if rec.meta_addr is not None:
-                intervals[heap.spaces[META_DRAM]].append((rec.meta_addr, META_SLOT_SIZE))
+                intervals[meta].append((rec.meta_addr, META_SLOT_SIZE))
         for space, live_intervals in intervals.items():
             space.sweep(sorted(live_intervals))
 
@@ -304,30 +311,23 @@ class GcEngine:
         for oid in dead:
             del heap.objects[oid]
         heap.reclaimed.update(dead)
-        stats.reclaimed_objects = len(dead)
         # a major cascaded from on_nursery_full reclaims young objects too
         heap.young = [rec for rec in heap.young if rec.id in live]
 
         self._prune_remset()
-        stats.live_bytes_after = heap.mature_occupancy()
         self.collections.append(stats)
         heap.check_placement()
-        if stats.live_bytes_after >= config.heap_budget:
-            raise HeapExhausted(
-                f"{stats.live_bytes_after} live bytes exceed the {config.heap_budget}-byte budget"
-            )
+        live_bytes = heap.mature_occupancy()
+        if live_bytes >= config.heap_budget:
+            raise HeapExhausted(f"{live_bytes} live bytes exceed the {config.heap_budget}-byte budget")
         return stats
 
     def _mark_record(self, rec: ObjectRecord, stats: CollectionStats) -> None:
-        """Mark ``rec`` in place, or in its DRAM shadow slot when mdo keeps PCM marks out of PCM."""
-        heap = self.heap
-        if self.config.variant.mdo and rec.space.kind is MemoryKind.PCM:
-            meta = heap.spaces[META_DRAM]
-            if rec.meta_addr is None:
-                rec.meta_addr = meta.alloc(META_SLOT_SIZE)
-            self._mark(rec.meta_addr, meta, stats)
-        else:
+        """Mark ``rec`` in its DRAM shadow slot when it has one, else in place."""
+        if rec.meta_addr is None:
             self._mark(rec.addr, rec.space, stats)
+        else:
+            self._mark(rec.meta_addr, self.heap.spaces[META_DRAM], stats)
 
     def _mark(self, target: int, space: Space, stats: CollectionStats) -> None:
         """One mark write: the cache line holding ``target``, in ``space``."""

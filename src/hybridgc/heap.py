@@ -10,7 +10,9 @@ chunk, and the heap keeps them as the set ``reserved``; mature, large
 and metadata spaces pull chunk indices from their half on demand, and
 an allocation that finds its half out of chunks raises
 ``HeapExhausted``. A free-list space places each object by
-``first_fit``, which the collector's chunk pre-flight also dry-runs.
+``first_fit``, which the collector's chunk pre-flight also dry-runs
+before each collection's allocations: a minor's copies, and a major's
+shadow slots and relocations.
 The write barrier and the mutator's traffic live here; the collection
 algorithms that consume this state, and issue the collector's traffic,
 live in :mod:`hybridgc.collectors`. The barrier remembers the parent
@@ -116,10 +118,6 @@ class BumpSpace:
     @property
     def free(self) -> int:
         return self.hi - self.cursor
-
-    @property
-    def used(self) -> int:
-        return self.cursor - self.lo
 
     def alloc(self, n: int) -> int | None:
         if self.cursor + n > self.hi:

@@ -51,7 +51,7 @@ def test_reserve_lowest_first_and_exhaustion():
     with pytest.raises(HeapExhausted, match="no free PCM chunk for 's'"):
         layout.pcm.reserve("s")
     # DRAM list is untouched by PCM exhaustion
-    assert layout.dram.free_count == 4
+    assert len(layout.dram.free_indices) == 4
 
 
 def test_release_recycles_without_unmapping():
@@ -112,7 +112,7 @@ def test_reserve_release_conserves_chunks(script):
     held = []
     for step in script:
         if step < 6 or not held:  # bias toward reserving
-            if layout.pcm.free_count:
+            if layout.pcm.free_indices:
                 held.append(layout.pcm.reserve("t"))
         else:
             layout.pcm.release(held.pop(step % len(held)))
@@ -128,7 +128,7 @@ def test_reserve_release_conserves_chunks(script):
 def test_exhaustion_is_deterministic():
     """Reserving N+1 chunks from N free ones fails exactly on the last call."""
     layout = HeapLayout(12 * 256, 256)
-    n = layout.dram.free_count
+    n = len(layout.dram.free_indices)
     for _ in range(n):
         layout.dram.reserve("s")
     with pytest.raises(HeapExhausted, match="no free DRAM chunk for 's'"):

@@ -105,6 +105,18 @@ def collect_young(heap, ids):
         heap.alloc_object(next(ids), KIB, 0)
 
 
+def fill(space):
+    """Bytes allocated in a bump space since its last reset."""
+    return space.cursor - space.lo
+
+
+def record_live_sets(heap):
+    """Collect ``(kind, live ids)`` from each closure the engine computes."""
+    seen = []
+    heap.gc.inspect_hook = lambda kind, live: seen.append((kind, live))
+    return seen
+
+
 def ids_from(start=1):
     def gen():
         n = start
@@ -125,20 +137,21 @@ class TestMinorCollection:
         heap.alloc_object(3, 2 * KIB, 0)  # garbage
         heap.alloc_object(4, 2 * KIB, 0)
         heap.set_root(4, True)
+        fills = []
+        heap.gc.inspect_hook = lambda _kind, _live: fills.append(fill(heap.nursery))
 
         heap.alloc_object(5, 2 * KIB, 0)  # does not fit; forces the cycle
 
         for oid in (1, 2, 4):
             assert heap.objects[oid].space.name == MATURE_PCM
-        assert 3 not in heap.objects
+        assert 3 not in heap.objects and 3 in heap.reclaimed
         assert heap.objects[5].space.name == NURSERY
-        assert heap.nursery.used == 2 * KIB
+        assert fill(heap.nursery) == 2 * KIB
+        assert fills == [8 * KIB]  # the collection started with a full nursery
 
         stats = heap.gc.collections[-1]
         assert stats.kind == "minor"
-        assert stats.copied_bytes == {MATURE_PCM: 6 * KIB}
-        assert stats.reclaimed_objects == 1
-        assert stats.space_used_before == 8 * KIB
+        assert stats.bytes_copied_total == 6 * KIB
         # each copy reads its nursery bytes once and writes them once into
         # phase-change memory, and nowhere else
         assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, NURSERY): 6 * KIB}
@@ -147,7 +160,7 @@ class TestMinorCollection:
         assert sum(n for (_i, kind, _s), n in written.items() if kind is MemoryKind.PCM) == 6 * KIB
 
     def test_reference_cycle_is_copied_once(self):
-        heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
+        heap, system = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
         heap.alloc_object(1, 4 * KIB, 1)
         heap.set_root(1, True)
         heap.alloc_object(2, 4 * KIB, 1)
@@ -158,7 +171,10 @@ class TestMinorCollection:
 
         assert heap.objects[1].space.name == MATURE_PCM
         assert heap.objects[2].space.name == MATURE_PCM
-        assert heap.gc.collections[-1].copied_objects == 2
+        assert heap.gc.collections[-1].bytes_copied_total == 8 * KIB
+        # each object read once and written once
+        assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, NURSERY): 8 * KIB}
+        assert per_key(system.counters.written, heap)[(0, MemoryKind.PCM, MATURE_PCM)] == 8 * KIB
 
     def test_boot_image_references_keep_young_objects_alive(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
@@ -191,14 +207,16 @@ class TestObservationPipeline:
 
         assert heap.objects[1].space.name == OBSERVER
         assert heap.objects[2].space.name == OBSERVER
-        assert heap.observer.used == 8 * KIB
+        assert fill(heap.observer) == 8 * KIB
 
     def test_written_objects_go_to_dram_quiet_ones_to_pcm(self):
-        heap, _ = self.build()
+        heap, system = self.build()
         ids = ids_from()
         fill_rooted(heap, ids, 2)
         fill_rooted(heap, ids, 1)  # 1 and 2 now under observation
         heap.write_data(1, 0, 8)
+        observer_fills = []
+        heap.gc.inspect_hook = lambda _kind, _live: observer_fills.append(fill(heap.observer))
 
         fill_rooted(heap, ids, 1)
         fill_rooted(heap, ids, 1)  # full again; evacuation precedes the copy-in
@@ -207,9 +225,11 @@ class TestObservationPipeline:
         assert heap.objects[2].space.name == MATURE_PCM
         assert heap.objects[1].write_count == 0  # observation window closed
         assert [s.kind for s in heap.gc.collections] == ["minor", "observer", "minor"]
-        evac = heap.gc.collections[1]
-        assert evac.copied_bytes == {MATURE_DRAM: 4 * KIB, MATURE_PCM: 4 * KIB}
-        assert evac.space_used_before == 8 * KIB
+        assert heap.gc.collections[1].bytes_copied_total == 8 * KIB
+        assert observer_fills == [8 * KIB]  # evacuated full
+        # the evacuation is the only copy into mature space
+        written = per_key(system.counters.written, heap)
+        assert written[(0, MemoryKind.DRAM, MATURE_DRAM)] == written[(0, MemoryKind.PCM, MATURE_PCM)] == 4 * KIB
 
     def test_each_move_list_is_copied_in_one_frame(self):
         heap, _ = self.build()
@@ -228,7 +248,9 @@ class TestObservationPipeline:
         finally:
             sys.setprofile(None)
         evac, minor = heap.gc.collections[1:]
-        assert (evac.kind, evac.copied_objects, minor.kind, minor.copied_objects) == ("observer", 2, "minor", 2)
+        assert (evac.kind, evac.bytes_copied_total, minor.kind, minor.bytes_copied_total) == (
+            "observer", 8 * KIB, "minor", 8 * KIB
+        )
         assert entered.count("GcEngine._move") == 2
         assert entered.count("MemorySystem.access") == 8  # a read and a write per copy
 
@@ -320,14 +342,24 @@ class TestYoungList:
         fill_rooted(heap, ids, 6)  # 18-23
         heap.alloc_object(100, 4 * KIB, 0)  # young garbage; the nursery is full
         assert young_ids(heap) == [17, 18, 19, 20, 21, 22, 23, 100]
+        young_at_minor = []
+
+        def inspect(kind, live):
+            if kind == "minor":
+                young_at_minor.append((young_ids(heap), live))
+
+        heap.gc.inspect_hook = inspect
 
         fill_rooted(heap, ids, 1)  # 24: 28 KiB of survivors overflow the chunk's tail
 
         # the pre-flight cascaded into a major, which swept the chunk and reclaimed 100
         assert [s.kind for s in heap.gc.collections] == ["minor", "minor", "major", "minor"]
-        assert 100 not in heap.objects
-        assert heap.gc.collections[-1].reclaimed_objects == 0
-        assert heap.gc.collections[-1].copied_objects == 7
+        assert 100 not in heap.objects and 100 in heap.reclaimed
+        # so the minor found every young record live, and reclaimed none
+        survivors = list(range(17, 24))
+        assert young_at_minor == [(survivors, set(survivors))]
+        assert heap.gc.collections[-1].bytes_copied_total == 7 * 4 * KIB
+        assert {heap.objects[oid].space.name for oid in survivors} == {MATURE_PCM}
         assert young_ids(heap) == [24]
 
     def test_dead_observer_resident_is_reclaimed_without_an_evacuation(self):
@@ -339,11 +371,10 @@ class TestYoungList:
         fill_rooted(heap, ids, 2)  # 5: the second minor copies 3 and 4 into the free half
 
         assert [s.kind for s in heap.gc.collections] == ["minor", "minor"]
-        assert 1 not in heap.objects
-        assert heap.gc.collections[-1].reclaimed_objects == 1
+        assert 1 not in heap.objects and 1 in heap.reclaimed
         assert young_ids(heap) == [2, 3, 4, 5]
         assert [heap.objects[oid].space.name for oid in (2, 3, 4)] == [OBSERVER] * 3
-        assert heap.observer.used == 16 * KIB  # a bump space frees only on evacuation
+        assert fill(heap.observer) == 16 * KIB  # a bump space frees only on evacuation
 
     def test_surviving_admitted_large_object_leaves_for_the_los(self):
         heap, _ = small_heap("KG-W", zeroing=False)  # 64 KiB nursery, 8 KiB cap
@@ -364,34 +395,36 @@ class TestYoungList:
         heap.set_root(1, False)
         heap.set_root(1, True)  # re-rooted while mature
         heap.alloc_object(10, 4 * KIB, 0)  # young garbage
+        seen = record_live_sets(heap)
         fill_rooted(heap, ids, 1)  # 4: the second minor, with 3 the only young root
 
         stats = heap.gc.collections[-1]
         assert stats.kind == "minor"
-        assert stats.objects_scanned == 1
-        assert stats.copied_objects == 1
+        assert seen == [("minor", {3})]
+        assert stats.bytes_copied_total == 4 * KIB
+        assert heap.objects[3].space.name == MATURE_PCM
         assert young_ids(heap) == [4]
 
 
 class TestMajorCollection:
     def test_reclaims_unreachable_mature_and_recycles_chunks(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
-        free0 = heap.layout.free_list_for(MemoryKind.PCM).free_count
+        pcm = heap.spaces[MATURE_PCM].half
+        free0 = len(pcm.free_indices)
         ids = ids_from()
         alive = fill_rooted(heap, ids, 9)  # four cycles; 8 promoted, 1 young
         promoted = alive[:8]
         assert heap.spaces[MATURE_PCM].allocated_bytes == 32 * KIB
-        assert heap.layout.free_list_for(MemoryKind.PCM).free_count == free0 - 1
+        assert len(pcm.free_indices) == free0 - 1
 
         for oid in promoted:
             heap.set_root(oid, False)
         stats = heap.gc.collect_major()
 
-        assert all(oid not in heap.objects for oid in promoted)
-        assert stats.reclaimed_objects == 8
+        assert all(oid not in heap.objects and oid in heap.reclaimed for oid in promoted)
         assert stats.mark_writes == len(heap.boot_ids) + 1  # boot image + id 9
         assert heap.spaces[MATURE_PCM].allocated_bytes == 0
-        assert heap.layout.free_list_for(MemoryKind.PCM).free_count == free0
+        assert len(pcm.free_indices) == free0
 
     def test_live_bytes_at_budget_is_fatal(self):
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=16 * KIB, zeroing=False)
@@ -399,7 +432,7 @@ class TestMajorCollection:
         with pytest.raises(HeapExhausted):
             fill_rooted(heap, ids, 5)  # two full nurseries of survivors
         assert heap.gc.collections[-1].kind == "major"
-        assert heap.gc.collections[-1].live_bytes_after >= 16 * KIB
+        assert heap.mature_occupancy() >= 16 * KIB
 
     def test_destination_exhaustion_cascades_once_then_fails(self):
         # one chunk per half: boot and nursery share the single DRAM chunk,
@@ -459,6 +492,31 @@ class TestMajorCollection:
         assert 1 not in heap.objects
         assert heap.objects[100].space is heap.objects[101].space is mature
         assert mature.chunks == [1, 0] and heap.objects[101].addr == 0
+
+    @pytest.mark.parametrize("variant", ["KG-W", "KG-W-MDO", "KG-W-LOO"])
+    def test_a_major_short_of_dram_chunks_fails_before_its_first_mark(self, variant):
+        # the written large object needs a los-dram relocation (LOO: KG-W,
+        # KG-W-MDO), a meta-dram shadow slot (mdo: KG-W, KG-W-LOO), or both
+        heap, system = small_heap(variant, zeroing=False)
+        heap.alloc_object(1, 16 * KIB, 0)  # over the LOO cap: straight to the LOS
+        heap.set_root(1, True)
+        for _ in range(4):
+            heap.write_data(1, 0, 64)  # at the relocation threshold
+        reserve_every_free_chunk(heap)
+        counters = vars(system.counters.snapshot())
+        now = system.now_ns
+
+        def records():
+            return {oid: (rec.space, rec.addr, rec.write_count, rec.meta_addr) for oid, rec in heap.objects.items()}
+
+        before = records()
+
+        with pytest.raises(HeapExhausted, match="no chunks left for major-collection shadow slots and relocations"):
+            heap.gc.collect_major()
+
+        assert (vars(system.counters.snapshot()), system.now_ns) == (counters, now)
+        assert heap.gc.collections == []
+        assert records() == before
 
 
 class TestLargeObjects:
@@ -544,6 +602,7 @@ class TestBootImage:
             access(inst, addr, length, write, kid, collector=collector)
 
         heap.system.access = spy
+        seen = record_live_sets(heap)
         stats = heap.gc.collect_major()
 
         assert all(oid in heap.objects for oid in (1, 2, 3, -1, -64))
@@ -552,7 +611,8 @@ class TestBootImage:
         records = [(heap.objects[oid].addr // 64 * 64, heap.objects[oid].space.name) for oid in (1, 2, 3)]
         # every boot object once, named or not, where the address order puts it
         assert marks == sorted(boot + records)
-        assert stats.mark_writes == stats.objects_scanned == len(heap.boot_ids) + 3
+        assert seen == [("major", {1, 2, 3, *heap.boot_ids})]
+        assert stats.mark_writes == len(heap.boot_ids) + 3
 
 
 class TestMarkPlacement:
