@@ -1,12 +1,23 @@
 """Experiment orchestration: scheduling, measurement windows, reports.
 
 A run builds N heap instances over one shared ``MemorySystem`` (cache,
-counters and simulated clock), interleaves their op streams round-robin
-with a fixed quantum, excludes a warm-up prefix from the counters,
-drains the cache, and reports per-instance and aggregate traffic.
-Reports serialize to JSON or CSV and are byte-stable for a given
-configuration and seed. A run's ``ExperimentConfig`` lives in
-:mod:`hybridgc.config`; this module re-exports it.
+counters and simulated clock) and plays their op streams in rounds: in
+each round every instance runs a slice of a fixed quantum of ops, in
+instance order. It excludes a warm-up prefix from the counters, drains
+the cache, and reports per-instance and aggregate traffic. Reports
+serialize to JSON or CSV and are byte-stable for a given configuration
+and seed. A run's ``ExperimentConfig`` lives in :mod:`hybridgc.config`;
+this module re-exports it.
+
+Instances with streams of their own (an archetype's, from derived
+seeds) each drive their own heap. Instances that all replay one trace
+share one heap pass: the cache never feeds back into a heap, so heap
+state, collections and every access depend on the op stream alone.
+Instance 0's heap runs each slice once into a ``_Recorder``, and every
+instance then walks the recorded clock advances and accesses through
+the real ``MemorySystem`` under its own instance id and counter keys.
+The shared cache and clock see what N heaps would have sent, in the
+same order, so the report is the same.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ import gc
 import io
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from operator import add
 from typing import Iterator
 
 from .address_space import MemoryKind
@@ -173,6 +186,87 @@ def _instance_streams(config: ExperimentConfig):
     return out
 
 
+class _Recorder:
+    """Stands in for the run's ``MemorySystem`` while instance 0's heap runs a shared slice.
+
+    The heap's clock sites and accesses run unchanged. Each ``now_ns +=
+    x`` reads 0.0 and so hands the setter ``0.0 + x``, which is ``x`` for
+    the finite, non-negative costs a config allows; it joins ``clock``.
+    Each access joins ``accesses`` under instance 0's key id. The heap and
+    its collector read the cache's line size, the two costs and
+    ``include_collector_time`` here as on the real system.
+    """
+
+    def __init__(self, system: MemorySystem) -> None:
+        self.cache = system.cache
+        self.op_cost_ns = system.op_cost_ns
+        self.byte_cost_ns = system.byte_cost_ns
+        self.include_collector_time = system.include_collector_time
+        self.clock: list[float] = []
+        self.accesses: list[tuple[int, int, bool, int, bool]] = []
+
+    @property
+    def now_ns(self) -> float:
+        return 0.0
+
+    @now_ns.setter
+    def now_ns(self, ns: float) -> None:
+        self.clock.append(ns)
+
+    def access(self, inst: int, addr: int, length: int, write: bool, kid: int, *, collector: bool = False) -> None:
+        self.accesses.append((addr, length, write, kid, collector))
+
+
+def _round(heaps: list[HeapInstance], streams: list, quantum: int, alive: list[bool]) -> dict | None:
+    """One round in which each live instance drives its own heap; returns a failure's ``error``."""
+    for i, heap in enumerate(heaps):
+        if alive[i]:
+            try:
+                alive[i] = not drive(heap, streams[i], quantum)
+            except SimulatorError as exc:
+                return _failure(exc, i, heap)
+    return None
+
+
+def _shared_round(
+    system: MemorySystem, recorder: _Recorder, heaps: list[HeapInstance], ops, quantum: int, alive: list[bool]
+) -> dict | None:
+    """One round of instances that replay one trace; returns a failure's ``error``.
+
+    Instance 0's heap runs the slice once into ``recorder``. Then each
+    instance in turn adds the recorded clock advances to the clock, in
+    order, so the sums are bit-identical, and walks the recorded accesses
+    under its own id and keys. Every other heap then takes instance 0's op
+    index and collections, the only heap state its report row reads. When
+    the slice fails, instance 0 walks what it recorded up to the failure
+    and no other instance walks the round, so their rows count only the
+    slices they completed.
+    """
+    lead = heaps[0]
+    recorder.clock.clear()
+    recorder.accesses.clear()
+    failure = None
+    lead.system = recorder
+    try:
+        if drive(lead, ops, quantum):
+            alive[:] = [False] * len(heaps)
+    except SimulatorError as exc:
+        failure = _failure(exc, 0, lead)
+    finally:
+        lead.system = system
+    access = system.access
+    for heap in heaps[:1] if failure else heaps:
+        system.now_ns = reduce(add, recorder.clock, system.now_ns)
+        inst = heap.instance_id
+        kids = {space.kid: heap.spaces[name].kid for name, space in lead.spaces.items()}
+        for addr, length, write, kid, collector in recorder.accesses:
+            access(inst, addr, length, write, kids[kid], collector=collector)
+        if heap is not lead:
+            heap.op_index = lead.op_index
+            heap.gc.collections = lead.gc.collections.copy()
+    return failure
+
+
 def _failure(exc: SimulatorError, instance: int, heap) -> dict:
     """A failed report's ``error``: the instance, its op index and the exception."""
     return {"instance": instance, "op_index": heap.op_index, "message": f"{type(exc).__name__}: {exc}"}
@@ -220,6 +314,12 @@ def _instance_row(
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run one experiment to its report; a failed run is a failed report, not an exception.
 
+    Rounds run until every stream ends or a slice fails: a shared heap
+    pass (``_shared_round``) when more than one instance replays the one
+    parsed trace, and otherwise one heap per instance (``_round``). The
+    measurement window opens after the first round that leaves every
+    instance past its warm-up op.
+
     The run builds no reference cycles (records hold ids and spaces, ops
     hold ints, and each heap's link to its engine is cut at the end), so
     CPython's cyclic collector is off while it runs: its passes would
@@ -241,17 +341,12 @@ def run_experiment(config: ExperimentConfig) -> Report:
         warmed = not any(warmup_at)
         failure: dict | None = None
 
+        if config.trace_path is not None and config.instances > 1:
+            play_round = partial(_shared_round, system, _Recorder(system), heaps, streams[0][1], config.quantum, alive)
+        else:
+            play_round = partial(_round, heaps, [ops for (_d, ops, _t) in streams], config.quantum, alive)
         while any(alive) and failure is None:
-            for i in range(config.instances):
-                if not alive[i]:
-                    continue
-                try:
-                    exhausted = drive(heaps[i], streams[i][1], config.quantum)
-                except SimulatorError as exc:
-                    failure = _failure(exc, i, heaps[i])
-                    break
-                if exhausted:
-                    alive[i] = False
+            failure = play_round()
             if not warmed and all(h.op_index >= at for h, at in zip(heaps, warmup_at)):
                 # measurement window opens once every instance is past warm-up
                 warmed = True

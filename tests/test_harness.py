@@ -26,6 +26,7 @@ from hybridgc.harness import (
     run_experiment,
     sweep,
 )
+from hybridgc.heap import HeapInstance
 from hybridgc.memory import MAX_INSTANCES, lifetime_years
 from hybridgc.workloads import ReadOp, WorkloadSpec, WriteOp, default_spec, generate, serialize_trace
 
@@ -327,6 +328,56 @@ class TestMultiprogram:
         # op records compare by class as well as by fields
         assert WriteOp(1, 2, 3) != ReadOp(1, 2, 3)
 
+    def test_a_failed_round_counts_only_completed_slices(self, tmp_path):
+        """The failing slice's ops and collections count in the failing instance's row alone."""
+        path = tmp_path / "graph.trace"
+        with open(path, "w", encoding="utf-8") as fh:
+            serialize_trace(generate(default_spec("large-object-graph", op_count=12_000, seed=9)), fh)
+        config = ExperimentConfig(
+            collector="KG-W",
+            seed=1,
+            trace_path=str(path),
+            instances=2,
+            quantum=1_000,
+            nursery_size=1 * MIB,
+            heap_budget=5 * MIB,
+            chunk_size=256 * KIB,
+            cache_capacity=2 * MIB,
+        )
+        report = run_experiment(config)
+        assert report.error == {
+            "instance": 0,
+            "op_index": 10_568,
+            "message": "HeapExhausted: 5766328 live bytes exceed the 5242880-byte budget",
+        }
+        assert [r.ops_executed for r in report.rows] == [10_568, 10_000]
+        assert [(r.minor_collections, r.major_collections) for r in report.rows] == [(12, 9), (11, 8)]
+
+    @pytest.mark.parametrize("source, instances, per_op", [("trace", 1, 1), ("archetype", 2, 1), ("trace", 4, 1 / 4)])
+    def test_only_instances_that_replay_one_trace_share_a_heap_pass(
+        self, tmp_path, monkeypatch, source, instances, per_op
+    ):
+        """Instances replaying one trace apply each op to one heap; any other run, to each instance's own."""
+        calls = []
+        for method in ("alloc_object", "write_data", "read_data", "write_ref", "set_root"):
+            op = getattr(HeapInstance, method)
+
+            def counted(*args, op=op):
+                calls.append(None)
+                return op(*args)
+
+            monkeypatch.setattr(HeapInstance, method, counted)
+        config = config_for_archetype("nursery-churn", "KG-W", 5, op_count=6_000, instances=instances)
+        if source == "trace":
+            path = tmp_path / "churn.trace"
+            with open(path, "w", encoding="utf-8") as fh:
+                serialize_trace(generate(config.workload), fh)
+            config = ExperimentConfig(collector="KG-W", seed=5, trace_path=str(path), instances=instances)
+        report = run_experiment(config)
+        assert not report.failed
+        assert report.aggregate.ops_executed == 6_000 * instances
+        assert len(calls) == report.aggregate.ops_executed * per_op
+
 
 class TestReportFormats:
     def test_csv_shape(self):
@@ -539,6 +590,92 @@ class TestPinnedReports:
         assert not report.failed
         digest = hashlib.sha256((report.to_json() + report.to_csv()).encode()).hexdigest()
         assert digest == self.DIGESTS[fidelity][collector]
+
+
+class TestPinnedReplayReports:
+    """SHA-256 of ``to_json() + to_csv()`` for runs whose instances all
+    replay one recorded trace, recorded while every instance still drove a
+    heap of its own. They pin how the instances' traffic interleaves in
+    the shared cache and on the shared clock, and which collections and
+    ops each row counts when a run fails part way through a round. The
+    traces are written by ``serialize_trace(generate(...))`` and named by
+    a path relative to their directory, since the path is part of a
+    report."""
+
+    TRACES = {
+        "churn": ("nursery-churn", 6_000, 11),
+        "mature": ("mature-mutation", 8_000, 3),
+        "large": ("large-object-graph", 6_000, 3),
+    }
+    BAD_OP_AT = 2_345  # the "mature" trace with an op on an unknown id inserted here
+    MATURE = dict(nursery_size=64 * KIB, heap_budget=1 * MIB, chunk_size=64 * KIB, quantum=500)
+    LARGE = dict(nursery_size=64 * KIB, heap_budget=5 * MIB, chunk_size=256 * KIB, quantum=500)
+    SMALL_LLC = dict(cache_capacity=256 * KIB)
+    # name -> (trace, collector, instances, overrides)
+    CASES = {
+        "churn-4x": ("churn", "KG-W", 4, dict(quantum=500)),
+        # 5.1 and 0.3 are not sums of powers of two, so a changed order of clock additions moves the last bits
+        "churn-4x-inexact-clock": ("churn", "KG-W", 4, dict(quantum=500, op_cost_ns=5.1, byte_cost_ns=0.3)),
+        **{
+            f"{shape}-{collector}": (trace, collector, n, overrides)
+            # the outermost iterable is the only part evaluated in class scope
+            for shape, trace, n, overrides in (
+                ("mature-small-llc", "mature", 2, {**MATURE, **SMALL_LLC}),
+                ("large-llc", "large", 2, LARGE),
+                ("large-no-cache", "large", 3, {**LARGE, "cache_capacity": 0}),
+            )
+            for collector in ("PCM-Only", "KG-W", "KG-W-MDO", "KG-B+LOO")
+        },
+        "large-gc-bypass-KG-W": ("large", "KG-W", 2, {**LARGE, **SMALL_LLC, "gc_traffic_through_cache": False}),
+        "trace-error": ("bad", "KG-W", 3, {**MATURE, **SMALL_LLC}),
+        "heap-exhausted": ("mature", "PCM-Only", 3, {**MATURE, **SMALL_LLC, "heap_budget": 384 * KIB}),
+    }
+    DIGESTS = {
+        # no collection
+        "churn-4x": "27a6fd30ef676d4c59d6d9771e701c2c7a349bb323f24143733036b60188e8ea",
+        "churn-4x-inexact-clock": "5d35a65075e5d8c1b42a2bc93ce832eb2a269eb98696dac22c5926018ed7cd62",
+        # minors, and observer collections under KG-W and KG-W-MDO
+        "mature-small-llc-PCM-Only": "c29b38f923c19704fcfc7e3a33abb4b92ca75feeb39f0e58ef6b12291e30fa02",
+        "mature-small-llc-KG-W": "c9b42670a1bd46480486c9f8120d689142677861f42ea4de506e161a575566fd",
+        "mature-small-llc-KG-W-MDO": "f48126f1218b8d90f63aa35a585fc0be39d8e249057fa446d832de891c241e67",
+        "mature-small-llc-KG-B+LOO": "d3561fbeed4e9423226db290fceb56374d1346f98c060108c890f6ecbdb87d7f",
+        # minors and majors, and large-object relocations under LOO
+        "large-llc-PCM-Only": "858536f4dba508b3db40596c3cefcd044f78e162ee230d1900cb7492da375ee9",
+        "large-llc-KG-W": "12a8e2effd1ac0092088bbcd99f91dcfdefc2123a07b3beb252ba0defefdf640",
+        "large-llc-KG-W-MDO": "4824895ffd67ce37022d77eb8e584c6b589ebdd7093a8689fdba659fe0755a2b",
+        "large-llc-KG-B+LOO": "fc01a1ea5b6c251cc0bcc37828e1304abab5de428cded786b94f8ac0c7126d60",
+        "large-no-cache-PCM-Only": "73a349eba8df7b2549e5d3ef1738b109ff7d3cafe1d5855b55a2221fcaf1e9d4",
+        "large-no-cache-KG-W": "5d50d5ebe638981074c6ed24a96c5d8b14e89c5c5fe4872036abed432d56eb5b",
+        "large-no-cache-KG-W-MDO": "f2800adcf59627311465cbbec1e0215ac358ac2657b40648e223f011576daa22",
+        "large-no-cache-KG-B+LOO": "e9a3fcbe01f97f37ef7b0b995d8b183e301a02b18c9bf4282c7f0662136ce373",
+        "large-gc-bypass-KG-W": "19c246773a0fa317877c97dcef08aa3f74299adddf7fc65603cede1bb5968020",
+        # instance 0 stops at op 2,345, in its fifth round
+        "trace-error": "c77040ae80486d3d5aaa93a7a590290747251af33f750dff5477572a200111f1",
+        # instance 0 stops at op 7,908 with HeapExhausted, after one more minor than the other rows count
+        "heap-exhausted": "79fe3718837a5d280e9612965fc9de93c3bba8f60dc12933915fd95043e39eb1",
+    }
+
+    @pytest.fixture(scope="class")
+    def trace_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("replays")
+        for name, (archetype, ops, seed) in self.TRACES.items():
+            with open(root / f"{name}.trace", "w", encoding="utf-8") as fh:
+                serialize_trace(generate(default_spec(archetype, op_count=ops, seed=seed)), fh)
+        lines = (root / "mature.trace").read_text().splitlines(keepends=True)
+        lines.insert(self.BAD_OP_AT, "W 999999 0 8\n")
+        (root / "bad.trace").write_text("".join(lines))
+        return root
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_bytes_are_unchanged(self, trace_dir, monkeypatch, case):
+        trace, collector, instances, overrides = self.CASES[case]
+        monkeypatch.chdir(trace_dir)
+        config = ExperimentConfig(
+            collector=collector, seed=1, trace_path=f"{trace}.trace", instances=instances, **overrides
+        )
+        report = run_experiment(config)
+        digest = hashlib.sha256((report.to_json() + report.to_csv()).encode()).hexdigest()
+        assert digest == self.DIGESTS[case]
 
 
 class TestCyclicCollectorSwitch:

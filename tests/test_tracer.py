@@ -98,6 +98,13 @@ def traced_pair():
 
 REPLAY_OPS = 6_000
 
+# Per side of the replay pair: (memory.access.calls, memory.access.lines),
+# recorded while each instance still drove a heap of its own.
+PINNED_REPLAY_ACCESS = {
+    "PCM-Only": (8_086, 15_352),
+    "KG-W": (8_086, 15_352),
+}
+
 
 @pytest.fixture(scope="module")
 def traced_replay_pair(tmp_path_factory):
@@ -158,5 +165,7 @@ def test_tracer_sees_the_replay_parse(traced_replay_pair, side):
     metrics = tracer.metrics(side)
     assert metrics["workloads.parse.ops"] == REPLAY_OPS
     assert tracer.totals[(side, "workloads.parse")][0] == 1  # calls
+    # both instances replay one trace, so one heap pass serves both; each walks the cache
     heap_calls = sum(metrics[f"heap.{op}.calls"] for op in ("alloc", "write", "read", "ref", "root"))
-    assert heap_calls == report.aggregate.ops_executed == 2 * REPLAY_OPS
+    assert heap_calls * 2 == report.aggregate.ops_executed == 2 * REPLAY_OPS
+    assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == PINNED_REPLAY_ACCESS[side]
