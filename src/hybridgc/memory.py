@@ -2,7 +2,10 @@
 
 ``MemorySystem`` owns the cache walk: every access and the final drain
 run in its methods, and it carries the simulated clock. ``CacheModel``
-is only the cache's geometry and state (its sets).
+is only the cache's geometry and state (its sets). As in any
+set-associative cache, a set tells its lines apart by their tag, the
+line index over the set count, so every line of a run that stays within
+the sets is looked up under one key.
 
 Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or the drain, or immediately when the cache
@@ -31,15 +34,12 @@ UNBOUNDED_YEARS = 1.0e9
 
 _ABSENT = object()  # sentinel for a set lookup that misses
 
-# A cached line's key is ``(line index << INST_BITS) | instance``. Configs
-# and heaps reject instance ids of MAX_INSTANCES and up, so keys never
-# collide.
+# A cached line's key within its set is ``(tag << INST_BITS) | instance``:
+# line ``ln`` sits in set ``ln % n_sets`` under tag ``ln // n_sets``. Configs
+# and heaps reject instance ids of MAX_INSTANCES and up, so the keys of one
+# set never collide.
 INST_BITS = 16
 MAX_INSTANCES = 1 << INST_BITS
-
-# Fewest lines of a run that ``MemorySystem.access`` walks as a list of its
-# sets zipped with a range of its line keys; see its docstring.
-LONG_RUN = 16
 
 # The per-key count lists of ``TrafficCounters``.
 _COUNTS = ("written", "read", "demand", "absorbed")
@@ -114,11 +114,12 @@ class CacheModel:
         self.assoc = assoc
         self.line_size = line_size
         self.n_sets = cache_set_count(capacity, assoc, line_size)
-        # Each set maps a line key ``(line index << INST_BITS) | instance``
-        # to None while the line is clean, or while it is dirty to the id
-        # of the key it will be written back under: that of the space that
-        # last wrote it. LRU order is insertion order: a hit re-inserts its
-        # key, and the victim is the first key.
+        # Set ``ln % n_sets`` maps the key of line ``ln``, ``(ln // n_sets
+        # << INST_BITS) | instance``, to None while the line is clean, or
+        # while it is dirty to the id of the key it will be written back
+        # under: that of the space that last wrote it. LRU order is
+        # insertion order: a hit re-inserts its key, and the victim is the
+        # first key.
         self.sets: list[dict[int, int | None]] = [{} for _ in range(self.n_sets)]
 
 
@@ -142,16 +143,14 @@ class MemorySystem:
     holds as it is evicted. All counters are integer sums, so the totals
     equal those of per-line accounting.
 
-    A run has two walks, chosen by its length, with the same hits,
-    fills, victims and counters. A run of at least ``LONG_RUN`` lines
-    zips a list of its sets with a range of its line keys, since
-    consecutive lines map to consecutive sets and keys: one slice of
-    ``sets``, or, when the run wraps past the last set, a list built in
-    C in line order. A shorter run computes each line's set and key. The
-    long walk pays for itself on the thousand-line zeroings and copies of
-    large objects, but its setup costs more than it saves on runs of a
-    few lines, which are most of the runs elsewhere. Neither walk enters
-    a frame of its own: no comprehension, generator or helper.
+    Consecutive lines map to consecutive sets, and the lines of a run up
+    to the last set share one tag, so the walk computes the first line's
+    set and key once and walks a slice of ``sets`` under that key, from
+    that set to the end of the run or to the last set, where the slice
+    clips. At each wrap past the last set the key steps to the next tag
+    and the walk goes on from set 0, so a set that recurs in a run longer
+    than the sets is updated in line order. The walk enters no frame of
+    its own: no comprehension, generator or helper.
 
     ``drain`` ends a run: it writes back every dirty line and empties the
     cache.
@@ -185,57 +184,39 @@ class MemorySystem:
         hi = (addr + length - 1) // line_size + 1
         sets = cache.sets
         assoc = cache.assoc
-        shift = INST_BITS
-        tag = kid if write else None
+        held = kid if write else None
         absorbed = 0
         fills = 0
         wbs = 0
-        if hi - lo < LONG_RUN:
-            for ln in range(lo, hi):
-                cset = sets[ln % n_sets]
-                key = ln << shift | inst
+        # the lines of a run up to the last set share one tag, so one key
+        s = lo % n_sets
+        end = s + hi - lo
+        key = lo // n_sets << INST_BITS | inst
+        while True:
+            for cset in sets[s:end]:
                 old = cset.pop(key, _ABSENT)
                 if old is not _ABSENT:
                     if write:
                         if old is not None:
                             absorbed += 1
-                        cset[key] = tag
+                        cset[key] = held
                     else:
                         cset[key] = old
                     continue
                 # miss: allocate on both reads and writes
                 fills += 1
                 if len(cset) >= assoc:
-                    vtag = cset.pop(next(iter(cset)))
-                    if vtag is not None:
-                        written[vtag] += line_size
+                    victim = cset.pop(next(iter(cset)))
+                    if victim is not None:
+                        written[victim] += line_size
                         wbs += 1
-                cset[key] = tag
-        else:
-            # consecutive lines map to consecutive sets and keys
-            start = lo % n_sets
-            if start + hi - lo <= n_sets:
-                csets = sets[start : start + hi - lo]
-            else:
-                # wraps: a set that recurs is updated in line order
-                csets = [*map(sets.__getitem__, map(n_sets.__rmod__, range(lo, hi)))]
-            for cset, key in zip(csets, range(lo << shift | inst, hi << shift | inst, 1 << shift)):
-                old = cset.pop(key, _ABSENT)
-                if old is not _ABSENT:
-                    if write:
-                        if old is not None:
-                            absorbed += 1
-                        cset[key] = tag
-                    else:
-                        cset[key] = old
-                    continue
-                fills += 1
-                if len(cset) >= assoc:
-                    vtag = cset.pop(next(iter(cset)))
-                    if vtag is not None:
-                        written[vtag] += line_size
-                        wbs += 1
-                cset[key] = tag
+                cset[key] = held
+            if end <= n_sets:
+                break
+            # wrapped past the last set: the next tag starts at set 0
+            s = 0
+            end -= n_sets
+            key += 1 << INST_BITS
         if write:
             counters.demand[kid] += (hi - lo) * line_size
             if absorbed:

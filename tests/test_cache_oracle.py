@@ -25,7 +25,6 @@ from cache_reference import RefCache, RefCounters
 from hybridgc.address_space import MemoryKind
 from hybridgc.memory import (
     INST_BITS,
-    LONG_RUN,
     MAX_INSTANCES,
     CacheModel,
     MemorySystem,
@@ -43,12 +42,13 @@ SHORT_LENGTHS = (1, 4, 8, 32, 64, 96, 200)
 LONG_LENGTHS = (15 * LINE + 2, 16 * LINE, 23 * LINE - 1, 31 * LINE + 7, 40 * LINE, 63 * LINE - 3)
 
 
-# Enough sets that a run of LONG_RUN lines and more can start anywhere
-# and either fit without wrapping or wrap past the last set.
-WIDE_SETS = 2 * LONG_RUN
+# A run of RUN lines, or more, can start anywhere in WIDE_SETS sets and
+# either fit without wrapping or wrap past the last set.
+RUN = 16
+WIDE_SETS = 2 * RUN
 WIDE_GEOMETRIES = [(WIDE_SETS, 1), (2 * WIDE_SETS, 2)]
-# In lines: both sides of the long-walk threshold, up to past the set count
-RUN_LINES = (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, WIDE_SETS - 1, WIDE_SETS, WIDE_SETS + 1, 2 * WIDE_SETS + 3)
+# In lines: around RUN, around the set count, and past twice the set count
+RUN_LINES = (RUN - 1, RUN, RUN + 1, WIDE_SETS - 1, WIDE_SETS, WIDE_SETS + 1, 2 * WIDE_SETS + 3)
 
 
 def cached_system(lines, assoc):
@@ -79,12 +79,17 @@ def names_of(ids):
 def model_state(system, ids):
     """Per set, ``(inst, line, held key)`` of each resident, least recent first.
 
-    A dirty line's held id is decoded through the driver's table ``ids``.
+    A resident's line is decoded from the tag in its key and the index of
+    its set; a dirty line's held id through the driver's table ``ids``.
     """
     names = names_of(ids)
+    n_sets = system.cache.n_sets
     return [
-        [(key % MAX_INSTANCES, key >> INST_BITS, None if held is None else names[held]) for key, held in cset.items()]
-        for cset in system.cache.sets
+        [
+            (key % MAX_INSTANCES, (key >> INST_BITS) * n_sets + index, None if held is None else names[held])
+            for key, held in cset.items()
+        ]
+        for index, cset in enumerate(system.cache.sets)
     ]
 
 
@@ -244,7 +249,7 @@ def line_access(rng, first_line, lines):
 
 @pytest.mark.parametrize("geometry", WIDE_GEOMETRIES)
 def test_long_runs_that_fit_wrap_and_outgrow_the_sets(geometry):
-    """Runs of ``RUN_LINES`` that fit in the sets, wrap past the last set or outnumber the sets."""
+    """Runs of ``RUN_LINES`` that fit in the sets, wrap past the last set once or twice, or outnumber the sets."""
     rng = random.Random(11)
     shapes = set()
     accesses = []
@@ -255,10 +260,11 @@ def test_long_runs_that_fit_wrap_and_outgrow_the_sets(geometry):
         else:
             start = rng.randrange(max(WIDE_SETS - lines + 1, 0), WIDE_SETS)  # from the last sets
         first = rng.randrange(8) * WIDE_SETS + start
-        shapes.add((lines >= LONG_RUN, start + lines > WIDE_SETS, lines > WIDE_SETS))
+        wraps = (start + lines - 1) // WIDE_SETS
+        shapes.add((min(wraps, 2), lines > WIDE_SETS))
         accesses.append(line_access(rng, first, lines))
-    # short, long that fits, long that wraps, long past the set count
-    assert {(False, False, False), (True, False, False), (True, True, False), (True, True, True)} <= shapes
+    # fits, wraps once, wraps once past the set count, wraps at least twice
+    assert {(0, False), (1, False), (1, True), (2, True)} <= shapes
     assert compare(geometry, 4 * WIDE_SETS * LINE, accesses) == 600
 
 
@@ -266,15 +272,15 @@ def test_long_runs_that_fit_wrap_and_outgrow_the_sets(geometry):
 def test_long_and_short_parts_straddling_the_split(geometry):
     """A long PCM part with a short DRAM part, and the reverse.
 
-    The split is LONG_RUN sets into a round of the sets, so a long part of
-    exactly LONG_RUN lines fits on either side of it and a longer one wraps.
+    The split is RUN sets into a round of the sets, so a long part of
+    exactly RUN lines fits on either side of it and a longer one wraps.
     """
     rng = random.Random(12)
-    split_line = 3 * WIDE_SETS + LONG_RUN
+    split_line = 3 * WIDE_SETS + RUN
     accesses = []
     for _ in range(600):
         long_part = rng.choice(RUN_LINES[1:])
-        short_part = rng.randrange(1, LONG_RUN)
+        short_part = rng.randrange(1, RUN)
         pcm, dram = (long_part, short_part) if rng.random() < 0.5 else (short_part, long_part)
         accesses.append(line_access(rng, split_line - pcm, pcm + dram))
     assert compare(geometry, split_line * LINE, accesses) == 600

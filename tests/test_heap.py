@@ -25,7 +25,7 @@ from hybridgc.heap import (
 )
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system
-from hybridgc.memory import LONG_RUN, MAX_INSTANCES, MemorySystem
+from hybridgc.memory import MAX_INSTANCES, MemorySystem
 from support import KIB, MIB, ONE_OP, per_key, reserve_every_free_chunk, small_config, small_heap
 
 
@@ -487,7 +487,9 @@ class TestFrameBudget:
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_long_ops_enter_the_frames_of_short_ones(self, variant):
         heap, system = small_heap(variant, cache_capacity=64 * KIB)
-        long = LONG_RUN * system.cache.line_size  # at least LONG_RUN lines at any alignment
+        # more lines than sets, so the zeroing and the write each wrap past
+        # the last set at any alignment and walk a second slice of the sets
+        long = (system.cache.n_sets + 1) * system.cache.line_size
         demand = system.counters.demand
         zeroed = sum(demand)
         assert self.frames(heap.alloc_object, 1, long, 0) == [
@@ -502,16 +504,18 @@ class TestFrameBudget:
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_a_long_write_that_evicts_dirty_lines_runs_in_its_budget(self, variant):
-        # direct-mapped, with room for two objects of LONG_RUN lines: the
-        # third object's zeroing evicts the first's dirty lines, and the
-        # first's write evicts the third's
-        heap, system = small_heap(variant, cache_capacity=2 * LONG_RUN * 64, cache_assoc=1)
-        long = LONG_RUN * system.cache.line_size
-        for oid in (1, 2, 3):
+        # direct-mapped, with objects of more lines than sets: the second
+        # object's zeroing leaves a dirty line of its own in every set, and
+        # the first's write, which wraps past the last set, evicts them all
+        # and then one of its own
+        heap, system = small_heap(variant, cache_capacity=16 * 64, cache_assoc=1)
+        n_sets = system.cache.n_sets
+        long = (n_sets + 1) * system.cache.line_size
+        for oid in (1, 2):
             heap.alloc_object(oid, long, 0)
         written_back = system.counters.writebacks
         assert self.frames(heap.write_data, 1, 0, long) == ["write_data", "MemorySystem.access"]
-        assert system.counters.writebacks >= written_back + LONG_RUN
+        assert system.counters.writebacks >= written_back + n_sets + 1
         assert heap.gc.collections == []
 
 

@@ -160,6 +160,7 @@ class TestCacheModel:
         system.access(0, 0 * 64, 8, False, kid)  # touch 0: LRU is now 1
         system.access(0, 2 * 64, 8, True, kid)  # evicts line 1
         assert system.counters.writebacks == 1
+        # with one set, a line's tag is its index
         held = {key >> INST_BITS for key in system.cache.sets[0]}
         assert held == {0, 2}
 
@@ -195,15 +196,33 @@ class TestCacheModel:
         assert counters.written == [64, 64]
 
     def test_highest_instance_does_not_alias_the_next_line(self):
-        # keys are (line << INST_BITS) | instance: instance 65535 on line 0
-        # and instance 0 on line 1 are neighbouring keys, not the same one
-        system = system_over(4 * 64, 4)
+        # keys are (tag << INST_BITS) | instance: instance 65535 on line 1
+        # (set 1, tag 0) and instance 0 on line 3 (set 1, tag 1) are
+        # neighbouring keys of one set, not the same one
+        system = system_over(4 * 64, 2)
         counters = system.counters
-        system.access(MAX_INSTANCES - 1, 0, 8, True, counters.add_key())
-        system.access(0, 64, 8, True, counters.add_key())
+        system.access(MAX_INSTANCES - 1, 64, 8, True, counters.add_key())
+        system.access(0, 3 * 64, 8, True, counters.add_key())
+        assert [*system.cache.sets[1]] == [MAX_INSTANCES - 1, 1 << INST_BITS]
         assert resident_lines(system.cache) == 2
         assert system.drain() == 2
         assert counters.written == counters.demand == [64, 64]
+
+    def test_lines_a_round_of_sets_apart_are_two_residents_of_one_set(self):
+        # 4 sets of 2 ways: lines 1, 5 and 9 all map to set 1, under tags
+        # 0, 1 and 2
+        system = system_over(8 * 64, 2)
+        kid = system.counters.add_key()
+        system.access(3, 64, 8, True, kid)  # line 1
+        system.access(3, 5 * 64, 8, False, kid)  # line 5
+        cset = system.cache.sets[1]
+        assert [*cset.items()] == [(0 << INST_BITS | 3, kid), (1 << INST_BITS | 3, None)]
+        system.access(3, 64, 8, False, kid)  # touch line 1: LRU is now line 5
+        assert [*cset] == [1 << INST_BITS | 3, 0 << INST_BITS | 3]
+        system.access(3, 9 * 64, 8, False, kid)  # line 9 evicts clean line 5
+        assert [*cset] == [0 << INST_BITS | 3, 2 << INST_BITS | 3]
+        assert resident_lines(system.cache) == 2
+        assert system.counters.fills == 3 and system.counters.writebacks == 0
 
     def test_drain_is_idempotent_and_empties(self):
         system = one_set_cache()
@@ -225,14 +244,17 @@ class TestCacheModel:
     def test_drain_decodes_instance_and_kind_of_each_line(self):
         # the id a dirty line holds is the key, and so the instance and
         # kind, that the drain counts it under
-        system = system_over(8 * 64, 8)
+        # 2 sets of 4 ways: line 1 is set 1, tag 0 and line 2 set 0, tag 1
+        system = system_over(8 * 64, 4)
         counters = system.counters
         pcm, dram, span = counters.add_key(), counters.add_key(), counters.add_key()
         system.access(7, 64, 64, True, pcm)  # line 1
         system.access(300, 2 * 64, 64, True, dram)  # line 2
         system.access(5, 64 + 32, 64, True, span)  # lines 1 and 2, one key
-        keys = [1 << INST_BITS | 7, 2 << INST_BITS | 300, 1 << INST_BITS | 5, 2 << INST_BITS | 5]
-        assert [[*cset.items()] for cset in system.cache.sets] == [list(zip(keys, (pcm, dram, span, span)))]
+        assert [[*cset.items()] for cset in system.cache.sets] == [
+            [(1 << INST_BITS | 300, dram), (1 << INST_BITS | 5, span)],
+            [(0 << INST_BITS | 7, pcm), (0 << INST_BITS | 5, span)],
+        ]
         assert system.drain() == 4
         assert resident_lines(system.cache) == 0
         assert counters.written == [64, 64, 128]
