@@ -31,9 +31,12 @@ Only ``check_placement`` still visits every record, in one tight loop.
 
 A major collection treats the boot image as roots without a record per
 boot object: its closure seeds from the roots and the boot records a
-trace has named (the rest have only null slots), and it marks the whole
-boot range in one address-ordered loop, at the boot range's place in
-the address order of the marks.
+trace has named (the rest have only null slots). It writes its marks
+from one loop over one address-ordered sequence of (target, space)
+pairs: each live record's shadow slot when it has one, else its header,
+with the boot range's objects spliced in at the boot range's place.
+Each mark writes the line holding its target straight through
+``MemorySystem.access``, so it enters no other frame.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -281,16 +285,23 @@ class GcEngine:
         for rec in unslotted:
             rec.meta_addr = meta.alloc(META_SLOT_SIZE)
         stats = CollectionStats("major")
-        # Marks go in address order. The boot range takes its place in that
-        # order in one loop, which also covers the boot records.
-        boot = heap.boot_space
+        # Marks go in address order, one line write each: a record's in its
+        # shadow slot when it has one, else in place, and every boot object's
+        # (the boot records among them) at the boot range's place in that order.
+        marks = [(rec.addr, rec.space) if rec.meta_addr is None else (rec.meta_addr, meta) for rec in live_recs]
+        boot = heap.boot_space  # DRAM whenever mdo is on
         below_boot = bisect_left(live_recs, boot.lo, key=by_addr)
-        for rec in live_recs[:below_boot]:
-            self._mark_record(rec, stats)
-        for addr in range(boot.lo, boot.cursor, heap.boot_extent):
-            self._mark(addr, boot, stats)  # the boot space is DRAM whenever mdo is on
-        for rec in live_recs[below_boot:]:
-            self._mark_record(rec, stats)
+        boot_marks = zip(range(boot.lo, boot.cursor, heap.boot_extent), repeat(boot))
+        system = heap.system
+        inst = heap.instance_id
+        line = system.cache.line_size
+        for target, space in chain(marks[:below_boot], boot_marks, marks[below_boot:]):
+            system.access(inst, target // line * line, line, True, space.kid, collector=True)
+            if system.include_collector_time:
+                system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
+            stats.mark_writes += 1
+            if space.kind is MemoryKind.PCM:
+                stats.mark_writes_pcm += 1
         for rec in large_pcm:
             rec.write_count = 0
         self._move(relocations, stats)
@@ -321,26 +332,6 @@ class GcEngine:
         if live_bytes >= config.heap_budget:
             raise HeapExhausted(f"{live_bytes} live bytes exceed the {config.heap_budget}-byte budget")
         return stats
-
-    def _mark_record(self, rec: ObjectRecord, stats: CollectionStats) -> None:
-        """Mark ``rec`` in its DRAM shadow slot when it has one, else in place."""
-        if rec.meta_addr is None:
-            self._mark(rec.addr, rec.space, stats)
-        else:
-            self._mark(rec.meta_addr, self.heap.spaces[META_DRAM], stats)
-
-    def _mark(self, target: int, space: Space, stats: CollectionStats) -> None:
-        """One mark write: the cache line holding ``target``, in ``space``."""
-        heap = self.heap
-        system = heap.system
-        line = system.cache.line_size
-        line_base = (target // line) * line
-        system.access(heap.instance_id, line_base, line, True, space.kid, collector=True)
-        if system.include_collector_time:
-            system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
-        stats.mark_writes += 1
-        if space.kind is MemoryKind.PCM:
-            stats.mark_writes_pcm += 1
 
 
 def build_instance(config: ExperimentConfig, system: MemorySystem, instance_id: int) -> HeapInstance:

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .address_space import HeapLayout
 from .errors import ConfigError
-from .memory import MAX_INSTANCES, LifetimeModel, cache_set_count
+from .memory import MAX_INSTANCES, LifetimeModel, MemorySystem, cache_set_count
 from .units import KIB, MIB
 from .workloads import WorkloadSpec, check_field_types
 
@@ -65,6 +65,8 @@ class ExperimentConfig:
     """Every parameter of one run; ``variant`` is derived from ``collector``.
 
     A changed point is a new config, built with ``dataclasses.replace``.
+    The clock and routing fields default to ``MemorySystem``'s, and the
+    lifetime fields to ``LifetimeModel``'s.
     """
 
     collector: str
@@ -83,15 +85,15 @@ class ExperimentConfig:
     quantum: int = 10_000
     warmup_fraction: float = 0.10
     zeroing: bool = True
-    gc_traffic_through_cache: bool = True
-    include_collector_time: bool = True
+    gc_traffic_through_cache: bool = MemorySystem.gc_traffic_through_cache
+    include_collector_time: bool = MemorySystem.include_collector_time
     large_threshold: int = 8 * KIB
     loo_nursery_fraction: float = 1.0 / 8.0
     large_relocation_threshold: int = 4
     boot_size: int = 4 * MIB
     boot_object_size: int = 256
-    op_cost_ns: float = 5.0
-    byte_cost_ns: float = 0.25
+    op_cost_ns: float = MemorySystem.op_cost_ns
+    byte_cost_ns: float = MemorySystem.byte_cost_ns
     lifetime_capacity_bytes: int = LifetimeModel.capacity_bytes
     lifetime_endurance: float = LifetimeModel.endurance_writes
     lifetime_efficiency: float = LifetimeModel.wear_efficiency

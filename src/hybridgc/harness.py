@@ -38,14 +38,7 @@ from .config import Collector, ExperimentConfig
 from .errors import ConfigError, InvariantError, SimulatorError
 from .heap import HeapInstance
 from .memory import CacheModel, LifetimeModel, MemorySystem, TrafficCounters, lifetime_years
-from .units import MIB
-from .workloads import default_spec, drive, generate, load_trace
-
-ARCHETYPE_BUDGET = {
-    "nursery-churn": 64 * MIB,
-    "mature-mutation": 12 * MIB,
-    "large-object-graph": 16 * MIB,
-}
+from .workloads import _ARCHETYPES, default_spec, drive, generate, load_trace
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -62,7 +55,7 @@ def config_for_archetype(
         collector=collector,
         seed=seed,
         workload=spec,
-        heap_budget=ARCHETYPE_BUDGET[archetype],
+        heap_budget=_ARCHETYPES[archetype][2],
     )
     base.update(overrides)
     return ExperimentConfig(**base)

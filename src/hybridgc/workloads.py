@@ -312,7 +312,7 @@ def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> 
     """The archetype's canned parameterization, read from its table entry."""
     if archetype not in ARCHETYPES:
         raise ConfigError(f"unknown archetype {archetype!r}")
-    _gen, default_ops, overrides = _ARCHETYPES[archetype]
+    _gen, default_ops, _budget, overrides = _ARCHETYPES[archetype]
     return WorkloadSpec(archetype, default_ops if op_count is None else op_count, seed, **overrides)
 
 
@@ -520,17 +520,20 @@ def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
         yield RootOp(allocs)
 
 
-# Each archetype's generator, default op count and the spec fields it sets.
+# Each archetype's generator, default op count, heap budget and the spec
+# fields it sets.
 _ARCHETYPES = {
-    "nursery-churn": (_gen_nursery_churn, 300_000, {"survival": 0.05, "locality": 0.85}),
+    "nursery-churn": (_gen_nursery_churn, 300_000, 64 * MIB, {"survival": 0.05, "locality": 0.85}),
     "mature-mutation": (
         _gen_mature_mutation,
         300_000,
+        12 * MIB,
         {"size_log_mean": 4.85, "size_log_sigma": 0.5, "locality": 0.75, "resident_bytes": 6 * MIB},  # ~128 B
     ),
     "large-object-graph": (
         _gen_large_object_graph,
         24_000,
+        16 * MIB,
         {"large_fraction": 0.3, "locality": 0.5, "survival": 0.10},
     ),
 }

@@ -5,7 +5,9 @@ import pytest
 
 from hybridgc.config import Collector, ExperimentConfig
 from hybridgc.errors import ConfigError
-from hybridgc.harness import config_for_archetype
+from hybridgc.harness import build_system, config_for_archetype
+from hybridgc.memory import MemorySystem
+from hybridgc.workloads import ARCHETYPES
 
 from support import MIB, ONE_OP
 
@@ -58,6 +60,10 @@ def test_defaults_per_variant():
     }
     for variant, (loo, mdo) in expected.items():
         assert (variant.loo, variant.mdo) == (loo, mdo), variant
+    # the clock and routing defaults are the memory system's own
+    system = build_system(default_config("KG-W"))
+    for name in ("op_cost_ns", "byte_cost_ns", "include_collector_time", "gc_traffic_through_cache"):
+        assert getattr(system, name) == getattr(MemorySystem, name), name
 
 
 def test_string_variant_is_coerced():
@@ -164,6 +170,11 @@ def test_a_built_config_cannot_change():
         cfg.workload.op_count = 0
     assert (cfg.collector, cfg.variant, cfg.heap_budget) == ("KG-W", Collector.KG_W, 64 * MIB)
     assert cfg.workload.op_count == 1
+
+
+def test_every_archetype_gives_a_config_with_its_budget():
+    budgets = {name: config_for_archetype(name, "KG-W", 1).heap_budget for name in ARCHETYPES}
+    assert budgets == {"nursery-churn": 64 * MIB, "mature-mutation": 12 * MIB, "large-object-graph": 16 * MIB}
 
 
 @pytest.mark.parametrize("op_count", [0, -3])
