@@ -18,6 +18,10 @@ instance then walks the recorded clock advances and accesses through
 the real ``MemorySystem`` under its own instance id and counter keys.
 The shared cache and clock see what N heaps would have sent, in the
 same order, so the report is the same.
+
+A replay parses its whole trace before the first op, and the one heap
+that applies the ops takes each out of the parsed list as it goes, so a
+record is freed once applied and no record is ever written.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
+from itertools import repeat, starmap
 from operator import add
 from typing import Iterator
 
@@ -166,16 +171,25 @@ def build_system(config: ExperimentConfig) -> MemorySystem:
 
 
 def _instance_streams(config: ExperimentConfig):
-    """Per-instance (description, op iterator, total op count) triples."""
-    out = []
+    """Per-instance (description, op iterator, total op count) triples.
+
+    A replay parses the whole trace before the first op and its instances
+    share one stream, which takes each op out of the parsed list as it
+    yields it: the list holds only the ops not yet applied, and a record
+    is freed once its heap has applied it. Exactly one heap drives that
+    stream, ``_round``'s only heap with one instance and ``_shared_round``'s
+    lead with more. The list is reversed once, so each op is a pop from its
+    end, and ``starmap`` makes the pops without a Python frame per op.
+    """
     if config.trace_path is not None:
         ops = load_trace(config.trace_path)
-        for _ in range(config.instances):
-            out.append((config.trace_path, iter(ops), len(ops)))
-    else:
-        for i in range(config.instances):
-            spec = replace(config.workload, seed=derive_seed(config.seed, i))
-            out.append((spec.archetype, generate(spec), spec.op_count))
+        total = len(ops)
+        ops.reverse()
+        return [(config.trace_path, starmap(ops.pop, repeat((), total)), total)] * config.instances
+    out = []
+    for i in range(config.instances):
+        spec = replace(config.workload, seed=derive_seed(config.seed, i))
+        out.append((spec.archetype, generate(spec), spec.op_count))
     return out
 
 
@@ -222,14 +236,21 @@ def _round(heaps: list[HeapInstance], streams: list, quantum: int, alive: list[b
 
 
 def _shared_round(
-    system: MemorySystem, recorder: _Recorder, heaps: list[HeapInstance], ops, quantum: int, alive: list[bool]
+    system: MemorySystem,
+    recorder: _Recorder,
+    heaps: list[HeapInstance],
+    kid_maps: list[dict[int, int]],
+    ops,
+    quantum: int,
+    alive: list[bool],
 ) -> dict | None:
     """One round of instances that replay one trace; returns a failure's ``error``.
 
     Instance 0's heap runs the slice once into ``recorder``. Then each
     instance in turn adds the recorded clock advances to the clock, in
     order, so the sums are bit-identical, and walks the recorded accesses
-    under its own id and keys. Every other heap then takes instance 0's op
+    under its own id and keys (``kid_maps[i]`` takes instance 0's counter
+    key ids to instance i's). Every other heap then takes instance 0's op
     index and collections, the only heap state its report row reads. When
     the slice fails, instance 0 walks what it recorded up to the failure
     and no other instance walks the round, so their rows count only the
@@ -248,10 +269,9 @@ def _shared_round(
     finally:
         lead.system = system
     access = system.access
-    for heap in heaps[:1] if failure else heaps:
+    for heap, kids in zip(heaps[:1] if failure else heaps, kid_maps):
         system.now_ns = reduce(add, recorder.clock, system.now_ns)
         inst = heap.instance_id
-        kids = {space.kid: heap.spaces[name].kid for name, space in lead.spaces.items()}
         for addr, length, write, kid, collector in recorder.accesses:
             access(inst, addr, length, write, kids[kid], collector=collector)
         if heap is not lead:
@@ -335,7 +355,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         failure: dict | None = None
 
         if config.trace_path is not None and config.instances > 1:
-            play_round = partial(_shared_round, system, _Recorder(system), heaps, streams[0][1], config.quantum, alive)
+            kid_maps = [{space.kid: heap.spaces[name].kid for name, space in heaps[0].spaces.items()} for heap in heaps]
+            play_round = partial(
+                _shared_round, system, _Recorder(system), heaps, kid_maps, streams[0][1], config.quantum, alive
+            )
         else:
             play_round = partial(_round, heaps, [ops for (_d, ops, _t) in streams], config.quantum, alive)
         while any(alive) and failure is None:

@@ -300,8 +300,9 @@ class TestMultiprogram:
         assert report.rows[0].dram_write_bytes == report.rows[1].dram_write_bytes
 
 
-    def test_replay_instances_leave_the_shared_ops_unchanged(self, tmp_path, monkeypatch):
-        """Every instance replays the records of one parsed list, and none may write them."""
+    @pytest.mark.parametrize("instances", [1, 4])
+    def test_a_replay_consumes_its_parsed_ops_without_writing_them(self, tmp_path, monkeypatch, instances):
+        """The run takes every op out of the one parsed list, and writes no record."""
         path = tmp_path / "churn.trace"
         with open(path, "w", encoding="utf-8") as fh:
             serialize_trace(generate(default_spec("nursery-churn", op_count=6_000, seed=3)), fh)
@@ -310,20 +311,22 @@ class TestMultiprogram:
 
         def capture(trace_path):
             ops = load_trace(trace_path)
-            parsed.append(ops)
+            parsed.append((ops, list(ops)))  # the list the run gets, and a copy holding the same records
             return ops
 
         monkeypatch.setattr(harness, "load_trace", capture)
         config = ExperimentConfig(
-            collector="KG-W", seed=1, trace_path=str(path), instances=4, nursery_size=64 * KIB
+            collector="KG-W", seed=1, trace_path=str(path), instances=instances, nursery_size=64 * KIB
         )
         report = run_experiment(config)
         assert not report.failed
-        assert [r.ops_executed for r in report.rows] == [6_000] * 4
+        assert [r.ops_executed for r in report.rows] == [6_000] * instances
         assert report.aggregate.minor_collections > 0
         assert len(parsed) == 1
+        ops, records = parsed[0]
+        assert ops == []
         out = io.StringIO()
-        serialize_trace(parsed[0], out)
+        serialize_trace(records, out)
         assert out.getvalue().encode("utf-8") == path.read_bytes()
         # op records compare by class as well as by fields
         assert WriteOp(1, 2, 3) != ReadOp(1, 2, 3)
@@ -629,6 +632,9 @@ class TestPinnedReplayReports:
         "large-gc-bypass-KG-W": ("large", "KG-W", 2, {**LARGE, **SMALL_LLC, "gc_traffic_through_cache": False}),
         "trace-error": ("bad", "KG-W", 3, {**MATURE, **SMALL_LLC}),
         "heap-exhausted": ("mature", "PCM-Only", 3, {**MATURE, **SMALL_LLC, "heap_budget": 384 * KIB}),
+        # one instance, whose own heap drives the replay stream
+        "mature-small-llc-1x-KG-W": ("mature", "KG-W", 1, {**MATURE, **SMALL_LLC}),
+        "trace-error-1x": ("bad", "KG-W", 1, {**MATURE, **SMALL_LLC}),
     }
     DIGESTS = {
         # no collection
@@ -653,6 +659,10 @@ class TestPinnedReplayReports:
         "trace-error": "c77040ae80486d3d5aaa93a7a590290747251af33f750dff5477572a200111f1",
         # instance 0 stops at op 7,908 with HeapExhausted, after one more minor than the other rows count
         "heap-exhausted": "79fe3718837a5d280e9612965fc9de93c3bba8f60dc12933915fd95043e39eb1",
+        # recorded while a replay's parsed list stayed whole to the end of the run
+        "mature-small-llc-1x-KG-W": "7ffbc84719fcb13244a30fe910ce184ecd361bb0d3989c66d28a49cdd0d8288f",
+        # the one instance stops at op 2,345, after two minors
+        "trace-error-1x": "dbd1309c8360f835d248b18e1299aa13c014b5e3e4a49c5014af52284d707020",
     }
 
     @pytest.fixture(scope="class")

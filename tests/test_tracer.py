@@ -169,3 +169,47 @@ def test_tracer_sees_the_replay_parse(traced_replay_pair, side):
     heap_calls = sum(metrics[f"heap.{op}.calls"] for op in ("alloc", "write", "read", "ref", "root"))
     assert heap_calls * 2 == report.aggregate.ops_executed == 2 * REPLAY_OPS
     assert (metrics["memory.access.calls"], metrics["memory.access.lines"]) == PINNED_REPLAY_ACCESS[side]
+
+
+COLLECTING_REPLAY_OPS = 8_000
+COLLECTING_REPLAY_INSTANCES = 2
+
+# Per side of the collecting replay pair: (minor, observer) collections
+# in the report, summed over both instances.
+PINNED_COLLECTING_REPLAY = {
+    "PCM-Only": (14, 0),
+    "KG-W": (14, 6),
+}
+
+
+@pytest.fixture(scope="module")
+def traced_collecting_replay_pair(tmp_path_factory):
+    """Two instances replay one recorded trace that fills the nursery, so one heap pass collects for both."""
+    path = tmp_path_factory.mktemp("replay") / "mature.trace"
+    with open(path, "w", encoding="utf-8") as fh:
+        serialize_trace(generate(default_spec("mature-mutation", op_count=COLLECTING_REPLAY_OPS, seed=3)), fh)
+    config = ExperimentConfig(
+        collector="KG-W",
+        seed=3,
+        trace_path=str(path),
+        instances=COLLECTING_REPLAY_INSTANCES,
+        nursery_size=64 * KIB,
+        heap_budget=1 * MIB,
+        chunk_size=64 * KIB,
+        quantum=500,
+    )
+    return run_traced(config)
+
+
+@pytest.mark.parametrize("side", sorted(PINNED_COLLECTING_REPLAY))
+def test_tracer_reconciles_a_collecting_replay(traced_collecting_replay_pair, side):
+    """The lead heap's collections, times the instances, are the report's; every heap's records are counted."""
+    tracer, pair = traced_collecting_replay_pair
+    report = pair.baseline if side == "PCM-Only" else pair.variant
+    assert report.collector == side and not report.failed
+    metrics = tracer.metrics(side)
+    agg = report.aggregate
+    assert (agg.minor_collections, agg.observer_collections) == PINNED_COLLECTING_REPLAY[side]
+    assert metrics["collectors.young.calls"] * COLLECTING_REPLAY_INSTANCES == agg.minor_collections
+    assert metrics["collectors.observer.count"] == agg.observer_collections
+    assert metrics["workloads.parse.ops"] == COLLECTING_REPLAY_OPS
