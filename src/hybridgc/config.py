@@ -17,7 +17,7 @@ from enum import Enum
 
 from .address_space import HeapLayout
 from .errors import ConfigError
-from .memory import MAX_INSTANCES, LifetimeModel, MemorySystem, cache_set_count
+from .memory import LifetimeModel, MemorySystem, cache_set_count
 from .units import KIB, MIB
 from .workloads import WorkloadSpec, check_field_types
 
@@ -108,9 +108,6 @@ class ExperimentConfig:
             raise ConfigError("observer multiplier must be finite and positive")
         if self.instances < 1:
             raise ConfigError("need at least one instance")
-        if self.instances > MAX_INSTANCES:
-            # the cache tags each line with the instance id in 16 bits
-            raise ConfigError(f"at most {MAX_INSTANCES} instances share one cache, not {self.instances}")
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("exactly one of workload or trace_path must be given")
         if self.quantum <= 0:

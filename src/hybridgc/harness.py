@@ -162,7 +162,7 @@ class Report:
 
 def build_system(config: ExperimentConfig) -> MemorySystem:
     return MemorySystem(
-        CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line),
+        CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line, config.instances),
         config.op_cost_ns,
         config.byte_cost_ns,
         config.include_collector_time,

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable
 from .address_space import FreeList, HeapLayout, MemoryKind
 from .config import Collector, ExperimentConfig
 from .errors import ConfigError, HeapExhausted, InvariantError, TraceError
-from .memory import MAX_INSTANCES, MemorySystem
+from .memory import MemorySystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .collectors import GcEngine
@@ -237,9 +237,9 @@ class HeapInstance:
     """One program's heap; all traffic goes through the shared memory system."""
 
     def __init__(self, instance_id: int, config: ExperimentConfig, system: MemorySystem) -> None:
-        if not 0 <= instance_id < MAX_INSTANCES:
-            # the cache tags each line with the instance id in 16 bits
-            raise ConfigError(f"instance id {instance_id} is outside [0, {MAX_INSTANCES})")
+        if not 0 <= instance_id < system.cache.instances:
+            # a cached line's key, tag * instances + instance, is one-to-one only for these ids
+            raise ConfigError(f"instance id {instance_id} is outside [0, {system.cache.instances})")
         self.instance_id = instance_id
         self.config = config
         self.system = system

@@ -7,6 +7,14 @@ set-associative cache, a set tells its lines apart by their tag, the
 line index over the set count, so every line of a run that stays within
 the sets is looked up under one key.
 
+A line's key within its set is ``tag * instances + instance``, one int
+per (tag, instance) pair for instance ids in ``[0, instances)``; a heap
+rejects any other id. Each key is interned in the cache's ``keys`` table,
+so every resident key of a pair is one object and a hit finds its line by
+identity rather than by comparing two equal ints. The table holds at most
+instances x distinct tags touched: tens to hundreds of entries at the
+benchmark geometries, and one per line touched only when there is one set.
+
 Device-level write counters only grow when a line actually reaches
 memory: on a dirty eviction or the drain, or immediately when the cache
 is disabled. Reads reach memory as line fills. Every count is kept per
@@ -33,13 +41,6 @@ SECONDS_PER_YEAR = 365.25 * 86400  # 31,557,600
 UNBOUNDED_YEARS = 1.0e9
 
 _ABSENT = object()  # sentinel for a set lookup that misses
-
-# A cached line's key within its set is ``(tag << INST_BITS) | instance``:
-# line ``ln`` sits in set ``ln % n_sets`` under tag ``ln // n_sets``. Configs
-# and heaps reject instance ids of MAX_INSTANCES and up, so the keys of one
-# set never collide.
-INST_BITS = 16
-MAX_INSTANCES = 1 << INST_BITS
 
 # The per-key count lists of ``TrafficCounters``.
 _COUNTS = ("written", "read", "demand", "absorbed")
@@ -106,21 +107,29 @@ class CacheModel:
     The cache walk itself is :meth:`MemorySystem.access`, which reads and
     updates this state. Lines are tagged with the owning instance, so
     identical virtual addresses from different instances occupy distinct
-    lines while still competing for the same sets. ``capacity`` 0 means
-    no cache: every access passes through byte-for-byte.
+    lines while still competing for the same sets. ``instances`` is the
+    number of instances that share the cache, ids ``0`` to ``instances - 1``.
+    ``capacity`` 0 means no cache: every access passes through
+    byte-for-byte.
     """
 
-    def __init__(self, capacity: int, assoc: int, line_size: int) -> None:
+    def __init__(self, capacity: int, assoc: int, line_size: int, instances: int = 1) -> None:
+        if instances < 1:
+            raise ConfigError("a cache is shared by at least one instance")
         self.assoc = assoc
         self.line_size = line_size
+        self.instances = instances
         self.n_sets = cache_set_count(capacity, assoc, line_size)
-        # Set ``ln % n_sets`` maps the key of line ``ln``, ``(ln // n_sets
-        # << INST_BITS) | instance``, to None while the line is clean, or
-        # while it is dirty to the id of the key it will be written back
-        # under: that of the space that last wrote it. LRU order is
-        # insertion order: a hit re-inserts its key, and the victim is the
-        # first key.
+        # Set ``ln % n_sets`` maps the key of line ``ln``, ``ln // n_sets *
+        # instances + instance``, to None while the line is clean, or while
+        # it is dirty to the id of the key it will be written back under:
+        # that of the space that last wrote it. LRU order is insertion
+        # order: a hit re-inserts its key, and the victim is the first key.
         self.sets: list[dict[int, int | None]] = [{} for _ in range(self.n_sets)]
+        # Each key once, mapped to itself: the walk stores and looks up
+        # only these objects, so a hit compares by identity. At most
+        # ``instances`` entries per distinct tag touched; the drain clears it.
+        self.keys: dict[int, int] = {}
 
 
 @dataclass
@@ -149,11 +158,13 @@ class MemorySystem:
     that set to the end of the run or to the last set, where the slice
     clips. At each wrap past the last set the key steps to the next tag
     and the walk goes on from set 0, so a set that recurs in a run longer
-    than the sets is updated in line order. The walk enters no frame of
-    its own: no comprehension, generator or helper.
+    than the sets is updated in line order. The key is interned through
+    the cache's ``keys`` table once, and again at each wrap, by
+    ``dict.setdefault``, which runs in C. The walk enters no frame of its
+    own: no comprehension, generator or helper.
 
     ``drain`` ends a run: it writes back every dirty line and empties the
-    cache.
+    cache and its key table.
     """
 
     cache: CacheModel
@@ -184,6 +195,8 @@ class MemorySystem:
         hi = (addr + length - 1) // line_size + 1
         sets = cache.sets
         assoc = cache.assoc
+        keys = cache.keys
+        instances = cache.instances
         held = kid if write else None
         absorbed = 0
         fills = 0
@@ -191,7 +204,8 @@ class MemorySystem:
         # the lines of a run up to the last set share one tag, so one key
         s = lo % n_sets
         end = s + hi - lo
-        key = lo // n_sets << INST_BITS | inst
+        key = lo // n_sets * instances + inst
+        key = keys.setdefault(key, key)
         while True:
             for cset in sets[s:end]:
                 old = cset.pop(key, _ABSENT)
@@ -216,7 +230,8 @@ class MemorySystem:
             # wrapped past the last set: the next tag starts at set 0
             s = 0
             end -= n_sets
-            key += 1 << INST_BITS
+            key += instances
+            key = keys.setdefault(key, key)
         if write:
             counters.demand[kid] += (hi - lo) * line_size
             if absorbed:
@@ -245,6 +260,7 @@ class MemorySystem:
         counters.writebacks += total
         for cset in cache.sets:
             cset.clear()
+        cache.keys.clear()
         return total
 
 

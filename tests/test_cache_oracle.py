@@ -23,12 +23,7 @@ import pytest
 
 from cache_reference import RefCache, RefCounters
 from hybridgc.address_space import MemoryKind
-from hybridgc.memory import (
-    INST_BITS,
-    MAX_INSTANCES,
-    CacheModel,
-    MemorySystem,
-)
+from hybridgc.memory import CacheModel, MemorySystem
 
 LINE = 64
 PCM, DRAM = MemoryKind.PCM, MemoryKind.DRAM
@@ -51,8 +46,8 @@ WIDE_GEOMETRIES = [(WIDE_SETS, 1), (2 * WIDE_SETS, 2)]
 RUN_LINES = (RUN - 1, RUN, RUN + 1, WIDE_SETS - 1, WIDE_SETS, WIDE_SETS + 1, 2 * WIDE_SETS + 3)
 
 
-def cached_system(lines, assoc):
-    return MemorySystem(CacheModel(lines * LINE, assoc, LINE))
+def cached_system(lines, assoc, instances=1):
+    return MemorySystem(CacheModel(lines * LINE, assoc, LINE, instances))
 
 
 def model_access(model, ids, split, inst, addr, length, write, space):
@@ -79,14 +74,16 @@ def names_of(ids):
 def model_state(system, ids):
     """Per set, ``(inst, line, held key)`` of each resident, least recent first.
 
-    A resident's line is decoded from the tag in its key and the index of
-    its set; a dirty line's held id through the driver's table ``ids``.
+    A resident's key is ``tag * instances + instance``; its line is decoded
+    from the tag and the index of its set, a dirty line's held id through
+    the driver's table ``ids``.
     """
     names = names_of(ids)
     n_sets = system.cache.n_sets
+    instances = system.cache.instances
     return [
         [
-            (key % MAX_INSTANCES, (key >> INST_BITS) * n_sets + index, None if held is None else names[held])
+            (key % instances, key // instances * n_sets + index, None if held is None else names[held])
             for key, held in cset.items()
         ]
         for index, cset in enumerate(system.cache.sets)
@@ -131,8 +128,9 @@ def run_pair(
 ):
     """Drive model and reference with one random access stream; compare.
 
-    ``straddle`` makes every access cross the PCM/DRAM split. Returns the
-    number of accesses compared.
+    ``straddle`` makes every access cross the PCM/DRAM split. The model
+    is built for ``max(instance_ids) + 1`` instances. Returns the number
+    of accesses compared.
     """
     rng = random.Random(seed)
     split = split_lines * LINE
@@ -151,16 +149,17 @@ def run_pair(
             if length:
                 yield inst, addr, length, rng.random() < 0.5, rng.choice(("a", "b"))
 
-    return compare(geometry, split, accesses())
+    return compare(geometry, split, accesses(), max(instance_ids) + 1)
 
 
-def compare(geometry, split, accesses):
+def compare(geometry, split, accesses, instances=2):
     """Drive model and reference with ``(inst, addr, length, write, space)`` accesses; compare.
 
-    Returns the number of accesses compared.
+    The model is built for ``instances``, above every ``inst`` of the
+    accesses. Returns the number of accesses compared.
     """
     lines, assoc = geometry
-    model = cached_system(lines, assoc)
+    model = cached_system(lines, assoc, instances)
     ref = RefCache(lines * LINE, assoc, LINE, split)
     mc, rc = model.counters, RefCounters()
     ids = {}
@@ -232,13 +231,19 @@ def test_accesses_straddling_the_split(geometry):
         run_pair(geometry, seed, 1_500, straddle=True)
 
 
-@pytest.mark.parametrize("geometry", SMALL_GEOMETRIES)
+@pytest.mark.parametrize("geometry", SMALL_GEOMETRIES + WIDE_GEOMETRIES)
 def test_extreme_instance_ids_stay_apart(geometry):
-    """Line keys pack the instance into 16 bits; the highest id must not alias."""
-    ids = (0, 1, MAX_INSTANCES - 1, MAX_INSTANCES // 2)
-    for seed in (9, 10):
-        run_pair(geometry, seed, 1_500, instance_ids=ids)
-        run_pair(geometry, seed, 1_000, instance_ids=ids, straddle=True)
+    """Line keys are ``tag * instances + instance``: no two (tag, instance) pairs alias.
+
+    The ids are spread over an odd instance count, up to the highest, or
+    are the one instance of a cache. Long accesses wrap the sets of every
+    geometry, so the key's step to the next tag at a wrap is checked too.
+    """
+    for instance_ids in ((0, 1, 500, 998), (0,)):
+        for seed in (9, 10):
+            run_pair(geometry, seed, 1_000, instance_ids=instance_ids)
+            run_pair(geometry, seed, 600, instance_ids=instance_ids, straddle=True)
+            run_pair(geometry, seed, 300, instance_ids, 160, 80, lengths=LONG_LENGTHS)
 
 
 def line_access(rng, first_line, lines):

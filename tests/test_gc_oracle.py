@@ -49,6 +49,7 @@ def test_records_point_at_their_own_heaps_spaces(variant):
         budget=1 * MIB,
         heap_size=16 * MIB,
         zeroing=False,
+        instances=2,
     )
     system = build_system(config)
     heaps = [build_instance(config, system, i) for i in (0, 1)]

@@ -27,7 +27,7 @@ from hybridgc.harness import (
     sweep,
 )
 from hybridgc.heap import HeapInstance
-from hybridgc.memory import MAX_INSTANCES, lifetime_years
+from hybridgc.memory import lifetime_years
 from hybridgc.workloads import ReadOp, WorkloadSpec, WriteOp, default_spec, generate, serialize_trace
 
 from support import KIB, MIB
@@ -88,12 +88,6 @@ class TestConfig:
         base = {"collector": "KG-W", "seed": 1, "workload": default_spec("nursery-churn", op_count=10)}
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**base, **overrides})
-
-    def test_instance_count_fits_the_cache_tag(self):
-        spec = default_spec("nursery-churn", op_count=10)
-        ExperimentConfig(collector="KG-W", seed=1, workload=spec, instances=MAX_INSTANCES)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(collector="KG-W", seed=1, workload=spec, instances=MAX_INSTANCES + 1)
 
     def test_unknown_collector_rejected_early(self):
         with pytest.raises(ConfigError):

@@ -25,7 +25,7 @@ from hybridgc.heap import (
 )
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system
-from hybridgc.memory import MAX_INSTANCES, MemorySystem
+from hybridgc.memory import MemorySystem
 from support import KIB, MIB, ONE_OP, per_key, reserve_every_free_chunk, small_config, small_heap
 
 
@@ -448,7 +448,7 @@ class TestFrameBudget:
     def test_the_first_access_under_a_new_space_and_instance_runs_in_its_budget(self, variant):
         # a built heap adds one key per space, ids apart from every other
         # heap's, and no op adds one
-        config = small_config(variant, cache_capacity=64 * KIB)
+        config = small_config(variant, cache_capacity=64 * KIB, instances=2)
         system = build_system(config)
         counters = system.counters
         first = build_instance(config, system, 0)
@@ -550,9 +550,10 @@ def test_mark_slot_out_of_chunks_is_heap_exhausted():
 
 
 def test_instance_id_must_fit_the_cache_tag():
-    config = small_config("KG-W")
+    config = small_config("KG-W", instances=3)
     system = build_system(config)
-    assert build_instance(config, system, MAX_INSTANCES - 1).instance_id == MAX_INSTANCES - 1
-    for bad in (-1, MAX_INSTANCES):
+    last = config.instances - 1
+    assert build_instance(config, system, last).instance_id == last
+    for bad in (-1, config.instances):
         with pytest.raises(ConfigError):
             build_instance(config, system, bad)

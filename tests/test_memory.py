@@ -7,8 +7,6 @@ from hybridgc.errors import ConfigError, InvariantError
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system, config_for_archetype, run_experiment
 from hybridgc.memory import (
-    INST_BITS,
-    MAX_INSTANCES,
     UNBOUNDED_YEARS,
     CacheModel,
     LifetimeModel,
@@ -117,13 +115,13 @@ class TestRate:
 PCM, DRAM = MemoryKind.PCM, MemoryKind.DRAM
 
 
-def system_over(capacity, assoc=16, gc_through=True):
-    """A memory system over a fresh cache of the given geometry (line 64 B)."""
-    return MemorySystem(CacheModel(capacity, assoc, 64), gc_traffic_through_cache=gc_through)
+def system_over(capacity, assoc=16, gc_through=True, instances=1):
+    """A memory system over a fresh cache of the given geometry (line 64 B), shared by ``instances``."""
+    return MemorySystem(CacheModel(capacity, assoc, 64, instances), gc_traffic_through_cache=gc_through)
 
 
-def one_set_cache(ways=2):
-    return system_over(ways * 64, ways)
+def one_set_cache(ways=2, instances=1):
+    return system_over(ways * 64, ways, instances=instances)
 
 
 class TestCacheModel:
@@ -133,6 +131,8 @@ class TestCacheModel:
         with pytest.raises(ConfigError):
             CacheModel(-1, 2, 64)
         CacheModel(0, 2, 64)  # disabled cache is fine
+        with pytest.raises(ConfigError):
+            CacheModel(64, 1, 64, instances=0)  # every key would alias
 
     def test_write_coalescing(self):
         system = one_set_cache()
@@ -160,9 +160,8 @@ class TestCacheModel:
         system.access(0, 0 * 64, 8, False, kid)  # touch 0: LRU is now 1
         system.access(0, 2 * 64, 8, True, kid)  # evicts line 1
         assert system.counters.writebacks == 1
-        # with one set, a line's tag is its index
-        held = {key >> INST_BITS for key in system.cache.sets[0]}
-        assert held == {0, 2}
+        # with one set and one instance, a line's key is its index
+        assert {*system.cache.sets[0]} == {0, 2}
 
     def test_reads_fill_without_writeback(self):
         system = one_set_cache(ways=1)
@@ -187,7 +186,7 @@ class TestCacheModel:
         assert per_key(system.counters.written, heap) == {(0, DRAM, "nursery"): 64, (0, PCM, "los-pcm"): 64}
 
     def test_instances_do_not_alias(self):
-        system = one_set_cache(ways=2)
+        system = one_set_cache(ways=2, instances=2)
         counters = system.counters
         system.access(0, 0, 8, True, counters.add_key())
         system.access(1, 0, 8, True, counters.add_key())  # same address, other program
@@ -196,31 +195,31 @@ class TestCacheModel:
         assert counters.written == [64, 64]
 
     def test_highest_instance_does_not_alias_the_next_line(self):
-        # keys are (tag << INST_BITS) | instance: instance 65535 on line 1
-        # (set 1, tag 0) and instance 0 on line 3 (set 1, tag 1) are
-        # neighbouring keys of one set, not the same one
-        system = system_over(4 * 64, 2)
+        # keys are tag * instances + instance: on 3 instances, instance 2
+        # on line 1 (set 1, tag 0) and instance 0 on line 3 (set 1, tag 1)
+        # are neighbouring keys of one set, not the same one
+        system = system_over(4 * 64, 2, instances=3)
         counters = system.counters
-        system.access(MAX_INSTANCES - 1, 64, 8, True, counters.add_key())
+        system.access(2, 64, 8, True, counters.add_key())
         system.access(0, 3 * 64, 8, True, counters.add_key())
-        assert [*system.cache.sets[1]] == [MAX_INSTANCES - 1, 1 << INST_BITS]
+        assert [*system.cache.sets[1]] == [0 * 3 + 2, 1 * 3 + 0]
         assert resident_lines(system.cache) == 2
         assert system.drain() == 2
         assert counters.written == counters.demand == [64, 64]
 
     def test_lines_a_round_of_sets_apart_are_two_residents_of_one_set(self):
         # 4 sets of 2 ways: lines 1, 5 and 9 all map to set 1, under tags
-        # 0, 1 and 2
-        system = system_over(8 * 64, 2)
+        # 0, 1 and 2; instance 3 of 4 keys them 3, 7 and 11
+        system = system_over(8 * 64, 2, instances=4)
         kid = system.counters.add_key()
         system.access(3, 64, 8, True, kid)  # line 1
         system.access(3, 5 * 64, 8, False, kid)  # line 5
         cset = system.cache.sets[1]
-        assert [*cset.items()] == [(0 << INST_BITS | 3, kid), (1 << INST_BITS | 3, None)]
+        assert [*cset.items()] == [(0 * 4 + 3, kid), (1 * 4 + 3, None)]
         system.access(3, 64, 8, False, kid)  # touch line 1: LRU is now line 5
-        assert [*cset] == [1 << INST_BITS | 3, 0 << INST_BITS | 3]
+        assert [*cset] == [1 * 4 + 3, 0 * 4 + 3]
         system.access(3, 9 * 64, 8, False, kid)  # line 9 evicts clean line 5
-        assert [*cset] == [0 << INST_BITS | 3, 2 << INST_BITS | 3]
+        assert [*cset] == [0 * 4 + 3, 2 * 4 + 3]
         assert resident_lines(system.cache) == 2
         assert system.counters.fills == 3 and system.counters.writebacks == 0
 
@@ -245,15 +244,15 @@ class TestCacheModel:
         # the id a dirty line holds is the key, and so the instance and
         # kind, that the drain counts it under
         # 2 sets of 4 ways: line 1 is set 1, tag 0 and line 2 set 0, tag 1
-        system = system_over(8 * 64, 4)
+        system = system_over(8 * 64, 4, instances=301)
         counters = system.counters
         pcm, dram, span = counters.add_key(), counters.add_key(), counters.add_key()
         system.access(7, 64, 64, True, pcm)  # line 1
         system.access(300, 2 * 64, 64, True, dram)  # line 2
         system.access(5, 64 + 32, 64, True, span)  # lines 1 and 2, one key
         assert [[*cset.items()] for cset in system.cache.sets] == [
-            [(1 << INST_BITS | 300, dram), (1 << INST_BITS | 5, span)],
-            [(0 << INST_BITS | 7, pcm), (0 << INST_BITS | 5, span)],
+            [(1 * 301 + 300, dram), (1 * 301 + 5, span)],
+            [(0 * 301 + 7, pcm), (0 * 301 + 5, span)],
         ]
         assert system.drain() == 4
         assert resident_lines(system.cache) == 0
@@ -273,6 +272,41 @@ class TestCacheModel:
         # an access adds no key
         assert counters.read == [4 * 64, 64]
         assert counters.demand == [4 * 64, 0]
+
+    def test_a_hit_stores_the_interned_key(self):
+        # instance 999 of 1000 on line 5 (set 1, tag 1): key 1999, an int
+        # that Python does not cache, so two accesses build two equal objects
+        system = system_over(4 * 64, 1, instances=1000)
+        kid = system.counters.add_key()
+        system.access(999, 5 * 64, 8, True, kid)
+        cache = system.cache
+        [first] = cache.sets[1]
+        assert first == 1999 and cache.keys[first] is first
+        system.access(999, 5 * 64 + 8, 8, False, kid)  # a hit
+        [stored] = cache.sets[1]
+        assert stored is first and cache.keys == {1999: 1999}
+
+    def test_the_key_table_holds_one_key_per_tag_and_instance_touched(self):
+        # 4 sets of 4 ways: a 10-line run from line 2 wraps twice, over tags 0 to 2
+        system = system_over(16 * 64, 4, instances=3)
+        kid = system.counters.add_key()
+        for _ in range(2):
+            for inst in range(3):
+                system.access(inst, 2 * 64, 10 * 64, inst == 1, kid)
+        keys = system.cache.keys
+        assert sorted(keys) == [tag * 3 + inst for tag in range(3) for inst in range(3)]
+        assert all(keys[key] is key for key in keys)
+        # every resident key is its table entry
+        assert all(keys[key] is key for cset in system.cache.sets for key in cset)
+
+    def test_drain_empties_the_sets_and_the_key_table(self):
+        system = system_over(4 * 64, 2, instances=2)
+        kid = system.counters.add_key()
+        system.access(0, 0, 6 * 64, True, kid)
+        system.access(1, 0, 64, False, kid)
+        assert system.cache.keys
+        system.drain()
+        assert resident_lines(system.cache) == 0 and system.cache.keys == {}
 
     def test_passthrough_is_byte_exact(self):
         system = system_over(0)
@@ -304,7 +338,7 @@ class TestCacheModel:
 
 def two_heaps():
     """Instances 0 and 1 of one small KG-W config, on one memory system with a cache."""
-    config = small_config("KG-W", cache_capacity=64 * KIB)
+    config = small_config("KG-W", cache_capacity=64 * KIB, instances=2)
     system = build_system(config)
     return [build_instance(config, system, i) for i in (0, 1)], system
 
