@@ -16,16 +16,21 @@ ASCII digits, a ``-`` only before a nonzero value, no leading zero, no
 ``+`` or ``_``; the parser rejects any other spelling that ``int()``
 would read. Parsing then serializing reproduces the input exactly up to
 whitespace (fields may be separated by runs of spaces and tabs, which
-come back as one space) and apart from comments and blank lines. The op
-records are plain slotted dataclasses: a replay trace is parsed into one
-list whose records every instance reads and none writes.
+come back as one space) and apart from comments and blank lines.
+
+In memory an op is a plain tuple ``(kind, *fields)``: ``kind`` is the
+int code ``ALLOC``, ``WRITE``, ``READ``, ``REF``, ``ROOT`` or ``UNROOT``
+(1 to 6, the line kinds in the order above) and the fields are the
+line's integers in line order, except that an allocation's large flag is
+a bool. Building, reading and dispatching an op enters no Python frame.
 
 ``load_trace`` reads text exactly as ``serialize_trace`` (``gen-trace``)
 writes it in bulk: it checks it a block of lines at a time with one
-regex and converts each block's integers in one ``json.loads`` call. From
-the first block that holds any other text it reads line by line through
-``parse_trace``, with the same records and the same errors. A file that is not UTF-8 is a ``TraceError``
-at the line of its first invalid byte.
+regex and converts each block's integers in one ``json.loads`` call, so
+it enters Python frames per block, not per op. From the first block that
+holds any other text it reads line by line through ``parse_trace``, with
+the same ops and the same errors. A file that is not UTF-8 is a
+``TraceError`` at the line of its first invalid byte.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from bisect import bisect
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from itertools import islice
-from math import exp, isfinite
-from operator import attrgetter
+from math import exp, isfinite, log, sqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .errors import ConfigError, TraceError
@@ -49,76 +53,31 @@ if TYPE_CHECKING:  # pragma: no cover - heap imports config, which imports this 
     from .heap import HeapInstance
 
 
-@dataclass(slots=True)
-class Alloc:
-    oid: int
-    size: int
-    n_refs: int
-    large: bool
+# The kind codes of an op tuple (see the module docstring), which are
+# also the codes ``load_trace`` reads kind letters as.
+ALLOC, WRITE, READ, REF, ROOT, UNROOT = range(1, 7)
+
+# Each kind letter's code and field count.
+_KINDS = {"A": (ALLOC, 4), "W": (WRITE, 3), "R": (READ, 3), "P": (REF, 3), "G": (ROOT, 1), "U": (UNROOT, 1)}
+
+# Each kind code's text line, a %-format of the op's fields.
+_LINES = {code: letter + " %d" * count + "\n" for letter, (code, count) in _KINDS.items()}
 
 
-@dataclass(slots=True)
-class WriteOp:
-    oid: int
-    offset: int
-    length: int
-
-
-@dataclass(slots=True)
-class ReadOp:
-    oid: int
-    offset: int
-    length: int
-
-
-@dataclass(slots=True)
-class RefOp:
-    parent: int
-    slot: int
-    child: int  # 0 means null
-
-
-@dataclass(slots=True)
-class RootOp:
-    oid: int
-
-
-@dataclass(slots=True)
-class UnrootOp:
-    oid: int
-
-
-TraceOp = Alloc | WriteOp | ReadOp | RefOp | RootOp | UnrootOp
-
-
-# Each record's text line: a %-format and the getter of its fields.
-_LINES = {
-    Alloc: ("A %d %d %d %d\n", attrgetter("oid", "size", "n_refs", "large")),
-    WriteOp: ("W %d %d %d\n", attrgetter("oid", "offset", "length")),
-    ReadOp: ("R %d %d %d\n", attrgetter("oid", "offset", "length")),
-    RefOp: ("P %d %d %d\n", attrgetter("parent", "slot", "child")),
-    RootOp: ("G %d\n", attrgetter("oid")),
-    UnrootOp: ("U %d\n", attrgetter("oid")),
-}
-
-
-def serialize_trace(ops: Iterable[TraceOp], out: TextIO) -> int:
+def serialize_trace(ops: Iterable[tuple], out: TextIO) -> int:
     """Write ``ops`` to ``out``, one line each; returns the number written."""
     lines = _LINES
     write = out.write
     n = 0
     for op in ops:
         try:
-            fmt, fields = lines[op.__class__]
-        except KeyError:
+            line = lines[op[0]] % op[1:]
+        except (KeyError, IndexError, TypeError):  # an unknown kind or a wrong field count
             raise TraceError(f"cannot serialize {op!r}") from None
-        write(fmt % fields(op))
+        write(line)
         n += 1
     return n
 
-
-# Op kinds whose fields are the record's fields, in order.
-_PLAIN_KINDS = {"W": WriteOp, "R": ReadOp, "P": RefOp, "G": RootOp, "U": UnrootOp}
 
 # A field with a leading zero, or a negative zero: ``int()`` reads both,
 # but neither serializes back. Every integer field follows whitespace.
@@ -126,9 +85,9 @@ _PLAIN_KINDS = {"W": WriteOp, "R": ReadOp, "P": RefOp, "G": RootOp, "U": UnrootO
 _LEADING_ZERO = re.compile(r"\s(?:-0|0\d)")
 
 
-def parse_trace(lines: Iterable[str], first_line: int = 1) -> Iterator[TraceOp]:
-    """The records of ``lines``, which are numbered from ``first_line`` in errors."""
-    plain_kinds = _PLAIN_KINDS
+def parse_trace(lines: Iterable[str], first_line: int = 1) -> Iterator[tuple]:
+    """The ops of ``lines``, which are numbered from ``first_line`` in errors."""
+    kinds = _KINDS
     leading_zero = _LEADING_ZERO.search
     for lineno, raw in enumerate(lines, start=first_line):
         fields = raw.split()
@@ -141,21 +100,20 @@ def parse_trace(lines: Iterable[str], first_line: int = 1) -> Iterator[TraceOp]:
             vals = [*map(int, fields[1:])]  # no comprehension frame per line
         except ValueError as exc:
             raise TraceError(f"non-integer field in {raw.strip()!r}", line=lineno) from exc
-        try:
-            if kind == "A":
-                oid, size, n_refs, large = vals
-                if oid <= 0:
-                    raise TraceError(f"allocation id {oid} must be positive", line=lineno)
-                if large != 0 and large != 1:
-                    raise TraceError(f"large flag {large} must be 0 or 1", line=lineno)
-                yield Alloc(oid, size, n_refs, large == 1)
-            else:
-                cls = plain_kinds.get(kind)
-                if cls is None:
-                    raise TraceError(f"unknown op kind {kind!r}", line=lineno)
-                yield cls(*vals)
-        except (TypeError, ValueError) as exc:
-            raise TraceError(f"wrong field count in {raw.strip()!r}", line=lineno) from exc
+        if kind not in kinds:
+            raise TraceError(f"unknown op kind {kind!r}", line=lineno)
+        code, count = kinds[kind]
+        if len(vals) != count:
+            raise TraceError(f"wrong field count in {raw.strip()!r}", line=lineno)
+        if code == ALLOC:
+            oid, size, n_refs, large = vals
+            if oid <= 0:
+                raise TraceError(f"allocation id {oid} must be positive", line=lineno)
+            if large != 0 and large != 1:
+                raise TraceError(f"large flag {large} must be 0 or 1", line=lineno)
+            yield (ALLOC, oid, size, n_refs, large == 1)
+        else:
+            yield (code, *vals)
 
 
 # A block of whole lines exactly as ``serialize_trace`` writes them:
@@ -168,14 +126,14 @@ _SERIALIZED_LINES = re.compile(
     rf"(?:(?:A [1-9][0-9]* {_INT} {_INT} [01]|[WRP] {_INT} {_INT} {_INT}|[GU] {_INT})\n)*"
 )
 _BLOCK_CHARS = 1 << 16  # cut at the last line end within this many characters
-# Kind letters become codes 1-6 and separators commas, so a checked block
-# reads as one JSON list of ints.
-_KIND_CODES = str.maketrans("AWRPGU \n", "123456,,")
+# Kind letters become their codes and separators commas, so a checked
+# block reads as one JSON list of ints.
+_KIND_CODES = str.maketrans({letter: str(code) for letter, (code, _) in _KINDS.items()} | {" ": ",", "\n": ","})
 
 
-def _load_serialized(text: str, ops: list[TraceOp]) -> int:
-    """Append to ``ops`` the records of the leading blocks of ``text`` that
-    are exactly ``serialize_trace`` output; return where those blocks end."""
+def _load_serialized(text: str, ops: list[tuple]) -> int:
+    """Append to ``ops`` the ops of the leading blocks of ``text`` that are
+    exactly ``serialize_trace`` output; return where those blocks end."""
     append = ops.append
     pos, size = 0, len(text)
     while pos < size:
@@ -189,28 +147,22 @@ def _load_serialized(text: str, ops: list[TraceOp]) -> int:
         it = iter(vals)
         nxt = it.__next__
         for code in it:
-            if code == 1:
-                append(Alloc(nxt(), nxt(), nxt(), nxt() == 1))
-            elif code == 5:
-                append(RootOp(nxt()))
-            elif code == 2:
-                append(WriteOp(nxt(), nxt(), nxt()))
-            elif code == 6:
-                append(UnrootOp(nxt()))
-            elif code == 3:
-                append(ReadOp(nxt(), nxt(), nxt()))
+            if code == ALLOC:
+                append((ALLOC, nxt(), nxt(), nxt(), nxt() == 1))
+            elif code >= ROOT:  # ROOT or UNROOT, the one-field kinds
+                append((code, nxt()))
             else:
-                append(RefOp(nxt(), nxt(), nxt()))
+                append((code, nxt(), nxt(), nxt()))
         pos = end
     return pos
 
 
-def load_trace(path: str) -> list[TraceOp]:
-    r"""Every record of the trace file at ``path``.
+def load_trace(path: str) -> list[tuple]:
+    r"""Every op of the trace file at ``path``.
 
     ``gen-trace`` output loads in bulk; from the first block that holds
     any other text, the file goes line by line through ``parse_trace``,
-    which gives the same records and raises the same errors. Lines end at
+    which gives the same ops and raises the same errors. Lines end at
     ``\n`` after the universal-newline translation of text-mode ``open``,
     never at the other characters ``str.splitlines`` cuts at.
     """
@@ -223,7 +175,7 @@ def load_trace(path: str) -> list[TraceOp]:
             raise TraceError(f"not UTF-8: byte {exc.start} ({exc.reason})", line=line) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    ops: list[TraceOp] = []
+    ops: list[tuple] = []
     pos = _load_serialized(text, ops)
     if pos < len(text):
         # the rest, from the first block that is not serialize_trace output,
@@ -316,42 +268,65 @@ def default_spec(archetype: str, op_count: int | None = None, seed: int = 0) -> 
     return WorkloadSpec(archetype, default_ops if op_count is None else op_count, seed, **overrides)
 
 
-def generate(spec: WorkloadSpec) -> Iterator[TraceOp]:
+def generate(spec: WorkloadSpec) -> Iterator[tuple]:
     """Deterministic op stream for ``spec``; exactly ``op_count`` ops.
 
     Each archetype is an unbounded generator capped here. Every op of a
     generator depends only on the draws before it, so a capped stream is
-    a prefix of a longer one and may end mid-pattern (an ``Alloc``
-    without its ``RootOp``).
+    a prefix of a longer one and may end mid-pattern (an allocation
+    without its root).
     """
     return islice(_ARCHETYPES[spec.archetype][0](spec), spec.op_count)
 
 
-# The generators draw only through public random.Random methods, bound
-# once; the stream pins in tests/test_workloads.py fix their draw order.
-# A weighted pick ``pop[bisect(cum_weights, random() * total, 0, len(pop) - 1)]``
-# is the expression rng.choices(pop, cum_weights=...) evaluates, and a
-# small-object size ``int(exp(normalvariate(mu, sigma)))`` is
-# int(rng.lognormvariate(mu, sigma)). Each op is built where it is
-# yielded, so one step of a stream runs in the generator's own frame.
+# The generators draw only through rng.random() and rng.getrandbits(),
+# bound once; the stream pins in tests/test_workloads.py fix their draw
+# order. Each draw is written out as the random.Random method named below
+# computes it, so a stream is the one that method gives (the pins were
+# recorded through those methods) and does not move with how a Python
+# version implements it:
+# - a draw ``i`` below ``n`` is ``while (i := bits(k)) >= n: pass`` with
+#   ``k = n.bit_length()`` (Random._randbelow), computed once where ``n``
+#   is constant; randrange(n) is ``i``, randrange(lo, hi) is ``lo`` plus
+#   a draw below ``hi - lo``, and choice(seq) is ``seq[i]`` for a draw
+#   below ``len(seq)``, which is never 0 where a generator draws;
+# - normalvariate(mu, sigma) is ``mu + z * sigma`` for the ``z`` of the
+#   Kinderman-Monahan loop with _NV_MAGICCONST, so a small-object size
+#   ``int(exp(mu + z * sigma))`` is int(rng.lognormvariate(mu, sigma));
+# - a weighted pick ``pop[bisect(cum_weights, random() * total, 0, len(pop) - 1)]``
+#   is rng.choices(pop, cum_weights=...).
+# Each op is a tuple built where it is yielded, so one step of a stream
+# runs in the generator's own frame and enters no other.
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
-def _gen_nursery_churn(spec: WorkloadSpec) -> Iterator[TraceOp]:
+def _gen_nursery_churn(spec: WorkloadSpec) -> Iterator[tuple]:
     rng = random.Random(spec.seed)
-    random_, choice, randrange, normalvariate = rng.random, rng.choice, rng.randrange, rng.normalvariate
+    random_, bits = rng.random, rng.getrandbits
     mu, sigma, size_min, size_max = spec.size_log_mean, spec.size_log_sigma, spec.size_min, spec.size_max
     survival, locality = spec.survival, spec.locality
+    lengths = (8, 16, 32, 64)
+    n_lengths = len(lengths)
+    k_lengths = n_lengths.bit_length()
+    delay_min, n_delays = 600, 3001 - 600  # randrange(600, 3001)
+    k_delays = n_delays.bit_length()
     allocs = 0  # also the id of the latest allocation
     recent: list[tuple[int, int, int]] = []  # (id, size, n_refs), ring of the young set
     retained: list[tuple[int, int, int]] = []
     deaths: list[tuple[int, int]] = []  # heap of (due_alloc_count, id)
     while True:
         while deaths and deaths[0][0] <= allocs:
-            yield UnrootOp(heappop(deaths)[1])
+            yield (UNROOT, heappop(deaths)[1])
         r = random_()
         if r < 0.42 or not recent:
             n_refs = (0, 1, 2, 3)[bisect((4, 7, 9, 10), random_() * 10.0, 0, 3)]  # weights 4:3:2:1
-            size = max(size_min, min(size_max, int(exp(normalvariate(mu, sigma)))), 16 + 8 * n_refs)
+            while True:
+                u1 = random_()
+                u2 = 1.0 - random_()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            size = max(size_min, min(size_max, int(exp(mu + z * sigma))), 16 + 8 * n_refs)
             allocs += 1
             entry = (allocs, size, n_refs)
             if len(recent) < 512:
@@ -362,33 +337,65 @@ def _gen_nursery_churn(spec: WorkloadSpec) -> Iterator[TraceOp]:
                 retained.append(entry)
             else:
                 # delay > ring size, so dead ids are never picked as targets
-                heappush(deaths, (allocs + randrange(600, 3001), allocs))
-            yield Alloc(allocs, size, n_refs, False)
-            yield RootOp(allocs)
+                while (i := bits(k_delays)) >= n_delays:
+                    pass
+                heappush(deaths, (allocs + delay_min + i, allocs))
+            yield (ALLOC, allocs, size, n_refs, False)
+            yield (ROOT, allocs)
         elif r < 0.76:
             pool = recent if (random_() < locality or not retained) else retained
-            oid, size, _ = choice(pool)
-            length = min(choice((8, 16, 32, 64)), size)
-            yield WriteOp(oid, randrange(size - length + 1), length)
+            n = len(pool)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            oid, size, _ = pool[i]
+            while (i := bits(k_lengths)) >= n_lengths:
+                pass
+            length = min(lengths[i], size)
+            n = size - length + 1
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            yield (WRITE, oid, i, length)
         elif r < 0.88:
-            oid, size, _ = choice(recent)
+            n = len(recent)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            oid, size, _ = recent[i]
             length = min(32, size)
-            yield ReadOp(oid, randrange(size - length + 1), length)
+            n = size - length + 1
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            yield (READ, oid, i, length)
         else:
             parent_pool = retained if (retained and random_() < 0.5) else recent
-            pid, psize, pslots = choice(parent_pool)
+            n = len(parent_pool)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            pid, psize, pslots = parent_pool[i]
             if pslots == 0:
-                yield WriteOp(pid, 0, min(8, psize))
+                yield (WRITE, pid, 0, min(8, psize))
             else:
-                child = 0 if random_() < 0.1 else choice(recent)[0]
-                yield RefOp(pid, randrange(pslots), child)
+                if random_() < 0.1:
+                    child = 0
+                else:
+                    n = len(recent)
+                    while (i := bits(n.bit_length())) >= n:
+                        pass
+                    child = recent[i][0]
+                while (i := bits(pslots.bit_length())) >= pslots:
+                    pass
+                yield (REF, pid, i, child)
 
 
-def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
+def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[tuple]:
     rng = random.Random(spec.seed)
-    random_, choice, randrange, normalvariate = rng.random, rng.choice, rng.randrange, rng.normalvariate
+    random_, bits = rng.random, rng.getrandbits
     mu, sigma, size_min, size_max = spec.size_log_mean, spec.size_log_sigma, spec.size_min, spec.size_max
     locality, resident_bytes = spec.locality, spec.resident_bytes
+    lengths = (8, 16, 32, 64, 128)
+    n_lengths = len(lengths)
+    k_lengths = n_lengths.bit_length()
+    delay_min, n_delays = 30_000, 55_001 - 30_000  # randrange(30_000, 55_001)
+    k_delays = n_delays.bit_length()
     allocs = 0  # also the id of the latest allocation
     resident: list[tuple[int, int, int]] = []
     hot: list[tuple[int, int, int]] = []  # leading slice of resident, kept incrementally
@@ -397,7 +404,7 @@ def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
     deaths: list[tuple[int, int]] = []
     while True:
         while deaths and deaths[0][0] <= allocs:
-            yield UnrootOp(heappop(deaths)[1])
+            yield (UNROOT, heappop(deaths)[1])
         building = resident_total < resident_bytes
         r = random_()
         if building and r < 0.55:
@@ -405,28 +412,57 @@ def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
         elif r < 0.30:
             into_resident = False
         elif r < 0.80 and resident:
+            # hot is never empty once resident is not
             pool = hot if random_() < locality else (recent or resident)
-            oid, size, _ = choice(pool)
-            length = min(choice((8, 16, 32, 64, 128)), size)
-            yield WriteOp(oid, randrange(size - length + 1), length)
+            n = len(pool)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            oid, size, _ = pool[i]
+            while (i := bits(k_lengths)) >= n_lengths:
+                pass
+            length = min(lengths[i], size)
+            n = size - length + 1
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            yield (WRITE, oid, i, length)
             continue
         elif r < 0.92 and resident:
-            oid, size, _ = choice(resident)
+            n = len(resident)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            oid, size, _ = resident[i]
             length = min(64, size)
-            yield ReadOp(oid, randrange(size - length + 1), length)
+            n = size - length + 1
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            yield (READ, oid, i, length)
             continue
         elif resident and recent:
-            pid, _, pslots = choice(resident)
+            n = len(resident)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            pid, _, pslots = resident[i]
             if pslots == 0:
                 oid, size, _ = resident[0]
-                yield WriteOp(oid, 0, min(8, size))
+                yield (WRITE, oid, 0, min(8, size))
             else:
-                yield RefOp(pid, randrange(pslots), choice(recent)[0])
+                while (slot := bits(pslots.bit_length())) >= pslots:
+                    pass
+                n = len(recent)
+                while (i := bits(n.bit_length())) >= n:
+                    pass
+                yield (REF, pid, slot, recent[i][0])
             continue
         else:
             into_resident = building
         n_refs = (0, 1, 2)[bisect((5, 8, 10), random_() * 10.0, 0, 2)]  # weights 5:3:2
-        size = max(size_min, min(size_max, int(exp(normalvariate(mu, sigma)))), 16 + 8 * n_refs)
+        while True:
+            u1 = random_()
+            u2 = 1.0 - random_()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        size = max(size_min, min(size_max, int(exp(mu + z * sigma))), 16 + 8 * n_refs)
         allocs += 1
         entry = (allocs, size, n_refs)
         if into_resident:
@@ -440,17 +476,26 @@ def _gen_mature_mutation(spec: WorkloadSpec) -> Iterator[TraceOp]:
             else:
                 recent[allocs % 256] = entry
             # middle-aged: survives a couple of nursery rounds, then dies
-            heappush(deaths, (allocs + randrange(30_000, 55_001), allocs))
-        yield Alloc(allocs, size, n_refs, False)
-        yield RootOp(allocs)
+            while (i := bits(k_delays)) >= n_delays:
+                pass
+            heappush(deaths, (allocs + delay_min + i, allocs))
+        yield (ALLOC, allocs, size, n_refs, False)
+        yield (ROOT, allocs)
 
 
-def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
+def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[tuple]:
     rng = random.Random(spec.seed)
-    random_, choice, randrange, normalvariate = rng.random, rng.choice, rng.randrange, rng.normalvariate
+    random_, bits = rng.random, rng.getrandbits
     mu, sigma, size_min, size_max = spec.size_log_mean, spec.size_log_sigma, spec.size_min, spec.size_max
     large_min, large_ratio = spec.large_min, spec.large_max / spec.large_min
     survival, locality, large_fraction = spec.survival, spec.locality, spec.large_fraction
+    large_lengths, small_lengths = (256, 512, 1024, 4096), (8, 16, 32, 64)
+    n_lengths = len(large_lengths)  # both have four
+    k_lengths = n_lengths.bit_length()
+    # (least delay, number of delays, bits per draw) of randrange(8_000, 16_001)
+    # for a surviving object and of randrange(100, 701) for any other
+    long_delays = (8_000, 16_001 - 8_000, (16_001 - 8_000).bit_length())
+    short_delays = (100, 701 - 100, (701 - 100).bit_length())
     allocs = 0  # also the id of the latest allocation
     hot_large: list[tuple[int, int, int]] = []  # long-lived, heavily written
     recent_large: list[tuple[int, int, int]] = []
@@ -468,38 +513,71 @@ def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
                 pool.remove(entry)
             except ValueError:
                 pass
-            yield UnrootOp(dead)
+            yield (UNROOT, dead)
         r = random_()
         if r < 0.40 or not (hot_large or recent_small):
             pass  # allocate, below
         elif r < 0.78:
             if hot_large and random_() < locality:
-                oid, size, _ = choice(hot_large)
-                length = min(choice((256, 512, 1024, 4096)), size)
+                pool, lengths = hot_large, large_lengths
             else:
-                oid, size, _ = choice(recent_small or hot_large)
-                length = min(choice((8, 16, 32, 64)), size)
-            yield WriteOp(oid, randrange(size - length + 1), length)
+                pool, lengths = recent_small or hot_large, small_lengths
+            n = len(pool)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            oid, size, _ = pool[i]
+            while (i := bits(k_lengths)) >= n_lengths:
+                pass
+            length = min(lengths[i], size)
+            n = size - length + 1
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            yield (WRITE, oid, i, length)
             continue
         elif r < 0.90:
-            oid, size, _ = choice(recent_large or hot_large or recent_small)
+            pool = recent_large or hot_large or recent_small
+            n = len(pool)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            oid, size, _ = pool[i]
             length = min(512, size)
-            yield ReadOp(oid, randrange(size - length + 1), length)
+            n = size - length + 1
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            yield (READ, oid, i, length)
             continue
         else:
             pools = tuple(filter(None, (recent_small, recent_large, hot_large)))
-            pid, _, pslots = choice(pools[allocs % len(pools)])
+            pool = pools[allocs % len(pools)]
+            n = len(pool)
+            while (i := bits(n.bit_length())) >= n:
+                pass
+            pid, _, pslots = pool[i]
             if pslots:
-                child_pool = recent_large or recent_small or hot_large
-                child = 0 if random_() < 0.1 else choice(child_pool)[0]
-                yield RefOp(pid, randrange(pslots), child)
+                if random_() < 0.1:
+                    child = 0
+                else:
+                    pool = recent_large or recent_small or hot_large
+                    n = len(pool)
+                    while (i := bits(n.bit_length())) >= n:
+                        pass
+                    child = pool[i][0]
+                while (i := bits(pslots.bit_length())) >= pslots:
+                    pass
+                yield (REF, pid, i, child)
                 continue
         large = random_() < large_fraction
         n_refs = (0, 1, 2, 4)[bisect((3, 6, 8, 10), random_() * 10.0, 0, 3)]  # weights 3:3:2:2
         if large:
             size = max(int(large_min * large_ratio ** random_()), 16 + 8 * n_refs)  # log-uniform
         else:
-            size = max(size_min, min(size_max, int(exp(normalvariate(mu, sigma)))), 16 + 8 * n_refs)
+            while True:
+                u1 = random_()
+                u2 = 1.0 - random_()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            size = max(size_min, min(size_max, int(exp(mu + z * sigma))), 16 + 8 * n_refs)
         allocs += 1
         entry = (allocs, size, n_refs)
         if large and len(hot_large) < HOT_TARGET:
@@ -510,14 +588,14 @@ def _gen_large_object_graph(spec: WorkloadSpec) -> Iterator[TraceOp]:
                 pool.append(entry)
             else:
                 pool[allocs % 128] = entry
-            if random_() < survival:
-                heappush(deaths, (allocs + randrange(8_000, 16_001), allocs, pool, entry))
-            else:
-                # die before the nursery turns over so admitted large objects
-                # are mostly reclaimed young instead of copied out
-                heappush(deaths, (allocs + randrange(100, 701), allocs, pool, entry))
-        yield Alloc(allocs, size, n_refs, large)
-        yield RootOp(allocs)
+            # a short delay dies before the nursery turns over, so admitted
+            # large objects are mostly reclaimed young instead of copied out
+            delay_min, n_delays, k_delays = long_delays if random_() < survival else short_delays
+            while (i := bits(k_delays)) >= n_delays:
+                pass
+            heappush(deaths, (allocs + delay_min + i, allocs, pool, entry))
+        yield (ALLOC, allocs, size, n_refs, large)
+        yield (ROOT, allocs)
 
 
 # Each archetype's generator, default op count, heap budget and the spec
@@ -544,14 +622,14 @@ ARCHETYPES = tuple(_ARCHETYPES)
 # trace driver
 
 
-def drive(heap: HeapInstance, ops: Iterator[TraceOp], limit: int | None = None) -> bool:
+def drive(heap: HeapInstance, ops: Iterator[tuple], limit: int | None = None) -> bool:
     """Apply up to ``limit`` ops to ``heap``; returns whether the stream ended.
 
     The heap's running op index counts the ops applied, and annotates
     trace errors with their position.
     """
-    # One identity test chain per op, most frequent kinds first; the heap
-    # methods are bound once per call, after any patching of the class.
+    # One test chain on the kind code per op, most frequent kinds first;
+    # the heap methods are bound once per call, after any patching of the class.
     alloc_object = heap.alloc_object
     write_data = heap.write_data
     set_root = heap.set_root
@@ -560,20 +638,20 @@ def drive(heap: HeapInstance, ops: Iterator[TraceOp], limit: int | None = None) 
     start = index = heap.op_index
     try:
         for op in islice(ops, limit):
-            cls = op.__class__
+            kind = op[0]
             try:
-                if cls is Alloc:
-                    alloc_object(op.oid, op.size, op.n_refs, op.large)
-                elif cls is WriteOp:
-                    write_data(op.oid, op.offset, op.length)
-                elif cls is RootOp:
-                    set_root(op.oid, True)
-                elif cls is UnrootOp:
-                    set_root(op.oid, False)
-                elif cls is ReadOp:
-                    read_data(op.oid, op.offset, op.length)
-                elif cls is RefOp:
-                    write_ref(op.parent, op.slot, op.child)
+                if kind == ALLOC:
+                    alloc_object(op[1], op[2], op[3], op[4])
+                elif kind == WRITE:
+                    write_data(op[1], op[2], op[3])
+                elif kind == ROOT:
+                    set_root(op[1], True)
+                elif kind == UNROOT:
+                    set_root(op[1], False)
+                elif kind == READ:
+                    read_data(op[1], op[2], op[3])
+                elif kind == REF:
+                    write_ref(op[1], op[2], op[3])
                 else:
                     raise TraceError(f"cannot apply {op!r}")
             except TraceError as exc:

@@ -7,10 +7,10 @@ expected live sets can be computed without trusting the collector.
 
 import random
 
+from hybridgc import workloads as wl
 from hybridgc.config import Collector
 from hybridgc.errors import HeapExhausted
 from hybridgc.heap import BOOT_OBJECT_REFS
-from hybridgc.workloads import Alloc, ReadOp, RefOp, RootOp, UnrootOp, WriteOp
 
 from support import KIB, MIB, small_heap
 
@@ -23,15 +23,15 @@ class ShadowGraph:
 
     def apply(self, op):
         match op:
-            case Alloc(oid=oid, n_refs=n):
+            case (wl.ALLOC, oid, _, n, _):
                 self.slots[oid] = [0] * n
-            case RefOp(parent=parent, slot=slot, child=child):
+            case (wl.REF, parent, slot, child):
                 self.slots[parent][slot] = child
-            case RootOp(oid=oid):
+            case (wl.ROOT, oid):
                 self.roots.add(oid)
-            case UnrootOp(oid=oid):
+            case (wl.UNROOT, oid):
                 self.roots.discard(oid)
-            case WriteOp() | ReadOp():
+            case (wl.WRITE | wl.READ, _, _, _):
                 pass
 
     def reachable(self) -> set[int]:
@@ -108,8 +108,8 @@ def random_ops(rng: random.Random, n_objects: int, boot_count: int) -> list:
             n_slots = rng.randrange(0, 4)
             size = max(rng.randrange(16, 512), 16 + 8 * n_slots)
             large = False
-        ops.append(Alloc(oid, size, n_slots, large))
-        ops.append(RootOp(oid))
+        ops.append((wl.ALLOC, oid, size, n_slots, large))
+        ops.append((wl.ROOT, oid))
         rooted.append(oid)
         meta[oid] = (size, n_slots)
 
@@ -119,10 +119,10 @@ def random_ops(rng: random.Random, n_objects: int, boot_count: int) -> list:
             tsize, tslots = meta[tid]
             if r < 0.30:
                 length = min(tsize, rng.choice((8, 32, 64)))
-                ops.append(WriteOp(tid, rng.randrange(0, tsize - length + 1), length))
+                ops.append((wl.WRITE, tid, rng.randrange(0, tsize - length + 1), length))
             elif r < 0.45:
                 length = min(tsize, 32)
-                ops.append(ReadOp(tid, rng.randrange(0, tsize - length + 1), length))
+                ops.append((wl.READ, tid, rng.randrange(0, tsize - length + 1), length))
             elif r < 0.80:
                 if rng.random() < 0.15:
                     pid, pslots = boot_id(rng, boot_count), BOOT_OBJECT_REFS
@@ -138,31 +138,31 @@ def random_ops(rng: random.Random, n_objects: int, boot_count: int) -> list:
                     child = boot_id(rng, boot_count)
                 else:
                     child = rooted[rng.randrange(len(rooted))]
-                ops.append(RefOp(pid, rng.randrange(pslots), child))
+                ops.append((wl.REF, pid, rng.randrange(pslots), child))
                 if child > 0 and child != pid and len(rooted) > 4 and rng.random() < 0.4:
                     # now held only through that edge, or garbage once
                     # the slot is overwritten; either way never targeted again
-                    ops.append(UnrootOp(child))
+                    ops.append((wl.UNROOT, child))
                     rooted.remove(child)
             elif len(rooted) > 4:
                 victim = rooted.pop(rng.randrange(len(rooted)))
-                ops.append(UnrootOp(victim))
+                ops.append((wl.UNROOT, victim))
     return ops
 
 
 def apply_op(heap, op) -> None:
     match op:
-        case Alloc(oid, size, n_refs, large):
+        case (wl.ALLOC, oid, size, n_refs, large):
             heap.alloc_object(oid, size, n_refs, large)
-        case WriteOp(oid, offset, length):
+        case (wl.WRITE, oid, offset, length):
             heap.write_data(oid, offset, length)
-        case ReadOp(oid, offset, length):
+        case (wl.READ, oid, offset, length):
             heap.read_data(oid, offset, length)
-        case RefOp(parent, slot, child):
+        case (wl.REF, parent, slot, child):
             heap.write_ref(parent, slot, child)
-        case RootOp(oid):
+        case (wl.ROOT, oid):
             heap.set_root(oid, True)
-        case UnrootOp(oid):
+        case (wl.UNROOT, oid):
             heap.set_root(oid, False)
 
 

@@ -1,5 +1,8 @@
 """Builders shared by the test modules."""
 
+import gc
+import sys
+
 from hybridgc.collectors import build_instance
 from hybridgc.config import ExperimentConfig
 from hybridgc.harness import build_system
@@ -74,3 +77,26 @@ def reserve_every_free_chunk(heap) -> None:
     for free_list in (layout.pcm, layout.dram):
         while free_list.free_indices:
             heap.reserved.add(free_list.reserve("filler"))
+
+
+def entered_codes(fn, *args) -> tuple[object, list]:
+    """``fn(*args)`` and the code object of every Python frame it enters,
+    in order; a builtin ``fn`` enters none itself. The cyclic collector is
+    paused meanwhile: the ``gc.callbacks`` a collection runs (a library
+    such as hypothesis adds some) are not frames that ``fn`` enters."""
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+    return result, entered

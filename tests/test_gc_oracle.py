@@ -7,7 +7,7 @@ import pytest
 from hybridgc.collectors import build_instance
 from hybridgc.config import Collector
 from hybridgc.harness import build_system
-from hybridgc.workloads import Alloc, RootOp, WriteOp
+from hybridgc.workloads import ALLOC, ROOT, WRITE
 
 from gc_reference import apply_op, check_collections, check_spaces, random_ops
 from support import KIB, MIB, small_config
@@ -56,8 +56,8 @@ def test_records_point_at_their_own_heaps_spaces(variant):
     kids = [space.kid for heap in heaps for space in heap.spaces.values()]
     assert len(set(kids)) == len(kids)
     hot = 100_000  # above every id of the random trace
-    hot_ops = [Alloc(hot, 16 * KIB, 0, True), RootOp(hot)]
-    hot_ops += [WriteOp(hot, 0, 8)] * config.large_relocation_threshold
+    hot_ops = [(ALLOC, hot, 16 * KIB, 0, True), (ROOT, hot)]
+    hot_ops += [(WRITE, hot, 0, 8)] * config.large_relocation_threshold
     for seed, heap in enumerate(heaps):
         collections = 0
         for op in hot_ops + random_ops(random.Random(seed), 1000, len(heap.boot_ids)):

@@ -28,7 +28,7 @@ from hybridgc.harness import (
 )
 from hybridgc.heap import HeapInstance
 from hybridgc.memory import lifetime_years
-from hybridgc.workloads import ReadOp, WorkloadSpec, WriteOp, default_spec, generate, serialize_trace
+from hybridgc.workloads import READ, WRITE, WorkloadSpec, default_spec, generate, serialize_trace
 
 from support import KIB, MIB
 
@@ -296,7 +296,8 @@ class TestMultiprogram:
 
     @pytest.mark.parametrize("instances", [1, 4])
     def test_a_replay_consumes_its_parsed_ops_without_writing_them(self, tmp_path, monkeypatch, instances):
-        """The run takes every op out of the one parsed list, and writes no record."""
+        """The run takes every op out of the one parsed list, and the ops it
+        took still serialize back to the file."""
         path = tmp_path / "churn.trace"
         with open(path, "w", encoding="utf-8") as fh:
             serialize_trace(generate(default_spec("nursery-churn", op_count=6_000, seed=3)), fh)
@@ -305,7 +306,7 @@ class TestMultiprogram:
 
         def capture(trace_path):
             ops = load_trace(trace_path)
-            parsed.append((ops, list(ops)))  # the list the run gets, and a copy holding the same records
+            parsed.append((ops, list(ops)))  # the list the run gets, and a copy holding the same ops
             return ops
 
         monkeypatch.setattr(harness, "load_trace", capture)
@@ -317,13 +318,13 @@ class TestMultiprogram:
         assert [r.ops_executed for r in report.rows] == [6_000] * instances
         assert report.aggregate.minor_collections > 0
         assert len(parsed) == 1
-        ops, records = parsed[0]
+        ops, taken = parsed[0]
         assert ops == []
         out = io.StringIO()
-        serialize_trace(records, out)
+        serialize_trace(taken, out)
         assert out.getvalue().encode("utf-8") == path.read_bytes()
-        # op records compare by class as well as by fields
-        assert WriteOp(1, 2, 3) != ReadOp(1, 2, 3)
+        # ops compare by kind as well as by fields
+        assert (WRITE, 1, 2, 3) != (READ, 1, 2, 3)
 
     def test_a_failed_round_counts_only_completed_slices(self, tmp_path):
         """The failing slice's ops and collections count in the failing instance's row alone."""

@@ -1,5 +1,3 @@
-import gc
-import sys
 import tracemalloc
 
 import pytest
@@ -26,7 +24,7 @@ from hybridgc.heap import (
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system
 from hybridgc.memory import MemorySystem
-from support import KIB, MIB, ONE_OP, per_key, reserve_every_free_chunk, small_config, small_heap
+from support import KIB, MIB, ONE_OP, entered_codes, per_key, reserve_every_free_chunk, small_config, small_heap
 
 
 def test_align8():
@@ -407,22 +405,8 @@ class TestFrameBudget:
 
     def frames(self, op, *args) -> list[str]:
         """The frames ``op(*args)`` enters, with no cyclic collection's frames among them."""
-        entered = []
-
-        def profile(frame, event, _arg):
-            if event == "call":
-                entered.append(self.NAMES.get(frame.f_code, frame.f_code.co_qualname))
-
-        was_enabled = gc.isenabled()
-        gc.disable()
-        sys.setprofile(profile)
-        try:
-            op(*args)
-        finally:
-            sys.setprofile(None)
-            if was_enabled:
-                gc.enable()
-        return entered
+        _, entered = entered_codes(op, *args)
+        return [self.NAMES.get(code, code.co_qualname) for code in entered]
 
     @pytest.mark.parametrize("variant", ["KG-W", "PCM-Only"])
     def test_each_op_runs_in_its_budget(self, variant):

@@ -3,7 +3,6 @@
 import hashlib
 import io
 import os
-import sys
 import tempfile
 from dataclasses import asdict, replace
 from itertools import islice
@@ -16,16 +15,17 @@ from hybridgc import workloads
 from hybridgc.address_space import MemoryKind
 from hybridgc.cli import main
 from hybridgc.errors import ConfigError, TraceError
+from hybridgc.harness import derive_seed
 from hybridgc.heap import BOOT
 from hybridgc.workloads import (
+    ALLOC,
     ARCHETYPES,
-    Alloc,
-    ReadOp,
-    RefOp,
-    RootOp,
-    UnrootOp,
+    READ,
+    REF,
+    ROOT,
+    UNROOT,
+    WRITE,
     WorkloadSpec,
-    WriteOp,
     default_spec,
     drive,
     generate,
@@ -34,18 +34,18 @@ from hybridgc.workloads import (
     serialize_trace,
 )
 
-from support import KIB, MIB, per_key, small_heap
+from support import KIB, MIB, entered_codes, per_key, small_heap
 
 HANDWRITTEN = [
-    Alloc(1, 128, 2, False),
-    Alloc(2, 16 * KIB, 0, True),
-    WriteOp(1, 0, 64),
-    ReadOp(2, 4096, 512),
-    RefOp(1, 0, 2),
-    RefOp(1, 1, 0),  # clearing a slot
-    RefOp(-3, 0, 1),  # boot-image parent
-    RootOp(1),
-    UnrootOp(1),
+    (ALLOC, 1, 128, 2, False),
+    (ALLOC, 2, 16 * KIB, 0, True),
+    (WRITE, 1, 0, 64),
+    (READ, 2, 4096, 512),
+    (REF, 1, 0, 2),
+    (REF, 1, 1, 0),  # clearing a slot
+    (REF, -3, 0, 1),  # boot-image parent
+    (ROOT, 1),
+    (UNROOT, 1),
 ]
 
 
@@ -66,7 +66,7 @@ def outcome(read):
 
 def loaded(text: str):
     """``load_trace`` of ``text`` written to a file, checked against
-    ``parse_trace`` over the file's lines: the same records (compared by
+    ``parse_trace`` over the file's lines: the same ops (compared by
     ``repr``, so a large flag must be the same bool), or a TraceError
     with the same args and line, which is returned as ``outcome`` gives it."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,8 +94,8 @@ class TestGrammar:
 
     def test_comments_and_blank_lines_are_skipped(self):
         text = "# header\n\n   \nA 1 64 0 0\n  # indented comment\nG 1\n"
-        assert list(parse_trace(text.splitlines())) == [Alloc(1, 64, 0, False), RootOp(1)]
-        assert loaded(text) == [Alloc(1, 64, 0, False), RootOp(1)]
+        assert list(parse_trace(text.splitlines())) == [(ALLOC, 1, 64, 0, False), (ROOT, 1)]
+        assert loaded(text) == [(ALLOC, 1, 64, 0, False), (ROOT, 1)]
 
     # The lines that may precede a bad one: a comment, a tab-indented
     # comment and a whitespace-only line.
@@ -162,33 +162,33 @@ class TestGrammar:
     @given(
         st.lists(
             st.one_of(
-                st.builds(
-                    Alloc,
+                st.tuples(
+                    st.just(ALLOC),
                     st.integers(1, 10**6),
                     st.integers(16, 64 * KIB),
                     st.integers(0, 32),
                     st.booleans(),
                 ),
-                st.builds(
-                    WriteOp,
+                st.tuples(
+                    st.just(WRITE),
                     st.integers(-64, 10**6).filter(bool),
                     st.integers(0, 1 << 20),
                     st.integers(0, 4 * KIB),
                 ),
-                st.builds(
-                    ReadOp,
+                st.tuples(
+                    st.just(READ),
                     st.integers(-64, 10**6).filter(bool),
                     st.integers(0, 1 << 20),
                     st.integers(0, 4 * KIB),
                 ),
-                st.builds(
-                    RefOp,
+                st.tuples(
+                    st.just(REF),
                     st.integers(-64, 10**6).filter(bool),
                     st.integers(0, 64),
                     st.integers(0, 10**6),
                 ),
-                st.builds(RootOp, st.integers(1, 10**6)),
-                st.builds(UnrootOp, st.integers(1, 10**6)),
+                st.tuples(st.just(ROOT), st.integers(1, 10**6)),
+                st.tuples(st.just(UNROOT), st.integers(1, 10**6)),
             ),
             max_size=60,
         )
@@ -256,6 +256,17 @@ class TestGrammar:
     )
     def test_load_trace_reads_what_parse_trace_reads(self, text, expected):
         assert loaded(text) == expected
+
+    @pytest.mark.parametrize(
+        "op",
+        ["W 1 0 8", (7, 1, 0, 8), (0,), (WRITE, 1, 0), (ALLOC, 1, 64, 0, False, 9), (ROOT,), ()],
+        ids=["text-line", "code-7", "code-0", "short-write", "long-alloc", "bare-root", "empty"],
+    )
+    def test_a_malformed_op_is_not_serialized(self, op):
+        out = io.StringIO()
+        with pytest.raises(TraceError, match=r"^cannot serialize "):
+            serialize_trace([(ROOT, 1), op, (ROOT, 2)], out)
+        assert out.getvalue() == "G 1\n"
 
     def test_load_trace_rejects_a_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -379,11 +390,11 @@ class TestGenerators:
         died: dict[int, int] = {}
         allocs = 0
         for op in generate(spec):
-            if isinstance(op, Alloc):
+            if op[0] == ALLOC:
                 allocs += 1
-                born_at[op.oid] = allocs
-            elif isinstance(op, UnrootOp):
-                died[op.oid] = allocs
+                born_at[op[1]] = allocs
+            elif op[0] == UNROOT:
+                died[op[1]] = allocs
         # ids born early enough that a scheduled death fits in the trace
         early = {oid for oid, born in born_at.items() if born <= allocs // 2}
         early_deaths = [died[oid] - born_at[oid] for oid in early if oid in died]
@@ -418,30 +429,35 @@ class TestGenerators:
         old_bytes = 0
         total_bytes = 0
         for index, op in enumerate(ops):
-            if isinstance(op, Alloc):
-                birth[op.oid] = cursor
-                cursor += op.size
-            elif isinstance(op, WriteOp) and index >= len(ops) // 2:
+            if op[0] == ALLOC:
+                _, oid, size, _, _ = op
+                birth[oid] = cursor
+                cursor += size
+            elif op[0] == WRITE and index >= len(ops) // 2:
                 # steady state: the long-lived set is in place by mid-trace
-                total_bytes += op.length
-                if cursor - birth[op.oid] >= 4 * MIB:
-                    old_bytes += op.length
+                _, oid, _, length = op
+                total_bytes += length
+                if cursor - birth[oid] >= 4 * MIB:
+                    old_bytes += length
         assert total_bytes > 0
         assert old_bytes > 0.5 * total_bytes
 
     def test_large_object_graph_allocates_large_and_links(self):
         spec = default_spec("large-object-graph", op_count=8000, seed=5)
         ops = list(generate(spec))
-        alloc_bytes = sum(op.size for op in ops if isinstance(op, Alloc))
-        large_bytes = sum(op.size for op in ops if isinstance(op, Alloc) and op.large)
+        allocs = [op for op in ops if op[0] == ALLOC]  # (ALLOC, id, size, n_refs, large)
+        alloc_bytes = sum(op[2] for op in allocs)
+        large_bytes = sum(op[2] for op in allocs if op[4])
         assert large_bytes >= 0.25 * alloc_bytes
-        assert any(isinstance(op, Alloc) and not op.large for op in ops)
-        assert any(isinstance(op, RefOp) for op in ops)
+        assert any(not op[4] for op in allocs)
+        assert any(op[0] == REF for op in ops)
 
 
-def stream_sha256(archetype: str, count: int, seed: int) -> str:
+def stream_sha256(archetype: str, count: int, seed: int, **fields) -> str:
+    """SHA-256 of the stream of the archetype's spec with ``fields`` replaced."""
+    spec = replace(default_spec(archetype, op_count=count, seed=seed), **fields)
     # the pins hash the lines joined by newlines, with no newline after the last
-    text = serialized(generate(default_spec(archetype, op_count=count, seed=seed))).removesuffix("\n")
+    text = serialized(generate(spec)).removesuffix("\n")
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -463,7 +479,7 @@ def test_generated_streams_are_pinned(archetype):
 
 # The same digests at the benchmark's op counts and at its two seeds, and
 # at 1, 2 and 3 ops (seed 42), where the count ends the stream inside an
-# allocation's Alloc/RootOp pair or just after it. Recorded from the
+# allocation's ALLOC/ROOT pair or just after it. Recorded from the
 # generators that buffered each loop turn's ops and dropped those past
 # the count.
 BENCH_STREAM_SHA256 = {
@@ -490,54 +506,93 @@ def test_benchmark_scale_streams_are_pinned(archetype, count, seed):
     assert stream_sha256(archetype, count, seed) == BENCH_STREAM_SHA256[archetype, count, seed]
 
 
-RECORDS = (Alloc, WriteOp, ReadOp, RefOp, RootOp, UnrootOp)
+# The same digests for the benchmark's other pooled large-object-graph
+# inputs: input k of seed s is generated at the master seed
+# derive_seed(s, k). Recorded from the generators that drew through
+# rng.choice, rng.randrange and rng.normalvariate.
+POOLED_STREAM_SHA256 = {
+    (42, 1): "a55f2e19e66280b34ac0d781ed94652e7798acf4da7d090c574ce78ff771a8b1",
+    (42, 2): "acee09337df07badfa87c80417a76a5ad702c648aabff945dae4fe563b2364e4",
+    (42, 3): "0dd953030edd1c04f334c8c811c6c7a919cfb70d1f36f1df1448e02a219f111e",
+    (20180800, 1): "43ef37eef4836d67361d0fe6d833282b5f0bf9d550b4401884579b960f6637c9",
+    (20180800, 2): "900cdec1f7731b1f3b6f6da991ba3f6f5f3b675a25e8889b4dddc38ae779e562",
+    (20180800, 3): "214ded538e93b127331fca57c93acb8f467e9ff46384ef97beb67060a0306493",
+}
+
+
+@pytest.mark.parametrize("seed,k", sorted(POOLED_STREAM_SHA256))
+def test_pooled_benchmark_inputs_are_pinned(seed, k):
+    digest = stream_sha256("large-object-graph", 16_000, derive_seed(seed, k))
+    assert digest == POOLED_STREAM_SHA256[seed, k]
+
+
+# The same digests at seed 7, 5,000 ops, under a spec whose survival,
+# locality, large fraction and resident set send the generators down the
+# branches their defaults rarely take. Recorded alongside the pooled pins.
+SKEWED = {"survival": 0.5, "locality": 0.2, "large_fraction": 0.6, "resident_bytes": 64 * KIB}
+SKEWED_STREAM_SHA256 = {
+    "nursery-churn": "c27ec26ef3d025762d741d2d004eb250ac6e7ceb12186fd9580acddd76ab30b5",
+    "mature-mutation": "1ba668c79388eb2dc78dbb42c998562d6fd6b15c599668c13a7e84d80525e3bb",
+    "large-object-graph": "9a106e7d5d75a559b7fccd4f51bfe9d18654b0bde1e42a98b44791a2f41f8418",
+}
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_skewed_spec_streams_are_pinned(archetype):
+    assert stream_sha256(archetype, 5_000, 7, **SKEWED) == SKEWED_STREAM_SHA256[archetype]
 
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
 def test_each_generated_op_runs_in_its_frame_budget(archetype):
-    """A step of a stream enters, of the frames defined in this package's
-    workloads module, only its generator and the yielded record's
-    ``__init__``. A helper frame added back to a generator fails here."""
-    # keyed by identity: records with the same fields have equal __init__ code
-    names = {id(cls.__init__.__code__): f"{cls.__name__}.__init__" for cls in RECORDS}
-    entered: list[str] = []
-
-    def profile(frame, event, _arg):
-        code = frame.f_code
-        if event == "call" and (id(code) in names or code.co_filename == workloads.__file__):
-            entered.append(names.get(id(code), code.co_qualname))
-
+    """A step of a stream enters only its generator's frame, from any
+    module: no ``__init__`` of an op object, no ``random.Random`` method
+    and no helper. The first step, which also seeds the generator's
+    ``random.Random``, is taken before the count starts."""
     generator = "_gen_" + archetype.replace("-", "_")
     # a small resident set, so that mature-mutation's first unroots come
     # before op 150,000 (the other archetypes build no resident set)
     stream = generate(replace(default_spec(archetype, op_count=160_000, seed=7), resident_bytes=64 * KIB))
+    next(stream)
     kinds = set()
-    for skip in (0, 150_000 - 2_000):
+    for skip in (0, 150_000 - 2_001):
         for _ in islice(stream, skip):
             pass
         for _ in range(2_000):
-            entered.clear()
-            sys.setprofile(profile)
-            try:
-                op = next(stream)
-            finally:
-                sys.setprofile(None)
-            assert entered == [generator, f"{type(op).__name__}.__init__"]
-            kinds.add(type(op))
-    assert kinds == set(RECORDS)
+            op, entered = entered_codes(next, stream)
+            assert [code.co_qualname for code in entered] == [generator]
+            kinds.add(op[0])
+    assert kinds == {ALLOC, WRITE, READ, REF, ROOT, UNROOT}
+
+
+def test_a_bulk_load_enters_frames_per_block_not_per_op(tmp_path):
+    """Loading ``gen-trace`` output enters a few Python frames for each
+    64 KiB block and none for each op: twice the ops add at most four
+    frames per added block, where an ``__init__`` per op would add one
+    per op."""
+    frames, blocks = [], []
+    for count in (12_000, 24_000):
+        path = tmp_path / f"{count}.trace"
+        argv = ["gen-trace", "--archetype", "nursery-churn", "--seed", "5", "--ops", str(count), "--out", str(path)]
+        assert main(argv) == 0
+        ops, entered = entered_codes(load_trace, str(path))
+        assert len(ops) == count
+        frames.append(len(entered))
+        blocks.append(-(-path.stat().st_size // workloads._BLOCK_CHARS))
+    assert blocks[1] > blocks[0]
+    assert frames[1] - frames[0] <= 4 * (blocks[1] - blocks[0])
 
 
 class TestDriver:
     def test_limit_slices_the_stream(self):
         heap, _ = small_heap("KG-N", zeroing=False)
-        ops = iter([Alloc(1, 64, 0, False), RootOp(1)])
+        ops = iter([(ALLOC, 1, 64, 0, False), (ROOT, 1)])
         assert drive(heap, ops, limit=1) is False and heap.op_index == 1
         assert drive(heap, ops, limit=1) is False and heap.op_index == 2
         assert drive(heap, ops, limit=1) is True and heap.op_index == 2
 
     def test_no_limit_runs_to_exhaustion(self):
         heap, _ = small_heap("KG-N", zeroing=False)
-        ops = [Alloc(i, 64, 0, False) for i in (1, 2, 3)]
+        ops = [(ALLOC, i, 64, 0, False) for i in (1, 2, 3)]
         assert drive(heap, iter(ops)) is True
         assert heap.op_index == 3
 
@@ -545,22 +600,23 @@ class TestDriver:
         heap, _ = small_heap("KG-N", nursery=8 * KIB, budget=1 * MIB, zeroing=False)
         ops = []
         for oid in (1, 2, 3):
-            ops.append(Alloc(oid, 4 * KIB, 0, False))
-            ops.append(RootOp(oid))
+            ops.append((ALLOC, oid, 4 * KIB, 0, False))
+            ops.append((ROOT, oid))
         assert drive(heap, iter(ops)) is True and heap.op_index == 6
         assert [s.kind for s in heap.gc.collections] == ["minor"]
         assert heap.objects[3].space.name == "nursery"
 
-    def test_unknown_op_is_rejected_at_its_position(self):
+    @pytest.mark.parametrize("op", ["W 1 0 8", (7, 1, 0, 8), (0,)], ids=["text-line", "code-7", "code-0"])
+    def test_unknown_op_is_rejected_at_its_position(self, op):
         heap, _ = small_heap("KG-N", zeroing=False)
         with pytest.raises(TraceError, match="cannot apply") as err:
-            drive(heap, iter([Alloc(1, 64, 0, False), "W 1 0 8"]))
+            drive(heap, iter([(ALLOC, 1, 64, 0, False), op]))
         assert err.value.op_index == 1
         assert heap.op_index == 1
 
     def test_errors_carry_the_op_position(self):
         heap, _ = small_heap("KG-N", zeroing=False)
-        ops = iter([Alloc(1, 64, 0, False), WriteOp(99, 0, 8)])
+        ops = iter([(ALLOC, 1, 64, 0, False), (WRITE, 99, 0, 8)])
         with pytest.raises(TraceError) as err:
             drive(heap, ops)
         assert err.value.op_index == 1
@@ -569,7 +625,7 @@ class TestDriver:
         heap, system = small_heap("KG-N", boot_size=16 * KIB, boot_object_size=256, cache_capacity=0)
         count = heap.boot_space.capacity // 256
         assert len(heap.boot_ids) == count == 64
-        ops = [Alloc(1, 64, 0, False), RefOp(-count, 3, 1), WriteOp(-count, 0, 8), RootOp(-count)]
+        ops = [(ALLOC, 1, 64, 0, False), (REF, -count, 3, 1), (WRITE, -count, 0, 8), (ROOT, -count)]
         assert drive(heap, iter(ops)) is True and heap.op_index == 4
         rec = heap.objects[-count]
         assert rec.addr == heap.boot_space.lo + (count - 1) * 256
@@ -579,9 +635,9 @@ class TestDriver:
 
     def test_an_id_past_the_boot_image_is_rejected_at_its_position(self):
         count = 64  # a 16 KiB image of 256-byte boot objects
-        for op in (WriteOp(-(count + 1), 0, 8), RefOp(1, 0, -(count + 1)), RootOp(-(count + 1))):
+        for op in ((WRITE, -(count + 1), 0, 8), (REF, 1, 0, -(count + 1)), (ROOT, -(count + 1))):
             heap, _ = small_heap("KG-N", boot_size=16 * KIB, boot_object_size=256, zeroing=False)
             with pytest.raises(TraceError, match=str(-(count + 1))) as err:
-                drive(heap, iter([Alloc(1, 64, 1, False), op]))
+                drive(heap, iter([(ALLOC, 1, 64, 1, False), op]))
             assert err.value.op_index == 1
             assert -(count + 1) not in heap.objects
