@@ -116,14 +116,14 @@ def _cmd_pair(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    caches = [parse_size(s) for s in args.cache_sizes] if args.cache_sizes else [config.cache_capacity]
+    caches = args.cache_sizes or [config.cache_capacity]
     counts = args.instance_counts or [config.instances]
     reports = sweep(config, args.collectors, caches, counts)  # a bad point fails here
     os.makedirs(args.out_dir, exist_ok=True)  # an unwritable directory fails before any point runs
     status = 0
     for label, report in reports:  # each point is written and printed as it ends
-        path = os.path.join(args.out_dir, f"{label}.{args.format}")
-        emit_report(report, args.format, path)
+        with open(os.path.join(args.out_dir, f"{label}.{args.format}"), "w", encoding="utf-8") as fh:
+            emit_report(report, args.format, fh)
         state = "FAILED" if report.failed else "ok"
         print(f"{label}: {state} pcm_write_bytes={report.aggregate.pcm_write_bytes}", flush=True)
         if report.failed:
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="cross product, one report per point", allow_abbrev=False)
     _add_run_args(p_sweep)
     p_sweep.add_argument("--collectors", nargs="+", default=COLLECTOR_NAMES)
-    p_sweep.add_argument("--cache-sizes", nargs="+", default=None, metavar="SIZE")
+    p_sweep.add_argument("--cache-sizes", nargs="+", type=parse_size, default=None, metavar="SIZE")
     p_sweep.add_argument("--instance-counts", nargs="+", type=int, default=None)
     p_sweep.add_argument("--out-dir", default=".")
     p_sweep.set_defaults(func=_cmd_sweep)

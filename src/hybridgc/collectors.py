@@ -255,8 +255,9 @@ class GcEngine:
         heap = self.heap
         config = self.config
         # the boot image counts as roots, but a boot object no trace has
-        # named has only null slots, so it adds nothing to the closure
-        live = self._closure([*heap.roots, *heap.named_boot_ids], heap.objects)
+        # named has only null slots, so it adds nothing to the closure; the
+        # named ones are the records under negative ids
+        live = self._closure([*heap.roots, *(oid for oid in heap.objects if oid < 0)], heap.objects)
         by_addr = attrgetter("addr")
         live_recs = sorted((heap.objects[oid] for oid in live if oid > 0), key=by_addr)  # boot ids are negative
         # LOO moves a large PCM object written often enough in this

@@ -42,9 +42,8 @@ class Collector(Enum):
     KG_W_NO_MDO = "KG-W-MDO"
 
     def __init__(self, value: str) -> None:
-        # Plain attributes, not properties: the heap reads ``loo`` and the
-        # nursery size on each large allocation and the engine reads ``mdo``
-        # on each mark.
+        # Plain attributes, read only when a config or a heap is built: the
+        # config's size checks, ``make_space_map`` and the heap's ``loo_cap``.
         self.is_write_sampling = value in ("KG-W", "KG-W-LOO", "KG-W-MDO")  # has an observation space
         self.nursery_multiplier = 3 if value in ("KG-B", "KG-B+LOO") else 1  # B: a bigger nursery, no observer
         self.loo = value in ("KG-N+LOO", "KG-B+LOO", "KG-W", "KG-W-MDO")  # large objects may use the nursery

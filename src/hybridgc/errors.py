@@ -37,10 +37,6 @@ class InvariantError(SimulatorError):
     """A model invariant does not hold; the simulator's state is inconsistent.
 
     Raised, never asserted, so ``python -O`` cannot remove the check and a
-    run reports it as a failure. ``instance`` names the heap instance
-    when the check knows it.
+    run reports it as a failure, under the instance of the heap that the
+    run was checking.
     """
-
-    def __init__(self, message: str, *, instance: int | None = None):
-        super().__init__(message)
-        self.instance = instance

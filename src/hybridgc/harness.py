@@ -127,19 +127,10 @@ class Report:
     reduction_vs_baseline: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "collector": self.collector,
-            "seed": self.seed,
-            "sim_seconds": self.sim_seconds,
-            "instances": [dataclasses.asdict(r) for r in self.rows],
-            "aggregate": dataclasses.asdict(self.aggregate),
-            "llc": {"fills": self.llc_fills, "writebacks": self.llc_writebacks},
-            "failed": self.failed,
-            "error": self.error,
-            "baseline_collector": self.baseline_collector,
-            "reduction_vs_baseline": self.reduction_vs_baseline,
-        }
+        """Every field under its own name, except ``rows`` as ``instances`` and the two LLC counts under ``llc``."""
+        payload = dataclasses.asdict(self)
+        payload["instances"] = payload.pop("rows")
+        payload["llc"] = {"fills": payload.pop("llc_fills"), "writebacks": payload.pop("llc_writebacks")}
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
@@ -231,7 +222,7 @@ def _round(heaps: list[HeapInstance], streams: list, quantum: int, alive: list[b
             try:
                 alive[i] = not drive(heap, streams[i], quantum)
             except SimulatorError as exc:
-                return _failure(exc, i, heap)
+                return _failure(exc, heap)
     return None
 
 
@@ -265,7 +256,7 @@ def _shared_round(
         if drive(lead, ops, quantum):
             alive[:] = [False] * len(heaps)
     except SimulatorError as exc:
-        failure = _failure(exc, 0, lead)
+        failure = _failure(exc, lead)
     finally:
         lead.system = system
     access = system.access
@@ -280,9 +271,9 @@ def _shared_round(
     return failure
 
 
-def _failure(exc: SimulatorError, instance: int, heap) -> dict:
-    """A failed report's ``error``: the instance, its op index and the exception."""
-    return {"instance": instance, "op_index": heap.op_index, "message": f"{type(exc).__name__}: {exc}"}
+def _failure(exc: SimulatorError, heap: HeapInstance) -> dict:
+    """A failed report's ``error``: the heap's instance, its op index and the exception."""
+    return {"instance": heap.instance_id, "op_index": heap.op_index, "message": f"{type(exc).__name__}: {exc}"}
 
 
 def _rate(pcm_write_bytes: int, elapsed: float, model: LifetimeModel) -> dict:
@@ -370,12 +361,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 base_ns = system.now_ns
 
         system.drain()
-        try:
-            for heap in heaps:
+        for heap in heaps:
+            try:
                 heap.check_write_conservation()
-        except InvariantError as exc:
-            if failure is None:  # a failed slice already explains the run
-                failure = _failure(exc, exc.instance, heaps[exc.instance])
+            except InvariantError as exc:
+                if failure is None:  # a failed slice already explains the run
+                    failure = _failure(exc, heap)
+                break
 
         window = system.counters.diff(base_counters)
         elapsed = (system.now_ns - base_ns) * 1e-9
@@ -459,16 +451,11 @@ def sweep(
     return ((label, run_experiment(point)) for label, point in points)
 
 
-def emit_report(report: Report, fmt: str, dest) -> None:
-    """Write ``report`` as ``fmt`` ('json'|'csv') to a path or file object."""
+def emit_report(report: Report, fmt: str, out) -> None:
+    """Write ``report`` as ``fmt`` ('json'|'csv') to the file object ``out``."""
     if fmt == "json":
-        text = report.to_json() + "\n"
+        out.write(report.to_json() + "\n")
     elif fmt == "csv":
-        text = report.to_csv()
+        out.write(report.to_csv())
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)

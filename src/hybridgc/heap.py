@@ -34,14 +34,16 @@ The boot image is arithmetic: boot object k (trace id ``-(k+1)``) sits
 at ``boot_space.lo + k * boot_extent`` and has all-null slots until a
 trace writes one. Its record is built on the first lookup of its id, so
 ``objects`` holds every live allocation plus only the boot objects a
-trace has named (``named_boot_ids``). Besides ``objects`` the heap keeps
-``young``: the records in the observer or the nursery, in address
-order. Allocation appends to it and the collector rebuilds it, so a
-minor collection touches only young records. ``check_placement`` covers
-every record, comparing each address with its space's half, and every
-chunk: the free indices of both halves, the chunks of the free-list
-spaces and ``reserved`` must cover each index exactly once.
-The engine runs it after every collection; no switch turns it off.
+trace has named. No collection deletes a boot record, so the negative
+keys of ``objects`` are the named boot objects, in naming order.
+Besides ``objects`` the heap keeps ``young``: the records in the
+observer or the nursery, in address order. Allocation appends to it and
+the collector rebuilds it, so a minor collection touches only young
+records. ``check_placement`` covers every record, comparing each
+address with its space's half, and every chunk: the free indices of both
+halves, the chunks of the free-list spaces and ``reserved`` must cover
+each index exactly once. The engine runs it after every collection; no
+switch turns it off.
 """
 
 from __future__ import annotations
@@ -298,7 +300,6 @@ class HeapInstance:
         count = self.boot_space.capacity // self.boot_extent
         self.boot_space.alloc(count * self.boot_extent)
         self.boot_ids = range(-1, -count - 1, -1)
-        self.named_boot_ids: list[int] = []  # boot objects with a record, in naming order
         # LOO: the largest large object the nursery admits, when it has the
         # room; a variant without LOO admits none
         self.loo_cap = config.loo_nursery_fraction * config.effective_nursery_size if config.variant.loo else 0
@@ -416,7 +417,6 @@ class HeapInstance:
         addr = self.boot_space.lo + (-oid - 1) * self.boot_extent
         rec = ObjectRecord(id=oid, addr=addr, size=self.boot_extent, space=self.boot_space, refs=[0] * BOOT_OBJECT_REFS)
         self.objects[oid] = rec
-        self.named_boot_ids.append(oid)
         return rec
 
     @staticmethod
@@ -450,8 +450,7 @@ class HeapInstance:
             if demand != absorbed + written_back:
                 raise InvariantError(
                     f"write bytes not conserved for {(self.instance_id, kind)}: {demand} demanded, "
-                    f"{absorbed} absorbed, {written_back} written back",
-                    instance=self.instance_id,
+                    f"{absorbed} absorbed, {written_back} written back"
                 )
 
     def check_placement(self) -> None:

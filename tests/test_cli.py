@@ -182,6 +182,9 @@ def test_sweep_writes_one_file_per_point(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all(": ok pcm_write_bytes=" in line for line in lines)
+    report = json.loads((tmp_path / "results" / "KG-N_cache65536_n1.json").read_text())
+    assert report["collector"] == "KG-N" and report["config"]["cache_capacity"] == 64 * 1024
+    assert f"KG-N_cache65536_n1: ok pcm_write_bytes={report['aggregate']['pcm_write_bytes']}" in lines
 
 
 @pytest.mark.parametrize(
@@ -235,14 +238,19 @@ def test_sweep_makes_its_out_dir_before_any_point_runs(tmp_path, capsys, monkeyp
     assert out == "" and err.startswith("error: ")
 
 
-def test_sweep_rejects_a_bad_point_before_it_makes_its_out_dir(tmp_path, capsys):
+def test_sweep_rejects_a_bad_point_before_it_makes_its_out_dir(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_experiment", ran.append)
     out_dir = tmp_path / "d"
-    argv = ["sweep", "--seed", "1", "--ops", "100", "--collectors", "KG-N", "--cache-sizes", "1000",
-            "--out-dir", str(out_dir)]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
-    assert not out_dir.exists()
+    # 1000 B is no whole number of 16-way sets of 64 B lines; 2XB is no size at all
+    for size, error in (("1000", "error: "), ("2XB", "error: unknown size suffix 'XB' in '2XB'\n")):
+        argv = ["sweep", "--seed", "1", "--ops", "100", "--collectors", "KG-N", "--cache-sizes", "64KiB", size,
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error)
+        assert not out_dir.exists()
+    assert ran == []
 
 
 def test_sweep_rejects_a_repeated_point_before_it_makes_its_out_dir(tmp_path, capsys):

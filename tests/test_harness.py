@@ -390,13 +390,16 @@ class TestReportFormats:
     def test_emit_report_to_path_and_file(self, tmp_path):
         report = run_experiment(churn_config())
         path = tmp_path / "out.json"
-        emit_report(report, "json", str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            emit_report(report, "json", fh)
+        assert path.read_text() == report.to_json() + "\n"
         assert json.loads(path.read_text())["collector"] == "KG-W"
         buf = io.StringIO()
         emit_report(report, "csv", buf)
         assert buf.getvalue() == report.to_csv()
         with pytest.raises(ConfigError):
-            emit_report(report, "yaml", str(path))
+            emit_report(report, "yaml", buf)
+        assert buf.getvalue() == report.to_csv()  # an unknown format writes nothing
 
 
 class TestComparisons:

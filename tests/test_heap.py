@@ -177,14 +177,14 @@ class TestPlacement:
         heap, system = small_heap("KG-N", boot_size=16 * KIB, boot_object_size=256)
         assert len(heap.boot_ids) == 64
         assert heap.boot_ids[0] == -1 and heap.boot_ids[-1] == -64
-        assert heap.objects == {} and heap.named_boot_ids == []
+        assert heap.objects == {}
         # naming builds the record where the arithmetic puts it
         for oid in (-1, -64):
             rec = heap._name_boot_object(oid)
             assert heap.objects[oid] is rec
             assert rec.addr == heap.boot_space.lo + (-oid - 1) * 256
             assert rec.space.name == BOOT and rec.refs == [0, 0, 0, 0]
-        assert heap.named_boot_ids == [-1, -64]
+        assert [oid for oid in heap.objects if oid < 0] == [-1, -64]
         # the boot image predates the trace: neither the build nor naming
         # emits traffic or takes simulated time
         assert sum(system.counters.written) == sum(system.counters.read) == 0
@@ -196,7 +196,7 @@ class TestPlacement:
         heap.set_root(-2, True)
         heap.write_ref(-2, 0, -1)
         assert heap.objects[-1] is rec
-        assert heap.named_boot_ids == [-1, -64, -2]
+        assert [oid for oid in heap.objects if oid < 0] == [-1, -64, -2]
         assert heap.objects[-2].refs == [-1, 0, 0, 0]
 
     def test_a_default_boot_image_costs_no_records(self):
@@ -326,7 +326,7 @@ class TestMutatorOps:
         heap.read_data(-5, 8, 16)
         rec = heap.objects[-5]
         assert rec.space.name == BOOT and rec.write_count == 0
-        assert heap.named_boot_ids == [-5]
+        assert [oid for oid in heap.objects if oid < 0] == [-5]
         assert per_key(system.counters.read, heap) == {(0, MemoryKind.DRAM, BOOT): 16}
         assert per_key(system.counters.written, heap) == {}
 

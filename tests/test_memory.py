@@ -387,18 +387,16 @@ class TestCounters:
         kid = first.spaces["los-pcm"].kid
         counters.demand[kid] = 128
         counters.absorbed[kid] = 64
-        with pytest.raises(InvariantError, match="not conserved") as failure:
+        with pytest.raises(InvariantError, match=r"not conserved for \(0, "):
             check_every_heap((first, second))
-        assert failure.value.instance == 0
         # conservation holds per (instance, kind), not per key: the last
         # writer of a line may be another space than the one it absorbed
         counters.written[first.spaces["mature-pcm"].kid] = 64
         check_every_heap((first, second))
         # written-back bytes with no demand behind them break it too
         counters.written[second.spaces["nursery"].kid] = 64
-        with pytest.raises(InvariantError, match="not conserved.* 0 demanded, 0 absorbed, 64 written back") as failure:
+        with pytest.raises(InvariantError, match=r"not conserved for \(1, .* 0 demanded, 0 absorbed, 64 written back"):
             check_every_heap((first, second))
-        assert failure.value.instance == 1
 
     def test_conservation_groups_keys_interned_apart_and_names_the_first_broken_pair(self):
         heaps, system = two_heaps()
@@ -424,14 +422,12 @@ class TestCounters:
         assert str(failure.value) == (
             f"write bytes not conserved for {(0, DRAM)}: 384 demanded, 64 absorbed, 384 written back"
         )
-        assert failure.value.instance == 0
         counters.absorbed[first.spaces["observer"].kid] = 0
         with pytest.raises(InvariantError, match=rf"not conserved for \(0, {PCM!r}\)"):
             check_every_heap(heaps)
         counters.absorbed[first.spaces["mature-pcm"].kid] = 0
-        with pytest.raises(InvariantError, match=rf"not conserved for \(1, {DRAM!r}\)") as failure:
+        with pytest.raises(InvariantError, match=rf"not conserved for \(1, {DRAM!r}\)"):
             check_every_heap(heaps)
-        assert failure.value.instance == 1
 
 
 class TestMemorySystem:

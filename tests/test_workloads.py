@@ -526,6 +526,31 @@ def test_pooled_benchmark_inputs_are_pinned(seed, k):
     assert digest == POOLED_STREAM_SHA256[seed, k]
 
 
+# The streams the generated benchmark inputs run: the harness generates
+# instance 0 at derive_seed(master, 0), where the master seed of input k of
+# seed s is s itself for k = 0 and derive_seed(s, k) otherwise. Recorded
+# from the generators that write each op as a plain tuple.
+RUN_STREAM_SHA256 = {
+    ("mature-mutation", 120_000, 42, 0): "b47e3996e1f26ec683e5c57f9c5d7aaf5c63aa6d246dd71085187779a929c26d",
+    ("mature-mutation", 120_000, 20180800, 0): "061c55b347936613a68bbd50eacf4d40c5dd238a58900acdb72d1d3ec9d02fcd",
+    ("large-object-graph", 16_000, 42, 0): "fb5f7af2297c849f824f579b915e4ecf0d429edceee91cf1fb983086fd8446dd",
+    ("large-object-graph", 16_000, 42, 1): "80c60ad2e0f5b8e80099ea046774b70af7437e47fc67fd5aa3ab40f0b63531bb",
+    ("large-object-graph", 16_000, 42, 2): "07d5f9e728438ecf81d14e76cdaae93415f653ca63495b5d07481800be2088c2",
+    ("large-object-graph", 16_000, 42, 3): "226cdc3fe5b4d240d035c522161b5476a7696097fcfe9a73bc461cb505cdbbb4",
+    ("large-object-graph", 16_000, 20180800, 0): "3e4cc20c3c9b6455a2d4220bd3a3876727ef7130017f2993b35deea42d7c9af6",
+    ("large-object-graph", 16_000, 20180800, 1): "82da2fda86a4f7cdfa5882098eb8bd33e101a7021e3f712e0dae0f24fb495bfe",
+    ("large-object-graph", 16_000, 20180800, 2): "b7d2d82810247b0df2b15016218ed9cec19332646307dae7229d6abe9a6f4b02",
+    ("large-object-graph", 16_000, 20180800, 3): "ba37f873ce99329b91327855302c22ad25ccd059089df48e348ac8c1ea5b1531",
+}
+
+
+@pytest.mark.parametrize("archetype,count,seed,k", sorted(RUN_STREAM_SHA256))
+def test_benchmark_inputs_run_pinned_streams(archetype, count, seed, k):
+    master = seed if k == 0 else derive_seed(seed, k)
+    digest = stream_sha256(archetype, count, derive_seed(master, 0))
+    assert digest == RUN_STREAM_SHA256[archetype, count, seed, k]
+
+
 # The same digests at seed 7, 5,000 ops, under a spec whose survival,
 # locality, large fraction and resident set send the generators down the
 # branches their defaults rarely take. Recorded alongside the pooled pins.
