@@ -18,6 +18,14 @@ out. So a minor either makes every copy or, before any, cascades into
 one major, and a major either places its whole plan or raises
 ``HeapExhausted`` before any traffic.
 
+``_move`` makes every copy, a minor's and a major's relocations. It
+allocates, moves each record and advances the clock per survivor, in
+list order, but sends the cache traffic per group of adjacent survivors:
+one read of the group's source lines and one write of its destination
+lines. Its set test keeps each set's touches in per-survivor order, so
+the cache state and every count a report reads are those of a read and
+a write per survivor.
+
 Each collection appends a ``CollectionStats`` holding only what reports
 read: its kind, the bytes it copied, its mark writes (all, and those to
 PCM) and its large-object relocations.
@@ -220,23 +228,67 @@ class GcEngine:
         heap.check_placement()
 
     def _move(self, moves: Moves, stats: CollectionStats) -> None:
-        """Copy each record, in list order, to a fresh extent of its destination space."""
+        """Copy each record, in list order, to a fresh extent of its destination space.
+
+        A copy joins the open group when it has the group's two spaces, its
+        first source line and its first destination line are each the
+        group's last or the next, and none of its source lines falls in a
+        set the group's destination lines cover. Grouping only moves a
+        later copy's read ahead of an earlier copy's write, which that set
+        test keeps in different sets, and a line two adjacent copies share
+        is touched once rather than twice back to back; so every set's LRU
+        order and every count but ``demand`` and ``absorbed`` is the
+        per-copy one. The open group also goes out when an allocation
+        raises. Without a cache, or when collector traffic bypasses it,
+        each copy reads and writes its own bytes.
+        """
         heap = self.heap
         system = heap.system
         inst = heap.instance_id
+        access = system.access
+        line = system.cache.line_size
+        n_sets = system.cache.n_sets
+        grouped = n_sets and system.gc_traffic_through_cache
         stats.bytes_copied_total += sum(rec.size for rec, _dest in moves)
-        for rec, dest in moves:
-            size = rec.size
-            new_addr = dest.alloc(size)  # only the observer's bump returns None; a free list raises
-            if new_addr is None:
-                raise InvariantError("observer evacuation left too little room")
-            system.access(inst, rec.addr, size, False, rec.space.kid, collector=True)
-            system.access(inst, new_addr, size, True, dest.kid, collector=True)
-            if system.include_collector_time:
-                system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
-            rec.addr = new_addr
-            rec.space = dest
-            rec.write_count = 0  # residency changed; observation restarts
+        # the open group: its spaces, and its source and destination lines, first and last
+        src = to = None
+        s_first = s_last = d_first = d_last = 0
+        try:
+            for rec, dest in moves:
+                size = rec.size
+                new_addr = dest.alloc(size)  # only the observer's bump returns None; a free list raises
+                if new_addr is None:
+                    raise InvariantError("observer evacuation left too little room")
+                if not grouped:
+                    access(inst, rec.addr, size, False, rec.space.kid, collector=True)
+                    access(inst, new_addr, size, True, dest.kid, collector=True)
+                else:
+                    lo = rec.addr // line
+                    hi = (rec.addr + size - 1) // line
+                    new_lo = new_addr // line
+                    # the sets after the group's last destination line and before its
+                    # first, taken cyclically, must hold the copy's source lines
+                    if (
+                        rec.space is src and dest is to
+                        and s_last <= lo <= s_last + 1 and d_last <= new_lo <= d_last + 1
+                        and (lo - d_last - 1) % n_sets + (hi - lo) + (d_last - d_first) + 2 <= n_sets
+                    ):
+                        s_last = hi
+                    else:
+                        if src is not None:
+                            access(inst, s_first * line, (s_last - s_first + 1) * line, False, src.kid, collector=True)
+                            access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
+                        src, to, s_first, s_last, d_first = rec.space, dest, lo, hi, new_lo
+                    d_last = (new_addr + size - 1) // line
+                if system.include_collector_time:
+                    system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
+                rec.addr = new_addr
+                rec.space = dest
+                rec.write_count = 0  # residency changed; observation restarts
+        finally:
+            if src is not None:
+                access(inst, s_first * line, (s_last - s_first + 1) * line, False, src.kid, collector=True)
+                access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
 
     def _prune_remset(self) -> None:
         """Keep the remembered ids that are records outside the young region with a ref into it."""

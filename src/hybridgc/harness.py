@@ -191,8 +191,10 @@ class _Recorder:
     x`` reads 0.0 and so hands the setter ``0.0 + x``, which is ``x`` for
     the finite, non-negative costs a config allows; it joins ``clock``.
     Each access joins ``accesses`` under instance 0's key id. The heap and
-    its collector read the cache's line size, the two costs and
-    ``include_collector_time`` here as on the real system.
+    its collector read these attributes here as on the real system:
+    ``cache`` (its line size, and its set count, by which the collector
+    groups its copies), ``op_cost_ns``, ``byte_cost_ns``,
+    ``include_collector_time`` and ``gc_traffic_through_cache``.
     """
 
     def __init__(self, system: MemorySystem) -> None:
@@ -200,6 +202,7 @@ class _Recorder:
         self.op_cost_ns = system.op_cost_ns
         self.byte_cost_ns = system.byte_cost_ns
         self.include_collector_time = system.include_collector_time
+        self.gc_traffic_through_cache = system.gc_traffic_through_cache
         self.clock: list[float] = []
         self.accesses: list[tuple[int, int, bool, int, bool]] = []
 

@@ -52,9 +52,11 @@ class TrafficCounters:
     The counts are lists indexed by a key id: ``written`` and ``read``
     are the bytes written back to and filled from memory, ``demand`` the
     bytes written to the cache and ``absorbed`` the bytes that landed on
-    a line already dirty. :meth:`add_key` adds a 0 to every list and
-    returns the new id. An id means nothing here; the heap that added it
-    knows its instance, space and memory kind.
+    a line already dirty. A collector's copy group writes a destination
+    line that two adjacent copies share once, so that line counts once in
+    ``demand`` and not in ``absorbed``. :meth:`add_key` adds a 0 to every
+    list and returns the new id. An id means nothing here; the heap that
+    added it knows its instance, space and memory kind.
     """
 
     def __init__(self) -> None:

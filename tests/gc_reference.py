@@ -1,8 +1,10 @@
-"""Independent reachability over a shadow of the object graph.
+"""Independent references for the collector: reachability and copy traffic.
 
-Replays only the structural side of a trace (allocations, reference
-stores, root flips), with no spaces, addresses, or write barriers, so
-expected live sets can be computed without trusting the collector.
+``ShadowGraph`` replays only the structural side of a trace (allocations,
+reference stores, root flips), with no spaces, addresses, or write
+barriers, so expected live sets can be computed without trusting the
+collector. ``reference_move`` copies survivors the plain way, a read and
+a write per copy, for the engine's grouped copies to be checked against.
 """
 
 import random
@@ -73,6 +75,23 @@ class ShadowGraph:
             live.add(oid)
             stack.extend(c for c in self.slots[oid] if c and young(c))
         return live
+
+
+def reference_move(engine, moves, stats) -> None:
+    """``GcEngine._move`` without copy groups: each copy reads its source and writes its destination."""
+    heap = engine.heap
+    system = heap.system
+    stats.bytes_copied_total += sum(rec.size for rec, _dest in moves)
+    for rec, dest in moves:
+        new_addr = dest.alloc(rec.size)
+        assert new_addr is not None
+        system.access(heap.instance_id, rec.addr, rec.size, False, rec.space.kid, collector=True)
+        system.access(heap.instance_id, new_addr, rec.size, True, dest.kid, collector=True)
+        if system.include_collector_time:
+            system.now_ns += system.op_cost_ns + 2 * rec.size * system.byte_cost_ns
+        rec.addr = new_addr
+        rec.space = dest
+        rec.write_count = 0
 
 
 def young_range(heap) -> tuple[int, int]:

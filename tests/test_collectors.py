@@ -231,11 +231,25 @@ class TestObservationPipeline:
         written = per_key(system.counters.written, heap)
         assert written[(0, MemoryKind.DRAM, MATURE_DRAM)] == written[(0, MemoryKind.PCM, MATURE_PCM)] == 4 * KIB
 
-    def test_each_move_list_is_copied_in_one_frame(self):
-        heap, _ = self.build()
+    @pytest.mark.parametrize("size, accesses", [(4 * KIB, 4), (4 * KIB - 32, 8)])
+    def test_each_move_list_is_copied_in_one_frame(self, size, accesses):
+        """A read and a write per group of adjacent copies. The 128-set cache
+        spans 8 KiB, so the nursery, the observer and a fresh mature chunk
+        all start at set 0. Whole-line copies form one group per move list;
+        copies that share a boundary line each go alone, since a copy's
+        first source line then falls in a set the group's writes cover."""
+        heap, _ = small_heap(
+            "KG-W",
+            nursery=8 * KIB,
+            observer_multiplier=1.0,
+            budget=1 * MIB,
+            zeroing=False,
+            cache_capacity=128 * 2 * 64,
+            cache_assoc=2,
+        )
         ids = ids_from()
-        fill_rooted(heap, ids, 3)  # 1 and 2 now under observation, 3 in the nursery
-        fill_rooted(heap, ids, 1)
+        fill_rooted(heap, ids, 3, size=size)  # 1 and 2 now under observation, 3 in the nursery
+        fill_rooted(heap, ids, 1, size=size)
         entered = []
 
         def profile(frame, event, _arg):
@@ -244,15 +258,15 @@ class TestObservationPipeline:
 
         sys.setprofile(profile)
         try:
-            fill_rooted(heap, ids, 1)  # evacuates 1 and 2, then copies 3 and 4 in
+            fill_rooted(heap, ids, 1, size=size)  # evacuates 1 and 2, then copies 3 and 4 in
         finally:
             sys.setprofile(None)
         evac, minor = heap.gc.collections[1:]
         assert (evac.kind, evac.bytes_copied_total, minor.kind, minor.bytes_copied_total) == (
-            "observer", 8 * KIB, "minor", 8 * KIB
+            "observer", 2 * size, "minor", 2 * size
         )
         assert entered.count("GcEngine._move") == 2
-        assert entered.count("MemorySystem.access") == 8  # a read and a write per copy
+        assert entered.count("MemorySystem.access") == accesses
 
     def test_evacuation_is_checked_for_chunks_before_any_copy(self):
         heap, _ = self.build()
