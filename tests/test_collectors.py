@@ -231,13 +231,10 @@ class TestObservationPipeline:
         written = per_key(system.counters.written, heap)
         assert written[(0, MemoryKind.DRAM, MATURE_DRAM)] == written[(0, MemoryKind.PCM, MATURE_PCM)] == 4 * KIB
 
-    @pytest.mark.parametrize("size, accesses", [(4 * KIB, 4), (4 * KIB - 32, 8)])
-    def test_each_move_list_is_copied_in_one_frame(self, size, accesses):
-        """A read and a write per group of adjacent copies. The 128-set cache
-        spans 8 KiB, so the nursery, the observer and a fresh mature chunk
-        all start at set 0. Whole-line copies form one group per move list;
-        copies that share a boundary line each go alone, since a copy's
-        first source line then falls in a set the group's writes cover."""
+    def copy_frames(self, size):
+        """The frames entered while a cycle evacuates two ``size``-byte
+        objects, then copies two in. The 128-set cache spans 8 KiB, so the
+        nursery, the observer and a fresh mature chunk all start at set 0."""
         heap, _ = small_heap(
             "KG-W",
             nursery=8 * KIB,
@@ -266,7 +263,15 @@ class TestObservationPipeline:
             "observer", 2 * size, "minor", 2 * size
         )
         assert entered.count("GcEngine._move") == 2
-        assert entered.count("MemorySystem.access") == accesses
+        return entered
+
+    def test_each_move_list_is_copied_in_one_frame(self):
+        # whole-line copies, adjacent at both ends: one group per move list, a read and a write each
+        assert self.copy_frames(4 * KIB).count("MemorySystem.access") == 4
+
+    def test_a_set_conflict_splits_a_copy_group(self):
+        # adjacent copies share a boundary line, in a set the group writes: each copy is a group of its own
+        assert self.copy_frames(4 * KIB - 32).count("MemorySystem.access") == 8
 
     def test_evacuation_is_checked_for_chunks_before_any_copy(self):
         heap, _ = self.build()
