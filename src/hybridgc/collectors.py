@@ -246,9 +246,10 @@ class GcEngine:
         system = heap.system
         inst = heap.instance_id
         access = system.access
-        line = system.cache.line_size
-        n_sets = system.cache.n_sets
-        grouped = n_sets and system.gc_traffic_through_cache
+        line = heap.cache.line_size
+        n_sets = heap.cache.n_sets
+        grouped = n_sets and self.config.gc_traffic_through_cache
+        timed = self.config.include_collector_time
         stats.bytes_copied_total += sum(rec.size for rec, _dest in moves)
         # the open group: its spaces, and its source and destination lines, first and last
         src = to = None
@@ -280,8 +281,8 @@ class GcEngine:
                             access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
                         src, to, s_first, s_last, d_first = rec.space, dest, lo, hi, new_lo
                     d_last = (new_addr + size - 1) // line
-                if system.include_collector_time:
-                    system.now_ns += system.op_cost_ns + 2 * size * system.byte_cost_ns
+                if timed:
+                    system.now_ns += heap.op_cost_ns + 2 * size * heap.byte_cost_ns
                 rec.addr = new_addr
                 rec.space = dest
                 rec.write_count = 0  # residency changed; observation restarts
@@ -347,11 +348,12 @@ class GcEngine:
         boot_marks = zip(range(boot.lo, boot.cursor, heap.boot_extent), repeat(boot))
         system = heap.system
         inst = heap.instance_id
-        line = system.cache.line_size
+        line = heap.cache.line_size
+        timed = config.include_collector_time
         for target, space in chain(marks[:below_boot], boot_marks, marks[below_boot:]):
             system.access(inst, target // line * line, line, True, space.kid, collector=True)
-            if system.include_collector_time:
-                system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
+            if timed:
+                system.now_ns += heap.op_cost_ns + line * heap.byte_cost_ns
             stats.mark_writes += 1
             if space.kind is MemoryKind.PCM:
                 stats.mark_writes_pcm += 1

@@ -2,11 +2,12 @@
 
 ``ExperimentConfig`` holds every knob of a run: the collector variant,
 the op source, the heap, cache and clock geometry and the lifetime
-model. The heap and the engine read it directly; ``build_system`` copies
-the cache geometry and the clock's costs into the run's ``MemorySystem``,
-which keeps the simulated time. The config is frozen and
-``__post_init__`` rejects every bad value when it is built, so a bad
-point of a sweep fails before any point runs.
+model. The heap and the engine read it directly, the clock's op costs
+included; ``build_system`` copies only the cache geometry and the
+collector-traffic routing into the run's ``MemorySystem``, which holds
+the simulated time. The config is frozen and ``__post_init__`` rejects
+every bad value when it is built, so a bad point of a sweep fails
+before any point runs.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class ExperimentConfig:
     """Every parameter of one run; ``variant`` is derived from ``collector``.
 
     A changed point is a new config, built with ``dataclasses.replace``.
-    The clock and routing fields default to ``MemorySystem``'s, and the
-    lifetime fields to ``LifetimeModel``'s.
+    The clock fields' defaults are its own, since only the heap and its
+    collector read them; the routing field defaults to ``MemorySystem``'s,
+    whose walk reads it, and the lifetime fields to ``LifetimeModel``'s.
     """
 
     collector: str
@@ -85,14 +87,14 @@ class ExperimentConfig:
     warmup_fraction: float = 0.10
     zeroing: bool = True
     gc_traffic_through_cache: bool = MemorySystem.gc_traffic_through_cache
-    include_collector_time: bool = MemorySystem.include_collector_time
+    include_collector_time: bool = True
     large_threshold: int = 8 * KIB
     loo_nursery_fraction: float = 1.0 / 8.0
     large_relocation_threshold: int = 4
     boot_size: int = 4 * MIB
     boot_object_size: int = 256
-    op_cost_ns: float = MemorySystem.op_cost_ns
-    byte_cost_ns: float = MemorySystem.byte_cost_ns
+    op_cost_ns: float = 5.0
+    byte_cost_ns: float = 0.25
     lifetime_capacity_bytes: int = LifetimeModel.capacity_bytes
     lifetime_endurance: float = LifetimeModel.endurance_writes
     lifetime_efficiency: float = LifetimeModel.wear_efficiency

@@ -13,11 +13,13 @@ Instances with streams of their own (an archetype's, from derived
 seeds) each drive their own heap. Instances that all replay one trace
 share one heap pass: the cache never feeds back into a heap, so heap
 state, collections and every access depend on the op stream alone.
-Instance 0's heap runs each slice once into a ``_Recorder``, and every
-instance then walks the recorded clock advances and accesses through
-the real ``MemorySystem`` under its own instance id and counter keys.
-The shared cache and clock see what N heaps would have sent, in the
-same order, so the report is the same.
+A heap uses its memory system only through ``access`` and ``now_ns``,
+so for the whole run instance 0's heap sends both to a ``_Recorder``
+instead. It runs each slice once, and every instance then walks the
+recorded clock advances and accesses through the real ``MemorySystem``
+under its own instance id and counter keys. The shared cache and clock
+see what N heaps would have sent, in the same order, so the report is
+the same.
 
 A replay parses its whole trace before the first op, and the one heap
 that applies the ops takes each out of the parsed list as it goes, so a
@@ -154,9 +156,6 @@ class Report:
 def build_system(config: ExperimentConfig) -> MemorySystem:
     return MemorySystem(
         CacheModel(config.cache_capacity, config.cache_assoc, config.cache_line, config.instances),
-        config.op_cost_ns,
-        config.byte_cost_ns,
-        config.include_collector_time,
         config.gc_traffic_through_cache,
     )
 
@@ -185,24 +184,15 @@ def _instance_streams(config: ExperimentConfig):
 
 
 class _Recorder:
-    """Stands in for the run's ``MemorySystem`` while instance 0's heap runs a shared slice.
+    """The ``system`` of instance 0's heap in a shared replay: its ``now_ns`` and ``access``.
 
     The heap's clock sites and accesses run unchanged. Each ``now_ns +=
     x`` reads 0.0 and so hands the setter ``0.0 + x``, which is ``x`` for
     the finite, non-negative costs a config allows; it joins ``clock``.
-    Each access joins ``accesses`` under instance 0's key id. The heap and
-    its collector read these attributes here as on the real system:
-    ``cache`` (its line size, and its set count, by which the collector
-    groups its copies), ``op_cost_ns``, ``byte_cost_ns``,
-    ``include_collector_time`` and ``gc_traffic_through_cache``.
+    Each access joins ``accesses`` under instance 0's key id.
     """
 
-    def __init__(self, system: MemorySystem) -> None:
-        self.cache = system.cache
-        self.op_cost_ns = system.op_cost_ns
-        self.byte_cost_ns = system.byte_cost_ns
-        self.include_collector_time = system.include_collector_time
-        self.gc_traffic_through_cache = system.gc_traffic_through_cache
+    def __init__(self) -> None:
         self.clock: list[float] = []
         self.accesses: list[tuple[int, int, bool, int, bool]] = []
 
@@ -240,28 +230,26 @@ def _shared_round(
 ) -> dict | None:
     """One round of instances that replay one trace; returns a failure's ``error``.
 
-    Instance 0's heap runs the slice once into ``recorder``. Then each
-    instance in turn adds the recorded clock advances to the clock, in
-    order, so the sums are bit-identical, and walks the recorded accesses
-    under its own id and keys (``kid_maps[i]`` takes instance 0's counter
-    key ids to instance i's). Every other heap then takes instance 0's op
-    index and collections, the only heap state its report row reads. When
-    the slice fails, instance 0 walks what it recorded up to the failure
-    and no other instance walks the round, so their rows count only the
-    slices they completed.
+    Instance 0's heap, whose ``system`` is ``recorder`` for the whole
+    run, runs the slice once. Then each instance in turn adds the
+    recorded clock advances to the clock, in order, so the sums are
+    bit-identical, and walks the recorded accesses under its own id and
+    keys (``kid_maps[i]`` takes instance 0's counter key ids to instance
+    i's). Every other heap then takes instance 0's op index and
+    collections, the only heap state its report row reads. When the slice
+    fails, instance 0 walks what it recorded up to the failure and no
+    other instance walks the round, so their rows count only the slices
+    they completed.
     """
     lead = heaps[0]
     recorder.clock.clear()
     recorder.accesses.clear()
     failure = None
-    lead.system = recorder
     try:
         if drive(lead, ops, quantum):
             alive[:] = [False] * len(heaps)
     except SimulatorError as exc:
         failure = _failure(exc, lead)
-    finally:
-        lead.system = system
     access = system.access
     for heap, kids in zip(heaps[:1] if failure else heaps, kid_maps):
         system.now_ns = reduce(add, recorder.clock, system.now_ns)
@@ -350,9 +338,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
         if config.trace_path is not None and config.instances > 1:
             kid_maps = [{space.kid: heap.spaces[name].kid for name, space in heaps[0].spaces.items()} for heap in heaps]
-            play_round = partial(
-                _shared_round, system, _Recorder(system), heaps, kid_maps, streams[0][1], config.quantum, alive
-            )
+            recorder = heaps[0].system = _Recorder()
+            play_round = partial(_shared_round, system, recorder, heaps, kid_maps, streams[0][1], config.quantum, alive)
         else:
             play_round = partial(_round, heaps, [ops for (_d, ops, _t) in streams], config.quantum, alive)
         while any(alive) and failure is None:
@@ -363,6 +350,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 base_counters = system.counters.snapshot()
                 base_ns = system.now_ns
 
+        heaps[0].system = system  # a shared replay's lead ran against its recorder; the checks read the real counters
         system.drain()
         for heap in heaps:
             try:

@@ -239,13 +239,18 @@ class HeapInstance:
     """One program's heap; all traffic goes through the shared memory system."""
 
     def __init__(self, instance_id: int, config: ExperimentConfig, system: MemorySystem) -> None:
-        if not 0 <= instance_id < system.cache.instances:
+        # the run's cache, for its line size and set count: an op and the
+        # collector use ``system`` only through ``access`` and ``now_ns``
+        self.cache = cache = system.cache
+        if not 0 <= instance_id < cache.instances:
             # a cached line's key, tag * instances + instance, is one-to-one only for these ids
-            raise ConfigError(f"instance id {instance_id} is outside [0, {system.cache.instances})")
+            raise ConfigError(f"instance id {instance_id} is outside [0, {cache.instances})")
         self.instance_id = instance_id
         self.config = config
         self.system = system
         self.zeroing = config.zeroing
+        self.op_cost_ns = config.op_cost_ns
+        self.byte_cost_ns = config.byte_cost_ns
         self.layout = layout = HeapLayout(config.heap_size, config.chunk_size)
         self.gc: "GcEngine | None" = None  # attached by the engine
 
@@ -311,9 +316,11 @@ class HeapInstance:
     # record lookup, bounds test, alignment and clock advance are written
     # out inline. They repeat ``align8`` term for term; the write barrier's
     # young test reads the two records' ``space.young``. Each op advances
-    # the clock by ``MemorySystem``'s one expression, ``op_cost_ns + n *
-    # byte_cost_ns`` for the ``n`` bytes it moves, so simulated time stays
-    # bit-identical.
+    # the clock by one expression, ``op_cost_ns + n * byte_cost_ns`` for
+    # the ``n`` bytes it moves, with the costs the heap bound from its
+    # config, so simulated time stays bit-identical. On ``system`` an op
+    # reads only ``access`` and ``now_ns``: a shared replay points its lead
+    # heap's ``system`` at a recorder that has only these two.
 
     def alloc_object(self, oid: int, size: int, n_refs: int, large_hint: bool = False) -> ObjectRecord:
         if oid <= 0:
@@ -325,7 +332,7 @@ class HeapInstance:
         floor = HEADER_SIZE + n_refs * REF_SIZE
         extent = ((size if size > floor else floor) + 7) & ~7
         system = self.system
-        system.now_ns += system.op_cost_ns + extent * system.byte_cost_ns
+        system.now_ns += self.op_cost_ns + extent * self.byte_cost_ns
         large = large_hint or size >= self.config.large_threshold
 
         if large:
@@ -357,7 +364,7 @@ class HeapInstance:
         if offset < 0 or length < 0 or offset + length > rec.size:
             raise self._bounds_error(rec, offset, length)
         system = self.system
-        system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
+        system.now_ns += self.op_cost_ns + length * self.byte_cost_ns
         rec.write_count += 1
         system.access(self.instance_id, rec.addr + offset, length, True, rec.space.kid)
 
@@ -368,7 +375,7 @@ class HeapInstance:
         if offset < 0 or length < 0 or offset + length > rec.size:
             raise self._bounds_error(rec, offset, length)
         system = self.system
-        system.now_ns += system.op_cost_ns + length * system.byte_cost_ns
+        system.now_ns += self.op_cost_ns + length * self.byte_cost_ns
         system.access(self.instance_id, rec.addr + offset, length, False, rec.space.kid)
 
     def write_ref(self, parent_id: int, slot: int, child_id: int) -> None:
@@ -386,8 +393,8 @@ class HeapInstance:
         refs[slot] = child_id
         parent.write_count += 1
         system = self.system
-        line = system.cache.line_size
-        system.now_ns += system.op_cost_ns + line * system.byte_cost_ns
+        line = self.cache.line_size
+        system.now_ns += self.op_cost_ns + line * self.byte_cost_ns
         slot_addr = parent.addr + HEADER_SIZE + slot * REF_SIZE
         line_base = (slot_addr // line) * line
         system.access(self.instance_id, line_base, line, True, parent.space.kid)
@@ -398,7 +405,7 @@ class HeapInstance:
         if oid not in self.objects:
             self._name_boot_object(oid)  # rooting a reclaimed id is a trace error
         system = self.system
-        system.now_ns += system.op_cost_ns + 0 * system.byte_cost_ns
+        system.now_ns += self.op_cost_ns + 0 * self.byte_cost_ns
         if rooted:
             self.roots.add(oid)
         else:

@@ -138,10 +138,10 @@ class CacheModel:
 class MemorySystem:
     """One shared cache, counter set and clock, as seen by every instance.
 
-    Time is ``now_ns``, in simulated nanoseconds. Every site that
-    advances it adds ``op_cost_ns + n * byte_cost_ns`` for the ``n``
-    bytes it moves, written out inline to save a frame; collector copies
-    and marks add it only when ``include_collector_time`` is set.
+    Time is ``now_ns``, in simulated nanoseconds. Nothing here advances
+    it: the heaps and their collectors do, by the op costs of their
+    run's config, and no method reads it. A heap uses only ``access``
+    and ``now_ns`` between its build and the drain.
 
     ``access`` walks the cache in one frame. Its caller names the key the
     access counts under by its id, ``kid``: a heap sends the id of the
@@ -171,9 +171,6 @@ class MemorySystem:
 
     cache: CacheModel
     counters: TrafficCounters = field(default_factory=TrafficCounters, init=False)
-    op_cost_ns: float = 5.0
-    byte_cost_ns: float = 0.25
-    include_collector_time: bool = True
     gc_traffic_through_cache: bool = True
     now_ns: float = field(default=0.0, init=False)
 

@@ -81,14 +81,15 @@ def reference_move(engine, moves, stats) -> None:
     """``GcEngine._move`` without copy groups: each copy reads its source and writes its destination."""
     heap = engine.heap
     system = heap.system
+    config = engine.config
     stats.bytes_copied_total += sum(rec.size for rec, _dest in moves)
     for rec, dest in moves:
         new_addr = dest.alloc(rec.size)
         assert new_addr is not None
         system.access(heap.instance_id, rec.addr, rec.size, False, rec.space.kid, collector=True)
         system.access(heap.instance_id, new_addr, rec.size, True, dest.kid, collector=True)
-        if system.include_collector_time:
-            system.now_ns += system.op_cost_ns + 2 * rec.size * system.byte_cost_ns
+        if config.include_collector_time:
+            system.now_ns += config.op_cost_ns + 2 * rec.size * config.byte_cost_ns
         rec.addr = new_addr
         rec.space = dest
         rec.write_count = 0

@@ -60,10 +60,11 @@ def test_defaults_per_variant():
     }
     for variant, (loo, mdo) in expected.items():
         assert (variant.loo, variant.mdo) == (loo, mdo), variant
-    # the clock and routing defaults are the memory system's own
-    system = build_system(default_config("KG-W"))
-    for name in ("op_cost_ns", "byte_cost_ns", "include_collector_time", "gc_traffic_through_cache"):
-        assert getattr(system, name) == getattr(MemorySystem, name), name
+    # the routing default is the memory system's own, and build_system hands the config's switch to the system
+    assert default_config("KG-W").gc_traffic_through_cache is MemorySystem.gc_traffic_through_cache
+    for through in (True, False):
+        system = build_system(default_config("KG-W", gc_traffic_through_cache=through))
+        assert system.gc_traffic_through_cache is through
 
 
 def test_string_variant_is_coerced():

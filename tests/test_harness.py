@@ -612,11 +612,13 @@ class TestPinnedReplayReports:
     MATURE = dict(nursery_size=64 * KIB, heap_budget=1 * MIB, chunk_size=64 * KIB, quantum=500)
     LARGE = dict(nursery_size=64 * KIB, heap_budget=5 * MIB, chunk_size=256 * KIB, quantum=500)
     SMALL_LLC = dict(cache_capacity=256 * KIB)
+    # 5.1 and 0.3 are not sums of powers of two, so a changed order of clock additions moves the last bits
+    INEXACT_CLOCK = dict(op_cost_ns=5.1, byte_cost_ns=0.3)
+    NO_GC_TIME = dict(INEXACT_CLOCK, include_collector_time=False)
     # name -> (trace, collector, instances, overrides)
     CASES = {
         "churn-4x": ("churn", "KG-W", 4, dict(quantum=500)),
-        # 5.1 and 0.3 are not sums of powers of two, so a changed order of clock additions moves the last bits
-        "churn-4x-inexact-clock": ("churn", "KG-W", 4, dict(quantum=500, op_cost_ns=5.1, byte_cost_ns=0.3)),
+        "churn-4x-inexact-clock": ("churn", "KG-W", 4, dict(quantum=500, **INEXACT_CLOCK)),
         **{
             f"{shape}-{collector}": (trace, collector, n, overrides)
             # the outermost iterable is the only part evaluated in class scope
@@ -628,6 +630,9 @@ class TestPinnedReplayReports:
             for collector in ("PCM-Only", "KG-W", "KG-W-MDO", "KG-B+LOO")
         },
         "large-gc-bypass-KG-W": ("large", "KG-W", 2, {**LARGE, **SMALL_LLC, "gc_traffic_through_cache": False}),
+        "large-llc-inexact-clock-KG-W": ("large", "KG-W", 2, {**LARGE, **INEXACT_CLOCK}),
+        "large-llc-no-gc-time-KG-W": ("large", "KG-W", 2, {**LARGE, **NO_GC_TIME}),
+        "mature-small-llc-no-gc-time-KG-W": ("mature", "KG-W", 2, {**MATURE, **SMALL_LLC, **NO_GC_TIME}),
         "trace-error": ("bad", "KG-W", 3, {**MATURE, **SMALL_LLC}),
         "heap-exhausted": ("mature", "PCM-Only", 3, {**MATURE, **SMALL_LLC, "heap_budget": 384 * KIB}),
         # one instance, whose own heap drives the replay stream
@@ -653,6 +658,12 @@ class TestPinnedReplayReports:
         "large-no-cache-KG-W-MDO": "f2800adcf59627311465cbbec1e0215ac358ac2657b40648e223f011576daa22",
         "large-no-cache-KG-B+LOO": "e9a3fcbe01f97f37ef7b0b995d8b183e301a02b18c9bf4282c7f0662136ce373",
         "large-gc-bypass-KG-W": "19c246773a0fa317877c97dcef08aa3f74299adddf7fc65603cede1bb5968020",
+        # collections under the inexact clock: 2 minors, 2 majors and 16 relocations over both rows ...
+        "large-llc-inexact-clock-KG-W": "86127633caee4bb9f1e669194822944889f4734caaa69eb3512812ac9563a029",
+        # ... the same with collector time off ...
+        "large-llc-no-gc-time-KG-W": "a79ab69d2c8f283e161e5ab0a30aa5fdf410c0f2eef2fef3819cf6fdae27afd9",
+        # ... and 14 minors and 6 observer collections with collector time off
+        "mature-small-llc-no-gc-time-KG-W": "ebec042b77f429d649709338c1842330837520c8c7af5edef90c7e408a780e87",
         # instance 0 stops at op 2,345, in its fifth round
         "trace-error": "c77040ae80486d3d5aaa93a7a590290747251af33f750dff5477572a200111f1",
         # instance 0 stops at op 7,908 with HeapExhausted, after one more minor than the other rows count

@@ -356,7 +356,7 @@ class TestMutatorOps:
         heap.alloc_object(1, 64, 2)
         before = system.now_ns
         heap.write_ref(1, 1, 0)
-        assert system.now_ns - before == system.op_cost_ns + 128 * system.byte_cost_ns
+        assert system.now_ns - before == heap.config.op_cost_ns + 128 * heap.config.byte_cost_ns
         assert per_key(system.counters.written, heap) == {(0, MemoryKind.DRAM, NURSERY): 128}
 
     def test_ref_slot_validation(self):

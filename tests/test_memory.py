@@ -99,16 +99,17 @@ class TestRate:
         """Each mark of a major collection costs one op and a line's bytes, or nothing with collector time off."""
         for include_collector_time in (True, False):
             heap, system = small_heap("PCM-Only", include_collector_time=include_collector_time)
+            config = heap.config
             heap.alloc_object(1, 64, 0)
             heap.set_root(1, True)
             mutator_ns = system.now_ns
-            assert mutator_ns == 2 * system.op_cost_ns + 64 * system.byte_cost_ns
+            assert mutator_ns == 2 * config.op_cost_ns + 64 * config.byte_cost_ns
             stats = heap.gc.collect_major()  # PCM-Only copies nothing in a major: only marks cost time
             assert stats.mark_writes == 1 + 64  # the record and the 16 KiB boot image of 256 B objects
             expected = mutator_ns
             if include_collector_time:
                 for _ in range(stats.mark_writes):
-                    expected += system.op_cost_ns + system.cache.line_size * system.byte_cost_ns
+                    expected += config.op_cost_ns + config.cache_line * config.byte_cost_ns
             assert system.now_ns == expected
 
 

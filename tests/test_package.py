@@ -280,3 +280,44 @@ def test_every_name_the_readme_gives_resolves():
             unresolved.append(f"{owner}.{attr}")
     assert unresolved == []
     assert checked >= 5  # the README's library section names several
+
+
+def _package_class(module: str, name: str) -> ast.ClassDef:
+    path = os.path.join(os.path.dirname(hybridgc.__file__), module)
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    return cls
+
+
+def test_a_heap_uses_its_memory_system_only_through_access_and_now_ns():
+    """In the five op methods of ``HeapInstance`` and in every ``GcEngine``
+    method, a memory system, ``X.system`` or a name bound from it, is read
+    only for ``access`` or ``now_ns``: the costs, the cache geometry and
+    the switches come from the heap and its config, so a shared replay's
+    recorder needs nothing else."""
+    ops = ("alloc_object", "write_data", "read_data", "write_ref", "set_root")
+    heap_methods = _methods(_package_class("heap.py", "HeapInstance"))
+    methods = [("HeapInstance", heap_methods[op]) for op in ops]
+    methods += [("GcEngine", f) for f in _methods(_package_class("collectors.py", "GcEngine")).values()]
+    found, checked = [], set()
+    for owner, method in methods:
+        nodes = list(ast.walk(method))
+        # ``name = X.system``: the bound value is checked where the name is read
+        bindings = [
+            node for node in nodes
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == "system"
+        ]
+        bound = {target.id for node in bindings for target in node.targets if isinstance(target, ast.Name)}
+        binding_values = {id(node.value) for node in bindings}
+        read_as = {id(node.value): node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        for node in nodes:
+            if (isinstance(node, ast.Name) and node.id in bound and isinstance(node.ctx, ast.Load)) or (
+                isinstance(node, ast.Attribute) and node.attr == "system" and id(node) not in binding_values
+            ):
+                checked.add((owner, method.name))
+                if read_as.get(id(node)) not in ("access", "now_ns"):
+                    found.append(f"{owner}.{method.name}:{node.lineno} {ast.unparse(node)}.{read_as.get(id(node))}")
+    assert found == []
+    # the rule sees every op and both collector methods that touch memory
+    assert {("HeapInstance", op) for op in ops} | {("GcEngine", "_move"), ("GcEngine", "collect_major")} <= checked
