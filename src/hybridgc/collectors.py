@@ -7,20 +7,20 @@ crosses the budget. Both kinds of collection find their live set with
 one reachability walk, ``_closure``, which follows refs only inside a
 scope: the young records for a minor, every record for a major. A young
 collection decides each survivor's destination once, in
-``_plan_survivors``, as a pair of move lists (nursery, observer); the
-chunk pre-flight and the copy loop both read that pair. A major plans
-its DRAM allocations before its first mark: a shadow slot for each live
-PCM resident that has none (mdo), in mark order, then a copy for each
-large object it relocates (LOO). One pre-flight, ``_chunks_available``,
-dry-runs either plan's allocations in order, first fit over a copy of
-each space's extents and fresh chunks in the order its half hands them
-out. So a minor either makes every copy or, before any, cascades into
-one major, and a major either places its whole plan or raises
-``HeapExhausted`` before any traffic.
+``_plan_survivors``, as a pair of move lists (nursery, observer). A
+major plans its DRAM allocations before its first mark: a shadow slot
+for each live PCM resident that has none (mdo), in mark order, then a
+copy for each large object it relocates (LOO). Either plan's free-list
+allocations are made at once, in order, by ``heap.place``, which makes
+all of them or none; only a copy into the observer, a bump, is left to
+the copy loop. So a minor either makes every copy or, before any,
+cascades into one major, and a major either places its whole plan or
+raises ``HeapExhausted`` before any traffic.
 
 ``_move`` makes every copy, a minor's and a major's relocations. It
-allocates, moves each record and advances the clock per survivor, in
-list order, but sends the cache traffic per group of adjacent survivors:
+takes each free-list destination from the placed addresses, moves each
+record and advances the clock per survivor, in list order, but sends
+the cache traffic per group of adjacent survivors:
 one read of the group's source lines and one write of its destination
 lines. Its set test keeps each set's touches in per-survivor order, so
 the cache state and every count a report reads are those of a read and
@@ -51,12 +51,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, Iterator
 
-from .address_space import FreeList, MemoryKind
+from .address_space import MemoryKind
 from .config import ExperimentConfig
 from .errors import HeapExhausted, InvariantError
 from .heap import (
@@ -66,11 +65,10 @@ from .heap import (
     MATURE_PCM,
     META_DRAM,
     META_SLOT_SIZE,
-    FreeListSpace,
     HeapInstance,
     ObjectRecord,
     Space,
-    first_fit,
+    place,
 )
 from .memory import MemorySystem
 
@@ -94,8 +92,9 @@ class GcEngine:
         self.heap = heap
         self.config = heap.config
         self.collections: list[CollectionStats] = []
-        # Called with (kind, frozenset of live ids) after each closure is
-        # computed and before any state changes; used by reachability oracles.
+        # Called with (kind, frozenset of live ids) once the collection's
+        # final plan is placed, before any record moves or any traffic;
+        # used by reachability oracles.
         self.inspect_hook: Callable[[str, frozenset], None] | None = None
         heap.gc = self
 
@@ -113,13 +112,43 @@ class GcEngine:
             nursery_moves, observer_moves = self._plan_survivors(live)
             # the plan evacuates the observer when its survivors need the room
             copies = (*(observer_moves or ()), *nursery_moves)
-            if self._chunks_available([(rec.size, dest) for rec, dest in copies if not dest.young]):
+            placed = place([(rec.size, dest) for rec, dest in copies if not dest.young])
+            if placed is not None:
                 break
             if attempt == 0:
                 self.collect_major()  # cascade once, then give up
             else:
                 raise HeapExhausted("no chunks left for minor-collection survivors")
-        self._run_young_cycle(live, nursery_moves, observer_moves)
+        if self.inspect_hook is not None:
+            self.inspect_hook("minor", frozenset(live))
+
+        addrs = iter(placed)  # the observer's evacuees take the first
+        if observer_moves is not None:
+            stats = CollectionStats("observer")
+            self._move(observer_moves, stats, addrs)
+            heap.observer.reset()
+            self.collections.append(stats)
+
+        stats = CollectionStats("minor")
+        self._move(nursery_moves, stats, addrs)
+        heap.nursery.reset()
+
+        # drop the young dead; ``young`` keeps the observer's residents, in order
+        objects = heap.objects
+        reclaimed = heap.reclaimed
+        kept = []
+        for rec in heap.young:
+            if rec.id not in live:
+                del objects[rec.id]
+                reclaimed.add(rec.id)
+            elif rec.space.young:  # in the observer: stayed, or was just copied in
+                kept.append(rec)
+            elif any(rec.refs):  # just left the young region, and may still point into it
+                heap.remset.add(rec.id)
+        heap.young = kept
+        self._prune_remset()
+        self.collections.append(stats)
+        heap.check_placement()
         if heap.mature_occupancy() >= self.config.heap_budget:
             self.collect_major()
 
@@ -139,7 +168,7 @@ class GcEngine:
                     stack.append(cid)
         return live
 
-    # -- the survivor plan, and the chunk pre-flight that keeps a collection from failing halfway --
+    # -- the survivor plan --
 
     def _plan_survivors(self, live: set[int]) -> tuple[Moves, Moves | None]:
         """Where each live young object goes: ``(nursery_moves, observer_moves)``.
@@ -173,62 +202,16 @@ class GcEngine:
             observer_moves = [(rec, spaces[MATURE_DRAM if rec.write_count else MATURE_PCM]) for rec in observer_live]
         return nursery_moves, observer_moves
 
-    @staticmethod
-    def _chunks_available(allocs: list[tuple[int, FreeListSpace]]) -> bool:
-        """Whether every ``(size, space)`` allocation, made in order, finds room: a dry run.
+    def _move(self, moves: Moves, stats: CollectionStats, addrs: Iterator[int]) -> None:
+        """Copy each record, in list order, to its new address in its destination space.
 
-        Each goes through ``first_fit`` over a copy of its space's extents.
-        One that no extent holds takes its half's next free index, the one
-        ``FreeList.reserve`` would hand out: nothing releases a chunk while
-        a collection allocates.
-        """
-        extents: dict[FreeListSpace, list[list[int]]] = {}
-        fresh: dict[FreeList, Iterator[int]] = {}  # each half's free indices, lowest first
-        for size, space in allocs:
-            half = space.half
-            if space not in extents:
-                extents[space] = [ext.copy() for ext in space.extents]
-                fresh.setdefault(half, iter(half.free_indices))
-            if first_fit(extents[space], size, half.chunk_size, partial(next, fresh[half], None)) is None:
-                return False
-        return True
-
-    # -- the nursery/observer cycle --
-
-    def _run_young_cycle(self, live: set[int], nursery_moves: Moves, observer_moves: Moves | None) -> None:
-        heap = self.heap
-        if self.inspect_hook is not None:
-            self.inspect_hook("minor", frozenset(live))
-
-        if observer_moves is not None:
-            stats = CollectionStats("observer")
-            self._move(observer_moves, stats)
-            heap.observer.reset()
-            self.collections.append(stats)
-
-        stats = CollectionStats("minor")
-        self._move(nursery_moves, stats)
-        heap.nursery.reset()
-
-        # drop the young dead; ``young`` keeps the observer's residents, in order
-        objects = heap.objects
-        reclaimed = heap.reclaimed
-        kept = []
-        for rec in heap.young:
-            if rec.id not in live:
-                del objects[rec.id]
-                reclaimed.add(rec.id)
-            elif rec.space.young:  # in the observer: stayed, or was just copied in
-                kept.append(rec)
-            elif any(rec.refs):  # just left the young region, and may still point into it
-                heap.remset.add(rec.id)
-        heap.young = kept
-        self._prune_remset()
-        self.collections.append(stats)
-        heap.check_placement()
-
-    def _move(self, moves: Moves, stats: CollectionStats) -> None:
-        """Copy each record, in list order, to a fresh extent of its destination space.
+        A copy to a free-list space takes the next of ``addrs``, the
+        addresses ``place`` returned for the collection's plan; a copy
+        into the observer bumps its cursor. Nothing a copy calls raises:
+        the bump's ``InvariantError`` is out of reach, since
+        ``ExperimentConfig`` rejects an observer smaller than the nursery
+        and a minor evacuates the observer when its survivors need the
+        room.
 
         A copy joins the open group when it has the group's two spaces, its
         first source line and its first destination line are each the
@@ -238,9 +221,8 @@ class GcEngine:
         test keeps in different sets, and a line two adjacent copies share
         is touched once rather than twice back to back; so every set's LRU
         order and every count but ``demand`` and ``absorbed`` is the
-        per-copy one. The open group also goes out when an allocation
-        raises. Without a cache, or when collector traffic bypasses it,
-        each copy reads and writes its own bytes.
+        per-copy one. Without a cache, or when collector traffic bypasses
+        it, each copy reads and writes its own bytes.
         """
         heap = self.heap
         system = heap.system
@@ -254,42 +236,43 @@ class GcEngine:
         # the open group: its spaces, and its source and destination lines, first and last
         src = to = None
         s_first = s_last = d_first = d_last = 0
-        try:
-            for rec, dest in moves:
-                size = rec.size
-                new_addr = dest.alloc(size)  # only the observer's bump returns None; a free list raises
+        for rec, dest in moves:
+            size = rec.size
+            if dest.young:  # the observer
+                new_addr = dest.alloc(size)
                 if new_addr is None:
                     raise InvariantError("observer evacuation left too little room")
-                if not grouped:
-                    access(inst, rec.addr, size, False, rec.space.kid, collector=True)
-                    access(inst, new_addr, size, True, dest.kid, collector=True)
+            else:
+                new_addr = next(addrs)
+            if not grouped:
+                access(inst, rec.addr, size, False, rec.space.kid, collector=True)
+                access(inst, new_addr, size, True, dest.kid, collector=True)
+            else:
+                lo = rec.addr // line
+                hi = (rec.addr + size - 1) // line
+                new_lo = new_addr // line
+                # the sets after the group's last destination line and before its
+                # first, taken cyclically, must hold the copy's source lines
+                if (
+                    rec.space is src and dest is to
+                    and s_last <= lo <= s_last + 1 and d_last <= new_lo <= d_last + 1
+                    and (lo - d_last - 1) % n_sets + (hi - lo) + (d_last - d_first) + 2 <= n_sets
+                ):
+                    s_last = hi
                 else:
-                    lo = rec.addr // line
-                    hi = (rec.addr + size - 1) // line
-                    new_lo = new_addr // line
-                    # the sets after the group's last destination line and before its
-                    # first, taken cyclically, must hold the copy's source lines
-                    if (
-                        rec.space is src and dest is to
-                        and s_last <= lo <= s_last + 1 and d_last <= new_lo <= d_last + 1
-                        and (lo - d_last - 1) % n_sets + (hi - lo) + (d_last - d_first) + 2 <= n_sets
-                    ):
-                        s_last = hi
-                    else:
-                        if src is not None:
-                            access(inst, s_first * line, (s_last - s_first + 1) * line, False, src.kid, collector=True)
-                            access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
-                        src, to, s_first, s_last, d_first = rec.space, dest, lo, hi, new_lo
-                    d_last = (new_addr + size - 1) // line
-                if timed:
-                    system.now_ns += heap.op_cost_ns + 2 * size * heap.byte_cost_ns
-                rec.addr = new_addr
-                rec.space = dest
-                rec.write_count = 0  # residency changed; observation restarts
-        finally:
-            if src is not None:
-                access(inst, s_first * line, (s_last - s_first + 1) * line, False, src.kid, collector=True)
-                access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
+                    if src is not None:
+                        access(inst, s_first * line, (s_last - s_first + 1) * line, False, src.kid, collector=True)
+                        access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
+                    src, to, s_first, s_last, d_first = rec.space, dest, lo, hi, new_lo
+                d_last = (new_addr + size - 1) // line
+            if timed:
+                system.now_ns += heap.op_cost_ns + 2 * size * heap.byte_cost_ns
+            rec.addr = new_addr
+            rec.space = dest
+            rec.write_count = 0  # residency changed; observation restarts
+        if src is not None:
+            access(inst, s_first * line, (s_last - s_first + 1) * line, False, src.kid, collector=True)
+            access(inst, d_first * line, (d_last - d_first + 1) * line, True, to.kid, collector=True)
 
     def _prune_remset(self) -> None:
         """Keep the remembered ids that are records outside the young region with a ref into it."""
@@ -329,15 +312,17 @@ class GcEngine:
             rec for rec in live_recs
             if meta is not None and rec.meta_addr is None and rec.space.kind is MemoryKind.PCM
         ]
-        # the pre-flight: every DRAM allocation, in the order made below
-        allocs = [(META_SLOT_SIZE, meta)] * len(unslotted) + [(rec.size, dest) for rec, dest in relocations]
-        if not self._chunks_available(allocs):
+        # every DRAM allocation, placed at once: the shadow slots take the
+        # first addresses, the relocations the rest
+        placed = place([(META_SLOT_SIZE, meta)] * len(unslotted) + [(rec.size, dest) for rec, dest in relocations])
+        if placed is None:
             raise HeapExhausted("no chunks left for major-collection shadow slots and relocations")
         if self.inspect_hook is not None:
             self.inspect_hook("major", frozenset(live.union(heap.boot_ids)))
 
+        addrs = iter(placed)
         for rec in unslotted:
-            rec.meta_addr = meta.alloc(META_SLOT_SIZE)
+            rec.meta_addr = next(addrs)
         stats = CollectionStats("major")
         # Marks go in address order, one line write each: a record's in its
         # shadow slot when it has one, else in place, and every boot object's
@@ -359,7 +344,7 @@ class GcEngine:
                 stats.mark_writes_pcm += 1
         for rec in large_pcm:
             rec.write_count = 0
-        self._move(relocations, stats)
+        self._move(relocations, stats, addrs)
         for rec, _dest in relocations:
             rec.meta_addr = None  # the DRAM shadow slot is only for PCM residents
         stats.large_relocated = len(relocations)

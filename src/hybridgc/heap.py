@@ -10,9 +10,12 @@ chunk, and the heap keeps them as the set ``reserved``; mature, large
 and metadata spaces pull chunk indices from their half on demand, and
 an allocation that finds its half out of chunks raises
 ``HeapExhausted``. A free-list space places each object by
-``first_fit``, which the collector's chunk pre-flight also dry-runs
-before each collection's allocations: a minor's copies, and a major's
-shadow slots and relocations.
+``first_fit``. A collection makes all its free-list allocations at once
+with ``place``: a minor's copies, and a major's shadow slots and
+relocations. ``place`` runs ``first_fit`` once per allocation, over
+copies of the spaces' extents, and commits the result only when every
+allocation fits, so a collection that cannot place its plan changes no
+space.
 The write barrier and the mutator's traffic live here; the collection
 algorithms that consume this state, and issue the collector's traffic,
 live in :mod:`hybridgc.collectors`. The barrier remembers the parent
@@ -50,7 +53,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .address_space import FreeList, HeapLayout, MemoryKind
 from .config import Collector, ExperimentConfig
@@ -218,6 +222,47 @@ class FreeListSpace:
         self.chunks = kept
         self.extents = extents
         self.allocated_bytes = live_bytes
+
+
+def place(allocs: list[tuple[int, FreeListSpace]]) -> list[int] | None:
+    """Make every ``(size, space)`` allocation, in order, or none: their addresses, or ``None``.
+
+    ``first_fit`` runs once per allocation, over a copy of its space's
+    extents and its half's free indices, lowest first, as
+    ``FreeList.reserve`` hands them out. Only when all fit does each space
+    take its copied extents, its fresh chunks (through ``_take_chunk``, in
+    the order taken here) and the placed bytes, ending as
+    ``FreeListSpace.alloc`` called in order would leave it.
+    """
+    extents: dict[FreeListSpace, list[list[int]]] = {}
+    takers: dict[FreeListSpace, Callable[[], int | None]] = {}
+    fresh: dict[FreeList, Iterator[int]] = {}  # each half's free indices, lowest first
+    taken: list[FreeListSpace] = []  # the space each fresh chunk goes to, in the order taken
+    addrs = []
+    for size, space in allocs:
+        if space not in extents:
+            extents[space] = [ext.copy() for ext in space.extents]
+            indices = fresh.setdefault(space.half, iter(space.half.free_indices))
+            takers[space] = partial(_take_fresh, indices, taken, space)
+        addr = first_fit(extents[space], size, space.half.chunk_size, takers[space])
+        if addr is None:
+            return None
+        addrs.append(addr)
+    for space in taken:
+        space._take_chunk()
+    for space, planned in extents.items():
+        space.extents = planned
+    for size, space in allocs:
+        space.allocated_bytes += size
+    return addrs
+
+
+def _take_fresh(indices: Iterator[int], taken: list[FreeListSpace], space: FreeListSpace) -> int | None:
+    """``place``'s ``take_chunk`` for ``space``: the next of its half's ``indices``, noted in ``taken``."""
+    index = next(indices, None)
+    if index is not None:
+        taken.append(space)
+    return index
 
 
 Space = BumpSpace | FreeListSpace

@@ -77,14 +77,19 @@ class ShadowGraph:
         return live
 
 
-def reference_move(engine, moves, stats) -> None:
-    """``GcEngine._move`` without copy groups: each copy reads its source and writes its destination."""
+def reference_move(engine, moves, stats, addrs) -> None:
+    """``GcEngine._move`` without copy groups: each copy reads its source and writes its destination.
+
+    As in ``_move``, a copy into the observer bumps its cursor and any
+    other copy takes the next of ``addrs``, the collection's placed
+    addresses.
+    """
     heap = engine.heap
     system = heap.system
     config = engine.config
     stats.bytes_copied_total += sum(rec.size for rec, _dest in moves)
     for rec, dest in moves:
-        new_addr = dest.alloc(rec.size)
+        new_addr = dest.alloc(rec.size) if dest.young else next(addrs)
         assert new_addr is not None
         system.access(heap.instance_id, rec.addr, rec.size, False, rec.space.kid, collector=True)
         system.access(heap.instance_id, new_addr, rec.size, True, dest.kid, collector=True)

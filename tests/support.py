@@ -1,5 +1,6 @@
 """Builders shared by the test modules."""
 
+import copy
 import gc
 import sys
 
@@ -77,6 +78,14 @@ def reserve_every_free_chunk(heap) -> None:
     for free_list in (layout.pcm, layout.dram):
         while free_list.free_indices:
             heap.reserved.add(free_list.reserve("filler"))
+
+
+def allocator_state(heap) -> tuple:
+    """A copy of what a free-list allocation changes: each free-list
+    space's extents, chunks and allocated bytes, and both halves' free
+    indices."""
+    spaces = {space.name: (space.extents, space.chunks, space.allocated_bytes) for space in heap.free_list_spaces}
+    return copy.deepcopy((spaces, heap.layout.pcm.free_indices, heap.layout.dram.free_indices))
 
 
 def entered_codes(fn, *args) -> tuple[object, list]:

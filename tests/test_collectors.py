@@ -17,7 +17,7 @@ from hybridgc.heap import (
     OBSERVER,
 )
 
-from support import KIB, MIB, per_key, reserve_every_free_chunk, small_config, small_heap
+from support import KIB, MIB, allocator_state, per_key, reserve_every_free_chunk, small_config, small_heap
 
 SAMPLING_VARIANTS = [v.value for v in Collector if v.is_write_sampling]
 
@@ -263,6 +263,8 @@ class TestObservationPipeline:
             "observer", 2 * size, "minor", 2 * size
         )
         assert entered.count("GcEngine._move") == 2
+        # one first fit per free-list copy (the evacuation's two), all in ``place``
+        assert (entered.count("first_fit"), entered.count("FreeListSpace.alloc")) == (2, 0)
         return entered
 
     def test_each_move_list_is_copied_in_one_frame(self):
@@ -281,7 +283,7 @@ class TestObservationPipeline:
         reserve_every_free_chunk(heap)
         with pytest.raises(HeapExhausted, match="minor-collection survivors"):
             fill_rooted(heap, ids, 2)  # full again; evacuating 1 and 2 needs a mature chunk
-        # the pre-flight refused before anything moved, after one cascaded major
+        # the placement refused before anything moved, after one cascaded major
         assert [s.kind for s in heap.gc.collections] == ["minor", "major"]
         assert heap.objects[1].space.name == heap.objects[2].space.name == OBSERVER
 
@@ -371,7 +373,7 @@ class TestYoungList:
 
         fill_rooted(heap, ids, 1)  # 24: 28 KiB of survivors overflow the chunk's tail
 
-        # the pre-flight cascaded into a major, which swept the chunk and reclaimed 100
+        # the placement cascaded into a major, which swept the chunk and reclaimed 100
         assert [s.kind for s in heap.gc.collections] == ["minor", "minor", "major", "minor"]
         assert 100 not in heap.objects and 100 in heap.reclaimed
         # so the minor found every young record live, and reclaimed none
@@ -506,7 +508,7 @@ class TestMajorCollection:
         collect_young(heap, ids)
 
         # 4 KiB of survivors against 33 KiB free: a free-byte count passes, but
-        # first-fit has no room for 101, so the pre-flight cascades before any copy
+        # first-fit has no room for 101, so the placement cascades before any copy
         assert [s.kind for s in heap.gc.collections[count:]] == ["major", "minor"]
         assert 1 not in heap.objects
         assert heap.objects[100].space is heap.objects[101].space is mature
@@ -529,6 +531,7 @@ class TestMajorCollection:
             return {oid: (rec.space, rec.addr, rec.write_count, rec.meta_addr) for oid, rec in heap.objects.items()}
 
         before = records()
+        allocators = allocator_state(heap)
 
         with pytest.raises(HeapExhausted, match="no chunks left for major-collection shadow slots and relocations"):
             heap.gc.collect_major()
@@ -536,6 +539,7 @@ class TestMajorCollection:
         assert (vars(system.counters.snapshot()), system.now_ns) == (counters, now)
         assert heap.gc.collections == []
         assert records() == before
+        assert allocator_state(heap) == allocators
 
 
 class TestLargeObjects:

@@ -1,3 +1,5 @@
+import copy
+import random
 import tracemalloc
 
 import pytest
@@ -20,11 +22,22 @@ from hybridgc.heap import (
     ObjectRecord,
     align8,
     make_space_map,
+    place,
 )
 from hybridgc.collectors import build_instance
 from hybridgc.harness import build_system
 from hybridgc.memory import MemorySystem
-from support import KIB, MIB, ONE_OP, entered_codes, per_key, reserve_every_free_chunk, small_config, small_heap
+from support import (
+    KIB,
+    MIB,
+    ONE_OP,
+    allocator_state,
+    entered_codes,
+    per_key,
+    reserve_every_free_chunk,
+    small_config,
+    small_heap,
+)
 
 
 def test_align8():
@@ -522,6 +535,61 @@ def test_free_list_space_out_of_chunks_is_heap_exhausted(variant):
     for space in heap.free_list_spaces:
         with pytest.raises(HeapExhausted):
             space.alloc(META_SLOT_SIZE)
+
+
+class TestPlace:
+    """``place`` makes a plan's allocations as ``FreeListSpace.alloc`` called in order would, or none of them."""
+
+    CHUNK = 16 * KIB
+    # mature-pcm and los-pcm share the PCM half; the other three share the DRAM half
+    SPACES = [MATURE_PCM, LOS_PCM, MATURE_DRAM, LOS_DRAM, META_DRAM]
+
+    def fragmented_heap(self, rng: random.Random) -> HeapInstance:
+        """A KG-W heap whose free-list spaces hold chunks with holes, taken
+        in turn from each half, and whose halves' free indices have gaps."""
+        heap, _ = small_heap("KG-W", heap_size=1 * MIB, chunk_size=self.CHUNK, zeroing=False)
+        assert sorted(space.name for space in heap.free_list_spaces) == sorted(self.SPACES)
+        for space in heap.free_list_spaces:
+            sizes = [align8(rng.randrange(16, self.CHUNK // 2)) for _ in range(8)]
+            allocated = [(space.alloc(size), size) for size in sizes]
+            space.sweep(sorted(rng.sample(allocated, 4)))
+        return heap
+
+    def test_place_is_sequential_allocation(self):
+        outcomes = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            heap = self.fragmented_heap(rng)
+            sizes = [
+                self.CHUNK if rng.random() < 0.2 else align8(rng.randrange(16, self.CHUNK // 2))
+                for _ in range(rng.randrange(1, 80))
+            ]
+            allocs = [(size, rng.choice(self.SPACES)) for size in sizes]
+            before = allocator_state(heap)
+            sequential = copy.deepcopy(heap)
+            try:
+                expected = [sequential.spaces[name].alloc(size) for size, name in allocs]
+            except HeapExhausted:
+                expected = None  # some allocation runs out of chunks: place makes none
+            got = place([(size, heap.spaces[name]) for size, name in allocs])
+            assert got == expected, seed
+            assert allocator_state(heap) == (before if got is None else allocator_state(sequential)), seed
+            heap.check_placement()
+            outcomes.append(got is None)
+        assert 0 < sum(outcomes) < len(outcomes) / 2  # mostly placed, and some ran out (8 of 40)
+
+    def test_a_plan_that_runs_out_of_chunks_changes_nothing(self):
+        heap = self.fragmented_heap(random.Random(0))
+        mature, los = heap.spaces[MATURE_PCM], heap.spaces[LOS_PCM]
+        free = len(heap.layout.pcm.free_indices)
+        # two holes' worth, then a whole chunk for each free PCM index and one more
+        allocs = [(64, mature), (64, los)] + [(self.CHUNK, los)] * (free + 1)
+        before = allocator_state(heap)
+        assert place(allocs) is None
+        assert allocator_state(heap) == before
+        placed = place(allocs[:-1])  # one fewer fits, and takes every free PCM index
+        assert placed is not None and heap.layout.pcm.free_indices == []
+        assert los.allocated_bytes == before[0][LOS_PCM][2] + 64 + free * self.CHUNK
 
 
 def test_mark_slot_out_of_chunks_is_heap_exhausted():
